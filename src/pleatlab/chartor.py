@@ -27,6 +27,8 @@ parabolic boundary.
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from pleatlab.errors import DegenerateNormalization, ReducibleLocus
 from pleatlab.moebius import MoebiusMap
 from pleatlab.words import WordEvaluator
@@ -103,6 +105,17 @@ def pleating_candidates(x, y):
     if z1.imag < z2.imag or (z1.imag == z2.imag and z1.real < z2.real):
         z1, z2 = z2, z1
     return (z1, z2)
+
+
+def marked_roots(x, y):
+    """The marked (first) root of :func:`pleating_candidates` over arrays."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    s = np.sqrt(discriminant(x, y))
+    z1 = (x * y + s) / 2.0
+    z2 = (x * y - s) / 2.0
+    swap = (z1.imag < z2.imag) | ((z1.imag == z2.imag) & (z1.real < z2.real))
+    return np.where(swap, z2, z1)
 
 
 class RepPair:

@@ -23,19 +23,23 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import click
+import numpy as np
 
 from pleatlab import suite as suite_mod
-from pleatlab.chartor import coords, matrices_from_traces, pleating_candidates
+from pleatlab.chartor import coords, marked_roots, matrices_from_traces, pleating_candidates
 from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import holo_length_jacobian, ray_to_cusp, volume_between
-from pleatlab.plaques import certify
+from pleatlab.plaques import certify, certify_batch
 
 SAFE_LO = 2.0
 SAFE_HI = 2.8
+# Largest grid sweep accepts.  A sweep holds every point in memory at
+# once (on the order of 1 kB per point with its CSV text), and a grid
+# step far below the range would otherwise never finish.
+MAX_SWEEP_POINTS = 10**7
 
 TOL_ARGUMENTS = {
     "real_trace": "real_tol",
@@ -55,19 +59,22 @@ def _fmt(value):
 
 
 def _jsonable(value):
+    """Plain JSON data: complex as {"im", "re"}, non-finite floats as null."""
+    if hasattr(value, "item"):  # numpy scalars
+        value = value.item()
     if isinstance(value, complex):
-        return {"im": value.imag, "re": value.real}
+        return {"im": _jsonable(value.imag), "re": _jsonable(value.real)}
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalars
-        return value.item()
     return value
 
 
 def _emit_json(payload, out):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -164,11 +171,14 @@ def _tolerances(ctx):
 
 def _parse_complex(text, label):
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
+        value = None
+    if value is None or not cmath.isfinite(value):
         raise click.UsageError(
-            f"{label} must be a real or complex number (like 2.2 or 2.42+1.96j), got {text!r}"
+            f"{label} must be a finite real or complex number (like 2.2 or 2.42+1.96j), got {text!r}"
         )
+    return value
 
 
 def _structure_from_args(x_text, y_text, z_text):
@@ -198,6 +208,8 @@ def _parse_grid(text):
             lo, hi, step = (float(v) for v in fields)
         except ValueError:
             raise click.UsageError(f"bad grid axis {part!r}: non-numeric field")
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise click.UsageError(f"bad grid axis {part!r}: non-finite field")
         if step <= 0 or hi < lo:
             raise click.UsageError(f"bad grid axis {part!r}: need MIN <= MAX and STEP > 0")
         axes.append((lo, hi, step))
@@ -216,6 +228,17 @@ def _axis_values(lo, hi, step):
     return out
 
 
+def _check_grid_size(axes):
+    """Reject grids above MAX_SWEEP_POINTS before building any of them."""
+    count = 1.0
+    for lo, hi, step in axes:
+        count *= (hi + 1e-12 - lo) // step + 1  # _axis_values's count, up to rounding
+    if not count <= MAX_SWEEP_POINTS:
+        raise click.UsageError(
+            f"grid has about {count:.3g} points; sweep accepts at most {MAX_SWEEP_POINTS}"
+        )
+
+
 def _check_safe_region(axes, force):
     if force:
         return
@@ -232,9 +255,12 @@ def _pair_of_floats(text, label):
     if len(parts) != 2:
         raise click.UsageError(f"{label} expects two comma-separated numbers")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError:
         raise click.UsageError(f"{label}: non-numeric value in {text!r}")
+    if not all(math.isfinite(v) for v in pair):
+        raise click.UsageError(f"{label}: non-finite value in {text!r}")
+    return pair
 
 
 def _certification_payload(cert):
@@ -307,42 +333,41 @@ def certify_cmd(ctx, x, y, z, out):
 @click.option("--grid", "grid_text", default=None,
               metavar="XMIN:XMAX:STEP,YMIN:YMAX:STEP", help="Grid to certify.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here.")
-@click.option("--workers", type=int, default=None, help="Thread pool size.")
 @click.pass_context
-def sweep_cmd(ctx, grid_text, out, workers):
+def sweep_cmd(ctx, grid_text, out):
     """Certify every grid point and emit one CSV row per point."""
     grid_text = _resolve(ctx, "grid", grid_text, default="2.05:2.6:0.05,2.05:2.6:0.05")
     axes = _parse_grid(grid_text)
     force = _resolve(ctx, "force", ctx.obj["force"], default=False, cast=_cast_bool)
     _check_safe_region(axes, force)
-    workers = _resolve(ctx, "workers", workers, default=8, cast=int)
+    _check_grid_size(axes)
     tols = _tolerances(ctx)
     xs = _axis_values(*axes[0])
     ys = _axis_values(*axes[1])
-    points = [(x, y) for x in xs for y in ys]
-
-    def work(point):
-        x, y = point
-        z, _ = pleating_candidates(x, y)
-        cert = certify(coords(x, y, z), **tols)
-        th_a, th_b, th_p = cert.theta
-        return (
-            x,
-            y,
-            z.real,
-            z.imag,
-            th_a,
-            th_b,
-            th_p,
-            cert.is_convex,
-            cert.is_fuchsian_boundary,
-            cert.in_pleating_variety,
-            cert.max_real_trace_residual,
-            cert.max_planarity_residual,
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(points) or 1))) as pool:
-        rows = list(pool.map(work, points))
+    x = np.repeat(xs, len(ys))
+    y = np.tile(ys, len(xs))
+    z = marked_roots(x, y)
+    try:
+        cert = certify_batch(x, y, z, **tols)
+    except PleatlabError as exc:
+        raise click.ClickException(str(exc))
+    # Python floats and bools for _fmt; an undefined angle prints as None.
+    thetas = [
+        [None if math.isnan(v) else v for v in th.tolist()]
+        for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)
+    ]
+    rows = zip(
+        x.tolist(),
+        y.tolist(),
+        z.real.tolist(),
+        z.imag.tolist(),
+        *thetas,
+        cert.is_convex.tolist(),
+        cert.is_fuchsian_boundary.tolist(),
+        cert.in_pleating_variety.tolist(),
+        cert.max_real_trace_residual.tolist(),
+        cert.max_planarity_residual.tolist(),
+    )
     header = (
         "x",
         "y",
@@ -435,6 +460,8 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
     x0, y0 = _pair_of_floats(start_text, "--start")
     x1, y1 = _pair_of_floats(end_text, "--end")
     nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
+    if nodes < 2:
+        raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
     z0, _ = pleating_candidates(x0, y0)
     z1, _ = pleating_candidates(x1, y1)
     try:

@@ -43,7 +43,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab.moebius import balanced_fixed_points, map_to_zero_infinity, rotation_about_axis
-from pleatlab.plaques import bending_angle, certify
+from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.words import WordEvaluator, random_reduced_word
 
 NEWTON_TOL = 1e-9
@@ -436,26 +436,10 @@ def dl_dphi(theta_a, theta_b, h=1e-3, seed=(1.0, 1.0)):
 # Volume through the Schlafli form
 
 
-def _certified_state(t):
-    cert = certify(t)
-    if not cert.is_convex:
-        raise UncertifiedPathPoint(
-            f"path point {t.astuple()} failed convex certification"
-        )
-    lengths = []
-    phis = []
-    for name in ("a", "b"):
-        curve = cert.curves[name]
-        lam = complex_curve_length(curve.trace)
-        lengths.append(lam.real)
-        phis.append(2.0 * (math.pi - curve.theta))
-    return cert, tuple(lengths), tuple(phis)
-
-
 def _trapezoid_volume(states):
     total = 0.0
     for k in range(len(states) - 1):
-        (_, l0, p0), (_, l1, p1) = states[k], states[k + 1]
+        (l0, p0), (l1, p1) = states[k], states[k + 1]
         for i in range(2):
             total += -0.5 * 0.5 * (l0[i] + l1[i]) * (p1[i] - p0[i])
     return total
@@ -467,11 +451,24 @@ def schlafli_volume(path, check=True):
     ``path`` is a sequence of :class:`TraceCoords` nodes (cusped locus,
     marked root).  Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid
     over the nodes; the error estimate is the Richardson comparison
-    against the half-resolution node set.
+    against the half-resolution node set.  Every node is certified in
+    one :func:`certify_batch` call; the first node in path order that
+    is not convex raises :class:`UncertifiedPathPoint`.
     """
     if len(path) < 3:
         raise PleatlabError("need at least three path nodes")
-    states = [_certified_state(t) for t in path]
+    cert = certify_batch(*zip(*(t.astuple() for t in path)))
+    uncertified = np.flatnonzero(~cert.is_convex)
+    if uncertified.size:
+        t = path[uncertified[0]]
+        raise UncertifiedPathPoint(
+            f"path point {t.astuple()} failed convex certification"
+        )
+    states = []
+    for t, theta_a, theta_b in zip(path, cert.theta_a.tolist(), cert.theta_b.tolist()):
+        t = t.normalized()
+        lengths = (complex_curve_length(t.x).real, complex_curve_length(t.y).real)
+        states.append((lengths, (2.0 * (math.pi - theta_a), 2.0 * (math.pi - theta_b))))
     full = _trapezoid_volume(states)
     half = _trapezoid_volume(states[::2] if len(states) % 2 == 1 else states[::2] + [states[-1]])
     return VolumeResult(

@@ -23,9 +23,20 @@ bending angle is then pi minus the inside wedge.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
-from pleatlab.chartor import RepPair, TraceCoords, matrices_from_traces
+import numpy as np
+
+from pleatlab import _kernel_py
+from pleatlab.chartor import (
+    REDUCIBLE_TOL,
+    RepPair,
+    TraceCoords,
+    coords,
+    kappa,
+    matrices_from_traces,
+)
 from pleatlab.errors import (
     NonPlanar,
     NonRealTraces,
@@ -35,6 +46,7 @@ from pleatlab.errors import (
     ReducibleLocus,
 )
 from pleatlab.moebius import (
+    DET_TOL,
     MoebiusMap,
     balanced_fixed_points,
     chordal_distance,
@@ -157,13 +169,14 @@ def _housed_points(pair, side):
 
 
 def _spread_triple(points):
+    dist = {
+        (i, j): chordal_distance(points[i], points[j])
+        for i, j in combinations(range(len(points)), 2)
+    }
     best = None
     best_score = -1.0
     for combo in combinations(range(len(points)), 3):
-        score = min(
-            chordal_distance(points[i], points[j])
-            for i, j in combinations(combo, 2)
-        )
+        score = min(dist[pair] for pair in combinations(combo, 2))
         if score > best_score + 1e-15:
             best_score = score
             best = combo
@@ -229,11 +242,16 @@ def bending_angle(pair, curve):
     d2 = h(translate(s))
     if d1 is None or d2 is None or abs(d1) < 1e-13 or abs(d2) < 1e-13:
         raise PleatlabError("degenerate roof: cusp point on the curve axis")
-    test_att, test_rep = _stable_generator_axis(pair, data["test_letter"])
+    test_gen = pair.a if data["test_letter"] == "a" else pair.b
+    if test_gen.c == 0:
+        # The normal form's parabolic case: the fixed point is infinity.
+        probes = (None,)
+    else:
+        probes = balanced_fixed_points(test_gen)
     phi1 = cmath.phase(d1)
     delta2 = (cmath.phase(d2) - phi1) % (2.0 * math.pi)
     psi = None
-    for probe in (test_att, test_rep):
+    for probe in probes:
         dt = h(probe)
         if dt is None or abs(dt) < 1e-13:
             continue
@@ -350,6 +368,302 @@ def certify(
         is_fuchsian_boundary=is_fuchsian,
         in_pleating_variety=is_convex and not is_fuchsian,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched certification
+#
+# ``certify_batch`` evaluates the branch of ``certify`` that marked
+# structures take (non-parabolic generators, real pants traces, a
+# parabolic cusp word, a proper roof) on whole arrays.  Each helper below
+# mirrors one scalar step, in the same order of operations, and returns a
+# mask of the points where that step would branch differently; those
+# points are recomputed by ``certify``, which stays the reference.
+
+
+@dataclass(frozen=True)
+class BatchCertification:
+    """Per-point results of :func:`certify_batch`, as one array per field.
+
+    The thetas are NaN where :func:`certify` reports ``None``.
+    ``fallback`` marks the points recomputed by :func:`certify`.
+    """
+
+    theta_a: np.ndarray
+    theta_b: np.ndarray
+    theta_puncture: np.ndarray
+    is_convex: np.ndarray
+    is_fuchsian_boundary: np.ndarray
+    in_pleating_variety: np.ndarray
+    max_real_trace_residual: np.ndarray
+    max_planarity_residual: np.ndarray
+    fallback: np.ndarray
+
+
+# Generator traces this close to +/-2 leave the batch.  The scalar path
+# switches to parabolic vertices at 1e-13, and before that the planarity
+# residual is ill-conditioned: the axis fixed points merge, and rounding
+# moves the residual by about 1e-16 / sqrt(|trace -/+ 2|), which is
+# 2e-12 at 1e-8 and 2e-14 here.
+_BATCH_PARABOLIC = 1e-4
+
+
+def _word_batch(gens, word):
+    """``RepPair.matrix`` over arrays: the same left-to-right product
+    (``eval_word``'s leading identity factor changes no finite value).
+    The pure-Python kernel is used because it works elementwise on numpy
+    arrays; the compiled one takes scalars only."""
+    factors = [
+        gens[ch] if ch.islower() else _kernel_py.mat_inv(gens[ch.lower()])
+        for ch in word
+    ]
+    return reduce(_kernel_py.mat_mul, factors)
+
+
+def _moebius_batch(m):
+    """``MoebiusMap``'s det-1 normalization, and the mask where it raises."""
+    det = m[0] * m[3] - m[1] * m[2]
+    rescale = np.abs(det - 1.0) > DET_TOL
+    s = np.sqrt(det)
+    return tuple(np.where(rescale, v / s, v) for v in m), np.abs(det) < 1e-14
+
+
+def _apply_batch(m, z):
+    """``apply_mobius`` at finite points, and the mask of images at infinity."""
+    num = m[0] * z + m[1]
+    den = m[2] * z + m[3]
+    return num / den, den == 0
+
+
+def _balanced_batch(m):
+    """``balanced_fixed_points``, and the mask where it raises."""
+    a, _, c, d = m
+    s = np.sqrt((a - 1.0) * (a + 1.0))
+    z_plus = s / c
+    z_minus = -s / c
+    swap = np.abs(c * z_minus + d) > np.abs(c * z_plus + d)
+    bad = (np.abs(a - d) > 1e-12 * (np.abs(a) + np.abs(d))) | (c == 0)
+    return np.where(swap, z_minus, z_plus), np.where(swap, z_plus, z_minus), bad
+
+
+def _chordal_batch(z, w):
+    """``chordal_distance`` between finite points, and the mask where the
+    scalar treats a point as infinity or the distance is not finite."""
+    az, aw = np.abs(z), np.abs(w)
+    dist = 2.0 * np.abs(z - w) / np.sqrt((1.0 + az * az) * (1.0 + aw * aw))
+    return dist, (az > 1e150) | (aw > 1e150) | ~np.isfinite(dist)
+
+
+def _concyclicity_batch(p, q, r, s):
+    """``concyclicity_residual`` at finite points."""
+    num = (p - r) * (q - s)
+    den = (p - s) * (q - r)
+    return np.where(den == 0, 0.0, np.abs((num / den).imag))
+
+
+def _planarity_batch(points):
+    """``_spread_triple``'s choice and ``plaque_circle``'s residual."""
+    leave = np.zeros(points[0].shape, dtype=bool)
+    dist = {}
+    for i, j in combinations(range(len(points)), 2):
+        dist[i, j], bad = _chordal_batch(points[i], points[j])
+        leave |= bad
+    combos = list(combinations(range(len(points)), 3))
+    best = np.full(points[0].shape, -1.0)
+    choice = np.zeros(points[0].shape, dtype=int)
+    for k, combo in enumerate(combos):
+        d01, d02, d12 = (dist[pair] for pair in combinations(combo, 2))
+        score = np.minimum(np.minimum(d01, d02), d12)
+        better = score > best + 1e-15
+        best = np.where(better, score, best)
+        choice = np.where(better, k, choice)
+    # Row k lists combo k, then the remaining points in index order.
+    order = np.array(
+        [combo + tuple(i for i in range(len(points)) if i not in combo) for combo in combos]
+    )
+    p0, p1, p2, *rest = np.take_along_axis(np.stack(points), order[choice].T, axis=0)
+    residual = np.zeros(points[0].shape)
+    for w in rest:
+        residual = np.maximum(residual, _concyclicity_batch(p0, p1, p2, w))
+    return residual, leave | (best < 1e-12) | ~np.isfinite(residual)
+
+
+def _side_batch(gens, side, real_tol):
+    """``plaque_circle`` on one pants side: its axis fixed points, cusp
+    vertex and planarity residual, and the mask of points it leaves."""
+    data = SIDE_DATA[side]
+    words = [_word_batch(gens, w) for w in data["boundary_words"]]
+    traces = [m[0] + m[3] for m in words]
+    leave = np.maximum.reduce([np.abs(tr.imag) for tr in traces]) > real_tol
+    axis_trace, cusp_trace = traces[0], traces[2]
+    leave |= np.minimum(np.abs(axis_trace - 2.0), np.abs(axis_trace + 2.0)) < _BATCH_PARABOLIC
+    att, rep, bad = _balanced_batch(gens[data["axis_letter"]])
+    leave |= bad
+    # The other generator moves the axis fixed points onto the plaque.
+    conj, bad = _moebius_batch(_word_batch(gens, data["test_letter"]))
+    leave |= bad
+    conj_att, inf_att = _apply_batch(conj, att)
+    conj_rep, inf_rep = _apply_batch(conj, rep)
+    leave |= inf_att | inf_rep
+    cusp = words[2]
+    leave |= np.minimum(np.abs(cusp_trace - 2.0), np.abs(cusp_trace + 2.0)) >= 1e-9
+    leave |= np.abs(cusp[2]) < 1e-13
+    vertex = (cusp[0] - cusp[3]) / (2.0 * cusp[2])
+    residual, bad = _planarity_batch([att, rep, conj_att, conj_rep, vertex])
+    return (att, rep, vertex), residual, leave | bad
+
+
+def _roof_batch(gens, side, axis_points, test_points):
+    """``bending_angle``'s roof wedge along the side's curve, and the mask
+    of points where it raises."""
+    att, rep, vertex = axis_points
+    dist, leave = _chordal_batch(rep, att)
+    leave |= dist < 1e-14
+    h, bad = _moebius_batch((1.0, -rep, 1.0, -att))
+    leave |= bad
+    translate, bad = _moebius_batch(_word_batch(gens, SIDE_DATA[side]["translate_word"]))
+    leave |= bad
+    d1, inf1 = _apply_batch(h, vertex)
+    moved, inf2 = _apply_batch(translate, vertex)
+    d2, inf3 = _apply_batch(h, moved)
+    leave |= inf1 | inf2 | inf3 | (np.abs(d1) < 1e-13) | (np.abs(d2) < 1e-13)
+    phi1 = np.angle(d1)
+    delta2 = np.mod(np.angle(d2) - phi1, 2.0 * math.pi)
+    psi = np.full(phi1.shape, np.nan)
+    for probe in test_points:
+        dt, inf = _apply_batch(h, probe)
+        delta_t = np.mod(np.angle(dt) - phi1, 2.0 * math.pi)
+        usable = (
+            np.isnan(psi) & ~inf & (np.abs(dt) >= 1e-13)
+            & (delta_t != 0.0) & (delta_t != delta2)
+        )
+        inside = (0.0 < delta_t) & (delta_t < delta2)
+        psi = np.where(usable, np.where(inside, delta2, 2.0 * math.pi - delta2), psi)
+    return math.pi - psi, leave | np.isnan(psi)
+
+
+def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
+    """The common branch of :func:`certify` over arrays, and the mask of
+    points that leave it."""
+    flip = x.real < 0
+    x, z = np.where(flip, -x, x), np.where(flip, -z, z)
+    flip = y.real < 0
+    y, z = np.where(flip, -y, y), np.where(flip, -z, z)
+    kap = kappa(x, y, z)
+    scale = np.maximum(np.maximum(1.0, np.abs(x)), np.maximum(np.abs(y), np.abs(z)))
+    real_coords = np.maximum(
+        np.maximum(np.abs(x.imag), np.abs(y.imag)), np.abs(z.imag)
+    ) < 1e-12 * scale
+    leave = ~np.isfinite(kap) | (np.abs(kap - 2.0) < REDUCIBLE_TOL) | real_coords
+    # The normal form of matrices_from_traces.
+    a, bad_a = _moebius_batch((x / 2.0, (x * x - 4.0) / 2.0, 0.5, x / 2.0))
+    w = 2.0 * z - x * y
+    s = np.sqrt(w * w - (x * x - 4.0) * (y * y - 4.0))
+    den_plus = w + s
+    den_minus = w - s
+    den = np.where(np.abs(den_plus) >= np.abs(den_minus), den_plus, den_minus)
+    r = (y * y - 4.0) / (2.0 * den)
+    q = w - (x * x - 4.0) * r
+    b, bad_b = _moebius_batch((y / 2.0, q, r, y / 2.0))
+    leave |= bad_a | bad_b | (np.abs(den) < 1e-12)
+    gens = {"a": a, "b": b}
+    top, top_planar, leave_top = _side_batch(gens, "top", real_tol)
+    bottom, bottom_planar, leave_bottom = _side_batch(gens, "bottom", real_tol)
+    angle_a, leave_a = _roof_batch(gens, "top", top, bottom[:2])
+    angle_b, leave_b = _roof_batch(gens, "bottom", bottom, top[:2])
+    leave |= leave_top | leave_bottom | leave_a | leave_b
+    # Marked structures have planar plaques and angles in [0, pi].  Off
+    # them (non-planar pants, concave creases) the residual and the roof
+    # can be ill-conditioned, so the scalar path alone defines them.
+    leave |= (top_planar > PLANARITY_TOL) | (bottom_planar > PLANARITY_TOL)
+    leave |= (angle_a < 0.0) | (angle_b < 0.0)
+
+    real_a, real_b, real_k = np.abs(x.imag), np.abs(y.imag), np.abs(kap.imag)
+    theta_a = np.where(
+        np.abs(x - 2.0) < parabolic_tol,
+        math.pi,
+        np.where(real_a <= real_tol, angle_a, np.nan),
+    )
+    theta_b = np.where(
+        np.abs(y - 2.0) < parabolic_tol,
+        math.pi,
+        np.where(real_b <= real_tol, angle_b, np.nan),
+    )
+    cusp_residual = np.abs(kap + 2.0)
+    is_pg = (
+        (top_planar <= planar_tol)
+        & (bottom_planar <= planar_tol)
+        & (real_a <= real_tol)
+        & (real_b <= real_tol)
+        & (real_k <= real_tol)
+    )
+    # NaN thetas (undefined angles) fail both comparisons, as in certify.
+    is_convex = (
+        is_pg
+        & (cusp_residual < parabolic_tol)
+        & (theta_a >= -convex_tol)
+        & (theta_b >= -convex_tol)
+    )
+    is_fuchsian = (
+        (real_a <= FUCHSIAN_TOL)
+        & (real_b <= FUCHSIAN_TOL)
+        & (np.abs(z.imag) <= FUCHSIAN_TOL)
+    )
+    fields = {
+        "theta_a": theta_a,
+        "theta_b": theta_b,
+        "theta_puncture": np.where(cusp_residual < parabolic_tol, math.pi, np.nan),
+        "is_convex": is_convex,
+        "is_fuchsian_boundary": is_fuchsian,
+        "in_pleating_variety": is_convex & ~is_fuchsian,
+        "max_real_trace_residual": np.maximum(np.maximum(real_a, real_b), real_k),
+        "max_planarity_residual": np.maximum(top_planar, bottom_planar),
+    }
+    return fields, leave
+
+
+def certify_batch(
+    x,
+    y,
+    z,
+    real_tol=REAL_TRACE_TOL,
+    planar_tol=PLANARITY_TOL,
+    parabolic_tol=PARABOLIC_FLAG_TOL,
+    convex_tol=CONVEXITY_TOL,
+):
+    """:func:`certify` at every point ``(x[i], y[i], z[i])`` at once.
+
+    ``x``, ``y`` and ``z`` are equal-length one-dimensional sequences of
+    trace coordinates.  Points on the common branch of :func:`certify`
+    are evaluated as arrays and agree with it to about 1e-14.  The rest
+    (a generator trace within 1e-4 of +/-2, a non-parabolic cusp word,
+    real coordinates, non-real pants traces, non-planar plaques, a
+    concave or degenerate roof, the reducible locus, non-finite values)
+    are recomputed by :func:`certify` in index order, so they raise what
+    it raises, such as :class:`ReducibleLocus`.
+    """
+    x, y, z = (np.asarray(v, dtype=complex).reshape(-1) for v in (x, y, z))
+    tols = {
+        "real_tol": real_tol,
+        "planar_tol": planar_tol,
+        "parabolic_tol": parabolic_tol,
+        "convex_tol": convex_tol,
+    }
+    with np.errstate(all="ignore"):
+        fields, leave = _certify_branch(x, y, z, **tols)
+    for i in np.flatnonzero(leave):
+        cert = certify(coords(x[i], y[i], z[i]), **tols)
+        for name, theta in zip(("theta_a", "theta_b", "theta_puncture"), cert.theta):
+            fields[name][i] = np.nan if theta is None else theta
+        for name in (
+            "is_convex",
+            "is_fuchsian_boundary",
+            "in_pleating_variety",
+            "max_real_trace_residual",
+            "max_planarity_residual",
+        ):
+            fields[name][i] = getattr(cert, name)
+    return BatchCertification(**fields, fallback=leave)
 
 
 def quakebend(t, angle):

@@ -16,6 +16,7 @@ from pleatlab.chartor import (
     commuting_canonical_pair,
     coords,
     discriminant,
+    marked_roots,
     matrices_from_traces,
     pleating_candidates,
 )
@@ -32,7 +33,7 @@ from pleatlab.lengthmap import (
     volume_between,
 )
 from pleatlab.moebius import MoebiusMap, complex_length
-from pleatlab.plaques import certify, quakebend
+from pleatlab.plaques import certify, certify_batch, quakebend
 
 GRID_MIN = 2.05
 GRID_MAX = 2.6
@@ -95,29 +96,23 @@ def check_lift(samples=10_000, seed=1, tol=1e-10):
 
 def check_grid(tol=1e-8):
     values = _grid_values()
-    worst_planar = 0.0
-    bad = []
-    count = 0
-    for x in values:
-        for y in values:
-            count += 1
-            cert = certify(_marked(x, y))
-            th_a, th_b, th_p = cert.theta
-            ok = (
-                cert.is_convex
-                and cert.in_pleating_variety
-                and 0.0 < th_a < math.pi
-                and 0.0 < th_b < math.pi
-            )
-            worst_planar = max(worst_planar, cert.max_planarity_residual)
-            if not ok:
-                bad.append((x, y))
+    x = np.repeat(values, len(values))
+    y = np.tile(values, len(values))
+    cert = certify_batch(x, y, marked_roots(x, y))
+    ok = (
+        cert.is_convex
+        & cert.in_pleating_variety
+        & (0.0 < cert.theta_a)
+        & (cert.theta_a < math.pi)
+        & (0.0 < cert.theta_b)
+        & (cert.theta_b < math.pi)
+    )
     return {
-        "passed": not bad,
+        "passed": bool(ok.all()),
         "details": {
-            "points": count,
-            "failures": len(bad),
-            "worst_planarity": worst_planar,
+            "points": int(ok.size),
+            "failures": int((~ok).sum()),
+            "worst_planarity": float(cert.max_planarity_residual.max()),
             "tol": tol,
         },
     }

@@ -20,6 +20,7 @@ from pleatlab.chartor import (
     coords,
     discriminant,
     kappa,
+    marked_roots,
     matrices_from_traces,
     pleating_candidates,
     trace_of_word,
@@ -54,6 +55,15 @@ def test_pleating_candidates_marked_first():
     z1, z2 = pleating_candidates(2.2, 2.2)
     assert z1.imag > 0.0
     assert z2.imag < 0.0
+
+
+def test_marked_roots_match_pleating_candidates():
+    """The array form picks the same root, on and off the bending locus."""
+    xs = [2.0, 2.2, 2.6, 3.0, 2.5 + 0.3j, -2.2, 1.0]
+    ys = [2.0, 2.3, 3.1, 3.0, 2.1 - 0.2j, 2.4, -0.5j]
+    got = marked_roots(xs, ys)
+    for x, y, z in zip(xs, ys, got):
+        assert abs(z - pleating_candidates(x, y)[0]) <= 1e-15 * (1.0 + abs(z))
     # real roots (flat region): larger first
     z1, z2 = pleating_candidates(3.0, 3.0)
     assert z1.imag == 0.0 and z2.imag == 0.0

@@ -7,7 +7,9 @@ import math
 
 from click.testing import CliRunner
 
+from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.cli import main
+from pleatlab.plaques import certify
 
 THETA_22 = 2.189525017467147
 
@@ -43,6 +45,21 @@ def test_certify_off_locus_exits_one():
 def test_certify_bad_number_exits_two():
     result = run("certify", "2.2", "spam")
     assert result.exit_code == 2
+    for args in (("nan", "nan"), ("inf", "2.2"), ("2.2", "-inf"), ("2.2", "2.2", "nanj")):
+        assert run("certify", *args).exit_code == 2
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_certify_json_is_strict():
+    """Undefined values (here the missing top plaque) are null, not NaN or Infinity."""
+    result = run("certify", "2.2+0.1j", "2.2", "2.4+1.9j")
+    assert result.exit_code == 1
+    payload = json.loads(result.output, parse_constant=_no_constants)
+    assert payload["max_planarity_residual"] is None
+    assert payload["theta_a"] is None
 
 
 def test_sweep_csv_shape_and_determinism():
@@ -59,6 +76,28 @@ def test_sweep_csv_shape_and_determinism():
         float(row[4])  # theta_a parses
 
 
+def test_sweep_rows_match_scalar_certify():
+    result = run("sweep", "--grid", "2.0:2.2:0.05,2.0:2.2:0.05")
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))[1:]
+    assert len(rows) == 25
+    for row in rows:
+        x, y = float(row[0]), float(row[1])
+        z, _ = pleating_candidates(x, y)
+        cert = certify(coords(x, y, z))
+        expected = (
+            z.real,
+            z.imag,
+            *cert.theta,
+            cert.max_real_trace_residual,
+            cert.max_planarity_residual,
+        )
+        for got, want in zip((row[i] for i in (2, 3, 4, 5, 6, 10, 11)), expected):
+            assert abs(float(got) - want) <= 1e-13
+        flags = (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)
+        assert row[7:10] == ["true" if f else "false" for f in flags]
+
+
 def test_sweep_respects_safe_region():
     result = run("sweep", "--grid", "1.5:2.5:0.5,2.0:2.5:0.5")
     assert result.exit_code == 2
@@ -70,6 +109,15 @@ def test_sweep_bad_grid_exits_two():
     assert run("sweep", "--grid", "nope").exit_code == 2
     assert run("sweep", "--grid", "2:3:0.5").exit_code == 2
     assert run("sweep", "--grid", "2.4:2.2:0.1,2.1:2.2:0.1").exit_code == 2
+    assert run("sweep", "--grid", "nan:2.2:0.1,2.1:2.2:0.1").exit_code == 2
+    assert run("sweep", "--grid", "2.1:2.2:inf,2.1:2.2:0.1").exit_code == 2
+
+
+def test_sweep_oversized_grid_exits_two():
+    """Grids above MAX_SWEEP_POINTS are refused before any point is built."""
+    assert run("sweep", "--grid", "2.0:2.8:1e-300,2.0:2.8:0.1").exit_code == 2
+    # 3163 x 3163 points, just above the 10**7 cap.
+    assert run("sweep", "--grid", "2.0:2.8:0.000253,2.0:2.8:0.000253").exit_code == 2
 
 
 def test_tolerance_flag_applies():
@@ -105,6 +153,13 @@ def test_volume_json():
     payload = json.loads(result.output)
     assert abs(payload["value"] - (-1.8273655396883792)) < 1e-4
     assert payload["nodes"] == 65
+
+
+def test_volume_bad_nodes_exit_two():
+    for nodes in ("0", "1", "-3"):
+        args = ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", nodes)
+        assert run(*args).exit_code == 2
+    assert run("volume", "--start", "nan,2.1", "--end", "2.5,2.4").exit_code == 2
 
 
 def test_double_json():

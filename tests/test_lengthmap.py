@@ -7,6 +7,7 @@ the magnitude given by the closed form; the cusp solve must land on
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,9 +152,33 @@ def test_volume_path_independence():
 
 def test_volume_rejects_uncertified_path():
     off_locus = coords(2.2, 2.2, 3.0)  # commutator trace far from -2
-    path = [_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3)]
-    with pytest.raises(UncertifiedPathPoint):
+    also_off = coords(2.25, 2.25, 3.1)
+    path = [_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3), also_off, _marked(2.4, 2.4)]
+    with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
         lm.schlafli_volume(path)
+
+
+def _per_node_volume(path):
+    """Schlafli quadrature with scalar certify at every node (the reference)."""
+    states = []
+    for t in path:
+        cert = certify(t)
+        assert cert.is_convex
+        lengths = [lm.complex_curve_length(cert.curves[n].trace).real for n in "ab"]
+        phis = [2.0 * (math.pi - cert.curves[n].theta) for n in "ab"]
+        states.append((lengths, phis))
+    full = lm._trapezoid_volume(states)
+    half = lm._trapezoid_volume(states[::2])
+    return full, abs(full - half) / 3.0
+
+
+@pytest.mark.parametrize("ends,nodes", [(((2.1, 2.1), (2.5, 2.4)), 64), (((2.0, 2.2), (2.4, 2.3)), 8)])
+def test_schlafli_volume_matches_per_node_certify(ends, nodes):
+    path = lm.coordinate_segment(_marked(*ends[0]), _marked(*ends[1]), nodes)
+    res = lm.schlafli_volume(path)
+    value, error = _per_node_volume(path)
+    assert abs(res.value - value) <= 1e-12
+    assert abs(res.error_estimate - error) <= 1e-12
 
 
 def test_ray_to_cusp_monotone_and_lands():

@@ -7,11 +7,21 @@ parameter; the flat and maximal-cusp limits pin the angle range ends.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pleatlab.chartor import coords, matrices_from_traces, pleating_candidates
-from pleatlab.errors import NotFuchsian, ParabolicOrIdentity
-from pleatlab.plaques import bending_angle, certify, plaque_circle, quakebend
+from pleatlab import plaques
+from pleatlab.chartor import coords, marked_roots, matrices_from_traces, pleating_candidates
+from pleatlab.errors import NotFuchsian, ParabolicOrIdentity, ReducibleLocus
+from pleatlab.plaques import (
+    bending_angle,
+    certify,
+    certify_batch,
+    plaque_circle,
+    quakebend,
+)
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 THETA_22 = 2.189525017467147
@@ -61,6 +71,17 @@ def test_certify_maximal_cusp():
     assert cert.curves["a"].parabolic
     assert cert.curves["b"].parabolic
     assert cert.max_planarity_residual < 1e-12
+
+
+def test_certify_parabolic_b_edge_mirrors_a_edge():
+    """At y = 2 the b-generator's fixed point is infinity, and the a-curve
+    angle there equals the b-curve angle on the mirror edge x = 2."""
+    edge = certify(coords(2.4, 2.0, pleating_candidates(2.4, 2.0)[0]))
+    mirror = certify(coords(2.0, 2.4, pleating_candidates(2.0, 2.4)[0]))
+    assert edge.is_convex
+    assert edge.in_pleating_variety
+    assert edge.theta[1] == math.pi
+    assert abs(edge.theta[0] - mirror.theta[1]) < 1e-12
 
 
 def test_certify_off_locus_not_convex():
@@ -137,3 +158,102 @@ def test_angle_decreases_away_from_cusp():
         th = certify(coords(x, x, z)).theta[0]
         assert 0.0 < th < prev
         prev = th
+
+
+def test_spread_triple_measures_each_pair_once(monkeypatch):
+    calls = []
+    chordal_distance = plaques.chordal_distance
+
+    def counting(z, w):
+        calls.append((z, w))
+        return chordal_distance(z, w)
+
+    pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
+    monkeypatch.setattr(plaques, "chordal_distance", counting)
+    top = plaque_circle(pair, "top")
+    assert len(top.housed_points) == 5
+    assert len(calls) == 10  # C(5, 2)
+    assert top.planarity_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# certify_batch against the scalar reference
+
+BATCH_TOL = 1e-13
+
+
+def assert_batch_matches_scalar(x, y, z, **tols):
+    """Every point of certify_batch agrees with scalar certify."""
+    try:
+        refs = [certify(coords(*p), **tols) for p in zip(x, y, z)]
+    except Exception as exc:  # the batch must fail the same way
+        with pytest.raises(type(exc)):
+            certify_batch(x, y, z, **tols)
+        return None
+    batch = certify_batch(x, y, z, **tols)
+    for i, ref in enumerate(refs):
+        got = (batch.theta_a[i], batch.theta_b[i], batch.theta_puncture[i])
+        for theta, value in zip(ref.theta, got):
+            if theta is None:
+                assert math.isnan(value)
+            else:
+                assert abs(value - theta) <= BATCH_TOL
+        for name in ("is_convex", "is_fuchsian_boundary", "in_pleating_variety"):
+            assert bool(getattr(batch, name)[i]) is getattr(ref, name)
+        for name in ("max_real_trace_residual", "max_planarity_residual"):
+            value, expected = getattr(batch, name)[i], getattr(ref, name)
+            assert value == expected or abs(value - expected) <= BATCH_TOL * max(1.0, expected)
+    return batch
+
+
+window = st.floats(min_value=2.0, max_value=2.8)
+window_edge = st.one_of(
+    st.just(2.0),
+    st.just(2.8),
+    st.floats(min_value=2.0, max_value=2.001),
+    window,
+)
+general = st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(window_edge, window_edge), min_size=1, max_size=40))
+def test_certify_batch_matches_scalar_on_marked_roots(points):
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    batch = assert_batch_matches_scalar(x, y, marked_roots(x, y))
+    # Only the parabolic edge (trace 2) needs the scalar path.
+    near_two = (np.abs(x - 2.0) < 1e-4) | (np.abs(y - 2.0) < 1e-4)
+    assert not (batch.fallback & ~near_two).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(general, general, general), min_size=1, max_size=20))
+def test_certify_batch_matches_scalar_on_general_coordinates(points):
+    x, y, z = (np.array([p[k] for p in points], dtype=complex) for k in range(3))
+    assert_batch_matches_scalar(x, y, z)
+
+
+def test_certify_batch_matches_scalar_on_frozen_structures():
+    seed = coords(FLAT_X, FLAT_X, 4.0)
+    points = [
+        (2.2, 2.2, MARKED_ROOT_22),
+        (2.2, 2.2, MARKED_ROOT_22.conjugate()),
+        (-2.2, 2.2, -MARKED_ROOT_22),
+        (3.0, 3.0, 3.0),
+        (2.0, 2.0, 2.0 + 2.0j),
+        (2.2, 2.2, 3.0),
+        (2.2 + 0.1j, 2.2, 2.4 + 1.9j),
+        (float("nan"), float("nan"), float("nan")),
+        quakebend(seed, 0.3).astuple(),
+    ]
+    x, y, z = zip(*points)
+    batch = assert_batch_matches_scalar(x, y, z)
+    assert batch.fallback.tolist() == [False, False, False, True, True, True, True, True, False]
+    # Loose tolerances move the flags the same way on both paths.
+    assert_batch_matches_scalar(x, y, z, real_tol=0.2, planar_tol=1e-20, parabolic_tol=0.3)
+
+
+def test_certify_batch_reducible_point_raises():
+    with pytest.raises(ReducibleLocus):
+        certify_batch([2.2, 2.0], [2.2, 2.0], [MARKED_ROOT_22, 2.0])
