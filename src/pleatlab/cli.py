@@ -10,8 +10,8 @@ Subcommands::
     jacobian      length Jacobian at one structure
     verify-suite  run the acceptance criteria
 
-Output is deterministic: JSON is emitted with sorted keys, CSV uses the
-stdlib ``csv`` module with floats rendered through ``%.17g``.  Options
+Output is deterministic: JSON is emitted with sorted keys, CSV rows end
+in ``\r\n`` with floats rendered through ``%.17g``.  Options
 resolve as defaults < config file < command-line flags; the config file
 is flat ``key=value`` lines with ``#`` comments.  Exit status is 0 on
 success, 1 when a requested check or certification fails, and 2 for
@@ -19,8 +19,6 @@ usage or configuration errors.
 """
 
 import cmath
-import csv
-import io
 import json
 import math
 
@@ -41,21 +39,17 @@ SAFE_HI = 2.8
 # step far below the range would otherwise never finish.
 MAX_SWEEP_POINTS = 10**7
 
+# CSV cell conversions, and the text of a false/true flag by index.
+_FLOAT = "%.17g"
+_TEXT = "%s"
+_FLAG_TEXT = np.array(["false", "true"], dtype=object)
+
 TOL_ARGUMENTS = {
     "real_trace": "real_tol",
     "planarity": "planar_tol",
     "parabolic": "parabolic_tol",
     "convex": "convex_tol",
 }
-
-
-def _fmt(value):
-    """Deterministic cell rendering for CSV output."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _jsonable(value):
@@ -82,13 +76,23 @@ def _emit_json(payload, out):
         click.echo(text, nl=False)
 
 
-def _emit_csv(header, rows, out):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
+def _emit_csv(header, formats, rows, out):
+    """Write ``header`` and one ``\r\n``-terminated line per row.
+
+    ``formats`` holds each column's ``%``-conversion: ``%.17g`` for
+    floats, ``%s`` for text.  A None cell, an undefined value, prints as
+    ``None``.  No cell ever needs quoting: cells are numbers,
+    ``true``/``false``/``None`` and fixed header names.
+    """
+    template = ",".join(formats) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
+        try:
+            lines.append(template % row)
+        except TypeError:  # a None in a float column
+            cells = ("None" if v is None else f % v for f, v in zip(formats, row))
+            lines.append(",".join(cells) + "\r\n")
+    text = "".join(lines)
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -351,20 +355,22 @@ def sweep_cmd(ctx, grid_text, out):
         cert = certify_batch(x, y, z, **tols)
     except PleatlabError as exc:
         raise click.ClickException(str(exc))
-    # Python floats and bools for _fmt; an undefined angle prints as None.
-    thetas = [
-        [None if math.isnan(v) else v for v in th.tolist()]
+    # Python floats for the float columns; an undefined angle is None.
+    angles = [
+        np.where(np.isnan(th), None, th).tolist()
         for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)
+    ]
+    flags = [
+        _FLAG_TEXT[f.astype(np.intp)].tolist()
+        for f in (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)
     ]
     rows = zip(
         x.tolist(),
         y.tolist(),
         z.real.tolist(),
         z.imag.tolist(),
-        *thetas,
-        cert.is_convex.tolist(),
-        cert.is_fuchsian_boundary.tolist(),
-        cert.in_pleating_variety.tolist(),
+        *angles,
+        *flags,
         cert.max_real_trace_residual.tolist(),
         cert.max_planarity_residual.tolist(),
     )
@@ -382,7 +388,8 @@ def sweep_cmd(ctx, grid_text, out):
         "real_trace_residual",
         "planarity_residual",
     )
-    _emit_csv(header, rows, out)
+    formats = (_FLOAT,) * 7 + (_TEXT,) * 3 + (_FLOAT,) * 2
+    _emit_csv(header, formats, rows, out)
 
 
 @main.command("trace-ray")
@@ -441,7 +448,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
                 row["volume_error"],
             )
         )
-    _emit_csv(header, table, out)
+    _emit_csv(header, (_FLOAT,) * len(header), table, out)
     vols = [row["volume"] for row in rows]
     if any(vols[i + 1] <= vols[i] for i in range(len(vols) - 1)):
         ctx.exit(1)

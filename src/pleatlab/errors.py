@@ -34,6 +34,10 @@ class NoIntersectionAtPoint(PleatlabError):
     """The given point does not lie on both circles."""
 
 
+class NumericalOverflow(PleatlabError):
+    """An intermediate value left the range of double precision."""
+
+
 class ReducibleLocus(PleatlabError):
     """Trace coordinates sit on the reducible locus (commutator trace 2)."""
 

@@ -30,6 +30,7 @@ from pleatlab.chartor import (
     TraceCoords,
     commuting_canonical_pair,
     coords,
+    marked_roots,
     matrices_from_traces,
     pleating_candidates,
 )
@@ -480,14 +481,11 @@ def schlafli_volume(path, check=True):
 
 def coordinate_segment(t0, t1, nodes):
     """Linear interpolation between two marked structures in (x, y)."""
-    out = []
-    for k in range(nodes + 1):
-        s = k / nodes
-        x = (1 - s) * t0.x.real + s * t1.x.real
-        y = (1 - s) * t0.y.real + s * t1.y.real
-        z, _ = pleating_candidates(x, y)
-        out.append(coords(x, y, z))
-    return out
+    s = np.arange(nodes + 1) / nodes
+    x = (1 - s) * t0.x.real + s * t1.x.real
+    y = (1 - s) * t0.y.real + s * t1.y.real
+    z = marked_roots(x, y)
+    return [coords(*node) for node in zip(x.tolist(), y.tolist(), z.tolist())]
 
 
 def volume_between(t0, t1, nodes=64):
@@ -522,7 +520,8 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
             (1 - s) * theta_start[i] + s * theta_end[i] for i in range(2)
         )
 
-    def solve_at(s, seed_u, depth=0):
+    def solve_at(lo, s, seed_u, depth=0):
+        """Rows reaching ``s`` from the solved sample at ``lo``."""
         try:
             res = solve_targets(
                 {"a": ("angle", target_at(s)[0]), "b": ("angle", target_at(s)[1])},
@@ -536,11 +535,10 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
             res = None
         if depth >= max_depth:
             return [(s, res)] if res is not None else []
-        prev_s = solved[-1][0] if solved else 0.0
-        mid = (prev_s + s) / 2.0
-        first = solve_at(mid, seed_u, depth + 1)
+        mid = (lo + s) / 2.0
+        first = solve_at(lo, mid, seed_u, depth + 1)
         seed_mid = first[-1][1].lengths if first else seed_u
-        return first + solve_at(s, seed_mid, depth + 1)
+        return first + solve_at(mid, s, seed_mid, depth + 1)
 
     solved = []
     seed_u = seed
@@ -551,7 +549,7 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
     solved.append((0.0, start))
     for k in range(1, samples + 1):
         s = k / samples
-        entries = solve_at(s, solved[-1][1].lengths)
+        entries = solve_at(solved[-1][0], s, solved[-1][1].lengths)
         solved.extend(entries)
     rows = []
     cumulative = 0.0

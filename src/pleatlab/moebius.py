@@ -30,6 +30,7 @@ from pleatlab.errors import (
     DegenerateCircle,
     IdentityInput,
     NoIntersectionAtPoint,
+    NumericalOverflow,
     ParabolicOrIdentity,
     PleatlabError,
     ZeroMultiplier,
@@ -199,9 +200,12 @@ def fixed_points(m, tol=CLASSIFY_TOL):
     if all(x.imag == 0.0 for x in coeffs):
         # The real-coefficient path keeps the solver's conjugate-pair
         # ordering (positive imaginary part first) and avoids noise.
-        roots = np.roots([x.real for x in coeffs])
-    else:
-        roots = np.roots(coeffs)
+        coeffs = [x.real for x in coeffs]
+    # np.roots divides by the leading coefficient; past the float range
+    # its companion matrix is not finite.
+    if not all(cmath.isfinite(x / coeffs[0]) for x in coeffs[1:]):
+        raise NumericalOverflow("fixed-point quadratic overflows the float range")
+    roots = np.roots(coeffs)
     z1, z2 = complex(roots[0]), complex(roots[1])
     s1 = abs(c * z1 + d)
     s2 = abs(c * z2 + d)
@@ -390,7 +394,10 @@ def circle_through(p, q, r):
     cross = (u.conjugate() * v).imag
     if abs(cross) <= 1e-13 * abs(u) * abs(v):
         return SphereCircle.from_point_direction(p, u)
-    ap, aq, ar = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2
+    try:
+        ap, aq, ar = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2
+    except OverflowError:
+        raise NumericalOverflow("circle through points beyond the float range") from None
     num = ap * (q - r) + aq * (r - p) + ar * (p - q)
     den = (p.conjugate() * (q - r) + q.conjugate() * (r - p) + r.conjugate() * (p - q))
     center = num / den

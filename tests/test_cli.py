@@ -5,11 +5,15 @@ import io
 import json
 import math
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from pleatlab.chartor import coords, pleating_candidates
+from pleatlab import cli
+from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.cli import main
-from pleatlab.plaques import certify
+from pleatlab.lengthmap import ray_to_cusp
+from pleatlab.plaques import certify, certify_batch
 
 THETA_22 = 2.189525017467147
 
@@ -47,6 +51,16 @@ def test_certify_bad_number_exits_two():
     assert result.exit_code == 2
     for args in (("nan", "nan"), ("inf", "2.2"), ("2.2", "-inf"), ("2.2", "2.2", "nanj")):
         assert run("certify", *args).exit_code == 2
+
+
+def test_certify_beyond_float_range_exits_one():
+    """Overflow inside the plaque fit is a failed certification, not a traceback."""
+    for args in (("0", "1.7e-203", "2j"), ("0", "2.2e-313", "1j")):
+        result = run("certify", *args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a traceback also exits 1
+        payload = json.loads(result.output, parse_constant=_no_constants)
+        assert payload["convex"] is False
 
 
 def _no_constants(name):
@@ -96,6 +110,94 @@ def test_sweep_rows_match_scalar_certify():
             assert abs(float(got) - want) <= 1e-13
         flags = (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)
         assert row[7:10] == ["true" if f else "false" for f in flags]
+
+
+def _reference_csv(header, rows):
+    """CSV bytes as ``csv.writer`` renders them with the CLI's cell rules:
+    a bool as true/false, a float through ``%.17g``, anything else by ``str``."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue().encode()
+
+
+SWEEP_HEADER = (
+    "x", "y", "z_re", "z_im", "theta_a", "theta_b", "theta_puncture",
+    "convex", "fuchsian_boundary", "in_pleating_variety",
+    "real_trace_residual", "planarity_residual",
+)
+
+
+def _reference_sweep(grid):
+    x_axis, y_axis = cli._parse_grid(grid)
+    xs, ys = cli._axis_values(*x_axis), cli._axis_values(*y_axis)
+    x = np.repeat(xs, len(ys))
+    y = np.tile(ys, len(xs))
+    z = marked_roots(x, y)
+    cert = certify_batch(x, y, z)
+    angles = [
+        [None if math.isnan(v) else v for v in th.tolist()]
+        for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)
+    ]
+    rows = zip(
+        x.tolist(), y.tolist(), z.real.tolist(), z.imag.tolist(), *angles,
+        cert.is_convex.tolist(), cert.is_fuchsian_boundary.tolist(),
+        cert.in_pleating_variety.tolist(),
+        cert.max_real_trace_residual.tolist(), cert.max_planarity_residual.tolist(),
+    )
+    return _reference_csv(SWEEP_HEADER, rows)
+
+
+def _reference_trace_ray():
+    header = (
+        "s", "theta_a", "theta_b", "length_a", "length_b",
+        "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
+    )
+    rows = []
+    for row in ray_to_cusp((2.0, 2.0), samples=10, substeps=16):
+        res = row["result"]
+        rows.append((
+            row["s"], *res.thetas, *res.lengths,
+            res.coords.x.real, res.coords.y.real, res.coords.z.real, res.coords.z.imag,
+            row["volume"], row["volume_error"],
+        ))
+    return _reference_csv(header, rows)
+
+
+@pytest.mark.parametrize(
+    "args,reference,undefined_rows",
+    [
+        # Rows on x = 2 and y = 2 go through the scalar certify fallback.
+        (("sweep", "--grid", "2.0:2.2:0.05,2.0:2.2:0.05"),
+         lambda: _reference_sweep("2.0:2.2:0.05,2.0:2.2:0.05"), 0),
+        (("--force", "sweep", "--grid", "-3:3:0.25,-3:3:0.25"),
+         lambda: _reference_sweep("-3:3:0.25,-3:3:0.25"), 48),
+        (("trace-ray",), _reference_trace_ray, 0),
+    ],
+    ids=["sweep-edges", "sweep-forced", "trace-ray"],
+)
+def test_csv_bytes_match_reference_renderer(tmp_path, args, reference, undefined_rows):
+    result = run(*args)
+    assert result.exit_code == 0
+    expected = reference()
+    assert result.stdout_bytes == expected
+    assert expected.count(b"\r\n") == expected.count(b"\n")
+    assert sum(b",None," in line for line in expected.splitlines()) == undefined_rows
+    out = tmp_path / "out.csv"
+    to_file = run(*args, "--out", str(out))
+    assert to_file.exit_code == 0
+    assert to_file.output == ""
+    assert out.read_bytes() == result.stdout_bytes
 
 
 def test_sweep_respects_safe_region():

@@ -181,6 +181,34 @@ def test_schlafli_volume_matches_per_node_certify(ends, nodes):
     assert abs(res.error_estimate - error) <= 1e-12
 
 
+def test_coordinate_segment_matches_scalar_roots():
+    t0, t1 = _marked(2.0, 2.2), _marked(2.7, 2.05)
+    path = lm.coordinate_segment(t0, t1, 16)
+    assert len(path) == 17
+    for k, t in enumerate(path):
+        s = k / 16
+        x = (1 - s) * 2.0 + s * 2.7
+        y = (1 - s) * 2.2 + s * 2.05
+        z, _ = pleating_candidates(x, y)
+        for got, want in zip(t.astuple(), (x, y, z)):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_continuation_subdivision_refines_each_interval():
+    """With a one-iteration budget every step subdivides; each half is
+    refined in turn, so the parameters rise strictly and hit their targets."""
+    start, end = (1.0, 1.0), (2.0, 2.5)
+    rows = lm.continuation_to_angles(start, end, samples=3, max_newton=1, max_depth=3)
+    svals = [r["s"] for r in rows]
+    assert len(rows) > 4  # subdivision happened
+    assert all(b > a for a, b in zip(svals, svals[1:]))
+    assert svals[0] == 0.0 and svals[-1] == 1.0
+    for r in rows:
+        target = [(1 - r["s"]) * a + r["s"] * b for a, b in zip(start, end)]
+        for got, want in zip(r["result"].thetas, target):
+            assert abs(got - want) <= 1e-8
+
+
 def test_ray_to_cusp_monotone_and_lands():
     rows = lm.ray_to_cusp((2.0, 2.2), samples=6, substeps=8)
     vols = [r["volume"] for r in rows]

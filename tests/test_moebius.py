@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pleatlab.errors import CoincidentPoints, IdentityInput, ZeroMultiplier
+from pleatlab.errors import CoincidentPoints, IdentityInput, NumericalOverflow, ZeroMultiplier
 from pleatlab.moebius import (
     IsometryClass,
     MoebiusMap,
@@ -199,6 +199,12 @@ def test_reflect_in_line():
     assert involution_residual(j) < 1e-14
 
 
+def test_fixed_points_overflow_raises():
+    """A lower-left entry so small that the roots leave the float range."""
+    with pytest.raises(NumericalOverflow):
+        fixed_points(MoebiusMap(2.0, 1.0, 1e-310, 0.5))
+
+
 def test_circle_through_unit_circle():
     c = circle_through(1.0, 1j, -1.0)
     assert c.kind == "circle"
@@ -215,6 +221,11 @@ def test_circle_through_collinear_gives_line():
 def test_circle_through_infinity_gives_line():
     c = circle_through(0.0, None, 1.0 + 1.0j)
     assert c.kind == "line"
+
+
+def test_circle_through_overflow_raises():
+    with pytest.raises(NumericalOverflow):
+        circle_through(0.0, 1.0, 1.5e154j)
 
 
 def test_transform_circle_inversion_of_line():

@@ -254,6 +254,15 @@ def test_certify_batch_matches_scalar_on_frozen_structures():
     assert_batch_matches_scalar(x, y, z, real_tol=0.2, planar_tol=1e-20, parabolic_tol=0.3)
 
 
+def test_certify_batch_matches_scalar_beyond_float_range():
+    """Points whose plaque fit overflows certify as non-convex on both paths."""
+    batch = assert_batch_matches_scalar([0.0, 0.0], [1.7e-203, 2.2e-313], [2j, 1j])
+    assert not batch.is_convex.any()
+    for point in ((0.0, 1.7e-203, 2j), (0.0, 2.2e-313, 1j)):
+        errors = certify(coords(*point)).plaque_errors
+        assert any("float range" in (text or "") for text in errors.values())
+
+
 def test_certify_batch_reducible_point_raises():
     with pytest.raises(ReducibleLocus):
         certify_batch([2.2, 2.0], [2.2, 2.0], [MARKED_ROOT_22, 2.0])
