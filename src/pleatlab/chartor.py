@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pleatlab import kernel
 from pleatlab.errors import DegenerateNormalization, ReducibleLocus
 from pleatlab.moebius import MoebiusMap
-from pleatlab.words import WordEvaluator
+from pleatlab.words import word_codes
 
 REDUCIBLE_TOL = 1e-8
 
@@ -125,20 +126,17 @@ class RepPair:
         self.a = a
         self.b = b
         self.coords = coords
-        self._eval = WordEvaluator({"a": a.matrix, "b": b.matrix})
+        self._mats = (a.matrix, b.matrix)
 
     def matrix(self, word):
-        return self._eval.matrix(word)
+        return kernel.eval_word(word_codes("ab", word), self._mats)
 
     def map(self, word):
         return MoebiusMap.from_tuple(self.matrix(word))
 
     def trace(self, word):
-        return self._eval.trace(word)
-
-    @property
-    def evaluator(self):
-        return self._eval
+        m = self.matrix(word)
+        return m[0] + m[3]
 
 
 def matrices_from_traces(t):
@@ -187,16 +185,8 @@ def commuting_canonical_pair(u, h):
     a_mat = (u / 2.0, (u * u - 4.0) / 2.0, 0.5, u / 2.0)
     b_mat = (v / 2.0, h * (u * u - 4.0) / 2.0, h / 2.0, v / 2.0)
 
-    def mul(m, n):
-        return (
-            m[0] * n[0] + m[1] * n[2],
-            m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2],
-            m[2] * n[1] + m[3] * n[3],
-        )
-
-    ab = mul(a_mat, b_mat)
-    ba = mul(b_mat, a_mat)
+    ab = kernel.mat_mul(a_mat, b_mat)
+    ba = kernel.mat_mul(b_mat, a_mat)
     commutation = max(abs(p - q) for p, q in zip(ab, ba))
     relation = abs((v * v - 4.0) - h * h * (u * u - 4.0))
     dv_du = u * h * h / v if v != 0 else complex("inf")

@@ -279,6 +279,7 @@ def _certification_payload(cert):
         "max_planarity_residual": cert.max_planarity_residual,
         "max_real_trace_residual": cert.max_real_trace_residual,
         "piecewise_geodesic": cert.is_piecewise_geodesic,
+        "plaque_errors": dict(cert.plaque_errors),
         "theta_a": th_a,
         "theta_b": th_b,
         "theta_puncture": th_p,

@@ -30,6 +30,7 @@ from pleatlab.chartor import (
     TraceCoords,
     commuting_canonical_pair,
     coords,
+    kappa,
     marked_roots,
     matrices_from_traces,
     pleating_candidates,
@@ -152,7 +153,7 @@ def holo_length_jacobian(t, fd_check=True, h=1e-6):
             return (
                 complex_curve_length(xx),
                 complex_curve_length(yy),
-                kappa_poly(xx, yy, zz),
+                kappa(xx, yy, zz),
             )
 
         fd_residual = 0.0
@@ -173,10 +174,6 @@ def holo_length_jacobian(t, fd_check=True, h=1e-6):
         "det": det,
         "fd_residual": fd_residual,
     }
-
-
-def kappa_poly(x, y, z):
-    return x * x + y * y + z * z - x * y * z - 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,54 +206,74 @@ def measure_structure(l_a, l_b):
     return t, (abs(l_a), abs(l_b)), tuple(thetas)
 
 
+def _solve2(j00, j01, j10, j11, r0, r1):
+    """Solve ``[[j00, j01], [j10, j11]] s = (r0, r1)`` by partial-pivot
+    elimination; an exactly zero pivot raises :class:`NewtonDivergence`."""
+    if abs(j10) > abs(j00):
+        j00, j01, r0, j10, j11, r1 = j10, j11, r1, j00, j01, r0
+    if j00 == 0.0:
+        raise NewtonDivergence("singular Jacobian")
+    factor = j10 * (1.0 / j00)
+    pivot = j11 - factor * j01
+    if pivot == 0.0:
+        raise NewtonDivergence("singular Jacobian")
+    s1 = (r1 - factor * r0) / pivot
+    return (r0 - j01 * s1) / j00, s1
+
+
 def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEWTON_FD_STEP):
+    """Damped Newton iteration for a residual of two real unknowns.
+
+    The Jacobian is a central difference with step ``fd_h``; each step
+    is halved up to eleven times until the max-norm residual falls.
+    Returns ``(u, iterations, norm)`` with ``u`` a pair of floats.
+    """
     def try_residual(u):
         """Residual at a trial point, or None where it is undefined
         (overflow or a degenerate structure); the line search treats
         such points as rejected steps."""
         try:
-            r = np.array(residual_fn(u), dtype=float)
+            r0, r1 = residual_fn(u)
         except (PleatlabError, OverflowError, ValueError):
             return None
-        if not np.all(np.isfinite(r)):
+        if not (math.isfinite(r0) and math.isfinite(r1)):
             return None
-        return r
+        return r0, r1
 
-    u = np.array(u0, dtype=float)
+    u = (float(u0[0]), float(u0[1]))
     r = try_residual(u)
     if r is None:
         raise NewtonDivergence(f"residual undefined at the seed {tuple(u0)}")
-    norm = float(np.max(np.abs(r)))
+    norm = max(abs(r[0]), abs(r[1]))
     iterations = 0
+    two_h = 2.0 * fd_h
     while norm > tol:
         if iterations >= max_iter:
             raise NewtonDivergence(
                 f"no convergence after {max_iter} iterations (residual {norm:.3e})"
             )
         iterations += 1
-        jac = np.empty((2, 2))
-        for j in range(2):
-            up = u.copy()
-            dn = u.copy()
-            up[j] += fd_h
-            dn[j] -= fd_h
+        ua, ub = u
+        cols = []  # the Jacobian column by column
+        for up, dn in (
+            ((ua + fd_h, ub), (ua - fd_h, ub)),
+            ((ua, ub + fd_h), (ua, ub - fd_h)),
+        ):
             r_up = try_residual(up)
             r_dn = try_residual(dn)
             if r_up is None or r_dn is None:
                 raise NewtonDivergence("residual undefined next to an iterate")
-            jac[:, j] = (r_up - r_dn) / (2.0 * fd_h)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence("singular Jacobian") from exc
-        if not np.all(np.isfinite(step)):
+            cols.append(((r_up[0] - r_dn[0]) / two_h, (r_up[1] - r_dn[1]) / two_h))
+        (j00, j10), (j01, j11) = cols
+        s0, s1 = _solve2(j00, j01, j10, j11, r[0], r[1])
+        if not (math.isfinite(s0) and math.isfinite(s1)):
             raise NewtonDivergence("non-finite Newton step")
         scale = 1.0
         for _ in range(12):
-            candidate = u - scale * step
+            candidate = (ua - scale * s0, ub - scale * s1)
             rc = try_residual(candidate)
             if rc is not None:
-                nc = float(np.max(np.abs(rc)))
+                nc = max(abs(rc[0]), abs(rc[1]))
                 if nc < norm or nc <= tol:
                     u, r, norm = candidate, rc, nc
                     break
@@ -317,7 +334,7 @@ def _homotopy_solve(targets, seed, tol, max_iter):
     for i, name in enumerate(("a", "b")):
         kind, _ = targets[name]
         start[name] = lengths[i] if kind == "length" else thetas[i]
-    u = np.array(seed, dtype=float)
+    u = (float(seed[0]), float(seed[1]))
     s = 0.0
     step = 0.5
     total_iterations = 0
@@ -333,7 +350,7 @@ def _homotopy_solve(targets, seed, tol, max_iter):
         }
         try:
             u_new, iterations, norm = _newton2(
-                _target_residual(blended), tuple(u), tol=tol, max_iter=20
+                _target_residual(blended), u, tol=tol, max_iter=20
             )
         except NewtonDivergence:
             step /= 2.0
@@ -446,7 +463,7 @@ def _trapezoid_volume(states):
     return total
 
 
-def schlafli_volume(path, check=True):
+def schlafli_volume(path):
     """Volume difference along a path of certified structures.
 
     ``path`` is a sequence of :class:`TraceCoords` nodes (cusped locus,
@@ -669,7 +686,7 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
     for r in (-h, h):
         x = x0 + r
         z, _ = pleating_candidates(x, y0)
-        kappas.append(kappa_poly(x, y0, z))
+        kappas.append(kappa(x, y0, z))
     cross = abs(kappas[1] - kappas[0]) / (2.0 * h)
     # Canonical commuting model at the cusp: dv/du equals the square
     # multiplier exactly.

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from pleatlab import _kernel_py
+from pleatlab import _kernel_py, kernel
 from pleatlab.chartor import (
     REDUCIBLE_TOL,
     RepPair,
@@ -133,11 +133,6 @@ def _parabolic_vertex(matrix):
     return (a - d) / (2.0 * c)
 
 
-def _stable_generator_axis(pair, letter):
-    gen = pair.a if letter == "a" else pair.b
-    return balanced_fixed_points(gen)
-
-
 def _housed_points(pair, side):
     """Fixed points housed on a plaque, stably, with elliptic words skipped."""
     data = SIDE_DATA[side]
@@ -151,7 +146,7 @@ def _housed_points(pair, side):
         points.append(vertex)
         points.append(conj(vertex))
     else:
-        att, rep = _stable_generator_axis(pair, axis_letter)
+        att, rep = balanced_fixed_points(pair.a if axis_letter == "a" else pair.b)
         points.extend([att, rep])
         points.extend([conj(att), conj(rep)])
     cusp_word = data["boundary_words"][2]
@@ -222,9 +217,9 @@ def bending_angle(pair, curve):
     hull), zero is Fuchsian, negative is a concave crease.  Requires the
     curve's holonomy to be non-parabolic.
     """
-    side = CURVE_SIDE[curve]
-    data = SIDE_DATA[side]
-    trace0 = pair.trace(curve)
+    data = SIDE_DATA[CURVE_SIDE[curve]]
+    gen, test_gen = (pair.a, pair.b) if curve == "a" else (pair.b, pair.a)
+    trace0 = gen.a + gen.d
     if min(abs(trace0 - 2.0), abs(trace0 + 2.0)) < 1e-13:
         raise ParabolicOrIdentity("bending angle undefined on a parabolic curve")
     t = pair.coords
@@ -233,16 +228,14 @@ def bending_angle(pair, curve):
         # Real coordinates put every plaque in one plane: the structure
         # is bending-free and the roof wedge below is degenerate.
         return 0.0
-    att, rep = _stable_generator_axis(pair, curve)
+    att, rep = balanced_fixed_points(gen)
     h = map_to_zero_infinity(rep, att)
-    cusp_matrix = pair.matrix(data["boundary_words"][2])
-    s = _parabolic_vertex(cusp_matrix)
-    translate = pair.map(data["translate_word"])
+    s = _parabolic_vertex(pair.matrix(data["boundary_words"][2]))
     d1 = h(s)
-    d2 = h(translate(s))
+    # The translate word is the inverse of the other generator.
+    d2 = h(kernel.apply_mobius(kernel.mat_inv(test_gen.matrix), s))
     if d1 is None or d2 is None or abs(d1) < 1e-13 or abs(d2) < 1e-13:
         raise PleatlabError("degenerate roof: cusp point on the curve axis")
-    test_gen = pair.a if data["test_letter"] == "a" else pair.b
     if test_gen.c == 0:
         # The normal form's parabolic case: the fixed point is infinity.
         probes = (None,)

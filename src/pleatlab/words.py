@@ -5,6 +5,8 @@ A word is a string over generator letters, uppercase meaning inverse:
 ``eval_word`` so the hot loop can run compiled.
 """
 
+from functools import lru_cache
+
 from pleatlab import kernel
 from pleatlab.errors import PleatlabError
 
@@ -28,6 +30,23 @@ def cyclic_conjugate(word, k):
     return word[k:] + word[:k]
 
 
+@lru_cache(maxsize=4096)
+def word_codes(letters, word):
+    """Kernel codes of ``word`` over the ordered generator ``letters``:
+    ``+k`` for the k-th letter, ``-k`` for its uppercase inverse.
+
+    Memoized (bounded), since the pants and cusp words recur on every
+    structure.
+    """
+    try:
+        return tuple(
+            letters.index(ch) + 1 if ch.islower() else -(letters.index(ch.lower()) + 1)
+            for ch in word
+        )
+    except ValueError as exc:
+        raise PleatlabError(f"unknown generator letter in {word!r}") from exc
+
+
 class WordEvaluator:
     """Evaluates words over a fixed, ordered set of generator matrices."""
 
@@ -35,16 +54,9 @@ class WordEvaluator:
         """``generators``: dict letter (lowercase) -> 4-tuple matrix."""
         self.letters = "".join(generators)
         self._mats = tuple(tuple(map(complex, generators[ch])) for ch in self.letters)
-        self._codes = {}
-        for i, ch in enumerate(self.letters):
-            self._codes[ch] = i + 1
-            self._codes[ch.upper()] = -(i + 1)
 
     def codes(self, word):
-        try:
-            return tuple(self._codes[ch] for ch in word)
-        except KeyError as exc:
-            raise PleatlabError(f"unknown generator letter in {word!r}") from exc
+        return word_codes(self.letters, word)
 
     def matrix(self, word):
         return kernel.eval_word(self.codes(word), self._mats)

@@ -24,3 +24,12 @@ def test_acceptance_criterion(index, name, description, fn, capsys):
     with capsys.disabled():
         print(f"\n[{status}] {index:2d} {name}: {description}")
     assert record["passed"], record["details"]
+
+
+@pytest.mark.parametrize("seed_offset", [1, 7, 42, 137, 199])
+def test_solver_criteria_at_seed_offsets(seed_offset):
+    """The Newton-driven criteria stay green away from the pinned seeds."""
+    records = suite.run_suite(["newton", "posdef"], seed_offset=seed_offset)
+    assert [r["name"] for r in records] == ["posdef", "newton"]
+    for record in records:
+        assert record["passed"], (record["name"], record["details"])

@@ -63,6 +63,15 @@ def test_certify_beyond_float_range_exits_one():
         assert payload["convex"] is False
 
 
+def test_certify_reports_plaque_errors():
+    """The report says which plaque fit failed and why."""
+    payload = json.loads(run("certify", "0", "1.7e-203", "2j").output)
+    assert payload["plaque_errors"]["top"] is None
+    assert "float range" in payload["plaque_errors"]["bottom"]
+    payload = json.loads(run("certify", "2.2", "2.2").output)
+    assert payload["plaque_errors"] == {"bottom": None, "top": None}
+
+
 def _no_constants(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -118,6 +118,52 @@ def test_newton_divergence_reported():
         lm.solve_for_angles(2.0, 2.0, seed=(8.0, 8.0), max_iter=0, homotopy=False)
 
 
+def test_newton2_converges_on_linear_system():
+    def residual(u):
+        return (2.0 * u[0] + u[1] - 3.0, u[0] - 4.0 * u[1] + 3.0)
+
+    (u0, u1), iterations, norm = lm._newton2(residual, (5.0, -2.0))
+    assert abs(u0 - 1.0) < 1e-12 and abs(u1 - 1.0) < 1e-12
+    assert 1 <= iterations <= 2
+    assert norm <= lm.NEWTON_TOL
+
+
+def test_solve2_pivots_on_small_leading_entry():
+    """Without the row swap, elimination by 1e-20 would give s0 = 0."""
+    s0, s1 = lm._solve2(1e-20, 1.0, 1.0, 1.0, 1.0, 2.0)
+    assert abs(s0 - 1.0) < 1e-15 and abs(s1 - 1.0) < 1e-15
+
+
+def test_solve2_matches_numpy_solve():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        jac = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(2, 2))
+        r = rng.normal(size=2)
+        ref = np.linalg.solve(jac, r)
+        got = np.array(lm._solve2(jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1], r[0], r[1]))
+        bound = 1e-14 * np.linalg.cond(jac) * np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref) <= bound
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        lambda u: (u[0] - 1.0, 2.0 * u[0] - 1.0),  # no dependence on u[1]
+        lambda u: (3.0, 4.0),  # zero Jacobian
+    ],
+    ids=["rank-one", "zero"],
+)
+def test_newton2_singular_jacobian_raises(residual):
+    with pytest.raises(NewtonDivergence, match="singular Jacobian"):
+        lm._newton2(residual, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_newton2_non_finite_seed_residual_raises(value):
+    with pytest.raises(NewtonDivergence, match="undefined at the seed"):
+        lm._newton2(lambda u: (value, 0.0), (0.5, 0.5))
+
+
 def test_dl_dphi_symmetric_positive_definite():
     rep = lm.dl_dphi(2.1, 2.3)
     assert rep["symmetry_residual"] < 1e-6

@@ -115,6 +115,40 @@ def test_bending_angle_parabolic_rejected():
         bending_angle(pair, "a")
 
 
+# (x, y, theta_a, theta_b) of bending_angle at the marked root over (x, y);
+# the last structure is real, so it is bending-free.
+BENDING_ANGLE_GOLDEN = [
+    (2.2, 2.2, 2.189525017467147, 2.1895250174671474),
+    (2.1, 2.3, 2.425068298436459, 2.0513799710913947),
+    (2.5, 2.5, 1.4454684956268307, 1.445468495626831),
+    (2.05, 2.6, 2.562816387902673, 1.7133720742575136),
+    (3.0, 2.2, 1.2191493737650188, 1.7915942702058567),
+    (2.000001, 2.4, 3.139192653913625, 1.9702209033504605),
+    (2.4, 2.0000001, 1.9702215003429946, 3.140833706962656),
+    (2.0001, 2.0001, 3.1215920702304993, 3.121592070230503),
+    (2.82, 2.83, 0.13982462616229396, 0.13932974394001674),
+    (2.7, 2.9, 0.45620739990225534, 0.4242454655323211),
+    (2.001, 20.0, 2.4983414198616174, 0.19012566188088353),
+    (2.01, 12.0, 1.8601827589200317, 0.2693746816071605),
+    (2.8, 2.01, 1.5813842797224607, 2.861725172339117),
+    (2.02, 2.02, 2.8570851311069125, 2.8570851311069125),
+    (2.3, 3.2, 1.3196190935799303, 0.9124661189599728),
+    (2.000000001, 3.0, 3.141497785256063, 1.4594553113358986),
+    (2.6, 2.9, 0.771544949419877, 0.6882008187027191),
+    (5.0, 2.05, 0.6996773566873804, 1.9797831874849194),
+    (2.25, 2.75, 1.778695043365158, 1.3771819114564394),
+    (4.0, 4.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("x,y,theta_a,theta_b", BENDING_ANGLE_GOLDEN)
+def test_bending_angle_golden(x, y, theta_a, theta_b):
+    """The roof arithmetic reproduces frozen angles to 1e-15."""
+    pair = matrices_from_traces(coords(x, y, pleating_candidates(x, y)[0]))
+    assert abs(bending_angle(pair, "a") - theta_a) <= 1e-15
+    assert abs(bending_angle(pair, "b") - theta_b) <= 1e-15
+
+
 def test_plaque_circles_are_distinct_on_bent_structures():
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
     top = plaque_circle(pair, "top")
