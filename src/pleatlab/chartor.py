@@ -31,7 +31,7 @@ import numpy as np
 
 from pleatlab import kernel
 from pleatlab.errors import DegenerateNormalization, ReducibleLocus
-from pleatlab.moebius import MoebiusMap
+from pleatlab.moebius import MoebiusMap, balanced_fixed_points
 from pleatlab.words import word_codes
 
 REDUCIBLE_TOL = 1e-8
@@ -127,6 +127,16 @@ class RepPair:
         self.b = b
         self.coords = coords
         self._mats = (a.matrix, b.matrix)
+        self._balanced = {}
+
+    def balanced_points(self, letter):
+        """:func:`balanced_fixed_points` of generator ``letter`` ("a" or
+        "b"), computed once per pair."""
+        points = self._balanced.get(letter)
+        if points is None:
+            points = balanced_fixed_points(self.a if letter == "a" else self.b)
+            self._balanced[letter] = points
+        return points
 
     def matrix(self, word):
         return kernel.eval_word(word_codes("ab", word), self._mats)

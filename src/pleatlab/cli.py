@@ -414,6 +414,10 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
     for v in start:
         if not 0.0 < v <= math.pi:
             raise click.UsageError("start angles must lie in (0, pi]")
+    if samples < 1:
+        raise click.UsageError(f"--samples must be at least 1, got {samples}")
+    if substeps < 2:
+        raise click.UsageError(f"--substeps must be at least 2, got {substeps}")
     try:
         rows = ray_to_cusp(start, samples=samples, substeps=substeps)
     except PleatlabError as exc:

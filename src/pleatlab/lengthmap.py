@@ -54,6 +54,11 @@ NEWTON_FD_STEP = 1e-6
 CONTINUATION_RESIDUAL = 1e-7
 CONTINUATION_MAX_NEWTON = 8
 DEGENERACY_TOL = 1e-6
+# Nodes per certify_batch call in schlafli_volumes.  A call costs ~1.5 ms
+# plus ~1.3 us per node (2-CPU x86 host) and holds ~1.1 KB of arrays per
+# node at its peak, so the budget pays the fixed cost rarely and still
+# bounds the memory.
+VOLUME_BATCH_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -463,30 +468,14 @@ def _trapezoid_volume(states):
     return total
 
 
-def schlafli_volume(path):
-    """Volume difference along a path of certified structures.
-
-    ``path`` is a sequence of :class:`TraceCoords` nodes (cusped locus,
-    marked root).  Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid
-    over the nodes; the error estimate is the Richardson comparison
-    against the half-resolution node set.  Every node is certified in
-    one :func:`certify_batch` call; the first node in path order that
-    is not convex raises :class:`UncertifiedPathPoint`.
-    """
-    if len(path) < 3:
-        raise PleatlabError("need at least three path nodes")
-    cert = certify_batch(*zip(*(t.astuple() for t in path)))
-    uncertified = np.flatnonzero(~cert.is_convex)
-    if uncertified.size:
-        t = path[uncertified[0]]
-        raise UncertifiedPathPoint(
-            f"path point {t.astuple()} failed convex certification"
-        )
+def _path_volume(path, theta_a, theta_b):
+    """Trapezoid volume along ``path`` from its certified angles, with the
+    Richardson comparison against the half-resolution node set."""
     states = []
-    for t, theta_a, theta_b in zip(path, cert.theta_a.tolist(), cert.theta_b.tolist()):
+    for t, ta, tb in zip(path, theta_a, theta_b):
         t = t.normalized()
         lengths = (complex_curve_length(t.x).real, complex_curve_length(t.y).real)
-        states.append((lengths, (2.0 * (math.pi - theta_a), 2.0 * (math.pi - theta_b))))
+        states.append((lengths, (2.0 * (math.pi - ta), 2.0 * (math.pi - tb))))
     full = _trapezoid_volume(states)
     half = _trapezoid_volume(states[::2] if len(states) % 2 == 1 else states[::2] + [states[-1]])
     return VolumeResult(
@@ -494,6 +483,54 @@ def schlafli_volume(path):
         error_estimate=abs(full - half) / 3.0,
         nodes=len(path),
     )
+
+
+def _node_batches(paths):
+    """Runs of consecutive paths holding at most ``VOLUME_BATCH_NODES``
+    nodes together; a longer path forms a run of its own."""
+    run, size = [], 0
+    for path in paths:
+        if run and size + len(path) > VOLUME_BATCH_NODES:
+            yield run
+            run, size = [], 0
+        run.append(path)
+        size += len(path)
+    if run:
+        yield run
+
+
+def schlafli_volumes(paths):
+    """Volume differences along paths of certified structures.
+
+    Each path is a sequence of :class:`TraceCoords` nodes (cusped locus,
+    marked root).  Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid
+    over the nodes; the error estimate is the Richardson comparison
+    against the half-resolution node set.  The nodes of consecutive
+    paths are certified together in :func:`certify_batch` calls of at
+    most ``VOLUME_BATCH_NODES`` nodes (a longer path in one call of its
+    own); the first node in path order that is not convex raises
+    :class:`UncertifiedPathPoint`.  Returns one :class:`VolumeResult`
+    per path.
+    """
+    if any(len(path) < 3 for path in paths):
+        raise PleatlabError("need at least three path nodes")
+    results = []
+    for run in _node_batches(paths):
+        nodes = [t for path in run for t in path]
+        cert = certify_batch(*zip(*(t.astuple() for t in nodes)))
+        uncertified = np.flatnonzero(~cert.is_convex)
+        if uncertified.size:
+            t = nodes[uncertified[0]]
+            raise UncertifiedPathPoint(
+                f"path point {t.astuple()} failed convex certification"
+            )
+        theta_a, theta_b = cert.theta_a.tolist(), cert.theta_b.tolist()
+        start = 0
+        for path in run:
+            stop = start + len(path)
+            results.append(_path_volume(path, theta_a[start:stop], theta_b[start:stop]))
+            start = stop
+    return results
 
 
 def coordinate_segment(t0, t1, nodes):
@@ -509,7 +546,7 @@ def volume_between(t0, t1, nodes=64):
     """Volume difference between two structures along the coordinate
     segment joining them (any path gives the same answer; the segment is
     the cheap one)."""
-    return schlafli_volume(coordinate_segment(t0, t1, nodes))
+    return schlafli_volumes([coordinate_segment(t0, t1, nodes)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +605,16 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
         s = k / samples
         entries = solve_at(solved[-1][0], s, solved[-1][1].lengths)
         solved.extend(entries)
+    segments = schlafli_volumes([
+        coordinate_segment(prev.coords, res.coords, substeps)
+        for (_, prev), (_, res) in zip(solved, solved[1:])
+    ])
     rows = []
     cumulative = 0.0
     err = 0.0
     for idx, (s, res) in enumerate(solved):
         if idx > 0:
-            seg = volume_between(solved[idx - 1][1].coords, res.coords, nodes=substeps)
+            seg = segments[idx - 1]
             cumulative += seg.value
             err += seg.error_estimate
         rows.append(

@@ -158,13 +158,13 @@ def classify(m, tol=CLASSIFY_TOL):
     """Conjugacy type of a holomorphic map from its trace."""
     if m.antiholomorphic:
         raise PleatlabError("classification applies to holomorphic maps")
-    mat = m.matrix
-    ident = (1.0, 0.0, 0.0, 1.0)
-    if matrix_distance(mat, ident) < tol:
+    a, b, c, d = m.matrix
+    # matrix_distance to the identity and to its negative, entry by entry.
+    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) < tol:
         return IsometryClass.IDENTITY
-    if matrix_distance(mat, tuple(-x for x in ident)) < tol:
+    if max(abs(a + 1.0), abs(b), abs(c), abs(d + 1.0)) < tol:
         return IsometryClass.IDENTITY
-    t = m.trace
+    t = a + d
     if abs(t - 2.0) < tol or abs(t + 2.0) < tol:
         return IsometryClass.PARABOLIC
     if abs(t.imag) < tol:

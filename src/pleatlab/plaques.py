@@ -146,7 +146,7 @@ def _housed_points(pair, side):
         points.append(vertex)
         points.append(conj(vertex))
     else:
-        att, rep = balanced_fixed_points(pair.a if axis_letter == "a" else pair.b)
+        att, rep = pair.balanced_points(axis_letter)
         points.extend([att, rep])
         points.extend([conj(att), conj(rep)])
     cusp_word = data["boundary_words"][2]
@@ -218,6 +218,7 @@ def bending_angle(pair, curve):
     curve's holonomy to be non-parabolic.
     """
     data = SIDE_DATA[CURVE_SIDE[curve]]
+    test_letter = "b" if curve == "a" else "a"
     gen, test_gen = (pair.a, pair.b) if curve == "a" else (pair.b, pair.a)
     trace0 = gen.a + gen.d
     if min(abs(trace0 - 2.0), abs(trace0 + 2.0)) < 1e-13:
@@ -228,7 +229,7 @@ def bending_angle(pair, curve):
         # Real coordinates put every plaque in one plane: the structure
         # is bending-free and the roof wedge below is degenerate.
         return 0.0
-    att, rep = balanced_fixed_points(gen)
+    att, rep = pair.balanced_points(curve)
     h = map_to_zero_infinity(rep, att)
     s = _parabolic_vertex(pair.matrix(data["boundary_words"][2]))
     d1 = h(s)
@@ -240,7 +241,7 @@ def bending_angle(pair, curve):
         # The normal form's parabolic case: the fixed point is infinity.
         probes = (None,)
     else:
-        probes = balanced_fixed_points(test_gen)
+        probes = pair.balanced_points(test_letter)
     phi1 = cmath.phase(d1)
     delta2 = (cmath.phase(d2) - phi1) % (2.0 * math.pi)
     psi = None

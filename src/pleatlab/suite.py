@@ -24,13 +24,14 @@ from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
 from pleatlab.lengthmap import (
     cocycle_check,
     concavity_probe,
+    coordinate_segment,
     cusp_derivative_check,
     dl_dphi,
     holo_length_jacobian,
     ray_to_cusp,
+    schlafli_volumes,
     solve_for_angles,
     solve_targets,
-    volume_between,
 )
 from pleatlab.moebius import MoebiusMap, complex_length
 from pleatlab.plaques import certify, certify_batch, quakebend
@@ -38,6 +39,8 @@ from pleatlab.plaques import certify, certify_batch, quakebend
 GRID_MIN = 2.05
 GRID_MAX = 2.6
 GRID_STEP = 0.05
+# Rows of random matrix entries check_lift draws at a time.
+LIFT_BLOCK = 256
 
 
 def _marked(x, y):
@@ -70,20 +73,23 @@ def check_lift(samples=10_000, seed=1, tol=1e-10):
     worst = 0.0
     tested = 0
     while tested < samples:
-        entries = rng.normal(size=8)
-        m = MoebiusMap(
-            complex(entries[0], entries[1]),
-            complex(entries[2], entries[3]),
-            complex(entries[4], entries[5]),
-            complex(entries[6], entries[7]),
-        )
-        tr = m.trace
-        if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
-            continue
-        tested += 1
-        lam = complex_length(m)
-        recon = 2.0 * cmath.cosh(lam.value / 2.0)
-        worst = max(worst, abs(recon - lam.lift_sign * tr))
+        # A block never holds more rows than samples still missing, so the
+        # generator yields the same values as drawing one row at a time.
+        block = rng.normal(size=(min(LIFT_BLOCK, samples - tested), 8))
+        for e in block.tolist():
+            m = MoebiusMap(
+                complex(e[0], e[1]),
+                complex(e[2], e[3]),
+                complex(e[4], e[5]),
+                complex(e[6], e[7]),
+            )
+            tr = m.trace
+            if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
+                continue
+            tested += 1
+            lam = complex_length(m)
+            recon = 2.0 * cmath.cosh(lam.value / 2.0)
+            worst = max(worst, abs(recon - lam.lift_sign * tr))
     return {
         "passed": worst < tol,
         "details": {"samples": tested, "worst_residual": worst, "tol": tol},
@@ -317,16 +323,21 @@ def check_posdef(seed=5, sym_tol=1e-4):
 
 def check_volume(seed=6, pair_tol=1e-5, pairs=10, concavity_paths=5):
     rng = np.random.default_rng(seed)
-    worst_pair = 0.0
+    paths = []
     for _ in range(pairs):
         x0, y0, x1, y1, xw, yw = rng.uniform(2.1, 2.55, size=6)
         t0 = _marked(float(x0), float(y0))
         t1 = _marked(float(x1), float(y1))
         tw = _marked(float(xw), float(yw))
-        direct = volume_between(t0, t1, nodes=128)
-        dogleg = volume_between(t0, tw, nodes=96).value + volume_between(
-            tw, t1, nodes=96
-        ).value
+        paths += [
+            coordinate_segment(t0, t1, 128),
+            coordinate_segment(t0, tw, 96),
+            coordinate_segment(tw, t1, 96),
+        ]
+    volumes = schlafli_volumes(paths)
+    worst_pair = 0.0
+    for direct, leg0, leg1 in zip(volumes[::3], volumes[1::3], volumes[2::3]):
+        dogleg = leg0.value + leg1.value
         worst_pair = max(worst_pair, abs(direct.value - dogleg))
     angle_paths = [
         ((1.8, 2.0), (2.6, 2.3)),

@@ -33,3 +33,13 @@ def test_solver_criteria_at_seed_offsets(seed_offset):
     assert [r["name"] for r in records] == ["posdef", "newton"]
     for record in records:
         assert record["passed"], (record["name"], record["details"])
+
+
+@pytest.mark.parametrize("seed_offset", [3, 58, 171])
+def test_batched_criteria_at_seed_offsets(seed_offset):
+    """The block-drawn and batch-certified criteria stay green away from
+    the pinned seeds."""
+    records = suite.run_suite(["lift", "volume"], seed_offset=seed_offset)
+    assert [r["name"] for r in records] == ["lift", "volume"]
+    for record in records:
+        assert record["passed"], (record["name"], record["details"])

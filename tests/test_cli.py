@@ -314,6 +314,23 @@ def test_trace_ray_bad_start_exits_two():
     assert run("trace-ray", "--start", "1.0").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--substeps", "1"), ("--substeps", "0"), ("--substeps", "-4"),
+     ("--samples", "0"), ("--samples", "-1")],
+)
+def test_trace_ray_bad_sizes_exit_two(flag, value, monkeypatch):
+    """Sizes that leave no quadrature or no samples are usage errors,
+    raised before any solve."""
+    def no_solve(*args, **kw):
+        raise AssertionError("trace-ray solved before rejecting its sizes")
+
+    monkeypatch.setattr(cli, "ray_to_cusp", no_solve)
+    result = run("trace-ray", flag, value)
+    assert result.exit_code == 2
+    assert f"{flag} must be at least" in result.output
+
+
 def test_verify_suite_filter_and_format():
     result = run("verify-suite", "--filter", "lift")
     assert result.exit_code == 0

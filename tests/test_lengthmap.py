@@ -20,7 +20,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab import lengthmap as lm
-from pleatlab.plaques import certify
+from pleatlab.plaques import certify, certify_batch
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 LENGTH_TRACE_3 = 1.9248473002384139  # 2*arccosh(1.5)
@@ -201,7 +201,54 @@ def test_volume_rejects_uncertified_path():
     also_off = coords(2.25, 2.25, 3.1)
     path = [_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3), also_off, _marked(2.4, 2.4)]
     with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
-        lm.schlafli_volume(path)
+        lm.schlafli_volumes([path])[0]
+
+
+def test_schlafli_volumes_match_one_path_calls(monkeypatch):
+    """Batched paths, in runs that fill, cross and exceed the node budget,
+    give the one-path results bit for bit."""
+    ends = [((2.1, 2.1), (2.5, 2.4)), ((2.1, 2.1), (2.45, 2.15)), ((2.45, 2.15), (2.5, 2.4))]
+    paths = [
+        lm.coordinate_segment(_marked(*a), _marked(*b), n)
+        for (a, b), n in zip(ends * 3, (128, 96, 96) * 3)
+    ]
+    paths.append(lm.coordinate_segment(_marked(2.0, 2.2), _marked(2.6, 2.3), 1100))
+    paths += [lm.coordinate_segment(_marked(2.2, 2.3 - 0.01 * k), _marked(2.4, 2.2), 16)
+              for k in range(5)]
+    paths.append(lm.coordinate_segment(_marked(2.3, 2.05), _marked(2.1, 2.5), 500))
+    paths.append(lm.coordinate_segment(_marked(2.2, 2.2), _marked(2.0, 2.0), 600))
+    reference = [lm.schlafli_volumes([path])[0] for path in paths]
+    batch_sizes = []
+
+    def counting_batch(x, y, z, **kw):
+        batch_sizes.append(len(x))
+        return certify_batch(x, y, z, **kw)
+
+    monkeypatch.setattr(lm, "certify_batch", counting_batch)
+    results = lm.schlafli_volumes(paths)
+    assert batch_sizes == [969, 1101, 5 * 17 + 501, 601]
+    assert [(r.value, r.error_estimate, r.nodes) for r in results] == [
+        (r.value, r.error_estimate, r.nodes) for r in reference
+    ]
+
+
+def test_schlafli_volumes_name_first_bad_node_in_path_order():
+    off_locus = coords(2.2, 2.2, 3.0)
+    later = coords(2.25, 2.25, 3.1)
+    first = [_marked(2.1, 2.1), _marked(2.2, 2.2), _marked(2.3, 2.2), off_locus]
+    second = [later, _marked(2.3, 2.3), _marked(2.4, 2.4)]
+    with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
+        lm.schlafli_volumes([first, second])
+
+
+def test_continuation_volumes_match_per_segment_reference():
+    rows = lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=6)
+    volume = error = 0.0
+    for prev, row in zip(rows, rows[1:]):
+        seg = lm.volume_between(prev["result"].coords, row["result"].coords, nodes=6)
+        volume += seg.value
+        error += seg.error_estimate
+        assert (row["volume"], row["volume_error"]) == (volume, error)
 
 
 def _per_node_volume(path):
@@ -221,7 +268,7 @@ def _per_node_volume(path):
 @pytest.mark.parametrize("ends,nodes", [(((2.1, 2.1), (2.5, 2.4)), 64), (((2.0, 2.2), (2.4, 2.3)), 8)])
 def test_schlafli_volume_matches_per_node_certify(ends, nodes):
     path = lm.coordinate_segment(_marked(*ends[0]), _marked(*ends[1]), nodes)
-    res = lm.schlafli_volume(path)
+    res = lm.schlafli_volumes([path])[0]
     value, error = _per_node_volume(path)
     assert abs(res.value - value) <= 1e-12
     assert abs(res.error_estimate - error) <= 1e-12

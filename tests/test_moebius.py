@@ -29,6 +29,7 @@ from pleatlab.moebius import (
     fixed_points,
     involution_residual,
     map_to_zero_infinity,
+    matrix_distance,
     reflect_in_circle,
     rotation_about_axis,
     transform_circle,
@@ -103,6 +104,39 @@ def test_balanced_fixed_points_near_parabolic():
     # the roots are tiny but distinct and opposite
     assert att == -rep
     assert abs(att) > 1e-7
+
+
+def _classify_reference(m, tol=1e-10):
+    """classify through matrix_distance to the identity and its negative."""
+    ident = (1.0, 0.0, 0.0, 1.0)
+    if matrix_distance(m.matrix, ident) < tol:
+        return IsometryClass.IDENTITY
+    if matrix_distance(m.matrix, tuple(-x for x in ident)) < tol:
+        return IsometryClass.IDENTITY
+    t = m.trace
+    if abs(t - 2.0) < tol or abs(t + 2.0) < tol:
+        return IsometryClass.PARABOLIC
+    if abs(t.imag) < tol:
+        return IsometryClass.ELLIPTIC if abs(t.real) < 2.0 else IsometryClass.PURELY_HYPERBOLIC
+    return IsometryClass.LOXODROMIC
+
+
+def test_classify_matches_matrix_distance_reference():
+    rng = np.random.default_rng(11)
+    maps = [MoebiusMap(*(complex(*pair) for pair in rng.normal(size=(4, 2)))) for _ in range(500)]
+    for sign in (1.0, -1.0):
+        for eps in (1e-11, -1e-11, 1e-9, -1e-9, 1e-11j, 1e-9j):
+            for k in range(4):
+                m = [sign, 0.0, 0.0, sign]
+                m[k] += eps
+                maps.append(MoebiusMap(*m))
+            maps.append(MoebiusMap(sign + eps, 0.0, 0.0, sign - eps))
+            maps.append(MoebiusMap(sign + eps, eps, 0.0, sign + eps))
+            # near-parabolic: trace within the tolerance of +/-2 or just outside
+            maps.append(MoebiusMap(sign, 1.0 + eps, eps, sign + eps))
+    classes = [classify(m) for m in maps]
+    assert classes == [_classify_reference(m) for m in maps]
+    assert set(classes) == set(IsometryClass)
 
 
 def test_classify_families():

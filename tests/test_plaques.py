@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pleatlab import plaques
+from pleatlab import chartor, plaques
 from pleatlab.chartor import coords, marked_roots, matrices_from_traces, pleating_candidates
 from pleatlab.errors import NotFuchsian, ParabolicOrIdentity, ReducibleLocus
+from pleatlab.moebius import balanced_fixed_points
 from pleatlab.plaques import (
     bending_angle,
     certify,
@@ -113,6 +114,26 @@ def test_bending_angle_parabolic_rejected():
     pair = matrices_from_traces(coords(2.0, 2.0, 2.0 + 2.0j))
     with pytest.raises(ParabolicOrIdentity):
         bending_angle(pair, "a")
+
+
+def test_pair_solves_each_generator_axis_once(monkeypatch):
+    """Both angles, and certify's plaques and angles, share one pair of
+    balanced fixed points per generator."""
+    calls = []
+
+    def counting(m):
+        calls.append(m.matrix)
+        return balanced_fixed_points(m)
+
+    for module in (chartor, plaques):
+        monkeypatch.setattr(module, "balanced_fixed_points", counting)
+    pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
+    assert bending_angle(pair, "a") == bending_angle(pair, "a")
+    bending_angle(pair, "b")
+    assert calls == [pair.a.matrix, pair.b.matrix]
+    calls.clear()
+    assert certify(coords(2.2, 2.2, MARKED_ROOT_22)).is_convex
+    assert len(calls) == 2
 
 
 # (x, y, theta_a, theta_b) of bending_angle at the marked root over (x, y);

@@ -1,0 +1,53 @@
+"""Acceptance-suite internals against their one-at-a-time references."""
+
+import cmath
+
+import numpy as np
+import pytest
+
+from pleatlab import suite
+from pleatlab.moebius import MoebiusMap, complex_length
+
+
+class _SkippingMap(MoebiusMap):
+    """Reports trace 2 when the normalized top-left entry has real part
+    above 1, so that check_lift skips about one draw in fourteen."""
+
+    @property
+    def trace(self):
+        return 2.0 + 0j if self.a.real > 1.0 else self.a + self.d
+
+
+def _lift_reference(samples, seed, tol=1e-10, map_type=MoebiusMap):
+    """check_lift as one eight-value draw per matrix."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    tested = 0
+    while tested < samples:
+        entries = rng.normal(size=8)
+        m = map_type(
+            complex(entries[0], entries[1]),
+            complex(entries[2], entries[3]),
+            complex(entries[4], entries[5]),
+            complex(entries[6], entries[7]),
+        )
+        tr = m.trace
+        if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
+            continue
+        tested += 1
+        lam = complex_length(m)
+        recon = 2.0 * cmath.cosh(lam.value / 2.0)
+        worst = max(worst, abs(recon - lam.lift_sign * tr))
+    return {"samples": tested, "worst_residual": worst, "tol": tol}
+
+
+@pytest.mark.parametrize("skipping", [False, True], ids=["plain", "skipping"])
+@pytest.mark.parametrize("samples", [255, 256, 257, 600])
+def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
+    """Block draws across block boundaries, with and without skipped
+    draws, give the matrices of one draw per matrix."""
+    map_type = _SkippingMap if skipping else MoebiusMap
+    monkeypatch.setattr(suite, "MoebiusMap", map_type)
+    for seed in (1, 4):
+        record = suite.check_lift(samples=samples, seed=seed)
+        assert record["details"] == _lift_reference(samples, seed, map_type=map_type)
