@@ -9,8 +9,11 @@ manifold.  This module provides:
 * the holomorphic Jacobian of (length, length, commutator trace) in the
   trace chart, in closed form with a finite-difference cross-check;
 * damped Newton solvers for length, angle, and mixed targets over the
-  marked pleating root;
-* the angle-space derivative matrix ``d(lengths)/d(cone angles)``;
+  marked pleating root, with a one-sided difference Jacobian whose
+  probes never cross a zero length and a closing chord step that takes
+  each solution to round-off;
+* the angle-space derivative matrix ``d(lengths)/d(cone angles)``, by
+  the implicit-function theorem from one solve and the angle Jacobian;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
   Richardson error estimate, plus concavity and monotonicity probes;
@@ -54,6 +57,8 @@ NEWTON_FD_STEP = 1e-6
 CONTINUATION_RESIDUAL = 1e-7
 CONTINUATION_MAX_NEWTON = 8
 DEGENERACY_TOL = 1e-6
+# dl_dphi rejects bending angles closer than this to 0 or pi.
+ANGLE_DERIVATIVE_MARGIN = 0.01
 # Nodes per certify_batch call in schlafli_volumes.  A call costs ~1.5 ms
 # plus ~1.3 us per node (2-CPU x86 host) and holds ~1.1 KB of arrays per
 # node at its peak, so the budget pays the fixed cost rarely and still
@@ -229,9 +234,15 @@ def _solve2(j00, j01, j10, j11, r0, r1):
 def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEWTON_FD_STEP):
     """Damped Newton iteration for a residual of two real unknowns.
 
-    The Jacobian is a central difference with step ``fd_h``; each step
-    is halved up to eleven times until the max-norm residual falls.
-    Returns ``(u, iterations, norm)`` with ``u`` a pair of floats.
+    The Jacobian is a one-sided difference from the residual already in
+    hand plus one probe per unknown at ``u_j + copysign(fd_h, u_j)``, so
+    an iteration costs three residuals and no probe crosses ``u_j = 0``,
+    where the length residuals fold over.  Each step is halved up to
+    eleven times until the max-norm residual falls.  Once the norm is
+    within ``tol``, one chord step with the last Jacobian polishes the
+    solution toward round-off; it is kept only if the norm does not
+    grow, and ``iterations`` does not count it.  Returns
+    ``(u, iterations, norm)`` with ``u`` a pair of floats.
     """
     def try_residual(u):
         """Residual at a trial point, or None where it is undefined
@@ -251,7 +262,7 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEW
         raise NewtonDivergence(f"residual undefined at the seed {tuple(u0)}")
     norm = max(abs(r[0]), abs(r[1]))
     iterations = 0
-    two_h = 2.0 * fd_h
+    jac = None
     while norm > tol:
         if iterations >= max_iter:
             raise NewtonDivergence(
@@ -259,18 +270,16 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEW
             )
         iterations += 1
         ua, ub = u
-        cols = []  # the Jacobian column by column
-        for up, dn in (
-            ((ua + fd_h, ub), (ua - fd_h, ub)),
-            ((ua, ub + fd_h), (ua, ub - fd_h)),
-        ):
-            r_up = try_residual(up)
-            r_dn = try_residual(dn)
-            if r_up is None or r_dn is None:
-                raise NewtonDivergence("residual undefined next to an iterate")
-            cols.append(((r_up[0] - r_dn[0]) / two_h, (r_up[1] - r_dn[1]) / two_h))
-        (j00, j10), (j01, j11) = cols
-        s0, s1 = _solve2(j00, j01, j10, j11, r[0], r[1])
+        ha, hb = math.copysign(fd_h, ua), math.copysign(fd_h, ub)
+        r_a = try_residual((ua + ha, ub))
+        r_b = try_residual((ua, ub + hb))
+        if r_a is None or r_b is None:
+            raise NewtonDivergence("residual undefined next to an iterate")
+        jac = (
+            (r_a[0] - r[0]) / ha, (r_b[0] - r[0]) / hb,
+            (r_a[1] - r[1]) / ha, (r_b[1] - r[1]) / hb,
+        )
+        s0, s1 = _solve2(*jac, r[0], r[1])
         if not (math.isfinite(s0) and math.isfinite(s1)):
             raise NewtonDivergence("non-finite Newton step")
         scale = 1.0
@@ -285,6 +294,14 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEW
             scale *= 0.5
         else:
             raise NewtonDivergence("damping failed to reduce the residual")
+    if jac is not None and norm > 0.0:
+        s0, s1 = _solve2(*jac, r[0], r[1])
+        candidate = (u[0] - s0, u[1] - s1)
+        rc = try_residual(candidate)
+        if rc is not None:
+            nc = max(abs(rc[0]), abs(rc[1]))
+            if nc <= norm:
+                u, norm = candidate, nc
     return u, iterations, norm
 
 
@@ -415,36 +432,34 @@ def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0), **kw):
 # Angle-space derivative of the lengths
 
 
-def dl_dphi(theta_a, theta_b, h=1e-3, seed=(1.0, 1.0)):
+def dl_dphi(theta_a, theta_b, seed=(1.0, 1.0)):
     """Matrix of d(lengths)/d(cone angles) at the given bending angles.
 
-    Cone angles are ``phi_i = 2*(pi - theta_i)``, so a central
-    difference in ``theta_j`` with step ``h`` is one in ``phi_j`` with
-    step ``-2h``.  Requires both angles at least ``10*h`` away from the
-    degenerate values 0 and pi.
+    Cone angles are ``phi_i = 2*(pi - theta_i)``.  The base point is
+    solved once; by the implicit-function theorem the derivative there
+    is ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
+    difference of the angle residual with step ``NEWTON_FD_STEP`` (four
+    residuals, no further solves).  Requires both angles at least
+    ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values 0 and pi.
     """
     for val in (theta_a, theta_b):
-        if min(val, math.pi - val) < 10.0 * h:
+        if min(val, math.pi - val) < ANGLE_DERIVATIVE_MARGIN:
             raise CoordinateDegeneracy(
                 "bending angles too close to 0 or pi for the angle derivative"
             )
     base = solve_for_angles(theta_a, theta_b, seed=seed)
-    seed_u = base.lengths
+    residual = _target_residual({"a": ("angle", theta_a), "b": ("angle", theta_b)})
+    h = NEWTON_FD_STEP
     cols = []
     for j in range(2):
-        tgt_up = [theta_a, theta_b]
-        tgt_dn = [theta_a, theta_b]
-        tgt_up[j] += h
-        tgt_dn[j] -= h
-        up = solve_for_angles(tgt_up[0], tgt_up[1], seed=seed_u)
-        dn = solve_for_angles(tgt_dn[0], tgt_dn[1], seed=seed_u)
-        cols.append(
-            [
-                (up.lengths[i] - dn.lengths[i]) / (-4.0 * h)
-                for i in range(2)
-            ]
-        )
-    matrix = np.array(cols).T
+        up = list(base.lengths)
+        dn = list(base.lengths)
+        up[j] += h
+        dn[j] -= h
+        r_up, r_dn = residual(up), residual(dn)
+        cols.append([(r_up[i] - r_dn[i]) / (2.0 * h) for i in range(2)])
+    dtheta_dl = np.array(cols).T
+    matrix = np.linalg.inv(-2.0 * dtheta_dl)
     sym_residual = float(abs(matrix[0, 1] - matrix[1, 0]))
     eigvals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
     return {
@@ -559,52 +574,65 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
                            max_depth=8, substeps=8):
     """Walk a straight segment in angle space, solving at each sample.
 
-    The step is halved (by inserting intermediate targets) whenever the
-    Newton solve needs more than ``max_newton`` iterations or leaves a
-    residual above ``residual_tol``.  Returns a list of rows with the
-    path parameter, solved structure, lengths, angles, and the
-    cumulative volume (integrated segmentwise through the Schlafli
-    form with ``substeps`` quadrature nodes per step).
+    Each sample is seeded by linear extrapolation from the last two
+    solved samples, or by the last lengths where that prediction is not
+    positive.  The step is halved (by inserting intermediate targets)
+    whenever the Newton solve needs more than ``max_newton`` iterations
+    or leaves a residual above ``residual_tol``.  Returns a list of rows
+    with the path parameter, solved structure, lengths, angles, and the
+    cumulative volume (integrated segmentwise through the Schlafli form
+    with ``substeps`` quadrature intervals per step).  Raises
+    :class:`PleatlabError` before any solve when ``samples < 1`` or
+    ``substeps < 2``.
     """
+    if samples < 1:
+        raise PleatlabError(f"need at least one sample, got {samples}")
+    if substeps < 2:
+        raise PleatlabError(f"need at least two substeps, got {substeps}")
     theta_start = tuple(theta_start)
     theta_end = tuple(theta_end)
+    solved = []
 
-    def target_at(s):
-        return tuple(
-            (1 - s) * theta_start[i] + s * theta_end[i] for i in range(2)
+    def solve_at(s):
+        target = tuple((1 - s) * theta_start[i] + s * theta_end[i] for i in range(2))
+        return solve_targets(
+            {"a": ("angle", target[0]), "b": ("angle", target[1])}, seed=predict(s)
         )
 
-    def solve_at(lo, s, seed_u, depth=0):
-        """Rows reaching ``s`` from the solved sample at ``lo``."""
+    def predict(s):
+        """Secant seed for the sample at ``s``."""
+        if not solved:
+            return seed
+        s1, last = solved[-1]
+        if len(solved) == 1:
+            return last.lengths
+        s0, prev = solved[-2]
+        w = (s - s1) / (s1 - s0)
+        guess = tuple(a + w * (a - b) for a, b in zip(last.lengths, prev.lengths))
+        return guess if min(guess) > 0.0 else last.lengths
+
+    def advance(s, depth=0):
+        """Append solved samples up to ``s``, halving the step on failure."""
+        lo = solved[-1][0]
         try:
-            res = solve_targets(
-                {"a": ("angle", target_at(s)[0]), "b": ("angle", target_at(s)[1])},
-                seed=seed_u,
-            )
+            res = solve_at(s)
             if res.iterations <= max_newton and res.residual <= residual_tol:
-                return [(s, res)]
+                solved.append((s, res))
+                return
         except NewtonDivergence:
             if depth >= max_depth:
                 raise
             res = None
         if depth >= max_depth:
-            return [(s, res)] if res is not None else []
+            solved.append((s, res))
+            return
         mid = (lo + s) / 2.0
-        first = solve_at(lo, mid, seed_u, depth + 1)
-        seed_mid = first[-1][1].lengths if first else seed_u
-        return first + solve_at(mid, s, seed_mid, depth + 1)
+        advance(mid, depth + 1)
+        advance(s, depth + 1)
 
-    solved = []
-    seed_u = seed
-    start = solve_targets(
-        {"a": ("angle", theta_start[0]), "b": ("angle", theta_start[1])},
-        seed=seed_u,
-    )
-    solved.append((0.0, start))
+    solved.append((0.0, solve_at(0.0)))
     for k in range(1, samples + 1):
-        s = k / samples
-        entries = solve_at(solved[-1][0], s, solved[-1][1].lengths)
-        solved.extend(entries)
+        advance(k / samples)
     segments = schlafli_volumes([
         coordinate_segment(prev.coords, res.coords, substeps)
         for (_, prev), (_, res) in zip(solved, solved[1:])

@@ -288,6 +288,19 @@ def check_jacobian(det_lo=1e-2, det_hi=1e3, fd_tol=1e-6, corner_tol=1e-4):
 # 8. positive-definite angle derivative
 
 
+def _min_monotonicity(states):
+    """Minimum over pairs of states ``(l, phi)`` of
+    ``<l1 - l2, phi1 - phi2> / |phi1 - phi2|^2``; a positive value
+    witnesses that the angle-to-length map is injective on the sample."""
+    worst = math.inf
+    for k, (l1, p1) in enumerate(states):
+        for l2, p2 in states[k + 1:]:
+            dl = (l1[0] - l2[0], l1[1] - l2[1])
+            dp = (p1[0] - p2[0], p1[1] - p2[1])
+            worst = min(worst, (dl[0] * dp[0] + dl[1] * dp[1]) / (dp[0] ** 2 + dp[1] ** 2))
+    return worst
+
+
 def check_posdef(seed=5, sym_tol=1e-4):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -299,19 +312,26 @@ def check_posdef(seed=5, sym_tol=1e-4):
     worst_sym = 0.0
     min_eig = math.inf
     min_diag = math.inf
+    states = []
     for th_a, th_b in pairs:
         rep = dl_dphi(th_a, th_b)
         worst_sym = max(worst_sym, rep["symmetry_residual"])
         min_eig = min(min_eig, rep["eigenvalues"][0])
         m = rep["matrix"]
         min_diag = min(min_diag, float(m[0, 0]), float(m[1, 1]))
+        base = rep["base"]
+        states.append((base.lengths, tuple(2.0 * (math.pi - th) for th in base.thetas)))
+    # The lengths determine the structure: on the convex angle domain,
+    # phi -> l is strictly monotone, so every pair gives a positive ratio.
+    min_mono = _min_monotonicity(states)
     return {
-        "passed": worst_sym < sym_tol and min_eig > 0.0 and min_diag > 0.0,
+        "passed": worst_sym < sym_tol and min_eig > 0.0 and min_diag > 0.0 and min_mono > 0.0,
         "details": {
             "points": len(pairs),
             "worst_symmetry": worst_sym,
             "min_eigenvalue": min_eig,
             "min_diagonal": min_diag,
+            "min_monotonicity": min_mono,
             "sym_tol": sym_tol,
         },
     }
@@ -498,7 +518,7 @@ CRITERIA = (
     ("cone", "meridian cone angles match the bending data", check_cone),
     ("mirror", "doubled traces are symmetric under the mirror swap", check_mirror),
     ("jacobian", "length Jacobian is bounded on the grid and degenerates at the corner", check_jacobian),
-    ("posdef", "angle derivative of the lengths is symmetric positive definite", check_posdef),
+    ("posdef", "angle derivative of the lengths is symmetric positive definite and the map is monotone", check_posdef),
     ("volume", "volume is path independent, concave, and increases toward the cusp", check_volume),
     ("newton", "Newton solves are seed independent and reach the cusp target", check_newton),
     ("cuspmodel", "cusp-opening derivative matches the commuting model", check_cuspmodel),

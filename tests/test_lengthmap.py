@@ -16,11 +16,13 @@ from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
+    PleatlabError,
     TargetOutsideImage,
     UncertifiedPathPoint,
 )
 from pleatlab import lengthmap as lm
 from pleatlab.plaques import certify, certify_batch
+from pleatlab.suite import run_suite
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 LENGTH_TRACE_3 = 1.9248473002384139  # 2*arccosh(1.5)
@@ -164,6 +166,48 @@ def test_newton2_non_finite_seed_residual_raises(value):
         lm._newton2(lambda u: (value, 0.0), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_newton2_probes_stay_on_the_iterate_side(sign):
+    """Near u = 0, where length residuals fold over, no evaluation crosses
+    to the other sign of either unknown, and the probes see the true slope."""
+    seen = []
+
+    def residual(u):
+        seen.append(u)
+        return (1e4 * (abs(u[0]) - 3e-7), 1e4 * (abs(u[1]) - 2e-7))
+
+    u, iterations, norm = lm._newton2(residual, (sign * 1e-7, sign * 1e-7))
+    assert all(sign * ua > 0.0 and sign * ub > 0.0 for ua, ub in seen)
+    assert iterations == 1 and norm <= lm.NEWTON_TOL
+    assert abs(u[0] - sign * 3e-7) < 1e-15 and abs(u[1] - sign * 2e-7) < 1e-15
+
+
+def test_newton2_chord_step_never_raises_the_norm():
+    """Once converged, every further residual is made worse: the chord step
+    is then dropped and the converged iterate returned as it was."""
+    converged = []
+
+    def residual(u):
+        if converged:
+            return (1e-3, 1e-3)
+        r = (math.sinh(u[0]) - 0.5 - 0.1 * u[1], u[1] ** 3 + u[1] - 2.0)
+        if max(abs(r[0]), abs(r[1])) <= lm.NEWTON_TOL:
+            converged.append((u, max(abs(r[0]), abs(r[1]))))
+        return r
+
+    u, _, norm = lm._newton2(residual, (0.3, 0.7))
+    assert (u, norm) == converged[0]
+
+
+@pytest.mark.parametrize("seed_offset", [0, 591157])
+def test_newton_criterion_seed_spread_at_round_off(seed_offset):
+    """Polished solves agree across starting seeds to round-off; at offset
+    591157 the spread of unpolished solves exceeded the 1e-8 gate."""
+    record = run_suite(["newton"], seed_offset=seed_offset)[0]
+    assert record["passed"], record["details"]
+    assert record["details"]["worst_seed_spread"] < 1e-12
+
+
 def test_dl_dphi_symmetric_positive_definite():
     rep = lm.dl_dphi(2.1, 2.3)
     assert rep["symmetry_residual"] < 1e-6
@@ -179,6 +223,93 @@ def test_dl_dphi_symmetric_positive_definite():
 def test_dl_dphi_near_boundary_rejected():
     with pytest.raises(CoordinateDegeneracy):
         lm.dl_dphi(0.005, 2.0)
+
+
+def _dl_dphi_of_solves(theta_a, theta_b, h):
+    """d(lengths)/d(cone angles) as a central difference of four solves."""
+    base = lm.solve_for_angles(theta_a, theta_b)
+    cols = []
+    for j in range(2):
+        up, dn = [theta_a, theta_b], [theta_a, theta_b]
+        up[j] += h
+        dn[j] -= h
+        l_up = lm.solve_for_angles(*up, seed=base.lengths).lengths
+        l_dn = lm.solve_for_angles(*dn, seed=base.lengths).lengths
+        cols.append([(l_up[i] - l_dn[i]) / (-4.0 * h) for i in range(2)])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("thetas", [(2.1, 2.3), (1.2, 2.7), (0.3, 0.22)],
+                         ids=["interior", "skewed", "near-flat"])
+def test_dl_dphi_matches_richardson_reference(thetas):
+    """The implicit derivative agrees with the Richardson extrapolation of
+    the difference of solves at h = 1e-3 and 5e-4."""
+    h = 1e-3
+    reference = (4.0 * _dl_dphi_of_solves(*thetas, h / 2.0) - _dl_dphi_of_solves(*thetas, h)) / 3.0
+    got = lm.dl_dphi(*thetas)["matrix"]
+    assert np.max(np.abs(got - reference)) <= 1e-7 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize(
+    "probe,args",
+    [
+        (lm.continuation_to_angles, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
+        (lm.ray_to_cusp, dict(theta_start=(2.0, 2.2))),
+        (lm.concavity_probe, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
+    ],
+    ids=["continuation", "ray", "concavity"],
+)
+@pytest.mark.parametrize("sizes", [dict(samples=0), dict(samples=-3), dict(substeps=1),
+                                   dict(substeps=0)], ids=str)
+def test_path_probes_reject_bad_sizes_before_solving(probe, args, sizes, monkeypatch):
+    calls = []
+    monkeypatch.setattr(lm, "solve_targets", lambda *a, **kw: calls.append(a))
+    with pytest.raises(PleatlabError, match="need at least"):
+        probe(**args, **sizes)
+    assert calls == []
+
+
+def test_continuation_secant_seeds():
+    """From the third sample on, each solve is seeded on the line through
+    the last two solved lengths."""
+    seeds = []
+    solve = lm.solve_targets
+
+    def recording(targets, seed=(1.0, 1.0), **kw):
+        seeds.append(tuple(seed))
+        return solve(targets, seed=seed, **kw)
+
+    rows = lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=4,
+                                     seed=(0.9, 1.1))
+    assert len(rows) == 5
+    lengths = [r["result"].lengths for r in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lm, "solve_targets", recording)
+        lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=4,
+                                  seed=(0.9, 1.1))
+    assert seeds[:2] == [(0.9, 1.1), lengths[0]]
+    for k in range(2, 5):
+        want = tuple(2.0 * a - b for a, b in zip(lengths[k - 1], lengths[k - 2]))
+        assert seeds[k] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_continuation_seed_falls_back_when_prediction_not_positive(monkeypatch):
+    """Lengths (1, 1) then (0.3, 0.9) extrapolate to (-0.4, 0.8): the third
+    solve is seeded with the last lengths instead."""
+    seeds = []
+    lengths = iter([(1.0, 1.0), (0.3, 0.9)])
+
+    def fake_solve(targets, seed=(1.0, 1.0), **kw):
+        seeds.append(tuple(seed))
+        try:
+            return lm.NewtonResult(None, next(lengths), None, iterations=0, residual=0.0)
+        except StopIteration:
+            raise RuntimeError("stop") from None
+
+    monkeypatch.setattr(lm, "solve_targets", fake_solve)
+    with pytest.raises(RuntimeError, match="stop"):
+        lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=2)
+    assert seeds == [(1.0, 1.0), (1.0, 1.0), (0.3, 0.9)]
 
 
 def test_volume_between_frozen():

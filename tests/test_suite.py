@@ -51,3 +51,22 @@ def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
     for seed in (1, 4):
         record = suite.check_lift(samples=samples, seed=seed)
         assert record["details"] == _lift_reference(samples, seed, map_type=map_type)
+
+
+def test_min_monotonicity_of_linear_maps():
+    """For l = A phi the pair ratio is a Rayleigh quotient of A: at least
+    its smallest symmetric eigenvalue, and negative for a decreasing map."""
+    rng = np.random.default_rng(2)
+    phis = [tuple(rng.uniform(0.5, 5.0, size=2)) for _ in range(12)]
+    a = np.array([[0.6, -0.2], [-0.2, 0.4]])
+    states = [(tuple(a @ p), p) for p in phis]
+    witness = suite._min_monotonicity(states)
+    assert min(np.linalg.eigvalsh(a)) - 1e-12 <= witness <= max(np.linalg.eigvalsh(a))
+    assert suite._min_monotonicity([(tuple(-a @ p), p) for p in phis]) < 0.0
+
+
+def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
+    record = suite.check_posdef()
+    assert record["passed"] and record["details"]["min_monotonicity"] > 0.0
+    monkeypatch.setattr(suite, "_min_monotonicity", lambda states: -1e-3)
+    assert not suite.check_posdef()["passed"]
