@@ -174,11 +174,6 @@ def matrices_from_traces(t):
     return RepPair(a, b, t)
 
 
-def trace_of_word(t, word):
-    """Trace of a word at the given coordinates (via the normal form)."""
-    return matrices_from_traces(t).trace(word)
-
-
 def commuting_canonical_pair(u, h):
     """Canonical commuting pair sharing the balanced axis.
 

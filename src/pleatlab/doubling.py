@@ -110,10 +110,6 @@ class DoubledHolonomy:
         return self.evaluator.trace(word)
 
     @property
-    def relation_count(self):
-        return len(RELATIONS)
-
-    @property
     def max_relation_residual(self):
         return max(self.relation_residuals.values())
 

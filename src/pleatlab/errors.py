@@ -30,10 +30,6 @@ class DegenerateCircle(PleatlabError):
     """No circle or line is determined by the input."""
 
 
-class NoIntersectionAtPoint(PleatlabError):
-    """The given point does not lie on both circles."""
-
-
 class NumericalOverflow(PleatlabError):
     """An intermediate value left the range of double precision."""
 
@@ -48,10 +44,6 @@ class DegenerateNormalization(PleatlabError):
 
 class NonRealTraces(PleatlabError):
     """A pants group that must have real boundary traces does not."""
-
-
-class NonPlanar(PleatlabError):
-    """Housed fixed points fail the concyclicity test."""
 
 
 class NotFuchsian(PleatlabError):

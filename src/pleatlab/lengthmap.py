@@ -389,21 +389,18 @@ def _homotopy_solve(targets, seed, tol, max_iter):
     return u, total_iterations, norm
 
 
-def solve_targets(targets, seed=(1.0, 1.0), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                  homotopy=True):
+def solve_targets(targets, seed=(1.0, 1.0), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Solve for a structure hitting per-curve length or angle targets.
 
     ``targets``: dict with keys "a" and "b", values ``("length", v)`` or
     ``("angle", v)``.  ``seed`` is a pair of starting curve lengths.
-    When the direct damped Newton iteration diverges and ``homotopy`` is
-    set, the solve is retried as a continuation in target space.
+    When the direct damped Newton iteration diverges, the solve is
+    retried as a continuation in target space.
     """
     residual_fn = _target_residual(targets)
     try:
         u, iterations, norm = _newton2(residual_fn, seed, tol=tol, max_iter=max_iter)
     except NewtonDivergence:
-        if not homotopy:
-            raise
         u, iterations, norm = _homotopy_solve(targets, seed, tol, max_iter)
     t, lengths, thetas = measure_structure(u[0], u[1])
     return NewtonResult(

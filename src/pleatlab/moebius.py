@@ -29,7 +29,6 @@ from pleatlab.errors import (
     CoincidentPoints,
     DegenerateCircle,
     IdentityInput,
-    NoIntersectionAtPoint,
     NumericalOverflow,
     ParabolicOrIdentity,
     PleatlabError,
@@ -340,28 +339,6 @@ class SphereCircle:
     def contains_infinity(self):
         return self.kind == "line"
 
-    def point_residual(self, z):
-        """Chordal-flavoured distance from ``z`` to the circle."""
-        if z is None:
-            return 0.0 if self.kind == "line" else 2.0 / math.hypot(1.0, self.radius)
-        if self.kind == "circle":
-            return abs(abs(z - self.center) - self.radius) / (1.0 + abs(z) ** 2 / 4.0)
-        return abs(((z - self.anchor) / self.direction).imag) / (1.0 + abs(z) ** 2 / 4.0)
-
-    def sample_points(self, offset=0.0):
-        """Three distinct points on the circle."""
-        if self.kind == "circle":
-            return tuple(
-                self.center + self.radius * cmath.exp(1j * (offset + k * 2.0 * math.pi / 3.0))
-                for k in range(3)
-            )
-        spread = 1.0 + abs(self.anchor)
-        ts = tuple(
-            math.tan(0.3 + (offset + k * 2.0 * math.pi / 3.0) / 4.0) * spread
-            for k in range(3)
-        )
-        return tuple(self.anchor + t * self.direction for t in ts)
-
     def approx_equal(self, other, tol=1e-9):
         if self.kind != other.kind:
             return False
@@ -403,24 +380,6 @@ def circle_through(p, q, r):
     center = num / den
     radius = (abs(p - center) + abs(q - center) + abs(r - center)) / 3.0
     return SphereCircle(kind="circle", center=center, radius=radius)
-
-
-def transform_circle(g, circle):
-    """Image of a circle under a Moebius map, via three sample points."""
-    for attempt in range(8):
-        pts = circle.sample_points(offset=0.61803398875 * attempt)
-        images = [g(z) for z in pts]
-        ok = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if chordal_distance(images[i], images[j]) < 1e-9:
-                    ok = False
-        if ok:
-            try:
-                return circle_through(*images)
-            except (CoincidentPoints, DegenerateCircle):
-                continue
-    raise DegenerateCircle("could not transport circle through sample points")
 
 
 def reflect_in_circle(circle):
@@ -494,91 +453,3 @@ def concyclicity_residual(p, q, r, s):
         return 0.0
     return abs(cr.imag)
 
-
-def _point_on_circle(circle, z, tol):
-    return circle.point_residual(z) <= tol
-
-
-def _line_line_intersections(c1, c2):
-    d1, d2 = c1.direction, c2.direction
-    cross = (d1.conjugate() * d2).imag
-    if abs(cross) < 1e-13:
-        return [None]
-    # Solve c1.anchor + t*d1 == c2.anchor + u*d2 for t.
-    rhs = c2.anchor - c1.anchor
-    t = (rhs / d2).imag / (d1 / d2).imag
-    return [c1.anchor + t * d1, None]
-
-
-def _line_circle_intersections(line, circ):
-    w = line.anchor - circ.center
-    d = line.direction
-    b = (d.conjugate() * w).real
-    cc = abs(w) ** 2 - circ.radius**2
-    disc = b * b - cc
-    if disc < 0:
-        if disc > -1e-12 * max(1.0, circ.radius**2):
-            disc = 0.0
-        else:
-            return []
-    root = math.sqrt(disc)
-    return [line.anchor + (-b + root) * d, line.anchor + (-b - root) * d]
-
-
-def _circle_circle_intersections(c1, c2):
-    delta = c2.center - c1.center
-    dist = abs(delta)
-    if dist < 1e-13:
-        return []
-    a = (dist * dist + c1.radius**2 - c2.radius**2) / (2.0 * dist)
-    h2 = c1.radius**2 - a * a
-    if h2 < 0:
-        if h2 > -1e-10 * c1.radius**2:
-            h2 = 0.0
-        else:
-            return []
-    h = math.sqrt(h2)
-    u = delta / dist
-    base = c1.center + a * u
-    return [base + 1j * h * u, base - 1j * h * u]
-
-
-def _intersections(c1, c2):
-    if c1.kind == "line" and c2.kind == "line":
-        return _line_line_intersections(c1, c2)
-    if c1.kind == "line":
-        return _line_circle_intersections(c1, c2)
-    if c2.kind == "line":
-        return _line_circle_intersections(c2, c1)
-    return _circle_circle_intersections(c1, c2)
-
-
-def _direction_at_zero(g, circle, avoid, tol=1e-9):
-    """Direction of the image line of ``circle`` under ``g`` at the origin."""
-    for attempt in range(12):
-        for z in circle.sample_points(offset=0.37 * (attempt + 1)):
-            if any(chordal_distance(z, w) < 1e-8 for w in avoid):
-                continue
-            w = g(z)
-            if w is None or abs(w) < tol:
-                continue
-            return w / abs(w)
-    raise DegenerateCircle("could not find a usable direction sample")
-
-
-def angle_between_circles(c1, c2, at, tol=1e-8):
-    """Unsigned intersection angle in [0, pi/2] at a common point."""
-    if not _point_on_circle(c1, at, tol) or not _point_on_circle(c2, at, tol):
-        raise NoIntersectionAtPoint("point is not on both circles")
-    if c1.approx_equal(c2, tol=tol):
-        return 0.0
-    candidates = [w for w in _intersections(c1, c2) if chordal_distance(w, at) > 1e-9]
-    if not candidates:
-        # Tangency (including parallel lines meeting only at infinity).
-        return 0.0
-    other = candidates[0]
-    g = map_to_zero_infinity(at, other)
-    d1 = _direction_at_zero(g, c1, avoid=(at, other))
-    d2 = _direction_at_zero(g, c2, avoid=(at, other))
-    delta = abs(cmath.phase(d1 / d2)) % math.pi
-    return min(delta, math.pi - delta)

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from pleatlab import _kernel_py, kernel
+from pleatlab import kernel
 from pleatlab.chartor import (
     REDUCIBLE_TOL,
     RepPair,
@@ -38,7 +38,6 @@ from pleatlab.chartor import (
     matrices_from_traces,
 )
 from pleatlab.errors import (
-    NonPlanar,
     NonRealTraces,
     NotFuchsian,
     ParabolicOrIdentity,
@@ -404,14 +403,12 @@ _BATCH_PARABOLIC = 1e-4
 
 def _word_batch(gens, word):
     """``RepPair.matrix`` over arrays: the same left-to-right product
-    (``eval_word``'s leading identity factor changes no finite value).
-    The pure-Python kernel is used because it works elementwise on numpy
-    arrays; the compiled one takes scalars only."""
+    (``eval_word``'s leading identity factor changes no finite value)."""
     factors = [
-        gens[ch] if ch.islower() else _kernel_py.mat_inv(gens[ch.lower()])
+        gens[ch] if ch.islower() else kernel.mat_inv(gens[ch.lower()])
         for ch in word
     ]
-    return reduce(_kernel_py.mat_mul, factors)
+    return reduce(kernel.mat_mul, factors)
 
 
 def _moebius_batch(m):

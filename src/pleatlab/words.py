@@ -2,7 +2,7 @@
 
 A word is a string over generator letters, uppercase meaning inverse:
 ``"abAB"`` is a * b * a^-1 * b^-1.  Evaluation goes through the kernel's
-``eval_word`` so the hot loop can run compiled.
+``eval_word``.
 """
 
 from functools import lru_cache
@@ -23,11 +23,6 @@ def free_reduce(word):
         else:
             out.append(ch)
     return "".join(out)
-
-
-def cyclic_conjugate(word, k):
-    k %= max(len(word), 1)
-    return word[k:] + word[:k]
 
 
 @lru_cache(maxsize=4096)
@@ -64,9 +59,6 @@ class WordEvaluator:
     def trace(self, word):
         m = self.matrix(word)
         return m[0] + m[3]
-
-    def generator_matrix(self, letter):
-        return self._mats[self.letters.index(letter)]
 
 
 def random_reduced_word(rng, letters, min_len=1, max_len=12):

@@ -23,7 +23,6 @@ from pleatlab.chartor import (
     marked_roots,
     matrices_from_traces,
     pleating_candidates,
-    trace_of_word,
 )
 from pleatlab.errors import ReducibleLocus
 
@@ -113,10 +112,10 @@ def test_matrices_from_traces_roundtrip_random(seed):
 
 def test_trace_identities():
     """Classical trace relations hold at realized matrices."""
-    t = coords(2.3, 2.6, 3.1 + 0.7j)
-    assert abs(trace_of_word(t, "aB") - (2.3 * 2.6 - (3.1 + 0.7j))) < 1e-12
+    pair = matrices_from_traces(coords(2.3, 2.6, 3.1 + 0.7j))
+    assert abs(pair.trace("aB") - (2.3 * 2.6 - (3.1 + 0.7j))) < 1e-12
     # tr(a^2) = x^2 - 2
-    assert abs(trace_of_word(t, "aa") - (2.3 * 2.3 - 2.0)) < 1e-12
+    assert abs(pair.trace("aa") - (2.3 * 2.3 - 2.0)) < 1e-12
 
 
 def test_reducible_locus_rejected():

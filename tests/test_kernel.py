@@ -1,16 +1,8 @@
-"""The compiled kernel and the pure-Python fallback must agree."""
+"""The 2x2 complex matrix kernel against numpy references."""
 
 import numpy as np
-import pytest
 
-from pleatlab import _kernel_py
 from pleatlab import kernel
-
-IMPLS = [_kernel_py]
-if kernel.IMPLEMENTATION == "cython":
-    from pleatlab import _kernel  # noqa: F401
-
-    IMPLS.append(_kernel)
 
 
 def random_matrices(n, seed=0):
@@ -25,73 +17,69 @@ def random_matrices(n, seed=0):
         )
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_mat_mul_matches_numpy(impl):
+def test_mat_mul_matches_numpy():
     for m in random_matrices(20, seed=1):
         for n in random_matrices(1, seed=hash(m) % 2**31):
-            got = impl.mat_mul(m, n)
+            got = kernel.mat_mul(m, n)
             want = (
                 np.array(m).reshape(2, 2) @ np.array(n).reshape(2, 2)
             ).reshape(4)
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_inverse_and_det(impl):
+def test_inverse_and_det():
     for m in random_matrices(20, seed=2):
-        det = impl.mat_det(m)
+        det = kernel.mat_det(m)
         if abs(det) < 1e-6:
             continue
-        inv = impl.mat_inv(m)
-        prod = impl.mat_mul(m, inv)
+        inv = kernel.mat_inv(m)
+        prod = kernel.mat_mul(m, inv)
         # adjugate inverse: m @ adj(m) == det * Id
         assert abs(prod[0] - det) < 1e-10 * max(1.0, abs(det))
         assert abs(prod[1]) < 1e-10 * max(1.0, abs(det))
         assert abs(prod[3] - det) < 1e-10 * max(1.0, abs(det))
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_normalize_unimodular(impl):
+def test_normalize_unimodular():
     for m in random_matrices(20, seed=3):
-        if abs(impl.mat_det(m)) < 1e-6:
+        if abs(kernel.mat_det(m)) < 1e-6:
             continue
-        norm, det = impl.normalize_unimodular(m)
-        assert abs(impl.mat_det(norm) - 1.0) < 1e-10
+        norm, det = kernel.normalize_unimodular(m)
+        assert abs(kernel.mat_det(norm) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_apply_mobius_infinity(impl):
+def test_apply_mobius_infinity():
     m = (0.0j, 1.0 + 0j, 1.0 + 0j, 0.0j)  # z -> 1/z
-    assert impl.apply_mobius(m, None) == 0.0
-    assert impl.apply_mobius(m, 0.0) is None
-    assert abs(impl.apply_mobius(m, 2.0) - 0.5) < 1e-15
+    assert kernel.apply_mobius(m, None) == 0.0
+    assert kernel.apply_mobius(m, 0.0) is None
+    assert abs(kernel.apply_mobius(m, 2.0) - 0.5) < 1e-15
 
 
 def test_implementations_agree_on_words():
-    gens = {
-        "a": (1.1 + 0j, 0.5 + 0.2j, 0.25 + 0j, 1.1 + 0j),
-        "b": (1.3 + 0.1j, 0.2 - 0.4j, 0.15 + 0.05j, 1.3 + 0.1j),
-    }
-    letters = sorted(gens)
-    codes = [1, 2, -1, 2, 2, -2, 1]
-    mats = [gens[letter] for letter in letters]
-    results = []
-    for impl in IMPLS:
-        results.append(impl.eval_word(codes, mats))
-    for other in results[1:]:
-        assert max(abs(p - q) for p, q in zip(results[0], other)) < 1e-12
+    """``eval_word`` equals the numpy product of the same factors, with
+    negative codes selecting the inverse of a unimodular generator."""
+    gens = []
+    for m in random_matrices(2, seed=4):
+        m, _ = kernel.normalize_unimodular(m)
+        gens.append(m)
+    arrays = [np.array(m).reshape(2, 2) for m in gens]
+    for codes in ([1, 2, -1, 2, 2, -2, 1], [-2, -1, 1, -2], [2], [-1], []):
+        want = np.eye(2, dtype=complex)
+        for code in codes:
+            factor = arrays[abs(code) - 1]
+            want = want @ (factor if code > 0 else np.linalg.inv(factor))
+        got = kernel.eval_word(codes, gens)
+        assert max(abs(g - w) for g, w in zip(got, want.reshape(4))) < 1e-12
 
 
-def test_selector_exports():
-    assert kernel.IMPLEMENTATION in ("python", "cython")
-    for name in (
-        "mat_mul",
-        "mat_inv",
-        "mat_conj",
-        "mat_det",
-        "mat_trace",
-        "normalize_unimodular",
-        "apply_mobius",
-        "eval_word",
-    ):
-        assert hasattr(kernel, name)
+def test_kernel_functions_belong_to_the_module():
+    """One implementation, and each of its functions reports
+    ``pleatlab.kernel`` as its module, which is how a tracer that wraps
+    a layer's own functions finds the kernel's."""
+    assert kernel.IMPLEMENTATION == "python"
+    functions = {name: obj for name, obj in vars(kernel).items()
+                 if callable(obj) and not name.startswith("_")}
+    assert {"mat_mul", "mat_inv", "mat_conj", "mat_det", "normalize_unimodular",
+            "apply_mobius", "eval_word"} <= set(functions)
+    for obj in functions.values():
+        assert obj.__module__ == "pleatlab.kernel"

@@ -116,8 +116,9 @@ def test_solve_rejects_bad_targets():
 
 
 def test_newton_divergence_reported():
-    with pytest.raises(NewtonDivergence):
-        lm.solve_for_angles(2.0, 2.0, seed=(8.0, 8.0), max_iter=0, homotopy=False)
+    residual = lm._target_residual({"a": ("angle", 2.0), "b": ("angle", 2.0)})
+    with pytest.raises(NewtonDivergence, match="no convergence after 0 iterations"):
+        lm._newton2(residual, (8.0, 8.0), max_iter=0)
 
 
 def test_newton2_converges_on_linear_system():

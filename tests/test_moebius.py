@@ -2,7 +2,7 @@
 
 Expected values are frozen from independent calculations: rotation
 matrices with known angles, diagonal hyperbolics with known translation
-length, and textbook circle images under inversion.
+length, and textbook circles and reflections.
 """
 
 import cmath
@@ -18,7 +18,6 @@ from pleatlab.moebius import (
     IsometryClass,
     MoebiusMap,
     SphereCircle,
-    angle_between_circles,
     balanced_fixed_points,
     chordal_distance,
     circle_through,
@@ -32,7 +31,6 @@ from pleatlab.moebius import (
     matrix_distance,
     reflect_in_circle,
     rotation_about_axis,
-    transform_circle,
 )
 
 # 2*log(2): translation length of diag(2, 1/2)
@@ -262,53 +260,9 @@ def test_circle_through_overflow_raises():
         circle_through(0.0, 1.0, 1.5e154j)
 
 
-def test_transform_circle_inversion_of_line():
-    """w = 1/z maps the line Re z = 1 to the circle |w - 1/2| = 1/2."""
-    line = SphereCircle.from_point_direction(1.0, 1j)
-    inv = MoebiusMap(0.0, 1.0, 1.0, 0.0)
-    image = transform_circle(inv, line)
-    assert image.kind == "circle"
-    assert abs(image.center - 0.5) < 1e-12
-    assert abs(image.radius - 0.5) < 1e-12
-
-
-def test_transform_circle_translation():
-    circle = SphereCircle.from_center_radius(0.0, 1.0)
-    shift = MoebiusMap(1.0, 1.0, 0.0, 1.0)
-    image = transform_circle(shift, circle)
-    assert image.kind == "circle"
-    assert abs(image.center - 1.0) < 1e-12
-    assert abs(image.radius - 1.0) < 1e-12
-
-
 def test_cross_ratio_and_concyclicity():
     cr = cross_ratio(1.0, 1j, -1.0, -1j)
     assert abs(cr.imag) < 1e-14
     assert concyclicity_residual(1.0, 1j, -1.0, -1j) < 1e-14
     # an off-circle point has a visibly complex cross ratio
     assert concyclicity_residual(1.0, 1j, -1.0, 0.5 + 0.5j) > 1e-3
-
-
-def test_angle_between_orthogonal_circles():
-    unit = SphereCircle.from_center_radius(0.0, 1.0)
-    axis = SphereCircle.from_point_direction(0.0, 1.0)
-    angle = angle_between_circles(unit, axis, 1.0)
-    assert abs(angle - math.pi / 2.0) < 1e-10
-
-
-def test_angle_between_overlapping_unit_circles():
-    """Unit circles centred 1 apart meet at pi/3."""
-    c1 = SphereCircle.from_center_radius(0.0, 1.0)
-    c2 = SphereCircle.from_center_radius(1.0, 1.0)
-    at = 0.5 + 1j * math.sqrt(3.0) / 2.0
-    angle = angle_between_circles(c1, c2, at)
-    assert abs(angle - math.pi / 3.0) < 1e-10
-
-
-def test_sphere_circle_samples_lie_on_circle():
-    circle = SphereCircle.from_center_radius(1.0 + 2.0j, 3.0)
-    for p in circle.sample_points():
-        assert circle.point_residual(p) < 1e-12
-    line = SphereCircle.from_point_direction(1.0j, 1.0 + 1.0j)
-    for p in line.sample_points():
-        assert line.point_residual(p) < 1e-12

@@ -6,7 +6,6 @@ import pytest
 from pleatlab.errors import PleatlabError
 from pleatlab.words import (
     WordEvaluator,
-    cyclic_conjugate,
     free_reduce,
     random_reduced_word,
     word_inverse,
@@ -30,13 +29,6 @@ def test_free_reduce_cascades_through_new_adjacencies():
     # Removing the inner pair exposes another pair.
     assert free_reduce("aBbA") == ""
     assert free_reduce("xaBbAX".replace("x", "c").replace("X", "C")) == ""
-
-
-def test_cyclic_conjugate_rotates():
-    assert cyclic_conjugate("abcd", 1) == "bcda"
-    assert cyclic_conjugate("abcd", 0) == "abcd"
-    assert cyclic_conjugate("abcd", 5) == "bcda"
-    assert cyclic_conjugate("", 3) == ""
 
 
 @pytest.fixture
@@ -75,10 +67,6 @@ def test_inverse_word_gives_inverse_matrix(evaluator):
     m = np.array(evaluator.matrix("abbA")).reshape(2, 2)
     minv = np.array(evaluator.matrix(word_inverse("abbA"))).reshape(2, 2)
     assert np.allclose(m @ minv, np.eye(2), atol=1e-12)
-
-
-def test_generator_matrix_lookup(evaluator):
-    assert evaluator.generator_matrix("b") == (1 + 0j, 1 + 0j, -1 + 0j, 0j)
 
 
 def test_random_reduced_word_is_reduced_and_in_alphabet():
