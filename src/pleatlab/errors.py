@@ -26,10 +26,6 @@ class CoincidentPoints(PleatlabError):
     """Distinct points were required but two coincide."""
 
 
-class DegenerateCircle(PleatlabError):
-    """No circle or line is determined by the input."""
-
-
 class NumericalOverflow(PleatlabError):
     """An intermediate value left the range of double precision."""
 

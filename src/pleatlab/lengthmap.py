@@ -47,14 +47,13 @@ from pleatlab.errors import (
     TargetOutsideImage,
     UncertifiedPathPoint,
 )
-from pleatlab.moebius import balanced_fixed_points, map_to_zero_infinity, rotation_about_axis
+from pleatlab.moebius import rotation_about_axis
 from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.words import WordEvaluator, random_reduced_word
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_FD_STEP = 1e-6
-CONTINUATION_RESIDUAL = 1e-7
 CONTINUATION_MAX_NEWTON = 8
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
@@ -231,13 +230,14 @@ def _solve2(j00, j01, j10, j11, r0, r1):
     return (r0 - j01 * s1) / j00, s1
 
 
-def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEWTON_FD_STEP):
+def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Damped Newton iteration for a residual of two real unknowns.
 
     The Jacobian is a one-sided difference from the residual already in
-    hand plus one probe per unknown at ``u_j + copysign(fd_h, u_j)``, so
-    an iteration costs three residuals and no probe crosses ``u_j = 0``,
-    where the length residuals fold over.  Each step is halved up to
+    hand plus one probe per unknown at
+    ``u_j + copysign(NEWTON_FD_STEP, u_j)``, so an iteration costs three
+    residuals and no probe crosses ``u_j = 0``, where the length
+    residuals fold over.  Each step is halved up to
     eleven times until the max-norm residual falls.  Once the norm is
     within ``tol``, one chord step with the last Jacobian polishes the
     solution toward round-off; it is kept only if the norm does not
@@ -270,7 +270,7 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_h=NEW
             )
         iterations += 1
         ua, ub = u
-        ha, hb = math.copysign(fd_h, ua), math.copysign(fd_h, ub)
+        ha, hb = (math.copysign(NEWTON_FD_STEP, v) for v in u)
         r_a = try_residual((ua + ha, ub))
         r_b = try_residual((ua, ub + hb))
         if r_a is None or r_b is None:
@@ -566,7 +566,6 @@ def volume_between(t0, t1, nodes=64):
 
 
 def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
-                           residual_tol=CONTINUATION_RESIDUAL,
                            max_newton=CONTINUATION_MAX_NEWTON,
                            max_depth=8, substeps=8):
     """Walk a straight segment in angle space, solving at each sample.
@@ -575,10 +574,10 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
     solved samples, or by the last lengths where that prediction is not
     positive.  The step is halved (by inserting intermediate targets)
     whenever the Newton solve needs more than ``max_newton`` iterations
-    or leaves a residual above ``residual_tol``.  Returns a list of rows
-    with the path parameter, solved structure, lengths, angles, and the
-    cumulative volume (integrated segmentwise through the Schlafli form
-    with ``substeps`` quadrature intervals per step).  Raises
+    or diverges.  Returns a list of rows with the path parameter, solved
+    structure, lengths, angles, and the cumulative volume (integrated
+    segmentwise through the Schlafli form with ``substeps`` quadrature
+    intervals per step).  Raises
     :class:`PleatlabError` before any solve when ``samples < 1`` or
     ``substeps < 2``.
     """
@@ -613,7 +612,7 @@ def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
         lo = solved[-1][0]
         try:
             res = solve_at(s)
-            if res.iterations <= max_newton and res.residual <= residual_tol:
+            if res.iterations <= max_newton:
                 solved.append((s, res))
                 return
         except NewtonDivergence:
@@ -777,11 +776,9 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
 def quakebend_family(t_seed):
     """t -> generator matrices of the quakebend family at a Fuchsian seed."""
     pair = matrices_from_traces(t_seed)
-    att, rep = balanced_fixed_points(pair.a)
-    conj = map_to_zero_infinity(rep, att)
 
     def family(t):
-        bend = rotation_about_axis(pair.a, t, conjugator=conj)
+        bend = rotation_about_axis(pair.a, t)
         return {"a": pair.a.matrix, "b": (bend @ pair.b).matrix}
 
     return family
@@ -823,22 +820,6 @@ def _expm2(m):
     return (ch + sh * a, sh * b, sh * c, ch + sh * d)
 
 
-def _mat_sub(m, n):
-    return tuple(x - y for x, y in zip(m, n))
-
-
-def _mat_add(m, n):
-    return tuple(x + y for x, y in zip(m, n))
-
-
-def _mat_scale(m, s):
-    return tuple(s * x for x in m)
-
-
-def _mat_norm(m):
-    return max(abs(x) for x in m)
-
-
 def cocycle_residual(family, word_pairs, h):
     """Worst additive-cocycle defect of the finite-difference derivative.
 
@@ -850,18 +831,20 @@ def cocycle_residual(family, word_pairs, h):
     ev_minus = WordEvaluator(family(-h))
     ev_zero = WordEvaluator(family(0.0))
 
+    s = 1.0 / (2.0 * h)
+
     def zeta(word):
-        diff = _mat_sub(ev_plus.matrix(word), ev_minus.matrix(word))
+        diff = tuple(x - y for x, y in zip(ev_plus.matrix(word), ev_minus.matrix(word)))
         base_inv = kernel.mat_inv(ev_zero.matrix(word))
-        return _mat_scale(kernel.mat_mul(diff, base_inv), 1.0 / (2.0 * h))
+        return tuple(s * x for x in kernel.mat_mul(diff, base_inv))
 
     worst = 0.0
     for w1, w2 in word_pairs:
         lhs = zeta(w1 + w2)
         g1 = ev_zero.matrix(w1)
         ad = kernel.mat_mul(kernel.mat_mul(g1, zeta(w2)), kernel.mat_inv(g1))
-        rhs = _mat_add(zeta(w1), ad)
-        worst = max(worst, _mat_norm(_mat_sub(lhs, rhs)))
+        rhs = (x + y for x, y in zip(zeta(w1), ad))
+        worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
     return worst
 
 

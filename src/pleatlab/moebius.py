@@ -1,9 +1,8 @@
-"""Moebius maps on the Riemann sphere, with orientation-reversing support.
+"""Moebius maps on the Riemann sphere.
 
 A map is stored as a 2x2 complex matrix, normalized to determinant 1 on
-construction, plus a flag saying whether the map conjugates its argument
-first (antiholomorphic).  Points of the sphere are complex numbers, with
-``None`` standing for infinity.
+construction.  Points of the sphere are complex numbers, with ``None``
+standing for infinity.
 
 Conventions
 -----------
@@ -13,8 +12,11 @@ Conventions
   one with nonnegative imaginary part of its log), takes twice its log,
   and folds the imaginary part into (-pi, pi]; each 2*pi fold flips the
   reported lift sign, so ``2*cosh(value/2) == lift_sign * trace``.
-* ``SphereCircle`` keeps Euclidean lines as an explicit variant instead
-  of encoding them as circles of infinite radius.
+* A circle (or line) on the sphere is carried by its chart, the map
+  :func:`circle_chart` that sends it onto the real line.  Points on the
+  circle have real images, and the reflection in the circle is complex
+  conjugation read through the chart, so no orientation-reversing map
+  type is needed.
 """
 
 import cmath
@@ -27,7 +29,6 @@ import numpy as np
 from pleatlab import kernel
 from pleatlab.errors import (
     CoincidentPoints,
-    DegenerateCircle,
     IdentityInput,
     NumericalOverflow,
     ParabolicOrIdentity,
@@ -48,11 +49,11 @@ class IsometryClass(Enum):
 
 
 class MoebiusMap:
-    """A holomorphic or antiholomorphic Moebius map, det-1 normalized."""
+    """A Moebius map, det-1 normalized."""
 
-    __slots__ = ("a", "b", "c", "d", "antiholomorphic")
+    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, antiholomorphic=False):
+    def __init__(self, a, b, c, d):
         det = a * d - b * c
         if abs(det) < 1e-14:
             raise ZeroMultiplier("matrix is singular, no Moebius map")
@@ -62,15 +63,14 @@ class MoebiusMap:
         self.b = complex(b)
         self.c = complex(c)
         self.d = complex(d)
-        self.antiholomorphic = bool(antiholomorphic)
 
     @classmethod
     def identity(cls):
         return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
-    def from_tuple(cls, m, antiholomorphic=False):
-        return cls(m[0], m[1], m[2], m[3], antiholomorphic=antiholomorphic)
+    def from_tuple(cls, m):
+        return cls(m[0], m[1], m[2], m[3])
 
     @property
     def matrix(self):
@@ -85,45 +85,28 @@ class MoebiusMap:
         return self.a * self.d - self.b * self.c
 
     def __call__(self, z):
-        if self.antiholomorphic and z is not None:
-            z = z.conjugate()
         return kernel.apply_mobius(self.matrix, z)
 
     def __matmul__(self, other):
         """Composition: ``(f @ g)(z) == f(g(z))``."""
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        m = other.matrix
-        if self.antiholomorphic:
-            m = kernel.mat_conj(m)
-        return MoebiusMap.from_tuple(
-            kernel.mat_mul(self.matrix, m),
-            antiholomorphic=self.antiholomorphic != other.antiholomorphic,
-        )
+        return MoebiusMap.from_tuple(kernel.mat_mul(self.matrix, other.matrix))
 
     def inverse(self):
-        m = kernel.mat_inv(self.matrix)
-        if self.antiholomorphic:
-            m = kernel.mat_conj(m)
-        return MoebiusMap.from_tuple(m, antiholomorphic=self.antiholomorphic)
+        return MoebiusMap.from_tuple(kernel.mat_inv(self.matrix))
 
-    def approx_equal(self, other, tol=1e-9, projective=True):
-        """Entrywise closeness, optionally up to overall sign."""
-        if self.antiholomorphic != other.antiholomorphic:
-            return False
-        diff = matrix_distance(self.matrix, other.matrix)
-        if diff <= tol:
+    def approx_equal(self, other, tol=1e-9):
+        """Entrywise closeness up to overall sign."""
+        if matrix_distance(self.matrix, other.matrix) <= tol:
             return True
-        if projective:
-            neg = tuple(-x for x in other.matrix)
-            return matrix_distance(self.matrix, neg) <= tol
-        return False
+        neg = tuple(-x for x in other.matrix)
+        return matrix_distance(self.matrix, neg) <= tol
 
     def __repr__(self):
-        tag = "anti" if self.antiholomorphic else "holo"
         return (
             f"MoebiusMap([[{self.a:.6g}, {self.b:.6g}], "
-            f"[{self.c:.6g}, {self.d:.6g}]], {tag})"
+            f"[{self.c:.6g}, {self.d:.6g}]])"
         )
 
 
@@ -154,9 +137,7 @@ def chordal_distance(z, w):
 
 
 def classify(m, tol=CLASSIFY_TOL):
-    """Conjugacy type of a holomorphic map from its trace."""
-    if m.antiholomorphic:
-        raise PleatlabError("classification applies to holomorphic maps")
+    """Conjugacy type of a map from its trace."""
     a, b, c, d = m.matrix
     # matrix_distance to the identity and to its negative, entry by entry.
     if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) < tol:
@@ -282,174 +263,41 @@ def map_to_zero_infinity(p_zero, p_inf):
     return MoebiusMap(1.0, -p_zero, 1.0, -p_inf)
 
 
-def normalize_to_axis(m, tol=CLASSIFY_TOL):
-    """Conjugator sending the repelling fixed point to 0, attracting to inf."""
-    att, rep = fixed_points(m, tol=tol)
-    if chordal_distance(att, rep) < 1e-14:
-        raise ParabolicOrIdentity("no axis: fixed points coincide")
-    return map_to_zero_infinity(rep, att)
-
-
-def rotation_about_axis(m, angle, conjugator=None):
-    """Elliptic rotation by ``angle`` about the axis of ``m``.
-
-    ``conjugator`` may supply a precomputed axis normalization (as from
-    :func:`normalize_to_axis` or :func:`map_to_zero_infinity`).
-    """
-    g = normalize_to_axis(m) if conjugator is None else conjugator
+def rotation_about_axis(m, angle):
+    """Elliptic rotation by ``angle`` about the axis of the
+    equal-diagonal map ``m`` (see :func:`balanced_fixed_points`)."""
+    att, rep = balanced_fixed_points(m)
+    g = map_to_zero_infinity(rep, att)
     h = cmath.exp(0.5j * angle)
     core = MoebiusMap(h, 0.0, 0.0, 1.0 / h)
     return g.inverse() @ core @ g
 
 
-# ---------------------------------------------------------------------------
-# Circles and lines on the sphere
+def circle_chart(p, q, r):
+    """The unimodular matrix of the Moebius map sending ``p, q, r`` to
+    ``infinity, 0, 1``.
 
-
-@dataclass(frozen=True)
-class SphereCircle:
-    """A circle on the sphere: either a Euclidean circle or a line.
-
-    Lines carry an anchor point and a unit direction, normalized so the
-    direction's argument lies in [0, pi).
+    It maps the circle (or line) through the three points onto the real
+    line: a point ``w`` lies on that circle exactly when its image is
+    real, and the reflection in the circle is ``z -> N(conj(z))`` with
+    ``N = chart^-1 conj(chart)``.  ``None`` stands for infinity.  Raises
+    :class:`CoincidentPoints` for points closer than 1e-13 on the sphere
+    and :class:`NumericalOverflow` when the matrix leaves the float range.
     """
-
-    kind: str  # "circle" | "line"
-    center: complex = 0j
-    radius: float = 0.0
-    anchor: complex = 0j
-    direction: complex = 1 + 0j
-
-    @classmethod
-    def from_center_radius(cls, center, radius):
-        if not radius > 0:
-            raise DegenerateCircle(f"radius must be positive, got {radius}")
-        return cls(kind="circle", center=complex(center), radius=float(radius))
-
-    @classmethod
-    def from_point_direction(cls, anchor, direction):
-        mag = abs(direction)
-        if mag == 0:
-            raise DegenerateCircle("line needs a nonzero direction")
-        d = direction / mag
-        if d.imag < 0 or (d.imag == 0 and d.real < 0):
-            d = -d
-        return cls(kind="line", anchor=complex(anchor), direction=d)
-
-    def contains_infinity(self):
-        return self.kind == "line"
-
-    def approx_equal(self, other, tol=1e-9):
-        if self.kind != other.kind:
-            return False
-        if self.kind == "circle":
-            return (
-                abs(self.center - other.center) <= tol
-                and abs(self.radius - other.radius) <= tol
-            )
-        if min(
-            abs(self.direction - other.direction),
-            abs(self.direction + other.direction),
-        ) > tol:
-            return False
-        return abs(((self.anchor - other.anchor) / self.direction).imag) <= tol
-
-
-def circle_through(p, q, r):
-    """The circle or line through three distinct sphere points."""
     pts = (p, q, r)
     for i in range(3):
         for j in range(i + 1, 3):
             if chordal_distance(pts[i], pts[j]) < 1e-13:
                 raise CoincidentPoints("need three distinct points")
-    infinite = [x for x in pts if x is None]
-    if infinite:
-        finite = [x for x in pts if x is not None]
-        return SphereCircle.from_point_direction(finite[0], finite[1] - finite[0])
-    u = q - p
-    v = r - p
-    cross = (u.conjugate() * v).imag
-    if abs(cross) <= 1e-13 * abs(u) * abs(v):
-        return SphereCircle.from_point_direction(p, u)
-    try:
-        ap, aq, ar = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2
-    except OverflowError:
-        raise NumericalOverflow("circle through points beyond the float range") from None
-    num = ap * (q - r) + aq * (r - p) + ar * (p - q)
-    den = (p.conjugate() * (q - r) + q.conjugate() * (r - p) + r.conjugate() * (p - q))
-    center = num / den
-    radius = (abs(p - center) + abs(q - center) + abs(r - center)) / 3.0
-    return SphereCircle(kind="circle", center=center, radius=radius)
-
-
-def reflect_in_circle(circle):
-    """The antiholomorphic involution fixing the given circle pointwise."""
-    if circle.kind == "circle":
-        q = circle.center
-        r = circle.radius
-        s = 1j * r
-        return MoebiusMap(
-            q / s,
-            (r * r - abs(q) ** 2) / s,
-            1.0 / s,
-            -q.conjugate() / s,
-            antiholomorphic=True,
-        )
-    d = circle.direction
-    z0 = circle.anchor
-    return MoebiusMap(
-        d,
-        (z0 - d * d * z0.conjugate()) / d,
-        0.0,
-        1.0 / d,
-        antiholomorphic=True,
-    )
-
-
-def involution_residual(j):
-    """How far ``j`` is from being an antiholomorphic involution."""
-    if not j.antiholomorphic:
-        raise PleatlabError("expected an antiholomorphic map")
-    square = kernel.mat_mul(j.matrix, kernel.mat_conj(j.matrix))
-    ident = (1.0, 0.0, 0.0, 1.0)
-    return min(
-        matrix_distance(square, ident),
-        matrix_distance(square, tuple(-x for x in ident)),
-    )
-
-
-def cross_ratio(p, q, r, s):
-    """Cross-ratio (p-r)(q-s) / ((p-s)(q-r)), with infinity handled.
-
-    Returns ``None`` when the value is the point at infinity.
-    """
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
     if p is None:
-        num *= q - s if q is not None and s is not None else 1.0
-        den *= q - r if q is not None and r is not None else 1.0
+        m = (1.0, -q, 0.0, r - q)
     elif q is None:
-        num *= p - r if r is not None else 1.0
-        den *= p - s if s is not None else 1.0
+        m = (0.0, r - p, 1.0, -p)
     elif r is None:
-        num *= q - s if s is not None else 1.0
-        den *= p - s if s is not None else 1.0
-    elif s is None:
-        num *= p - r
-        den *= q - r
+        m = (1.0, -q, 1.0, -p)
     else:
-        num = (p - r) * (q - s)
-        den = (p - s) * (q - r)
-    if den == 0:
-        return None
-    return num / den
-
-
-def concyclicity_residual(p, q, r, s):
-    """|Im| of the cross-ratio: zero exactly when the four points are
-    on one circle.  Degenerate (coincident) configurations count as 0."""
-    cr = cross_ratio(p, q, r, s)
-    if cr is None:
-        return 0.0
-    return abs(cr.imag)
-
+        m = (r - p, -q * (r - p), r - q, -p * (r - q))
+    m, det = kernel.normalize_unimodular(m)
+    if not all(cmath.isfinite(x) for x in (det, *m)):
+        raise NumericalOverflow("circle through points beyond the float range")
+    return m

@@ -47,10 +47,8 @@ from pleatlab.errors import (
 from pleatlab.moebius import (
     DET_TOL,
     MoebiusMap,
-    balanced_fixed_points,
     chordal_distance,
-    circle_through,
-    concyclicity_residual,
+    circle_chart,
     map_to_zero_infinity,
     rotation_about_axis,
 )
@@ -81,10 +79,10 @@ CURVE_SIDE = {"a": "top", "b": "bottom"}
 
 @dataclass(frozen=True)
 class Plaque:
-    side: str
-    circle: object
-    boundary_words: tuple
-    translate_word: str
+    """A plaque circle, carried by its chart (:func:`circle_chart`): the
+    unimodular matrix sending the circle onto the real line."""
+
+    chart: tuple
     planarity_residual: float
     housed_points: tuple
 
@@ -193,20 +191,14 @@ def plaque_circle(pair, side, real_tol=REAL_TRACE_TOL):
         )
     points = _housed_points(pair, side)
     fit = _spread_triple(points)
-    circle = circle_through(*(points[i] for i in fit))
-    rest = [points[i] for i in range(len(points)) if i not in fit]
-    p0, p1, p2 = (points[i] for i in fit)
+    chart = circle_chart(*(points[i] for i in fit))
     residual = 0.0
-    for w in rest:
-        residual = max(residual, concyclicity_residual(p0, p1, p2, w))
-    return Plaque(
-        side=side,
-        circle=circle,
-        boundary_words=data["boundary_words"],
-        translate_word=data["translate_word"],
-        planarity_residual=residual,
-        housed_points=points,
-    )
+    for i, w in enumerate(points):
+        if i not in fit:
+            image = kernel.apply_mobius(chart, w)
+            if image is not None:
+                residual = max(residual, abs(image.imag))
+    return Plaque(chart=chart, planarity_residual=residual, housed_points=points)
 
 
 def bending_angle(pair, curve):
@@ -446,7 +438,9 @@ def _chordal_batch(z, w):
 
 
 def _concyclicity_batch(p, q, r, s):
-    """``concyclicity_residual`` at finite points."""
+    """``plaque_circle``'s planarity of ``s`` at finite points: the
+    imaginary part of the image of ``s`` under the chart of ``p, q, r``,
+    written as the cross-ratio."""
     num = (p - r) * (q - s)
     den = (p - s) * (q - r)
     return np.where(den == 0, 0.0, np.abs((num / den).imag))
@@ -670,9 +664,7 @@ def quakebend(t, angle):
     if t.cusp_residual > 1e-8:
         raise NotFuchsian("quakebend seed must sit on the cusped locus")
     pair = matrices_from_traces(t)
-    att, rep = balanced_fixed_points(pair.a)
-    conj = map_to_zero_infinity(rep, att)
-    bend = rotation_about_axis(pair.a, angle, conjugator=conj)
+    bend = rotation_about_axis(pair.a, angle)
     new_b = bend @ pair.b
     new_ab = pair.a @ new_b
     return TraceCoords(t.x, new_b.trace, new_ab.trace)

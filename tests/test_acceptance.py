@@ -43,3 +43,14 @@ def test_batched_criteria_at_seed_offsets(seed_offset):
     assert [r["name"] for r in records] == ["lift", "volume"]
     for record in records:
         assert record["passed"], (record["name"], record["details"])
+
+
+@pytest.mark.parametrize("seed_offset", [3, 58, 171])
+def test_doubling_criteria_at_seed_offsets(seed_offset):
+    """The criteria built on the doubled holonomy stay green away from
+    the pinned seeds."""
+    names = ["relations", "cone", "mirror", "cuspmodel"]
+    records = suite.run_suite(names, seed_offset=seed_offset)
+    assert [r["name"] for r in records] == names
+    for record in records:
+        assert record["passed"], (record["name"], record["details"])

@@ -19,6 +19,7 @@ from pleatlab.doubling import (
     symmetry_audit,
 )
 from pleatlab.errors import NotPiecewiseGeodesic
+from pleatlab.moebius import MoebiusMap, matrix_distance
 from pleatlab.plaques import certify
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
@@ -115,11 +116,34 @@ def test_doubled_letters_cover_the_presentation():
 
 
 def test_reflections_fix_their_plaques():
-    """The two reflections restrict to the identity on their own pants
-    circles, so conjugating a pants generator changes nothing."""
+    """The top reflection fixes its own pants circle pointwise, so the
+    mirrored generator p = J a J^-1 is a itself, up to the lift sign."""
     t = coords(2.2, 2.3, pleating_candidates(2.2, 2.3)[0])
     dh = _doubled(t)
-    j_top = dh.reflection_top
-    a = dh.pair.a
-    conjugated = j_top @ a @ j_top.inverse()
-    assert conjugated.approx_equal(a, tol=1e-10)
+    p = MoebiusMap.from_tuple(dh.matrix("p"))
+    assert p.approx_equal(dh.pair.a, tol=1e-10)
+
+
+# The parent construction's generators at (2.2, 2.2, MARKED_ROOT_22),
+# built from reflections in explicit circles.
+GOLDEN_DOUBLED_22 = {
+    "p": (1.1, 0.42, 0.5, 1.1),
+    "q": (
+        2.877638883463118,
+        -3.1154027718094275j,
+        -0.9469080616778927j,
+        -0.6776388834631176,
+    ),
+    "e": (
+        1.9777013859047177 + 0.79j,
+        -0.37330416552725515 - 3.515638883463121j,
+        0.44440972086577946 - 0.04718914697990206j,
+        0.02229861409528543 - 0.79j,
+    ),
+}
+
+
+def test_doubled_generators_frozen():
+    dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
+    for word, expected in GOLDEN_DOUBLED_22.items():
+        assert matrix_distance(dh.matrix(word), expected) < 1e-12, word

@@ -1,4 +1,4 @@
-"""Moebius maps, fixed points, complex length, circles, reflections.
+"""Moebius maps, fixed points, complex length, circle charts, reflections.
 
 Expected values are frozen from independent calculations: rotation
 matrices with known angles, diagonal hyperbolics with known translation
@@ -13,23 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pleatlab import kernel
+from pleatlab.doubling import _reflection
 from pleatlab.errors import CoincidentPoints, IdentityInput, NumericalOverflow, ZeroMultiplier
 from pleatlab.moebius import (
     IsometryClass,
     MoebiusMap,
-    SphereCircle,
     balanced_fixed_points,
     chordal_distance,
-    circle_through,
+    circle_chart,
     classify,
     complex_length,
-    cross_ratio,
-    concyclicity_residual,
     fixed_points,
-    involution_residual,
     map_to_zero_infinity,
     matrix_distance,
-    reflect_in_circle,
     rotation_about_axis,
 )
 
@@ -203,7 +200,7 @@ def test_map_to_zero_infinity():
 
 
 def test_rotation_about_axis_trace():
-    m = MoebiusMap(2.0, 0.0, 0.0, 0.5)
+    m = MoebiusMap(1.25, 1.125, 0.5, 1.25)
     r = rotation_about_axis(m, 1.0)
     assert abs(r.trace - 2.0 * math.cos(0.5)) < 1e-13
     # the rotation shares both fixed points with the axis
@@ -215,54 +212,71 @@ def test_rotation_about_axis_trace():
             assert abs(q - p) < 1e-12
 
 
-def test_reflect_in_unit_circle():
-    circle = SphereCircle.from_center_radius(0.0, 1.0)
-    j = reflect_in_circle(circle)
-    assert j.antiholomorphic
-    assert abs(j(2.0) - 0.5) < 1e-14
-    assert abs(j(0.5j) - 2.0j) < 1e-14
-    assert involution_residual(j) < 1e-14
-
-
-def test_reflect_in_line():
-    line = SphereCircle.from_point_direction(0.0, 1.0)  # the real axis
-    j = reflect_in_circle(line)
-    assert abs(j(1.0 + 1.0j) - (1.0 - 1.0j)) < 1e-14
-    assert involution_residual(j) < 1e-14
-
-
 def test_fixed_points_overflow_raises():
     """A lower-left entry so small that the roots leave the float range."""
     with pytest.raises(NumericalOverflow):
         fixed_points(MoebiusMap(2.0, 1.0, 1e-310, 0.5))
 
 
-def test_circle_through_unit_circle():
-    c = circle_through(1.0, 1j, -1.0)
-    assert c.kind == "circle"
-    assert abs(c.center) < 1e-14
-    assert abs(c.radius - 1.0) < 1e-14
+def _chart_map(p, q, r):
+    return MoebiusMap.from_tuple(circle_chart(p, q, r))
 
 
-def test_circle_through_collinear_gives_line():
-    c = circle_through(0.0, 1.0, 2.0)
-    assert c.kind == "line"
-    assert c.contains_infinity()
+def _reflect(chart, z):
+    """The reflection in the circle of ``chart``: ``N(conj(z))``."""
+    n = _reflection(chart)
+    return kernel.apply_mobius(n, z.conjugate()), n
 
 
-def test_circle_through_infinity_gives_line():
-    c = circle_through(0.0, None, 1.0 + 1.0j)
-    assert c.kind == "line"
+def test_circle_chart_sends_triple_to_infinity_zero_one():
+    for p, q, r in ((1.0, 1j, -1.0), (0.3 - 2j, 1.5 + 0.25j, -4.0 + 1j), (0.0, 1.0, 2.0)):
+        chart = _chart_map(p, q, r)
+        assert abs(chart.det - 1.0) < 1e-14
+        assert chart(p) is None or abs(chart(p)) > 1e14
+        assert abs(chart(q)) < 1e-14
+        assert abs(chart(r) - 1.0) < 1e-14
 
 
-def test_circle_through_overflow_raises():
-    with pytest.raises(NumericalOverflow):
-        circle_through(0.0, 1.0, 1.5e154j)
+def test_circle_chart_with_infinity():
+    """A triple through infinity spans a line; infinity may take any slot."""
+    finite = (0.5 - 1j, 2.0 + 1j)
+    for slot in range(3):
+        points = list(finite)
+        points.insert(slot, None)
+        chart = _chart_map(*points)
+        images = [chart(z) for z in points]
+        assert images[0] is None or abs(images[0]) > 1e14
+        assert abs(images[1]) < 1e-14
+        assert abs(images[2] - 1.0) < 1e-14
 
 
-def test_cross_ratio_and_concyclicity():
-    cr = cross_ratio(1.0, 1j, -1.0, -1j)
-    assert abs(cr.imag) < 1e-14
-    assert concyclicity_residual(1.0, 1j, -1.0, -1j) < 1e-14
-    # an off-circle point has a visibly complex cross ratio
-    assert concyclicity_residual(1.0, 1j, -1.0, 0.5 + 0.5j) > 1e-3
+def test_circle_chart_planarity():
+    """Points on the circle have real images; points off it do not."""
+    chart = _chart_map(1.0, 1j, -1.0)
+    assert abs(chart(-1j).imag) < 1e-14
+    assert abs(chart(0.5 + 0.5j).imag) > 1e-3
+
+
+def test_circle_chart_rejects_coincident_and_overflowing_points():
+    with pytest.raises(CoincidentPoints):
+        circle_chart(1.0, 1.0 + 1e-15, 2.0)
+    with pytest.raises(CoincidentPoints):
+        circle_chart(None, 1.0, 1e14)
+    # The triple that certify 0 1.7e-203 2j fits on its bottom plaque.
+    with pytest.raises(NumericalOverflow, match="float range"):
+        circle_chart(-0.8284, 0.8284, 4.7e203j)
+
+
+def test_reflect_in_unit_circle():
+    chart = circle_chart(1.0, 1j, -1.0)
+    image, n = _reflect(chart, 2.0 + 0j)
+    assert abs(image - 0.5) < 1e-14
+    assert abs(_reflect(chart, 0.5j)[0] - 2.0j) < 1e-14
+    # J is an involution: N conj(N) is the identity.
+    square = kernel.mat_mul(n, kernel.mat_conj(n))
+    assert matrix_distance(square, (1.0, 0.0, 0.0, 1.0)) < 1e-14
+
+
+def test_reflect_in_line():
+    chart = circle_chart(0.0, 1.0, 2.0)  # the real axis
+    assert abs(_reflect(chart, 1.0 + 1.0j)[0] - (1.0 - 1.0j)) < 1e-14
