@@ -237,6 +237,30 @@ def test_circle_chart_sends_triple_to_infinity_zero_one():
         assert abs(chart(r) - 1.0) < 1e-14
 
 
+def test_circle_through_unit_circle():
+    """The chart of 1, i, -1 carries the unit circle: the reflection sends
+    infinity to the centre 0, and the real line pulls back to radius 1."""
+    chart = circle_chart(1.0, 1j, -1.0)
+    centre = kernel.apply_mobius(_reflection(chart), None)
+    assert abs(centre) < 1e-14
+    inverse = MoebiusMap.from_tuple(chart).inverse()
+    for t in (-3.0, 0.5, 2.0, 7.25):
+        assert abs(abs(inverse(t)) - 1.0) < 1e-14
+
+
+def test_circle_through_collinear_gives_line():
+    """Collinear points span a line: it passes through infinity, which is
+    its own reflection, and the real line pulls back onto the real axis."""
+    chart = _chart_map(0.0, 1.0, 2.0)
+    at_infinity = chart(None)
+    assert at_infinity is None or abs(at_infinity.imag) < 1e-14
+    centre = kernel.apply_mobius(_reflection(chart.matrix), None)
+    assert centre is None or abs(centre) > 1e14
+    inverse = chart.inverse()
+    for t in (-3.0, 0.5, 3.0, 7.25):  # t = 2 is the image of infinity
+        assert abs(inverse(t).imag) < 1e-14
+
+
 def test_circle_chart_with_infinity():
     """A triple through infinity spans a line; infinity may take any slot."""
     finite = (0.5 - 1j, 2.0 + 1j)
