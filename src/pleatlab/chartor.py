@@ -31,7 +31,7 @@ import numpy as np
 
 from pleatlab import kernel
 from pleatlab.errors import DegenerateNormalization, ReducibleLocus
-from pleatlab.moebius import MoebiusMap, balanced_fixed_points
+from pleatlab.moebius import balanced_fixed_points, unimodular
 from pleatlab.words import word_codes
 
 REDUCIBLE_TOL = 1e-8
@@ -120,13 +120,14 @@ def marked_roots(x, y):
 
 
 class RepPair:
-    """A realized pair of generator matrices with word evaluation."""
+    """A realized pair of generator matrices (unimodular 4-tuples) with
+    word evaluation."""
 
     def __init__(self, a, b, coords):
         self.a = a
         self.b = b
         self.coords = coords
-        self._mats = (a.matrix, b.matrix)
+        self._mats = (a, b)
         self._balanced = {}
 
     def balanced_points(self, letter):
@@ -140,9 +141,6 @@ class RepPair:
 
     def matrix(self, word):
         return kernel.eval_word(word_codes("ab", word), self._mats)
-
-    def map(self, word):
-        return MoebiusMap.from_tuple(self.matrix(word))
 
     def trace(self, word):
         m = self.matrix(word)
@@ -160,7 +158,7 @@ def matrices_from_traces(t):
     x, y, z = t.x, t.y, t.z
     if abs(t.kappa - 2.0) < REDUCIBLE_TOL:
         raise ReducibleLocus(f"commutator trace {t.kappa} is too close to 2")
-    a = MoebiusMap(x / 2.0, (x * x - 4.0) / 2.0, 0.5, x / 2.0)
+    a = unimodular((x / 2.0, (x * x - 4.0) / 2.0, 0.5, x / 2.0))
     w = 2.0 * z - x * y
     s = cmath.sqrt(w * w - (x * x - 4.0) * (y * y - 4.0))
     den_plus = w + s
@@ -170,7 +168,7 @@ def matrices_from_traces(t):
         raise DegenerateNormalization("both root choices degenerate")
     r = (y * y - 4.0) / (2.0 * den)
     q = w - (x * x - 4.0) * r
-    b = MoebiusMap(y / 2.0, q, r, y / 2.0)
+    b = unimodular((y / 2.0, q, r, y / 2.0))
     return RepPair(a, b, t)
 
 

@@ -20,11 +20,13 @@ A reflection is complex conjugation read through the plaque's chart
 ``J(z) = N(conj(z))`` with ``N = C^-1 conj(C)``.  Composing, the
 generators are the holomorphic matrices ``p = N conj(a) conj(N)``,
 ``q = N conj(b) conj(N)`` and ``e = N1 conj(N)``, where ``N`` comes
-from the top chart and ``N1`` from the bottom one.  The sign of ``p``
-and ``q`` is that of ``a`` and ``b``; no relation fixes the sign of
-``e``, which occurs an even number of times in each, so it is pinned by
-``Re tr(e) >= 0``: the lift in which the puncture meridian has trace
-+2 at the cusp, as in the commuting model.
+from the top chart and ``N1`` from the bottom one.  These matrices are
+already the lift the relations need, so no sign is searched for:
+``N conj(N) = I``, and a pants group is real in its chart, so
+``N conj(a) conj(N) = a`` and ``E b e = q`` hold as matrices, not only
+up to sign.  The sign of ``e``, which occurs twice in every relation,
+is pinned by ``Re tr(e) >= 0``: the lift in which the puncture meridian
+has trace +2 at the cusp, as in the commuting model.
 
 Meridians of the three filling curves, written in the doubled
 generators:
@@ -40,7 +42,6 @@ meeting along its longitude's axis, hence an elliptic rotation by the
 cone angle (parabolic at a cusp, the identity on the Fuchsian locus).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ from pleatlab.errors import (
     NonCommutingMeridian,
     NotPiecewiseGeodesic,
 )
-from pleatlab.moebius import MoebiusMap, complex_length, matrix_distance
+from pleatlab.moebius import complex_length, matrix_distance, unimodular
 from pleatlab.words import WordEvaluator, random_reduced_word
 
 RELATION_TOL = 1e-9
@@ -101,8 +102,10 @@ class DoubledHolonomy:
     pair: object
     certification: object
     evaluator: WordEvaluator
-    lift_signs: tuple
     relation_residuals: dict
+    # Signs of p, q and e against the construction's own lift, which
+    # already satisfies every relation.
+    lift_signs = (1, 1, 1)
 
     def matrix(self, word):
         return self.evaluator.matrix(word)
@@ -122,40 +125,6 @@ def _relation_residuals(evaluator):
     return out
 
 
-def _signed_generators(base, signs):
-    sa, sb, se = signs
-    out = dict(base)
-    out["p"] = tuple(sa * v for v in base["p"])
-    out["q"] = tuple(sb * v for v in base["q"])
-    out["e"] = tuple(se * v for v in base["e"])
-    return out
-
-
-def lift_audit(base_generators):
-    """Search the eight SL(2,C) sign choices for the mirrored generators.
-
-    Returns ``(signs, residuals, table)`` where ``table`` maps each sign
-    triple to its worst relation residual.  Raises
-    :class:`NoConsistentLift` when no assignment makes every relation
-    hold exactly (not merely up to sign).
-    """
-    table = {}
-    best = None
-    for signs in itertools.product((1, -1), repeat=3):
-        ev = WordEvaluator(_signed_generators(base_generators, signs))
-        residuals = _relation_residuals(ev)
-        worst = max(residuals.values())
-        table[signs] = worst
-        if best is None or worst < best[1]:
-            best = (signs, worst, residuals)
-    signs, worst, residuals = best
-    if worst > RELATION_TOL:
-        raise NoConsistentLift(
-            f"no sign assignment satisfies the relations (best residual {worst:.3e})"
-        )
-    return signs, residuals, table
-
-
 def _reflection(chart):
     """``N`` with ``J(z) = N(conj(z))`` for the reflection ``J`` in the
     circle that ``chart`` sends onto the real line."""
@@ -163,7 +132,11 @@ def _reflection(chart):
 
 
 def doubled_holonomy(pair, cert):
-    """Extend a certified structure's holonomy to the doubled manifold."""
+    """Extend a certified structure's holonomy to the doubled manifold.
+
+    Raises :class:`NoConsistentLift` when a relation misses by more than
+    ``RELATION_TOL``.
+    """
     if not cert.is_piecewise_geodesic:
         raise NotPiecewiseGeodesic(
             "doubling needs certified plaques on both sides"
@@ -178,20 +151,23 @@ def doubled_holonomy(pair, cert):
     stable = kernel.mat_mul(n_bottom, n_top_bar)
     if (stable[0] + stable[3]).real < 0.0:
         stable = tuple(-v for v in stable)
-    base = {
-        "a": pair.a.matrix,
-        "b": pair.b.matrix,
-        "p": mirrored(pair.a.matrix),
-        "q": mirrored(pair.b.matrix),
+    evaluator = WordEvaluator({
+        "a": pair.a,
+        "b": pair.b,
+        "p": mirrored(pair.a),
+        "q": mirrored(pair.b),
         "e": stable,
-    }
-    signs, residuals, _ = lift_audit(base)
-    evaluator = WordEvaluator(_signed_generators(base, signs))
+    })
+    residuals = _relation_residuals(evaluator)
+    worst = max(residuals.values())
+    if worst > RELATION_TOL:
+        raise NoConsistentLift(
+            f"the doubled generators miss the relations (residual {worst:.3e})"
+        )
     return DoubledHolonomy(
         pair=pair,
         certification=cert,
         evaluator=evaluator,
-        lift_signs=signs,
         relation_residuals=residuals,
     )
 
@@ -223,7 +199,7 @@ def meridian_data(dh, curve):
         mu = None
         cone = 0.0
     else:
-        mu = complex_length(MoebiusMap.from_tuple(m)).value
+        mu = complex_length(unimodular(m)).value
         kind = "elliptic" if abs(mu.real) < 1e-6 else "loxodromic"
         half = min(abs(trace) / 2.0, 1.0)
         base_angle = 2.0 * math.acos(half)

@@ -55,7 +55,7 @@ class NonCommutingMeridian(PleatlabError):
 
 
 class NoConsistentLift(PleatlabError):
-    """No sign assignment makes all presentation relations hold in SL(2,C)."""
+    """The doubled generators fail the presentation relations in SL(2,C)."""
 
 
 class CoordinateDegeneracy(PleatlabError):

@@ -31,7 +31,6 @@ import numpy as np
 from pleatlab import kernel
 from pleatlab.chartor import (
     TraceCoords,
-    commuting_canonical_pair,
     coords,
     kappa,
     marked_roots,
@@ -47,7 +46,7 @@ from pleatlab.errors import (
     TargetOutsideImage,
     UncertifiedPathPoint,
 )
-from pleatlab.moebius import rotation_about_axis
+from pleatlab.moebius import rotation_about_axis, unimodular
 from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.words import WordEvaluator, random_reduced_word
 
@@ -137,7 +136,7 @@ def _jacobian_rows(x, y, z):
     return (row_a, row_b, row_k)
 
 
-def holo_length_jacobian(t, fd_check=True, h=1e-6):
+def holo_length_jacobian(t, fd_check=True):
     """Closed-form Jacobian of (length_a, length_b, kappa) at ``t``.
 
     Raises :class:`CoordinateDegeneracy` when either curve trace is too
@@ -166,6 +165,7 @@ def holo_length_jacobian(t, fd_check=True, h=1e-6):
             )
 
         fd_residual = 0.0
+        h = 1e-6
         base = (x, y, z)
         for j in range(3):
             for direction in (1.0, 1.0j):
@@ -343,7 +343,7 @@ def _target_residual(targets):
     return residual
 
 
-def _homotopy_solve(targets, seed, tol, max_iter):
+def _homotopy_solve(targets, seed):
     """March the targets from the seed's own measured values.
 
     The residual at the seed is zero for the blended target at s = 0 by
@@ -371,9 +371,7 @@ def _homotopy_solve(targets, seed, tol, max_iter):
             for name in ("a", "b")
         }
         try:
-            u_new, iterations, norm = _newton2(
-                _target_residual(blended), u, tol=tol, max_iter=20
-            )
+            u_new, iterations, norm = _newton2(_target_residual(blended), u, max_iter=20)
         except NewtonDivergence:
             step /= 2.0
             if step < 1.0 / 4096.0:
@@ -389,7 +387,7 @@ def _homotopy_solve(targets, seed, tol, max_iter):
     return u, total_iterations, norm
 
 
-def solve_targets(targets, seed=(1.0, 1.0), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def solve_targets(targets, seed=(1.0, 1.0)):
     """Solve for a structure hitting per-curve length or angle targets.
 
     ``targets``: dict with keys "a" and "b", values ``("length", v)`` or
@@ -399,9 +397,9 @@ def solve_targets(targets, seed=(1.0, 1.0), tol=NEWTON_TOL, max_iter=NEWTON_MAX_
     """
     residual_fn = _target_residual(targets)
     try:
-        u, iterations, norm = _newton2(residual_fn, seed, tol=tol, max_iter=max_iter)
+        u, iterations, norm = _newton2(residual_fn, seed)
     except NewtonDivergence:
-        u, iterations, norm = _homotopy_solve(targets, seed, tol, max_iter)
+        u, iterations, norm = _homotopy_solve(targets, seed)
     t, lengths, thetas = measure_structure(u[0], u[1])
     return NewtonResult(
         coords=t,
@@ -412,17 +410,13 @@ def solve_targets(targets, seed=(1.0, 1.0), tol=NEWTON_TOL, max_iter=NEWTON_MAX_
     )
 
 
-def solve_for_lengths(l_a, l_b, seed=None, **kw):
+def solve_for_lengths(l_a, l_b, seed=None):
     seed = seed or (max(l_a, 0.1), max(l_b, 0.1))
-    return solve_targets(
-        {"a": ("length", l_a), "b": ("length", l_b)}, seed=seed, **kw
-    )
+    return solve_targets({"a": ("length", l_a), "b": ("length", l_b)}, seed=seed)
 
 
-def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0), **kw):
-    return solve_targets(
-        {"a": ("angle", theta_a), "b": ("angle", theta_b)}, seed=seed, **kw
-    )
+def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0)):
+    return solve_targets({"a": ("angle", theta_a), "b": ("angle", theta_b)}, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -753,17 +747,10 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
         z, _ = pleating_candidates(x, y0)
         kappas.append(kappa(x, y0, z))
     cross = abs(kappas[1] - kappas[0]) / (2.0 * h)
-    # Canonical commuting model at the cusp: dv/du equals the square
-    # multiplier exactly.
-    model = commuting_canonical_pair(2.0 + h, cmath.sqrt(hsq_est))
-    model_lo = commuting_canonical_pair(2.0 - h, cmath.sqrt(hsq_est))
-    model_dvdu = (model["v"] - model_lo["v"]) / (2.0 * h)
     return {
         "ratio": ratio,
         "hsq_estimate": hsq_est,
-        "model_dvdu": model_dvdu,
         "relative_mismatch": abs(ratio - hsq_est) / abs(hsq_est),
-        "model_mismatch": abs(model_dvdu - hsq_est) / abs(hsq_est),
         "cusp_preserving_cross": cross,
         "meridian_trace": us[0.0],
     }
@@ -779,7 +766,7 @@ def quakebend_family(t_seed):
 
     def family(t):
         bend = rotation_about_axis(pair.a, t)
-        return {"a": pair.a.matrix, "b": (bend @ pair.b).matrix}
+        return {"a": pair.a, "b": unimodular(kernel.mat_mul(bend, pair.b))}
 
     return family
 
@@ -793,8 +780,8 @@ def conjugation_family(t_seed, v=(0.3, 0.25 - 0.1j, -0.05j, -0.3)):
         g = _expm2((t * va, t * vb, t * vc, t * vd))
         gi = kernel.mat_inv(g)
         return {
-            "a": kernel.mat_mul(kernel.mat_mul(g, pair.a.matrix), gi),
-            "b": kernel.mat_mul(kernel.mat_mul(g, pair.b.matrix), gi),
+            "a": kernel.mat_mul(kernel.mat_mul(g, pair.a), gi),
+            "b": kernel.mat_mul(kernel.mat_mul(g, pair.b), gi),
         }
 
     return family
@@ -804,7 +791,7 @@ def constant_family(t_seed):
     pair = matrices_from_traces(t_seed)
 
     def family(t):
-        return {"a": pair.a.matrix, "b": pair.b.matrix}
+        return {"a": pair.a, "b": pair.b}
 
     return family
 

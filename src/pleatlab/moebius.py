@@ -1,7 +1,9 @@
 """Moebius maps on the Riemann sphere.
 
-A map is stored as a 2x2 complex matrix, normalized to determinant 1 on
-construction.  Points of the sphere are complex numbers, with ``None``
+A map is its unimodular matrix: a 4-tuple ``(a, b, c, d)`` of complex
+numbers for ``[[a, b], [c, d]]`` with determinant 1, as
+:func:`unimodular` returns it; the kernel applies, composes and inverts
+such tuples.  Points of the sphere are complex numbers, with ``None``
 standing for infinity.
 
 Conventions
@@ -48,66 +50,19 @@ class IsometryClass(Enum):
     LOXODROMIC = "loxodromic"
 
 
-class MoebiusMap:
-    """A Moebius map, det-1 normalized."""
+def unimodular(m):
+    """The 4-tuple ``m`` as four complex numbers scaled to determinant 1.
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        det = a * d - b * c
-        if abs(det) < 1e-14:
-            raise ZeroMultiplier("matrix is singular, no Moebius map")
-        if abs(det - 1.0) > DET_TOL:
-            (a, b, c, d), _ = kernel.normalize_unimodular((a, b, c, d))
-        self.a = complex(a)
-        self.b = complex(b)
-        self.c = complex(c)
-        self.d = complex(d)
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_tuple(cls, m):
-        return cls(m[0], m[1], m[2], m[3])
-
-    @property
-    def matrix(self):
-        return (self.a, self.b, self.c, self.d)
-
-    @property
-    def trace(self):
-        return self.a + self.d
-
-    @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def __call__(self, z):
-        return kernel.apply_mobius(self.matrix, z)
-
-    def __matmul__(self, other):
-        """Composition: ``(f @ g)(z) == f(g(z))``."""
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return MoebiusMap.from_tuple(kernel.mat_mul(self.matrix, other.matrix))
-
-    def inverse(self):
-        return MoebiusMap.from_tuple(kernel.mat_inv(self.matrix))
-
-    def approx_equal(self, other, tol=1e-9):
-        """Entrywise closeness up to overall sign."""
-        if matrix_distance(self.matrix, other.matrix) <= tol:
-            return True
-        neg = tuple(-x for x in other.matrix)
-        return matrix_distance(self.matrix, neg) <= tol
-
-    def __repr__(self):
-        return (
-            f"MoebiusMap([[{self.a:.6g}, {self.b:.6g}], "
-            f"[{self.c:.6g}, {self.d:.6g}]])"
-        )
+    Raises :class:`ZeroMultiplier` for a singular matrix; ``m`` is
+    rescaled only when its determinant is off 1 by more than ``DET_TOL``.
+    """
+    a, b, c, d = m
+    det = a * d - b * c
+    if abs(det) < 1e-14:
+        raise ZeroMultiplier("matrix is singular, no Moebius map")
+    if abs(det - 1.0) > DET_TOL:
+        (a, b, c, d), _ = kernel.normalize_unimodular((a, b, c, d))
+    return (complex(a), complex(b), complex(c), complex(d))
 
 
 @dataclass(frozen=True)
@@ -125,8 +80,11 @@ def chordal_distance(z, w):
     if z is None and w is None:
         return 0.0
     if z is None or w is None:
-        finite = w if z is None else z
-        return 2.0 / math.sqrt(1.0 + abs(finite) ** 2)
+        finite = abs(w if z is None else z)
+        if finite > 1e150:
+            # The formula below overflows past ~1.3e154; this is its limit.
+            return 2.0 / finite
+        return 2.0 / math.sqrt(1.0 + finite**2)
     az, aw = abs(z), abs(w)
     if az > 1e150 or aw > 1e150:
         # Treat astronomically large points as infinity to dodge overflow.
@@ -136,34 +94,34 @@ def chordal_distance(z, w):
     return 2.0 * abs(z - w) / math.sqrt((1.0 + az * az) * (1.0 + aw * aw))
 
 
-def classify(m, tol=CLASSIFY_TOL):
+def classify(m):
     """Conjugacy type of a map from its trace."""
-    a, b, c, d = m.matrix
+    a, b, c, d = m
     # matrix_distance to the identity and to its negative, entry by entry.
-    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) < tol:
+    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) < CLASSIFY_TOL:
         return IsometryClass.IDENTITY
-    if max(abs(a + 1.0), abs(b), abs(c), abs(d + 1.0)) < tol:
+    if max(abs(a + 1.0), abs(b), abs(c), abs(d + 1.0)) < CLASSIFY_TOL:
         return IsometryClass.IDENTITY
     t = a + d
-    if abs(t - 2.0) < tol or abs(t + 2.0) < tol:
+    if abs(t - 2.0) < CLASSIFY_TOL or abs(t + 2.0) < CLASSIFY_TOL:
         return IsometryClass.PARABOLIC
-    if abs(t.imag) < tol:
+    if abs(t.imag) < CLASSIFY_TOL:
         if abs(t.real) < 2.0:
             return IsometryClass.ELLIPTIC
         return IsometryClass.PURELY_HYPERBOLIC
     return IsometryClass.LOXODROMIC
 
 
-def fixed_points(m, tol=CLASSIFY_TOL):
+def fixed_points(m):
     """Fixed points on the sphere, attracting first when decisive.
 
     Parabolic maps return their single fixed point twice.  The identity
     raises :class:`IdentityInput`.
     """
-    cls = classify(m, tol=tol)
+    cls = classify(m)
     if cls is IsometryClass.IDENTITY:
         raise IdentityInput("every point is fixed")
-    a, b, c, d = m.matrix
+    a, b, c, d = m
     if cls is IsometryClass.PARABOLIC:
         if c == 0:
             return (None, None)
@@ -203,7 +161,7 @@ def balanced_fixed_points(m):
     to parabolic, which the generic quadratic solve cannot.  Returns the
     pair attracting-first when decisive.
     """
-    a, b, c, d = m.matrix
+    a, b, c, d = m
     if abs(a - d) > 1e-12 * (abs(a) + abs(d)):
         raise PleatlabError("balanced_fixed_points needs equal diagonal entries")
     if c == 0:
@@ -218,17 +176,17 @@ def balanced_fixed_points(m):
     return (z_plus, z_minus)
 
 
-def complex_length(m, tol=CLASSIFY_TOL):
+def complex_length(m):
     """Translation length + rotation, with the lift sign of the trace.
 
     The returned value ``lam`` has ``Re lam >= 0`` and
     ``Im lam in (-pi, pi]``, and satisfies
     ``2*cosh(lam/2) == lift_sign * trace``.
     """
-    cls = classify(m, tol=tol)
+    cls = classify(m)
     if cls in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
         raise ParabolicOrIdentity(f"complex length undefined for {cls.value}")
-    t = m.trace
+    t = m[0] + m[3]
     s = cmath.sqrt(t * t - 4.0)
     k1 = (t + s) / 2.0
     k2 = (t - s) / 2.0
@@ -257,10 +215,10 @@ def map_to_zero_infinity(p_zero, p_inf):
     if chordal_distance(p_zero, p_inf) < 1e-14:
         raise CoincidentPoints("cannot separate coincident points")
     if p_zero is None:
-        return MoebiusMap(0.0, 1.0, 1.0, -p_inf)
+        return unimodular((0.0, 1.0, 1.0, -p_inf))
     if p_inf is None:
-        return MoebiusMap(1.0, -p_zero, 0.0, 1.0)
-    return MoebiusMap(1.0, -p_zero, 1.0, -p_inf)
+        return unimodular((1.0, -p_zero, 0.0, 1.0))
+    return unimodular((1.0, -p_zero, 1.0, -p_inf))
 
 
 def rotation_about_axis(m, angle):
@@ -269,8 +227,9 @@ def rotation_about_axis(m, angle):
     att, rep = balanced_fixed_points(m)
     g = map_to_zero_infinity(rep, att)
     h = cmath.exp(0.5j * angle)
-    core = MoebiusMap(h, 0.0, 0.0, 1.0 / h)
-    return g.inverse() @ core @ g
+    core = unimodular((h, 0.0, 0.0, 1.0 / h))
+    g_inv = unimodular(kernel.mat_inv(g))
+    return unimodular(kernel.mat_mul(unimodular(kernel.mat_mul(g_inv, core)), g))
 
 
 def circle_chart(p, q, r):

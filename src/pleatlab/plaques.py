@@ -46,11 +46,12 @@ from pleatlab.errors import (
 )
 from pleatlab.moebius import (
     DET_TOL,
-    MoebiusMap,
     chordal_distance,
     circle_chart,
+    fixed_points,
     map_to_zero_infinity,
     rotation_about_axis,
+    unimodular,
 )
 
 REAL_TRACE_TOL = 1e-6
@@ -134,27 +135,24 @@ def _housed_points(pair, side):
     """Fixed points housed on a plaque, stably, with elliptic words skipped."""
     data = SIDE_DATA[side]
     axis_letter = data["axis_letter"]
-    conj_letter = "b" if axis_letter == "a" else "a"
-    conj = pair.map(conj_letter)
+    axis, conj = (pair.a, pair.b) if axis_letter == "a" else (pair.b, pair.a)
     points = []
     trace0 = pair.trace(axis_letter)
     if min(abs(trace0 - 2.0), abs(trace0 + 2.0)) < 1e-13:
-        vertex = _parabolic_vertex((pair.a if axis_letter == "a" else pair.b).matrix)
+        vertex = _parabolic_vertex(axis)
         points.append(vertex)
-        points.append(conj(vertex))
+        points.append(kernel.apply_mobius(conj, vertex))
     else:
         att, rep = pair.balanced_points(axis_letter)
         points.extend([att, rep])
-        points.extend([conj(att), conj(rep)])
+        points.extend(kernel.apply_mobius(conj, w) for w in (att, rep))
     cusp_word = data["boundary_words"][2]
     cusp_matrix = pair.matrix(cusp_word)
     cusp_trace = cusp_matrix[0] + cusp_matrix[3]
     if min(abs(cusp_trace - 2.0), abs(cusp_trace + 2.0)) < 1e-9:
         points.append(_parabolic_vertex(cusp_matrix))
     elif abs(cusp_trace.real) > 2.0 or abs(cusp_trace.imag) > 1e-9:
-        from pleatlab.moebius import fixed_points
-
-        points.extend(fixed_points(MoebiusMap.from_tuple(cusp_matrix)))
+        points.extend(fixed_points(unimodular(cusp_matrix)))
     # Elliptic cusp word (real trace in (-2, 2)): its fixed points are a
     # conjugate pair off the plaque plane, so they are not housed.
     return tuple(points)
@@ -211,7 +209,7 @@ def bending_angle(pair, curve):
     data = SIDE_DATA[CURVE_SIDE[curve]]
     test_letter = "b" if curve == "a" else "a"
     gen, test_gen = (pair.a, pair.b) if curve == "a" else (pair.b, pair.a)
-    trace0 = gen.a + gen.d
+    trace0 = gen[0] + gen[3]
     if min(abs(trace0 - 2.0), abs(trace0 + 2.0)) < 1e-13:
         raise ParabolicOrIdentity("bending angle undefined on a parabolic curve")
     t = pair.coords
@@ -223,12 +221,12 @@ def bending_angle(pair, curve):
     att, rep = pair.balanced_points(curve)
     h = map_to_zero_infinity(rep, att)
     s = _parabolic_vertex(pair.matrix(data["boundary_words"][2]))
-    d1 = h(s)
+    d1 = kernel.apply_mobius(h, s)
     # The translate word is the inverse of the other generator.
-    d2 = h(kernel.apply_mobius(kernel.mat_inv(test_gen.matrix), s))
+    d2 = kernel.apply_mobius(h, kernel.apply_mobius(kernel.mat_inv(test_gen), s))
     if d1 is None or d2 is None or abs(d1) < 1e-13 or abs(d2) < 1e-13:
         raise PleatlabError("degenerate roof: cusp point on the curve axis")
-    if test_gen.c == 0:
+    if test_gen[2] == 0:
         # The normal form's parabolic case: the fixed point is infinity.
         probes = (None,)
     else:
@@ -237,7 +235,7 @@ def bending_angle(pair, curve):
     delta2 = (cmath.phase(d2) - phi1) % (2.0 * math.pi)
     psi = None
     for probe in probes:
-        dt = h(probe)
+        dt = kernel.apply_mobius(h, probe)
         if dt is None or abs(dt) < 1e-13:
             continue
         delta_t = (cmath.phase(dt) - phi1) % (2.0 * math.pi)
@@ -404,7 +402,7 @@ def _word_batch(gens, word):
 
 
 def _moebius_batch(m):
-    """``MoebiusMap``'s det-1 normalization, and the mask where it raises."""
+    """``unimodular``'s det-1 normalization, and the mask where it raises."""
     det = m[0] * m[3] - m[1] * m[2]
     rescale = np.abs(det - 1.0) > DET_TOL
     s = np.sqrt(det)
@@ -485,8 +483,7 @@ def _side_batch(gens, side, real_tol):
     att, rep, bad = _balanced_batch(gens[data["axis_letter"]])
     leave |= bad
     # The other generator moves the axis fixed points onto the plaque.
-    conj, bad = _moebius_batch(_word_batch(gens, data["test_letter"]))
-    leave |= bad
+    conj = gens[data["test_letter"]]
     conj_att, inf_att = _apply_batch(conj, att)
     conj_rep, inf_rep = _apply_batch(conj, rep)
     leave |= inf_att | inf_rep
@@ -665,6 +662,6 @@ def quakebend(t, angle):
         raise NotFuchsian("quakebend seed must sit on the cusped locus")
     pair = matrices_from_traces(t)
     bend = rotation_about_axis(pair.a, angle)
-    new_b = bend @ pair.b
-    new_ab = pair.a @ new_b
-    return TraceCoords(t.x, new_b.trace, new_ab.trace)
+    new_b = unimodular(kernel.mat_mul(bend, pair.b))
+    new_ab = unimodular(kernel.mat_mul(pair.a, new_b))
+    return TraceCoords(t.x, new_b[0] + new_b[3], new_ab[0] + new_ab[3])

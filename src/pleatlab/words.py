@@ -11,20 +11,6 @@ from pleatlab import kernel
 from pleatlab.errors import PleatlabError
 
 
-def word_inverse(word):
-    return word[::-1].swapcase()
-
-
-def free_reduce(word):
-    out = []
-    for ch in word:
-        if out and out[-1] != ch and out[-1].lower() == ch.lower():
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 @lru_cache(maxsize=4096)
 def word_codes(letters, word):
     """Kernel codes of ``word`` over the ordered generator ``letters``:

@@ -90,7 +90,7 @@ def test_matrices_equal_diagonal_shape():
     t = coords(2.2, 2.4, MARKED_ROOT_22)
     pair = matrices_from_traces(t)
     for m in (pair.a, pair.b):
-        a, b, c, d = m.matrix
+        a, b, c, d = m
         assert abs(a - d) < 1e-13
 
 
@@ -167,7 +167,7 @@ def test_rep_pair_word_evaluation():
     m1 = pair.matrix("ab")
     m2 = tuple(
         np.array(
-            (np.array(pair.a.matrix).reshape(2, 2) @ np.array(pair.b.matrix).reshape(2, 2))
+            (np.array(pair.a).reshape(2, 2) @ np.array(pair.b).reshape(2, 2))
         ).reshape(4)
     )
     assert max(abs(p - q) for p, q in zip(m1, m2)) < 1e-13

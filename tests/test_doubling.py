@@ -5,22 +5,25 @@ angle measured independently by the roof construction; meridian traces
 at the frozen example satisfy |tr| = 2*cos(phi/2) for the same phi.
 """
 
+import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
 from pleatlab.chartor import coords, matrices_from_traces, pleating_candidates
 from pleatlab.doubling import (
     DOUBLED_LETTERS,
+    _relation_residuals,
     doubled_holonomy,
-    lift_audit,
     meridian_data,
     mirror_word,
     symmetry_audit,
 )
-from pleatlab.errors import NotPiecewiseGeodesic
-from pleatlab.moebius import MoebiusMap, matrix_distance
+from pleatlab.errors import NoConsistentLift, NotPiecewiseGeodesic
+from pleatlab.moebius import matrix_distance
 from pleatlab.plaques import certify
+from pleatlab.words import WordEvaluator
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 CONE_22 = 1.9041352722452904  # 2*(pi - 2.189525017467147)
@@ -38,13 +41,43 @@ def test_relations_hold_with_trivial_lift():
     assert len(dh.relation_residuals) == 4
 
 
-def test_lift_audit_scans_all_sign_choices():
-    dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
-    base = {letter: dh.evaluator.matrix(letter) for letter in DOUBLED_LETTERS}
-    signs, residuals, table = lift_audit(base)
-    assert len(table) == 8
-    assert signs == (1, 1, 1)
-    assert max(residuals.values()) < 1e-12
+def _cusp_opened(x, y, s):
+    """The marked structure at (x, y) with commutator trace -2 + s."""
+    disc = x * x * y * y - 4.0 * (x * x + y * y - s)
+    return coords(x, y, (x * y + cmath.sqrt(disc)) / 2.0)
+
+
+def test_construction_fixes_the_lift():
+    """Negating p or q breaks a relation; e occurs twice in every relation,
+    so negating it changes no residual."""
+    structures = [
+        coords(2.2, 2.2, MARKED_ROOT_22),
+        coords(2.3, 2.1, pleating_candidates(2.3, 2.1)[0]),
+        _cusp_opened(2.2, 2.2, 0.5),
+    ]
+    for t in structures:
+        dh = _doubled(t)
+        base = {letter: dh.matrix(letter) for letter in DOUBLED_LETTERS}
+        residuals = _relation_residuals(WordEvaluator(base))
+        assert residuals == dh.relation_residuals
+        assert max(residuals.values()) < 1e-12
+        for letter in "pqe":
+            flipped = dict(base, **{letter: tuple(-v for v in base[letter])})
+            moved = _relation_residuals(WordEvaluator(flipped))
+            if letter == "e":
+                assert moved == residuals
+            else:
+                assert max(moved.values()) > 1.0
+
+
+def test_swapped_plaques_have_no_consistent_lift():
+    t = coords(2.2, 2.2, MARKED_ROOT_22)
+    cert = certify(t)
+    swapped = replace(
+        cert, plaques={"top": cert.plaques["bottom"], "bottom": cert.plaques["top"]}
+    )
+    with pytest.raises(NoConsistentLift):
+        doubled_holonomy(matrices_from_traces(t), swapped)
 
 
 def test_meridian_cone_angles_frozen():
@@ -117,11 +150,10 @@ def test_doubled_letters_cover_the_presentation():
 
 def test_reflections_fix_their_plaques():
     """The top reflection fixes its own pants circle pointwise, so the
-    mirrored generator p = J a J^-1 is a itself, up to the lift sign."""
+    mirrored generator p = J a J^-1 is a itself, in the same lift."""
     t = coords(2.2, 2.3, pleating_candidates(2.2, 2.3)[0])
     dh = _doubled(t)
-    p = MoebiusMap.from_tuple(dh.matrix("p"))
-    assert p.approx_equal(dh.pair.a, tol=1e-10)
+    assert matrix_distance(dh.matrix("p"), dh.pair.a) < 1e-10
 
 
 # The parent construction's generators at (2.2, 2.2, MARKED_ROOT_22),

@@ -1,4 +1,5 @@
-"""Moebius maps, fixed points, complex length, circle charts, reflections.
+"""Unimodular matrices, fixed points, complex length, circle charts,
+reflections.
 
 Expected values are frozen from independent calculations: rotation
 matrices with known angles, diagonal hyperbolics with known translation
@@ -18,7 +19,6 @@ from pleatlab.doubling import _reflection
 from pleatlab.errors import CoincidentPoints, IdentityInput, NumericalOverflow, ZeroMultiplier
 from pleatlab.moebius import (
     IsometryClass,
-    MoebiusMap,
     balanced_fixed_points,
     chordal_distance,
     circle_chart,
@@ -28,47 +28,58 @@ from pleatlab.moebius import (
     map_to_zero_infinity,
     matrix_distance,
     rotation_about_axis,
+    unimodular,
 )
 
 # 2*log(2): translation length of diag(2, 1/2)
 LENGTH_DIAG_2 = 1.3862943611198906
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _trace(m):
+    return m[0] + m[3]
 
 
 def test_normalization_to_unit_determinant():
-    m = MoebiusMap(2.0, 0.0, 0.0, 2.0)
-    assert abs(m.det - 1.0) < 1e-14
-    assert abs(m.trace - 2.0) < 1e-14
+    m = unimodular((2.0, 0.0, 0.0, 2.0))
+    assert abs(kernel.mat_det(m) - 1.0) < 1e-14
+    assert abs(_trace(m) - 2.0) < 1e-14
+    assert all(type(v) is complex for v in m)
+    # A matrix already within DET_TOL of determinant 1 is kept as it is.
+    near = (1.0, 1e-13, 0.0, 1.0 + 5e-13)
+    assert unimodular(near) == near
 
 
 def test_zero_determinant_rejected():
     with pytest.raises(ZeroMultiplier):
-        MoebiusMap(1.0, 1.0, 1.0, 1.0)
+        unimodular((1.0, 1.0, 1.0, 1.0))
 
 
 def test_call_and_composition():
-    shift = MoebiusMap(1.0, 1.0, 0.0, 1.0)  # z + 1
-    inv = MoebiusMap(0.0, 1.0, -1.0, 0.0)  # -1/z
-    assert abs(shift(1.0) - 2.0) < 1e-15
-    both = shift @ inv
-    assert abs(both(1.0) - 0.0) < 1e-15
-    assert both(0.0) is None or abs(both(0.0)) > 1e14
+    shift = unimodular((1.0, 1.0, 0.0, 1.0))  # z + 1
+    inv = unimodular((0.0, 1.0, -1.0, 0.0))  # -1/z
+    assert abs(kernel.apply_mobius(shift, 1.0) - 2.0) < 1e-15
+    both = unimodular(kernel.mat_mul(shift, inv))
+    assert abs(kernel.apply_mobius(both, 1.0) - 0.0) < 1e-15
+    at_zero = kernel.apply_mobius(both, 0.0)
+    assert at_zero is None or abs(at_zero) > 1e14
 
 
 def test_inverse_roundtrip():
-    m = MoebiusMap(2.0, 1.0, 1.5, 1.0)
-    back = m.inverse() @ m
-    assert back.approx_equal(MoebiusMap.identity(), tol=1e-12)
+    m = unimodular((2.0, 1.0, 1.5, 1.0))
+    back = unimodular(kernel.mat_mul(unimodular(kernel.mat_inv(m)), m))
+    assert matrix_distance(back, IDENTITY) < 1e-12
 
 
 def test_fixed_points_quarter_turn():
     """The order-4 rotation fixes i and -i, attracting slot first."""
-    m = MoebiusMap(0.0, 1.0, -1.0, 0.0)
+    m = unimodular((0.0, 1.0, -1.0, 0.0))
     fp = fixed_points(m)
     assert fp == (1j, -1j)
 
 
 def test_fixed_points_parabolic_vertex():
-    m = MoebiusMap(1.0, 0.0, 1.0, 1.0)
+    m = unimodular((1.0, 0.0, 1.0, 1.0))
     fp = fixed_points(m)
     assert fp[0] == fp[1]
     assert abs(fp[0]) < 1e-14
@@ -76,11 +87,11 @@ def test_fixed_points_parabolic_vertex():
 
 def test_fixed_points_identity_rejected():
     with pytest.raises(IdentityInput):
-        fixed_points(MoebiusMap.identity())
+        fixed_points(unimodular(IDENTITY))
 
 
 def test_fixed_points_attracting_first():
-    m = MoebiusMap(2.0, 0.0, 0.0, 0.5)  # attracts to 0? no: z -> 4z, attracts to infinity
+    m = unimodular((2.0, 0.0, 0.0, 0.5))  # z -> 4z attracts to infinity
     fp = fixed_points(m)
     assert fp[0] is None
     assert fp[1] == 0.0
@@ -91,7 +102,7 @@ def test_balanced_fixed_points_near_parabolic():
     a = 1.0 + 1e-12
     c = 0.5
     b = (a * a - 1.0) / c
-    m = MoebiusMap(a, b, c, a)
+    m = unimodular((a, b, c, a))
     att, rep = balanced_fixed_points(m)
     for z in (att, rep):
         residual = c * z * z + (a - a) * z - b
@@ -103,12 +114,11 @@ def test_balanced_fixed_points_near_parabolic():
 
 def _classify_reference(m, tol=1e-10):
     """classify through matrix_distance to the identity and its negative."""
-    ident = (1.0, 0.0, 0.0, 1.0)
-    if matrix_distance(m.matrix, ident) < tol:
+    if matrix_distance(m, IDENTITY) < tol:
         return IsometryClass.IDENTITY
-    if matrix_distance(m.matrix, tuple(-x for x in ident)) < tol:
+    if matrix_distance(m, tuple(-x for x in IDENTITY)) < tol:
         return IsometryClass.IDENTITY
-    t = m.trace
+    t = _trace(m)
     if abs(t - 2.0) < tol or abs(t + 2.0) < tol:
         return IsometryClass.PARABOLIC
     if abs(t.imag) < tol:
@@ -118,34 +128,34 @@ def _classify_reference(m, tol=1e-10):
 
 def test_classify_matches_matrix_distance_reference():
     rng = np.random.default_rng(11)
-    maps = [MoebiusMap(*(complex(*pair) for pair in rng.normal(size=(4, 2)))) for _ in range(500)]
+    maps = [unimodular([complex(*pair) for pair in rng.normal(size=(4, 2))]) for _ in range(500)]
     for sign in (1.0, -1.0):
         for eps in (1e-11, -1e-11, 1e-9, -1e-9, 1e-11j, 1e-9j):
             for k in range(4):
                 m = [sign, 0.0, 0.0, sign]
                 m[k] += eps
-                maps.append(MoebiusMap(*m))
-            maps.append(MoebiusMap(sign + eps, 0.0, 0.0, sign - eps))
-            maps.append(MoebiusMap(sign + eps, eps, 0.0, sign + eps))
+                maps.append(unimodular(m))
+            maps.append(unimodular((sign + eps, 0.0, 0.0, sign - eps)))
+            maps.append(unimodular((sign + eps, eps, 0.0, sign + eps)))
             # near-parabolic: trace within the tolerance of +/-2 or just outside
-            maps.append(MoebiusMap(sign, 1.0 + eps, eps, sign + eps))
+            maps.append(unimodular((sign, 1.0 + eps, eps, sign + eps)))
     classes = [classify(m) for m in maps]
     assert classes == [_classify_reference(m) for m in maps]
     assert set(classes) == set(IsometryClass)
 
 
 def test_classify_families():
-    assert classify(MoebiusMap.identity()) == IsometryClass.IDENTITY
-    assert classify(MoebiusMap(1.0, 1.0, 0.0, 1.0)) == IsometryClass.PARABOLIC
-    assert classify(MoebiusMap(2.0, 0.0, 0.0, 0.5)) == IsometryClass.PURELY_HYPERBOLIC
-    rot = MoebiusMap(cmath.exp(0.3j), 0.0, 0.0, cmath.exp(-0.3j))
+    assert classify(unimodular(IDENTITY)) == IsometryClass.IDENTITY
+    assert classify(unimodular((1.0, 1.0, 0.0, 1.0))) == IsometryClass.PARABOLIC
+    assert classify(unimodular((2.0, 0.0, 0.0, 0.5))) == IsometryClass.PURELY_HYPERBOLIC
+    rot = unimodular((cmath.exp(0.3j), 0.0, 0.0, cmath.exp(-0.3j)))
     assert classify(rot) == IsometryClass.ELLIPTIC
-    lox = MoebiusMap(2.0 * cmath.exp(0.3j), 0.0, 0.0, 0.5 * cmath.exp(-0.3j))
+    lox = unimodular((2.0 * cmath.exp(0.3j), 0.0, 0.0, 0.5 * cmath.exp(-0.3j)))
     assert classify(lox) == IsometryClass.LOXODROMIC
 
 
 def test_complex_length_hyperbolic():
-    m = MoebiusMap(2.0, 0.0, 0.0, 0.5)
+    m = unimodular((2.0, 0.0, 0.0, 0.5))
     lam = complex_length(m)
     assert abs(lam.value - LENGTH_DIAG_2) < 1e-14
     assert lam.lift_sign == 1
@@ -153,8 +163,8 @@ def test_complex_length_hyperbolic():
 
 def test_complex_length_elliptic_phase_tie():
     """Rotation by 1.9*pi folds to -0.1*pi with a flipped lift."""
-    rot = MoebiusMap(
-        cmath.exp(1j * 0.95 * math.pi), 0.0, 0.0, cmath.exp(-1j * 0.95 * math.pi)
+    rot = unimodular(
+        (cmath.exp(1j * 0.95 * math.pi), 0.0, 0.0, cmath.exp(-1j * 0.95 * math.pi))
     )
     lam = complex_length(rot)
     assert abs(lam.value - (-0.1j * math.pi)) < 1e-13
@@ -162,10 +172,10 @@ def test_complex_length_elliptic_phase_tie():
 
 
 def test_complex_length_invariant_identity():
-    m = MoebiusMap(2.0, 1.0, 1.5, 1.0)
+    m = unimodular((2.0, 1.0, 1.5, 1.0))
     lam = complex_length(m)
     recon = 2.0 * cmath.cosh(lam.value / 2.0)
-    assert abs(recon - lam.lift_sign * m.trace) < 1e-13
+    assert abs(recon - lam.lift_sign * _trace(m)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,10 +183,10 @@ def test_complex_length_invariant_identity():
 def test_complex_length_invariant_random(seed):
     rng = np.random.default_rng(seed)
     e = rng.normal(size=8)
-    m = MoebiusMap(
-        complex(e[0], e[1]), complex(e[2], e[3]), complex(e[4], e[5]), complex(e[6], e[7])
+    m = unimodular(
+        (complex(e[0], e[1]), complex(e[2], e[3]), complex(e[4], e[5]), complex(e[6], e[7]))
     )
-    tr = m.trace
+    tr = _trace(m)
     if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
         return
     lam = complex_length(m)
@@ -191,21 +201,32 @@ def test_chordal_distance_poles():
     assert chordal_distance(3.0, 3.0) == 0.0
 
 
+def test_chordal_distance_to_infinity_past_the_float_square():
+    """Beyond 1e150 the distance to infinity is its limit 2/|w|, which
+    the square-root formula matches where it does not overflow."""
+    assert chordal_distance(None, 1e300) == 2e-300
+    assert chordal_distance(1e300, None) == 2e-300
+    for w in (1e150, 3e151, 7.5e153 + 1e153j):
+        assert chordal_distance(None, w) == 2.0 / math.sqrt(1.0 + abs(w) ** 2)
+    assert chordal_distance(None, 3e151) == 2.0 / 3e151
+
+
 def test_map_to_zero_infinity():
     h = map_to_zero_infinity(2.0, 5.0)
-    assert abs(h(2.0)) < 1e-14
-    assert h(5.0) is None or abs(h(5.0)) > 1e14
+    assert abs(kernel.apply_mobius(h, 2.0)) < 1e-14
+    at_five = kernel.apply_mobius(h, 5.0)
+    assert at_five is None or abs(at_five) > 1e14
     with pytest.raises(CoincidentPoints):
         map_to_zero_infinity(1.0, 1.0)
 
 
 def test_rotation_about_axis_trace():
-    m = MoebiusMap(1.25, 1.125, 0.5, 1.25)
+    m = unimodular((1.25, 1.125, 0.5, 1.25))
     r = rotation_about_axis(m, 1.0)
-    assert abs(r.trace - 2.0 * math.cos(0.5)) < 1e-13
+    assert abs(_trace(r) - 2.0 * math.cos(0.5)) < 1e-13
     # the rotation shares both fixed points with the axis
     for p in fixed_points(m):
-        q = r(p)
+        q = kernel.apply_mobius(r, p)
         if p is None:
             assert q is None or abs(q) > 1e14
         else:
@@ -215,11 +236,11 @@ def test_rotation_about_axis_trace():
 def test_fixed_points_overflow_raises():
     """A lower-left entry so small that the roots leave the float range."""
     with pytest.raises(NumericalOverflow):
-        fixed_points(MoebiusMap(2.0, 1.0, 1e-310, 0.5))
+        fixed_points(unimodular((2.0, 1.0, 1e-310, 0.5)))
 
 
-def _chart_map(p, q, r):
-    return MoebiusMap.from_tuple(circle_chart(p, q, r))
+def _images(chart, points):
+    return [kernel.apply_mobius(chart, z) for z in points]
 
 
 def _reflect(chart, z):
@@ -230,11 +251,12 @@ def _reflect(chart, z):
 
 def test_circle_chart_sends_triple_to_infinity_zero_one():
     for p, q, r in ((1.0, 1j, -1.0), (0.3 - 2j, 1.5 + 0.25j, -4.0 + 1j), (0.0, 1.0, 2.0)):
-        chart = _chart_map(p, q, r)
-        assert abs(chart.det - 1.0) < 1e-14
-        assert chart(p) is None or abs(chart(p)) > 1e14
-        assert abs(chart(q)) < 1e-14
-        assert abs(chart(r) - 1.0) < 1e-14
+        chart = circle_chart(p, q, r)
+        assert abs(kernel.mat_det(chart) - 1.0) < 1e-14
+        at_p, at_q, at_r = _images(chart, (p, q, r))
+        assert at_p is None or abs(at_p) > 1e14
+        assert abs(at_q) < 1e-14
+        assert abs(at_r - 1.0) < 1e-14
 
 
 def test_circle_through_unit_circle():
@@ -243,22 +265,21 @@ def test_circle_through_unit_circle():
     chart = circle_chart(1.0, 1j, -1.0)
     centre = kernel.apply_mobius(_reflection(chart), None)
     assert abs(centre) < 1e-14
-    inverse = MoebiusMap.from_tuple(chart).inverse()
-    for t in (-3.0, 0.5, 2.0, 7.25):
-        assert abs(abs(inverse(t)) - 1.0) < 1e-14
+    for w in _images(kernel.mat_inv(chart), (-3.0, 0.5, 2.0, 7.25)):
+        assert abs(abs(w) - 1.0) < 1e-14
 
 
 def test_circle_through_collinear_gives_line():
     """Collinear points span a line: it passes through infinity, which is
     its own reflection, and the real line pulls back onto the real axis."""
-    chart = _chart_map(0.0, 1.0, 2.0)
-    at_infinity = chart(None)
+    chart = circle_chart(0.0, 1.0, 2.0)
+    at_infinity = kernel.apply_mobius(chart, None)
     assert at_infinity is None or abs(at_infinity.imag) < 1e-14
-    centre = kernel.apply_mobius(_reflection(chart.matrix), None)
+    centre = kernel.apply_mobius(_reflection(chart), None)
     assert centre is None or abs(centre) > 1e14
-    inverse = chart.inverse()
-    for t in (-3.0, 0.5, 3.0, 7.25):  # t = 2 is the image of infinity
-        assert abs(inverse(t).imag) < 1e-14
+    # t = 2 is the image of infinity
+    for w in _images(kernel.mat_inv(chart), (-3.0, 0.5, 3.0, 7.25)):
+        assert abs(w.imag) < 1e-14
 
 
 def test_circle_chart_with_infinity():
@@ -267,8 +288,7 @@ def test_circle_chart_with_infinity():
     for slot in range(3):
         points = list(finite)
         points.insert(slot, None)
-        chart = _chart_map(*points)
-        images = [chart(z) for z in points]
+        images = _images(circle_chart(*points), points)
         assert images[0] is None or abs(images[0]) > 1e14
         assert abs(images[1]) < 1e-14
         assert abs(images[2] - 1.0) < 1e-14
@@ -276,9 +296,9 @@ def test_circle_chart_with_infinity():
 
 def test_circle_chart_planarity():
     """Points on the circle have real images; points off it do not."""
-    chart = _chart_map(1.0, 1j, -1.0)
-    assert abs(chart(-1j).imag) < 1e-14
-    assert abs(chart(0.5 + 0.5j).imag) > 1e-3
+    on, off = _images(circle_chart(1.0, 1j, -1.0), (-1j, 0.5 + 0.5j))
+    assert abs(on.imag) < 1e-14
+    assert abs(off.imag) > 1e-3
 
 
 def test_circle_chart_rejects_coincident_and_overflowing_points():
@@ -286,6 +306,8 @@ def test_circle_chart_rejects_coincident_and_overflowing_points():
         circle_chart(1.0, 1.0 + 1e-15, 2.0)
     with pytest.raises(CoincidentPoints):
         circle_chart(None, 1.0, 1e14)
+    with pytest.raises(CoincidentPoints):
+        circle_chart(None, 1.0, 1e300)
     # The triple that certify 0 1.7e-203 2j fits on its bottom plaque.
     with pytest.raises(NumericalOverflow, match="float range"):
         circle_chart(-0.8284, 0.8284, 4.7e203j)

@@ -6,32 +6,31 @@ import numpy as np
 import pytest
 
 from pleatlab import suite
-from pleatlab.moebius import MoebiusMap, complex_length
+from pleatlab.moebius import complex_length, unimodular
 
 
-class _SkippingMap(MoebiusMap):
-    """Reports trace 2 when the normalized top-left entry has real part
-    above 1, so that check_lift skips about one draw in fourteen."""
+def _skipping_unimodular(m):
+    """A parabolic (trace 2) stand-in when the normalized top-left entry
+    has real part above 1, so that check_lift skips about one draw in
+    fourteen."""
+    m = unimodular(m)
+    return (1, 1, 0, 1) if m[0].real > 1.0 else m
 
-    @property
-    def trace(self):
-        return 2.0 + 0j if self.a.real > 1.0 else self.a + self.d
 
-
-def _lift_reference(samples, seed, tol=1e-10, map_type=MoebiusMap):
+def _lift_reference(samples, seed, tol=1e-10, make=unimodular):
     """check_lift as one eight-value draw per matrix."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0
     while tested < samples:
         entries = rng.normal(size=8)
-        m = map_type(
+        m = make((
             complex(entries[0], entries[1]),
             complex(entries[2], entries[3]),
             complex(entries[4], entries[5]),
             complex(entries[6], entries[7]),
-        )
-        tr = m.trace
+        ))
+        tr = m[0] + m[3]
         if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
             continue
         tested += 1
@@ -46,11 +45,11 @@ def _lift_reference(samples, seed, tol=1e-10, map_type=MoebiusMap):
 def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
     """Block draws across block boundaries, with and without skipped
     draws, give the matrices of one draw per matrix."""
-    map_type = _SkippingMap if skipping else MoebiusMap
-    monkeypatch.setattr(suite, "MoebiusMap", map_type)
+    make = _skipping_unimodular if skipping else unimodular
+    monkeypatch.setattr(suite, "unimodular", make)
     for seed in (1, 4):
         record = suite.check_lift(samples=samples, seed=seed)
-        assert record["details"] == _lift_reference(samples, seed, map_type=map_type)
+        assert record["details"] == _lift_reference(samples, seed, make=make)
 
 
 def test_min_monotonicity_of_linear_maps():
@@ -70,3 +69,11 @@ def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
     assert record["passed"] and record["details"]["min_monotonicity"] > 0.0
     monkeypatch.setattr(suite, "_min_monotonicity", lambda states: -1e-3)
     assert not suite.check_posdef()["passed"]
+
+
+def test_check_grid_applies_its_planarity_tol():
+    record = suite.check_grid()
+    assert record["passed"] and record["details"]["worst_planarity"] < 1e-8
+    failing = suite.check_grid(tol=1e-20)
+    assert not failing["passed"]
+    assert failing["details"]["failures"] == 0
