@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from pleatlab import suite as suite_mod
-from pleatlab.chartor import coords, marked_roots, matrices_from_traces, pleating_candidates
+from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import holo_length_jacobian, ray_to_cusp, volume_between
@@ -501,9 +501,7 @@ def double_cmd(ctx, x, y, z, out):
     t = _structure_from_args(x, y, z)
     tols = _tolerances(ctx)
     try:
-        cert = certify(t, **tols)
-        pair = matrices_from_traces(t)
-        dh = doubled_holonomy(pair, cert)
+        dh = doubled_holonomy(certify(t, **tols))
         meridians = {}
         for curve in ("a", "b", "puncture"):
             md = meridian_data(dh, curve)

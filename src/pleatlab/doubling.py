@@ -1,5 +1,10 @@
 """Doubling a certified structure across its pleated boundary.
 
+Only a structure whose plaques :func:`pleatlab.plaques.certify` has
+certified is doubled, and in the pair of matrices the certification
+realized: its plaque charts were fitted to that pair, so
+:func:`doubled_holonomy` reads both from the one record.
+
 The double of the manifold is built from two pants stages: an amalgam
 over the top pants (mirror generators ``p = a-hat``, ``q = b-hat``) and
 an HNN extension over the bottom pants (stable letter ``e``).  The
@@ -45,6 +50,8 @@ cone angle (parabolic at a cusp, the identity on the Fuchsian locus).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from pleatlab import kernel
 from pleatlab.errors import (
     NoConsistentLift,
@@ -87,8 +94,6 @@ def mirror_word(word):
 @dataclass(frozen=True)
 class MeridianData:
     curve: str
-    word: str
-    longitude_word: str
     trace: complex
     kind: str  # "elliptic" | "parabolic" | "identity" | "loxodromic"
     complex_length: complex | None
@@ -99,7 +104,6 @@ class MeridianData:
 
 @dataclass(frozen=True)
 class DoubledHolonomy:
-    pair: object
     certification: object
     evaluator: WordEvaluator
     relation_residuals: dict
@@ -131,8 +135,9 @@ def _reflection(chart):
     return kernel.mat_mul(kernel.mat_inv(chart), kernel.mat_conj(chart))
 
 
-def doubled_holonomy(pair, cert):
-    """Extend a certified structure's holonomy to the doubled manifold.
+def doubled_holonomy(cert):
+    """Extend a certified structure's holonomy to the doubled manifold,
+    starting from the pair ``cert.pair`` that the certification realized.
 
     Raises :class:`NoConsistentLift` when a relation misses by more than
     ``RELATION_TOL``.
@@ -151,6 +156,7 @@ def doubled_holonomy(pair, cert):
     stable = kernel.mat_mul(n_bottom, n_top_bar)
     if (stable[0] + stable[3]).real < 0.0:
         stable = tuple(-v for v in stable)
+    pair = cert.pair
     evaluator = WordEvaluator({
         "a": pair.a,
         "b": pair.b,
@@ -165,7 +171,6 @@ def doubled_holonomy(pair, cert):
             f"the doubled generators miss the relations (residual {worst:.3e})"
         )
     return DoubledHolonomy(
-        pair=pair,
         certification=cert,
         evaluator=evaluator,
         relation_residuals=residuals,
@@ -189,7 +194,7 @@ def meridian_data(dh, curve):
         matrix_distance(m, ident),
         matrix_distance(m, tuple(-v for v in ident)),
     )
-    theta = dh.certification.curves[curve].theta
+    theta = getattr(dh.certification, "theta_" + curve)
     if ident_res < PARABOLIC_TOL:
         kind = "identity"
         mu = None
@@ -214,8 +219,6 @@ def meridian_data(dh, curve):
         residual = abs(cone - 2.0 * (math.pi - theta))
     return MeridianData(
         curve=curve,
-        word=words["meridian"],
-        longitude_word=words["longitude"],
         trace=trace,
         kind=kind,
         complex_length=mu,
@@ -233,8 +236,6 @@ def symmetry_audit(dh, samples=60, seed=0):
     word; the audit measures the worst residual over fixed structural
     words plus a random sample.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     wordlist = ["a", "b", "e", "abAB", "bQ", "aePE", "Ebe", "pq", "qePa"]
     for _ in range(samples):

@@ -65,14 +65,6 @@ VOLUME_BATCH_NODES = 1024
 
 
 @dataclass(frozen=True)
-class LengthSlot:
-    name: str
-    kind: str  # "length" | "trace"
-    value: float
-    imag_residual: float
-
-
-@dataclass(frozen=True)
 class NewtonResult:
     coords: TraceCoords
     lengths: tuple
@@ -93,47 +85,8 @@ def complex_curve_length(trace):
     return 2.0 * cmath.acosh(trace / 2.0)
 
 
-def length_map(cert):
-    """Length/trace coordinate slots of a certified structure."""
-    slots = {}
-    for name in ("a", "b"):
-        curve = cert.curves[name]
-        if curve.parabolic:
-            slots[name] = LengthSlot(
-                name=name,
-                kind="trace",
-                value=curve.trace.real,
-                imag_residual=abs(curve.trace.imag),
-            )
-        else:
-            lam = complex_curve_length(curve.trace)
-            slots[name] = LengthSlot(
-                name=name,
-                kind="length",
-                value=lam.real,
-                imag_residual=abs(lam.imag),
-            )
-    punc = cert.curves["puncture"]
-    slots["puncture"] = LengthSlot(
-        name="puncture",
-        kind="trace",
-        value=punc.trace.real,
-        imag_residual=abs(punc.trace.imag),
-    )
-    return slots
-
-
 # ---------------------------------------------------------------------------
 # Holomorphic Jacobian in the trace chart
-
-
-def _jacobian_rows(x, y, z):
-    sx = cmath.sqrt(x * x - 4.0)
-    sy = cmath.sqrt(y * y - 4.0)
-    row_a = (2.0 / sx, 0.0j, 0.0j)
-    row_b = (0.0j, 2.0 / sy, 0.0j)
-    row_k = (2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y)
-    return (row_a, row_b, row_k)
 
 
 def holo_length_jacobian(t, fd_check=True):
@@ -151,9 +104,13 @@ def holo_length_jacobian(t, fd_check=True):
             raise CoordinateDegeneracy(
                 f"curve {name} trace {val} is within {DEGENERACY_TOL} of +/-2"
             )
-    rows = _jacobian_rows(x, y, z)
     sx = cmath.sqrt(x * x - 4.0)
     sy = cmath.sqrt(y * y - 4.0)
+    rows = (
+        (2.0 / sx, 0.0j, 0.0j),
+        (0.0j, 2.0 / sy, 0.0j),
+        (2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y),
+    )
     det = 4.0 * (2.0 * z - x * y) / (sx * sy)
     fd_residual = None
     if fd_check:
@@ -695,12 +652,6 @@ def ray_to_cusp(theta_start, samples=10, seed=(1.0, 1.0), substeps=16):
 # Cusp-opening derivative against the canonical commuting model
 
 
-def _doubled_at(t):
-    cert = certify(t)
-    pair = matrices_from_traces(t)
-    return doubled_holonomy(pair, cert)
-
-
 def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
     """Derivative of the puncture traces under opening the cusp.
 
@@ -725,7 +676,7 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
     vs = {}
     for s in (-h, 0.0, h):
         t = structure_at(s)
-        dh_ = _doubled_at(t)
+        dh_ = doubled_holonomy(certify(t))
         us[s] = dh_.trace("e")
         vs[s] = -t.kappa
     du = us[h] - us[-h]
@@ -735,11 +686,7 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
     ratio = dv / du
     # Independent estimate of the square multiplier from the trace
     # relation (v^2 - 4) = h^2 (u^2 - 4) evaluated just off the cusp.
-    t_off = structure_at(h)
-    dh_off = _doubled_at(t_off)
-    u_off = dh_off.trace("e")
-    v_off = -t_off.kappa
-    hsq_est = (v_off * v_off - 4.0) / (u_off * u_off - 4.0)
+    hsq_est = (vs[h] * vs[h] - 4.0) / (us[h] * us[h] - 4.0)
     # Cusp-preserving direction: move x along the cusped locus.
     kappas = []
     for r in (-h, h):

@@ -12,12 +12,18 @@ between neighbouring plaques.
 
 The bending angle along a curve is read off a "roof": normalize the
 curve's axis to (0, infinity), take the two plaque circles through it
-(the base plaque and its neighbour, obtained by the documented
-translate), and measure the wedge between the rays that carry the two
-cusp points.  A third reference point (a fixed point of the other
+(the base plaque and its neighbour, its image under the inverse of the
+other generator), and measure the wedge between the rays that carry the
+two cusp points.  A third reference point (a fixed point of the other
 generator, which lies strictly inside the convex hull's wedge) picks
 which of the two complementary wedges is the inside.  The exterior
 bending angle is then pi minus the inside wedge.
+
+:func:`certify` normalizes the coordinates (Re x >= 0, Re y >= 0),
+realizes them by one pair of matrices, and returns a flat
+:class:`Certification` that keeps that pair: the plaque charts are
+fitted to it, so whatever reads the charts (the doubled holonomy) reads
+the pair from the same record.
 """
 
 import cmath
@@ -64,13 +70,11 @@ SIDE_DATA = {
     "top": {
         "axis_letter": "a",
         "boundary_words": ("a", "baB", "abAB"),
-        "translate_word": "B",
         "test_letter": "b",
     },
     "bottom": {
         "axis_letter": "b",
         "boundary_words": ("b", "abA", "baBA"),
-        "translate_word": "A",
         "test_letter": "a",
     },
 }
@@ -89,22 +93,24 @@ class Plaque:
 
 
 @dataclass(frozen=True)
-class CurveCertificate:
-    name: str
-    trace: complex
-    real_trace_residual: float
-    parabolic_residual: float
-    parabolic: bool
-    theta: float | None
-
-
-@dataclass(frozen=True)
 class Certification:
+    """What :func:`certify` found at ``coords`` (normalized to Re x >= 0
+    and Re y >= 0), with ``pair``, the matrices realizing them that the
+    plaque charts were fitted to.
+
+    An undefined angle is ``None``; ``max_planarity_residual`` is
+    infinite when a plaque is missing.
+    """
+
     coords: TraceCoords
-    curves: dict
+    pair: RepPair
     plaques: dict
     plaque_errors: dict
-    side_of_curve: dict
+    theta_a: float | None
+    theta_b: float | None
+    theta_puncture: float | None
+    max_real_trace_residual: float
+    max_planarity_residual: float
     is_piecewise_geodesic: bool
     is_convex: bool
     is_fuchsian_boundary: bool
@@ -112,16 +118,7 @@ class Certification:
 
     @property
     def theta(self):
-        return tuple(self.curves[name].theta for name in ("a", "b", "puncture"))
-
-    @property
-    def max_real_trace_residual(self):
-        return max(c.real_trace_residual for c in self.curves.values())
-
-    @property
-    def max_planarity_residual(self):
-        vals = [p.planarity_residual for p in self.plaques.values() if p is not None]
-        return max(vals) if vals else math.inf
+        return (self.theta_a, self.theta_b, self.theta_puncture)
 
 
 def _parabolic_vertex(matrix):
@@ -222,7 +219,7 @@ def bending_angle(pair, curve):
     h = map_to_zero_infinity(rep, att)
     s = _parabolic_vertex(pair.matrix(data["boundary_words"][2]))
     d1 = kernel.apply_mobius(h, s)
-    # The translate word is the inverse of the other generator.
+    # The neighbouring plaque is moved by the other generator's inverse.
     d2 = kernel.apply_mobius(h, kernel.apply_mobius(kernel.mat_inv(test_gen), s))
     if d1 is None or d2 is None or abs(d1) < 1e-13 or abs(d2) < 1e-13:
         raise PleatlabError("degenerate roof: cusp point on the curve axis")
@@ -265,13 +262,7 @@ def certify(
     t = t.normalized()
     pair = matrices_from_traces(t)
     cusp_residual = t.cusp_residual
-    curves = {}
-    for name, trace in (("a", t.x), ("b", t.y)):
-        curves[name] = {
-            "trace": trace,
-            "real": abs(trace.imag),
-            "parab": abs(trace - 2.0),
-        }
+    real_a, real_b = abs(t.x.imag), abs(t.y.imag)
     plaques = {}
     errors = {}
     for side in ("top", "bottom"):
@@ -281,54 +272,27 @@ def certify(
         except (NonRealTraces, PleatlabError) as exc:
             plaques[side] = None
             errors[side] = str(exc)
-    thetas = {}
-    for name in ("a", "b"):
-        info = curves[name]
-        side = CURVE_SIDE[name]
-        if info["parab"] < parabolic_tol:
-            thetas[name] = math.pi
-        elif plaques[side] is not None and info["real"] <= real_tol:
+    thetas = []
+    for name, trace, real in (("a", t.x, real_a), ("b", t.y, real_b)):
+        if abs(trace - 2.0) < parabolic_tol:
+            theta = math.pi
+        elif plaques[CURVE_SIDE[name]] is not None and real <= real_tol:
             try:
-                thetas[name] = bending_angle(pair, name)
+                theta = bending_angle(pair, name)
             except PleatlabError:
-                thetas[name] = None
+                theta = None
         else:
-            thetas[name] = None
-    theta_p = math.pi if cusp_residual < parabolic_tol else None
-    curve_records = {
-        "a": CurveCertificate(
-            name="a",
-            trace=t.x,
-            real_trace_residual=curves["a"]["real"],
-            parabolic_residual=curves["a"]["parab"],
-            parabolic=curves["a"]["parab"] < parabolic_tol,
-            theta=thetas["a"],
-        ),
-        "b": CurveCertificate(
-            name="b",
-            trace=t.y,
-            real_trace_residual=curves["b"]["real"],
-            parabolic_residual=curves["b"]["parab"],
-            parabolic=curves["b"]["parab"] < parabolic_tol,
-            theta=thetas["b"],
-        ),
-        "puncture": CurveCertificate(
-            name="puncture",
-            trace=t.kappa,
-            real_trace_residual=abs(t.kappa.imag),
-            parabolic_residual=cusp_residual,
-            parabolic=cusp_residual < parabolic_tol,
-            theta=theta_p,
-        ),
-    }
+            theta = None
+        thetas.append(theta)
+    planarity = [p.planarity_residual for p in plaques.values() if p is not None]
     is_pg = (
         all(p is not None for p in plaques.values())
         and all(p.planarity_residual <= planar_tol for p in plaques.values())
-        and curves["a"]["real"] <= real_tol
-        and curves["b"]["real"] <= real_tol
+        and real_a <= real_tol
+        and real_b <= real_tol
         and abs(t.kappa.imag) <= real_tol
     )
-    defined_thetas = [v for v in thetas.values() if v is not None]
+    defined_thetas = [v for v in thetas if v is not None]
     is_convex = (
         is_pg
         and cusp_residual < parabolic_tol
@@ -336,16 +300,16 @@ def certify(
         and all(v >= -convex_tol for v in defined_thetas)
     )
     is_fuchsian = t.is_real(FUCHSIAN_TOL)
-    side_a = "top" if t.z.imag >= 0 else "bottom"
     return Certification(
         coords=t,
-        curves=curve_records,
+        pair=pair,
         plaques=plaques,
         plaque_errors=errors,
-        side_of_curve={
-            "a": side_a,
-            "b": "bottom" if side_a == "top" else "top",
-        },
+        theta_a=thetas[0],
+        theta_b=thetas[1],
+        theta_puncture=math.pi if cusp_residual < parabolic_tol else None,
+        max_real_trace_residual=max(real_a, real_b, abs(t.kappa.imag)),
+        max_planarity_residual=max(planarity) if planarity else math.inf,
         is_piecewise_geodesic=is_pg,
         is_convex=is_convex,
         is_fuchsian_boundary=is_fuchsian,
@@ -503,8 +467,8 @@ def _roof_batch(gens, side, axis_points, test_points):
     leave |= dist < 1e-14
     h, bad = _moebius_batch((1.0, -rep, 1.0, -att))
     leave |= bad
-    translate, bad = _moebius_batch(_word_batch(gens, SIDE_DATA[side]["translate_word"]))
-    leave |= bad
+    # The neighbouring plaque's cusp point, moved as in bending_angle.
+    translate = kernel.mat_inv(gens[SIDE_DATA[side]["test_letter"]])
     d1, inf1 = _apply_batch(h, vertex)
     moved, inf2 = _apply_batch(translate, vertex)
     d2, inf3 = _apply_batch(h, moved)
@@ -635,16 +599,9 @@ def certify_batch(
         fields, leave = _certify_branch(x, y, z, **tols)
     for i in np.flatnonzero(leave):
         cert = certify(coords(x[i], y[i], z[i]), **tols)
-        for name, theta in zip(("theta_a", "theta_b", "theta_puncture"), cert.theta):
-            fields[name][i] = np.nan if theta is None else theta
-        for name in (
-            "is_convex",
-            "is_fuchsian_boundary",
-            "in_pleating_variety",
-            "max_real_trace_residual",
-            "max_planarity_residual",
-        ):
-            fields[name][i] = getattr(cert, name)
+        for name in fields:
+            value = getattr(cert, name)
+            fields[name][i] = np.nan if value is None else value
     return BatchCertification(**fields, fallback=leave)
 
 

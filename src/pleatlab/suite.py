@@ -8,6 +8,7 @@ the test battery and ``pleatlab verify-suite`` cannot drift apart.
 """
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from pleatlab.chartor import (
     coords,
     discriminant,
     marked_roots,
-    matrices_from_traces,
     pleating_candidates,
 )
 from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
@@ -165,17 +165,11 @@ def check_quakebend(t_param=0.3, tol=1e-8):
 # 4. doubled holonomy relations
 
 
-def _doubled(t):
-    cert = certify(t)
-    pair = matrices_from_traces(t)
-    return doubled_holonomy(pair, cert)
-
-
 def check_relations(n=20, seed=2, tol=1e-9):
     worst = 0.0
     lifts = set()
     for t in sample_structures(n, seed=seed):
-        dh = _doubled(t)
+        dh = doubled_holonomy(certify(t))
         worst = max(worst, dh.max_relation_residual)
         lifts.add(dh.lift_signs)
     return {
@@ -198,7 +192,7 @@ def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
     worst_commute = 0.0
     worst_re = 0.0
     for t in sample_structures(n, seed=seed):
-        dh = _doubled(t)
+        dh = doubled_holonomy(certify(t))
         for curve in ("a", "b", "puncture"):
             md = meridian_data(dh, curve)
             worst_commute = max(worst_commute, md.commutation_residual)
@@ -232,7 +226,7 @@ def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
 def check_mirror(n=6, seed=4, tol=1e-8):
     worst = 0.0
     for t in sample_structures(n, seed=seed):
-        dh = _doubled(t)
+        dh = doubled_holonomy(certify(t))
         worst = max(worst, symmetry_audit(dh, samples=40, seed=seed)["residual"])
     return {
         "passed": worst < tol,
@@ -534,8 +528,6 @@ def run_suite(names=None, seed_offset=0):
     criterion (zero reproduces the pinned defaults).  Returns a list of
     records with index, name, description, passed, and details.
     """
-    import inspect
-
     wanted = None if names is None else set(names)
     if wanted is not None:
         known = {name for name, _, _ in CRITERIA}

@@ -284,6 +284,19 @@ def test_double_json():
     assert payload["meridians"]["puncture"]["kind"] == "parabolic"
 
 
+def test_double_negative_lifts_match_their_normalized_mirror():
+    """A flipped generator lift doubles in the lift the certification
+    normalized to, not in the one given on the command line."""
+    reference = run("double", "2.2", "2.2")
+    both = run("double", "--", "-2.2", "-2.2")
+    assert both.exit_code == 0
+    assert both.output == reference.output
+    mirror = run("double", "2.2", "2.2", "2.4200000000000004-1.9554027718094293j")
+    one = run("double", "--", "-2.2", "2.2")
+    assert one.exit_code == 0
+    assert one.output == mirror.output
+
+
 def test_jacobian_json():
     result = run("jacobian", "2.2", "2.2")
     assert result.exit_code == 0

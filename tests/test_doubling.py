@@ -7,11 +7,13 @@ at the frozen example satisfy |tr| = 2*cos(phi/2) for the same phi.
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pleatlab.chartor import coords, matrices_from_traces, pleating_candidates
+from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.doubling import (
     DOUBLED_LETTERS,
     _relation_residuals,
@@ -31,7 +33,7 @@ MERIDIAN_TRACE_22 = -1.16  # -2*cos(CONE_22 / 2) with the audited lift
 
 
 def _doubled(t):
-    return doubled_holonomy(matrices_from_traces(t), certify(t))
+    return doubled_holonomy(certify(t))
 
 
 def test_relations_hold_with_trivial_lift():
@@ -77,7 +79,7 @@ def test_swapped_plaques_have_no_consistent_lift():
         cert, plaques={"top": cert.plaques["bottom"], "bottom": cert.plaques["top"]}
     )
     with pytest.raises(NoConsistentLift):
-        doubled_holonomy(matrices_from_traces(t), swapped)
+        doubled_holonomy(swapped)
 
 
 def test_meridian_cone_angles_frozen():
@@ -141,7 +143,7 @@ def test_doubling_requires_certified_plaques():
     cert = certify(t)
     assert not cert.is_piecewise_geodesic
     with pytest.raises(NotPiecewiseGeodesic):
-        doubled_holonomy(matrices_from_traces(t), cert)
+        doubled_holonomy(cert)
 
 
 def test_doubled_letters_cover_the_presentation():
@@ -153,7 +155,7 @@ def test_reflections_fix_their_plaques():
     mirrored generator p = J a J^-1 is a itself, in the same lift."""
     t = coords(2.2, 2.3, pleating_candidates(2.2, 2.3)[0])
     dh = _doubled(t)
-    assert matrix_distance(dh.matrix("p"), dh.pair.a) < 1e-10
+    assert matrix_distance(dh.matrix("p"), dh.certification.pair.a) < 1e-10
 
 
 # The parent construction's generators at (2.2, 2.2, MARKED_ROOT_22),
@@ -179,3 +181,27 @@ def test_doubled_generators_frozen():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     for word, expected in GOLDEN_DOUBLED_22.items():
         assert matrix_distance(dh.matrix(word), expected) < 1e-12, word
+
+
+def _certified_fields(cert):
+    out = {f.name: getattr(cert, f.name) for f in fields(cert) if f.name != "pair"}
+    out["pair"] = (cert.pair.a, cert.pair.b)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=2.05, max_value=2.6),
+    st.floats(min_value=2.05, max_value=2.6),
+)
+def test_generator_sign_flips_certify_and_double_alike(x, y):
+    """The lifts (x, y, z), (-x, y, -z), (x, -y, -z) and (-x, -y, z) are
+    one structure: they certify and double the same way."""
+    z = pleating_candidates(x, y)[0]
+    lifts = [(x, y, z), (-x, y, -z), (x, -y, -z), (-x, -y, z)]
+    certs = [certify(coords(*lift)) for lift in lifts]
+    reference = _certified_fields(certs[0])
+    residuals = doubled_holonomy(certs[0]).relation_residuals
+    for cert in certs[1:]:
+        assert _certified_fields(cert) == reference
+        assert doubled_holonomy(cert).relation_residuals == residuals

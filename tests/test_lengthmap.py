@@ -36,21 +36,10 @@ def _marked(x, y):
     return coords(x, y, z)
 
 
-def test_length_map_fuchsian_slots():
-    slots = lm.length_map(certify(coords(3.0, 3.0, 3.0)))
-    assert slots["a"].kind == "length"
-    assert abs(slots["a"].value - LENGTH_TRACE_3) < 1e-14
-    assert slots["a"].imag_residual < 1e-14
-    assert slots["puncture"].kind == "trace"
-    assert slots["puncture"].value == -2.0
-
-
-def test_length_map_maximal_cusp_slots():
-    slots = lm.length_map(certify(coords(2.0, 2.0, 2.0 + 2.0j)))
-    kinds = [slots[k].kind for k in ("a", "b", "puncture")]
-    values = [slots[k].value for k in ("a", "b", "puncture")]
-    assert kinds == ["trace", "trace", "trace"]
-    assert values == [2.0, 2.0, -2.0]
+def test_complex_curve_length_at_trace_3():
+    length = lm.complex_curve_length(3.0)
+    assert abs(length.real - LENGTH_TRACE_3) < 1e-14
+    assert abs(length.imag) < 1e-14
 
 
 def test_jacobian_closed_form_and_fd():
@@ -389,8 +378,8 @@ def _per_node_volume(path):
     for t in path:
         cert = certify(t)
         assert cert.is_convex
-        lengths = [lm.complex_curve_length(cert.curves[n].trace).real for n in "ab"]
-        phis = [2.0 * (math.pi - cert.curves[n].theta) for n in "ab"]
+        lengths = [lm.complex_curve_length(v).real for v in (cert.coords.x, cert.coords.y)]
+        phis = [2.0 * (math.pi - theta) for theta in (cert.theta_a, cert.theta_b)]
         states.append((lengths, phis))
     full = lm._trapezoid_volume(states)
     half = lm._trapezoid_volume(states[::2])
