@@ -13,7 +13,10 @@ Conventions
 * ``complex_length`` picks the eigenvalue of modulus >= 1 (on a tie, the
   one with nonnegative imaginary part of its log), takes twice its log,
   and folds the imaginary part into (-pi, pi]; each 2*pi fold flips the
-  reported lift sign, so ``2*cosh(value/2) == lift_sign * trace``.
+  reported lift sign, so ``2*cosh(value/2) == lift_sign * trace``.  It
+  works elementwise on a 4-tuple of numpy arrays, with the same rules per
+  element; a tuple of numbers gives a ``complex`` value and an ``int``
+  sign.
 * A circle (or line) on the sphere is carried by its chart, the map
   :func:`circle_chart` that sends it onto the real line.  Points on the
   circle have real images, and the reflection in the circle is complex
@@ -67,8 +70,11 @@ def unimodular(m):
 
 @dataclass(frozen=True)
 class ComplexLength:
-    value: complex
-    lift_sign: int
+    """A ``complex`` and an ``int`` for one map; for array entries, arrays
+    of the entries' shape."""
+
+    value: complex | np.ndarray
+    lift_sign: int | np.ndarray
 
 
 def matrix_distance(m, n):
@@ -181,32 +187,37 @@ def complex_length(m):
 
     The returned value ``lam`` has ``Re lam >= 0`` and
     ``Im lam in (-pi, pi]``, and satisfies
-    ``2*cosh(lam/2) == lift_sign * trace``.
+    ``2*cosh(lam/2) == lift_sign * trace``.  The entries of ``m`` may be
+    numpy arrays: the map is then measured elementwise, and
+    :class:`ParabolicOrIdentity` is raised if any element is parabolic or
+    the identity.
     """
-    cls = classify(m)
-    if cls in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-        raise ParabolicOrIdentity(f"complex length undefined for {cls.value}")
-    t = m[0] + m[3]
-    s = cmath.sqrt(t * t - 4.0)
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in m)
+    # classify's identity and parabolic tests, elementwise.
+    tiny = (np.abs(b) < CLASSIFY_TOL) & (np.abs(c) < CLASSIFY_TOL)
+    plus = (np.abs(a - 1.0) < CLASSIFY_TOL) & (np.abs(d - 1.0) < CLASSIFY_TOL)
+    minus = (np.abs(a + 1.0) < CLASSIFY_TOL) & (np.abs(d + 1.0) < CLASSIFY_TOL)
+    if (tiny & (plus | minus)).any():
+        raise ParabolicOrIdentity("complex length undefined for identity")
+    t = a + d
+    if ((np.abs(t - 2.0) < CLASSIFY_TOL) | (np.abs(t + 2.0) < CLASSIFY_TOL)).any():
+        raise ParabolicOrIdentity("complex length undefined for parabolic")
+    s = np.sqrt(t * t - 4.0)
     k1 = (t + s) / 2.0
     k2 = (t - s) / 2.0
-    if abs(abs(k1) - abs(k2)) <= 1e-12 * (abs(k1) + abs(k2)):
-        # Unit-modulus tie (elliptic): take the log with nonnegative phase.
-        k = k1 if cmath.phase(k1) >= 0.0 else k2
-    elif abs(k1) > abs(k2):
-        k = k1
-    else:
-        k = k2
-    if k == 0:
+    r1, r2 = np.abs(k1), np.abs(k2)
+    # On a unit-modulus tie (elliptic) take the log with nonnegative phase.
+    tie = np.abs(r1 - r2) <= 1e-12 * (r1 + r2)
+    k = np.where(tie, np.where(np.angle(k1) >= 0.0, k1, k2), np.where(r1 > r2, k1, k2))
+    if (k == 0).any():
         raise ZeroMultiplier("vanishing eigenvalue")
-    lam = 2.0 * cmath.log(k)
-    lift = 1
-    if lam.imag > math.pi:
-        lam -= 2.0j * math.pi
-        lift = -1
-    elif lam.imag <= -math.pi:
-        lam += 2.0j * math.pi
-        lift = -1
+    lam = 2.0 * np.log(k)
+    up = lam.imag > math.pi
+    down = lam.imag <= -math.pi
+    lam = np.where(up, lam - 2.0j * math.pi, np.where(down, lam + 2.0j * math.pi, lam))
+    lift = np.where(up | down, -1, 1)
+    if lam.ndim == 0:
+        return ComplexLength(complex(lam), int(lift))
     return ComplexLength(lam, lift)
 
 

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from pleatlab import kernel
 from pleatlab.doubling import _reflection
-from pleatlab.errors import CoincidentPoints, IdentityInput, NumericalOverflow, ZeroMultiplier
+from pleatlab.errors import (
+    CoincidentPoints,
+    IdentityInput,
+    NumericalOverflow,
+    ParabolicOrIdentity,
+    ZeroMultiplier,
+)
 from pleatlab.moebius import (
     IsometryClass,
     balanced_fixed_points,
@@ -193,6 +199,57 @@ def test_complex_length_invariant_random(seed):
     assert abs(lam.value.imag) <= math.pi + 1e-12
     recon = 2.0 * cmath.cosh(lam.value / 2.0)
     assert abs(recon - lam.lift_sign * tr) < 1e-10
+
+
+def _loxodromic_draws(n, seed):
+    """Unimodular random matrices away from trace +-2, as in check_lift."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        e = rng.normal(size=8)
+        m = unimodular(
+            (complex(e[0], e[1]), complex(e[2], e[3]), complex(e[4], e[5]), complex(e[6], e[7]))
+        )
+        if min(abs(_trace(m) - 2.0), abs(_trace(m) + 2.0)) >= 1e-3:
+            out.append(m)
+    return out
+
+
+def test_complex_length_on_arrays_matches_single_calls():
+    """Hyperbolic, the 1.9*pi fold (lift -1) and loxodromic draws in one
+    array agree elementwise with one call per matrix."""
+    fold = cmath.exp(1j * 0.95 * math.pi)
+    ms = [
+        unimodular((2.0, 0.0, 0.0, 0.5)),
+        unimodular((fold, 0.0, 0.0, 1.0 / fold)),
+        *_loxodromic_draws(30, seed=7),
+    ]
+    lam = complex_length(tuple(np.array(entry) for entry in zip(*ms)))
+    assert lam.value.shape == lam.lift_sign.shape == (len(ms),)
+    singles = [complex_length(m) for m in ms]
+    assert lam.lift_sign.tolist() == [one.lift_sign for one in singles]
+    assert lam.lift_sign[1] == -1
+    for value, one in zip(lam.value, singles):
+        assert abs(value - one.value) < 1e-14
+
+
+def test_complex_length_of_numbers_is_a_complex_and_an_int():
+    lam = complex_length(unimodular((2.0, 1.0, 1.5, 1.0)))
+    assert type(lam.value) is complex
+    assert type(lam.lift_sign) is int
+
+
+@pytest.mark.parametrize(
+    "bad", [(1.0, 1.0, 0.0, 1.0), IDENTITY, (-1.0, 0.0, 0.0, -1.0)],
+    ids=["parabolic", "identity", "minus_identity"],
+)
+def test_complex_length_rejects_any_parabolic_or_identity_element(bad):
+    ms = _loxodromic_draws(5, seed=3)
+    ms.insert(2, bad)
+    with pytest.raises(ParabolicOrIdentity):
+        complex_length(tuple(np.array(entry) for entry in zip(*ms)))
+    with pytest.raises(ParabolicOrIdentity):
+        complex_length(bad)
 
 
 def test_chordal_distance_poles():

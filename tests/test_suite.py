@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from pleatlab import suite
+from pleatlab.errors import ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular
+
+_UNIMODULAR_ROWS = suite._unimodular_rows
 
 
 def _skipping_unimodular(m):
@@ -17,12 +20,25 @@ def _skipping_unimodular(m):
     return (1, 1, 0, 1) if m[0].real > 1.0 else m
 
 
+def _skipping_rows(block):
+    """suite._unimodular_rows with _skipping_unimodular's stand-in."""
+    a, b, c, d = _UNIMODULAR_ROWS(block)
+    swap = a.real > 1.0
+    return (
+        np.where(swap, 1, a),
+        np.where(swap, 1, b),
+        np.where(swap, 0, c),
+        np.where(swap, 1, d),
+    )
+
+
 def _lift_reference(samples, seed, tol=1e-10, make=unimodular):
-    """check_lift as one eight-value draw per matrix."""
+    """check_lift as one eight-value draw per matrix; also returns the
+    top-left entries of the matrices it tested."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    tested = 0
-    while tested < samples:
+    tested = []
+    while len(tested) < samples:
         entries = rng.normal(size=8)
         m = make((
             complex(entries[0], entries[1]),
@@ -33,23 +49,62 @@ def _lift_reference(samples, seed, tol=1e-10, make=unimodular):
         tr = m[0] + m[3]
         if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
             continue
-        tested += 1
+        tested.append(m[0])
         lam = complex_length(m)
         recon = 2.0 * cmath.cosh(lam.value / 2.0)
         worst = max(worst, abs(recon - lam.lift_sign * tr))
-    return {"samples": tested, "worst_residual": worst, "tol": tol}
+    return {"samples": len(tested), "worst_residual": worst, "tol": tol}, tested
 
 
 @pytest.mark.parametrize("skipping", [False, True], ids=["plain", "skipping"])
 @pytest.mark.parametrize("samples", [255, 256, 257, 600])
 def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
     """Block draws across block boundaries, with and without skipped
-    draws, give the matrices of one draw per matrix."""
+    draws, test the matrices of one draw per matrix.  The arrays round
+    differently from Python complex arithmetic in the last ulp, so the
+    entries and worst residuals agree to 1e-14, far below the 1e-10 tol."""
+    if skipping:
+        monkeypatch.setattr(suite, "_unimodular_rows", _skipping_rows)
+    tested = []
+
+    def recording_complex_length(m):
+        tested.extend(m[0].tolist())
+        return complex_length(m)
+
+    monkeypatch.setattr(suite, "complex_length", recording_complex_length)
     make = _skipping_unimodular if skipping else unimodular
-    monkeypatch.setattr(suite, "unimodular", make)
     for seed in (1, 4):
-        record = suite.check_lift(samples=samples, seed=seed)
-        assert record["details"] == _lift_reference(samples, seed, make=make)
+        tested.clear()
+        details = suite.check_lift(samples=samples, seed=seed)["details"]
+        reference, reference_tested = _lift_reference(samples, seed, make=make)
+        assert details["samples"] == reference["samples"] == len(tested)
+        assert details["tol"] == reference["tol"]
+        assert abs(details["worst_residual"] - reference["worst_residual"]) <= 1e-14
+        assert np.abs(np.subtract(tested, reference_tested)).max() <= 1e-14
+
+
+def test_unimodular_rows_scale_like_unimodular():
+    """Rows off determinant 1 are rescaled as unimodular rescales one
+    matrix; a row within DET_TOL of determinant 1 comes back as drawn."""
+    block = np.random.default_rng(5).normal(size=(6, 8))
+    block[2] = (2.0, 0.0, 1e-13, 0.0, 0.0, 0.0, 0.5, 0.0)
+    rows = _UNIMODULAR_ROWS(block)
+    assert [row[2] for row in rows] == [2.0, 1e-13, 0.0, 0.5]
+    for i, e in enumerate(block.tolist()):
+        one = unimodular((complex(e[0], e[1]), complex(e[2], e[3]),
+                          complex(e[4], e[5]), complex(e[6], e[7])))
+        assert max(abs(row[i] - x) for row, x in zip(rows, one)) <= 1e-14
+
+
+def test_check_lift_rejects_a_singular_draw(monkeypatch):
+    def singular_rows(block):
+        block = block.copy()
+        block[3, 4:] = 0.0  # c = d = 0 in the fourth row
+        return _UNIMODULAR_ROWS(block)
+
+    monkeypatch.setattr(suite, "_unimodular_rows", singular_rows)
+    with pytest.raises(ZeroMultiplier):
+        suite.check_lift(samples=10)
 
 
 def test_min_monotonicity_of_linear_maps():
