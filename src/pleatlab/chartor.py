@@ -8,29 +8,34 @@ commutator) locus is ``kappa == -2`` and the reducible locus is
 ``kappa == 2``.
 
 ``matrices_from_traces`` realizes a triple by explicit matrices with a
-deterministic normalization:
+deterministic normalization.  Writing ``X = (x-2)(x+2)``,
+``Y = (y-2)(y+2)`` and ``w = 2z - x*y``:
 
-* ``a`` maps to ``[[x/2, (x^2-4)/2], [1/2, x/2]]``;
+* ``a`` maps to ``[[x/2, X/2], [1/2, x/2]]``;
 * ``b`` maps to ``[[y/2, q], [r, y/2]]`` where, writing
-  ``w = 2z - x*y`` and ``S = sqrt(w^2 - (x^2-4)(y^2-4))``,
-  ``r = (y^2-4) / (2*(w + S))`` and ``q = w - (x^2-4)*r``.
+  ``S = sqrt(w^2 - X*Y)``, ``r = Y / (2*(w + S))`` and ``q = w - X*r``.
 
 The denominator ``w + S`` is swapped for ``w - S`` when the latter is
 larger in modulus (the two choices pick the two roots of the same
 quadratic; taking the larger denominator is the numerically stable
 root).  Both denominators vanish together only on the reducible locus,
-which is rejected.  The equal-diagonal shape of both generators is what
-lets downstream code extract axes stably arbitrarily close to the
-parabolic boundary.
+which is rejected: ``w^2 - X*Y = 4*(kappa - 2)``.  The equal-diagonal
+shape of both generators is what lets downstream code extract axes
+stably arbitrarily close to the parabolic boundary.
+
+On the cusped locus ``S = 4i`` and the marked root has
+``w = sqrt(X*Y - 16)``, so ``pair_from_lengths`` writes the normal form
+from the curve lengths: ``X = 4 sinh^2(l_a/2)``, ``Y = 4 sinh^2(l_b/2)``.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from pleatlab import kernel
-from pleatlab.errors import DegenerateNormalization, ReducibleLocus
+from pleatlab.errors import ReducibleLocus
 from pleatlab.moebius import balanced_fixed_points, unimodular
 from pleatlab.words import word_codes
 
@@ -151,25 +156,37 @@ def matrices_from_traces(t):
     """Realize trace coordinates by the documented normal form.
 
     Raises :class:`ReducibleLocus` near ``kappa == 2`` (no irreducible
-    realization) and :class:`DegenerateNormalization` if neither
-    documented root choice is usable (which cannot happen away from the
-    reducible locus; the guard is defensive).
+    realization).
     """
     x, y, z = t.x, t.y, t.z
     if abs(t.kappa - 2.0) < REDUCIBLE_TOL:
         raise ReducibleLocus(f"commutator trace {t.kappa} is too close to 2")
-    a = unimodular((x / 2.0, (x * x - 4.0) / 2.0, 0.5, x / 2.0))
+    big_x = (x - 2.0) * (x + 2.0)
+    big_y = (y - 2.0) * (y + 2.0)
+    a = unimodular((x / 2.0, big_x / 2.0, 0.5, x / 2.0))
     w = 2.0 * z - x * y
-    s = cmath.sqrt(w * w - (x * x - 4.0) * (y * y - 4.0))
-    den_plus = w + s
-    den_minus = w - s
-    den = den_plus if abs(den_plus) >= abs(den_minus) else den_minus
-    if abs(den) < 1e-12:
-        raise DegenerateNormalization("both root choices degenerate")
-    r = (y * y - 4.0) / (2.0 * den)
-    q = w - (x * x - 4.0) * r
+    s = cmath.sqrt(w * w - big_x * big_y)
+    den = max(w + s, w - s, key=abs)
+    r = big_y / (2.0 * den)
+    q = w - big_x * r
     b = unimodular((y / 2.0, q, r, y / 2.0))
     return RepPair(a, b, t)
+
+
+def pair_from_lengths(l_a, l_b):
+    """The marked normal form with curve lengths ``l_a`` and ``l_b``
+    (even in each), in closed form.  Its entries keep full relative
+    precision as a length goes to zero, and a zero length gives an
+    exactly parabolic generator.  Off the bending locus (``X*Y >= 16``)
+    it is the Fuchsian pair at the larger real root.
+    """
+    x, y = (2.0 * math.cosh(v / 2.0) for v in (l_a, l_b))
+    big_x, big_y = (4.0 * math.sinh(v / 2.0) ** 2 for v in (l_a, l_b))
+    w = cmath.sqrt(big_x * big_y - 16.0)
+    r = big_y / (2.0 * (w + 4.0j))
+    a = (x / 2.0, big_x / 2.0, 0.5, x / 2.0)
+    b = (y / 2.0, w - big_x * r, r, y / 2.0)
+    return RepPair(a, b, coords(x, y, (x * y + w) / 2.0))
 
 
 def commuting_canonical_pair(u, h):

@@ -517,7 +517,6 @@ def double_cmd(ctx, x, y, z, out):
         raise click.ClickException(str(exc))
     _emit_json(
         {
-            "lift_signs": list(dh.lift_signs),
             "max_relation_residual": dh.max_relation_residual,
             "meridians": meridians,
             "relation_residuals": dict(dh.relation_residuals),

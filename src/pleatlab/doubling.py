@@ -107,9 +107,6 @@ class DoubledHolonomy:
     certification: object
     evaluator: WordEvaluator
     relation_residuals: dict
-    # Signs of p, q and e against the construction's own lift, which
-    # already satisfies every relation.
-    lift_signs = (1, 1, 1)
 
     def matrix(self, word):
         return self.evaluator.matrix(word)

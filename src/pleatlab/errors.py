@@ -34,10 +34,6 @@ class ReducibleLocus(PleatlabError):
     """Trace coordinates sit on the reducible locus (commutator trace 2)."""
 
 
-class DegenerateNormalization(PleatlabError):
-    """Neither documented matrix normalization applies to these traces."""
-
-
 class NonRealTraces(PleatlabError):
     """A pants group that must have real boundary traces does not."""
 

@@ -35,6 +35,7 @@ from pleatlab.chartor import (
     kappa,
     marked_roots,
     matrices_from_traces,
+    pair_from_lengths,
     pleating_candidates,
 )
 from pleatlab.doubling import doubled_holonomy
@@ -146,30 +147,29 @@ def holo_length_jacobian(t, fd_check=True):
 # Newton solvers over the marked pleating root
 
 
-def marked_coords(l_a, l_b):
-    """Marked-root trace coordinates for the given curve lengths."""
-    x = 2.0 * math.cosh(l_a / 2.0)
-    y = 2.0 * math.cosh(l_b / 2.0)
-    z, _ = pleating_candidates(x, y)
-    return coords(x, y, z)
-
-
-def measure_structure(l_a, l_b):
-    """Lengths and raw geometric bending angles at marked coordinates.
-
-    The angles are evaluated without any parabolic snapping so the map
-    stays smooth arbitrarily close to the cusp; exactly parabolic curve
-    traces report angle pi.
-    """
-    t = marked_coords(l_a, l_b)
-    pair = matrices_from_traces(t)
+def _structure(l_a, l_b, names="ab"):
+    """The pair :func:`pair_from_lengths` builds at ``(l_a, l_b)`` and
+    the bending angles of the curves in ``names``; a zero length makes
+    its curve exactly parabolic, which reads angle pi."""
+    pair = pair_from_lengths(l_a, l_b)
     thetas = []
-    for name in ("a", "b"):
+    for name in names:
         try:
             thetas.append(bending_angle(pair, name))
         except ParabolicOrIdentity:
             thetas.append(math.pi)
-    return t, (abs(l_a), abs(l_b)), tuple(thetas)
+    return pair, thetas
+
+
+def measure_structure(l_a, l_b):
+    """Coordinates, lengths and raw bending angles at curve lengths.
+
+    The pair comes in closed form from :func:`pair_from_lengths`, with no
+    parabolic snapping, so the angles stay smooth arbitrarily close to
+    the cusp; only an exactly zero length reports angle pi.
+    """
+    pair, thetas = _structure(l_a, l_b)
+    return pair.coords, (abs(l_a), abs(l_b)), tuple(thetas)
 
 
 def _solve2(j00, j01, j10, j11, r0, r1):
@@ -203,8 +203,8 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """
     def try_residual(u):
         """Residual at a trial point, or None where it is undefined
-        (overflow or a degenerate structure); the line search treats
-        such points as rejected steps."""
+        (overflow, a degenerate or a bending-free structure); the line
+        search treats such points as rejected steps."""
         try:
             r0, r1 = residual_fn(u)
         except (PleatlabError, OverflowError, ValueError):
@@ -279,22 +279,18 @@ def _target_residual(targets):
         kinds.append(kind)
         values.append(float(value))
 
-    need_angles = any(kind == "angle" for kind in kinds)
+    angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
+    angle_names = "".join("ab"[i] for i in angle_slots)
 
     def residual(u):
-        out = []
-        pair = None
-        if need_angles:
-            pair = matrices_from_traces(marked_coords(u[0], u[1]))
-        for i, (name, kind) in enumerate(zip("ab", kinds)):
-            if kind == "length":
-                out.append(abs(u[i]) - values[i])
-                continue
-            try:
-                theta = bending_angle(pair, name)
-            except ParabolicOrIdentity:
-                theta = math.pi
-            out.append(theta - values[i])
+        out = [abs(u[0]) - values[0], abs(u[1]) - values[1]]
+        if angle_slots:
+            pair, thetas = _structure(u[0], u[1], angle_names)
+            if pair.coords.z.imag == 0.0:
+                # Bending-free: every angle is 0, the residual is flat.
+                raise PleatlabError(f"no bending at lengths {tuple(u)}")
+            for i, theta in zip(angle_slots, thetas):
+                out[i] = theta - values[i]
         return out
 
     return residual
@@ -365,11 +361,6 @@ def solve_targets(targets, seed=(1.0, 1.0)):
         iterations=iterations,
         residual=norm,
     )
-
-
-def solve_for_lengths(l_a, l_b, seed=None):
-    seed = seed or (max(l_a, 0.1), max(l_b, 0.1))
-    return solve_targets({"a": ("length", l_a), "b": ("length", l_b)}, seed=seed)
 
 
 def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0)):

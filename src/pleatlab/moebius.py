@@ -161,18 +161,18 @@ def fixed_points(m):
 def balanced_fixed_points(m):
     """Fixed points of an equal-diagonal unimodular map, stably.
 
-    For matrices of the shape ``[[p, b], [q, p]]`` (with ``q != 0``) the
-    fixed points are ``+/- sqrt((p-1)(p+1)) / q``.  The factored form
-    keeps full relative precision even when the map is extremely close
-    to parabolic, which the generic quadratic solve cannot.  Returns the
-    pair attracting-first when decisive.
+    For matrices of the shape ``[[p, b], [c, p]]`` (with ``c != 0``) the
+    fixed points are ``+/- sqrt(b*c) / c``.  The root of the entries'
+    product, not of ``(p-1)(p+1)``, keeps their full relative precision
+    even extremely close to parabolic, which the generic quadratic solve
+    cannot.  Returns the pair attracting-first when decisive.
     """
     a, b, c, d = m
     if abs(a - d) > 1e-12 * (abs(a) + abs(d)):
         raise PleatlabError("balanced_fixed_points needs equal diagonal entries")
     if c == 0:
         raise PleatlabError("balanced_fixed_points needs a nonzero lower-left entry")
-    s = cmath.sqrt((a - 1.0) * (a + 1.0))
+    s = cmath.sqrt(b * c)
     z_plus = s / c
     z_minus = -s / c
     s_plus = abs(c * z_plus + d)

@@ -201,13 +201,14 @@ def bending_angle(pair, curve):
 
     Positive means convex (the neighbouring plaques fold toward the
     hull), zero is Fuchsian, negative is a concave crease.  Requires the
-    curve's holonomy to be non-parabolic.
+    curve's holonomy to be non-parabolic: :class:`ParabolicOrIdentity`
+    is raised exactly when its equal-diagonal generator has ``b*c == 0``,
+    and a generator however close to parabolic is measured.
     """
     data = SIDE_DATA[CURVE_SIDE[curve]]
     test_letter = "b" if curve == "a" else "a"
     gen, test_gen = (pair.a, pair.b) if curve == "a" else (pair.b, pair.a)
-    trace0 = gen[0] + gen[3]
-    if min(abs(trace0 - 2.0), abs(trace0 + 2.0)) < 1e-13:
+    if gen[1] * gen[2] == 0:
         raise ParabolicOrIdentity("bending angle undefined on a parabolic curve")
     t = pair.coords
     scale = max(1.0, abs(t.x), abs(t.y), abs(t.z))
@@ -382,8 +383,8 @@ def _apply_batch(m, z):
 
 def _balanced_batch(m):
     """``balanced_fixed_points``, and the mask where it raises."""
-    a, _, c, d = m
-    s = np.sqrt((a - 1.0) * (a + 1.0))
+    a, b, c, d = m
+    s = np.sqrt(b * c)
     z_plus = s / c
     z_minus = -s / c
     swap = np.abs(c * z_minus + d) > np.abs(c * z_plus + d)
@@ -502,16 +503,18 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     ) < 1e-12 * scale
     leave = ~np.isfinite(kap) | (np.abs(kap - 2.0) < REDUCIBLE_TOL) | real_coords
     # The normal form of matrices_from_traces.
-    a, bad_a = _moebius_batch((x / 2.0, (x * x - 4.0) / 2.0, 0.5, x / 2.0))
+    big_x = (x - 2.0) * (x + 2.0)
+    big_y = (y - 2.0) * (y + 2.0)
+    a, bad_a = _moebius_batch((x / 2.0, big_x / 2.0, 0.5, x / 2.0))
     w = 2.0 * z - x * y
-    s = np.sqrt(w * w - (x * x - 4.0) * (y * y - 4.0))
+    s = np.sqrt(w * w - big_x * big_y)
     den_plus = w + s
     den_minus = w - s
     den = np.where(np.abs(den_plus) >= np.abs(den_minus), den_plus, den_minus)
-    r = (y * y - 4.0) / (2.0 * den)
-    q = w - (x * x - 4.0) * r
+    r = big_y / (2.0 * den)
+    q = w - big_x * r
     b, bad_b = _moebius_batch((y / 2.0, q, r, y / 2.0))
-    leave |= bad_a | bad_b | (np.abs(den) < 1e-12)
+    leave |= bad_a | bad_b
     gens = {"a": a, "b": b}
     top, top_planar, leave_top = _side_batch(gens, "top", real_tol)
     bottom, bottom_planar, leave_bottom = _side_batch(gens, "bottom", real_tol)

@@ -173,17 +173,14 @@ def check_quakebend(t_param=0.3, tol=1e-8):
 
 def check_relations(n=20, seed=2, tol=1e-9):
     worst = 0.0
-    lifts = set()
     for t in sample_structures(n, seed=seed):
         dh = doubled_holonomy(certify(t))
         worst = max(worst, dh.max_relation_residual)
-        lifts.add(dh.lift_signs)
     return {
         "passed": worst < tol,
         "details": {
             "structures": n,
             "worst_relation_residual": worst,
-            "lift_choices": len(lifts),
             "tol": tol,
         },
     }

@@ -22,6 +22,7 @@ from pleatlab.chartor import (
     kappa,
     marked_roots,
     matrices_from_traces,
+    pair_from_lengths,
     pleating_candidates,
 )
 from pleatlab.errors import ReducibleLocus
@@ -108,6 +109,35 @@ def test_matrices_from_traces_roundtrip_random(seed):
     assert abs(pair.trace("b") - y) < 1e-10 * scale
     assert abs(pair.trace("ab") - z) < 1e-10 * scale
     assert abs(pair.trace("abAB") - kappa(x, y, z)) < 1e-8 * scale**2
+
+
+@pytest.mark.parametrize("l_a,l_b", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.7), (3.0, 3.0), (1e-6, 5.46)])
+def test_pair_from_lengths_is_the_marked_normal_form(l_a, l_b):
+    """The closed form agrees with the trace round trip through the
+    marked root, on and off the bending locus (3, 3 is Fuchsian)."""
+    pair = pair_from_lengths(l_a, l_b)
+    x, y = 2.0 * math.cosh(l_a / 2.0), 2.0 * math.cosh(l_b / 2.0)
+    z = pleating_candidates(x, y)[0]
+    assert (pair.coords.x, pair.coords.y) == (x, y)
+    assert abs(pair.coords.z - z) < 1e-13 * abs(z)
+    ref = matrices_from_traces(coords(x, y, z))
+    for m, n in ((pair.a, ref.a), (pair.b, ref.b)):
+        assert max(abs(p - q) for p, q in zip(m, n)) < 1e-12 * max(map(abs, n))
+        assert abs(m[0] * m[3] - m[1] * m[2] - 1.0) < 1e-12
+    assert abs(pair.trace("abAB") + 2.0) < 1e-11
+
+
+def test_pair_from_lengths_even_in_length():
+    plus = pair_from_lengths(1.2, 0.8)
+    minus = pair_from_lengths(-1.2, 0.8)
+    assert plus.coords == minus.coords
+    assert (plus.a, plus.b) == (minus.a, minus.b)
+
+
+def test_pair_from_lengths_zero_length_is_parabolic():
+    pair = pair_from_lengths(0.0, 1.0)
+    assert pair.a == (1.0, 0.0, 0.5, 1.0)
+    assert pair.trace("a") == 2.0
 
 
 def test_trace_identities():

@@ -277,7 +277,7 @@ def test_double_json():
     result = run("double", "2.2", "2.2")
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert payload["lift_signs"] == [1, 1, 1]
+    assert "lift_signs" not in payload
     assert payload["max_relation_residual"] < 1e-12
     assert payload["meridians"]["a"]["kind"] == "elliptic"
     assert abs(payload["meridians"]["a"]["cone_angle"] - 1.9041352722452904) < 1e-12

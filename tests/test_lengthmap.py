@@ -64,7 +64,7 @@ def test_jacobian_det_vanishes_at_branch_corner():
 
 
 def test_solve_for_lengths_roundtrip():
-    res = lm.solve_for_lengths(1.3, 0.9)
+    res = lm.solve_targets({"a": ("length", 1.3), "b": ("length", 0.9)})
     assert abs(res.lengths[0] - 1.3) < 1e-12
     assert abs(res.lengths[1] - 0.9) < 1e-12
     assert abs(res.coords.x - 2.0 * math.cosh(0.65)) < 1e-12
@@ -90,24 +90,55 @@ def test_solve_mixed_targets():
     assert abs(res.thetas[1] - 2.2) < 1e-9
 
 
-def test_solve_small_angles_uses_homotopy():
+def test_solve_small_angles_uses_homotopy(monkeypatch):
     """Targets hugging the flat boundary need the target continuation."""
-    res = lm.solve_for_angles(0.415, 0.185, seed=(1.0, 1.0))
-    assert abs(res.thetas[0] - 0.415) < 1e-9
-    assert abs(res.thetas[1] - 0.185) < 1e-9
+    runs = []
+
+    def counting(targets, seed):
+        runs.append(targets)
+        return homotopy(targets, seed)
+
+    homotopy = lm._homotopy_solve
+    monkeypatch.setattr(lm, "_homotopy_solve", counting)
+    res = lm.solve_for_angles(0.2, 0.03, seed=(1.0, 1.0))
+    assert len(runs) == 1
+    assert abs(res.thetas[0] - 0.2) < 1e-9
+    assert abs(res.thetas[1] - 0.03) < 1e-9
 
 
 def test_solve_rejects_bad_targets():
     with pytest.raises(TargetOutsideImage):
         lm.solve_for_angles(4.0, 2.0)
     with pytest.raises(TargetOutsideImage):
-        lm.solve_for_lengths(-1.0, 1.0)
+        lm.solve_targets({"a": ("length", -1.0), "b": ("length", 1.0)})
 
 
 def test_newton_divergence_reported():
     residual = lm._target_residual({"a": ("angle", 2.0), "b": ("angle", 2.0)})
     with pytest.raises(NewtonDivergence, match="no convergence after 0 iterations"):
-        lm._newton2(residual, (8.0, 8.0), max_iter=0)
+        lm._newton2(residual, (1.0, 1.0), max_iter=0)
+    # (8, 8) is bending-free: every angle is 0 there, so the residual is
+    # undefined rather than flat.
+    with pytest.raises(NewtonDivergence, match="residual undefined at the seed"):
+        lm._newton2(residual, (8.0, 8.0))
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_solve_near_the_cusp_keeps_the_length(k):
+    """Near the cusp the a-length is (pi - theta_a) / 7.7140172 to first
+    order at theta_b = 0.26; an angle snapped to pi loses it."""
+    res = lm.solve_for_angles(math.pi - 10.0**-k, 0.26, seed=(1.0, 1.0))
+    expected = 10.0**-k / 7.7140172
+    assert abs(res.lengths[0] - expected) <= 1e-3 * expected
+
+
+def test_newton_direct_solve_crosses_moderate_angles():
+    """From (1, 1) the direct solve toward (0.504, 1.256) once met an
+    exactly flat residual in both probes (a singular Jacobian)."""
+    residual = lm._target_residual({"a": ("angle", 0.504), "b": ("angle", 1.256)})
+    u, _, norm = lm._newton2(residual, (1.0, 1.0))
+    assert norm <= lm.NEWTON_TOL
+    assert max(abs(r) for r in residual(u)) <= lm.NEWTON_TOL
 
 
 def test_newton2_converges_on_linear_system():
@@ -453,10 +484,3 @@ def test_cocycle_second_order():
     assert rep["exponent"] > 1.9
     assert rep["constant_residual"] == 0.0
     assert rep["conjugation_residual"] < 1e-3
-
-
-def test_marked_coords_even_in_length():
-    plus = lm.marked_coords(1.2, 0.8)
-    minus = lm.marked_coords(-1.2, 0.8)
-    assert plus.x == minus.x
-    assert plus.z == minus.z

@@ -7,13 +7,20 @@ parameter; the flat and maximal-cusp limits pin the angle range ends.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pleatlab import chartor, kernel, moebius, plaques
-from pleatlab.chartor import coords, marked_roots, matrices_from_traces, pleating_candidates
+from pleatlab.chartor import (
+    coords,
+    marked_roots,
+    matrices_from_traces,
+    pair_from_lengths,
+    pleating_candidates,
+)
 from pleatlab.errors import NotFuchsian, ParabolicOrIdentity, ReducibleLocus
 from pleatlab.moebius import balanced_fixed_points
 from pleatlab.plaques import (
@@ -144,18 +151,18 @@ BENDING_ANGLE_GOLDEN = [
     (2.05, 2.6, 2.562816387902673, 1.7133720742575136),
     (3.0, 2.2, 1.2191493737650188, 1.7915942702058567),
     (2.000001, 2.4, 3.139192653913625, 1.9702209033504605),
-    (2.4, 2.0000001, 1.9702215003429946, 3.140833706962656),
-    (2.0001, 2.0001, 3.1215920702304993, 3.121592070230503),
+    (2.4, 2.0000001, 1.9702215003429946, 3.140833706962219),
+    (2.0001, 2.0001, 3.1215920702304993, 3.1215920702304993),
     (2.82, 2.83, 0.13982462616229396, 0.13932974394001674),
     (2.7, 2.9, 0.45620739990225534, 0.4242454655323211),
-    (2.001, 20.0, 2.4983414198616174, 0.19012566188088353),
+    (2.001, 20.0, 2.4983414198616165, 0.19012566188088087),
     (2.01, 12.0, 1.8601827589200317, 0.2693746816071605),
-    (2.8, 2.01, 1.5813842797224607, 2.861725172339117),
+    (2.8, 2.01, 1.5813842797224595, 2.8617251723391153),
     (2.02, 2.02, 2.8570851311069125, 2.8570851311069125),
     (2.3, 3.2, 1.3196190935799303, 0.9124661189599728),
     (2.000000001, 3.0, 3.141497785256063, 1.4594553113358986),
     (2.6, 2.9, 0.771544949419877, 0.6882008187027191),
-    (5.0, 2.05, 0.6996773566873804, 1.9797831874849194),
+    (5.0, 2.05, 0.6996773566873808, 1.979783187484922),
     (2.25, 2.75, 1.778695043365158, 1.3771819114564394),
     (4.0, 4.0, 0.0, 0.0),
 ]
@@ -167,6 +174,79 @@ def test_bending_angle_golden(x, y, theta_a, theta_b):
     pair = matrices_from_traces(coords(x, y, pleating_candidates(x, y)[0]))
     assert abs(bending_angle(pair, "a") - theta_a) <= 1e-15
     assert abs(bending_angle(pair, "b") - theta_b) <= 1e-15
+
+
+# The roof of bending_angle at 60 digits, on the marked normal form built
+# exactly from X = x^2 - 4 and Y = y^2 - 4 (so exactly on the cusped locus).
+def _mp_mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _mp_inv(m):
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def _mp_apply(m, z):
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
+
+
+def _mp_balanced(m):
+    a, b, c, d = m
+    s = mpmath.sqrt(b * c)
+    plus, minus = s / c, -s / c
+    return (minus, plus) if abs(c * minus + d) > abs(c * plus + d) else (plus, minus)
+
+
+def _mp_pair(x, y, big_x, big_y):
+    w = mpmath.sqrt(mpmath.mpc(big_x * big_y - 16))
+    r = big_y / (2 * (w + mpmath.mpc(0, 4)))
+    return {"a": (x / 2, big_x / 2, mpmath.mpf(0.5), x / 2), "b": (y / 2, w - big_x * r, r, y / 2)}
+
+
+def _mp_angle(gens, curve):
+    gen, other = gens[curve], gens["b" if curve == "a" else "a"]
+    cusp = _mp_mul(_mp_mul(gen, other), _mp_mul(_mp_inv(gen), _mp_inv(other)))
+    vertex = (cusp[0] - cusp[3]) / (2 * cusp[2])
+    att, rep = _mp_balanced(gen)
+    h = (1, -rep, 1, -att)
+    phi1 = mpmath.arg(_mp_apply(h, vertex))
+    turn = 2 * mpmath.pi
+    delta2 = (mpmath.arg(_mp_apply(h, _mp_apply(_mp_inv(other), vertex))) - phi1) % turn
+    for probe in _mp_balanced(other):
+        delta_t = (mpmath.arg(_mp_apply(h, probe)) - phi1) % turn
+        if delta_t not in (0, delta2):
+            return mpmath.pi - (delta2 if 0 < delta_t < delta2 else turn - delta2)
+
+
+ORACLE_TRACES = [(x, y) for x, y, _, _ in BENDING_ANGLE_GOLDEN[:-1]]
+ORACLE_LENGTHS = [(10.0**-k, 5.46) for k in range(4, 13)] + [(0.5, 1e-7)]
+
+
+@pytest.mark.parametrize(
+    "point,built",
+    [(p, "traces") for p in ORACLE_TRACES] + [(p, "lengths") for p in ORACLE_LENGTHS],
+)
+def test_bending_angle_matches_a_60_digit_oracle(point, built):
+    """Both angles lie within 5e-15 of the roof evaluated at 60 digits,
+    at the bent golden points and near the cusp, where the angle is
+    pi - 7.7 l_a and a parabolic snap would be off by that much."""
+    with mpmath.workdps(60):
+        u, v = (mpmath.mpf(c) for c in point)
+        if built == "traces":
+            pair = matrices_from_traces(coords(*point, pleating_candidates(*point)[0]))
+            gens = _mp_pair(u, v, u * u - 4, v * v - 4)
+        else:
+            pair = pair_from_lengths(*point)
+            gens = _mp_pair(
+                2 * mpmath.cosh(u / 2), 2 * mpmath.cosh(v / 2),
+                4 * mpmath.sinh(u / 2) ** 2, 4 * mpmath.sinh(v / 2) ** 2,
+            )
+        for curve in ("a", "b"):
+            assert abs(bending_angle(pair, curve) - _mp_angle(gens, curve)) <= 5e-15
 
 
 def test_plaque_circles_are_distinct_on_bent_structures():
