@@ -39,9 +39,8 @@ SAFE_HI = 2.8
 # step far below the range would otherwise never finish.
 MAX_SWEEP_POINTS = 10**7
 
-# CSV cell conversions, and the text of a false/true flag by index.
+# CSV float cell conversion, and the text of a false/true flag by index.
 _FLOAT = "%.17g"
-_TEXT = "%s"
 _FLAG_TEXT = np.array(["false", "true"], dtype=object)
 
 TOL_ARGUMENTS = {
@@ -76,23 +75,28 @@ def _emit_json(payload, out):
         click.echo(text, nl=False)
 
 
-def _emit_csv(header, formats, rows, out):
+def _float_cells(values, nan_text=None):
+    """``%.17g`` text of a column of floats, formatting each distinct
+    value (by bit pattern, so -0.0 and 0.0 stay apart) once.  NaN cells
+    read ``nan_text`` when it is given."""
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([_FLOAT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[inverse]
+    if nan_text is not None:
+        cells[np.isnan(values)] = nan_text
+    return cells
+
+
+def _emit_csv(header, columns, out):
     """Write ``header`` and one ``\r\n``-terminated line per row.
 
-    ``formats`` holds each column's ``%``-conversion: ``%.17g`` for
-    floats, ``%s`` for text.  A None cell, an undefined value, prints as
-    ``None``.  No cell ever needs quoting: cells are numbers,
+    ``columns`` holds each column's cells as text (:func:`_float_cells`
+    for floats).  No cell ever needs quoting: cells are numbers,
     ``true``/``false``/``None`` and fixed header names.
     """
-    template = ",".join(formats) + "\r\n"
-    lines = [",".join(header) + "\r\n"]
-    for row in rows:
-        try:
-            lines.append(template % row)
-        except TypeError:  # a None in a float column
-            cells = ("None" if v is None else f % v for f, v in zip(formats, row))
-            lines.append(",".join(cells) + "\r\n")
-    text = "".join(lines)
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
+    text = "\r\n".join(lines)
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -356,25 +360,6 @@ def sweep_cmd(ctx, grid_text, out):
         cert = certify_batch(x, y, z, **tols)
     except PleatlabError as exc:
         raise click.ClickException(str(exc))
-    # Python floats for the float columns; an undefined angle is None.
-    angles = [
-        np.where(np.isnan(th), None, th).tolist()
-        for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)
-    ]
-    flags = [
-        _FLAG_TEXT[f.astype(np.intp)].tolist()
-        for f in (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)
-    ]
-    rows = zip(
-        x.tolist(),
-        y.tolist(),
-        z.real.tolist(),
-        z.imag.tolist(),
-        *angles,
-        *flags,
-        cert.max_real_trace_residual.tolist(),
-        cert.max_planarity_residual.tolist(),
-    )
     header = (
         "x",
         "y",
@@ -389,8 +374,17 @@ def sweep_cmd(ctx, grid_text, out):
         "real_trace_residual",
         "planarity_residual",
     )
-    formats = (_FLOAT,) * 7 + (_TEXT,) * 3 + (_FLOAT,) * 2
-    _emit_csv(header, formats, rows, out)
+    # An undefined angle (NaN) prints as None.
+    columns = [
+        *(_float_cells(v) for v in (x, y, z.real, z.imag)),
+        *(_float_cells(th, nan_text="None")
+          for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)),
+        *(_FLAG_TEXT[f.astype(np.intp)]
+          for f in (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)),
+        _float_cells(cert.max_real_trace_residual),
+        _float_cells(cert.max_planarity_residual),
+    ]
+    _emit_csv(header, columns, out)
 
 
 @main.command("trace-ray")
@@ -453,7 +447,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
                 row["volume_error"],
             )
         )
-    _emit_csv(header, (_FLOAT,) * len(header), table, out)
+    _emit_csv(header, [_float_cells(column) for column in zip(*table)], out)
     vols = [row["volume"] for row in rows]
     if any(vols[i + 1] <= vols[i] for i in range(len(vols) - 1)):
         ctx.exit(1)

@@ -16,7 +16,9 @@ manifold.  This module provides:
   the implicit-function theorem from one solve and the angle Jacobian;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
-  Richardson error estimate, plus concavity and monotonicity probes;
+  Richardson error estimate, over paths held as ``(3, n)`` arrays of
+  trace coordinates and integrated a run of paths at a time as arrays,
+  plus concavity and monotonicity probes;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -58,9 +60,11 @@ CONTINUATION_MAX_NEWTON = 8
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
 ANGLE_DERIVATIVE_MARGIN = 0.01
-# Nodes per certify_batch call in schlafli_volumes.  A call costs ~1.5 ms
-# plus ~1.3 us per node (2-CPU x86 host) and holds ~1.1 KB of arrays per
-# node at its peak, so the budget pays the fixed cost rarely and still
+# Nodes per run in schlafli_volumes: one certify_batch call and one
+# array quadrature over paths held as (3, n) complex arrays (48 bytes a
+# node).  A run costs ~0.7 ms plus ~0.9 us per node (2-CPU x86 host) and
+# holds ~1.1 KB of arrays per node at its peak, nearly all of it in
+# certify_batch, so the budget pays the fixed cost rarely and still
 # bounds the memory.
 VOLUME_BATCH_NODES = 1024
 
@@ -413,87 +417,105 @@ def dl_dphi(theta_a, theta_b, seed=(1.0, 1.0)):
 # Volume through the Schlafli form
 
 
-def _trapezoid_volume(states):
-    total = 0.0
-    for k in range(len(states) - 1):
-        (l0, p0), (l1, p1) = states[k], states[k + 1]
-        for i in range(2):
-            total += -0.5 * 0.5 * (l0[i] + l1[i]) * (p1[i] - p0[i])
-    return total
-
-
-def _path_volume(path, theta_a, theta_b):
-    """Trapezoid volume along ``path`` from its certified angles, with the
-    Richardson comparison against the half-resolution node set."""
-    states = []
-    for t, ta, tb in zip(path, theta_a, theta_b):
-        t = t.normalized()
-        lengths = (complex_curve_length(t.x).real, complex_curve_length(t.y).real)
-        states.append((lengths, (2.0 * (math.pi - ta), 2.0 * (math.pi - tb))))
-    full = _trapezoid_volume(states)
-    half = _trapezoid_volume(states[::2] if len(states) % 2 == 1 else states[::2] + [states[-1]])
-    return VolumeResult(
-        value=full,
-        error_estimate=abs(full - half) / 3.0,
-        nodes=len(path),
-    )
-
-
 def _node_batches(paths):
     """Runs of consecutive paths holding at most ``VOLUME_BATCH_NODES``
     nodes together; a longer path forms a run of its own."""
     run, size = [], 0
     for path in paths:
-        if run and size + len(path) > VOLUME_BATCH_NODES:
+        nodes = path.shape[1]
+        if run and size + nodes > VOLUME_BATCH_NODES:
             yield run
             run, size = [], 0
         run.append(path)
-        size += len(path)
+        size += nodes
     if run:
         yield run
+
+
+def _run_volumes(nodes, theta_a, theta_b, sizes):
+    """Trapezoid volumes of consecutive paths of ``sizes`` nodes, whose
+    columns ``nodes`` joins, from their certified angles.
+
+    Every sum runs over one path's own terms, so a path's result does
+    not depend on the paths run with it.  The Richardson comparison is
+    against the half-resolution sum over the longest even prefix of the
+    intervals; with an odd count the last interval's trapezoid is added
+    to both sums.
+    """
+    x, y = (np.where(v.real < 0, -v, v) for v in nodes[:2])
+    lengths = (2.0 * np.arccosh(np.stack((x, y)) / 2.0)).real
+    phis = 2.0 * (math.pi - np.stack((theta_a, theta_b)))
+
+    def trapezoids(width):
+        """The trapezoid over every ``width``-node interval of the run."""
+        terms = -0.5 * 0.5 * (lengths[:, :-width] + lengths[:, width:]) * (
+            phis[:, width:] - phis[:, :-width]
+        )
+        return terms[0] + terms[1]
+
+    sizes = np.asarray(sizes)
+    intervals = sizes - 1
+    starts = np.cumsum(sizes) - sizes
+    # Each node's place in its path, and its path's interval count.
+    local = np.arange(nodes.shape[1]) - np.repeat(starts, sizes)
+    count = np.repeat(intervals, sizes)
+
+    def path_sums(terms, keep, kept):
+        """Per-path sums of the ``keep``-masked terms, ``kept`` a path."""
+        return np.add.reduceat(terms[keep[: terms.size]], np.cumsum(kept) - kept)
+
+    single = trapezoids(1)
+    full = path_sums(single, local < count, intervals)
+    tail = np.where(intervals % 2 == 1, single[starts + intervals - 1], 0.0)
+    half = path_sums(trapezoids(2), (local % 2 == 0) & (local + 1 < count), intervals // 2)
+    half += tail
+    error = np.abs(full - half) / 3.0
+    return [
+        VolumeResult(value=v, error_estimate=e, nodes=n)
+        for v, e, n in zip(full.tolist(), error.tolist(), sizes.tolist())
+    ]
 
 
 def schlafli_volumes(paths):
     """Volume differences along paths of certified structures.
 
-    Each path is a sequence of :class:`TraceCoords` nodes (cusped locus,
-    marked root).  Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid
-    over the nodes; the error estimate is the Richardson comparison
-    against the half-resolution node set.  The nodes of consecutive
-    paths are certified together in :func:`certify_batch` calls of at
-    most ``VOLUME_BATCH_NODES`` nodes (a longer path in one call of its
-    own); the first node in path order that is not convex raises
-    :class:`UncertifiedPathPoint`.  Returns one :class:`VolumeResult`
-    per path.
+    Each path is a ``(3, n)`` complex array whose rows are the trace
+    coordinates x, y and z of its nodes (cusped locus, marked root).
+    Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid over the nodes;
+    the error estimate is the Richardson comparison against the
+    half-resolution node set.  The nodes of consecutive paths are
+    certified together in :func:`certify_batch` calls of at most
+    ``VOLUME_BATCH_NODES`` nodes (a longer path in one call of its own)
+    and integrated together as arrays; the first node in path order
+    that is not convex raises :class:`UncertifiedPathPoint`.  Returns
+    one :class:`VolumeResult` per path.
     """
-    if any(len(path) < 3 for path in paths):
+    paths = [np.asarray(path, dtype=complex) for path in paths]
+    if any(path.shape[1] < 3 for path in paths):
         raise PleatlabError("need at least three path nodes")
     results = []
     for run in _node_batches(paths):
-        nodes = [t for path in run for t in path]
-        cert = certify_batch(*zip(*(t.astuple() for t in nodes)))
+        nodes = np.concatenate(run, axis=1)
+        cert = certify_batch(*nodes)
         uncertified = np.flatnonzero(~cert.is_convex)
         if uncertified.size:
-            t = nodes[uncertified[0]]
+            point = tuple(complex(v) for v in nodes[:, uncertified[0]])
             raise UncertifiedPathPoint(
-                f"path point {t.astuple()} failed convex certification"
+                f"path point {point} failed convex certification"
             )
-        theta_a, theta_b = cert.theta_a.tolist(), cert.theta_b.tolist()
-        start = 0
-        for path in run:
-            stop = start + len(path)
-            results.append(_path_volume(path, theta_a[start:stop], theta_b[start:stop]))
-            start = stop
+        results += _run_volumes(
+            nodes, cert.theta_a, cert.theta_b, [path.shape[1] for path in run]
+        )
     return results
 
 
 def coordinate_segment(t0, t1, nodes):
-    """Linear interpolation between two marked structures in (x, y)."""
+    """Linear interpolation between two marked structures in (x, y): a
+    ``(3, nodes + 1)`` complex array of x, y and the marked root z."""
     s = np.arange(nodes + 1) / nodes
     x = (1 - s) * t0.x.real + s * t1.x.real
     y = (1 - s) * t0.y.real + s * t1.y.real
-    z = marked_roots(x, y)
-    return [coords(*node) for node in zip(x.tolist(), y.tolist(), z.tolist())]
+    return np.array((x, y, marked_roots(x, y)))
 
 
 def volume_between(t0, t1, nodes=64):

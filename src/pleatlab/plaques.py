@@ -258,7 +258,10 @@ def certify(
     Never raises for ordinary geometric failures; those are reported in
     the returned :class:`Certification` flags and residuals.  Raises
     :class:`ReducibleLocus` for coordinates with no irreducible
-    realization.
+    realization.  A curve's angle is pi only when its generator is
+    exactly parabolic; however close to 2 its trace is otherwise, the
+    angle is measured.  ``parabolic_tol`` bounds the puncture's distance
+    from the cusped locus.
     """
     t = t.normalized()
     pair = matrices_from_traces(t)
@@ -274,8 +277,10 @@ def certify(
             plaques[side] = None
             errors[side] = str(exc)
     thetas = []
-    for name, trace, real in (("a", t.x, real_a), ("b", t.y, real_b)):
-        if abs(trace - 2.0) < parabolic_tol:
+    for name, gen, real in (("a", pair.a, real_a), ("b", pair.b, real_b)):
+        if gen[1] * gen[2] == 0:
+            # Exactly parabolic (bending_angle's ParabolicOrIdentity test):
+            # a cusp, whose angle is pi.
             theta = math.pi
         elif plaques[CURVE_SIDE[name]] is not None and real <= real_tol:
             try:
@@ -528,16 +533,8 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     leave |= (angle_a < 0.0) | (angle_b < 0.0)
 
     real_a, real_b, real_k = np.abs(x.imag), np.abs(y.imag), np.abs(kap.imag)
-    theta_a = np.where(
-        np.abs(x - 2.0) < parabolic_tol,
-        math.pi,
-        np.where(real_a <= real_tol, angle_a, np.nan),
-    )
-    theta_b = np.where(
-        np.abs(y - 2.0) < parabolic_tol,
-        math.pi,
-        np.where(real_b <= real_tol, angle_b, np.nan),
-    )
+    theta_a = np.where(real_a <= real_tol, angle_a, np.nan)
+    theta_b = np.where(real_b <= real_tol, angle_b, np.nan)
     cusp_residual = np.abs(kap + 2.0)
     is_pg = (
         (top_planar <= planar_tol)

@@ -36,6 +36,11 @@ def _marked(x, y):
     return coords(x, y, z)
 
 
+def _path(*points):
+    """A quadrature path: the (3, n) array of the points' x, y and z."""
+    return np.array([t.astuple() for t in points]).T
+
+
 def test_complex_curve_length_at_trace_3():
     length = lm.complex_curve_length(3.0)
     assert abs(length.real - LENGTH_TRACE_3) < 1e-14
@@ -130,6 +135,19 @@ def test_solve_near_the_cusp_keeps_the_length(k):
     res = lm.solve_for_angles(math.pi - 10.0**-k, 0.26, seed=(1.0, 1.0))
     expected = 10.0**-k / 7.7140172
     assert abs(res.lengths[0] - expected) <= 1e-3 * expected
+
+
+def test_solve_for_angles_matches_the_explicit_inverse():
+    """On the marked cusped locus cos(theta_a / 2) = tanh(l_a / 2)
+    cosh(l_b / 2), which inverts to cosh(l_a / 2) = sqrt(1 - A^2 B^2) /
+    sin(theta_a / 2) with A = cos(theta_a / 2), B = cos(theta_b / 2)."""
+    rng = np.random.default_rng(14)
+    for theta_a, theta_b in rng.uniform(0.2, 3.0, size=(60, 2)).tolist():
+        res = lm.solve_for_angles(theta_a, theta_b)
+        ab = math.cos(theta_a / 2.0) * math.cos(theta_b / 2.0)
+        for length, theta in zip(res.lengths, (theta_a, theta_b)):
+            expected = 2.0 * math.acosh(math.sqrt(1.0 - ab * ab) / math.sin(theta / 2.0))
+            assert abs(length - expected) <= 1e-11 * expected
 
 
 def test_newton_direct_solve_crosses_moderate_angles():
@@ -351,7 +369,7 @@ def test_volume_path_independence():
 def test_volume_rejects_uncertified_path():
     off_locus = coords(2.2, 2.2, 3.0)  # commutator trace far from -2
     also_off = coords(2.25, 2.25, 3.1)
-    path = [_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3), also_off, _marked(2.4, 2.4)]
+    path = _path(_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3), also_off, _marked(2.4, 2.4))
     with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
         lm.schlafli_volumes([path])[0]
 
@@ -387,8 +405,8 @@ def test_schlafli_volumes_match_one_path_calls(monkeypatch):
 def test_schlafli_volumes_name_first_bad_node_in_path_order():
     off_locus = coords(2.2, 2.2, 3.0)
     later = coords(2.25, 2.25, 3.1)
-    first = [_marked(2.1, 2.1), _marked(2.2, 2.2), _marked(2.3, 2.2), off_locus]
-    second = [later, _marked(2.3, 2.3), _marked(2.4, 2.4)]
+    first = _path(_marked(2.1, 2.1), _marked(2.2, 2.2), _marked(2.3, 2.2), off_locus)
+    second = _path(later, _marked(2.3, 2.3), _marked(2.4, 2.4))
     with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
         lm.schlafli_volumes([first, second])
 
@@ -403,25 +421,43 @@ def test_continuation_volumes_match_per_segment_reference():
         assert (row["volume"], row["volume_error"]) == (volume, error)
 
 
+def _trapezoid(states):
+    total = 0.0
+    for (l0, p0), (l1, p1) in zip(states, states[1:]):
+        for i in range(2):
+            total += -0.5 * 0.5 * (l0[i] + l1[i]) * (p1[i] - p0[i])
+    return total
+
+
 def _per_node_volume(path):
-    """Schlafli quadrature with scalar certify at every node (the reference)."""
+    """Schlafli quadrature with scalar certify at every node (the
+    reference); the Richardson comparison runs over the even prefix of
+    the intervals, with an odd count's last interval added to both sums."""
     states = []
-    for t in path:
-        cert = certify(t)
+    for node in path.T:
+        cert = certify(coords(*node))
         assert cert.is_convex
         lengths = [lm.complex_curve_length(v).real for v in (cert.coords.x, cert.coords.y)]
         phis = [2.0 * (math.pi - theta) for theta in (cert.theta_a, cert.theta_b)]
         states.append((lengths, phis))
-    full = lm._trapezoid_volume(states)
-    half = lm._trapezoid_volume(states[::2])
-    return full, abs(full - half) / 3.0
+    intervals = len(states) - 1
+    prefix = states[: intervals - intervals % 2 + 1]
+    tail = _trapezoid(states[-2:]) if intervals % 2 else 0.0
+    full = _trapezoid(prefix) + tail
+    half = _trapezoid(prefix[::2]) + tail
+    return _trapezoid(states), abs(full - half) / 3.0
 
 
-@pytest.mark.parametrize("ends,nodes", [(((2.1, 2.1), (2.5, 2.4)), 64), (((2.0, 2.2), (2.4, 2.3)), 8)])
+@pytest.mark.parametrize(
+    "ends,nodes",
+    [(((2.1, 2.1), (2.5, 2.4)), 64), (((2.0, 2.2), (2.4, 2.3)), 8),
+     (((2.1, 2.1), (2.5, 2.4)), 33), (((2.3, 2.05), (2.1, 2.5)), 5)],
+)
 def test_schlafli_volume_matches_per_node_certify(ends, nodes):
     path = lm.coordinate_segment(_marked(*ends[0]), _marked(*ends[1]), nodes)
     res = lm.schlafli_volumes([path])[0]
     value, error = _per_node_volume(path)
+    assert res.nodes == nodes + 1
     assert abs(res.value - value) <= 1e-12
     assert abs(res.error_estimate - error) <= 1e-12
 
@@ -429,13 +465,13 @@ def test_schlafli_volume_matches_per_node_certify(ends, nodes):
 def test_coordinate_segment_matches_scalar_roots():
     t0, t1 = _marked(2.0, 2.2), _marked(2.7, 2.05)
     path = lm.coordinate_segment(t0, t1, 16)
-    assert len(path) == 17
-    for k, t in enumerate(path):
+    assert path.shape == (3, 17)
+    for k, node in enumerate(path.T):
         s = k / 16
         x = (1 - s) * 2.0 + s * 2.7
         y = (1 - s) * 2.2 + s * 2.05
         z, _ = pleating_candidates(x, y)
-        for got, want in zip(t.astuple(), (x, y, z)):
+        for got, want in zip(node, (x, y, z)):
             assert abs(got - want) <= 1e-15 * abs(want)
 
 

@@ -249,6 +249,63 @@ def test_bending_angle_matches_a_60_digit_oracle(point, built):
             assert abs(bending_angle(pair, curve) - _mp_angle(gens, curve)) <= 5e-15
 
 
+def _closed_form_angle(l_a, l_b, lib):
+    """The a-curve's bending angle on the marked cusped locus in closed
+    form: cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2), written with
+    P = sinh(l_a / 2) sinh(l_b / 2) as an atan2 that stays accurate near
+    0 and pi."""
+    p = lib.sinh(l_a / 2) * lib.sinh(l_b / 2)
+    return 2 * lib.atan2(lib.sqrt((1 - p) * (1 + p)), lib.sinh(l_a / 2) * lib.cosh(l_b / 2))
+
+
+def test_bending_angle_matches_the_closed_form():
+    """On a seeded grid of lengths (P < 0.999, where the closed form is
+    well-conditioned) both angles of the closed-form pair match it."""
+    rng = np.random.default_rng(14)
+    lengths = rng.uniform(0.0, 4.0, size=(4000, 2))
+    lengths = lengths[np.sinh(lengths[:, 0] / 2) * np.sinh(lengths[:, 1] / 2) < 0.999]
+    assert len(lengths) > 1000
+    worst = 0.0
+    for l_a, l_b in lengths.tolist():
+        pair = pair_from_lengths(l_a, l_b)
+        worst = max(
+            worst,
+            abs(bending_angle(pair, "a") - _closed_form_angle(l_a, l_b, math)),
+            abs(bending_angle(pair, "b") - _closed_form_angle(l_b, l_a, math)),
+        )
+    assert worst <= 2e-14
+
+
+@pytest.mark.parametrize(
+    "point", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.7), (1e-6, 5.46), (1.7, 1.1), (0.5, 1e-7)]
+)
+def test_closed_form_angle_matches_the_60_digit_roof(point):
+    with mpmath.workdps(60):
+        u, v = (mpmath.mpf(c) for c in point)
+        gens = _mp_pair(
+            2 * mpmath.cosh(u / 2), 2 * mpmath.cosh(v / 2),
+            4 * mpmath.sinh(u / 2) ** 2, 4 * mpmath.sinh(v / 2) ** 2,
+        )
+        assert abs(_mp_angle(gens, "a") - _closed_form_angle(u, v, mpmath)) <= 1e-50
+        assert abs(_mp_angle(gens, "b") - _closed_form_angle(v, u, mpmath)) <= 1e-50
+
+
+@pytest.mark.parametrize("k", range(8, 16))
+def test_certify_measures_angles_near_the_cusp(k):
+    """A curve trace within the parabolic tolerance of 2 but not equal to
+    it keeps its measured angle, pi - 3 sqrt(x - 2) to first order at
+    y = 3; only an exactly parabolic curve reads pi."""
+    x = 2.0 + 10.0**-k
+    t = coords(x, 3.0, pleating_candidates(x, 3.0)[0])
+    cert = certify(t)
+    assert cert.is_convex
+    assert cert.theta_a == bending_angle(matrices_from_traces(t), "a")
+    assert cert.theta_a < math.pi
+    assert abs(math.pi - cert.theta_a - 3.0 * math.sqrt(x - 2.0)) <= 1e-3 * (math.pi - cert.theta_a)
+    batch = certify_batch([t.x], [t.y], [t.z])
+    assert batch.theta_a[0] == cert.theta_a
+
+
 def test_plaque_circles_are_distinct_on_bent_structures():
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
     top = plaque_circle(pair, "top")
