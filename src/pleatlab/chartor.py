@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pleatlab import kernel
-from pleatlab.errors import ReducibleLocus
+from pleatlab.errors import NumericalOverflow, ReducibleLocus
 from pleatlab.moebius import balanced_fixed_points, unimodular
 from pleatlab.words import word_codes
 
@@ -114,12 +114,14 @@ def pleating_candidates(x, y):
 
 
 def marked_roots(x, y):
-    """The marked (first) root of :func:`pleating_candidates` over arrays."""
+    """The marked (first) root of :func:`pleating_candidates` over arrays;
+    NaN where the discriminant overflows."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    s = np.sqrt(discriminant(x, y))
-    z1 = (x * y + s) / 2.0
-    z2 = (x * y - s) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(discriminant(x, y))
+        z1 = (x * y + s) / 2.0
+        z2 = (x * y - s) / 2.0
     swap = (z1.imag < z2.imag) | ((z1.imag == z2.imag) & (z1.real < z2.real))
     return np.where(swap, z2, z1)
 
@@ -156,7 +158,7 @@ def matrices_from_traces(t):
     """Realize trace coordinates by the documented normal form.
 
     Raises :class:`ReducibleLocus` near ``kappa == 2`` (no irreducible
-    realization).
+    realization), and where both denominators ``w +/- S`` vanish.
     """
     x, y, z = t.x, t.y, t.z
     if abs(t.kappa - 2.0) < REDUCIBLE_TOL:
@@ -167,6 +169,12 @@ def matrices_from_traces(t):
     w = 2.0 * z - x * y
     s = cmath.sqrt(w * w - big_x * big_y)
     den = max(w + s, w - s, key=abs)
+    if den == 0:
+        # w = S = 0: the coordinates are reducible to double precision,
+        # although the rounded kappa missed 2.
+        raise ReducibleLocus(
+            f"trace coordinates {t.astuple()} are reducible to double precision"
+        )
     r = big_y / (2.0 * den)
     q = w - big_x * r
     b = unimodular((y / 2.0, q, r, y / 2.0))
@@ -178,10 +186,14 @@ def pair_from_lengths(l_a, l_b):
     (even in each), in closed form.  Its entries keep full relative
     precision as a length goes to zero, and a zero length gives an
     exactly parabolic generator.  Off the bending locus (``X*Y >= 16``)
-    it is the Fuchsian pair at the larger real root.
+    it is the Fuchsian pair at the larger real root.  Raises
+    :class:`NumericalOverflow` when ``X`` or ``Y`` overflows.
     """
-    x, y = (2.0 * math.cosh(v / 2.0) for v in (l_a, l_b))
-    big_x, big_y = (4.0 * math.sinh(v / 2.0) ** 2 for v in (l_a, l_b))
+    try:
+        x, y = (2.0 * math.cosh(v / 2.0) for v in (l_a, l_b))
+        big_x, big_y = (4.0 * math.sinh(v / 2.0) ** 2 for v in (l_a, l_b))
+    except OverflowError:
+        raise NumericalOverflow(f"lengths {(l_a, l_b)} leave the float range") from None
     w = cmath.sqrt(big_x * big_y - 16.0)
     r = big_y / (2.0 * (w + 4.0j))
     a = (x / 2.0, big_x / 2.0, 0.5, x / 2.0)

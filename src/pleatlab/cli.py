@@ -220,6 +220,11 @@ def _parse_grid(text):
             raise click.UsageError(f"bad grid axis {part!r}: non-finite field")
         if step <= 0 or hi < lo:
             raise click.UsageError(f"bad grid axis {part!r}: need MIN <= MAX and STEP > 0")
+        if lo + step == lo or hi + step == hi:
+            # Else MIN + k*STEP can round back and never pass MAX.
+            raise click.UsageError(
+                f"bad grid axis {part!r}: STEP is below the float resolution of MIN or MAX"
+            )
         axes.append((lo, hi, step))
     return tuple(axes)
 

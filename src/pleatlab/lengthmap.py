@@ -8,17 +8,22 @@ manifold.  This module provides:
 
 * the holomorphic Jacobian of (length, length, commutator trace) in the
   trace chart, in closed form with a finite-difference cross-check;
+* the explicit inverse of the length map on the marked cusped locus,
+  ``explicit_lengths``, which places angle and mixed targets in closed
+  form;
 * damped Newton solvers for length, angle, and mixed targets over the
   marked pleating root, with a one-sided difference Jacobian whose
   probes never cross a zero length and a closing chord step that takes
-  each solution to round-off;
+  each solution to round-off; a solve that diverges from its seed runs
+  once more from the explicit lengths;
 * the angle-space derivative matrix ``d(lengths)/d(cone angles)``, by
-  the implicit-function theorem from one solve and the angle Jacobian;
+  the implicit-function theorem at the explicitly placed structure;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
   Richardson error estimate, over paths held as ``(3, n)`` arrays of
   trace coordinates and integrated a run of paths at a time as arrays,
-  plus concavity and monotonicity probes;
+  plus concavity and monotonicity probes along angle paths whose
+  samples are placed by the explicit inverse;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -44,6 +49,7 @@ from pleatlab.doubling import doubled_holonomy
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
+    NumericalOverflow,
     ParabolicOrIdentity,
     PleatlabError,
     TargetOutsideImage,
@@ -56,7 +62,6 @@ from pleatlab.words import WordEvaluator, random_reduced_word
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_FD_STEP = 1e-6
-CONTINUATION_MAX_NEWTON = 8
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
 ANGLE_DERIVATIVE_MARGIN = 0.01
@@ -98,7 +103,9 @@ def holo_length_jacobian(t, fd_check=True):
     """Closed-form Jacobian of (length_a, length_b, kappa) at ``t``.
 
     Raises :class:`CoordinateDegeneracy` when either curve trace is too
-    close to +/-2 for the length coordinate to be differentiable.  The
+    close to +/-2 for the length coordinate to be differentiable, and
+    :class:`NumericalOverflow` when the determinant, an entry or the
+    cross-check residual is not finite.  The
     optional cross-check compares every entry against central finite
     differences taken in both the real and the imaginary coordinate
     directions (verifying holomorphy as well as the formulas).
@@ -117,6 +124,7 @@ def holo_length_jacobian(t, fd_check=True):
         (2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y),
     )
     det = 4.0 * (2.0 * z - x * y) / (sx * sy)
+    values = [det, *(v for row in rows for v in row)]
     fd_residual = None
     if fd_check:
         def f(xx, yy, zz):
@@ -140,6 +148,9 @@ def holo_length_jacobian(t, fd_check=True):
                 for i in range(3):
                     approx = (fu[i] - fd[i]) / (2.0 * h * direction)
                     fd_residual = max(fd_residual, abs(approx - rows[i][j]))
+        values.append(fd_residual)
+    if not all(cmath.isfinite(v) for v in values):
+        raise NumericalOverflow(f"the length Jacobian at {t.astuple()} leaves the float range")
     return {
         "matrix": rows,
         "det": det,
@@ -266,23 +277,24 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     return u, iterations, norm
 
 
-def _target_residual(targets):
-    """Build the residual function for per-curve (kind, value) targets."""
-    kinds = []
-    values = []
+def _parse_targets(targets):
+    """The validated ``(kind, value)`` targets of curves a and b."""
+    parsed = []
     for name in ("a", "b"):
         kind, value = targets[name]
         if kind not in ("length", "angle"):
             raise PleatlabError(f"unknown target kind {kind!r}")
         if kind == "angle" and not 0.0 < value <= math.pi:
-            raise TargetOutsideImage(
-                f"bending-angle target {value} outside (0, pi]"
-            )
+            raise TargetOutsideImage(f"bending-angle target {value} outside (0, pi]")
         if kind == "length" and value < 0.0:
             raise TargetOutsideImage(f"length target {value} is negative")
-        kinds.append(kind)
-        values.append(float(value))
+        parsed.append((kind, float(value)))
+    return parsed
 
+
+def _target_residual(targets):
+    """Build the residual function for per-curve (kind, value) targets."""
+    kinds, values = zip(*_parse_targets(targets))
     angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
     angle_names = "".join("ab"[i] for i in angle_slots)
 
@@ -300,48 +312,44 @@ def _target_residual(targets):
     return residual
 
 
-def _homotopy_solve(targets, seed):
-    """March the targets from the seed's own measured values.
+def _half_angle(theta):
+    """``cos`` and ``sin`` of ``theta / 2``, the cosine taken as
+    ``sin((pi - theta) / 2)``: it keeps its relative precision near pi
+    and is exactly 0 at the angle pi."""
+    return math.sin((math.pi - theta) / 2.0), math.sin(theta / 2.0)
 
-    The residual at the seed is zero for the blended target at s = 0 by
-    construction, so adaptive stepping in s turns a divergent direct
-    solve into a chain of short, well-seeded ones.  Used near the flat
-    (bending-free) boundary where the angle map loses smoothness.
+
+def explicit_lengths(targets):
+    """The curve lengths ``(l_a, l_b)`` that hit ``targets`` (as for
+    :func:`solve_targets`) exactly.
+
+    On the marked cusped locus ``cos(theta_a/2) = tanh(l_a/2) cosh(l_b/2)``
+    and the same with a and b swapped, so the length map inverts in
+    closed form, with no cancellation: for two angles
+    ``sinh(l_a/2) = sin(theta_b/2) cot(theta_a/2)`` and its mirror; for a
+    length ``l_a`` and an angle ``theta_b``
+    ``sinh(l_b/2) = cos(theta_b/2) / hypot(sinh(l_a/2), sin(theta_b/2))``,
+    and its mirror.  An angle pi gives a length of exactly 0.  Raises
+    :class:`NumericalOverflow` when a length leaves the float range.
     """
-    _, lengths, thetas = measure_structure(seed[0], seed[1])
-    start = {}
-    for i, name in enumerate(("a", "b")):
-        kind, _ = targets[name]
-        start[name] = lengths[i] if kind == "length" else thetas[i]
-    u = (float(seed[0]), float(seed[1]))
-    s = 0.0
-    step = 0.5
-    total_iterations = 0
-    norm = math.inf
-    while s < 1.0:
-        s_try = min(1.0, s + step)
-        blended = {
-            name: (
-                targets[name][0],
-                (1.0 - s_try) * start[name] + s_try * targets[name][1],
-            )
-            for name in ("a", "b")
-        }
-        try:
-            u_new, iterations, norm = _newton2(_target_residual(blended), u, max_iter=20)
-        except NewtonDivergence:
-            step /= 2.0
-            if step < 1.0 / 4096.0:
-                raise NewtonDivergence(
-                    f"target homotopy stalled at s={s:.4f}"
-                ) from None
-            continue
-        u = u_new
-        s = s_try
-        total_iterations += iterations
-        if s < 1.0:
-            step = min(step * 2.0, 1.0 - s)
-    return u, total_iterations, norm
+    (kind_a, value_a), (kind_b, value_b) = _parse_targets(targets)
+    lengths = [value_a, value_b]
+    try:
+        if kind_a == kind_b == "angle":
+            cos_a, sin_a = _half_angle(value_a)
+            cos_b, sin_b = _half_angle(value_b)
+            lengths = [2.0 * math.asinh(sin_b * (cos_a / sin_a)),
+                       2.0 * math.asinh(sin_a * (cos_b / sin_b))]
+        elif "angle" in (kind_a, kind_b):
+            i = (kind_a, kind_b).index("angle")
+            cos_t, sin_t = _half_angle(lengths[i])
+            sinh_other = math.sinh(lengths[1 - i] / 2.0)
+            lengths[i] = 2.0 * math.asinh(cos_t / math.hypot(sinh_other, sin_t))
+        if all(math.isfinite(v) for v in lengths):
+            return tuple(lengths)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise NumericalOverflow(f"the lengths for targets {targets} leave the float range")
 
 
 def solve_targets(targets, seed=(1.0, 1.0)):
@@ -349,14 +357,14 @@ def solve_targets(targets, seed=(1.0, 1.0)):
 
     ``targets``: dict with keys "a" and "b", values ``("length", v)`` or
     ``("angle", v)``.  ``seed`` is a pair of starting curve lengths.
-    When the direct damped Newton iteration diverges, the solve is
-    retried as a continuation in target space.
+    When the damped Newton iteration from the seed diverges, it runs once
+    more from :func:`explicit_lengths`.
     """
     residual_fn = _target_residual(targets)
     try:
         u, iterations, norm = _newton2(residual_fn, seed)
     except NewtonDivergence:
-        u, iterations, norm = _homotopy_solve(targets, seed)
+        u, iterations, norm = _newton2(residual_fn, explicit_lengths(targets))
     t, lengths, thetas = measure_structure(u[0], u[1])
     return NewtonResult(
         coords=t,
@@ -371,18 +379,30 @@ def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0)):
     return solve_targets({"a": ("angle", theta_a), "b": ("angle", theta_b)}, seed=seed)
 
 
+def _place_angles(theta_a, theta_b):
+    """The structure at the explicit lengths of two angle targets, as a
+    :class:`NewtonResult` with no iterations whose residual is the
+    measured angles' largest miss."""
+    t, lengths, thetas = measure_structure(
+        *explicit_lengths({"a": ("angle", theta_a), "b": ("angle", theta_b)})
+    )
+    miss = max(abs(thetas[0] - theta_a), abs(thetas[1] - theta_b))
+    return NewtonResult(t, lengths, thetas, iterations=0, residual=miss)
+
+
 # ---------------------------------------------------------------------------
 # Angle-space derivative of the lengths
 
 
-def dl_dphi(theta_a, theta_b, seed=(1.0, 1.0)):
+def dl_dphi(theta_a, theta_b):
     """Matrix of d(lengths)/d(cone angles) at the given bending angles.
 
     Cone angles are ``phi_i = 2*(pi - theta_i)``.  The base point is
-    solved once; by the implicit-function theorem the derivative there
+    placed at :func:`explicit_lengths`; by the implicit-function theorem
+    the derivative there
     is ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
     difference of the angle residual with step ``NEWTON_FD_STEP`` (four
-    residuals, no further solves).  Requires both angles at least
+    residuals, no solve).  Requires both angles at least
     ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values 0 and pi.
     """
     for val in (theta_a, theta_b):
@@ -390,7 +410,7 @@ def dl_dphi(theta_a, theta_b, seed=(1.0, 1.0)):
             raise CoordinateDegeneracy(
                 "bending angles too close to 0 or pi for the angle derivative"
             )
-    base = solve_for_angles(theta_a, theta_b, seed=seed)
+    base = _place_angles(theta_a, theta_b)
     residual = _target_residual({"a": ("angle", theta_a), "b": ("angle", theta_b)})
     h = NEWTON_FD_STEP
     cols = []
@@ -529,94 +549,43 @@ def volume_between(t0, t1, nodes=64):
 # Continuation in angle space
 
 
-def continuation_to_angles(theta_start, theta_end, samples=12, seed=(1.0, 1.0),
-                           max_newton=CONTINUATION_MAX_NEWTON,
-                           max_depth=8, substeps=8):
-    """Walk a straight segment in angle space, solving at each sample.
+def continuation_to_angles(theta_start, theta_end, samples=12, substeps=8):
+    """Sample a straight segment in angle space and integrate its volume.
 
-    Each sample is seeded by linear extrapolation from the last two
-    solved samples, or by the last lengths where that prediction is not
-    positive.  The step is halved (by inserting intermediate targets)
-    whenever the Newton solve needs more than ``max_newton`` iterations
-    or diverges.  Returns a list of rows with the path parameter, solved
-    structure, lengths, angles, and the cumulative volume (integrated
-    segmentwise through the Schlafli form with ``substeps`` quadrature
-    intervals per step).  Raises
-    :class:`PleatlabError` before any solve when ``samples < 1`` or
-    ``substeps < 2``.
+    The sample at ``s = k / samples`` is placed at the
+    :func:`explicit_lengths` of its target angles and measured; its
+    ``result`` is a :class:`NewtonResult` with ``iterations`` 0 and the
+    measured angles' largest miss as ``residual``.  Returns a list of
+    rows with the path parameter, that result, and the cumulative volume
+    (integrated segmentwise through the Schlafli form with ``substeps``
+    quadrature intervals per step).  Raises :class:`PleatlabError` before
+    placing any sample when ``samples < 1`` or ``substeps < 2``.
     """
     if samples < 1:
         raise PleatlabError(f"need at least one sample, got {samples}")
     if substeps < 2:
         raise PleatlabError(f"need at least two substeps, got {substeps}")
-    theta_start = tuple(theta_start)
-    theta_end = tuple(theta_end)
-    solved = []
-
-    def solve_at(s):
-        target = tuple((1 - s) * theta_start[i] + s * theta_end[i] for i in range(2))
-        return solve_targets(
-            {"a": ("angle", target[0]), "b": ("angle", target[1])}, seed=predict(s)
-        )
-
-    def predict(s):
-        """Secant seed for the sample at ``s``."""
-        if not solved:
-            return seed
-        s1, last = solved[-1]
-        if len(solved) == 1:
-            return last.lengths
-        s0, prev = solved[-2]
-        w = (s - s1) / (s1 - s0)
-        guess = tuple(a + w * (a - b) for a, b in zip(last.lengths, prev.lengths))
-        return guess if min(guess) > 0.0 else last.lengths
-
-    def advance(s, depth=0):
-        """Append solved samples up to ``s``, halving the step on failure."""
-        lo = solved[-1][0]
-        try:
-            res = solve_at(s)
-            if res.iterations <= max_newton:
-                solved.append((s, res))
-                return
-        except NewtonDivergence:
-            if depth >= max_depth:
-                raise
-            res = None
-        if depth >= max_depth:
-            solved.append((s, res))
-            return
-        mid = (lo + s) / 2.0
-        advance(mid, depth + 1)
-        advance(s, depth + 1)
-
-    solved.append((0.0, solve_at(0.0)))
-    for k in range(1, samples + 1):
-        advance(k / samples)
+    svals = [k / samples for k in range(samples + 1)]
+    placed = [
+        _place_angles(*((1 - s) * a + s * b for a, b in zip(theta_start, theta_end)))
+        for s in svals
+    ]
     segments = schlafli_volumes([
         coordinate_segment(prev.coords, res.coords, substeps)
-        for (_, prev), (_, res) in zip(solved, solved[1:])
+        for prev, res in zip(placed, placed[1:])
     ])
-    rows = []
-    cumulative = 0.0
-    err = 0.0
-    for idx, (s, res) in enumerate(solved):
-        if idx > 0:
-            seg = segments[idx - 1]
-            cumulative += seg.value
-            err += seg.error_estimate
-        rows.append(
-            {
-                "s": s,
-                "result": res,
-                "volume": cumulative,
-                "volume_error": err,
-            }
-        )
+    rows = [{"s": 0.0, "result": placed[0], "volume": 0.0, "volume_error": 0.0}]
+    for s, res, seg in zip(svals[1:], placed[1:], segments):
+        rows.append({
+            "s": s,
+            "result": res,
+            "volume": rows[-1]["volume"] + seg.value,
+            "volume_error": rows[-1]["volume_error"] + seg.error_estimate,
+        })
     return rows
 
 
-def concavity_probe(theta_start, theta_end, samples=10, substeps=24, seed=(1.0, 1.0)):
+def concavity_probe(theta_start, theta_end, samples=10, substeps=24):
     """Volume concavity along a straight angle path.
 
     Returns the sampled volumes, their second differences, and whether
@@ -624,7 +593,7 @@ def concavity_probe(theta_start, theta_end, samples=10, substeps=24, seed=(1.0, 
     accumulated quadrature error.
     """
     rows = continuation_to_angles(
-        theta_start, theta_end, samples=samples, seed=seed, substeps=substeps
+        theta_start, theta_end, samples=samples, substeps=substeps
     )
     vols = [r["volume"] for r in rows]
     svals = [r["s"] for r in rows]
@@ -633,8 +602,6 @@ def concavity_probe(theta_start, theta_end, samples=10, substeps=24, seed=(1.0, 
     for k in range(1, len(vols) - 1):
         h1 = svals[k] - svals[k - 1]
         h2 = svals[k + 1] - svals[k]
-        if h1 <= 0 or h2 <= 0:
-            continue
         second.append(
             2.0 * (h1 * vols[k + 1] - (h1 + h2) * vols[k] + h2 * vols[k - 1])
             / (h1 * h2 * (h1 + h2))
@@ -649,7 +616,7 @@ def concavity_probe(theta_start, theta_end, samples=10, substeps=24, seed=(1.0, 
     }
 
 
-def ray_to_cusp(theta_start, samples=10, seed=(1.0, 1.0), substeps=16):
+def ray_to_cusp(theta_start, samples=10, substeps=16):
     """Walk the angle ray from ``theta_start`` toward (pi, pi).
 
     Returns continuation rows; volume must be strictly increasing along
@@ -657,7 +624,7 @@ def ray_to_cusp(theta_start, samples=10, seed=(1.0, 1.0), substeps=16):
     """
     end = (math.pi, math.pi)
     return continuation_to_angles(
-        theta_start, end, samples=samples, seed=seed, substeps=substeps
+        theta_start, end, samples=samples, substeps=substeps
     )
 
 

@@ -516,6 +516,7 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     den_plus = w + s
     den_minus = w - s
     den = np.where(np.abs(den_plus) >= np.abs(den_minus), den_plus, den_minus)
+    leave |= den == 0  # reducible to double precision, as in matrices_from_traces
     r = big_y / (2.0 * den)
     q = w - big_x * r
     b, bad_b = _moebius_batch((y / 2.0, q, r, y / 2.0))

@@ -153,6 +153,15 @@ def test_reducible_locus_rejected():
         matrices_from_traces(coords(2.0, 2.0, 2.0))
 
 
+def test_coordinates_reducible_to_rounding_rejected():
+    """At (2, 3.75e8) the marked root rounds to z = y, so w and S both
+    vanish, while the rounded kappa reads -2."""
+    t = coords(2.0, 3.75e8, pleating_candidates(2.0, 3.75e8)[0])
+    assert t.kappa == -2.0
+    with pytest.raises(ReducibleLocus):
+        matrices_from_traces(t)
+
+
 def test_normalized_flips_signs():
     t = coords(-2.2, -2.4, 3.0 + 1.0j)
     n = t.normalized()

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -229,6 +231,47 @@ def test_sweep_oversized_grid_exits_two():
     assert run("sweep", "--grid", "2.0:2.8:1e-300,2.0:2.8:0.1").exit_code == 2
     # 3163 x 3163 points, just above the 10**7 cap.
     assert run("sweep", "--grid", "2.0:2.8:0.000253,2.0:2.8:0.000253").exit_code == 2
+
+
+@pytest.mark.parametrize("axis", ["1e300:1e300:1", "1e16:1e16:1", "2:1e300:1e280"])
+def test_sweep_stalled_axis_rejected_at_parse(axis):
+    """An axis whose step is below the float resolution of its ends
+    would round MIN + k*STEP back onto MIN without end."""
+    with pytest.raises(click.UsageError, match="float resolution"):
+        cli._parse_grid(f"{axis},2:2:1")
+
+
+EDGE_INPUTS = [
+    # Reducible to double precision although kappa reads -2.
+    ("certify", "2", "375000000"),
+    ("double", "2", "375000000", "375000000"),
+    ("volume", "--start", "2,2.5", "--end", "2,3.75e8"),
+    ("--force", "sweep", "--grid", "2:2:1,3.75e8:3.75e8:1"),
+    # Beyond the float range.
+    ("jacobian", "1e160", "2.5"),
+    ("jacobian", "2.2", "2.2", "1e308"),
+    ("volume", "--start", "2.1,2.1", "--end", "1e300,2.1"),
+    ("trace-ray", "--start", "1e-300,1e-300"),
+    ("trace-ray", "--start", "1e-300,1"),
+    # Near the cusp.
+    ("trace-ray", "--start", "3.14159,1e-8", "--samples", "2"),
+    ("trace-ray", "--start", "3.14159265358979,3.0"),
+]
+
+
+@pytest.mark.parametrize("args", EDGE_INPUTS, ids=" ".join)
+def test_edge_inputs_end_cleanly(args):
+    """Exit 0, 1 or 2 with no traceback and no RuntimeWarning, and no
+    undefined (null) value in a successful report."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args)
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if result.exit_code == 0:
+        assert "null" not in result.output
 
 
 def test_tolerance_flag_applies():

@@ -16,6 +16,7 @@ from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
+    NumericalOverflow,
     PleatlabError,
     TargetOutsideImage,
     UncertifiedPathPoint,
@@ -62,6 +63,13 @@ def test_jacobian_degenerate_coordinates_rejected():
         lm.holo_length_jacobian(t)
 
 
+@pytest.mark.parametrize("t", [_marked(1e160, 2.5), coords(2.2, 2.2, 1e308)],
+                         ids=["overflowing-root", "huge-z"])
+def test_jacobian_beyond_float_range_raises(t):
+    with pytest.raises(NumericalOverflow):
+        lm.holo_length_jacobian(t)
+
+
 def test_jacobian_det_vanishes_at_branch_corner():
     corner = 2.0 * math.sqrt(2.0)
     rep = lm.holo_length_jacobian(_marked(corner - 1e-10, corner - 1e-10))
@@ -96,19 +104,65 @@ def test_solve_mixed_targets():
 
 
 def test_solve_small_angles_uses_homotopy(monkeypatch):
-    """Targets hugging the flat boundary need the target continuation."""
+    """Targets hugging the flat boundary diverge from (1, 1); the solve
+    then runs once more from the explicit lengths."""
     runs = []
 
-    def counting(targets, seed):
+    def counting(targets):
         runs.append(targets)
-        return homotopy(targets, seed)
+        return explicit(targets)
 
-    homotopy = lm._homotopy_solve
-    monkeypatch.setattr(lm, "_homotopy_solve", counting)
+    explicit = lm.explicit_lengths
+    monkeypatch.setattr(lm, "explicit_lengths", counting)
     res = lm.solve_for_angles(0.2, 0.03, seed=(1.0, 1.0))
     assert len(runs) == 1
     assert abs(res.thetas[0] - 0.2) < 1e-9
     assert abs(res.thetas[1] - 0.03) < 1e-9
+
+
+_KINDS = [("angle", "angle"), ("length", "angle"), ("angle", "length"), ("length", "length")]
+
+
+@pytest.mark.parametrize("kinds", _KINDS, ids="-".join)
+def test_explicit_lengths_round_trip(kinds):
+    """The measured structure at the explicit lengths hits every target."""
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        values = [
+            float(rng.uniform(0.1, math.pi) if kind == "angle" else rng.uniform(0.05, 4.0))
+            for kind in kinds
+        ]
+        targets = {name: (kind, v) for name, kind, v in zip("ab", kinds, values)}
+        _, lengths, thetas = lm.measure_structure(*lm.explicit_lengths(targets))
+        for kind, v, length, theta in zip(kinds, values, lengths, thetas):
+            assert abs((theta if kind == "angle" else length) - v) <= 1e-13
+
+
+@pytest.mark.parametrize("other", [("angle", math.pi), ("angle", 0.7), ("length", 1.3)],
+                         ids=["cusp", "angle", "length"])
+def test_explicit_lengths_at_angle_pi_are_exactly_zero(other):
+    l_a, _ = lm.explicit_lengths({"a": ("angle", math.pi), "b": other})
+    _, l_b = lm.explicit_lengths({"a": other, "b": ("angle", math.pi)})
+    assert l_a == 0.0 and l_b == 0.0
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [{"a": ("angle", 1e-300), "b": ("angle", 1.0)},
+     {"a": ("angle", 5e-324), "b": ("angle", 1.0)},
+     {"a": ("length", 2000.0), "b": ("angle", 1.0)}],
+    ids=["tiny-angle", "subnormal-angle", "long-length"],
+)
+def test_explicit_lengths_beyond_float_range_raise(targets):
+    with pytest.raises(NumericalOverflow):
+        lm.measure_structure(*lm.explicit_lengths(targets))
+
+
+def test_lengths_beyond_float_range_raise():
+    with pytest.raises(NumericalOverflow):
+        lm.measure_structure(2000.0, 1.0)
+    with pytest.raises(NumericalOverflow):
+        lm.solve_targets({"a": ("length", 2000.0), "b": ("length", 1.0)})
 
 
 def test_solve_rejects_bad_targets():
@@ -302,53 +356,26 @@ def test_dl_dphi_matches_richardson_reference(thetas):
                                    dict(substeps=0)], ids=str)
 def test_path_probes_reject_bad_sizes_before_solving(probe, args, sizes, monkeypatch):
     calls = []
-    monkeypatch.setattr(lm, "solve_targets", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(lm, "explicit_lengths", lambda *a, **kw: calls.append(a))
     with pytest.raises(PleatlabError, match="need at least"):
         probe(**args, **sizes)
     assert calls == []
 
 
-def test_continuation_secant_seeds():
-    """From the third sample on, each solve is seeded on the line through
-    the last two solved lengths."""
-    seeds = []
-    solve = lm.solve_targets
-
-    def recording(targets, seed=(1.0, 1.0), **kw):
-        seeds.append(tuple(seed))
-        return solve(targets, seed=seed, **kw)
-
-    rows = lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=4,
-                                     seed=(0.9, 1.1))
-    assert len(rows) == 5
-    lengths = [r["result"].lengths for r in rows]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lm, "solve_targets", recording)
-        lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=4,
-                                  seed=(0.9, 1.1))
-    assert seeds[:2] == [(0.9, 1.1), lengths[0]]
-    for k in range(2, 5):
-        want = tuple(2.0 * a - b for a, b in zip(lengths[k - 1], lengths[k - 2]))
-        assert seeds[k] == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
-def test_continuation_seed_falls_back_when_prediction_not_positive(monkeypatch):
-    """Lengths (1, 1) then (0.3, 0.9) extrapolate to (-0.4, 0.8): the third
-    solve is seeded with the last lengths instead."""
-    seeds = []
-    lengths = iter([(1.0, 1.0), (0.3, 0.9)])
-
-    def fake_solve(targets, seed=(1.0, 1.0), **kw):
-        seeds.append(tuple(seed))
-        try:
-            return lm.NewtonResult(None, next(lengths), None, iterations=0, residual=0.0)
-        except StopIteration:
-            raise RuntimeError("stop") from None
-
-    monkeypatch.setattr(lm, "solve_targets", fake_solve)
-    with pytest.raises(RuntimeError, match="stop"):
-        lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=2)
-    assert seeds == [(1.0, 1.0), (1.0, 1.0), (0.3, 0.9)]
+@pytest.mark.parametrize("start,samples", [((0.3, 0.25), 10), ((1.0, 2.5), 3)])
+def test_continuation_rows_sit_at_their_samples(start, samples):
+    """Row k sits at s = k / samples, on its target angles, and the cusp
+    row reads exactly pi with lengths 0."""
+    rows = lm.ray_to_cusp(start, samples=samples, substeps=4)
+    assert [r["s"] for r in rows] == [k / samples for k in range(samples + 1)]
+    for r in rows:
+        res = r["result"]
+        target = [(1 - r["s"]) * a + r["s"] * math.pi for a in start]
+        assert res.iterations == 0
+        assert max(abs(got - want) for got, want in zip(res.thetas, target)) == res.residual
+        assert res.residual <= 1e-13
+    end = rows[-1]["result"]
+    assert end.thetas == (math.pi, math.pi) and end.lengths == (0.0, 0.0)
 
 
 def test_volume_between_frozen():
@@ -473,21 +500,6 @@ def test_coordinate_segment_matches_scalar_roots():
         z, _ = pleating_candidates(x, y)
         for got, want in zip(node, (x, y, z)):
             assert abs(got - want) <= 1e-15 * abs(want)
-
-
-def test_continuation_subdivision_refines_each_interval():
-    """With a one-iteration budget every step subdivides; each half is
-    refined in turn, so the parameters rise strictly and hit their targets."""
-    start, end = (1.0, 1.0), (2.0, 2.5)
-    rows = lm.continuation_to_angles(start, end, samples=3, max_newton=1, max_depth=3)
-    svals = [r["s"] for r in rows]
-    assert len(rows) > 4  # subdivision happened
-    assert all(b > a for a, b in zip(svals, svals[1:]))
-    assert svals[0] == 0.0 and svals[-1] == 1.0
-    for r in rows:
-        target = [(1 - r["s"]) * a + r["s"] * b for a, b in zip(start, end)]
-        for got, want in zip(r["result"].thetas, target):
-            assert abs(got - want) <= 1e-8
 
 
 def test_ray_to_cusp_monotone_and_lands():

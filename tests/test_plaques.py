@@ -462,3 +462,6 @@ def test_certify_batch_matches_scalar_beyond_float_range():
 def test_certify_batch_reducible_point_raises():
     with pytest.raises(ReducibleLocus):
         certify_batch([2.2, 2.0], [2.2, 2.0], [MARKED_ROOT_22, 2.0])
+    # Reducible to double precision although kappa reads -2.
+    with pytest.raises(ReducibleLocus):
+        certify_batch([2.2, 2.0], [2.2, 3.75e8], [MARKED_ROOT_22, 3.75e8])
