@@ -36,7 +36,7 @@ import numpy as np
 
 from pleatlab import kernel
 from pleatlab.errors import NumericalOverflow, ReducibleLocus
-from pleatlab.moebius import balanced_fixed_points, unimodular
+from pleatlab.moebius import fixed_points, unimodular
 from pleatlab.words import word_codes
 
 REDUCIBLE_TOL = 1e-8
@@ -103,9 +103,17 @@ def pleating_candidates(x, y):
     imaginary part (the marked structure, bending the a-curve on the
     upper side) comes first; its conjugate-mirror partner second.  On
     the Fuchsian locus the two roots are real and ordered larger-first.
+    Raises :class:`NumericalOverflow`, naming ``(x, y)``, where the
+    discriminant leaves the float range.
     """
+    point = (x, y)
     x, y = complex(x), complex(y)
-    s = cmath.sqrt(discriminant(x, y))
+    disc = discriminant(x, y)
+    if not cmath.isfinite(disc):
+        raise NumericalOverflow(
+            f"pleating quadratic at (x, y) = {point} leaves the float range"
+        )
+    s = cmath.sqrt(disc)
     z1 = (x * y + s) / 2.0
     z2 = (x * y - s) / 2.0
     if z1.imag < z2.imag or (z1.imag == z2.imag and z1.real < z2.real):
@@ -138,11 +146,11 @@ class RepPair:
         self._balanced = {}
 
     def balanced_points(self, letter):
-        """:func:`balanced_fixed_points` of generator ``letter`` ("a" or
-        "b"), computed once per pair."""
+        """:func:`fixed_points` of generator ``letter`` ("a" or "b"),
+        computed once per pair."""
         points = self._balanced.get(letter)
         if points is None:
-            points = balanced_fixed_points(self.a if letter == "a" else self.b)
+            points = fixed_points(self.a if letter == "a" else self.b)
             self._balanced[letter] = points
         return points
 

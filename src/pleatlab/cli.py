@@ -195,7 +195,10 @@ def _structure_from_args(x_text, y_text, z_text):
     if z_text is None:
         if x.imag != 0.0 or y.imag != 0.0:
             raise click.UsageError("omitting Z requires real X and Y")
-        z, _ = pleating_candidates(x.real, y.real)
+        try:
+            z, _ = pleating_candidates(x.real, y.real)
+        except PleatlabError as exc:
+            raise click.ClickException(str(exc))
     else:
         z = _parse_complex(z_text, "Z")
     return coords(x, y, z)
@@ -473,9 +476,9 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
     nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
     if nodes < 2:
         raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
-    z0, _ = pleating_candidates(x0, y0)
-    z1, _ = pleating_candidates(x1, y1)
     try:
+        z0, _ = pleating_candidates(x0, y0)
+        z1, _ = pleating_candidates(x1, y1)
         result = volume_between(coords(x0, y0, z0), coords(x1, y1, z1), nodes=nodes)
     except PleatlabError as exc:
         raise click.ClickException(str(exc))

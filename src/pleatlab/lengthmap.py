@@ -222,7 +222,7 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         search treats such points as rejected steps."""
         try:
             r0, r1 = residual_fn(u)
-        except (PleatlabError, OverflowError, ValueError):
+        except (OverflowError, ValueError):  # PleatlabError is a ValueError
             return None
         if not (math.isfinite(r0) and math.isfinite(r1)):
             return None
@@ -459,8 +459,8 @@ def _run_volumes(nodes, theta_a, theta_b, sizes):
     Every sum runs over one path's own terms, so a path's result does
     not depend on the paths run with it.  The Richardson comparison is
     against the half-resolution sum over the longest even prefix of the
-    intervals; with an odd count the last interval's trapezoid is added
-    to both sums.
+    intervals; with an odd count, the last interval's own error is taken
+    as half the Richardson estimate over the last two intervals.
     """
     x, y = (np.where(v.real < 0, -v, v) for v in nodes[:2])
     lengths = (2.0 * np.arccosh(np.stack((x, y)) / 2.0)).real
@@ -484,12 +484,14 @@ def _run_volumes(nodes, theta_a, theta_b, sizes):
         """Per-path sums of the ``keep``-masked terms, ``kept`` a path."""
         return np.add.reduceat(terms[keep[: terms.size]], np.cumsum(kept) - kept)
 
-    single = trapezoids(1)
+    single, double = trapezoids(1), trapezoids(2)
     full = path_sums(single, local < count, intervals)
-    tail = np.where(intervals % 2 == 1, single[starts + intervals - 1], 0.0)
-    half = path_sums(trapezoids(2), (local % 2 == 0) & (local + 1 < count), intervals // 2)
-    half += tail
-    error = np.abs(full - half) / 3.0
+    last = starts + intervals - 1
+    odd = intervals % 2 == 1
+    half = path_sums(double, (local % 2 == 0) & (local + 1 < count), intervals // 2)
+    half += np.where(odd, single[last], 0.0)
+    last_pair = single[last - 1] + single[last] - double[last - 1]
+    error = np.abs((full - half) / 3.0 + np.where(odd, last_pair / 6.0, 0.0))
     return [
         VolumeResult(value=v, error_estimate=e, nodes=n)
         for v, e, n in zip(full.tolist(), error.tolist(), sizes.tolist())
@@ -503,7 +505,8 @@ def schlafli_volumes(paths):
     coordinates x, y and z of its nodes (cusped locus, marked root).
     Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid over the nodes;
     the error estimate is the Richardson comparison against the
-    half-resolution node set.  The nodes of consecutive paths are
+    half-resolution node set (see :func:`_run_volumes` for odd interval
+    counts).  The nodes of consecutive paths are
     certified together in :func:`certify_batch` calls of at most
     ``VOLUME_BATCH_NODES`` nodes (a longer path in one call of its own)
     and integrated together as arrays; the first node in path order

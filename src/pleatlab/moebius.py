@@ -8,8 +8,13 @@ standing for infinity.
 
 Conventions
 -----------
-* ``fixed_points`` orders the pair attracting-first whenever the
-  derivative test is strictly decisive, otherwise keeps the solver order.
+* ``fixed_points`` orders the pair attracting first: the point ``z``
+  with the larger ``|c z + d|`` (the map's derivative there is
+  ``1 / (c z + d)^2``).  On a tie, as for elliptic and parabolic maps,
+  the order is the formula's: ``+sqrt(b*c) / c`` before
+  ``-sqrt(b*c) / c`` for equal diagonal entries, otherwise the larger
+  root before the smaller, and infinity before the finite point when
+  ``c == 0``.
 * ``complex_length`` picks the eigenvalue of modulus >= 1 (on a tie, the
   one with nonnegative imaginary part of its log), takes twice its log,
   and folds the imaginary part into (-pi, pi]; each 2*pi fold flips the
@@ -27,7 +32,6 @@ Conventions
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,20 +41,11 @@ from pleatlab.errors import (
     IdentityInput,
     NumericalOverflow,
     ParabolicOrIdentity,
-    PleatlabError,
     ZeroMultiplier,
 )
 
-CLASSIFY_TOL = 1e-10
+PARABOLIC_TOL = 1e-10
 DET_TOL = 1e-12
-
-
-class IsometryClass(Enum):
-    IDENTITY = "identity"
-    PARABOLIC = "parabolic"
-    ELLIPTIC = "elliptic"
-    PURELY_HYPERBOLIC = "purely_hyperbolic"
-    LOXODROMIC = "loxodromic"
 
 
 def unimodular(m):
@@ -66,6 +61,21 @@ def unimodular(m):
     if abs(det - 1.0) > DET_TOL:
         (a, b, c, d), _ = kernel.normalize_unimodular((a, b, c, d))
     return (complex(a), complex(b), complex(c), complex(d))
+
+
+def unimodular_batch(m):
+    """:func:`unimodular` over a 4-tuple of equal-shape complex arrays,
+    and the mask of singular entries, where :func:`unimodular` raises.
+
+    Each entry is rescaled exactly when :func:`unimodular` would rescale
+    it, by the same operations; singular entries come back as given, so
+    no division by zero warns.
+    """
+    det = m[0] * m[3] - m[1] * m[2]
+    singular = np.abs(det) < 1e-14
+    rescale = (np.abs(det - 1.0) > DET_TOL) & ~singular
+    s = np.sqrt(np.where(rescale, det, 1.0))
+    return tuple(np.where(rescale, v / s, v) for v in m), singular
 
 
 @dataclass(frozen=True)
@@ -100,86 +110,46 @@ def chordal_distance(z, w):
     return 2.0 * abs(z - w) / math.sqrt((1.0 + az * az) * (1.0 + aw * aw))
 
 
-def classify(m):
-    """Conjugacy type of a map from its trace."""
-    a, b, c, d = m
-    # matrix_distance to the identity and to its negative, entry by entry.
-    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) < CLASSIFY_TOL:
-        return IsometryClass.IDENTITY
-    if max(abs(a + 1.0), abs(b), abs(c), abs(d + 1.0)) < CLASSIFY_TOL:
-        return IsometryClass.IDENTITY
-    t = a + d
-    if abs(t - 2.0) < CLASSIFY_TOL or abs(t + 2.0) < CLASSIFY_TOL:
-        return IsometryClass.PARABOLIC
-    if abs(t.imag) < CLASSIFY_TOL:
-        if abs(t.real) < 2.0:
-            return IsometryClass.ELLIPTIC
-        return IsometryClass.PURELY_HYPERBOLIC
-    return IsometryClass.LOXODROMIC
-
-
 def fixed_points(m):
-    """Fixed points on the sphere, attracting first when decisive.
+    """The two fixed points of ``m`` on the sphere, attracting first.
 
-    Parabolic maps return their single fixed point twice.  The identity
-    raises :class:`IdentityInput`.
+    They are the roots of ``c z^2 + (d - a) z - b``.  With equal diagonal
+    entries they are ``+/- sqrt(b*c) / c``: the root of the entries'
+    product, not of ``(a-1)(a+1)``, keeps full relative precision next to
+    a parabolic map.  Otherwise the larger root is ``q / (2c)`` with
+    ``q = (a-d) +/- sqrt((a-d)^2 + 4bc)``, the sign chosen so that ``q``
+    is the larger in modulus, and the smaller is ``-2b / q``, so neither
+    suffers cancellation.  ``c == 0`` fixes infinity (``None``); a
+    parabolic map returns its fixed point twice.  Raises
+    :class:`IdentityInput` for the exact identity (or its negative) and
+    :class:`NumericalOverflow` when a root leaves the float range.
     """
-    cls = classify(m)
-    if cls is IsometryClass.IDENTITY:
-        raise IdentityInput("every point is fixed")
     a, b, c, d = m
-    if cls is IsometryClass.PARABOLIC:
-        if c == 0:
-            return (None, None)
-        p = (a - d) / (2.0 * c)
-        return (p, p)
     if c == 0:
-        zstar = b / (d - a)
-        if abs(a) > abs(d):
-            return (None, zstar)
-        if abs(d) > abs(a):
-            return (zstar, None)
-        return (None, zstar)
-    coeffs = [c, d - a, -b]
-    if all(x.imag == 0.0 for x in coeffs):
-        # The real-coefficient path keeps the solver's conjugate-pair
-        # ordering (positive imaginary part first) and avoids noise.
-        coeffs = [x.real for x in coeffs]
-    # np.roots divides by the leading coefficient; past the float range
-    # its companion matrix is not finite.
-    if not all(cmath.isfinite(x / coeffs[0]) for x in coeffs[1:]):
-        raise NumericalOverflow("fixed-point quadratic overflows the float range")
-    roots = np.roots(coeffs)
-    z1, z2 = complex(roots[0]), complex(roots[1])
-    s1 = abs(c * z1 + d)
-    s2 = abs(c * z2 + d)
-    if s2 > s1:
+        if a == d:
+            if b == 0:
+                raise IdentityInput("every point is fixed")
+            return (None, None)
+        # z -> (a z + b) / d: infinity attracts when |a| > |d|.
+        z = b / (d - a)
+        if not cmath.isfinite(z):
+            raise NumericalOverflow(f"fixed point of {m} leaves the float range")
+        return (z, None) if abs(d) > abs(a) else (None, z)
+    if a == d:
+        s = cmath.sqrt(b * c)
+        z1 = s / c
+        z2 = -s / c
+    else:
+        e = a - d
+        r = cmath.sqrt(e * e + 4.0 * b * c)
+        q = max(e + r, e - r, key=abs)
+        z1 = q / (2.0 * c)
+        z2 = -2.0 * b / q
+    if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
+        raise NumericalOverflow(f"fixed points of {m} leave the float range")
+    if abs(c * z2 + d) > abs(c * z1 + d):
         return (z2, z1)
     return (z1, z2)
-
-
-def balanced_fixed_points(m):
-    """Fixed points of an equal-diagonal unimodular map, stably.
-
-    For matrices of the shape ``[[p, b], [c, p]]`` (with ``c != 0``) the
-    fixed points are ``+/- sqrt(b*c) / c``.  The root of the entries'
-    product, not of ``(p-1)(p+1)``, keeps their full relative precision
-    even extremely close to parabolic, which the generic quadratic solve
-    cannot.  Returns the pair attracting-first when decisive.
-    """
-    a, b, c, d = m
-    if abs(a - d) > 1e-12 * (abs(a) + abs(d)):
-        raise PleatlabError("balanced_fixed_points needs equal diagonal entries")
-    if c == 0:
-        raise PleatlabError("balanced_fixed_points needs a nonzero lower-left entry")
-    s = cmath.sqrt(b * c)
-    z_plus = s / c
-    z_minus = -s / c
-    s_plus = abs(c * z_plus + d)
-    s_minus = abs(c * z_minus + d)
-    if s_minus > s_plus:
-        return (z_minus, z_plus)
-    return (z_plus, z_minus)
 
 
 def complex_length(m):
@@ -193,14 +163,14 @@ def complex_length(m):
     the identity.
     """
     a, b, c, d = (np.asarray(x, dtype=complex) for x in m)
-    # classify's identity and parabolic tests, elementwise.
-    tiny = (np.abs(b) < CLASSIFY_TOL) & (np.abs(c) < CLASSIFY_TOL)
-    plus = (np.abs(a - 1.0) < CLASSIFY_TOL) & (np.abs(d - 1.0) < CLASSIFY_TOL)
-    minus = (np.abs(a + 1.0) < CLASSIFY_TOL) & (np.abs(d + 1.0) < CLASSIFY_TOL)
+    # The identity or its negative, entry by entry within PARABOLIC_TOL.
+    tiny = (np.abs(b) < PARABOLIC_TOL) & (np.abs(c) < PARABOLIC_TOL)
+    plus = (np.abs(a - 1.0) < PARABOLIC_TOL) & (np.abs(d - 1.0) < PARABOLIC_TOL)
+    minus = (np.abs(a + 1.0) < PARABOLIC_TOL) & (np.abs(d + 1.0) < PARABOLIC_TOL)
     if (tiny & (plus | minus)).any():
         raise ParabolicOrIdentity("complex length undefined for identity")
     t = a + d
-    if ((np.abs(t - 2.0) < CLASSIFY_TOL) | (np.abs(t + 2.0) < CLASSIFY_TOL)).any():
+    if ((np.abs(t - 2.0) < PARABOLIC_TOL) | (np.abs(t + 2.0) < PARABOLIC_TOL)).any():
         raise ParabolicOrIdentity("complex length undefined for parabolic")
     s = np.sqrt(t * t - 4.0)
     k1 = (t + s) / 2.0
@@ -233,9 +203,9 @@ def map_to_zero_infinity(p_zero, p_inf):
 
 
 def rotation_about_axis(m, angle):
-    """Elliptic rotation by ``angle`` about the axis of the
-    equal-diagonal map ``m`` (see :func:`balanced_fixed_points`)."""
-    att, rep = balanced_fixed_points(m)
+    """Elliptic rotation by ``angle`` about the axis of the map ``m``,
+    the geodesic between its :func:`fixed_points`."""
+    att, rep = fixed_points(m)
     g = map_to_zero_infinity(rep, att)
     h = cmath.exp(0.5j * angle)
     core = unimodular((h, 0.0, 0.0, 1.0 / h))

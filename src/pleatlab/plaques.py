@@ -51,13 +51,13 @@ from pleatlab.errors import (
     ReducibleLocus,
 )
 from pleatlab.moebius import (
-    DET_TOL,
     chordal_distance,
     circle_chart,
     fixed_points,
     map_to_zero_infinity,
     rotation_about_axis,
     unimodular,
+    unimodular_batch,
 )
 
 REAL_TRACE_TOL = 1e-6
@@ -224,11 +224,8 @@ def bending_angle(pair, curve):
     d2 = kernel.apply_mobius(h, kernel.apply_mobius(kernel.mat_inv(test_gen), s))
     if d1 is None or d2 is None or abs(d1) < 1e-13 or abs(d2) < 1e-13:
         raise PleatlabError("degenerate roof: cusp point on the curve axis")
-    if test_gen[2] == 0:
-        # The normal form's parabolic case: the fixed point is infinity.
-        probes = (None,)
-    else:
-        probes = pair.balanced_points(test_letter)
+    # A parabolic normal-form generator (c == 0) fixes only infinity.
+    probes = pair.balanced_points(test_letter)
     phi1 = cmath.phase(d1)
     delta2 = (cmath.phase(d2) - phi1) % (2.0 * math.pi)
     psi = None
@@ -371,14 +368,6 @@ def _word_batch(gens, word):
     return reduce(kernel.mat_mul, factors)
 
 
-def _moebius_batch(m):
-    """``unimodular``'s det-1 normalization, and the mask where it raises."""
-    det = m[0] * m[3] - m[1] * m[2]
-    rescale = np.abs(det - 1.0) > DET_TOL
-    s = np.sqrt(det)
-    return tuple(np.where(rescale, v / s, v) for v in m), np.abs(det) < 1e-14
-
-
 def _apply_batch(m, z):
     """``apply_mobius`` at finite points, and the mask of images at infinity."""
     num = m[0] * z + m[1]
@@ -387,13 +376,14 @@ def _apply_batch(m, z):
 
 
 def _balanced_batch(m):
-    """``balanced_fixed_points``, and the mask where it raises."""
+    """``fixed_points`` of equal-diagonal maps, and the mask of entries
+    that take another branch of it (unequal diagonal, ``c == 0``)."""
     a, b, c, d = m
     s = np.sqrt(b * c)
     z_plus = s / c
     z_minus = -s / c
     swap = np.abs(c * z_minus + d) > np.abs(c * z_plus + d)
-    bad = (np.abs(a - d) > 1e-12 * (np.abs(a) + np.abs(d))) | (c == 0)
+    bad = (a != d) | (c == 0)
     return np.where(swap, z_minus, z_plus), np.where(swap, z_plus, z_minus), bad
 
 
@@ -471,7 +461,7 @@ def _roof_batch(gens, side, axis_points, test_points):
     att, rep, vertex = axis_points
     dist, leave = _chordal_batch(rep, att)
     leave |= dist < 1e-14
-    h, bad = _moebius_batch((1.0, -rep, 1.0, -att))
+    h, bad = unimodular_batch((1.0, -rep, 1.0, -att))
     leave |= bad
     # The neighbouring plaque's cusp point, moved as in bending_angle.
     translate = kernel.mat_inv(gens[SIDE_DATA[side]["test_letter"]])
@@ -510,7 +500,7 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     # The normal form of matrices_from_traces.
     big_x = (x - 2.0) * (x + 2.0)
     big_y = (y - 2.0) * (y + 2.0)
-    a, bad_a = _moebius_batch((x / 2.0, big_x / 2.0, 0.5, x / 2.0))
+    a, bad_a = unimodular_batch((x / 2.0, big_x / 2.0, 0.5, x / 2.0))
     w = 2.0 * z - x * y
     s = np.sqrt(w * w - big_x * big_y)
     den_plus = w + s
@@ -519,7 +509,7 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     leave |= den == 0  # reducible to double precision, as in matrices_from_traces
     r = big_y / (2.0 * den)
     q = w - big_x * r
-    b, bad_b = _moebius_batch((y / 2.0, q, r, y / 2.0))
+    b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
     gens = {"a": a, "b": b}
     top, top_planar, leave_top = _side_batch(gens, "top", real_tol)

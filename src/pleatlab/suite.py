@@ -20,7 +20,7 @@ from pleatlab.chartor import (
     pleating_candidates,
 )
 from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
-from pleatlab.errors import ZeroMultiplier
+from pleatlab.errors import PleatlabError, ZeroMultiplier
 from pleatlab.lengthmap import (
     cocycle_check,
     concavity_probe,
@@ -33,7 +33,7 @@ from pleatlab.lengthmap import (
     solve_for_angles,
     solve_targets,
 )
-from pleatlab.moebius import DET_TOL, complex_length
+from pleatlab.moebius import complex_length, unimodular_batch
 from pleatlab.plaques import certify, certify_batch, quakebend
 
 GRID_MIN = 2.05
@@ -69,18 +69,6 @@ def _grid_values():
 # 1. complex length against the lifted trace
 
 
-def _unimodular_rows(block):
-    """Each row of eight draws as the entries ``(a, b, c, d)``, real and
-    imaginary parts in turn, scaled to determinant 1 as ``moebius.unimodular``
-    scales one matrix; returns four complex arrays."""
-    a, b, c, d = block.view(complex).T
-    det = a * d - b * c
-    if (np.abs(det) < 1e-14).any():
-        raise ZeroMultiplier("matrix is singular, no Moebius map")
-    s = np.where(np.abs(det - 1.0) > DET_TOL, np.sqrt(det), 1.0)
-    return a / s, b / s, c / s, d / s
-
-
 def check_lift(samples=10_000, seed=1, tol=1e-10):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -88,8 +76,12 @@ def check_lift(samples=10_000, seed=1, tol=1e-10):
     while tested < samples:
         # A block never holds more rows than samples still missing, so the
         # generator yields the same values as drawing one row at a time.
+        # Each row of eight draws holds the entries (a, b, c, d), real and
+        # imaginary parts in turn.
         block = rng.normal(size=(min(LIFT_BLOCK, samples - tested), 8))
-        a, b, c, d = _unimodular_rows(block)
+        (a, b, c, d), singular = unimodular_batch(tuple(block.view(complex).T))
+        if singular.any():
+            raise ZeroMultiplier("matrix is singular, no Moebius map")
         tr = a + d
         kept = ~(np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) < 1e-3)
         tested += int(kept.sum())
@@ -414,7 +406,7 @@ def check_newton(seed=7, tol=1e-8):
         for s in seeds:
             try:
                 sols.append(solve_targets(target, seed=s))
-            except Exception:
+            except PleatlabError:
                 failures += 1
                 return 0.0
         ref = sols[0].coords

@@ -48,18 +48,20 @@ class WordEvaluator:
 
 
 def random_reduced_word(rng, letters, min_len=1, max_len=12):
-    """A nonempty freely reduced word, drawn with the given numpy RNG."""
+    """A nonempty freely reduced word, drawn with the given numpy RNG.
+
+    The length is uniform in ``[min_len, max_len]``; each letter is
+    uniform over the symbols (``letters``, then their inverses) that do
+    not cancel the previous one, one ``rng.integers`` draw per letter.
+    """
+    if min_len < 1:
+        raise PleatlabError(f"a nonempty word needs min_len >= 1, got {min_len}")
+    n = len(letters)
     symbols = list(letters) + [ch.upper() for ch in letters]
     length = int(rng.integers(min_len, max_len + 1))
-    while True:
-        out = []
-        for _ in range(length):
-            choices = [
-                s
-                for s in symbols
-                if not (out and s != out[-1] and s.lower() == out[-1].lower())
-            ]
-            out.append(choices[int(rng.integers(0, len(choices)))])
-        word = "".join(out)
-        if word:
-            return word
+    out = [int(rng.integers(0, 2 * n))]
+    for _ in range(length - 1):
+        # Skip the inverse of the previous symbol, n places away.
+        k = int(rng.integers(0, 2 * n - 1))
+        out.append(k + (k >= (out[-1] + n) % (2 * n)))
+    return "".join(symbols[k] for k in out)

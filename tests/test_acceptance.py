@@ -54,3 +54,10 @@ def test_doubling_criteria_at_seed_offsets(seed_offset):
     assert [r["name"] for r in records] == names
     for record in records:
         assert record["passed"], (record["name"], record["details"])
+
+
+def test_every_criterion_at_spread_seed_offsets():
+    """All twelve criteria pass at ten seed offsets spread over [1, 200)."""
+    for seed_offset in range(1, 200, 22):
+        for record in suite.run_suite(seed_offset=seed_offset):
+            assert record["passed"], (seed_offset, record["name"], record["details"])

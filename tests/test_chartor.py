@@ -7,6 +7,7 @@ z^2 - 4.84 z + 9.68 = 0 and the pair trace is sqrt(24).
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pleatlab.chartor import (
     pair_from_lengths,
     pleating_candidates,
 )
-from pleatlab.errors import ReducibleLocus
+from pleatlab.errors import NumericalOverflow, ReducibleLocus
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 CANONICAL_V_32 = 4.898979485566356  # sqrt(24)
@@ -68,6 +69,15 @@ def test_marked_roots_match_pleating_candidates():
     z1, z2 = pleating_candidates(3.0, 3.0)
     assert z1.imag == 0.0 and z2.imag == 0.0
     assert z1.real >= z2.real
+
+
+@pytest.mark.parametrize("x, y", [(1e160, 2.5), (2.1, 1e300), (1e200j, 3.0)])
+def test_pleating_candidates_beyond_float_range_name_the_input(x, y):
+    """The scalar raises where the discriminant overflows; the array form
+    reads NaN there."""
+    with pytest.raises(NumericalOverflow, match=re.escape(f"{(x, y)}")):
+        pleating_candidates(x, y)
+    assert cmath.isnan(complex(marked_roots(x, y)))
 
 
 def test_discriminant_zero_family():

@@ -248,6 +248,9 @@ EDGE_INPUTS = [
     ("volume", "--start", "2,2.5", "--end", "2,3.75e8"),
     ("--force", "sweep", "--grid", "2:2:1,3.75e8:3.75e8:1"),
     # Beyond the float range.
+    ("certify", "1e160", "2.5"),
+    ("double", "1e160", "2.5"),
+    ("volume", "--start", "2.1,2.1", "--end", "1e160,2.1"),
     ("jacobian", "1e160", "2.5"),
     ("jacobian", "2.2", "2.2", "1e308"),
     ("volume", "--start", "2.1,2.1", "--end", "1e300,2.1"),
@@ -272,6 +275,20 @@ def test_edge_inputs_end_cleanly(args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if result.exit_code == 0:
         assert "null" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args,point",
+    [(("certify", "1e160", "2.5"), "(1e+160, 2.5)"),
+     (("double", "1e160", "2.5"), "(1e+160, 2.5)"),
+     (("jacobian", "1e160", "2.5"), "(1e+160, 2.5)"),
+     (("volume", "--start", "2.1,2.1", "--end", "1e160,2.1"), "(1e+160, 2.1)")],
+    ids=["certify", "double", "jacobian", "volume"],
+)
+def test_overflowing_pleating_quadratic_names_the_input(args, point):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert f"(x, y) = {point}" in result.output
 
 
 def test_tolerance_flag_applies():

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from pleatlab.chartor import coords, pleating_candidates
+from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
@@ -63,9 +63,12 @@ def test_jacobian_degenerate_coordinates_rejected():
         lm.holo_length_jacobian(t)
 
 
-@pytest.mark.parametrize("t", [_marked(1e160, 2.5), coords(2.2, 2.2, 1e308)],
+@pytest.mark.parametrize("x, y, z", [(1e160, 2.5, None), (2.2, 2.2, 1e308)],
                          ids=["overflowing-root", "huge-z"])
-def test_jacobian_beyond_float_range_raises(t):
+def test_jacobian_beyond_float_range_raises(x, y, z):
+    """Also at the NaN root that marked_roots gives where the pleating
+    quadratic overflows (the scalar pleating_candidates raises there)."""
+    t = coords(x, y, marked_roots(x, y) if z is None else z)
     with pytest.raises(NumericalOverflow):
         lm.holo_length_jacobian(t)
 
@@ -103,7 +106,7 @@ def test_solve_mixed_targets():
     assert abs(res.thetas[1] - 2.2) < 1e-9
 
 
-def test_solve_small_angles_uses_homotopy(monkeypatch):
+def test_solve_small_angles_reruns_from_explicit_lengths(monkeypatch):
     """Targets hugging the flat boundary diverge from (1, 1); the solve
     then runs once more from the explicit lengths."""
     runs = []
@@ -459,7 +462,8 @@ def _trapezoid(states):
 def _per_node_volume(path):
     """Schlafli quadrature with scalar certify at every node (the
     reference); the Richardson comparison runs over the even prefix of
-    the intervals, with an odd count's last interval added to both sums."""
+    the intervals, and an odd count adds half the comparison over its
+    last two intervals."""
     states = []
     for node in path.T:
         cert = certify(coords(*node))
@@ -469,10 +473,11 @@ def _per_node_volume(path):
         states.append((lengths, phis))
     intervals = len(states) - 1
     prefix = states[: intervals - intervals % 2 + 1]
-    tail = _trapezoid(states[-2:]) if intervals % 2 else 0.0
-    full = _trapezoid(prefix) + tail
-    half = _trapezoid(prefix[::2]) + tail
-    return _trapezoid(states), abs(full - half) / 3.0
+    error = (_trapezoid(prefix) - _trapezoid(prefix[::2])) / 3.0
+    if intervals % 2:
+        last = states[-3:]
+        error += (_trapezoid(last) - _trapezoid(last[::2])) / 6.0
+    return _trapezoid(states), abs(error)
 
 
 @pytest.mark.parametrize(
@@ -487,6 +492,17 @@ def test_schlafli_volume_matches_per_node_certify(ends, nodes):
     assert res.nodes == nodes + 1
     assert abs(res.value - value) <= 1e-12
     assert abs(res.error_estimate - error) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [9, 33])
+def test_odd_count_error_estimate_is_honest(nodes):
+    """At an odd interval count the estimate is within 2% of the real
+    error, measured against a 4,096-interval reference."""
+    t0, t1 = _marked(2.1, 2.1), _marked(2.5, 2.4)
+    reference = lm.volume_between(t0, t1, nodes=4096).value
+    res = lm.volume_between(t0, t1, nodes=nodes)
+    actual = abs(res.value - reference)
+    assert abs(res.error_estimate - actual) <= 0.02 * actual
 
 
 def test_coordinate_segment_matches_scalar_roots():

@@ -9,6 +9,7 @@ length, and textbook circles and reflections.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +25,8 @@ from pleatlab.errors import (
     ZeroMultiplier,
 )
 from pleatlab.moebius import (
-    IsometryClass,
-    balanced_fixed_points,
     chordal_distance,
     circle_chart,
-    classify,
     complex_length,
     fixed_points,
     map_to_zero_infinity,
@@ -78,10 +76,11 @@ def test_inverse_roundtrip():
 
 
 def test_fixed_points_quarter_turn():
-    """The order-4 rotation fixes i and -i, attracting slot first."""
+    """The order-4 rotation fixes i and -i.  Neither attracts, so the
+    tie rule lists +sqrt(b*c)/c = i/(-1) first."""
     m = unimodular((0.0, 1.0, -1.0, 0.0))
     fp = fixed_points(m)
-    assert fp == (1j, -1j)
+    assert fp == (-1j, 1j)
 
 
 def test_fixed_points_parabolic_vertex():
@@ -103,13 +102,13 @@ def test_fixed_points_attracting_first():
     assert fp[1] == 0.0
 
 
-def test_balanced_fixed_points_near_parabolic():
+def test_fixed_points_equal_diagonal_near_parabolic():
     """Equal-diagonal matrices keep full precision next to trace 2."""
     a = 1.0 + 1e-12
     c = 0.5
     b = (a * a - 1.0) / c
     m = unimodular((a, b, c, a))
-    att, rep = balanced_fixed_points(m)
+    att, rep = fixed_points(m)
     for z in (att, rep):
         residual = c * z * z + (a - a) * z - b
         assert abs(residual) < 1e-15 * max(1.0, abs(b))
@@ -118,46 +117,49 @@ def test_balanced_fixed_points_near_parabolic():
     assert abs(att) > 1e-7
 
 
-def _classify_reference(m, tol=1e-10):
-    """classify through matrix_distance to the identity and its negative."""
-    if matrix_distance(m, IDENTITY) < tol:
-        return IsometryClass.IDENTITY
-    if matrix_distance(m, tuple(-x for x in IDENTITY)) < tol:
-        return IsometryClass.IDENTITY
-    t = _trace(m)
-    if abs(t - 2.0) < tol or abs(t + 2.0) < tol:
-        return IsometryClass.PARABOLIC
-    if abs(t.imag) < tol:
-        return IsometryClass.ELLIPTIC if abs(t.real) < 2.0 else IsometryClass.PURELY_HYPERBOLIC
-    return IsometryClass.LOXODROMIC
+def _oracle_fixed_points(m):
+    """The roots of c z^2 + (d - a) z - b at 50 digits, with |c z + d|."""
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(v) for v in m)
+        r = mpmath.sqrt((a - d) ** 2 + 4 * b * c)
+        roots = [(a - d + r) / (2 * c), (a - d - r) / (2 * c)]
+        return [(z, abs(c * z + d)) for z in roots]
 
 
-def test_classify_matches_matrix_distance_reference():
-    rng = np.random.default_rng(11)
-    maps = [unimodular([complex(*pair) for pair in rng.normal(size=(4, 2))]) for _ in range(500)]
-    for sign in (1.0, -1.0):
-        for eps in (1e-11, -1e-11, 1e-9, -1e-9, 1e-11j, 1e-9j):
-            for k in range(4):
-                m = [sign, 0.0, 0.0, sign]
-                m[k] += eps
-                maps.append(unimodular(m))
-            maps.append(unimodular((sign + eps, 0.0, 0.0, sign - eps)))
-            maps.append(unimodular((sign + eps, eps, 0.0, sign + eps)))
-            # near-parabolic: trace within the tolerance of +/-2 or just outside
-            maps.append(unimodular((sign, 1.0 + eps, eps, sign + eps)))
-    classes = [classify(m) for m in maps]
-    assert classes == [_classify_reference(m) for m in maps]
-    assert set(classes) == set(IsometryClass)
+def _log_uniform_entry(rng):
+    return 10.0 ** rng.uniform(-4.0, 4.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
 
 
-def test_classify_families():
-    assert classify(unimodular(IDENTITY)) == IsometryClass.IDENTITY
-    assert classify(unimodular((1.0, 1.0, 0.0, 1.0))) == IsometryClass.PARABOLIC
-    assert classify(unimodular((2.0, 0.0, 0.0, 0.5))) == IsometryClass.PURELY_HYPERBOLIC
-    rot = unimodular((cmath.exp(0.3j), 0.0, 0.0, cmath.exp(-0.3j)))
-    assert classify(rot) == IsometryClass.ELLIPTIC
-    lox = unimodular((2.0 * cmath.exp(0.3j), 0.0, 0.0, 0.5 * cmath.exp(-0.3j)))
-    assert classify(lox) == IsometryClass.LOXODROMIC
+def test_fixed_points_match_a_50_digit_oracle():
+    """Unimodular maps with entries of modulus 1e-4 to 1e4, one in four
+    with equal diagonal entries: each point within 1e-15 relative of the
+    oracle's, attracting first wherever the oracle's |c z + d| differ."""
+    rng = np.random.default_rng(16)
+    for i in range(2000):
+        if i % 4 == 0:
+            b, c = _log_uniform_entry(rng), _log_uniform_entry(rng)
+            a = cmath.sqrt(1.0 + b * c)
+            m = (a, b, c, a)
+        else:
+            m = unimodular(tuple(_log_uniform_entry(rng) for _ in range(4)))
+        oracle = _oracle_fixed_points(m)
+        fp = fixed_points(m)
+        matched = []
+        for z in fp:
+            errors = [abs(mpmath.mpc(z) - w) / abs(w) for w, _ in oracle]
+            assert min(errors) <= 1e-15, (m, fp)
+            matched.append(oracle[errors.index(min(errors))][1])
+        if abs(matched[0] - matched[1]) > 1e-10 * (matched[0] + matched[1]):
+            assert matched[0] > matched[1], (m, fp)
+
+
+def test_fixed_points_fix_infinity_when_c_vanishes():
+    assert fixed_points((1.0, 1.0, 0.0, 1.0)) == (None, None)
+    with pytest.raises(IdentityInput):
+        fixed_points((-1.0, 0.0, 0.0, -1.0))
+    # z -> z/4 + 3/2 attracts to 2, and z -> 4z - 6 to infinity.
+    assert fixed_points((0.5, 3.0, 0.0, 2.0)) == (2.0, None)
+    assert fixed_points((2.0, -3.0, 0.0, 0.5)) == (None, 2.0)
 
 
 def test_complex_length_hyperbolic():

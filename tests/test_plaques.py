@@ -22,7 +22,7 @@ from pleatlab.chartor import (
     pleating_candidates,
 )
 from pleatlab.errors import NotFuchsian, ParabolicOrIdentity, ReducibleLocus
-from pleatlab.moebius import balanced_fixed_points
+from pleatlab.moebius import fixed_points
 from pleatlab.plaques import (
     bending_angle,
     certify,
@@ -124,15 +124,15 @@ def test_bending_angle_parabolic_rejected():
 
 def test_pair_solves_each_generator_axis_once(monkeypatch):
     """Both angles, and certify's plaques and angles, share one pair of
-    balanced fixed points per generator."""
+    fixed points per generator."""
     calls = []
 
     def counting(m):
         calls.append(m)
-        return balanced_fixed_points(m)
+        return fixed_points(m)
 
     for module in (chartor, moebius):
-        monkeypatch.setattr(module, "balanced_fixed_points", counting)
+        monkeypatch.setattr(module, "fixed_points", counting)
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
     assert bending_angle(pair, "a") == bending_angle(pair, "a")
     bending_angle(pair, "b")

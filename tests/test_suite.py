@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from pleatlab import suite
-from pleatlab.errors import ZeroMultiplier
-from pleatlab.moebius import complex_length, unimodular
-
-_UNIMODULAR_ROWS = suite._unimodular_rows
+from pleatlab.errors import NewtonDivergence, ZeroMultiplier
+from pleatlab.moebius import complex_length, unimodular, unimodular_batch
 
 
 def _skipping_unimodular(m):
@@ -20,16 +18,16 @@ def _skipping_unimodular(m):
     return (1, 1, 0, 1) if m[0].real > 1.0 else m
 
 
-def _skipping_rows(block):
-    """suite._unimodular_rows with _skipping_unimodular's stand-in."""
-    a, b, c, d = _UNIMODULAR_ROWS(block)
+def _skipping_batch(m):
+    """unimodular_batch with _skipping_unimodular's stand-in."""
+    (a, b, c, d), singular = unimodular_batch(m)
     swap = a.real > 1.0
     return (
         np.where(swap, 1, a),
         np.where(swap, 1, b),
         np.where(swap, 0, c),
         np.where(swap, 1, d),
-    )
+    ), singular
 
 
 def _lift_reference(samples, seed, tol=1e-10, make=unimodular):
@@ -64,7 +62,7 @@ def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
     differently from Python complex arithmetic in the last ulp, so the
     entries and worst residuals agree to 1e-14, far below the 1e-10 tol."""
     if skipping:
-        monkeypatch.setattr(suite, "_unimodular_rows", _skipping_rows)
+        monkeypatch.setattr(suite, "unimodular_batch", _skipping_batch)
     tested = []
 
     def recording_complex_length(m):
@@ -85,26 +83,51 @@ def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
 
 def test_unimodular_rows_scale_like_unimodular():
     """Rows off determinant 1 are rescaled as unimodular rescales one
-    matrix; a row within DET_TOL of determinant 1 comes back as drawn."""
+    matrix; a row within DET_TOL of determinant 1 comes back as drawn,
+    and a singular row is flagged and comes back as drawn, with no
+    RuntimeWarning (pytest turns one into an error)."""
     block = np.random.default_rng(5).normal(size=(6, 8))
     block[2] = (2.0, 0.0, 1e-13, 0.0, 0.0, 0.0, 0.5, 0.0)
-    rows = _UNIMODULAR_ROWS(block)
+    block[4, 4:] = 0.0  # c = d = 0
+    rows, singular = unimodular_batch(tuple(block.view(complex).T))
+    assert singular.tolist() == [False, False, False, False, True, False]
     assert [row[2] for row in rows] == [2.0, 1e-13, 0.0, 0.5]
+    assert [row[4] for row in rows] == list(block.view(complex)[4])
     for i, e in enumerate(block.tolist()):
+        if singular[i]:
+            continue
         one = unimodular((complex(e[0], e[1]), complex(e[2], e[3]),
                           complex(e[4], e[5]), complex(e[6], e[7])))
         assert max(abs(row[i] - x) for row, x in zip(rows, one)) <= 1e-14
 
 
 def test_check_lift_rejects_a_singular_draw(monkeypatch):
-    def singular_rows(block):
-        block = block.copy()
-        block[3, 4:] = 0.0  # c = d = 0 in the fourth row
-        return _UNIMODULAR_ROWS(block)
+    def singular_batch(m):
+        a, b, c, d = (v.copy() for v in m)
+        c[3] = d[3] = 0.0  # in the fourth row
+        return unimodular_batch((a, b, c, d))
 
-    monkeypatch.setattr(suite, "_unimodular_rows", singular_rows)
+    monkeypatch.setattr(suite, "unimodular_batch", singular_batch)
     with pytest.raises(ZeroMultiplier):
         suite.check_lift(samples=10)
+
+
+def test_check_newton_counts_only_library_failures(monkeypatch):
+    """A solver's PleatlabError counts as a failed target; any other
+    exception is a bug and propagates."""
+    def diverging(targets, seed):
+        raise NewtonDivergence("no convergence")
+
+    monkeypatch.setattr(suite, "solve_targets", diverging)
+    record = suite.check_newton()
+    assert not record["passed"] and record["details"]["failures"] == 20
+
+    def broken(targets, seed):
+        raise TypeError("a bug, not a failed solve")
+
+    monkeypatch.setattr(suite, "solve_targets", broken)
+    with pytest.raises(TypeError):
+        suite.check_newton()
 
 
 def test_min_monotonicity_of_linear_maps():

@@ -57,3 +57,37 @@ def test_random_reduced_word_is_reduced_and_in_alphabet():
         # no letter is followed by its own inverse
         assert not any(u != v and u.lower() == v.lower() for u, v in zip(w, w[1:]))
         assert set(w.lower()) <= {"a", "b"}
+
+
+def _filtered_reduced_word(rng, letters, min_len=1, max_len=12):
+    """random_reduced_word as first written, the reference: the
+    admissible symbols are rebuilt as a list for every letter.  (Its
+    retry loop for an empty word never ran for min_len >= 1 and is
+    left out.)"""
+    symbols = list(letters) + [ch.upper() for ch in letters]
+    length = int(rng.integers(min_len, max_len + 1))
+    out = []
+    for _ in range(length):
+        choices = [
+            s
+            for s in symbols
+            if not (out and s != out[-1] and s.lower() == out[-1].lower())
+        ]
+        out.append(choices[int(rng.integers(0, len(choices)))])
+    return "".join(out)
+
+
+@pytest.mark.parametrize("letters,max_len", [("ab", 6), ("ab", 12), ("abcd", 12)])
+def test_random_reduced_word_matches_the_filtered_reference(letters, max_len):
+    """The same words from the same draws, and the same draws after them."""
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(500):
+        assert random_reduced_word(rng, letters, 1, max_len) == _filtered_reduced_word(
+            ref_rng, letters, 1, max_len
+        )
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def test_random_reduced_word_rejects_empty_lengths():
+    with pytest.raises(PleatlabError):
+        random_reduced_word(np.random.default_rng(0), "ab", min_len=0)
