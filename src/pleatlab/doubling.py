@@ -225,23 +225,39 @@ def meridian_data(dh, curve):
     )
 
 
+AUDIT_WORDS = ("a", "b", "e", "abAB", "bQ", "aePE", "Ebe", "pq", "qePa")
+
+
+def audit_words(samples=60, seed=0):
+    """The words :func:`symmetry_audit` checks, each paired with its
+    :func:`mirror_word`: the fixed structural ``AUDIT_WORDS``, then
+    ``samples`` random reduced words drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    words = list(AUDIT_WORDS) + [
+        random_reduced_word(rng, DOUBLED_LETTERS, 1, 12) for _ in range(samples)
+    ]
+    return [(w, mirror_word(w)) for w in words]
+
+
+def mirror_residual(dh, words):
+    """Worst ``|trace(mirror(w)) - conj(trace(w))|`` over ``words``, a
+    list of ``(word, mirror image)`` pairs as :func:`audit_words` gives."""
+    worst = 0.0
+    worst_word = ""
+    for w, mirrored in words:
+        res = abs(dh.trace(mirrored) - dh.trace(w).conjugate())
+        if res > worst:
+            worst = res
+            worst_word = w
+    return {"residual": worst, "word": worst_word, "count": len(words)}
+
+
 def symmetry_audit(dh, samples=60, seed=0):
     """Worst deviation of the mirror involution from trace conjugation.
 
     The mirror involution is an exact symmetry of the construction, so
     ``trace(mirror(w))`` must equal ``conj(trace(w))`` for every doubled
     word; the audit measures the worst residual over fixed structural
-    words plus a random sample.
+    words plus a random sample (:func:`audit_words`).
     """
-    rng = np.random.default_rng(seed)
-    wordlist = ["a", "b", "e", "abAB", "bQ", "aePE", "Ebe", "pq", "qePa"]
-    for _ in range(samples):
-        wordlist.append(random_reduced_word(rng, DOUBLED_LETTERS, 1, 12))
-    worst = 0.0
-    worst_word = ""
-    for w in wordlist:
-        res = abs(dh.trace(mirror_word(w)) - dh.trace(w).conjugate())
-        if res > worst:
-            worst = res
-            worst_word = w
-    return {"residual": worst, "word": worst_word, "count": len(wordlist)}
+    return mirror_residual(dh, audit_words(samples, seed))

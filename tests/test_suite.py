@@ -5,9 +5,11 @@ import cmath
 import numpy as np
 import pytest
 
-from pleatlab import suite
+from pleatlab import doubling, lengthmap, suite
+from pleatlab.doubling import doubled_holonomy, symmetry_audit
 from pleatlab.errors import NewtonDivergence, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
+from pleatlab.plaques import certify, certify_batch
 
 
 def _skipping_unimodular(m):
@@ -32,35 +34,53 @@ def _skipping_batch(m):
 
 def _lift_reference(samples, seed, tol=1e-10, make=unimodular):
     """check_lift as one eight-value draw per matrix; also returns the
-    top-left entries of the matrices it tested."""
+    top-left entries of the matrices it tested, and the condition number
+    ``(|ad| + |bc|) / |ad - bc|`` of each tested draw's determinant."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = []
+    conditions = []
     while len(tested) < samples:
         entries = rng.normal(size=8)
-        m = make((
+        drawn = (
             complex(entries[0], entries[1]),
             complex(entries[2], entries[3]),
             complex(entries[4], entries[5]),
             complex(entries[6], entries[7]),
-        ))
+        )
+        m = make(drawn)
         tr = m[0] + m[3]
         if min(abs(tr - 2.0), abs(tr + 2.0)) < 1e-3:
             continue
         tested.append(m[0])
+        a, b, c, d = drawn
+        conditions.append((abs(a * d) + abs(b * c)) / abs(a * d - b * c))
         lam = complex_length(m)
         recon = 2.0 * cmath.cosh(lam.value / 2.0)
         worst = max(worst, abs(recon - lam.lift_sign * tr))
-    return {"samples": len(tested), "worst_residual": worst, "tol": tol}, tested
+    return {"samples": len(tested), "worst_residual": worst, "tol": tol}, tested, conditions
+
+
+BLOCK = suite.LIFT_BLOCK
+EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("skipping", [False, True], ids=["plain", "skipping"])
-@pytest.mark.parametrize("samples", [255, 256, 257, 600])
+@pytest.mark.parametrize(
+    "samples", [255, 256, 257, 600, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 89]
+)
 def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
-    """Block draws across block boundaries, with and without skipped
-    draws, test the matrices of one draw per matrix.  The arrays round
+    """Block draws, with and without skipped draws, test the matrices of
+    one draw per matrix: short runs in one partial block, and runs around
+    the shipped block size and past two blocks.  The arrays round
     differently from Python complex arithmetic in the last ulp, so the
-    entries and worst residuals agree to 1e-14, far below the 1e-10 tol."""
+    entries and worst residuals agree to 1e-14, far below the 1e-10 tol.
+    Only the entries of an ill-conditioned draw are exempt: rescaling
+    by one over the square root of the determinant multiplies that
+    rounding by half the determinant's condition number, so such an
+    entry may differ by eps * condition * |entry| / 2 where that exceeds
+    1e-14 (at most five draws a run here, condition 21-226; a different
+    draw would differ at order one)."""
     if skipping:
         monkeypatch.setattr(suite, "unimodular_batch", _skipping_batch)
     tested = []
@@ -74,11 +94,15 @@ def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
     for seed in (1, 4):
         tested.clear()
         details = suite.check_lift(samples=samples, seed=seed)["details"]
-        reference, reference_tested = _lift_reference(samples, seed, make=make)
+        reference, reference_tested, conditions = _lift_reference(samples, seed, make=make)
         assert details["samples"] == reference["samples"] == len(tested)
         assert details["tol"] == reference["tol"]
         assert abs(details["worst_residual"] - reference["worst_residual"]) <= 1e-14
-        assert np.abs(np.subtract(tested, reference_tested)).max() <= 1e-14
+        diff = np.abs(np.subtract(tested, reference_tested))
+        allowed = 0.5 * EPS * np.multiply(conditions, np.abs(reference_tested))
+        exempt = allowed > 1e-14
+        assert diff[~exempt].max() <= 1e-14
+        assert np.all(diff[exempt] <= allowed[exempt])
 
 
 def test_unimodular_rows_scale_like_unimodular():
@@ -155,3 +179,78 @@ def test_check_grid_applies_its_planarity_tol():
     failing = suite.check_grid(tol=1e-20)
     assert not failing["passed"]
     assert failing["details"]["failures"] == 0
+
+
+@pytest.mark.parametrize("seed_offset", [0, 58, 171])
+def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
+    """The continuations check_volume integrates with its coordinate
+    paths are, bit for bit, those of separate concavity_probe and
+    ray_to_cusp calls, and so are its margin and ray gain."""
+    batched = []
+
+    def recording_continuations(*args):
+        volumes, rows = lengthmap.continuations(*args)
+        batched.extend(rows)
+        return volumes, rows
+
+    monkeypatch.setattr(suite, "continuations", recording_continuations)
+    details = suite.check_volume(seed=6 + seed_offset)["details"]
+    starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
+              ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
+    probes = [lengthmap.concavity_probe(*ends, samples=8, substeps=16) for ends in starts]
+    ray = lengthmap.ray_to_cusp((2.0, 2.2), samples=8, substeps=12)
+    assert [lengthmap.concavity_report(rows) for rows in batched[:-1]] == probes
+    assert batched[-1] == ray
+    assert details["worst_second_difference_margin"] == max(
+        v + 3.0 * p["integration_error"] for p in probes for v in p["second_differences"]
+    )
+    assert details["concave"] and all(p["concave"] for p in probes)
+    assert details["ray_volume_gain"] == ray[-1]["volume"] - ray[0]["volume"]
+
+
+def test_check_volume_certifies_in_five_batches(monkeypatch):
+    """Coordinate paths, concavity segments and ray segments (4,014
+    nodes) share one schlafli_volumes call: five certify_batch runs of at
+    most VOLUME_BATCH_NODES nodes."""
+    sizes = []
+
+    def counting_batch(x, y, z, **kw):
+        sizes.append(len(x))
+        return certify_batch(x, y, z, **kw)
+
+    monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
+    assert suite.check_volume()["passed"]
+    assert sum(sizes) == 10 * (129 + 97 + 97) + 5 * 8 * 17 + 8 * 13 == 4014
+    assert len(sizes) <= 5
+    assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
+
+
+def test_check_mirror_draws_its_words_once(monkeypatch):
+    draw = doubling.random_reduced_word
+    drawn = []
+
+    def counting_word(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(doubling, "random_reduced_word", counting_word)
+    record = suite.check_mirror()
+    assert record["passed"] and record["details"]["structures"] == 6
+    assert len(drawn) == 40
+
+
+def test_check_mirror_matches_symmetry_audit():
+    """The worst mirror residual is the largest symmetry_audit residual
+    of its structures, and the audit itself is unchanged: the values
+    for (dh, 40, 11) are those of one word list drawn per call."""
+    seed = 4 + 17
+    audits = [
+        symmetry_audit(doubled_holonomy(certify(t)), samples=40, seed=seed)
+        for t in suite.sample_structures(6, seed=seed)
+    ]
+    worst = suite.check_mirror(seed=seed)["details"]["worst_trace_mismatch"]
+    assert worst == max(a["residual"] for a in audits)
+    dh = doubled_holonomy(certify(suite.sample_structures(1, seed=4)[0]))
+    assert symmetry_audit(dh, 40, 11) == {
+        "residual": 4.856703836433968e-13, "word": "apbaEaePPQa", "count": 49,
+    }
