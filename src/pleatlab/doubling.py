@@ -44,26 +44,40 @@ generators:
 
 Each meridian is a product of reflections in the two plaque planes
 meeting along its longitude's axis, hence an elliptic rotation by the
-cone angle (parabolic at a cusp, the identity on the Fuchsian locus).
+cone angle: parabolic exactly where the certification reads its curve
+as a cusp (angle pi), the identity on the Fuchsian locus.
+
+The construction and the rules are written once, over 4-tuples whose
+entries are numbers or ``(n,)`` arrays: :func:`doubled_holonomy` of a
+:class:`~pleatlab.plaques.BatchCertification` doubles all of its points
+at once, evaluates each word list for all of them in one
+:class:`~pleatlab.words.StackEvaluator` product, and
+:func:`meridian_data` and :func:`mirror_residual` then hold one entry
+per point.  A single :class:`~pleatlab.plaques.Certification` is
+evaluated by the scalar :class:`~pleatlab.words.WordEvaluator`, the
+reference the stack is tested against.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from pleatlab import kernel
+from pleatlab import kernel, moebius
 from pleatlab.errors import (
     NoConsistentLift,
     NonCommutingMeridian,
     NotPiecewiseGeodesic,
+    ZeroMultiplier,
 )
-from pleatlab.moebius import complex_length, matrix_distance, unimodular
-from pleatlab.words import WordEvaluator, random_reduced_word
+from pleatlab.moebius import complex_length, matrix_distance, unimodular_batch
+from pleatlab.plaques import BatchCertification
+from pleatlab.words import StackEvaluator, WordEvaluator, random_reduced_word
 
 RELATION_TOL = 1e-9
 MERIDIAN_COMMUTE_TOL = 1e-9
-PARABOLIC_TOL = 1e-8
+IDENTITY_TOL = 1e-8
 
 DOUBLED_LETTERS = "abpqe"
 
@@ -73,6 +87,7 @@ RELATIONS = (
     ("hnn_b", "Ebe", "q"),
     ("hnn_conj_b", "EabAe", "pqP"),
 )
+RELATION_WORDS = tuple(w for _, lhs, rhs in RELATIONS for w in (lhs, rhs))
 
 MERIDIANS = {
     "a": {"meridian": "bQ", "longitude": "baB"},
@@ -93,6 +108,9 @@ def mirror_word(word):
 
 @dataclass(frozen=True)
 class MeridianData:
+    """One meridian's data; over a stack, one array entry per point, with
+    NaN where a single structure's field is ``None``."""
+
     curve: str
     trace: complex
     kind: str  # "elliptic" | "parabolic" | "identity" | "loxodromic"
@@ -104,6 +122,9 @@ class MeridianData:
 
 @dataclass(frozen=True)
 class DoubledHolonomy:
+    """The doubled generators of one certified structure, or of a stack
+    (a :class:`StackEvaluator`, one array entry per point)."""
+
     certification: object
     evaluator: WordEvaluator
     relation_residuals: dict
@@ -111,19 +132,26 @@ class DoubledHolonomy:
     def matrix(self, word):
         return self.evaluator.matrix(word)
 
+    def matrices(self, words):
+        return self.evaluator.matrices(words)
+
     def trace(self, word):
         return self.evaluator.trace(word)
 
+    def traces(self, words):
+        return self.evaluator.traces(words)
+
     @property
     def max_relation_residual(self):
-        return max(self.relation_residuals.values())
+        return reduce(np.maximum, self.relation_residuals.values())
 
 
 def _relation_residuals(evaluator):
-    out = {}
-    for name, lhs, rhs in RELATIONS:
-        out[name] = matrix_distance(evaluator.matrix(lhs), evaluator.matrix(rhs))
-    return out
+    ms = evaluator.matrices(RELATION_WORDS)
+    return {
+        name: matrix_distance(ms[2 * k], ms[2 * k + 1])
+        for k, (name, _, _) in enumerate(RELATIONS)
+    }
 
 
 def _reflection(chart):
@@ -136,34 +164,39 @@ def doubled_holonomy(cert):
     """Extend a certified structure's holonomy to the doubled manifold,
     starting from the pair ``cert.pair`` that the certification realized.
 
-    Raises :class:`NoConsistentLift` when a relation misses by more than
-    ``RELATION_TOL``.
+    ``cert`` is a :class:`~pleatlab.plaques.Certification`, or a
+    :class:`~pleatlab.plaques.BatchCertification` whose points are all
+    doubled at once.  Raises :class:`NotPiecewiseGeodesic` unless every
+    point has certified plaques, and :class:`NoConsistentLift` when a
+    relation misses by more than ``RELATION_TOL`` at any point.
     """
-    if not cert.is_piecewise_geodesic:
+    if not np.all(cert.is_piecewise_geodesic):
         raise NotPiecewiseGeodesic(
             "doubling needs certified plaques on both sides"
         )
-    n_top = _reflection(cert.plaques["top"].chart)
-    n_bottom = _reflection(cert.plaques["bottom"].chart)
+    if isinstance(cert, BatchCertification):
+        (a, b), make = cert.pair, StackEvaluator
+    else:
+        a, b, make = cert.pair.a, cert.pair.b, WordEvaluator
+    n_top = _reflection(cert.chart("top"))
+    n_bottom = _reflection(cert.chart("bottom"))
     n_top_bar = kernel.mat_conj(n_top)
 
     def mirrored(m):
         return kernel.mat_mul(kernel.mat_mul(n_top, kernel.mat_conj(m)), n_top_bar)
 
     stable = kernel.mat_mul(n_bottom, n_top_bar)
-    if (stable[0] + stable[3]).real < 0.0:
-        stable = tuple(-v for v in stable)
-    pair = cert.pair
-    evaluator = WordEvaluator({
-        "a": pair.a,
-        "b": pair.b,
-        "p": mirrored(pair.a),
-        "q": mirrored(pair.b),
-        "e": stable,
+    flip = (stable[0] + stable[3]).real < 0.0
+    evaluator = make({
+        "a": a,
+        "b": b,
+        "p": mirrored(a),
+        "q": mirrored(b),
+        "e": tuple(np.where(flip, -v, v) for v in stable),
     })
     residuals = _relation_residuals(evaluator)
-    worst = max(residuals.values())
-    if worst > RELATION_TOL:
+    worst = np.max(list(residuals.values()))
+    if not worst <= RELATION_TOL:
         raise NoConsistentLift(
             f"the doubled generators miss the relations (residual {worst:.3e})"
         )
@@ -174,54 +207,83 @@ def doubled_holonomy(cert):
     )
 
 
+# Where the complex length is undefined, it is measured on this stand-in
+# and discarded.
+_LOXODROMIC = (2.0, 0.0, 0.0, 0.5)
+
+
+def _acos(x):
+    # libm's acos elementwise: numpy's vectorized arccos can round
+    # differently, and one structure's cone angle keeps libm's value.
+    return np.vectorize(math.acos, otypes=[float])(x)
+
+
+def _single(value, undefined):
+    """A 0-d result as a plain number, ``None`` where ``undefined``."""
+    return None if undefined else value.item()
+
+
 def meridian_data(dh, curve):
-    """Meridian holonomy around one filling curve of the double."""
+    """Meridian holonomy around one filling curve of the double.
+
+    The meridian is the identity within ``IDENTITY_TOL`` (cone angle
+    2 pi), parabolic exactly where the certification reads the curve as
+    a cusp (angle pi, cone angle 0), and otherwise a rotation by the
+    cone angle its trace gives, taken on the branch nearest
+    ``2 (pi - theta)``.  A trace within ``moebius.PARABOLIC_TOL`` of
+    +/-2 off a cusp has no complex length (``None``); that meridian is
+    read as elliptic.  Over a stack every field is an array; raises
+    :class:`NonCommutingMeridian` if any meridian fails to commute with
+    its longitude.
+    """
     words = MERIDIANS[curve]
-    m = dh.matrix(words["meridian"])
-    ell = dh.matrix(words["longitude"])
+    m, ell = dh.matrices((words["meridian"], words["longitude"]))
     commute = matrix_distance(kernel.mat_mul(m, ell), kernel.mat_mul(ell, m))
-    if commute > MERIDIAN_COMMUTE_TOL:
+    worst = np.max(commute)
+    if not worst <= MERIDIAN_COMMUTE_TOL:
         raise NonCommutingMeridian(
             f"meridian around {curve!r} fails to commute "
-            f"with its longitude ({commute:.3e})"
+            f"with its longitude ({worst:.3e})"
         )
     trace = m[0] + m[3]
     ident = (1.0, 0.0, 0.0, 1.0)
-    ident_res = min(
+    identity = np.minimum(
         matrix_distance(m, ident),
         matrix_distance(m, tuple(-v for v in ident)),
-    )
+    ) < IDENTITY_TOL
     theta = getattr(dh.certification, "theta_" + curve)
-    if ident_res < PARABOLIC_TOL:
-        kind = "identity"
-        mu = None
-        cone = 2.0 * math.pi
-    elif min(abs(trace - 2.0), abs(trace + 2.0)) < PARABOLIC_TOL:
-        kind = "parabolic"
-        mu = None
-        cone = 0.0
-    else:
-        mu = complex_length(unimodular(m)).value
-        kind = "elliptic" if abs(mu.real) < 1e-6 else "loxodromic"
-        half = min(abs(trace) / 2.0, 1.0)
-        base_angle = 2.0 * math.acos(half)
-        cone = base_angle
-        if theta is not None:
-            alt = 2.0 * math.pi - base_angle
-            target = 2.0 * (math.pi - theta)
-            if abs(alt - target) < abs(base_angle - target):
-                cone = alt
-    residual = None
-    if theta is not None and cone is not None:
-        residual = abs(cone - 2.0 * (math.pi - theta))
+    theta = math.nan if theta is None else theta
+    cusp = ~identity & (theta == math.pi)
+    base_angle = 2.0 * _acos(np.minimum(abs(trace) / 2.0, 1.0))
+    alt = 2.0 * math.pi - base_angle
+    target = 2.0 * (math.pi - theta)
+    cone = np.where(abs(alt - target) < abs(base_angle - target), alt, base_angle)
+    cone = np.where(identity, 2.0 * math.pi, np.where(cusp, 0.0, cone))
+    residual = abs(cone - target)
+    measured = ~identity & ~cusp & (
+        np.minimum(abs(trace - 2.0), abs(trace + 2.0)) >= moebius.PARABOLIC_TOL
+    )
+    probe, singular = unimodular_batch(
+        tuple(np.where(measured, v, w) for v, w in zip(m, _LOXODROMIC))
+    )
+    if np.any(singular):
+        raise ZeroMultiplier("matrix is singular, no Moebius map")
+    mu = np.where(measured, complex_length(probe).value, np.nan)
+    kind = np.where(
+        identity,
+        "identity",
+        np.where(cusp, "parabolic", np.where(abs(mu.real) >= 1e-6, "loxodromic", "elliptic")),
+    )
+    if np.ndim(trace):
+        return MeridianData(curve, trace, kind, mu, cone, residual, commute)
     return MeridianData(
         curve=curve,
         trace=trace,
-        kind=kind,
-        complex_length=mu,
-        cone_angle=cone,
-        cone_angle_residual=residual,
-        commutation_residual=commute,
+        kind=str(kind),
+        complex_length=_single(mu, not measured),
+        cone_angle=cone.item(),
+        cone_angle_residual=_single(residual, math.isnan(theta)),
+        commutation_residual=commute.item(),
     )
 
 
@@ -241,15 +303,16 @@ def audit_words(samples=60, seed=0):
 
 def mirror_residual(dh, words):
     """Worst ``|trace(mirror(w)) - conj(trace(w))|`` over ``words``, a
-    list of ``(word, mirror image)`` pairs as :func:`audit_words` gives."""
-    worst = 0.0
-    worst_word = ""
-    for w, mirrored in words:
-        res = abs(dh.trace(mirrored) - dh.trace(w).conjugate())
-        if res > worst:
-            worst = res
-            worst_word = w
-    return {"residual": worst, "word": worst_word, "count": len(words)}
+    list of ``(word, mirror image)`` pairs as :func:`audit_words` gives,
+    and the first word that attains it (``""`` when it is 0).  Over a
+    stack the residual and the word are arrays, one entry per point."""
+    traces = dh.traces([w for pair in words for w in pair])
+    res = np.array([abs(tm - t.conjugate()) for t, tm in zip(traces[::2], traces[1::2])])
+    worst = res.max(axis=0)
+    word = np.where(worst > 0.0, np.array([w for w, _ in words])[res.argmax(axis=0)], "")
+    if np.ndim(worst):
+        return {"residual": worst, "word": word, "count": len(words)}
+    return {"residual": worst.item(), "word": str(word), "count": len(words)}
 
 
 def symmetry_audit(dh, samples=60, seed=0):

@@ -56,9 +56,9 @@ from pleatlab.errors import (
     TargetOutsideImage,
     UncertifiedPathPoint,
 )
-from pleatlab.moebius import rotation_about_axis, unimodular
+from pleatlab.moebius import matrix_distance, rotation_about_axis, unimodular
 from pleatlab.plaques import bending_angle, certify, certify_batch
-from pleatlab.words import WordEvaluator, random_reduced_word
+from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
@@ -832,26 +832,27 @@ def cocycle_residual(family, word_pairs, h):
     For each word the derivative cocycle is estimated as
     ``z(w) = (rho_h(w) - rho_-h(w)) * rho_0(w)^-1 / (2h)`` and the
     defect of ``z(w1 w2) = z(w1) + Ad_{rho_0(w1)} z(w2)`` is measured.
+    ``rho_h``, ``rho_-h`` and ``rho_0`` are one stack of three generator
+    tuples, and every ``w1``, ``w2`` and ``w1 w2`` is evaluated on it in
+    one :func:`eval_words` product.
     """
-    ev_plus = WordEvaluator(family(h))
-    ev_minus = WordEvaluator(family(-h))
-    ev_zero = WordEvaluator(family(0.0))
-
+    stages = [family(h), family(-h), family(0.0)]
+    letters = "".join(stages[0])
+    gens = [
+        tuple(np.array(entries) for entries in zip(*(g[ch] for g in stages)))
+        for ch in letters
+    ]
+    words = [w for w1, w2 in word_pairs for w in (w1, w2, w1 + w2)]
+    entries = eval_words(padded_codes(letters, words), gens)
+    plus, minus, zero = (tuple(e[k] for e in entries) for k in range(3))
     s = 1.0 / (2.0 * h)
-
-    def zeta(word):
-        diff = tuple(x - y for x, y in zip(ev_plus.matrix(word), ev_minus.matrix(word)))
-        base_inv = kernel.mat_inv(ev_zero.matrix(word))
-        return tuple(s * x for x in kernel.mat_mul(diff, base_inv))
-
-    worst = 0.0
-    for w1, w2 in word_pairs:
-        lhs = zeta(w1 + w2)
-        g1 = ev_zero.matrix(w1)
-        ad = kernel.mat_mul(kernel.mat_mul(g1, zeta(w2)), kernel.mat_inv(g1))
-        rhs = (x + y for x, y in zip(zeta(w1), ad))
-        worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
-    return worst
+    diff = tuple(x - y for x, y in zip(plus, minus))
+    zeta = tuple(s * x for x in kernel.mat_mul(diff, kernel.mat_inv(zero)))
+    z1, z2, z12 = (tuple(x[k::3] for x in zeta) for k in range(3))
+    g1 = tuple(x[::3] for x in zero)
+    ad = kernel.mat_mul(kernel.mat_mul(g1, z2), kernel.mat_inv(g1))
+    rhs = tuple(x + y for x, y in zip(z1, ad))
+    return float(np.max(matrix_distance(z12, rhs), initial=0.0))
 
 
 def cocycle_check(t_seed=None, h=1e-3, pairs=24, seed=0):

@@ -32,6 +32,7 @@ Conventions
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class ComplexLength:
 
 
 def matrix_distance(m, n):
-    return max(abs(x - y) for x, y in zip(m, n))
+    """Largest entrywise ``|m - n|``; elementwise for array entries."""
+    return reduce(np.maximum, (abs(x - y) for x, y in zip(m, n)))
 
 
 def chordal_distance(z, w):
@@ -236,8 +238,21 @@ def circle_chart(p, q, r):
     elif r is None:
         m = (1.0, -q, 1.0, -p)
     else:
-        m = (r - p, -q * (r - p), r - q, -p * (r - q))
+        m = _finite_chart(p, q, r)
     m, det = kernel.normalize_unimodular(m)
     if not all(cmath.isfinite(x) for x in (det, *m)):
         raise NumericalOverflow("circle through points beyond the float range")
     return m
+
+
+def _finite_chart(p, q, r):
+    """:func:`circle_chart`'s matrix for finite points, up to a factor."""
+    return (r - p, -q * (r - p), r - q, -p * (r - q))
+
+
+def circle_chart_batch(p, q, r):
+    """:func:`circle_chart` of finite points, elementwise over arrays,
+    without its distance and float-range checks."""
+    m = _finite_chart(p, q, r)
+    s = np.sqrt(m[0] * m[3] - m[1] * m[2])
+    return tuple(v / s for v in m)

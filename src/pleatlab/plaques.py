@@ -53,6 +53,7 @@ from pleatlab.errors import (
 from pleatlab.moebius import (
     chordal_distance,
     circle_chart,
+    circle_chart_batch,
     fixed_points,
     map_to_zero_infinity,
     rotation_about_axis,
@@ -119,6 +120,9 @@ class Certification:
     @property
     def theta(self):
         return (self.theta_a, self.theta_b, self.theta_puncture)
+
+    def chart(self, side):
+        return self.plaques[side].chart
 
 
 def _parabolic_vertex(matrix):
@@ -336,18 +340,39 @@ class BatchCertification:
     """Per-point results of :func:`certify_batch`, as one array per field.
 
     The thetas are NaN where :func:`certify` reports ``None``.
-    ``fallback`` marks the points recomputed by :func:`certify`.
+    ``fallback`` marks the points recomputed by :func:`certify`, and
+    ``fallback_records`` maps each such index to its
+    :class:`Certification`.  ``pair`` is ``(a, b)``, each a 4-tuple of
+    arrays: the matrices every point realizes (the record's ``pair`` on
+    fallback points).  ``triples`` maps each side to ``(p, q, r)``, the
+    points its plaque chart is fitted to; :meth:`chart` builds the charts.
     """
 
     theta_a: np.ndarray
     theta_b: np.ndarray
     theta_puncture: np.ndarray
+    is_piecewise_geodesic: np.ndarray
     is_convex: np.ndarray
     is_fuchsian_boundary: np.ndarray
     in_pleating_variety: np.ndarray
     max_real_trace_residual: np.ndarray
     max_planarity_residual: np.ndarray
     fallback: np.ndarray
+    pair: tuple
+    triples: dict
+    fallback_records: dict
+
+    def chart(self, side):
+        """Every point's ``side`` plaque chart (:func:`circle_chart`) as a
+        4-tuple of arrays: the fallback record's chart on fallback points,
+        NaN where their plaque is missing."""
+        with np.errstate(all="ignore"):
+            chart = circle_chart_batch(*self.triples[side])
+        for i, cert in self.fallback_records.items():
+            plaque = cert.plaques[side]
+            for entries, value in zip(chart, plaque.chart if plaque else (np.nan,) * 4):
+                entries[i] = value
+        return chart
 
 
 # Generator traces this close to +/-2 leave the batch.  The scalar path
@@ -405,7 +430,8 @@ def _concyclicity_batch(p, q, r, s):
 
 
 def _planarity_batch(points):
-    """``_spread_triple``'s choice and ``plaque_circle``'s residual."""
+    """``_spread_triple``'s choice, as the chosen points, and
+    ``plaque_circle``'s residual."""
     leave = np.zeros(points[0].shape, dtype=bool)
     dist = {}
     for i, j in combinations(range(len(points)), 2):
@@ -428,12 +454,13 @@ def _planarity_batch(points):
     residual = np.zeros(points[0].shape)
     for w in rest:
         residual = np.maximum(residual, _concyclicity_batch(p0, p1, p2, w))
-    return residual, leave | (best < 1e-12) | ~np.isfinite(residual)
+    return (p0, p1, p2), residual, leave | (best < 1e-12) | ~np.isfinite(residual)
 
 
 def _side_batch(gens, side, real_tol):
     """``plaque_circle`` on one pants side: its axis fixed points, cusp
-    vertex and planarity residual, and the mask of points it leaves."""
+    vertex, fitted triple and planarity residual, and the mask of points
+    it leaves."""
     data = SIDE_DATA[side]
     words = [_word_batch(gens, w) for w in data["boundary_words"]]
     traces = [m[0] + m[3] for m in words]
@@ -451,8 +478,8 @@ def _side_batch(gens, side, real_tol):
     leave |= np.minimum(np.abs(cusp_trace - 2.0), np.abs(cusp_trace + 2.0)) >= 1e-9
     leave |= np.abs(cusp[2]) < 1e-13
     vertex = (cusp[0] - cusp[3]) / (2.0 * cusp[2])
-    residual, bad = _planarity_batch([att, rep, conj_att, conj_rep, vertex])
-    return (att, rep, vertex), residual, leave | bad
+    triple, residual, bad = _planarity_batch([att, rep, conj_att, conj_rep, vertex])
+    return (att, rep, vertex), triple, residual, leave | bad
 
 
 def _roof_batch(gens, side, axis_points, test_points):
@@ -485,8 +512,8 @@ def _roof_batch(gens, side, axis_points, test_points):
 
 
 def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
-    """The common branch of :func:`certify` over arrays, and the mask of
-    points that leave it."""
+    """The common branch of :func:`certify` over arrays, the pair and
+    plaque triples it fits, and the mask of points that leave it."""
     flip = x.real < 0
     x, z = np.where(flip, -x, x), np.where(flip, -z, z)
     flip = y.real < 0
@@ -512,8 +539,8 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
     gens = {"a": a, "b": b}
-    top, top_planar, leave_top = _side_batch(gens, "top", real_tol)
-    bottom, bottom_planar, leave_bottom = _side_batch(gens, "bottom", real_tol)
+    top, top_triple, top_planar, leave_top = _side_batch(gens, "top", real_tol)
+    bottom, bottom_triple, bottom_planar, leave_bottom = _side_batch(gens, "bottom", real_tol)
     angle_a, leave_a = _roof_batch(gens, "top", top, bottom[:2])
     angle_b, leave_b = _roof_batch(gens, "bottom", bottom, top[:2])
     leave |= leave_top | leave_bottom | leave_a | leave_b
@@ -550,13 +577,15 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
         "theta_a": theta_a,
         "theta_b": theta_b,
         "theta_puncture": np.where(cusp_residual < parabolic_tol, math.pi, np.nan),
+        "is_piecewise_geodesic": is_pg,
         "is_convex": is_convex,
         "is_fuchsian_boundary": is_fuchsian,
         "in_pleating_variety": is_convex & ~is_fuchsian,
         "max_real_trace_residual": np.maximum(np.maximum(real_a, real_b), real_k),
         "max_planarity_residual": np.maximum(top_planar, bottom_planar),
     }
-    return fields, leave
+    fitted = {"pair": (a, b), "triples": {"top": top_triple, "bottom": bottom_triple}}
+    return fields, fitted, leave
 
 
 def certify_batch(
@@ -587,13 +616,17 @@ def certify_batch(
         "convex_tol": convex_tol,
     }
     with np.errstate(all="ignore"):
-        fields, leave = _certify_branch(x, y, z, **tols)
+        fields, fitted, leave = _certify_branch(x, y, z, **tols)
+    records = {}
     for i in np.flatnonzero(leave):
-        cert = certify(coords(x[i], y[i], z[i]), **tols)
+        cert = records[i] = certify(coords(x[i], y[i], z[i]), **tols)
         for name in fields:
             value = getattr(cert, name)
             fields[name][i] = np.nan if value is None else value
-    return BatchCertification(**fields, fallback=leave)
+        a, b = fitted["pair"]
+        for entries, value in zip((*a, *b), (*cert.pair.a, *cert.pair.b)):
+            entries[i] = value
+    return BatchCertification(**fields, **fitted, fallback=leave, fallback_records=records)
 
 
 def quakebend(t, angle):

@@ -62,6 +62,13 @@ def sample_structures(n, seed=0, lo=GRID_MIN, hi=GRID_MAX):
     return out
 
 
+def _doubled_sample(n, seed):
+    """The doubled holonomy of ``sample_structures(n, seed)``, certified
+    by one :func:`certify_batch` and doubled as one stack."""
+    x, y, z = np.array([t.astuple() for t in sample_structures(n, seed=seed)]).T
+    return doubled_holonomy(certify_batch(x, y, z))
+
+
 def _grid_values():
     n = int(round((GRID_MAX - GRID_MIN) / GRID_STEP)) + 1
     return [GRID_MIN + k * GRID_STEP for k in range(n)]
@@ -166,10 +173,7 @@ def check_quakebend(t_param=0.3, tol=1e-8):
 
 
 def check_relations(n=20, seed=2, tol=1e-9):
-    worst = 0.0
-    for t in sample_structures(n, seed=seed):
-        dh = doubled_holonomy(certify(t))
-        worst = max(worst, dh.max_relation_residual)
+    worst = float(_doubled_sample(n, seed).max_relation_residual.max())
     return {
         "passed": worst < tol,
         "details": {
@@ -185,19 +189,18 @@ def check_relations(n=20, seed=2, tol=1e-9):
 
 
 def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
+    dh = _doubled_sample(n, seed)
     worst_angle = 0.0
     worst_commute = 0.0
     worst_re = 0.0
-    for t in sample_structures(n, seed=seed):
-        dh = doubled_holonomy(certify(t))
-        for curve in ("a", "b", "puncture"):
-            md = meridian_data(dh, curve)
-            worst_commute = max(worst_commute, md.commutation_residual)
-            if curve == "puncture":
-                continue
-            worst_angle = max(worst_angle, md.cone_angle_residual)
-            if md.complex_length is not None:
-                worst_re = max(worst_re, abs(md.complex_length.real))
+    for curve in ("a", "b", "puncture"):
+        md = meridian_data(dh, curve)
+        worst_commute = max(worst_commute, float(md.commutation_residual.max()))
+        if curve == "puncture":
+            continue
+        worst_angle = max(worst_angle, float(md.cone_angle_residual.max()))
+        # NaN (no complex length) drops out of fmax.
+        worst_re = float(np.fmax.reduce(np.abs(md.complex_length.real), initial=worst_re))
     return {
         "passed": (
             worst_angle < angle_tol
@@ -224,10 +227,7 @@ def check_mirror(n=6, seed=4, tol=1e-8):
     # symmetry_audit(dh, samples=40, seed=seed) of each structure, with
     # the words drawn once.
     words = audit_words(samples=40, seed=seed)
-    worst = 0.0
-    for t in sample_structures(n, seed=seed):
-        dh = doubled_holonomy(certify(t))
-        worst = max(worst, mirror_residual(dh, words)["residual"])
+    worst = float(mirror_residual(_doubled_sample(n, seed), words)["residual"].max())
     return {
         "passed": worst < tol,
         "details": {"structures": n, "worst_trace_mismatch": worst, "tol": tol},

@@ -2,10 +2,13 @@
 
 A word is a string over generator letters, uppercase meaning inverse:
 ``"abAB"`` is a * b * a^-1 * b^-1.  Evaluation goes through the kernel's
-``eval_word``.
+``eval_word``; :func:`eval_words` evaluates many words over many
+generator tuples at once, as one elementwise product per letter position.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 from pleatlab import kernel
 from pleatlab.errors import PleatlabError
@@ -28,6 +31,39 @@ def word_codes(letters, word):
         raise PleatlabError(f"unknown generator letter in {word!r}") from exc
 
 
+def padded_codes(letters, words):
+    """The :func:`word_codes` of ``words`` as one ``(W, L)`` int array,
+    each row padded on the right with 0, :func:`eval_words`' identity."""
+    codes = [word_codes(letters, w) for w in words]
+    out = np.zeros((len(codes), max([1, *map(len, codes)])), dtype=np.intp)
+    for row, code in zip(out, codes):
+        row[:len(code)] = code
+    return out
+
+
+def eval_words(codes, gens):
+    """:func:`kernel.eval_word` of every word at every point at once.
+
+    ``codes`` is a ``(W, L)`` int array of padded words, as
+    :func:`padded_codes` gives: ``+k`` selects ``gens[k-1]``, ``-k`` its
+    unimodular inverse and 0 the identity.  ``gens`` is a sequence of
+    4-tuples of ``(n,)`` complex arrays, one entry per point.  The words
+    are multiplied left to right, one elementwise product per letter
+    position, and the four entries come back as ``(n, W)`` arrays.
+    """
+    n = len(gens[0][0])
+    one, zero = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    # Column 0 is the identity, column k generator k and column -k its
+    # inverse, so a code indexes its factor directly.
+    factors = [(one, zero, zero, one), *gens, *map(kernel.mat_inv, reversed(gens))]
+    table = [np.stack([f[j] for f in factors], axis=1) for j in range(4)]
+    a, b, c, d = (t[:, codes[:, 0]] for t in table)
+    for column in codes.T[1:]:
+        e, f, g, h = (t[:, column] for t in table)
+        a, b, c, d = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return a, b, c, d
+
+
 class WordEvaluator:
     """Evaluates words over a fixed, ordered set of generator matrices."""
 
@@ -42,9 +78,39 @@ class WordEvaluator:
     def matrix(self, word):
         return kernel.eval_word(self.codes(word), self._mats)
 
+    def matrices(self, words):
+        return [self.matrix(w) for w in words]
+
     def trace(self, word):
         m = self.matrix(word)
         return m[0] + m[3]
+
+    def traces(self, words):
+        return [self.trace(w) for w in words]
+
+
+class StackEvaluator(WordEvaluator):
+    """A :class:`WordEvaluator` over a stack of generator tuples: each
+    entry is an ``(n,)`` array, and :meth:`matrices` evaluates all its
+    words at all ``n`` points in one :func:`eval_words` product."""
+
+    def __init__(self, generators):
+        self.letters = "".join(generators)
+        self._mats = tuple(
+            tuple(np.asarray(v, dtype=complex) for v in generators[ch]) for ch in self.letters
+        )
+
+    def _entries(self, words):
+        return eval_words(padded_codes(self.letters, words), self._mats)
+
+    def matrices(self, words):
+        """The ``(n,)``-array matrix of each word, in order."""
+        return list(zip(*(e.T for e in self._entries(words))))
+
+    def traces(self, words):
+        """The ``(n,)``-array trace of each word, as rows of a ``(W, n)`` array."""
+        a, _, _, d = self._entries(words)
+        return (a + d).T
 
 
 def random_reduced_word(rng, letters, min_len=1, max_len=12):

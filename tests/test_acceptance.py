@@ -45,11 +45,12 @@ def test_batched_criteria_at_seed_offsets(seed_offset):
         assert record["passed"], (record["name"], record["details"])
 
 
-@pytest.mark.parametrize("seed_offset", [3, 58, 171])
+@pytest.mark.parametrize("seed_offset", range(200))
 def test_doubling_criteria_at_seed_offsets(seed_offset):
-    """The criteria built on the doubled holonomy stay green away from
-    the pinned seeds."""
-    names = ["relations", "cone", "mirror", "cuspmodel"]
+    """The criteria built on the doubled stack stay green at every seed
+    offset verify-suite is run at.  (cuspmodel, the other doubling
+    criterion, samples nothing.)"""
+    names = ["relations", "cone", "mirror"]
     records = suite.run_suite(names, seed_offset=seed_offset)
     assert [r["name"] for r in records] == names
     for record in records:

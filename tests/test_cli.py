@@ -344,6 +344,17 @@ def test_double_json():
     assert payload["meridians"]["puncture"]["kind"] == "parabolic"
 
 
+def test_double_near_cusp_meridian_is_elliptic():
+    """At x - 2 = 1e-9 the a-curve is measured, not a cusp: its meridian
+    is a rotation by 2 (pi - theta_a), about 1.39e-4, not parabolic."""
+    result = run("double", "2.000000001", "2.2")
+    assert result.exit_code == 0
+    meridian = json.loads(result.output)["meridians"]["a"]
+    assert meridian["kind"] == "elliptic"
+    assert abs(meridian["cone_angle"] - 1.3914e-4) < 1e-7
+    assert meridian["cone_angle_residual"] <= 1e-8
+
+
 def test_double_negative_lifts_match_their_normalized_mirror():
     """A flipped generator lift doubles in the lift the certification
     normalized to, not in the one given on the command line."""

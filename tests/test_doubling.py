@@ -9,6 +9,7 @@ import cmath
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,17 @@ from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.doubling import (
     DOUBLED_LETTERS,
     _relation_residuals,
+    audit_words,
     doubled_holonomy,
     meridian_data,
+    mirror_residual,
     mirror_word,
     symmetry_audit,
 )
 from pleatlab.errors import NoConsistentLift, NotPiecewiseGeodesic
 from pleatlab.moebius import matrix_distance
-from pleatlab.plaques import certify
+from pleatlab.plaques import certify, certify_batch
+from pleatlab.suite import sample_structures
 from pleatlab.words import WordEvaluator
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
@@ -204,3 +208,72 @@ def test_generator_sign_flips_certify_and_double_alike(x, y):
     for cert in certs[1:]:
         assert _certified_fields(cert) == reference
         assert doubled_holonomy(cert).relation_residuals == residuals
+
+
+def _batch(structures):
+    x, y, z = np.array([t.astuple() for t in structures]).T
+    return certify_batch(x, y, z)
+
+
+def _close(stacked, scalar, tol=1e-13):
+    """Agreement to ``tol``, relative where the scalar value is large."""
+    return abs(stacked - scalar) <= tol * max(1.0, abs(scalar))
+
+
+def test_stack_matches_scalar_doubling():
+    """Doubling 50 sampled structures and one certify_batch fallback row
+    (a generator trace within 1e-4 of 2) as one stack reproduces each
+    structure's scalar doubled_holonomy(certify(t)) to round-off."""
+    structures = sample_structures(50, seed=9)
+    structures.append(coords(2.00005, 2.3, pleating_candidates(2.00005, 2.3)[0]))
+    batch = _batch(structures)
+    assert batch.fallback.tolist() == [False] * 50 + [True]
+    stack = doubled_holonomy(batch)
+    words = audit_words(samples=40, seed=9)
+    flat = [w for pair in words for w in pair]
+    stacked = {curve: meridian_data(stack, curve) for curve in ("a", "b", "puncture")}
+    stacked_mirror = mirror_residual(stack, words)["residual"]
+    for i, t in enumerate(structures):
+        dh = doubled_holonomy(certify(t))
+        for name, value in dh.relation_residuals.items():
+            assert _close(stack.relation_residuals[name][i], value), name
+        for curve, md in stacked.items():
+            ref = meridian_data(dh, curve)
+            assert md.kind[i] == ref.kind
+            assert _close(md.trace[i], ref.trace)
+            assert _close(md.cone_angle[i], ref.cone_angle)
+            assert _close(md.commutation_residual[i], ref.commutation_residual)
+        # The mirror residual is round-off in traces of up to ~1e3.
+        scale = max(abs(tr) for tr in dh.traces(flat))
+        assert abs(stacked_mirror[i] - mirror_residual(dh, words)["residual"]) <= 1e-13 * scale
+
+
+def test_stack_raises_for_any_offending_row():
+    structures = sample_structures(4, seed=2)
+    batch = _batch(structures)
+    top, bottom = batch.triples["top"], batch.triples["bottom"]
+    swapped = replace(batch, triples={"top": bottom, "bottom": top})
+    with pytest.raises(NoConsistentLift):
+        doubled_holonomy(swapped)
+    uncertified = _batch(structures + [coords(2.2, 2.2, 3.0 + 1.0j)])
+    with pytest.raises(NotPiecewiseGeodesic):
+        doubled_holonomy(uncertified)
+
+
+@pytest.mark.parametrize("y", [2.2, 2.6])
+def test_near_cusp_meridians_are_elliptic(y):
+    """A curve the certification does not read as a cusp has an elliptic
+    meridian whose cone angle is 2 (pi - theta), however close to the
+    cusp: with x - 2 from 1e-12 to 1e-7, on one structure and on the
+    stack of all of them.  (At x - 2 = 1e-13 the meridian's trace no
+    longer resolves the angle.)"""
+    gaps = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7]
+    structures = [coords(2.0 + g, y, pleating_candidates(2.0 + g, y)[0]) for g in gaps]
+    for t in structures:
+        md = meridian_data(doubled_holonomy(certify(t)), "a")
+        assert md.kind == "elliptic"
+        assert 0.0 < md.cone_angle < 1e-2
+        assert md.cone_angle_residual <= 1e-8
+    md = meridian_data(doubled_holonomy(_batch(structures)), "a")
+    assert (md.kind == "elliptic").all()
+    assert (md.cone_angle_residual <= 1e-8).all()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pleatlab import doubling, lengthmap, suite
-from pleatlab.doubling import doubled_holonomy, symmetry_audit
+from pleatlab.doubling import audit_words, doubled_holonomy, symmetry_audit
 from pleatlab.errors import NewtonDivergence, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
 from pleatlab.plaques import certify, certify_batch
@@ -242,14 +242,18 @@ def test_check_mirror_draws_its_words_once(monkeypatch):
 def test_check_mirror_matches_symmetry_audit():
     """The worst mirror residual is the largest symmetry_audit residual
     of its structures, and the audit itself is unchanged: the values
-    for (dh, 40, 11) are those of one word list drawn per call."""
+    for (dh, 40, 11) are those of one word list drawn per call.
+
+    The residual is itself round-off in traces of up to ~2e3, and the
+    stacked product rounds its complex products differently, so the two
+    agree to 1e-13 relative to the largest audited trace."""
     seed = 4 + 17
-    audits = [
-        symmetry_audit(doubled_holonomy(certify(t)), samples=40, seed=seed)
-        for t in suite.sample_structures(6, seed=seed)
-    ]
+    words = [w for pair in audit_words(40, seed) for w in pair]
+    doubled = [doubled_holonomy(certify(t)) for t in suite.sample_structures(6, seed=seed)]
+    audits = [symmetry_audit(dh, samples=40, seed=seed) for dh in doubled]
+    scale = max(abs(tr) for dh in doubled for tr in dh.traces(words))
     worst = suite.check_mirror(seed=seed)["details"]["worst_trace_mismatch"]
-    assert worst == max(a["residual"] for a in audits)
+    assert abs(worst - max(a["residual"] for a in audits)) <= 1e-13 * scale
     dh = doubled_holonomy(certify(suite.sample_structures(1, seed=4)[0]))
     assert symmetry_audit(dh, 40, 11) == {
         "residual": 4.856703836433968e-13, "word": "apbaEaePPQa", "count": 49,

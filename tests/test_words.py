@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+from pleatlab import kernel
 from pleatlab.errors import PleatlabError
-from pleatlab.words import WordEvaluator, random_reduced_word
+from pleatlab.moebius import unimodular_batch
+from pleatlab.words import (
+    StackEvaluator,
+    WordEvaluator,
+    eval_words,
+    padded_codes,
+    random_reduced_word,
+    word_codes,
+)
 
 
 def _inverse(word):
@@ -91,3 +100,35 @@ def test_random_reduced_word_matches_the_filtered_reference(letters, max_len):
 def test_random_reduced_word_rejects_empty_lengths():
     with pytest.raises(PleatlabError):
         random_reduced_word(np.random.default_rng(0), "ab", min_len=0)
+
+
+def test_eval_words_matches_eval_word_at_every_point():
+    """One padded product per letter position gives, for every word and
+    every point, kernel.eval_word's matrix to round-off: one-letter words,
+    mixed lengths up to 12 and the empty word (the identity)."""
+    rng = np.random.default_rng(5)
+    n, letters = 7, "abc"
+    gens = []
+    for _ in letters:
+        entries = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        gens.append(unimodular_batch(tuple(entries))[0])
+    words = [random_reduced_word(rng, letters, 1, 12) for _ in range(60)]
+    words += list(letters) + [ch.upper() for ch in letters] + [""]
+    entries = eval_words(padded_codes(letters, words), gens)
+    assert all(e.shape == (n, len(words)) for e in entries)
+    for i in range(n):
+        point = [tuple(complex(v[i]) for v in g) for g in gens]
+        for k, w in enumerate(words):
+            want = kernel.eval_word(word_codes(letters, w), point)
+            scale = max(1.0, *map(abs, want))
+            assert max(abs(e[i, k] - v) for e, v in zip(entries, want)) <= 1e-13 * scale, w
+
+
+def test_stack_evaluator_matches_word_evaluator(evaluator):
+    """A stack of one point evaluates like the scalar evaluator."""
+    gens = {ch: tuple(np.array([v]) for v in evaluator._mats[k]) for k, ch in enumerate("ab")}
+    stack = StackEvaluator(gens)
+    words = ["a", "B", "abAB", "aab", "bAbbA"]
+    for w, m in zip(words, stack.matrices(words)):
+        assert np.allclose(np.concatenate(m), evaluator.matrix(w), rtol=1e-14, atol=1e-14)
+    assert np.allclose(stack.traces(words)[:, 0], evaluator.traces(words), rtol=1e-14, atol=1e-14)
