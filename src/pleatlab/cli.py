@@ -19,6 +19,7 @@ usage or configuration errors.
 """
 
 import cmath
+import contextlib
 import json
 import math
 
@@ -34,10 +35,32 @@ from pleatlab.plaques import certify, certify_batch
 
 SAFE_LO = 2.0
 SAFE_HI = 2.8
-# Largest grid sweep accepts.  A sweep holds every point in memory at
-# once (on the order of 1 kB per point with its CSV text), and a grid
-# step far below the range would otherwise never finish.
+# Largest grid sweep accepts, so that a grid step far below the range
+# cannot run for days.  A sweep keeps 75 bytes of output columns per
+# point (0.75 GB at the cap) on top of one block's working memory.
 MAX_SWEEP_POINTS = 10**7
+# Points per certify_batch call in sweep.  A block holds about 1.1 kB
+# of temporaries per point while it is certified and 0.8 kB while it is
+# rendered, and pays certify_batch's fixed cost of ~1.2 ms, about 3% of
+# the 30-40 ms that certifying and rendering 4,096 points take.  A
+# 111 x 111 sweep's peak RSS rose by 8 MB at 4,096, against 20-23 MB
+# with the whole grid at once (2-CPU shared x86 container, numpy
+# 2.4.6); at 2,048 it rose by 4.5 MB, but the perfbench grid workload
+# ran 10% slower.
+SWEEP_BLOCK_POINTS = 4096
+# CSV columns of sweep after x, y, z_re, z_im: the BatchCertification
+# field behind each.
+SWEEP_FIELDS = {
+    "theta_a": "theta_a",
+    "theta_b": "theta_b",
+    "theta_puncture": "theta_puncture",
+    "convex": "is_convex",
+    "fuchsian_boundary": "is_fuchsian_boundary",
+    "in_pleating_variety": "in_pleating_variety",
+    "real_trace_residual": "max_real_trace_residual",
+    "planarity_residual": "max_planarity_residual",
+}
+SWEEP_HEADER = ("x", "y", "z_re", "z_im", *SWEEP_FIELDS)
 
 # CSV float cell conversion, and the text of a false/true flag by index.
 _FLOAT = "%.17g"
@@ -66,13 +89,25 @@ def _jsonable(value):
     return value
 
 
+@contextlib.contextmanager
+def _output(out, newline=None):
+    """A ``write(text)`` into the file ``out``, or onto stdout when
+    ``out`` is empty.  A file that cannot be opened is a usage error."""
+    if not out:
+        yield lambda text: click.echo(text, nl=False)
+        return
+    try:
+        fh = open(out, "w", newline=newline)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
+    with fh:
+        yield fh.write
+
+
 def _emit_json(payload, out):
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    with _output(out) as write:
+        write(text)
 
 
 def _float_cells(values, nan_text=None):
@@ -88,20 +123,18 @@ def _float_cells(values, nan_text=None):
     return cells
 
 
-def _emit_csv(header, columns, out):
+def _emit_csv(header, blocks, out):
     """Write ``header`` and one ``\r\n``-terminated line per row.
 
-    ``columns`` holds each column's cells as text (:func:`_float_cells`
-    for floats).  No cell ever needs quoting: cells are numbers,
-    ``true``/``false``/``None`` and fixed header names.
+    ``blocks`` yields consecutive runs of rows, each as its columns'
+    cells in text (:func:`_float_cells` for floats); it is drawn one run
+    at a time while writing.  No cell ever needs quoting: cells are
+    numbers, ``true``/``false``/``None`` and fixed header names.
     """
-    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
-    text = "\r\n".join(lines)
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    with _output(out, newline="") as write:
+        write(",".join(header) + "\r\n")
+        for columns in blocks:
+            write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _load_config(path):
@@ -266,6 +299,32 @@ def _check_safe_region(axes, force):
             )
 
 
+def _certify_grid(x, y, tols):
+    """Certify the grid ``(x, y)`` on its marked roots one block of
+    ``certify_batch`` at a time, keeping only each block's output
+    columns (``SWEEP_HEADER``).  The first failing point, in grid order,
+    ends the sweep before anything is written."""
+    blocks = []
+    for k in range(0, len(x), SWEEP_BLOCK_POINTS):
+        bx, by = x[k:k + SWEEP_BLOCK_POINTS], y[k:k + SWEEP_BLOCK_POINTS]
+        z = marked_roots(bx, by)
+        try:
+            cert = certify_batch(bx, by, z, **tols)
+        except PleatlabError as exc:
+            raise click.ClickException(str(exc))
+        blocks.append((bx, by, z.real, z.imag, *(getattr(cert, f) for f in SWEEP_FIELDS.values())))
+        del cert  # before the next block's certify_batch builds its own
+    return blocks
+
+
+def _column_cells(values, name):
+    """CSV text of one sweep column: flags as true/false, an undefined
+    (NaN) angle as None."""
+    if values.dtype == bool:
+        return _FLAG_TEXT[values.astype(np.intp)]
+    return _float_cells(values, nan_text="None" if name.startswith("theta") else None)
+
+
 def _pair_of_floats(text, label):
     parts = text.split(",")
     if len(parts) != 2:
@@ -363,36 +422,12 @@ def sweep_cmd(ctx, grid_text, out):
     ys = _axis_values(*axes[1])
     x = np.repeat(xs, len(ys))
     y = np.tile(ys, len(xs))
-    z = marked_roots(x, y)
-    try:
-        cert = certify_batch(x, y, z, **tols)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
-    header = (
-        "x",
-        "y",
-        "z_re",
-        "z_im",
-        "theta_a",
-        "theta_b",
-        "theta_puncture",
-        "convex",
-        "fuchsian_boundary",
-        "in_pleating_variety",
-        "real_trace_residual",
-        "planarity_residual",
+    certified = _certify_grid(x, y, tols)
+    blocks = (
+        [_column_cells(values, name) for values, name in zip(columns, SWEEP_HEADER)]
+        for columns in certified
     )
-    # An undefined angle (NaN) prints as None.
-    columns = [
-        *(_float_cells(v) for v in (x, y, z.real, z.imag)),
-        *(_float_cells(th, nan_text="None")
-          for th in (cert.theta_a, cert.theta_b, cert.theta_puncture)),
-        *(_FLAG_TEXT[f.astype(np.intp)]
-          for f in (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)),
-        _float_cells(cert.max_real_trace_residual),
-        _float_cells(cert.max_planarity_residual),
-    ]
-    _emit_csv(header, columns, out)
+    _emit_csv(SWEEP_HEADER, blocks, out)
 
 
 @main.command("trace-ray")
@@ -455,7 +490,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
                 row["volume_error"],
             )
         )
-    _emit_csv(header, [_float_cells(column) for column in zip(*table)], out)
+    _emit_csv(header, [[_float_cells(column) for column in zip(*table)]], out)
     vols = [row["volume"] for row in rows]
     if any(vols[i + 1] <= vols[i] for i in range(len(vols) - 1)):
         ctx.exit(1)

@@ -231,8 +231,10 @@ def meridian_data(dh, curve):
     a cusp (angle pi, cone angle 0), and otherwise a rotation by the
     cone angle its trace gives, taken on the branch nearest
     ``2 (pi - theta)``.  A trace within ``moebius.PARABOLIC_TOL`` of
-    +/-2 off a cusp has no complex length (``None``); that meridian is
-    read as elliptic.  Over a stack every field is an array; raises
+    +/-2 off a cusp has no complex length (``None``) and too few digits
+    for its angle: that meridian is read as elliptic, with cone angle
+    ``2 (pi - theta)`` and the trace's own miss of it as the residual.
+    Over a stack every field is an array; raises
     :class:`NonCommutingMeridian` if any meridian fails to commute with
     its longitude.
     """
@@ -263,6 +265,9 @@ def meridian_data(dh, curve):
     measured = ~identity & ~cusp & (
         np.minimum(abs(trace - 2.0), abs(trace + 2.0)) >= moebius.PARABOLIC_TOL
     )
+    # Off a cusp, a trace this close to +/-2 cannot resolve the angle;
+    # the certification's angle can, and the residual keeps the miss.
+    cone = np.where(~identity & ~cusp & ~measured & ~np.isnan(target), target, cone)
     probe, singular = unimodular_batch(
         tuple(np.where(measured, v, w) for v, w in zip(m, _LOXODROMIC))
     )

@@ -74,11 +74,12 @@ ANGLE_DERIVATIVE_MARGIN = 0.01
 CLOSED_FORM_LENGTH = 1e-12
 # Nodes per run in schlafli_volumes: one certify_batch call and one
 # array quadrature over paths held as (3, n) complex arrays (48 bytes a
-# node).  A certify_batch call costs ~1.4 ms plus ~1.9 us per node
-# (best of 15 at 1, 100, 1,024 and 3,000 nodes on a 2-CPU shared x86
-# container, numpy 2.4.6) and a run holds ~1.1 KB of arrays per node at
-# its peak, nearly all of it in certify_batch, so the budget pays the
-# fixed cost rarely and still bounds the memory.
+# node).  A certify_batch call costs ~1.0-1.3 ms plus ~1.7-2.0 us per
+# node (linear fits to the best of 15 at 1, 100, 1,024 and 3,000
+# marked-root nodes, three runs on a 2-CPU shared x86 container, numpy
+# 2.4.6) and a run holds ~1.1 KB of arrays per node at its peak, nearly
+# all of it in certify_batch, so the budget pays the fixed cost rarely
+# and still bounds the memory.
 VOLUME_BATCH_NODES = 1024
 
 

@@ -211,6 +211,51 @@ def test_csv_bytes_match_reference_renderer(tmp_path, args, reference, undefined
     assert out.read_bytes() == result.stdout_bytes
 
 
+@pytest.mark.parametrize(
+    "grid,block,sizes",
+    [("2.0:2.2:0.05,2.0:2.2:0.05", 7, [7, 7, 7, 4]),
+     ("-3:3:0.25,-3:3:0.25", 200, [200, 200, 200, 25])],
+    ids=["edges", "forced"],
+)
+def test_sweep_blocks_write_the_reference_bytes(tmp_path, monkeypatch, grid, block, sizes):
+    """A grid spanning several blocks is certified one certify_batch call
+    per block and written with the bytes of the one-pass reference."""
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_POINTS", block)
+    calls = []
+
+    def counted(x, *args, **kw):
+        calls.append(len(x))
+        return certify_batch(x, *args, **kw)
+
+    monkeypatch.setattr(cli, "certify_batch", counted)
+    args = ("--force", "sweep", "--grid", grid)
+    result = run(*args)
+    assert result.exit_code == 0
+    assert calls == sizes
+    assert result.stdout_bytes == _reference_sweep(grid)
+    out = tmp_path / "out.csv"
+    assert run(*args, "--out", str(out)).exit_code == 0
+    assert out.read_bytes() == result.stdout_bytes
+
+
+def test_sweep_failure_in_a_late_block_writes_nothing(tmp_path, monkeypatch):
+    """At x = 2 only y = 1.9e8, the last point, is reducible to double
+    precision; it sits in the fourth block, and the sweep exits 1 with
+    its message before writing any row or creating the file."""
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_POINTS", 5)
+    args = ("--force", "sweep", "--grid", "2:2:1,1e7:1.9e8:1e7")
+    result = run(*args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "(190000000+0j)" in result.output
+    assert "reducible" in result.output
+    assert result.stdout == ""
+    out = tmp_path / "out.csv"
+    to_file = run(*args, "--out", str(out))
+    assert to_file.exit_code == 1
+    assert not out.exists()
+
+
 def test_sweep_respects_safe_region():
     result = run("sweep", "--grid", "1.5:2.5:0.5,2.0:2.5:0.5")
     assert result.exit_code == 2
@@ -259,6 +304,14 @@ EDGE_INPUTS = [
     # Near the cusp.
     ("trace-ray", "--start", "3.14159,1e-8", "--samples", "2"),
     ("trace-ray", "--start", "3.14159265358979,3.0"),
+    # An --out path that cannot be opened.
+    ("sweep", "--grid", "2.1:2.2:0.1,2.1:2.2:0.1", "--out", "/nonexistent/dir/x.csv"),
+    ("certify", "2.2", "2.2", "--out", "/nonexistent/x.json"),
+    ("verify-suite", "--out", "/nonexistent/x.json"),
+    ("trace-ray", "--samples", "1", "--out", "/nonexistent/x.csv"),
+    ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--out", "/nonexistent/x.json"),
+    ("double", "2.2", "2.2", "--out", "/nonexistent/x.json"),
+    ("jacobian", "2.2", "2.2", "--out", "/nonexistent/x.json"),
 ]
 
 
@@ -275,6 +328,13 @@ def test_edge_inputs_end_cleanly(args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if result.exit_code == 0:
         assert "null" not in result.output
+
+
+@pytest.mark.parametrize("args", [a for a in EDGE_INPUTS if "--out" in a], ids=" ".join)
+def test_unopenable_out_is_a_usage_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"cannot write --out {args[-1]}" in result.output
 
 
 @pytest.mark.parametrize(
@@ -353,6 +413,21 @@ def test_double_near_cusp_meridian_is_elliptic():
     assert meridian["kind"] == "elliptic"
     assert abs(meridian["cone_angle"] - 1.3914e-4) < 1e-7
     assert meridian["cone_angle_residual"] <= 1e-8
+
+
+def test_double_unresolved_meridian_reads_the_certified_angle():
+    """At x - 2 = 1e-13 the meridian's trace rounds to -2 and reads no
+    angle: the report gives the certification's 2 (pi - theta_a) and
+    keeps the trace's miss of it as the residual."""
+    result = run("double", "2.0000000000001", "2.2")
+    assert result.exit_code == 0
+    meridian = json.loads(result.output)["meridians"]["a"]
+    z = pleating_candidates(2.0000000000001, 2.2)[0]
+    theta_a = certify(coords(2.0000000000001, 2.2, z)).theta_a
+    assert meridian["kind"] == "elliptic"
+    assert meridian["cone_angle"] == 2.0 * (math.pi - theta_a)
+    assert abs(meridian["cone_angle"] - 1.3908e-6) < 1e-9
+    assert meridian["cone_angle_residual"] == pytest.approx(meridian["cone_angle"], rel=1e-6)
 
 
 def test_double_negative_lifts_match_their_normalized_mirror():

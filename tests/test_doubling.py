@@ -277,3 +277,23 @@ def test_near_cusp_meridians_are_elliptic(y):
     md = meridian_data(doubled_holonomy(_batch(structures)), "a")
     assert (md.kind == "elliptic").all()
     assert (md.cone_angle_residual <= 1e-8).all()
+
+
+@pytest.mark.parametrize("gap", [1e-13, 1e-14, 1e-15])
+def test_unresolved_near_cusp_meridian_reads_the_certified_angle(gap):
+    """Below x - 2 = 1e-12 the meridian's trace lies within
+    PARABOLIC_TOL of -2 and no longer resolves the angle.  The cone
+    angle is then the certification's 2 (pi - theta_a), and the residual
+    keeps the trace's own miss of it, on one structure and on the stack."""
+    t = coords(2.0 + gap, 2.2, pleating_candidates(2.0 + gap, 2.2)[0])
+    cert = certify(t)
+    target = 2.0 * (math.pi - cert.theta_a)
+    assert 0.0 < target < 1e-5
+    md = meridian_data(doubled_holonomy(cert), "a")
+    assert md.kind == "elliptic"
+    assert md.complex_length is None
+    assert md.cone_angle == target
+    assert 0.0 < md.cone_angle_residual <= target
+    stacked = meridian_data(doubled_holonomy(_batch([t, t])), "a")
+    assert stacked.cone_angle.tolist() == [target, target]
+    assert stacked.cone_angle_residual.tolist() == [md.cone_angle_residual] * 2

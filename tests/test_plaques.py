@@ -341,6 +341,34 @@ def test_quakebend_angle_matches_parameter():
     assert abs(cert.theta[1] - 0.3) > 1e-3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=2.0, max_value=2.8), st.floats(min_value=2.0, max_value=2.8))
+def test_certify_conjugate_root_gives_the_same_angles(x, y):
+    """The conjugate root is the mirror structure: the same three angles,
+    bent on the other side (the opposite sign of Im z)."""
+    z = pleating_candidates(x, y)[0]
+    marked = certify(coords(x, y, z))
+    mirrored = certify(coords(x, y, z.conjugate()))
+    for got, want in zip(mirrored.theta, marked.theta):
+        assert abs(got - want) <= 1e-12
+    assert marked.coords.z.imag > 0.0 > mirrored.coords.z.imag
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=2.1, max_value=4.0), st.floats(min_value=0.05, max_value=1.0))
+def test_quakebend_angle_matches_parameter_on_drawn_seeds(x, t):
+    """Bending a Fuchsian seed on the boundary of the marked locus (the
+    two pleating roots meet at z = x y / 2, as in check_quakebend) by t
+    certifies with exterior angle t on the first curve.  (Beyond x = 4.2
+    a bend by 1 leaves the locus: the b-trace drops below 2.)"""
+    y = 2.0 * x / math.sqrt(x * x - 4.0)
+    seed = coords(x, y, x * y / 2.0)
+    assert certify(seed).is_fuchsian_boundary
+    cert = certify(quakebend(seed, t))
+    assert cert.is_convex
+    assert abs(cert.theta_a - t) <= 1e-12
+
+
 def test_quakebend_requires_fuchsian_seed():
     with pytest.raises(NotFuchsian):
         quakebend(coords(2.2, 2.2, MARKED_ROOT_22), 0.3)
