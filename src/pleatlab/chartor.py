@@ -83,11 +83,6 @@ class TraceCoords:
             y, z = -y, -z
         return TraceCoords(x, y, z)
 
-    def conjugate(self):
-        return TraceCoords(
-            self.x.conjugate(), self.y.conjugate(), self.z.conjugate()
-        )
-
     def astuple(self):
         return (self.x, self.y, self.z)
 

@@ -22,6 +22,8 @@ import cmath
 import contextlib
 import json
 import math
+import os
+import stat
 
 import click
 import numpy as np
@@ -66,13 +68,6 @@ SWEEP_HEADER = ("x", "y", "z_re", "z_im", *SWEEP_FIELDS)
 _FLOAT = "%.17g"
 _FLAG_TEXT = np.array(["false", "true"], dtype=object)
 
-TOL_ARGUMENTS = {
-    "real_trace": "real_tol",
-    "planarity": "planar_tol",
-    "parabolic": "parabolic_tol",
-    "convex": "convex_tol",
-}
-
 
 def _jsonable(value):
     """Plain JSON data: complex as {"im", "re"}, non-finite floats as null."""
@@ -102,6 +97,25 @@ def _output(out, newline=None):
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
     with fh:
         yield fh.write
+
+
+def _check_out(out):
+    """Raise :func:`_output`'s usage error now if ``out`` cannot be
+    opened for writing, creating no file and leaving an existing one as
+    it is.  A named pipe is left to :func:`_output`: opening it twice
+    would end its reader's input."""
+    if not out:
+        return
+    exists = os.path.lexists(out)
+    with contextlib.suppress(OSError):
+        if stat.S_ISFIFO(os.stat(out).st_mode):
+            return
+    try:
+        os.close(os.open(out, os.O_WRONLY if exists else os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
+    if not exists:
+        os.unlink(out)
 
 
 def _emit_json(payload, out):
@@ -186,30 +200,6 @@ def _cast_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _tolerances(ctx):
-    """Merged tolerance overrides: config ``tol.NAME`` keys then --tol."""
-    merged = {}
-    for key, value in ctx.obj["config"].items():
-        if key.startswith("tol."):
-            merged[key[4:]] = value
-    for item in ctx.obj["tol_flags"]:
-        if "=" not in item:
-            raise click.UsageError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        merged[name.strip()] = value.strip()
-    out = {}
-    for name, value in merged.items():
-        if name not in TOL_ARGUMENTS:
-            raise click.UsageError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(TOL_ARGUMENTS))}"
-            )
-        try:
-            out[TOL_ARGUMENTS[name]] = float(value)
-        except ValueError:
-            raise click.UsageError(f"tolerance {name} is not a number: {value!r}")
-    return out
-
-
 def _parse_complex(text, label):
     try:
         value = complex(text)
@@ -228,10 +218,7 @@ def _structure_from_args(x_text, y_text, z_text):
     if z_text is None:
         if x.imag != 0.0 or y.imag != 0.0:
             raise click.UsageError("omitting Z requires real X and Y")
-        try:
-            z, _ = pleating_candidates(x.real, y.real)
-        except PleatlabError as exc:
-            raise click.ClickException(str(exc))
+        z, _ = pleating_candidates(x.real, y.real)
     else:
         z = _parse_complex(z_text, "Z")
     return coords(x, y, z)
@@ -299,7 +286,7 @@ def _check_safe_region(axes, force):
             )
 
 
-def _certify_grid(x, y, tols):
+def _certify_grid(x, y):
     """Certify the grid ``(x, y)`` on its marked roots one block of
     ``certify_batch`` at a time, keeping only each block's output
     columns (``SWEEP_HEADER``).  The first failing point, in grid order,
@@ -308,10 +295,7 @@ def _certify_grid(x, y, tols):
     for k in range(0, len(x), SWEEP_BLOCK_POINTS):
         bx, by = x[k:k + SWEEP_BLOCK_POINTS], y[k:k + SWEEP_BLOCK_POINTS]
         z = marked_roots(bx, by)
-        try:
-            cert = certify_batch(bx, by, z, **tols)
-        except PleatlabError as exc:
-            raise click.ClickException(str(exc))
+        cert = certify_batch(bx, by, z)
         blocks.append((bx, by, z.real, z.imag, *(getattr(cert, f) for f in SWEEP_FIELDS.values())))
         del cert  # before the next block's certify_batch builds its own
     return blocks
@@ -360,26 +344,30 @@ def _certification_payload(cert):
     }
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: a :class:`PleatlabError` from any command ends
+    it with its message and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PleatlabError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat key=value config file.")
-@click.option("--tol", "tol_flags", multiple=True, metavar="NAME=VALUE",
-              help="Certification tolerance override; repeatable.")
 @click.option("--seed", type=int, default=None,
               help="Offset for randomized sampling in verify-suite.")
 @click.option("--force", is_flag=True, default=None,
               help="Allow grids outside the tested safe region.")
 @click.pass_context
-def main(ctx, config_path, tol_flags, seed, force):
+def main(ctx, config_path, seed, force):
     """Numerical laboratory for bent projective structures on the
     once-punctured torus and their doubled cone manifolds."""
     config = _load_config(config_path) if config_path else {}
-    ctx.obj = {
-        "config": config,
-        "tol_flags": list(tol_flags),
-        "seed": seed,
-        "force": force,
-    }
+    ctx.obj = {"config": config, "seed": seed, "force": force}
 
 
 @main.command("certify")
@@ -394,12 +382,7 @@ def certify_cmd(ctx, x, y, z, out):
     With Z omitted, the marked pleating root for real X, Y is used.
     Exits 1 when the structure fails convex certification.
     """
-    t = _structure_from_args(x, y, z)
-    tols = _tolerances(ctx)
-    try:
-        cert = certify(t, **tols)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
+    cert = certify(_structure_from_args(x, y, z))
     _emit_json(_certification_payload(cert), out)
     if not cert.is_convex:
         ctx.exit(1)
@@ -417,12 +400,12 @@ def sweep_cmd(ctx, grid_text, out):
     force = _resolve(ctx, "force", ctx.obj["force"], default=False, cast=_cast_bool)
     _check_safe_region(axes, force)
     _check_grid_size(axes)
-    tols = _tolerances(ctx)
+    _check_out(out)
     xs = _axis_values(*axes[0])
     ys = _axis_values(*axes[1])
     x = np.repeat(xs, len(ys))
     y = np.tile(ys, len(xs))
-    certified = _certify_grid(x, y, tols)
+    certified = _certify_grid(x, y)
     blocks = (
         [_column_cells(values, name) for values, name in zip(columns, SWEEP_HEADER)]
         for columns in certified
@@ -455,10 +438,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
     if substeps < 2:
         raise click.UsageError(f"--substeps must be at least 2, got {substeps}")
-    try:
-        rows = ray_to_cusp(start, samples=samples, substeps=substeps)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
+    rows = ray_to_cusp(start, samples=samples, substeps=substeps)
     header = (
         "s",
         "theta_a",
@@ -511,12 +491,9 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
     nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
     if nodes < 2:
         raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
-    try:
-        z0, _ = pleating_candidates(x0, y0)
-        z1, _ = pleating_candidates(x1, y1)
-        result = volume_between(coords(x0, y0, z0), coords(x1, y1, z1), nodes=nodes)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
+    z0, _ = pleating_candidates(x0, y0)
+    z1, _ = pleating_candidates(x1, y1)
+    result = volume_between(coords(x0, y0, z0), coords(x1, y1, z1), nodes=nodes)
     _emit_json(
         {
             "error_estimate": result.error_estimate,
@@ -535,23 +512,18 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
 @click.pass_context
 def double_cmd(ctx, x, y, z, out):
     """Doubled cone-manifold holonomy report at X Y [Z]."""
-    t = _structure_from_args(x, y, z)
-    tols = _tolerances(ctx)
-    try:
-        dh = doubled_holonomy(certify(t, **tols))
-        meridians = {}
-        for curve in ("a", "b", "puncture"):
-            md = meridian_data(dh, curve)
-            meridians[curve] = {
-                "commutation_residual": md.commutation_residual,
-                "cone_angle": md.cone_angle,
-                "cone_angle_residual": md.cone_angle_residual,
-                "kind": md.kind,
-                "trace": md.trace,
-            }
-        audit = symmetry_audit(dh)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
+    dh = doubled_holonomy(certify(_structure_from_args(x, y, z)))
+    meridians = {}
+    for curve in ("a", "b", "puncture"):
+        md = meridian_data(dh, curve)
+        meridians[curve] = {
+            "commutation_residual": md.commutation_residual,
+            "cone_angle": md.cone_angle,
+            "cone_angle_residual": md.cone_angle_residual,
+            "kind": md.kind,
+            "trace": md.trace,
+        }
+    audit = symmetry_audit(dh)
     _emit_json(
         {
             "max_relation_residual": dh.max_relation_residual,
@@ -571,11 +543,7 @@ def double_cmd(ctx, x, y, z, out):
 @click.pass_context
 def jacobian_cmd(ctx, x, y, z, out):
     """Length-coordinate Jacobian at X Y [Z]."""
-    t = _structure_from_args(x, y, z)
-    try:
-        rep = holo_length_jacobian(t)
-    except PleatlabError as exc:
-        raise click.ClickException(str(exc))
+    rep = holo_length_jacobian(_structure_from_args(x, y, z))
     matrix = {
         f"m{i}{j}": rep["matrix"][i][j] for i in range(3) for j in range(3)
     }

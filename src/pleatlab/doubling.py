@@ -129,9 +129,6 @@ class DoubledHolonomy:
     evaluator: WordEvaluator
     relation_residuals: dict
 
-    def matrix(self, word):
-        return self.evaluator.matrix(word)
-
     def matrices(self, words):
         return self.evaluator.matrices(words)
 
@@ -234,6 +231,7 @@ def meridian_data(dh, curve):
     +/-2 off a cusp has no complex length (``None``) and too few digits
     for its angle: that meridian is read as elliptic, with cone angle
     ``2 (pi - theta)`` and the trace's own miss of it as the residual.
+    A loxodromic meridian has no cone angle and no residual (``None``).
     Over a stack every field is an array; raises
     :class:`NonCommutingMeridian` if any meridian fails to commute with
     its longitude.
@@ -274,10 +272,14 @@ def meridian_data(dh, curve):
     if np.any(singular):
         raise ZeroMultiplier("matrix is singular, no Moebius map")
     mu = np.where(measured, complex_length(probe).value, np.nan)
+    # A loxodromic meridian is no rotation: it has no cone angle.
+    loxodromic = abs(mu.real) >= 1e-6
+    cone = np.where(loxodromic, np.nan, cone)
+    residual = np.where(loxodromic, np.nan, residual)
     kind = np.where(
         identity,
         "identity",
-        np.where(cusp, "parabolic", np.where(abs(mu.real) >= 1e-6, "loxodromic", "elliptic")),
+        np.where(cusp, "parabolic", np.where(loxodromic, "loxodromic", "elliptic")),
     )
     if np.ndim(trace):
         return MeridianData(curve, trace, kind, mu, cone, residual, commute)
@@ -286,8 +288,8 @@ def meridian_data(dh, curve):
         trace=trace,
         kind=str(kind),
         complex_length=_single(mu, not measured),
-        cone_angle=cone.item(),
-        cone_angle_residual=_single(residual, math.isnan(theta)),
+        cone_angle=_single(cone, math.isnan(cone)),
+        cone_angle_residual=_single(residual, math.isnan(residual)),
         commutation_residual=commute.item(),
     )
 

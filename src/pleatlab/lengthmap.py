@@ -72,6 +72,16 @@ ANGLE_DERIVATIVE_MARGIN = 0.01
 # CoincidentPoints), while from 1e-14 up it agrees with the closed form
 # to round-off.
 CLOSED_FORM_LENGTH = 1e-12
+# cusp_derivative_check opens the cusp at this marked (x, y) with this
+# finite-difference step.
+CUSP_MODEL_POINT = (2.2, 2.2)
+CUSP_MODEL_STEP = 1e-4
+# cocycle_check's Fuchsian seed, finite-difference step h (and h/2), and
+# number and generator seed of its random word pairs.
+COCYCLE_SEED = coords(3.0, 3.0, 3.0)
+COCYCLE_STEP = 1e-3
+COCYCLE_PAIRS = 24
+COCYCLE_WORD_SEED = 0
 # Nodes per run in schlafli_volumes: one certify_batch call and one
 # array quadrature over paths held as (3, n) complex arrays (48 bytes a
 # node).  A certify_batch call costs ~1.0-1.3 ms plus ~1.7-2.0 us per
@@ -635,7 +645,9 @@ def _continuation_rows(svals, placed, volumes):
 
 
 def concavity_report(rows):
-    """:func:`concavity_probe`'s report on the rows of a continuation."""
+    """Volume concavity along the rows of a continuation: the sampled
+    volumes, their second differences, and whether every one is negative
+    with margin three times the accumulated quadrature error."""
     vols = [r["volume"] for r in rows]
     svals = [r["s"] for r in rows]
     err = rows[-1]["volume_error"]
@@ -697,18 +709,6 @@ def continuation_to_angles(theta_start, theta_end, samples=12, substeps=8):
     return continuations([(theta_start, theta_end, samples, substeps)])[1][0]
 
 
-def concavity_probe(theta_start, theta_end, samples=10, substeps=24):
-    """Volume concavity along a straight angle path.
-
-    Returns the sampled volumes, their second differences, and whether
-    every second difference is negative with margin three times the
-    accumulated quadrature error.
-    """
-    return concavity_report(continuation_to_angles(
-        theta_start, theta_end, samples=samples, substeps=substeps
-    ))
-
-
 def ray_to_cusp(theta_start, samples=10, substeps=16):
     """Walk the angle ray from ``theta_start`` toward (pi, pi).
 
@@ -725,10 +725,10 @@ def ray_to_cusp(theta_start, samples=10, substeps=16):
 # Cusp-opening derivative against the canonical commuting model
 
 
-def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
+def cusp_derivative_check():
     """Derivative of the puncture traces under opening the cusp.
 
-    Opens the commutator trace to ``-2 + s`` at fixed real (x, y); the
+    Opens the commutator trace to ``-2 + s`` at ``CUSP_MODEL_POINT``; the
     pants traces stay real so the doubled holonomy persists.  Measures
     the finite-difference derivative of the filling-curve trace (the
     commutator) with respect to the meridian trace and compares its sign
@@ -736,6 +736,8 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
     commuting model; also confirms cusp-preserving directions have zero
     cross-derivative.
     """
+    (x0, y0), h = CUSP_MODEL_POINT, CUSP_MODEL_STEP
+
     def structure_at(s):
         disc = x0 * x0 * y0 * y0 - 4.0 * (x0 * x0 + y0 * y0 - s)
         z = (x0 * y0 + cmath.sqrt(disc)) / 2.0
@@ -780,9 +782,8 @@ def cusp_derivative_check(x0=2.2, y0=2.2, h=1e-4):
 # Finite-difference cocycle check
 
 
-def quakebend_family(t_seed):
-    """t -> generator matrices of the quakebend family at a Fuchsian seed."""
-    pair = matrices_from_traces(t_seed)
+def quakebend_family(pair):
+    """t -> generator matrices of the quakebend family at a Fuchsian pair."""
 
     def family(t):
         bend = rotation_about_axis(pair.a, t)
@@ -791,9 +792,8 @@ def quakebend_family(t_seed):
     return family
 
 
-def conjugation_family(t_seed, v=(0.3, 0.25 - 0.1j, -0.05j, -0.3)):
+def conjugation_family(pair, v=(0.3, 0.25 - 0.1j, -0.05j, -0.3)):
     """t -> generators conjugated by exp(t V) for a fixed sl2 matrix V."""
-    pair = matrices_from_traces(t_seed)
 
     def family(t):
         va, vb, vc, vd = v
@@ -807,9 +807,7 @@ def conjugation_family(t_seed, v=(0.3, 0.25 - 0.1j, -0.05j, -0.3)):
     return family
 
 
-def constant_family(t_seed):
-    pair = matrices_from_traces(t_seed)
-
+def constant_family(pair):
     def family(t):
         return {"a": pair.a, "b": pair.b}
 
@@ -856,7 +854,7 @@ def cocycle_residual(family, word_pairs, h):
     return float(np.max(matrix_distance(z12, rhs), initial=0.0))
 
 
-def cocycle_check(t_seed=None, h=1e-3, pairs=24, seed=0):
+def cocycle_check():
     """Second-order convergence of the derivative cocycle defect.
 
     Runs the quakebend family at a Fuchsian seed over random word
@@ -865,17 +863,13 @@ def cocycle_check(t_seed=None, h=1e-3, pairs=24, seed=0):
     controls.  An exponent of at least ~2 certifies the first-order
     deformation is a genuine group cocycle.
     """
-    if t_seed is None:
-        t_seed = coords(3.0, 3.0, 3.0)
-    rng = np.random.default_rng(seed)
+    pair, h = matrices_from_traces(COCYCLE_SEED), COCYCLE_STEP
+    rng = np.random.default_rng(COCYCLE_WORD_SEED)
     word_pairs = [
-        (
-            random_reduced_word(rng, "ab", 1, 6),
-            random_reduced_word(rng, "ab", 1, 6),
-        )
-        for _ in range(pairs)
+        (random_reduced_word(rng, "ab", 1, 6), random_reduced_word(rng, "ab", 1, 6))
+        for _ in range(COCYCLE_PAIRS)
     ]
-    fam = quakebend_family(t_seed)
+    fam = quakebend_family(pair)
     res_h = cocycle_residual(fam, word_pairs, h)
     res_h2 = cocycle_residual(fam, word_pairs, h / 2.0)
     exponent = math.log2(res_h / res_h2) if res_h2 > 0 else math.inf
@@ -883,10 +877,6 @@ def cocycle_check(t_seed=None, h=1e-3, pairs=24, seed=0):
         "residual_h": res_h,
         "residual_h2": res_h2,
         "exponent": exponent,
-        "conjugation_residual": cocycle_residual(
-            conjugation_family(t_seed), word_pairs, h
-        ),
-        "constant_residual": cocycle_residual(
-            constant_family(t_seed), word_pairs, h
-        ),
+        "conjugation_residual": cocycle_residual(conjugation_family(pair), word_pairs, h),
+        "constant_residual": cocycle_residual(constant_family(pair), word_pairs, h),
     }

@@ -176,7 +176,7 @@ def _spread_triple(points):
     return best
 
 
-def plaque_circle(pair, side, real_tol=REAL_TRACE_TOL):
+def plaque_circle(pair, side):
     """Fit the plaque circle of one pants side and measure planarity.
 
     Raises :class:`NonRealTraces` when the pants boundary words fail the
@@ -184,7 +184,7 @@ def plaque_circle(pair, side, real_tol=REAL_TRACE_TOL):
     """
     data = SIDE_DATA[side]
     residuals = [abs(pair.trace(w).imag) for w in data["boundary_words"]]
-    if max(residuals) > real_tol:
+    if max(residuals) > REAL_TRACE_TOL:
         raise NonRealTraces(
             f"{side} pants traces have imaginary parts up to {max(residuals):.3e}"
         )
@@ -247,13 +247,7 @@ def bending_angle(pair, curve):
     return math.pi - psi
 
 
-def certify(
-    t,
-    real_tol=REAL_TRACE_TOL,
-    planar_tol=PLANARITY_TOL,
-    parabolic_tol=PARABOLIC_FLAG_TOL,
-    convex_tol=CONVEXITY_TOL,
-):
+def certify(t):
     """Certify the convex/pleated structure at trace coordinates ``t``.
 
     Never raises for ordinary geometric failures; those are reported in
@@ -261,8 +255,8 @@ def certify(
     :class:`ReducibleLocus` for coordinates with no irreducible
     realization.  A curve's angle is pi only when its generator is
     exactly parabolic; however close to 2 its trace is otherwise, the
-    angle is measured.  ``parabolic_tol`` bounds the puncture's distance
-    from the cusped locus.
+    angle is measured.  ``PARABOLIC_FLAG_TOL`` bounds the puncture's
+    distance from the cusped locus.
     """
     t = t.normalized()
     pair = matrices_from_traces(t)
@@ -272,9 +266,9 @@ def certify(
     errors = {}
     for side in ("top", "bottom"):
         try:
-            plaques[side] = plaque_circle(pair, side, real_tol=real_tol)
+            plaques[side] = plaque_circle(pair, side)
             errors[side] = None
-        except (NonRealTraces, PleatlabError) as exc:
+        except PleatlabError as exc:
             plaques[side] = None
             errors[side] = str(exc)
     thetas = []
@@ -283,7 +277,7 @@ def certify(
             # Exactly parabolic (bending_angle's ParabolicOrIdentity test):
             # a cusp, whose angle is pi.
             theta = math.pi
-        elif plaques[CURVE_SIDE[name]] is not None and real <= real_tol:
+        elif plaques[CURVE_SIDE[name]] is not None and real <= REAL_TRACE_TOL:
             try:
                 theta = bending_angle(pair, name)
             except PleatlabError:
@@ -294,17 +288,17 @@ def certify(
     planarity = [p.planarity_residual for p in plaques.values() if p is not None]
     is_pg = (
         all(p is not None for p in plaques.values())
-        and all(p.planarity_residual <= planar_tol for p in plaques.values())
-        and real_a <= real_tol
-        and real_b <= real_tol
-        and abs(t.kappa.imag) <= real_tol
+        and all(p.planarity_residual <= PLANARITY_TOL for p in plaques.values())
+        and real_a <= REAL_TRACE_TOL
+        and real_b <= REAL_TRACE_TOL
+        and abs(t.kappa.imag) <= REAL_TRACE_TOL
     )
     defined_thetas = [v for v in thetas if v is not None]
     is_convex = (
         is_pg
-        and cusp_residual < parabolic_tol
+        and cusp_residual < PARABOLIC_FLAG_TOL
         and len(defined_thetas) == 2
-        and all(v >= -convex_tol for v in defined_thetas)
+        and all(v >= -CONVEXITY_TOL for v in defined_thetas)
     )
     is_fuchsian = t.is_real(FUCHSIAN_TOL)
     return Certification(
@@ -314,7 +308,7 @@ def certify(
         plaque_errors=errors,
         theta_a=thetas[0],
         theta_b=thetas[1],
-        theta_puncture=math.pi if cusp_residual < parabolic_tol else None,
+        theta_puncture=math.pi if cusp_residual < PARABOLIC_FLAG_TOL else None,
         max_real_trace_residual=max(real_a, real_b, abs(t.kappa.imag)),
         max_planarity_residual=max(planarity) if planarity else math.inf,
         is_piecewise_geodesic=is_pg,
@@ -457,14 +451,14 @@ def _planarity_batch(points):
     return (p0, p1, p2), residual, leave | (best < 1e-12) | ~np.isfinite(residual)
 
 
-def _side_batch(gens, side, real_tol):
+def _side_batch(gens, side):
     """``plaque_circle`` on one pants side: its axis fixed points, cusp
     vertex, fitted triple and planarity residual, and the mask of points
     it leaves."""
     data = SIDE_DATA[side]
     words = [_word_batch(gens, w) for w in data["boundary_words"]]
     traces = [m[0] + m[3] for m in words]
-    leave = np.maximum.reduce([np.abs(tr.imag) for tr in traces]) > real_tol
+    leave = np.maximum.reduce([np.abs(tr.imag) for tr in traces]) > REAL_TRACE_TOL
     axis_trace, cusp_trace = traces[0], traces[2]
     leave |= np.minimum(np.abs(axis_trace - 2.0), np.abs(axis_trace + 2.0)) < _BATCH_PARABOLIC
     att, rep, bad = _balanced_batch(gens[data["axis_letter"]])
@@ -511,7 +505,7 @@ def _roof_batch(gens, side, axis_points, test_points):
     return math.pi - psi, leave | np.isnan(psi)
 
 
-def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
+def _certify_branch(x, y, z):
     """The common branch of :func:`certify` over arrays, the pair and
     plaque triples it fits, and the mask of points that leave it."""
     flip = x.real < 0
@@ -539,8 +533,8 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
     gens = {"a": a, "b": b}
-    top, top_triple, top_planar, leave_top = _side_batch(gens, "top", real_tol)
-    bottom, bottom_triple, bottom_planar, leave_bottom = _side_batch(gens, "bottom", real_tol)
+    top, top_triple, top_planar, leave_top = _side_batch(gens, "top")
+    bottom, bottom_triple, bottom_planar, leave_bottom = _side_batch(gens, "bottom")
     angle_a, leave_a = _roof_batch(gens, "top", top, bottom[:2])
     angle_b, leave_b = _roof_batch(gens, "bottom", bottom, top[:2])
     leave |= leave_top | leave_bottom | leave_a | leave_b
@@ -551,22 +545,22 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     leave |= (angle_a < 0.0) | (angle_b < 0.0)
 
     real_a, real_b, real_k = np.abs(x.imag), np.abs(y.imag), np.abs(kap.imag)
-    theta_a = np.where(real_a <= real_tol, angle_a, np.nan)
-    theta_b = np.where(real_b <= real_tol, angle_b, np.nan)
+    theta_a = np.where(real_a <= REAL_TRACE_TOL, angle_a, np.nan)
+    theta_b = np.where(real_b <= REAL_TRACE_TOL, angle_b, np.nan)
     cusp_residual = np.abs(kap + 2.0)
     is_pg = (
-        (top_planar <= planar_tol)
-        & (bottom_planar <= planar_tol)
-        & (real_a <= real_tol)
-        & (real_b <= real_tol)
-        & (real_k <= real_tol)
+        (top_planar <= PLANARITY_TOL)
+        & (bottom_planar <= PLANARITY_TOL)
+        & (real_a <= REAL_TRACE_TOL)
+        & (real_b <= REAL_TRACE_TOL)
+        & (real_k <= REAL_TRACE_TOL)
     )
     # NaN thetas (undefined angles) fail both comparisons, as in certify.
     is_convex = (
         is_pg
-        & (cusp_residual < parabolic_tol)
-        & (theta_a >= -convex_tol)
-        & (theta_b >= -convex_tol)
+        & (cusp_residual < PARABOLIC_FLAG_TOL)
+        & (theta_a >= -CONVEXITY_TOL)
+        & (theta_b >= -CONVEXITY_TOL)
     )
     is_fuchsian = (
         (real_a <= FUCHSIAN_TOL)
@@ -576,7 +570,7 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     fields = {
         "theta_a": theta_a,
         "theta_b": theta_b,
-        "theta_puncture": np.where(cusp_residual < parabolic_tol, math.pi, np.nan),
+        "theta_puncture": np.where(cusp_residual < PARABOLIC_FLAG_TOL, math.pi, np.nan),
         "is_piecewise_geodesic": is_pg,
         "is_convex": is_convex,
         "is_fuchsian_boundary": is_fuchsian,
@@ -588,15 +582,7 @@ def _certify_branch(x, y, z, real_tol, planar_tol, parabolic_tol, convex_tol):
     return fields, fitted, leave
 
 
-def certify_batch(
-    x,
-    y,
-    z,
-    real_tol=REAL_TRACE_TOL,
-    planar_tol=PLANARITY_TOL,
-    parabolic_tol=PARABOLIC_FLAG_TOL,
-    convex_tol=CONVEXITY_TOL,
-):
+def certify_batch(x, y, z):
     """:func:`certify` at every point ``(x[i], y[i], z[i])`` at once.
 
     ``x``, ``y`` and ``z`` are equal-length one-dimensional sequences of
@@ -609,17 +595,11 @@ def certify_batch(
     it raises, such as :class:`ReducibleLocus`.
     """
     x, y, z = (np.asarray(v, dtype=complex).reshape(-1) for v in (x, y, z))
-    tols = {
-        "real_tol": real_tol,
-        "planar_tol": planar_tol,
-        "parabolic_tol": parabolic_tol,
-        "convex_tol": convex_tol,
-    }
     with np.errstate(all="ignore"):
-        fields, fitted, leave = _certify_branch(x, y, z, **tols)
+        fields, fitted, leave = _certify_branch(x, y, z)
     records = {}
     for i in np.flatnonzero(leave):
-        cert = records[i] = certify(coords(x[i], y[i], z[i]), **tols)
+        cert = records[i] = certify(coords(x[i], y[i], z[i]))
         for name in fields:
             value = getattr(cert, name)
             fields[name][i] = np.nan if value is None else value

@@ -51,13 +51,14 @@ def _marked(x, y):
     return coords(x, y, z)
 
 
-def sample_structures(n, seed=0, lo=GRID_MIN, hi=GRID_MAX):
-    """Deterministic sample of marked structures in the safe region."""
+def sample_structures(n, seed=0):
+    """Deterministic sample of marked structures, uniform on the square
+    ``[GRID_MIN, GRID_MAX]^2`` of the safe region."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        x = float(rng.uniform(lo, hi))
-        y = float(rng.uniform(lo, hi))
+        x = float(rng.uniform(GRID_MIN, GRID_MAX))
+        y = float(rng.uniform(GRID_MIN, GRID_MAX))
         out.append(_marked(x, y))
     return out
 
@@ -460,7 +461,7 @@ def check_newton(seed=7, tol=1e-8):
 
 def check_cuspmodel(relation_tol=1e-12, ratio_floor=1e-3, cross_tol=1e-6):
     model = commuting_canonical_pair(3.0, 2.0)
-    rep = cusp_derivative_check(2.2, 2.2, h=1e-4)
+    rep = cusp_derivative_check()
     ratio = rep["ratio"]
     hsq = rep["hsq_estimate"]
     sign_ok = (ratio.real > 0) == (hsq.real > 0) and ratio.real != 0

@@ -185,8 +185,10 @@ def test_coords_helpers():
     t = coords(2.2, 2.2, MARKED_ROOT_22)
     assert t.cusp_residual < 1e-14
     assert t.is_real() is False
-    back = t.conjugate()
-    assert back.z == MARKED_ROOT_22.conjugate()
+    # The conjugate root lies on the cusped locus too.
+    mirror = coords(*(v.conjugate() for v in t.astuple()))
+    assert mirror.z == MARKED_ROOT_22.conjugate()
+    assert mirror.cusp_residual < 1e-14
     assert t.astuple() == (2.2 + 0j, 2.2 + 0j, MARKED_ROOT_22)
 
 

@@ -254,6 +254,23 @@ def test_sweep_failure_in_a_late_block_writes_nothing(tmp_path, monkeypatch):
     to_file = run(*args, "--out", str(out))
     assert to_file.exit_code == 1
     assert not out.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old rows\n")
+    assert run(*args, "--out", str(kept)).exit_code == 1
+    assert kept.read_text() == "old rows\n"
+
+
+def test_sweep_unopenable_out_fails_before_certifying(tmp_path, monkeypatch):
+    """An --out that cannot be opened exits 2 before any point is
+    certified, and checking it leaves no file behind."""
+    calls = []
+    monkeypatch.setattr(cli, "certify_batch", lambda *args: calls.append(args))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        result = run("sweep", "--out", str(out))
+        assert result.exit_code == 2
+        assert f"cannot write --out {out}" in result.output
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_respects_safe_region():
@@ -351,13 +368,18 @@ def test_overflowing_pleating_quadratic_names_the_input(args, point):
     assert f"(x, y) = {point}" in result.output
 
 
-def test_tolerance_flag_applies():
-    ok = run("--tol", "convex=1e-2", "certify", "2.2", "2.2")
-    assert ok.exit_code == 0
-    bad = run("--tol", "bogus=1", "certify", "2.2", "2.2")
-    assert bad.exit_code == 2
-    malformed = run("--tol", "convex", "certify", "2.2", "2.2")
-    assert malformed.exit_code == 2
+def test_tolerance_flag_is_a_usage_error(tmp_path):
+    """Certification thresholds are fixed: --tol is an unknown option,
+    and tol.* config keys are ignored like any key no command reads."""
+    for args in (("--tol", "convex=1e-2"), ("--tol", "bogus=1"), ("--tol", "convex")):
+        result = run(*args, "certify", "2.2", "2.2")
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--tol" in result.output
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol.planarity = nan\ntol.bogus = spam\n")
+    configured = run("--config", str(cfg), "certify", "2.2", "2.2")
+    assert configured.exit_code == 0
+    assert configured.output == run("certify", "2.2", "2.2").output
 
 
 def test_config_file_precedence(tmp_path):
@@ -428,6 +450,17 @@ def test_double_unresolved_meridian_reads_the_certified_angle():
     assert meridian["cone_angle"] == 2.0 * (math.pi - theta_a)
     assert abs(meridian["cone_angle"] - 1.3908e-6) < 1e-9
     assert meridian["cone_angle_residual"] == pytest.approx(meridian["cone_angle"], rel=1e-6)
+
+
+def test_double_loxodromic_meridian_has_no_cone_angle():
+    """Off the cusped locus the puncture meridian is loxodromic: no
+    rotation, so no cone angle and no residual."""
+    result = run("double", "2.2", "2.2", "2.42+1.9j")
+    assert result.exit_code == 0
+    puncture = json.loads(result.output)["meridians"]["puncture"]
+    assert puncture["kind"] == "loxodromic"
+    assert puncture["cone_angle"] is None
+    assert puncture["cone_angle_residual"] is None
 
 
 def test_double_negative_lifts_match_their_normalized_mirror():

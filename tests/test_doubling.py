@@ -62,7 +62,7 @@ def test_construction_fixes_the_lift():
     ]
     for t in structures:
         dh = _doubled(t)
-        base = {letter: dh.matrix(letter) for letter in DOUBLED_LETTERS}
+        base = dict(zip(DOUBLED_LETTERS, dh.matrices(DOUBLED_LETTERS)))
         residuals = _relation_residuals(WordEvaluator(base))
         assert residuals == dh.relation_residuals
         assert max(residuals.values()) < 1e-12
@@ -103,6 +103,19 @@ def test_puncture_meridian_parabolic():
     assert md.kind == "parabolic"
     assert abs(md.trace - 2.0) < 1e-12
     assert md.commutation_residual < 1e-12
+
+
+def test_loxodromic_meridian_has_no_cone_angle():
+    """Off the cusped locus the puncture meridian is no rotation: its cone
+    angle and residual are None, and NaN on a stack."""
+    md = meridian_data(_doubled(coords(2.2, 2.2, 2.42 + 1.9j)), "puncture")
+    assert md.kind == "loxodromic"
+    assert md.cone_angle is None and md.cone_angle_residual is None
+    batch = certify_batch([2.2, 2.2], [2.2, 2.2], [2.42 + 1.9j, MARKED_ROOT_22])
+    stacked = meridian_data(doubled_holonomy(batch), "puncture")
+    assert stacked.kind.tolist() == ["loxodromic", "parabolic"]
+    assert np.isnan(stacked.cone_angle[0]) and np.isnan(stacked.cone_angle_residual[0])
+    assert stacked.cone_angle[1] == 0.0
 
 
 def test_fuchsian_double_has_identity_meridians():
@@ -158,7 +171,7 @@ def test_reflections_fix_their_plaques():
     mirrored generator p = J a J^-1 is a itself, in the same lift."""
     t = coords(2.2, 2.3, pleating_candidates(2.2, 2.3)[0])
     dh = _doubled(t)
-    assert matrix_distance(dh.matrix("p"), dh.certification.pair.a) < 1e-10
+    assert matrix_distance(dh.matrices(["p"])[0], dh.certification.pair.a) < 1e-10
 
 
 # The parent construction's generators at (2.2, 2.2, MARKED_ROOT_22),
@@ -183,7 +196,7 @@ GOLDEN_DOUBLED_22 = {
 def test_doubled_generators_frozen():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     for word, expected in GOLDEN_DOUBLED_22.items():
-        assert matrix_distance(dh.matrix(word), expected) < 1e-12, word
+        assert matrix_distance(dh.matrices([word])[0], expected) < 1e-12, word
 
 
 def _certified_fields(cert):

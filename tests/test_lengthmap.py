@@ -389,12 +389,16 @@ def test_dl_dphi_matches_richardson_reference(thetas):
     assert np.max(np.abs(got - reference)) <= 1e-7 * np.max(np.abs(reference))
 
 
+def _concavity(theta_start, theta_end, **sizes):
+    return lm.concavity_report(lm.continuation_to_angles(theta_start, theta_end, **sizes))
+
+
 @pytest.mark.parametrize(
     "probe,args",
     [
         (lm.continuation_to_angles, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
         (lm.ray_to_cusp, dict(theta_start=(2.0, 2.2))),
-        (lm.concavity_probe, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
+        (_concavity, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
     ],
     ids=["continuation", "ray", "concavity"],
 )
@@ -593,13 +597,13 @@ def test_ray_to_cusp_monotone_and_lands():
 
 
 def test_concavity_probe():
-    probe = lm.concavity_probe((1.8, 2.0), (2.6, 2.3), samples=6, substeps=12)
+    probe = _concavity((1.8, 2.0), (2.6, 2.3), samples=6, substeps=12)
     assert probe["concave"]
     assert all(v < 0.0 for v in probe["second_differences"])
 
 
 def test_cusp_derivative_check():
-    rep = lm.cusp_derivative_check(2.2, 2.2, h=1e-4)
+    rep = lm.cusp_derivative_check()
     assert abs(rep["ratio"]) > 1e-3
     assert rep["ratio"].real < 0.0
     assert rep["hsq_estimate"].real < 0.0

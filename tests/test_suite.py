@@ -184,8 +184,8 @@ def test_check_grid_applies_its_planarity_tol():
 @pytest.mark.parametrize("seed_offset", [0, 58, 171])
 def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     """The continuations check_volume integrates with its coordinate
-    paths are, bit for bit, those of separate concavity_probe and
-    ray_to_cusp calls, and so are its margin and ray gain."""
+    paths are, bit for bit, those of separate continuation_to_angles
+    and ray_to_cusp calls, and so are its margin and ray gain."""
     batched = []
 
     def recording_continuations(*args):
@@ -197,7 +197,10 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     details = suite.check_volume(seed=6 + seed_offset)["details"]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
               ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
-    probes = [lengthmap.concavity_probe(*ends, samples=8, substeps=16) for ends in starts]
+    probes = [
+        lengthmap.concavity_report(lengthmap.continuation_to_angles(*ends, samples=8, substeps=16))
+        for ends in starts
+    ]
     ray = lengthmap.ray_to_cusp((2.0, 2.2), samples=8, substeps=12)
     assert [lengthmap.concavity_report(rows) for rows in batched[:-1]] == probes
     assert batched[-1] == ray
