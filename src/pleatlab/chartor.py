@@ -117,14 +117,22 @@ def pleating_candidates(x, y):
 
 
 def marked_roots(x, y):
-    """The marked (first) root of :func:`pleating_candidates` over arrays;
-    NaN where the discriminant overflows."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    """The marked (first) root of :func:`pleating_candidates` over arrays.
+    Raises :class:`NumericalOverflow` as it does, naming the first
+    ``(x, y)`` where the discriminant leaves the float range."""
+    cx = np.asarray(x, dtype=complex)
+    cy = np.asarray(y, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sqrt(discriminant(x, y))
-        z1 = (x * y + s) / 2.0
-        z2 = (x * y - s) / 2.0
+        disc = discriminant(cx, cy)
+        s = np.sqrt(disc)
+        z1 = (cx * cy + s) / 2.0
+        z2 = (cx * cy - s) / 2.0
+    overflow = np.flatnonzero(~np.isfinite(disc))
+    if overflow.size:
+        point = tuple(v.flat[overflow[0]].item() for v in np.broadcast_arrays(x, y))
+        raise NumericalOverflow(
+            f"pleating quadratic at (x, y) = {point} leaves the float range"
+        )
     swap = (z1.imag < z2.imag) | ((z1.imag == z2.imag) & (z1.real < z2.real))
     return np.where(swap, z2, z1)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from pleatlab import suite as suite_mod
 from pleatlab.chartor import coords, marked_roots, pleating_candidates
-from pleatlab.doubling import doubled_holonomy, meridian_data, symmetry_audit
+from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import holo_length_jacobian, ray_to_cusp, volume_between
 from pleatlab.plaques import certify, certify_batch
@@ -523,7 +523,7 @@ def double_cmd(ctx, x, y, z, out):
             "kind": md.kind,
             "trace": md.trace,
         }
-    audit = symmetry_audit(dh)
+    audit = mirror_residual(dh, audit_words())
     _emit_json(
         {
             "max_relation_residual": dh.max_relation_residual,

@@ -298,12 +298,12 @@ AUDIT_WORDS = ("a", "b", "e", "abAB", "bQ", "aePE", "Ebe", "pq", "qePa")
 
 
 def audit_words(samples=60, seed=0):
-    """The words :func:`symmetry_audit` checks, each paired with its
+    """The words of a mirror audit, each paired with its
     :func:`mirror_word`: the fixed structural ``AUDIT_WORDS``, then
     ``samples`` random reduced words drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     words = list(AUDIT_WORDS) + [
-        random_reduced_word(rng, DOUBLED_LETTERS, 1, 12) for _ in range(samples)
+        random_reduced_word(rng, DOUBLED_LETTERS, 12) for _ in range(samples)
     ]
     return [(w, mirror_word(w)) for w in words]
 
@@ -312,7 +312,10 @@ def mirror_residual(dh, words):
     """Worst ``|trace(mirror(w)) - conj(trace(w))|`` over ``words``, a
     list of ``(word, mirror image)`` pairs as :func:`audit_words` gives,
     and the first word that attains it (``""`` when it is 0).  Over a
-    stack the residual and the word are arrays, one entry per point."""
+    stack the residual and the word are arrays, one entry per point.
+
+    The mirror involution is an exact symmetry of the construction, so
+    the residual is round-off for every doubled word."""
     traces = dh.traces([w for pair in words for w in pair])
     res = np.array([abs(tm - t.conjugate()) for t, tm in zip(traces[::2], traces[1::2])])
     worst = res.max(axis=0)
@@ -320,14 +323,3 @@ def mirror_residual(dh, words):
     if np.ndim(worst):
         return {"residual": worst, "word": word, "count": len(words)}
     return {"residual": worst.item(), "word": str(word), "count": len(words)}
-
-
-def symmetry_audit(dh, samples=60, seed=0):
-    """Worst deviation of the mirror involution from trace conjugation.
-
-    The mirror involution is an exact symmetry of the construction, so
-    ``trace(mirror(w))`` must equal ``conj(trace(w))`` for every doubled
-    word; the audit measures the worst residual over fixed structural
-    words plus a random sample (:func:`audit_words`).
-    """
-    return mirror_residual(dh, audit_words(samples, seed))

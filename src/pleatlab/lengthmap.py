@@ -82,6 +82,9 @@ COCYCLE_SEED = coords(3.0, 3.0, 3.0)
 COCYCLE_STEP = 1e-3
 COCYCLE_PAIRS = 24
 COCYCLE_WORD_SEED = 0
+# The fixed sl2 matrix V of conjugation_family, cocycle_check's
+# coboundary control.
+COCYCLE_CONJUGATOR = (0.3, 0.25 - 0.1j, -0.05j, -0.3)
 # Nodes per run in schlafli_volumes: one certify_batch call and one
 # array quadrature over paths held as (3, n) complex arrays (48 bytes a
 # node).  A certify_batch call costs ~1.0-1.3 ms plus ~1.7-2.0 us per
@@ -243,7 +246,7 @@ def _solve2(j00, j01, j10, j11, r0, r1):
     return (r0 - j01 * s1) / j00, s1
 
 
-def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def _newton2(residual_fn, u0):
     """Damped Newton iteration for a residual of two real unknowns.
 
     The Jacobian is a one-sided difference from the residual already in
@@ -251,8 +254,9 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     ``u_j + copysign(NEWTON_FD_STEP, u_j)``, so an iteration costs three
     residuals and no probe crosses ``u_j = 0``, where the length
     residuals fold over.  Each step is halved up to
-    eleven times until the max-norm residual falls.  Once the norm is
-    within ``tol``, one chord step with the last Jacobian polishes the
+    eleven times until the max-norm residual falls, for at most
+    ``NEWTON_MAX_ITER`` iterations.  Once the norm is within
+    ``NEWTON_TOL``, one chord step with the last Jacobian polishes the
     solution toward round-off; it is kept only if the norm does not
     grow, and ``iterations`` does not count it.  Returns
     ``(u, iterations, norm)`` with ``u`` a pair of floats.
@@ -276,10 +280,10 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     norm = max(abs(r[0]), abs(r[1]))
     iterations = 0
     jac = None
-    while norm > tol:
-        if iterations >= max_iter:
+    while norm > NEWTON_TOL:
+        if iterations >= NEWTON_MAX_ITER:
             raise NewtonDivergence(
-                f"no convergence after {max_iter} iterations (residual {norm:.3e})"
+                f"no convergence after {NEWTON_MAX_ITER} iterations (residual {norm:.3e})"
             )
         iterations += 1
         ua, ub = u
@@ -301,7 +305,7 @@ def _newton2(residual_fn, u0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
             rc = try_residual(candidate)
             if rc is not None:
                 nc = max(abs(rc[0]), abs(rc[1]))
-                if nc < norm or nc <= tol:
+                if nc < norm or nc <= NEWTON_TOL:
                     u, r, norm = candidate, rc, nc
                     break
             scale *= 0.5
@@ -416,8 +420,8 @@ def solve_targets(targets, seed=(1.0, 1.0)):
     )
 
 
-def solve_for_angles(theta_a, theta_b, seed=(1.0, 1.0)):
-    return solve_targets({"a": ("angle", theta_a), "b": ("angle", theta_b)}, seed=seed)
+def solve_for_angles(theta_a, theta_b):
+    return solve_targets({"a": ("angle", theta_a), "b": ("angle", theta_b)})
 
 
 def _place_angles(theta_a, theta_b):
@@ -792,11 +796,11 @@ def quakebend_family(pair):
     return family
 
 
-def conjugation_family(pair, v=(0.3, 0.25 - 0.1j, -0.05j, -0.3)):
-    """t -> generators conjugated by exp(t V) for a fixed sl2 matrix V."""
+def conjugation_family(pair):
+    """t -> generators conjugated by exp(t V), V = ``COCYCLE_CONJUGATOR``."""
 
     def family(t):
-        va, vb, vc, vd = v
+        va, vb, vc, vd = COCYCLE_CONJUGATOR
         g = _expm2((t * va, t * vb, t * vc, t * vd))
         gi = kernel.mat_inv(g)
         return {
@@ -866,7 +870,7 @@ def cocycle_check():
     pair, h = matrices_from_traces(COCYCLE_SEED), COCYCLE_STEP
     rng = np.random.default_rng(COCYCLE_WORD_SEED)
     word_pairs = [
-        (random_reduced_word(rng, "ab", 1, 6), random_reduced_word(rng, "ab", 1, 6))
+        (random_reduced_word(rng, "ab", 6), random_reduced_word(rng, "ab", 6))
         for _ in range(COCYCLE_PAIRS)
     ]
     fam = quakebend_family(pair)

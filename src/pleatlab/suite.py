@@ -3,11 +3,13 @@
 Each criterion is a function returning a record dict with ``passed``
 (bool) and ``details`` (flat, JSON-friendly).  The registry at the
 bottom fixes the order, the short names used for filtering, and the
-one-line descriptions.  Tolerances are pinned here and nowhere else so
-the test battery and ``pleatlab verify-suite`` cannot drift apart.
+one-line descriptions.  The sizes, thresholds and base seeds of the
+criteria are constants of this module and nowhere else, so the test
+battery and ``pleatlab verify-suite`` cannot drift apart; a criterion
+reads them when it runs.  The seven randomized criteria take their seed
+as an argument, ``SEEDS[name]`` plus ``run_suite``'s ``seed_offset``.
 """
 
-import inspect
 import math
 
 import numpy as np
@@ -45,6 +47,37 @@ GRID_STEP = 0.05
 # rows ~8.0 ms and 3.6 MB.
 LIFT_BLOCK = 2048
 
+# Base sampling seed of each randomized criterion; run_suite adds its
+# seed_offset.
+SEEDS = {"lift": 1, "relations": 2, "cone": 3, "mirror": 4, "posdef": 5, "volume": 6, "newton": 7}
+# Sizes and thresholds of the criteria, in registry order.
+LIFT_SAMPLES = 10_000
+LIFT_TOL = 1e-10
+GRID_TOL = 1e-8
+QUAKEBEND_PARAMETER = 0.3
+QUAKEBEND_TOL = 1e-8
+RELATIONS_STRUCTURES = 20
+RELATIONS_TOL = 1e-9
+CONE_STRUCTURES = 20
+CONE_ANGLE_TOL = 1e-6
+CONE_COMMUTE_TOL = 1e-9
+CONE_RE_TOL = 1e-8
+MIRROR_STRUCTURES = 6
+MIRROR_WORDS = 40
+MIRROR_TOL = 1e-8
+JACOBIAN_DET_LO = 1e-2
+JACOBIAN_DET_HI = 1e3
+JACOBIAN_FD_TOL = 1e-6
+JACOBIAN_CORNER_TOL = 1e-4
+POSDEF_SYM_TOL = 1e-4
+VOLUME_PAIRS = 10
+VOLUME_PAIR_TOL = 1e-5
+NEWTON_AGREEMENT_TOL = 1e-8
+CUSPMODEL_RELATION_TOL = 1e-12
+CUSPMODEL_RATIO_FLOOR = 1e-3
+CUSPMODEL_CROSS_TOL = 1e-6
+COCYCLE_MIN_EXPONENT = 1.8
+
 
 def _marked(x, y):
     z, _ = pleating_candidates(x, y)
@@ -79,16 +112,16 @@ def _grid_values():
 # 1. complex length against the lifted trace
 
 
-def check_lift(samples=10_000, seed=1, tol=1e-10):
+def check_lift(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0
-    while tested < samples:
+    while tested < LIFT_SAMPLES:
         # A block never holds more rows than samples still missing, so the
         # generator yields the same values as drawing one row at a time.
         # Each row of eight draws holds the entries (a, b, c, d), real and
         # imaginary parts in turn.
-        block = rng.normal(size=(min(LIFT_BLOCK, samples - tested), 8))
+        block = rng.normal(size=(min(LIFT_BLOCK, LIFT_SAMPLES - tested), 8))
         (a, b, c, d), singular = unimodular_batch(tuple(block.view(complex).T))
         if singular.any():
             raise ZeroMultiplier("matrix is singular, no Moebius map")
@@ -99,8 +132,8 @@ def check_lift(samples=10_000, seed=1, tol=1e-10):
         recon = 2.0 * np.cosh(lam.value / 2.0)
         worst = float(np.abs(recon - lam.lift_sign * tr[kept]).max(initial=worst))
     return {
-        "passed": worst < tol,
-        "details": {"samples": tested, "worst_residual": worst, "tol": tol},
+        "passed": worst < LIFT_TOL,
+        "details": {"samples": tested, "worst_residual": worst, "tol": LIFT_TOL},
     }
 
 
@@ -108,7 +141,7 @@ def check_lift(samples=10_000, seed=1, tol=1e-10):
 # 2. convex certification over the coordinate grid
 
 
-def check_grid(tol=1e-8):
+def check_grid():
     values = _grid_values()
     x = np.repeat(values, len(values))
     y = np.tile(values, len(values))
@@ -123,12 +156,12 @@ def check_grid(tol=1e-8):
     )
     worst_planarity = float(cert.max_planarity_residual.max())
     return {
-        "passed": bool(ok.all()) and worst_planarity < tol,
+        "passed": bool(ok.all()) and worst_planarity < GRID_TOL,
         "details": {
             "points": int(ok.size),
             "failures": int((~ok).sum()),
             "worst_planarity": worst_planarity,
-            "tol": tol,
+            "tol": GRID_TOL,
         },
     }
 
@@ -137,7 +170,7 @@ def check_grid(tol=1e-8):
 # 3. quakebend from discriminant-zero Fuchsian seeds
 
 
-def check_quakebend(t_param=0.3, tol=1e-8):
+def check_quakebend():
     xs = (2.5, 2.0 * math.sqrt(2.0), 3.0, 3.5, 4.0)
     worst_angle = 0.0
     worst_disc = 0.0
@@ -150,21 +183,21 @@ def check_quakebend(t_param=0.3, tol=1e-8):
         if not seed_cert.is_fuchsian_boundary:
             failures += 1
             continue
-        bent = quakebend(seed, t_param)
+        bent = quakebend(seed, QUAKEBEND_PARAMETER)
         cert = certify(bent)
         if not cert.is_convex:
             failures += 1
             continue
-        worst_angle = max(worst_angle, abs(cert.theta[0] - t_param))
+        worst_angle = max(worst_angle, abs(cert.theta[0] - QUAKEBEND_PARAMETER))
     return {
-        "passed": failures == 0 and worst_angle < tol,
+        "passed": failures == 0 and worst_angle < QUAKEBEND_TOL,
         "details": {
             "seeds": len(xs),
             "failures": failures,
-            "bend_parameter": t_param,
+            "bend_parameter": QUAKEBEND_PARAMETER,
             "worst_angle_error": worst_angle,
             "worst_seed_discriminant": worst_disc,
-            "tol": tol,
+            "tol": QUAKEBEND_TOL,
         },
     }
 
@@ -173,14 +206,14 @@ def check_quakebend(t_param=0.3, tol=1e-8):
 # 4. doubled holonomy relations
 
 
-def check_relations(n=20, seed=2, tol=1e-9):
-    worst = float(_doubled_sample(n, seed).max_relation_residual.max())
+def check_relations(seed):
+    worst = float(_doubled_sample(RELATIONS_STRUCTURES, seed).max_relation_residual.max())
     return {
-        "passed": worst < tol,
+        "passed": worst < RELATIONS_TOL,
         "details": {
-            "structures": n,
+            "structures": RELATIONS_STRUCTURES,
             "worst_relation_residual": worst,
-            "tol": tol,
+            "tol": RELATIONS_TOL,
         },
     }
 
@@ -189,8 +222,8 @@ def check_relations(n=20, seed=2, tol=1e-9):
 # 5. meridian cone angles
 
 
-def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
-    dh = _doubled_sample(n, seed)
+def check_cone(seed):
+    dh = _doubled_sample(CONE_STRUCTURES, seed)
     worst_angle = 0.0
     worst_commute = 0.0
     worst_re = 0.0
@@ -204,18 +237,18 @@ def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
         worst_re = float(np.fmax.reduce(np.abs(md.complex_length.real), initial=worst_re))
     return {
         "passed": (
-            worst_angle < angle_tol
-            and worst_commute < commute_tol
-            and worst_re < re_tol
+            worst_angle < CONE_ANGLE_TOL
+            and worst_commute < CONE_COMMUTE_TOL
+            and worst_re < CONE_RE_TOL
         ),
         "details": {
-            "structures": n,
+            "structures": CONE_STRUCTURES,
             "worst_cone_angle_residual": worst_angle,
             "worst_commutation": worst_commute,
             "worst_real_part": worst_re,
-            "angle_tol": angle_tol,
-            "commute_tol": commute_tol,
-            "re_tol": re_tol,
+            "angle_tol": CONE_ANGLE_TOL,
+            "commute_tol": CONE_COMMUTE_TOL,
+            "re_tol": CONE_RE_TOL,
         },
     }
 
@@ -224,14 +257,18 @@ def check_cone(n=20, seed=3, angle_tol=1e-6, commute_tol=1e-9, re_tol=1e-8):
 # 6. mirror symmetry of the doubled traces
 
 
-def check_mirror(n=6, seed=4, tol=1e-8):
-    # symmetry_audit(dh, samples=40, seed=seed) of each structure, with
-    # the words drawn once.
-    words = audit_words(samples=40, seed=seed)
-    worst = float(mirror_residual(_doubled_sample(n, seed), words)["residual"].max())
+def check_mirror(seed):
+    # The mirror audit of each structure, with the words drawn once.
+    words = audit_words(samples=MIRROR_WORDS, seed=seed)
+    dh = _doubled_sample(MIRROR_STRUCTURES, seed)
+    worst = float(mirror_residual(dh, words)["residual"].max())
     return {
-        "passed": worst < tol,
-        "details": {"structures": n, "worst_trace_mismatch": worst, "tol": tol},
+        "passed": worst < MIRROR_TOL,
+        "details": {
+            "structures": MIRROR_STRUCTURES,
+            "worst_trace_mismatch": worst,
+            "tol": MIRROR_TOL,
+        },
     }
 
 
@@ -239,7 +276,7 @@ def check_mirror(n=6, seed=4, tol=1e-8):
 # 7. Jacobian determinant bounds and degeneration
 
 
-def check_jacobian(det_lo=1e-2, det_hi=1e3, fd_tol=1e-6, corner_tol=1e-4):
+def check_jacobian():
     dets = []
     worst_fd = 0.0
     for x in _grid_values():
@@ -260,11 +297,11 @@ def check_jacobian(det_lo=1e-2, det_hi=1e3, fd_tol=1e-6, corner_tol=1e-4):
     decreasing = all(path_dets[i + 1] < path_dets[i] for i in range(len(path_dets) - 1))
     return {
         "passed": (
-            min(dets) > det_lo
-            and max(dets) < det_hi
-            and worst_fd < fd_tol
+            min(dets) > JACOBIAN_DET_LO
+            and max(dets) < JACOBIAN_DET_HI
+            and worst_fd < JACOBIAN_FD_TOL
             and decreasing
-            and path_dets[-1] < corner_tol
+            and path_dets[-1] < JACOBIAN_CORNER_TOL
         ),
         "details": {
             "grid_min_det": min(dets),
@@ -272,10 +309,10 @@ def check_jacobian(det_lo=1e-2, det_hi=1e3, fd_tol=1e-6, corner_tol=1e-4):
             "worst_fd_residual": worst_fd,
             "path_final_det": path_dets[-1],
             "path_decreasing": decreasing,
-            "det_lo": det_lo,
-            "det_hi": det_hi,
-            "fd_tol": fd_tol,
-            "corner_tol": corner_tol,
+            "det_lo": JACOBIAN_DET_LO,
+            "det_hi": JACOBIAN_DET_HI,
+            "fd_tol": JACOBIAN_FD_TOL,
+            "corner_tol": JACOBIAN_CORNER_TOL,
         },
     }
 
@@ -297,7 +334,7 @@ def _min_monotonicity(states):
     return worst
 
 
-def check_posdef(seed=5, sym_tol=1e-4):
+def check_posdef(seed):
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(14):
@@ -321,14 +358,16 @@ def check_posdef(seed=5, sym_tol=1e-4):
     # phi -> l is strictly monotone, so every pair gives a positive ratio.
     min_mono = _min_monotonicity(states)
     return {
-        "passed": worst_sym < sym_tol and min_eig > 0.0 and min_diag > 0.0 and min_mono > 0.0,
+        "passed": (
+            worst_sym < POSDEF_SYM_TOL and min_eig > 0.0 and min_diag > 0.0 and min_mono > 0.0
+        ),
         "details": {
             "points": len(pairs),
             "worst_symmetry": worst_sym,
             "min_eigenvalue": min_eig,
             "min_diagonal": min_diag,
             "min_monotonicity": min_mono,
-            "sym_tol": sym_tol,
+            "sym_tol": POSDEF_SYM_TOL,
         },
     }
 
@@ -337,10 +376,10 @@ def check_posdef(seed=5, sym_tol=1e-4):
 # 9. volume: path independence, concavity, monotone ray
 
 
-def check_volume(seed=6, pair_tol=1e-5, pairs=10, concavity_paths=5):
+def check_volume(seed):
     rng = np.random.default_rng(seed)
     paths = []
-    for _ in range(pairs):
+    for _ in range(VOLUME_PAIRS):
         x0, y0, x1, y1, xw, yw = rng.uniform(2.1, 2.55, size=6)
         t0 = _marked(float(x0), float(y0))
         t1 = _marked(float(x1), float(y1))
@@ -356,7 +395,7 @@ def check_volume(seed=6, pair_tol=1e-5, pairs=10, concavity_paths=5):
         ((2.8, 1.0), (1.6, 2.4)),
         ((0.9, 2.5), (2.0, 1.1)),
         ((1.5, 1.5), (2.9, 2.9)),
-    ][:concavity_paths]
+    ]
     # The concavity probes, then the ray to the cusp, integrated together
     # with the coordinate paths.
     pair_volumes, rows = continuations(
@@ -380,11 +419,11 @@ def check_volume(seed=6, pair_tol=1e-5, pairs=10, concavity_paths=5):
     increments = [vols[i + 1] - vols[i] for i in range(len(vols) - 1)]
     ray_ok = all(v > 0.0 for v in increments)
     return {
-        "passed": worst_pair < pair_tol and concave_ok and ray_ok,
+        "passed": worst_pair < VOLUME_PAIR_TOL and concave_ok and ray_ok,
         "details": {
-            "path_pairs": pairs,
+            "path_pairs": VOLUME_PAIRS,
             "worst_pair_difference": worst_pair,
-            "pair_tol": pair_tol,
+            "pair_tol": VOLUME_PAIR_TOL,
             "concavity_paths": len(angle_paths),
             "concave": concave_ok,
             "worst_second_difference_margin": worst_margin,
@@ -398,8 +437,8 @@ def check_volume(seed=6, pair_tol=1e-5, pairs=10, concavity_paths=5):
 # 10. Newton solver consistency
 
 
-def check_newton(seed=7, tol=1e-8):
-    cusp = solve_for_angles(math.pi, math.pi, seed=(1.0, 1.0))
+def check_newton(seed):
+    cusp = solve_for_angles(math.pi, math.pi)
     cusp_err = max(
         abs(cusp.coords.x - 2.0),
         abs(cusp.coords.y - 2.0),
@@ -443,14 +482,18 @@ def check_newton(seed=7, tol=1e-8):
             spread({"a": ("length", la), "b": ("angle", th)}),
         )
     return {
-        "passed": cusp_err < tol and worst_spread < tol and failures == 0,
+        "passed": (
+            cusp_err < NEWTON_AGREEMENT_TOL
+            and worst_spread < NEWTON_AGREEMENT_TOL
+            and failures == 0
+        ),
         "details": {
             "cusp_error": cusp_err,
             "worst_seed_spread": worst_spread,
             "targets": 20,
             "seeds_per_target": len(seeds),
             "failures": failures,
-            "tol": tol,
+            "tol": NEWTON_AGREEMENT_TOL,
         },
     }
 
@@ -459,7 +502,7 @@ def check_newton(seed=7, tol=1e-8):
 # 11. cusp-opening derivative against the commuting model
 
 
-def check_cuspmodel(relation_tol=1e-12, ratio_floor=1e-3, cross_tol=1e-6):
+def check_cuspmodel():
     model = commuting_canonical_pair(3.0, 2.0)
     rep = cusp_derivative_check()
     ratio = rep["ratio"]
@@ -467,11 +510,11 @@ def check_cuspmodel(relation_tol=1e-12, ratio_floor=1e-3, cross_tol=1e-6):
     sign_ok = (ratio.real > 0) == (hsq.real > 0) and ratio.real != 0
     return {
         "passed": (
-            model["relation_residual"] < relation_tol
-            and model["commutation_residual"] < relation_tol
-            and abs(ratio) > ratio_floor
+            model["relation_residual"] < CUSPMODEL_RELATION_TOL
+            and model["commutation_residual"] < CUSPMODEL_RELATION_TOL
+            and abs(ratio) > CUSPMODEL_RATIO_FLOOR
             and sign_ok
-            and rep["cusp_preserving_cross"] < cross_tol
+            and rep["cusp_preserving_cross"] < CUSPMODEL_CROSS_TOL
         ),
         "details": {
             "model_relation_residual": model["relation_residual"],
@@ -481,9 +524,9 @@ def check_cuspmodel(relation_tol=1e-12, ratio_floor=1e-3, cross_tol=1e-6):
             "hsq_estimate": hsq.real,
             "sign_consistent": sign_ok,
             "cusp_preserving_cross": rep["cusp_preserving_cross"],
-            "relation_tol": relation_tol,
-            "ratio_floor": ratio_floor,
-            "cross_tol": cross_tol,
+            "relation_tol": CUSPMODEL_RELATION_TOL,
+            "ratio_floor": CUSPMODEL_RATIO_FLOOR,
+            "cross_tol": CUSPMODEL_CROSS_TOL,
         },
     }
 
@@ -492,17 +535,17 @@ def check_cuspmodel(relation_tol=1e-12, ratio_floor=1e-3, cross_tol=1e-6):
 # 12. cocycle convergence order
 
 
-def check_cocycle(min_exponent=1.8):
+def check_cocycle():
     rep = cocycle_check()
     return {
-        "passed": rep["exponent"] >= min_exponent and rep["constant_residual"] == 0.0,
+        "passed": rep["exponent"] >= COCYCLE_MIN_EXPONENT and rep["constant_residual"] == 0.0,
         "details": {
             "exponent": rep["exponent"],
             "residual_h": rep["residual_h"],
             "residual_h2": rep["residual_h2"],
             "conjugation_residual": rep["conjugation_residual"],
             "constant_residual": rep["constant_residual"],
-            "min_exponent": min_exponent,
+            "min_exponent": COCYCLE_MIN_EXPONENT,
         },
     }
 
@@ -530,8 +573,9 @@ def run_suite(names=None, seed_offset=0):
     """Run the acceptance criteria, optionally filtered by name.
 
     ``seed_offset`` shifts the sampling seed of every randomized
-    criterion (zero reproduces the pinned defaults).  Returns a list of
-    records with index, name, description, passed, and details.
+    criterion: each is called with ``SEEDS[name] + seed_offset``, and the
+    others with no argument.  Returns a list of records with index,
+    name, description, passed, and details.
     """
     wanted = None if names is None else set(names)
     if wanted is not None:
@@ -543,12 +587,7 @@ def run_suite(names=None, seed_offset=0):
     for index, (name, description, fn) in enumerate(CRITERIA, start=1):
         if wanted is not None and name not in wanted:
             continue
-        kwargs = {}
-        if seed_offset:
-            params = inspect.signature(fn).parameters
-            if "seed" in params:
-                kwargs["seed"] = params["seed"].default + seed_offset
-        result = fn(**kwargs)
+        result = fn(SEEDS[name] + seed_offset) if name in SEEDS else fn()
         records.append(
             {
                 "index": index,

@@ -113,18 +113,16 @@ class StackEvaluator(WordEvaluator):
         return (a + d).T
 
 
-def random_reduced_word(rng, letters, min_len=1, max_len=12):
+def random_reduced_word(rng, letters, max_len):
     """A nonempty freely reduced word, drawn with the given numpy RNG.
 
-    The length is uniform in ``[min_len, max_len]``; each letter is
-    uniform over the symbols (``letters``, then their inverses) that do
-    not cancel the previous one, one ``rng.integers`` draw per letter.
+    The length is uniform in ``[1, max_len]``; each letter is uniform
+    over the symbols (``letters``, then their inverses) that do not
+    cancel the previous one, one ``rng.integers`` draw per letter.
     """
-    if min_len < 1:
-        raise PleatlabError(f"a nonempty word needs min_len >= 1, got {min_len}")
     n = len(letters)
     symbols = list(letters) + [ch.upper() for ch in letters]
-    length = int(rng.integers(min_len, max_len + 1))
+    length = int(rng.integers(1, max_len + 1))
     out = [int(rng.integers(0, 2 * n))]
     for _ in range(length - 1):
         # Skip the inverse of the previous symbol, n places away.

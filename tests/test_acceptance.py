@@ -11,15 +11,12 @@ from pleatlab import suite
 
 
 @pytest.mark.parametrize(
-    "index,name,description,fn",
-    [
-        (i, name, desc, fn)
-        for i, (name, desc, fn) in enumerate(suite.CRITERIA, start=1)
-    ],
+    "index,name,description",
+    [(i, name, desc) for i, (name, desc, _) in enumerate(suite.CRITERIA, start=1)],
     ids=[name for name, _, _ in suite.CRITERIA],
 )
-def test_acceptance_criterion(index, name, description, fn, capsys):
-    record = fn()
+def test_acceptance_criterion(index, name, description, capsys):
+    (record,) = suite.run_suite([name])
     status = "PASS" if record["passed"] else "FAIL"
     with capsys.disabled():
         print(f"\n[{status}] {index:2d} {name}: {description}")

@@ -5,7 +5,6 @@ The pleating root at (2.2, 2.2) and the canonical commuting pair at
 z^2 - 4.84 z + 9.68 = 0 and the pair trace is sqrt(24).
 """
 
-import cmath
 import math
 import re
 
@@ -73,11 +72,33 @@ def test_marked_roots_match_pleating_candidates():
 
 @pytest.mark.parametrize("x, y", [(1e160, 2.5), (2.1, 1e300), (1e200j, 3.0)])
 def test_pleating_candidates_beyond_float_range_name_the_input(x, y):
-    """The scalar raises where the discriminant overflows; the array form
-    reads NaN there."""
-    with pytest.raises(NumericalOverflow, match=re.escape(f"{(x, y)}")):
-        pleating_candidates(x, y)
-    assert cmath.isnan(complex(marked_roots(x, y)))
+    """The scalar and the array form raise where the discriminant
+    overflows; the array form names the first such point."""
+    for roots in (pleating_candidates, marked_roots):
+        with pytest.raises(NumericalOverflow, match=re.escape(f"(x, y) = {(x, y)} ")):
+            roots(x, y)
+    with pytest.raises(NumericalOverflow, match=re.escape(f"(x, y) = {(x, y)} ")):
+        marked_roots([2.2, x, 1e300], [2.2, y, 1e300])
+
+
+# |v| log-uniform over [1e-300, 1e300], of either sign.
+_WIDE = st.builds(
+    lambda e, sign: sign * 10.0**e, st.floats(-300.0, 300.0), st.sampled_from((-1.0, 1.0))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDE, _WIDE)
+def test_marked_roots_answer_like_pleating_candidates(x, y):
+    """The array form gives the scalar's marked root to 1e-13 relative,
+    or raises the scalar's NumericalOverflow."""
+    try:
+        want = pleating_candidates(x, y)[0]
+    except NumericalOverflow:
+        with pytest.raises(NumericalOverflow):
+            marked_roots(x, y)
+        return
+    assert abs(complex(marked_roots(x, y)) - want) <= 1e-13 * abs(want)
 
 
 def test_discriminant_zero_family():

@@ -311,6 +311,7 @@ EDGE_INPUTS = [
     ("--force", "sweep", "--grid", "2:2:1,3.75e8:3.75e8:1"),
     # Beyond the float range.
     ("certify", "1e160", "2.5"),
+    ("--force", "sweep", "--grid", "1e160:1e160:1e150,2:2:1"),
     ("double", "1e160", "2.5"),
     ("volume", "--start", "2.1,2.1", "--end", "1e160,2.1"),
     ("jacobian", "1e160", "2.5"),
@@ -335,7 +336,7 @@ EDGE_INPUTS = [
 @pytest.mark.parametrize("args", EDGE_INPUTS, ids=" ".join)
 def test_edge_inputs_end_cleanly(args):
     """Exit 0, 1 or 2 with no traceback and no RuntimeWarning, and no
-    undefined (null) value in a successful report."""
+    undefined value (a JSON null, a CSV nan) in a successful report."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run(*args)
@@ -344,7 +345,7 @@ def test_edge_inputs_end_cleanly(args):
     assert "Traceback" not in result.output
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if result.exit_code == 0:
-        assert "null" not in result.output
+        assert "null" not in result.output and "nan" not in result.output
 
 
 @pytest.mark.parametrize("args", [a for a in EDGE_INPUTS if "--out" in a], ids=" ".join)
@@ -359,13 +360,19 @@ def test_unopenable_out_is_a_usage_error(args):
     [(("certify", "1e160", "2.5"), "(1e+160, 2.5)"),
      (("double", "1e160", "2.5"), "(1e+160, 2.5)"),
      (("jacobian", "1e160", "2.5"), "(1e+160, 2.5)"),
-     (("volume", "--start", "2.1,2.1", "--end", "1e160,2.1"), "(1e+160, 2.1)")],
-    ids=["certify", "double", "jacobian", "volume"],
+     (("volume", "--start", "2.1,2.1", "--end", "1e160,2.1"), "(1e+160, 2.1)"),
+     (("--force", "sweep", "--grid", "1e160:1e160:1e150,2:2:1", "--out", "x.csv"),
+      "(1e+160, 2.0)")],
+    ids=["certify", "double", "jacobian", "volume", "sweep"],
 )
-def test_overflowing_pleating_quadratic_names_the_input(args, point):
+def test_overflowing_pleating_quadratic_names_the_input(args, point, tmp_path, monkeypatch):
+    """The sweep, on its array path, fails like the scalar commands and
+    creates no --out file."""
+    monkeypatch.chdir(tmp_path)
     result = run(*args)
     assert result.exit_code == 1
     assert f"(x, y) = {point}" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tolerance_flag_is_a_usage_error(tmp_path):

@@ -23,7 +23,6 @@ from pleatlab.doubling import (
     meridian_data,
     mirror_residual,
     mirror_word,
-    symmetry_audit,
 )
 from pleatlab.errors import NoConsistentLift, NotPiecewiseGeodesic
 from pleatlab.moebius import matrix_distance
@@ -149,7 +148,7 @@ def test_mirror_word_is_an_involution():
 
 def test_symmetry_audit_small():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
-    audit = symmetry_audit(dh, samples=40, seed=11)
+    audit = mirror_residual(dh, audit_words(samples=40, seed=11))
     assert audit["residual"] < 1e-10
     assert audit["count"] >= 40
 

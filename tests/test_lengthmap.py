@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pleatlab.chartor import coords, marked_roots, pleating_candidates
+from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
@@ -64,12 +64,12 @@ def test_jacobian_degenerate_coordinates_rejected():
         lm.holo_length_jacobian(t)
 
 
-@pytest.mark.parametrize("x, y, z", [(1e160, 2.5, None), (2.2, 2.2, 1e308)],
+@pytest.mark.parametrize("x, y, z", [(1e160, 2.5, complex("nan")), (2.2, 2.2, 1e308)],
                          ids=["overflowing-root", "huge-z"])
 def test_jacobian_beyond_float_range_raises(x, y, z):
-    """Also at the NaN root that marked_roots gives where the pleating
-    quadratic overflows (the scalar pleating_candidates raises there)."""
-    t = coords(x, y, marked_roots(x, y) if z is None else z)
+    """Also at a NaN root, as at a point where the pleating quadratic
+    overflows (where pleating_candidates and marked_roots raise)."""
+    t = coords(x, y, z)
     with pytest.raises(NumericalOverflow):
         lm.holo_length_jacobian(t)
 
@@ -95,7 +95,7 @@ def test_solve_for_angles_interior():
 
 
 def test_solve_reaches_maximal_cusp():
-    res = lm.solve_for_angles(math.pi, math.pi, seed=(1.0, 1.0))
+    res = lm.solve_for_angles(math.pi, math.pi)
     assert abs(res.coords.x - 2.0) < 1e-8
     assert abs(res.coords.y - 2.0) < 1e-8
     assert abs(res.coords.z - (2.0 + 2.0j)) < 1e-8
@@ -118,7 +118,7 @@ def test_solve_small_angles_reruns_from_explicit_lengths(monkeypatch):
 
     explicit = lm.explicit_lengths
     monkeypatch.setattr(lm, "explicit_lengths", counting)
-    res = lm.solve_for_angles(0.2, 0.03, seed=(1.0, 1.0))
+    res = lm.solve_for_angles(0.2, 0.03)
     assert len(runs) == 1
     assert abs(res.thetas[0] - 0.2) < 1e-9
     assert abs(res.thetas[1] - 0.03) < 1e-9
@@ -218,10 +218,12 @@ def test_solve_rejects_bad_targets():
         lm.solve_targets({"a": ("length", -1.0), "b": ("length", 1.0)})
 
 
-def test_newton_divergence_reported():
+def test_newton_divergence_reported(monkeypatch):
     residual = lm._target_residual({"a": ("angle", 2.0), "b": ("angle", 2.0)})
-    with pytest.raises(NewtonDivergence, match="no convergence after 0 iterations"):
-        lm._newton2(residual, (1.0, 1.0), max_iter=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(lm, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(NewtonDivergence, match="no convergence after 0 iterations"):
+            lm._newton2(residual, (1.0, 1.0))
     # (8, 8) is bending-free: every angle is 0 there, so the residual is
     # undefined rather than flat.
     with pytest.raises(NewtonDivergence, match="residual undefined at the seed"):
@@ -232,7 +234,7 @@ def test_newton_divergence_reported():
 def test_solve_near_the_cusp_keeps_the_length(k):
     """Near the cusp the a-length is (pi - theta_a) / 7.7140172 to first
     order at theta_b = 0.26; an angle snapped to pi loses it."""
-    res = lm.solve_for_angles(math.pi - 10.0**-k, 0.26, seed=(1.0, 1.0))
+    res = lm.solve_for_angles(math.pi - 10.0**-k, 0.26)
     expected = 10.0**-k / 7.7140172
     assert abs(res.lengths[0] - expected) <= 1e-3 * expected
 
@@ -372,8 +374,10 @@ def _dl_dphi_of_solves(theta_a, theta_b, h):
         up, dn = [theta_a, theta_b], [theta_a, theta_b]
         up[j] += h
         dn[j] -= h
-        l_up = lm.solve_for_angles(*up, seed=base.lengths).lengths
-        l_dn = lm.solve_for_angles(*dn, seed=base.lengths).lengths
+        l_up, l_dn = (
+            lm.solve_targets({"a": ("angle", a), "b": ("angle", b)}, seed=base.lengths).lengths
+            for a, b in (up, dn)
+        )
         cols.append([(l_up[i] - l_dn[i]) / (-4.0 * h) for i in range(2)])
     return np.array(cols).T
 

@@ -1,15 +1,20 @@
-"""Reachability: every function in ``pleatlab`` is entered by some entry point.
+"""Reachability: every function in ``pleatlab`` is entered, and every
+defaulted parameter is varied, by some entry point.
 
 The entry points are every CLI command (``sweep`` through a ``--config``
-file, ``verify-suite`` in full) and ``lengthmap.solve_targets`` on one
-target of each kind.  A ``def`` they never enter is library code that
-only its own unit tests reach.
+file, ``verify-suite`` in full, at a second ``--seed`` and filtered) and
+``lengthmap.solve_targets`` on one target of each kind.  A ``def`` they
+never enter is library code that only its own unit tests reach; a
+parameter they only ever pass its default is a setting no user can
+change, and belongs in a named constant.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import pleatlab
@@ -26,24 +31,36 @@ TARGETS = (
 
 
 def _defs():
-    """``(file, first line) -> qualified name`` of every function and
-    method, nested ones included.  A code object's first line is that of
-    its first decorator."""
+    """``(file, first line) -> (qualified name, defaults)`` of every
+    function and method, nested ones included.  A code object's first
+    line is that of its first decorator, and its file is its module's
+    ``__file__``.  ``defaults`` lists ``(parameter, default value)``, each
+    default evaluated in its module's namespace."""
     found = {}
 
-    def visit(node, prefix, path):
+    def visit(node, prefix, module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{prefix}.{child.name}"
                 if not isinstance(child, ast.ClassDef):
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    found[str(path), first] = name
-                visit(child, name, path)
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                    defaults = [
+                        (a.arg, eval(compile(ast.Expression(d), module.__file__, "eval"), vars(module)))
+                        for a, d in pairs
+                    ]
+                    found[module.__file__, first] = name, defaults
+                visit(child, name, module)
             else:
-                visit(child, prefix, path)
+                visit(child, prefix, module)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, path)
+        stem = path.stem
+        module = importlib.import_module("pleatlab" if stem == "__init__" else f"pleatlab.{stem}")
+        visit(ast.parse(path.read_text()), stem, module)
     return found
 
 
@@ -58,6 +75,8 @@ def _run_entry_points(tmp_path):
         ("double", "2.2", "2.2"),
         ("jacobian", "2.2", "2.2"),
         ("verify-suite", "--out", str(tmp_path / "suite.json")),
+        ("--seed", "1", "verify-suite"),
+        ("verify-suite", "--filter", "grid"),
     ]
     for args in commands:
         result = CliRunner().invoke(main, list(args))
@@ -77,20 +96,57 @@ def _clear_caches():
                 value.cache_clear()
 
 
-def test_every_function_is_reached(tmp_path):
-    _clear_caches()
+def _is_default(value, default):
+    """Whether a call passed a parameter its default value.  An array
+    compares elementwise and counts as a different value."""
+    try:
+        return value is default or bool(value == default)
+    except (TypeError, ValueError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """One profiled run of the entry points: the definitions, the
+    ``(file, first line)`` of every code object entered, and the
+    ``(file, first line, parameter)`` of every default some call
+    changed."""
+    defs = _defs()
+    defaulted = {key: params for key, (_, params) in defs.items() if params}
     entered = set()
+    varied = set()
 
     def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno))
+        if event != "call":
+            return
+        code = frame.f_code
+        key = code.co_filename, code.co_firstlineno
+        entered.add(key)
+        for param, default in defaulted.get(key, ()):
+            if (*key, param) not in varied and not _is_default(frame.f_locals[param], default):
+                varied.add((*key, param))
 
+    _clear_caches()
     sys.setprofile(profile)
     try:
-        _run_entry_points(tmp_path)
+        _run_entry_points(tmp_path_factory.mktemp("reach"))
     finally:
         sys.setprofile(None)
-    entered = {(str(Path(name).resolve()), line) for name, line in entered}
-    missed = sorted(name for key, name in _defs().items() if key not in entered)
+    return defs, entered, varied
+
+
+def test_every_function_is_reached(reach):
+    defs, entered, _ = reach
+    missed = sorted(name for key, (name, _) in defs.items() if key not in entered)
     assert missed == [], "never entered: " + ", ".join(missed)
+
+
+def test_every_default_is_varied(reach):
+    defs, _, varied = reach
+    fixed = sorted(
+        f"{name}:{param}"
+        for key, (name, params) in defs.items()
+        for param, _ in params
+        if (*key, param) not in varied
+    )
+    assert fixed == [], f"{len(fixed)} parameters only ever take their default: " + ", ".join(fixed)

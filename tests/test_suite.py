@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pleatlab import doubling, lengthmap, suite
-from pleatlab.doubling import audit_words, doubled_holonomy, symmetry_audit
+from pleatlab.doubling import audit_words, doubled_holonomy, mirror_residual
 from pleatlab.errors import NewtonDivergence, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
 from pleatlab.plaques import certify, certify_batch
@@ -90,10 +90,11 @@ def test_check_lift_matches_single_draws(samples, skipping, monkeypatch):
         return complex_length(m)
 
     monkeypatch.setattr(suite, "complex_length", recording_complex_length)
+    monkeypatch.setattr(suite, "LIFT_SAMPLES", samples)
     make = _skipping_unimodular if skipping else unimodular
     for seed in (1, 4):
         tested.clear()
-        details = suite.check_lift(samples=samples, seed=seed)["details"]
+        details = suite.check_lift(seed)["details"]
         reference, reference_tested, conditions = _lift_reference(samples, seed, make=make)
         assert details["samples"] == reference["samples"] == len(tested)
         assert details["tol"] == reference["tol"]
@@ -132,8 +133,9 @@ def test_check_lift_rejects_a_singular_draw(monkeypatch):
         return unimodular_batch((a, b, c, d))
 
     monkeypatch.setattr(suite, "unimodular_batch", singular_batch)
+    monkeypatch.setattr(suite, "LIFT_SAMPLES", 10)
     with pytest.raises(ZeroMultiplier):
-        suite.check_lift(samples=10)
+        suite.check_lift(suite.SEEDS["lift"])
 
 
 def test_check_newton_counts_only_library_failures(monkeypatch):
@@ -143,7 +145,7 @@ def test_check_newton_counts_only_library_failures(monkeypatch):
         raise NewtonDivergence("no convergence")
 
     monkeypatch.setattr(suite, "solve_targets", diverging)
-    record = suite.check_newton()
+    record = suite.check_newton(suite.SEEDS["newton"])
     assert not record["passed"] and record["details"]["failures"] == 20
 
     def broken(targets, seed):
@@ -151,7 +153,7 @@ def test_check_newton_counts_only_library_failures(monkeypatch):
 
     monkeypatch.setattr(suite, "solve_targets", broken)
     with pytest.raises(TypeError):
-        suite.check_newton()
+        suite.check_newton(suite.SEEDS["newton"])
 
 
 def test_min_monotonicity_of_linear_maps():
@@ -167,16 +169,17 @@ def test_min_monotonicity_of_linear_maps():
 
 
 def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
-    record = suite.check_posdef()
+    record = suite.check_posdef(suite.SEEDS["posdef"])
     assert record["passed"] and record["details"]["min_monotonicity"] > 0.0
     monkeypatch.setattr(suite, "_min_monotonicity", lambda states: -1e-3)
-    assert not suite.check_posdef()["passed"]
+    assert not suite.check_posdef(suite.SEEDS["posdef"])["passed"]
 
 
-def test_check_grid_applies_its_planarity_tol():
+def test_check_grid_applies_its_planarity_tol(monkeypatch):
     record = suite.check_grid()
     assert record["passed"] and record["details"]["worst_planarity"] < 1e-8
-    failing = suite.check_grid(tol=1e-20)
+    monkeypatch.setattr(suite, "GRID_TOL", 1e-20)
+    failing = suite.check_grid()
     assert not failing["passed"]
     assert failing["details"]["failures"] == 0
 
@@ -194,7 +197,7 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
         return volumes, rows
 
     monkeypatch.setattr(suite, "continuations", recording_continuations)
-    details = suite.check_volume(seed=6 + seed_offset)["details"]
+    details = suite.check_volume(suite.SEEDS["volume"] + seed_offset)["details"]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
               ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
     probes = [
@@ -222,7 +225,7 @@ def test_check_volume_certifies_in_five_batches(monkeypatch):
         return certify_batch(x, y, z, **kw)
 
     monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
-    assert suite.check_volume()["passed"]
+    assert suite.check_volume(suite.SEEDS["volume"])["passed"]
     assert sum(sizes) == 10 * (129 + 97 + 97) + 5 * 8 * 17 + 8 * 13 == 4014
     assert len(sizes) <= 5
     assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
@@ -237,15 +240,16 @@ def test_check_mirror_draws_its_words_once(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(doubling, "random_reduced_word", counting_word)
-    record = suite.check_mirror()
+    record = suite.check_mirror(suite.SEEDS["mirror"])
     assert record["passed"] and record["details"]["structures"] == 6
     assert len(drawn) == 40
 
 
 def test_check_mirror_matches_symmetry_audit():
-    """The worst mirror residual is the largest symmetry_audit residual
-    of its structures, and the audit itself is unchanged: the values
-    for (dh, 40, 11) are those of one word list drawn per call.
+    """The worst mirror residual is the largest mirror residual of its
+    structures audited one at a time, and the audit itself is unchanged:
+    the values for 40 words drawn from seed 11 are those of one word
+    list drawn per call.
 
     The residual is itself round-off in traces of up to ~2e3, and the
     stacked product rounds its complex products differently, so the two
@@ -253,11 +257,38 @@ def test_check_mirror_matches_symmetry_audit():
     seed = 4 + 17
     words = [w for pair in audit_words(40, seed) for w in pair]
     doubled = [doubled_holonomy(certify(t)) for t in suite.sample_structures(6, seed=seed)]
-    audits = [symmetry_audit(dh, samples=40, seed=seed) for dh in doubled]
+    audits = [mirror_residual(dh, audit_words(40, seed)) for dh in doubled]
     scale = max(abs(tr) for dh in doubled for tr in dh.traces(words))
-    worst = suite.check_mirror(seed=seed)["details"]["worst_trace_mismatch"]
+    worst = suite.check_mirror(seed)["details"]["worst_trace_mismatch"]
     assert abs(worst - max(a["residual"] for a in audits)) <= 1e-13 * scale
     dh = doubled_holonomy(certify(suite.sample_structures(1, seed=4)[0]))
-    assert symmetry_audit(dh, 40, 11) == {
+    assert mirror_residual(dh, audit_words(40, 11)) == {
         "residual": 4.856703836433968e-13, "word": "apbaEaePPQa", "count": 49,
     }
+
+
+@pytest.mark.parametrize("seed_offset", [0, 17])
+def test_run_suite_routes_the_seed_offset(seed_offset, monkeypatch):
+    """run_suite calls each of the seven randomized criteria with its
+    base seed plus the offset, and the other five with no argument."""
+    calls = {}
+
+    def recording(name):
+        def check(*args):
+            calls[name] = args
+            return {"passed": True, "details": {}}
+
+        return check
+
+    monkeypatch.setattr(
+        suite, "CRITERIA", tuple((name, text, recording(name)) for name, text, _ in suite.CRITERIA)
+    )
+    suite.run_suite(seed_offset=seed_offset)
+    seeds = {"lift": 1, "relations": 2, "cone": 3, "mirror": 4, "posdef": 5, "volume": 6, "newton": 7}
+    assert suite.SEEDS == seeds
+    assert calls == {
+        name: (seeds[name] + seed_offset,) if name in seeds else () for name, _, _ in suite.CRITERIA
+    }
+    assert [name for name, args in calls.items() if not args] == [
+        "grid", "quakebend", "jacobian", "cuspmodel", "cocycle",
+    ]

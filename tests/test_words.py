@@ -61,20 +61,20 @@ def test_inverse_word_gives_inverse_matrix(evaluator):
 def test_random_reduced_word_is_reduced_and_in_alphabet():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        w = random_reduced_word(rng, "ab", min_len=1, max_len=9)
+        w = random_reduced_word(rng, "ab", max_len=9)
         assert 1 <= len(w) <= 9
         # no letter is followed by its own inverse
         assert not any(u != v and u.lower() == v.lower() for u, v in zip(w, w[1:]))
         assert set(w.lower()) <= {"a", "b"}
 
 
-def _filtered_reduced_word(rng, letters, min_len=1, max_len=12):
+def _filtered_reduced_word(rng, letters, max_len):
     """random_reduced_word as first written, the reference: the
     admissible symbols are rebuilt as a list for every letter.  (Its
-    retry loop for an empty word never ran for min_len >= 1 and is
+    retry loop for an empty word never ran for lengths from 1 and is
     left out.)"""
     symbols = list(letters) + [ch.upper() for ch in letters]
-    length = int(rng.integers(min_len, max_len + 1))
+    length = int(rng.integers(1, max_len + 1))
     out = []
     for _ in range(length):
         choices = [
@@ -91,15 +91,10 @@ def test_random_reduced_word_matches_the_filtered_reference(letters, max_len):
     """The same words from the same draws, and the same draws after them."""
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(500):
-        assert random_reduced_word(rng, letters, 1, max_len) == _filtered_reduced_word(
-            ref_rng, letters, 1, max_len
+        assert random_reduced_word(rng, letters, max_len) == _filtered_reduced_word(
+            ref_rng, letters, max_len
         )
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
-
-
-def test_random_reduced_word_rejects_empty_lengths():
-    with pytest.raises(PleatlabError):
-        random_reduced_word(np.random.default_rng(0), "ab", min_len=0)
 
 
 def test_eval_words_matches_eval_word_at_every_point():
@@ -112,7 +107,7 @@ def test_eval_words_matches_eval_word_at_every_point():
     for _ in letters:
         entries = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
         gens.append(unimodular_batch(tuple(entries))[0])
-    words = [random_reduced_word(rng, letters, 1, 12) for _ in range(60)]
+    words = [random_reduced_word(rng, letters, 12) for _ in range(60)]
     words += list(letters) + [ch.upper() for ch in letters] + [""]
     entries = eval_words(padded_codes(letters, words), gens)
     assert all(e.shape == (n, len(words)) for e in entries)
