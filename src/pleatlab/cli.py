@@ -32,7 +32,12 @@ from pleatlab import suite as suite_mod
 from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
 from pleatlab.errors import PleatlabError
-from pleatlab.lengthmap import holo_length_jacobian, ray_to_cusp, volume_between
+from pleatlab.lengthmap import (
+    continuations,
+    coordinate_segment,
+    holo_length_jacobian,
+    schlafli_volumes,
+)
 from pleatlab.plaques import certify, certify_batch
 
 SAFE_LO = 2.0
@@ -175,7 +180,7 @@ def _load_config(path):
     return data
 
 
-def _resolve(ctx, key, flag_value, default=None, cast=None):
+def _resolve(ctx, key, flag_value, default, cast=None):
     """defaults < config file < explicit flag."""
     if flag_value is not None:
         return flag_value
@@ -438,41 +443,18 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
     if substeps < 2:
         raise click.UsageError(f"--substeps must be at least 2, got {substeps}")
-    rows = ray_to_cusp(start, samples=samples, substeps=substeps)
+    (path,) = continuations([(start, (math.pi, math.pi), samples, substeps)])[1]
     header = (
-        "s",
-        "theta_a",
-        "theta_b",
-        "length_a",
-        "length_b",
-        "x_re",
-        "y_re",
-        "z_re",
-        "z_im",
-        "volume",
-        "volume_error",
+        "s", "theta_a", "theta_b", "length_a", "length_b",
+        "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
     )
-    table = []
-    for row in rows:
-        res = row["result"]
-        table.append(
-            (
-                row["s"],
-                res.thetas[0],
-                res.thetas[1],
-                res.lengths[0],
-                res.lengths[1],
-                res.coords.x.real,
-                res.coords.y.real,
-                res.coords.z.real,
-                res.coords.z.imag,
-                row["volume"],
-                row["volume_error"],
-            )
-        )
-    _emit_csv(header, [[_float_cells(column) for column in zip(*table)]], out)
-    vols = [row["volume"] for row in rows]
-    if any(vols[i + 1] <= vols[i] for i in range(len(vols) - 1)):
+    x, y, z = path.coords
+    columns = (
+        path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag,
+        path.volume, path.volume_error,
+    )
+    _emit_csv(header, [[_float_cells(column) for column in columns]], out)
+    if np.any(path.volume[1:] <= path.volume[:-1]):
         ctx.exit(1)
 
 
@@ -493,7 +475,8 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
         raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
     z0, _ = pleating_candidates(x0, y0)
     z1, _ = pleating_candidates(x1, y1)
-    result = volume_between(coords(x0, y0, z0), coords(x1, y1, z1), nodes=nodes)
+    segment = coordinate_segment(coords(x0, y0, z0), coords(x1, y1, z1), nodes)
+    result = schlafli_volumes([segment])[0]
     _emit_json(
         {
             "error_estimate": result.error_estimate,

@@ -21,11 +21,12 @@ manifold.  This module provides:
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
   Richardson error estimate, over paths held as ``(3, n)`` arrays of
-  trace coordinates and integrated a run of paths at a time as arrays,
-  plus concavity and monotonicity probes along angle paths whose
-  samples are placed by the explicit inverse (``continuations``
-  integrates several such paths, and further coordinate paths, in one
-  batch);
+  trace coordinates and integrated a run of paths at a time as arrays;
+* continuation along straight angle paths: ``continuations`` places
+  each path's samples by the explicit inverse, integrates the volumes
+  of all its paths (and of further coordinate paths) in one batch, and
+  returns each angle path as one :class:`AnglePath` of columns, along
+  which ``concavity_report`` probes the volume's concavity;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -110,6 +111,23 @@ class VolumeResult:
     value: float
     error_estimate: float
     nodes: int
+
+
+@dataclass(frozen=True, eq=False)
+class AnglePath:
+    """A continuation along a straight angle path, as columns with one
+    entry per sample: the path parameter ``s``, the curve ``lengths`` and
+    measured ``thetas`` (``(2, n)``), the trace ``coords`` x, y, z
+    (``(3, n)`` complex), the placement's largest angle ``miss``, and the
+    cumulative ``volume`` and ``volume_error`` from the first sample."""
+
+    s: np.ndarray
+    lengths: np.ndarray
+    thetas: np.ndarray
+    coords: np.ndarray
+    miss: np.ndarray
+    volume: np.ndarray
+    volume_error: np.ndarray
 
 
 def complex_curve_length(trace):
@@ -420,19 +438,14 @@ def solve_targets(targets, seed=(1.0, 1.0)):
     )
 
 
-def solve_for_angles(theta_a, theta_b):
-    return solve_targets({"a": ("angle", theta_a), "b": ("angle", theta_b)})
-
-
 def _place_angles(theta_a, theta_b):
-    """The structure at the explicit lengths of two angle targets, as a
-    :class:`NewtonResult` with no iterations whose residual is the
-    measured angles' largest miss."""
+    """The structure at the explicit lengths of two angle targets:
+    ``(coords, lengths, thetas, miss)``, with ``miss`` the measured
+    angles' largest miss."""
     t, lengths, thetas = measure_structure(
         *explicit_lengths({"a": ("angle", theta_a), "b": ("angle", theta_b)})
     )
-    miss = max(abs(thetas[0] - theta_a), abs(thetas[1] - theta_b))
-    return NewtonResult(t, lengths, thetas, iterations=0, residual=miss)
+    return t, lengths, thetas, max(abs(thetas[0] - theta_a), abs(thetas[1] - theta_b))
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +462,22 @@ def dl_dphi(theta_a, theta_b):
     difference of the angle residual with step ``NEWTON_FD_STEP`` (four
     residuals, no solve).  Requires both angles at least
     ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values 0 and pi.
+    Returns the matrix, its symmetry residual and eigenvalues, and the
+    base point's ``lengths``, measured ``thetas`` and placement ``miss``
+    (as for :func:`_place_angles`).
     """
     for val in (theta_a, theta_b):
         if min(val, math.pi - val) < ANGLE_DERIVATIVE_MARGIN:
             raise CoordinateDegeneracy(
                 "bending angles too close to 0 or pi for the angle derivative"
             )
-    base = _place_angles(theta_a, theta_b)
+    _, lengths, thetas, miss = _place_angles(theta_a, theta_b)
     residual = _target_residual({"a": ("angle", theta_a), "b": ("angle", theta_b)})
     h = NEWTON_FD_STEP
     cols = []
     for j in range(2):
-        up = list(base.lengths)
-        dn = list(base.lengths)
+        up = list(lengths)
+        dn = list(lengths)
         up[j] += h
         dn[j] -= h
         r_up, r_dn = residual(up), residual(dn)
@@ -474,7 +490,9 @@ def dl_dphi(theta_a, theta_b):
         "matrix": matrix,
         "symmetry_residual": sym_residual,
         "eigenvalues": tuple(float(v) for v in eigvals),
-        "base": base,
+        "lengths": lengths,
+        "thetas": thetas,
+        "miss": miss,
     }
 
 
@@ -593,31 +611,14 @@ def coordinate_segment(t0, t1, nodes):
     return np.array((x, y, marked_roots(x, y)))
 
 
-def volume_between(t0, t1, nodes=64):
-    """Volume difference between two structures along the coordinate
-    segment joining them (any path gives the same answer; the segment is
-    the cheap one).  Its error estimate is honest on interior segments
-    and reads low on segments that end at the cusp; see
-    :func:`schlafli_volumes`."""
-    return schlafli_volumes([coordinate_segment(t0, t1, nodes)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Continuation in angle space
 
 
 def _angle_path(theta_start, theta_end, samples, substeps):
-    """The samples of a straight angle segment and the coordinate
-    segments between them, for :func:`continuations`.
-
-    The sample at ``s = k / samples`` is placed at the
-    :func:`explicit_lengths` of its target angles and measured.  Returns
-    ``(svals, placed, segments)``: the path parameters, one
-    :class:`NewtonResult` per sample, and ``samples`` paths of
-    ``substeps`` quadrature intervals each.  Raises
-    :class:`PleatlabError` before placing any sample when ``samples < 1``
-    or ``substeps < 2``.
-    """
+    """One angle path of :func:`continuations`: its parameters
+    ``k / samples``, one :func:`_place_angles` record per sample, and the
+    coordinate segments between consecutive samples."""
     if samples < 1:
         raise PleatlabError(f"need at least one sample, got {samples}")
     if substeps < 2:
@@ -628,101 +629,64 @@ def _angle_path(theta_start, theta_end, samples, substeps):
         for s in svals
     ]
     segments = [
-        coordinate_segment(prev.coords, res.coords, substeps)
-        for prev, res in zip(placed, placed[1:])
+        coordinate_segment(t0, t1, substeps) for (t0, *_), (t1, *_) in zip(placed, placed[1:])
     ]
     return svals, placed, segments
 
 
-def _continuation_rows(svals, placed, volumes):
-    """Continuation rows from an :func:`_angle_path`'s samples and the
-    :class:`VolumeResult` of each of its segments, in order."""
-    rows = [{"s": 0.0, "result": placed[0], "volume": 0.0, "volume_error": 0.0}]
-    for s, res, seg in zip(svals[1:], placed[1:], volumes):
-        rows.append({
-            "s": s,
-            "result": res,
-            "volume": rows[-1]["volume"] + seg.value,
-            "volume_error": rows[-1]["volume_error"] + seg.error_estimate,
-        })
-    return rows
-
-
-def concavity_report(rows):
-    """Volume concavity along the rows of a continuation: the sampled
-    volumes, their second differences, and whether every one is negative
-    with margin three times the accumulated quadrature error."""
-    vols = [r["volume"] for r in rows]
-    svals = [r["s"] for r in rows]
-    err = rows[-1]["volume_error"]
-    second = []
-    for k in range(1, len(vols) - 1):
-        h1 = svals[k] - svals[k - 1]
-        h2 = svals[k + 1] - svals[k]
-        second.append(
-            2.0 * (h1 * vols[k + 1] - (h1 + h2) * vols[k] + h2 * vols[k - 1])
-            / (h1 * h2 * (h1 + h2))
-        )
-    ok = all(v < -3.0 * err for v in second)
+def concavity_report(path):
+    """Volume concavity along an :class:`AnglePath`: the second
+    differences of its volumes in ``s``, the accumulated quadrature
+    error, and whether every second difference is negative with margin
+    three times that error."""
+    s, vols = path.s, path.volume
+    h1 = s[1:-1] - s[:-2]
+    h2 = s[2:] - s[1:-1]
+    second = 2.0 * (h1 * vols[2:] - (h1 + h2) * vols[1:-1] + h2 * vols[:-2]) / (h1 * h2 * (h1 + h2))
+    err = float(path.volume_error[-1])
     return {
-        "volumes": vols,
-        "parameters": svals,
         "second_differences": second,
         "integration_error": err,
-        "concave": ok,
+        "concave": bool(np.all(second < -3.0 * err)),
     }
 
 
 def continuations(angle_paths, coordinate_paths=()):
-    """Continuations along several straight angle paths and the volumes
-    of further coordinate paths, all integrated in one
+    """Continuations along straight angle paths and the volumes of
+    further coordinate paths, all integrated in one
     :func:`schlafli_volumes` call.
 
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
-    Returns ``(volumes, rows)``: one :class:`VolumeResult` per coordinate
-    path, and per angle path the rows :func:`continuation_to_angles`
-    gives for it (a path's volume does not depend on the paths batched
-    with it).
+    Its sample at ``s = k / samples`` is placed at the
+    :func:`explicit_lengths` of its target angles and measured there;
+    consecutive samples are joined by a :func:`coordinate_segment` of
+    ``substeps`` quadrature intervals.  Returns ``(volumes, paths)``: one
+    :class:`VolumeResult` per coordinate path and one :class:`AnglePath`
+    per angle path (a path's volume does not depend on the paths batched
+    with it).  Raises :class:`PleatlabError` before placing a path's
+    samples when its ``samples < 1`` or ``substeps < 2``.
     """
     built = [_angle_path(*path) for path in angle_paths]
     coordinate_paths = list(coordinate_paths)
     volumes = schlafli_volumes(
         coordinate_paths + [seg for _, _, segments in built for seg in segments]
     )
-    rows = []
+    paths = []
     head = len(coordinate_paths)
     for svals, placed, segments in built:
-        rows.append(_continuation_rows(svals, placed, volumes[head:head + len(segments)]))
+        steps = volumes[head:head + len(segments)]
         head += len(segments)
-    return volumes[:len(coordinate_paths)], rows
-
-
-def continuation_to_angles(theta_start, theta_end, samples=12, substeps=8):
-    """Sample a straight segment in angle space and integrate its volume.
-
-    The sample at ``s = k / samples`` is placed at the
-    :func:`explicit_lengths` of its target angles and measured; its
-    ``result`` is a :class:`NewtonResult` with ``iterations`` 0 and the
-    measured angles' largest miss as ``residual``.  Returns a list of
-    rows with the path parameter, that result, and the cumulative volume
-    (integrated segmentwise through the Schlafli form with ``substeps``
-    quadrature intervals per step, all segments in one
-    :func:`schlafli_volumes` call).  Raises :class:`PleatlabError` before
-    placing any sample when ``samples < 1`` or ``substeps < 2``.
-    """
-    return continuations([(theta_start, theta_end, samples, substeps)])[1][0]
-
-
-def ray_to_cusp(theta_start, samples=10, substeps=16):
-    """Walk the angle ray from ``theta_start`` toward (pi, pi).
-
-    Returns continuation rows; volume must be strictly increasing along
-    the ray (the cusp is the volume maximizer).
-    """
-    end = (math.pi, math.pi)
-    return continuation_to_angles(
-        theta_start, end, samples=samples, substeps=substeps
-    )
+        t, lengths, thetas, miss = zip(*placed)
+        paths.append(AnglePath(
+            s=np.array(svals),
+            lengths=np.array(lengths).T,
+            thetas=np.array(thetas).T,
+            coords=np.array([p.astuple() for p in t], dtype=complex).T,
+            miss=np.array(miss),
+            volume=np.cumsum([0.0, *(v.value for v in steps)]),
+            volume_error=np.cumsum([0.0, *(v.error_estimate for v in steps)]),
+        ))
+    return volumes[:len(coordinate_paths)], paths
 
 
 # ---------------------------------------------------------------------------

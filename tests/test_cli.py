@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from pleatlab import cli
 from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.cli import main
-from pleatlab.lengthmap import ray_to_cusp
+from pleatlab.lengthmap import continuations
 from pleatlab.plaques import certify, certify_batch
 
 THETA_22 = 2.189525017467147
@@ -174,15 +174,13 @@ def _reference_trace_ray():
         "s", "theta_a", "theta_b", "length_a", "length_b",
         "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
     )
-    rows = []
-    for row in ray_to_cusp((2.0, 2.0), samples=10, substeps=16):
-        res = row["result"]
-        rows.append((
-            row["s"], *res.thetas, *res.lengths,
-            res.coords.x.real, res.coords.y.real, res.coords.z.real, res.coords.z.imag,
-            row["volume"], row["volume_error"],
-        ))
-    return _reference_csv(header, rows)
+    (path,) = continuations([((2.0, 2.0), (math.pi, math.pi), 10, 16)])[1]
+    x, y, z = path.coords
+    columns = (
+        path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag,
+        path.volume, path.volume_error,
+    )
+    return _reference_csv(header, zip(*(column.tolist() for column in columns)))
 
 
 @pytest.mark.parametrize(
@@ -524,7 +522,7 @@ def test_trace_ray_bad_sizes_exit_two(flag, value, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("trace-ray solved before rejecting its sizes")
 
-    monkeypatch.setattr(cli, "ray_to_cusp", no_solve)
+    monkeypatch.setattr(cli, "continuations", no_solve)
     result = run("trace-ray", flag, value)
     assert result.exit_code == 2
     assert f"{flag} must be at least" in result.output

@@ -6,6 +6,7 @@ the magnitude given by the closed form; the cusp solve must land on
 (2, 2, 2+2i) exactly within Newton tolerance.
 """
 
+import dataclasses
 import math
 import re
 
@@ -36,6 +37,23 @@ VOLUME_21_TO_2524 = -1.8273655396883792
 def _marked(x, y):
     z, _ = pleating_candidates(x, y)
     return coords(x, y, z)
+
+
+def _angles(theta_a, theta_b):
+    """Angle targets for both curves, as solve_targets takes them."""
+    return {"a": ("angle", theta_a), "b": ("angle", theta_b)}
+
+
+def _segment_volume(t0, t1, nodes):
+    """The volume along the coordinate segment from t0 to t1 of ``nodes``
+    intervals, as the CLI's volume command integrates it."""
+    return lm.schlafli_volumes([lm.coordinate_segment(t0, t1, nodes)])[0]
+
+
+def _assert_same_path(got, want):
+    """Two AnglePath records agree bit for bit in every column."""
+    for field in dataclasses.fields(lm.AnglePath):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 def _path(*points):
@@ -89,13 +107,13 @@ def test_solve_for_lengths_roundtrip():
 
 
 def test_solve_for_angles_interior():
-    res = lm.solve_for_angles(2.0, 2.4)
+    res = lm.solve_targets(_angles(2.0, 2.4))
     assert abs(res.thetas[0] - 2.0) < 1e-9
     assert abs(res.thetas[1] - 2.4) < 1e-9
 
 
 def test_solve_reaches_maximal_cusp():
-    res = lm.solve_for_angles(math.pi, math.pi)
+    res = lm.solve_targets(_angles(math.pi, math.pi))
     assert abs(res.coords.x - 2.0) < 1e-8
     assert abs(res.coords.y - 2.0) < 1e-8
     assert abs(res.coords.z - (2.0 + 2.0j)) < 1e-8
@@ -118,7 +136,7 @@ def test_solve_small_angles_reruns_from_explicit_lengths(monkeypatch):
 
     explicit = lm.explicit_lengths
     monkeypatch.setattr(lm, "explicit_lengths", counting)
-    res = lm.solve_for_angles(0.2, 0.03)
+    res = lm.solve_targets(_angles(0.2, 0.03))
     assert len(runs) == 1
     assert abs(res.thetas[0] - 0.2) < 1e-9
     assert abs(res.thetas[1] - 0.03) < 1e-9
@@ -213,7 +231,7 @@ def test_solve_reaches_a_tiny_length_target():
 
 def test_solve_rejects_bad_targets():
     with pytest.raises(TargetOutsideImage):
-        lm.solve_for_angles(4.0, 2.0)
+        lm.solve_targets(_angles(4.0, 2.0))
     with pytest.raises(TargetOutsideImage):
         lm.solve_targets({"a": ("length", -1.0), "b": ("length", 1.0)})
 
@@ -234,7 +252,7 @@ def test_newton_divergence_reported(monkeypatch):
 def test_solve_near_the_cusp_keeps_the_length(k):
     """Near the cusp the a-length is (pi - theta_a) / 7.7140172 to first
     order at theta_b = 0.26; an angle snapped to pi loses it."""
-    res = lm.solve_for_angles(math.pi - 10.0**-k, 0.26)
+    res = lm.solve_targets(_angles(math.pi - 10.0**-k, 0.26))
     expected = 10.0**-k / 7.7140172
     assert abs(res.lengths[0] - expected) <= 1e-3 * expected
 
@@ -245,7 +263,7 @@ def test_solve_for_angles_matches_the_explicit_inverse():
     sin(theta_a / 2) with A = cos(theta_a / 2), B = cos(theta_b / 2)."""
     rng = np.random.default_rng(14)
     for theta_a, theta_b in rng.uniform(0.2, 3.0, size=(60, 2)).tolist():
-        res = lm.solve_for_angles(theta_a, theta_b)
+        res = lm.solve_targets(_angles(theta_a, theta_b))
         ab = math.cos(theta_a / 2.0) * math.cos(theta_b / 2.0)
         for length, theta in zip(res.lengths, (theta_a, theta_b)):
             expected = 2.0 * math.acosh(math.sqrt(1.0 - ab * ab) / math.sin(theta / 2.0))
@@ -359,6 +377,10 @@ def test_dl_dphi_symmetric_positive_definite():
     assert m[0, 0] > 0.0 and m[1, 1] > 0.0
     # lengths fall as cone angles grow: off-diagonal coupling is negative
     assert m[0, 1] < 0.0
+    # the base point is the explicit placement, measured
+    assert rep["lengths"] == lm.explicit_lengths(_angles(2.1, 2.3))
+    assert rep["miss"] == max(abs(rep["thetas"][0] - 2.1), abs(rep["thetas"][1] - 2.3))
+    assert rep["miss"] <= 1e-13
 
 
 def test_dl_dphi_near_boundary_rejected():
@@ -368,14 +390,14 @@ def test_dl_dphi_near_boundary_rejected():
 
 def _dl_dphi_of_solves(theta_a, theta_b, h):
     """d(lengths)/d(cone angles) as a central difference of four solves."""
-    base = lm.solve_for_angles(theta_a, theta_b)
+    base = lm.solve_targets(_angles(theta_a, theta_b))
     cols = []
     for j in range(2):
         up, dn = [theta_a, theta_b], [theta_a, theta_b]
         up[j] += h
         dn[j] -= h
         l_up, l_dn = (
-            lm.solve_targets({"a": ("angle", a), "b": ("angle", b)}, seed=base.lengths).lengths
+            lm.solve_targets(_angles(a, b), seed=base.lengths).lengths
             for a, b in (up, dn)
         )
         cols.append([(l_up[i] - l_dn[i]) / (-4.0 * h) for i in range(2)])
@@ -393,57 +415,57 @@ def test_dl_dphi_matches_richardson_reference(thetas):
     assert np.max(np.abs(got - reference)) <= 1e-7 * np.max(np.abs(reference))
 
 
-def _concavity(theta_start, theta_end, **sizes):
-    return lm.concavity_report(lm.continuation_to_angles(theta_start, theta_end, **sizes))
+def _concavity(theta_start, theta_end, samples, substeps):
+    (path,) = lm.continuations([(theta_start, theta_end, samples, substeps)])[1]
+    return lm.concavity_report(path)
+
+
+def _continuation(theta_start, theta_end, samples, substeps):
+    return lm.continuations([(theta_start, theta_end, samples, substeps)])
 
 
 @pytest.mark.parametrize(
-    "probe,args",
+    "probe,ends",
     [
-        (lm.continuation_to_angles, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
-        (lm.ray_to_cusp, dict(theta_start=(2.0, 2.2))),
-        (_concavity, dict(theta_start=(1.8, 2.0), theta_end=(2.6, 2.3))),
+        (_continuation, ((1.8, 2.0), (2.6, 2.3))),
+        (_continuation, ((2.0, 2.2), (math.pi, math.pi))),
+        (_concavity, ((1.8, 2.0), (2.6, 2.3))),
     ],
     ids=["continuation", "ray", "concavity"],
 )
 @pytest.mark.parametrize("sizes", [dict(samples=0), dict(samples=-3), dict(substeps=1),
                                    dict(substeps=0)], ids=str)
-def test_path_probes_reject_bad_sizes_before_solving(probe, args, sizes, monkeypatch):
+def test_path_probes_reject_bad_sizes_before_solving(probe, ends, sizes, monkeypatch):
     calls = []
     monkeypatch.setattr(lm, "explicit_lengths", lambda *a, **kw: calls.append(a))
     with pytest.raises(PleatlabError, match="need at least"):
-        probe(**args, **sizes)
+        probe(*ends, **{"samples": 4, "substeps": 6, **sizes})
     assert calls == []
 
 
 @pytest.mark.parametrize("start,samples", [((0.3, 0.25), 10), ((1.0, 2.5), 3)])
 def test_continuation_rows_sit_at_their_samples(start, samples):
-    """Row k sits at s = k / samples, on its target angles, and the cusp
-    row reads exactly pi with lengths 0."""
-    rows = lm.ray_to_cusp(start, samples=samples, substeps=4)
-    assert [r["s"] for r in rows] == [k / samples for k in range(samples + 1)]
-    for r in rows:
-        res = r["result"]
-        target = [(1 - r["s"]) * a + r["s"] * math.pi for a in start]
-        assert res.iterations == 0
-        assert max(abs(got - want) for got, want in zip(res.thetas, target)) == res.residual
-        assert res.residual <= 1e-13
-    end = rows[-1]["result"]
-    assert end.thetas == (math.pi, math.pi) and end.lengths == (0.0, 0.0)
+    """Sample k sits at s = k / samples, on its target angles up to its
+    miss, and the cusp sample reads exactly pi with lengths 0."""
+    (path,) = lm.continuations([(start, (math.pi, math.pi), samples, 4)])[1]
+    assert path.s.tolist() == [k / samples for k in range(samples + 1)]
+    target = (1 - path.s) * np.array(start)[:, None] + path.s * math.pi
+    assert np.array_equal(np.abs(path.thetas - target).max(axis=0), path.miss)
+    assert path.miss.max() <= 1e-13
+    assert path.thetas[:, -1].tolist() == [math.pi, math.pi]
+    assert path.lengths[:, -1].tolist() == [0.0, 0.0]
 
 
 def test_volume_between_frozen():
-    res = lm.volume_between(_marked(2.1, 2.1), _marked(2.5, 2.4), nodes=64)
+    res = _segment_volume(_marked(2.1, 2.1), _marked(2.5, 2.4), 64)
     assert abs(res.value - VOLUME_21_TO_2524) < 1e-4
     assert res.error_estimate < 1e-4
 
 
 def test_volume_path_independence():
     t0, t1, tw = _marked(2.1, 2.1), _marked(2.5, 2.4), _marked(2.45, 2.15)
-    direct = lm.volume_between(t0, t1, nodes=128)
-    dogleg = lm.volume_between(t0, tw, nodes=96).value + lm.volume_between(
-        tw, t1, nodes=96
-    ).value
+    direct = _segment_volume(t0, t1, 128)
+    dogleg = _segment_volume(t0, tw, 96).value + _segment_volume(tw, t1, 96).value
     assert abs(direct.value - dogleg) < 1e-5
 
 
@@ -493,23 +515,25 @@ def test_schlafli_volumes_name_first_bad_node_in_path_order():
 
 
 def test_continuation_volumes_match_per_segment_reference():
-    rows = lm.continuation_to_angles((1.8, 2.0), (2.6, 2.3), samples=4, substeps=6)
+    (path,) = lm.continuations([((1.8, 2.0), (2.6, 2.3), 4, 6)])[1]
     volume = error = 0.0
-    for prev, row in zip(rows, rows[1:]):
-        seg = lm.volume_between(prev["result"].coords, row["result"].coords, nodes=6)
+    for k in range(1, path.s.size):
+        seg = _segment_volume(coords(*path.coords[:, k - 1]), coords(*path.coords[:, k]), 6)
         volume += seg.value
         error += seg.error_estimate
-        assert (row["volume"], row["volume_error"]) == (volume, error)
+        assert (path.volume[k], path.volume_error[k]) == (volume, error)
 
 
 def test_continuations_share_one_batch_with_coordinate_paths():
-    """Batched angle paths give the rows of separate continuations, and
-    the coordinate paths batched with them their own volumes."""
+    """Batched angle paths give the columns of separate continuations,
+    and the coordinate paths batched with them their own volumes."""
     angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5)]
     segment = lm.coordinate_segment(_marked(2.1, 2.2), _marked(2.4, 2.3), 10)
-    volumes, rows = lm.continuations(angle_paths, [segment])
+    volumes, paths = lm.continuations(angle_paths, [segment])
     assert volumes == lm.schlafli_volumes([segment])
-    assert rows == [lm.continuation_to_angles(*path) for path in angle_paths]
+    assert len(paths) == len(angle_paths)
+    for got, path in zip(paths, angle_paths):
+        _assert_same_path(got, lm.continuations([path])[1][0])
     assert lm.continuations([]) == ([], [])
 
 
@@ -519,8 +543,8 @@ def test_error_estimate_is_honest_on_an_interior_path():
     reference (it reads 0.69-0.89 of it on paths that end at the cusp,
     where the length behaves like sqrt(x - 2))."""
     t0, t1 = _marked(2.2, 2.3), _marked(2.5, 2.4)
-    reference = lm.volume_between(t0, t1, nodes=8192).value
-    res = lm.volume_between(t0, t1, nodes=64)
+    reference = _segment_volume(t0, t1, 8192).value
+    res = _segment_volume(t0, t1, 64)
     assert 0.9 <= res.error_estimate / abs(res.value - reference) <= 1.1
 
 
@@ -572,8 +596,8 @@ def test_odd_count_error_estimate_is_honest(nodes):
     """At an odd interval count the estimate is within 2% of the real
     error, measured against a 4,096-interval reference."""
     t0, t1 = _marked(2.1, 2.1), _marked(2.5, 2.4)
-    reference = lm.volume_between(t0, t1, nodes=4096).value
-    res = lm.volume_between(t0, t1, nodes=nodes)
+    reference = _segment_volume(t0, t1, 4096).value
+    res = _segment_volume(t0, t1, nodes)
     actual = abs(res.value - reference)
     assert abs(res.error_estimate - actual) <= 0.02 * actual
 
@@ -592,18 +616,17 @@ def test_coordinate_segment_matches_scalar_roots():
 
 
 def test_ray_to_cusp_monotone_and_lands():
-    rows = lm.ray_to_cusp((2.0, 2.2), samples=6, substeps=8)
-    vols = [r["volume"] for r in rows]
-    assert all(b > a for a, b in zip(vols, vols[1:]))
-    end = rows[-1]["result"].coords
-    assert abs(end.x - 2.0) < 1e-8
-    assert abs(end.z - (2.0 + 2.0j)) < 1e-8
+    (path,) = lm.continuations([((2.0, 2.2), (math.pi, math.pi), 6, 8)])[1]
+    assert np.all(np.diff(path.volume) > 0.0)
+    x, _, z = path.coords[:, -1]
+    assert abs(x - 2.0) < 1e-8
+    assert abs(z - (2.0 + 2.0j)) < 1e-8
 
 
 def test_concavity_probe():
-    probe = _concavity((1.8, 2.0), (2.6, 2.3), samples=6, substeps=12)
+    probe = _concavity((1.8, 2.0), (2.6, 2.3), 6, 12)
     assert probe["concave"]
-    assert all(v < 0.0 for v in probe["second_differences"])
+    assert np.all(probe["second_differences"] < 0.0)
 
 
 def test_cusp_derivative_check():

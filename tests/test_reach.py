@@ -1,12 +1,15 @@
 """Reachability: every function in ``pleatlab`` is entered, and every
-defaulted parameter is varied, by some entry point.
+defaulted parameter is both varied and left at its default, by some
+entry point.
 
 The entry points are every CLI command (``sweep`` through a ``--config``
 file, ``verify-suite`` in full, at a second ``--seed`` and filtered) and
 ``lengthmap.solve_targets`` on one target of each kind.  A ``def`` they
 never enter is library code that only its own unit tests reach; a
 parameter they only ever pass its default is a setting no user can
-change, and belongs in a named constant.
+change, and belongs in a named constant; a default they never use is a
+second copy of a setting that every caller already states, and the
+parameter should be required.
 """
 
 import ast
@@ -110,11 +113,12 @@ def reach(tmp_path_factory):
     """One profiled run of the entry points: the definitions, the
     ``(file, first line)`` of every code object entered, and the
     ``(file, first line, parameter)`` of every default some call
-    changed."""
+    changed, and of every default some call received."""
     defs = _defs()
     defaulted = {key: params for key, (_, params) in defs.items() if params}
     entered = set()
     varied = set()
+    used = set()
 
     def profile(frame, event, arg):
         if event != "call":
@@ -123,8 +127,7 @@ def reach(tmp_path_factory):
         key = code.co_filename, code.co_firstlineno
         entered.add(key)
         for param, default in defaulted.get(key, ()):
-            if (*key, param) not in varied and not _is_default(frame.f_locals[param], default):
-                varied.add((*key, param))
+            (used if _is_default(frame.f_locals[param], default) else varied).add((*key, param))
 
     _clear_caches()
     sys.setprofile(profile)
@@ -132,21 +135,32 @@ def reach(tmp_path_factory):
         _run_entry_points(tmp_path_factory.mktemp("reach"))
     finally:
         sys.setprofile(None)
-    return defs, entered, varied
+    return defs, entered, varied, used
 
 
 def test_every_function_is_reached(reach):
-    defs, entered, _ = reach
+    defs, entered, _, _ = reach
     missed = sorted(name for key, (name, _) in defs.items() if key not in entered)
     assert missed == [], "never entered: " + ", ".join(missed)
 
 
-def test_every_default_is_varied(reach):
-    defs, _, varied = reach
-    fixed = sorted(
+def _defaults_missing_from(defs, seen):
+    """``name:parameter`` of every default whose key is not in ``seen``."""
+    return sorted(
         f"{name}:{param}"
         for key, (name, params) in defs.items()
         for param, _ in params
-        if (*key, param) not in varied
+        if (*key, param) not in seen
     )
+
+
+def test_every_default_is_varied(reach):
+    defs, _, varied, _ = reach
+    fixed = _defaults_missing_from(defs, varied)
     assert fixed == [], f"{len(fixed)} parameters only ever take their default: " + ", ".join(fixed)
+
+
+def test_every_default_is_used(reach):
+    defs, _, _, used = reach
+    unused = _defaults_missing_from(defs, used)
+    assert unused == [], f"{len(unused)} defaults no call ever takes: " + ", ".join(unused)

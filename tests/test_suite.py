@@ -1,6 +1,7 @@
 """Acceptance-suite internals against their one-at-a-time references."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -140,15 +141,22 @@ def test_check_lift_rejects_a_singular_draw(monkeypatch):
 
 def test_check_newton_counts_only_library_failures(monkeypatch):
     """A solver's PleatlabError counts as a failed target; any other
-    exception is a bug and propagates."""
-    def diverging(targets, seed):
+    exception is a bug and propagates.  The stand-ins fail the seeded
+    solves and leave the cusp solve, made from the default seed, alone."""
+    solve = suite.solve_targets
+
+    def diverging(targets, seed=None):
+        if seed is None:
+            return solve(targets)
         raise NewtonDivergence("no convergence")
 
     monkeypatch.setattr(suite, "solve_targets", diverging)
     record = suite.check_newton(suite.SEEDS["newton"])
     assert not record["passed"] and record["details"]["failures"] == 20
 
-    def broken(targets, seed):
+    def broken(targets, seed=None):
+        if seed is None:
+            return solve(targets)
         raise TypeError("a bug, not a failed solve")
 
     monkeypatch.setattr(suite, "solve_targets", broken)
@@ -186,32 +194,49 @@ def test_check_grid_applies_its_planarity_tol(monkeypatch):
 
 @pytest.mark.parametrize("seed_offset", [0, 58, 171])
 def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
-    """The continuations check_volume integrates with its coordinate
-    paths are, bit for bit, those of separate continuation_to_angles
-    and ray_to_cusp calls, and so are its margin and ray gain."""
+    """The angle paths check_volume integrates with its coordinate paths
+    are, bit for bit, those of one continuations call per path, and so
+    are its margin, ray gain and placement miss."""
     batched = []
 
     def recording_continuations(*args):
-        volumes, rows = lengthmap.continuations(*args)
-        batched.extend(rows)
-        return volumes, rows
+        volumes, paths = lengthmap.continuations(*args)
+        batched.extend(paths)
+        return volumes, paths
 
     monkeypatch.setattr(suite, "continuations", recording_continuations)
     details = suite.check_volume(suite.SEEDS["volume"] + seed_offset)["details"]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
               ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
-    probes = [
-        lengthmap.concavity_report(lengthmap.continuation_to_angles(*ends, samples=8, substeps=16))
-        for ends in starts
-    ]
-    ray = lengthmap.ray_to_cusp((2.0, 2.2), samples=8, substeps=12)
-    assert [lengthmap.concavity_report(rows) for rows in batched[:-1]] == probes
-    assert batched[-1] == ray
+    separate = [lengthmap.continuations([(*ends, 8, 16)])[1][0] for ends in starts]
+    ray = lengthmap.continuations([((2.0, 2.2), (np.pi, np.pi), 8, 12)])[1][0]
+    separate.append(ray)
+    assert len(batched) == len(separate)
+    for got, want in zip(batched, separate):
+        for field in dataclasses.fields(lengthmap.AnglePath):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    probes = [lengthmap.concavity_report(path) for path in separate[:-1]]
     assert details["worst_second_difference_margin"] == max(
-        v + 3.0 * p["integration_error"] for p in probes for v in p["second_differences"]
+        v + 3.0 * p["integration_error"] for p in probes for v in p["second_differences"].tolist()
     )
     assert details["concave"] and all(p["concave"] for p in probes)
-    assert details["ray_volume_gain"] == ray[-1]["volume"] - ray[0]["volume"]
+    assert details["ray_volume_gain"] == ray.volume[-1] - ray.volume[0]
+    assert details["worst_placement_miss"] == max(path.miss.max() for path in separate)
+
+
+def test_scaled_placements_fail_posdef_and_volume(monkeypatch):
+    """Every placed length off by a relative 1e-3 misses its target angles
+    by 3e-3 or more; posdef and volume then fail on their placement gate."""
+    explicit = lengthmap.explicit_lengths
+
+    def scaled(targets):
+        return tuple(v * (1.0 + 1e-3) for v in explicit(targets))
+
+    monkeypatch.setattr(lengthmap, "explicit_lengths", scaled)
+    for record in suite.run_suite(["posdef", "volume"]):
+        details = record["details"]
+        assert not record["passed"], record["name"]
+        assert details["worst_placement_miss"] > 1e-4 > details["placement_tol"]
 
 
 def test_check_volume_certifies_in_five_batches(monkeypatch):
