@@ -34,7 +34,7 @@ from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirr
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import (
     continuations,
-    coordinate_segment,
+    coordinate_segments,
     holo_length_jacobian,
     schlafli_volumes,
 )
@@ -46,15 +46,17 @@ SAFE_HI = 2.8
 # cannot run for days.  A sweep keeps 75 bytes of output columns per
 # point (0.75 GB at the cap) on top of one block's working memory.
 MAX_SWEEP_POINTS = 10**7
-# Points per certify_batch call in sweep.  A block holds about 1.1 kB
-# of temporaries per point while it is certified and 0.8 kB while it is
-# rendered, and pays certify_batch's fixed cost of ~1.2 ms, about 3% of
-# the 30-40 ms that certifying and rendering 4,096 points take.  A
-# 111 x 111 sweep's peak RSS rose by 8 MB at 4,096, against 20-23 MB
-# with the whole grid at once (2-CPU shared x86 container, numpy
-# 2.4.6); at 2,048 it rose by 4.5 MB, but the perfbench grid workload
-# ran 10% slower.
-SWEEP_BLOCK_POINTS = 4096
+# Points per certify_batch call in sweep.  A call certifies both pants
+# sides of its block as one array of twice the block's length, and holds
+# about 1.5 kB of temporaries per point while it does (0.8 kB while the
+# block is rendered).  It costs ~0.5 ms plus ~2 us a point, and the cost
+# a point can grow with that array: against certifying the sides in
+# turn, a 2,048-point call ran at 0.75-1.05x and a 4,096-point call at
+# 0.92-1.11x (best of 15 calls, two sets of six paired runs).  A
+# 111 x 111 sweep's peak RSS rose by 5.1 MB at 2,048, by 9.7 MB at
+# 4,096 and by 19.6 MB with the whole grid at once (2-CPU shared x86
+# container, numpy 2.4.6).
+SWEEP_BLOCK_POINTS = 2048
 # CSV columns of sweep after x, y, z_re, z_im: the BatchCertification
 # field behind each.
 SWEEP_FIELDS = {
@@ -473,10 +475,9 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
     nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
     if nodes < 2:
         raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
-    z0, _ = pleating_candidates(x0, y0)
-    z1, _ = pleating_candidates(x1, y1)
-    segment = coordinate_segment(coords(x0, y0, z0), coords(x1, y1, z1), nodes)
-    result = schlafli_volumes([segment])[0]
+    for point in ((x0, y0), (x1, y1)):
+        pleating_candidates(*point)  # raises naming an end whose root overflows
+    result = schlafli_volumes(coordinate_segments([((x0, y0), (x1, y1), nodes)]))[0]
     _emit_json(
         {
             "error_estimate": result.error_estimate,

@@ -88,12 +88,13 @@ COCYCLE_WORD_SEED = 0
 COCYCLE_CONJUGATOR = (0.3, 0.25 - 0.1j, -0.05j, -0.3)
 # Nodes per run in schlafli_volumes: one certify_batch call and one
 # array quadrature over paths held as (3, n) complex arrays (48 bytes a
-# node).  A certify_batch call costs ~1.0-1.3 ms plus ~1.7-2.0 us per
-# node (linear fits to the best of 15 at 1, 100, 1,024 and 3,000
-# marked-root nodes, three runs on a 2-CPU shared x86 container, numpy
-# 2.4.6) and a run holds ~1.1 KB of arrays per node at its peak, nearly
-# all of it in certify_batch, so the budget pays the fixed cost rarely
-# and still bounds the memory.
+# node).  A certify_batch call costs ~0.5 ms plus ~2 us per node (linear
+# fits to the best of 15 at 1, 100, 1,024 and 3,000 marked-root nodes
+# on a 2-CPU shared x86 container, numpy 2.4.6, in its fast state; up to
+# 1.6x more in its slow state) and a run holds ~1.5 KB of arrays per
+# node at its peak, nearly all of it in certify_batch, which certifies
+# both pants sides as one array of twice the run's length; so the budget
+# pays the fixed cost rarely and still bounds the memory.
 VOLUME_BATCH_NODES = 1024
 
 
@@ -602,13 +603,28 @@ def schlafli_volumes(paths):
     return results
 
 
-def coordinate_segment(t0, t1, nodes):
-    """Linear interpolation between two marked structures in (x, y): a
-    ``(3, nodes + 1)`` complex array of x, y and the marked root z."""
-    s = np.arange(nodes + 1) / nodes
-    x = (1 - s) * t0.x.real + s * t1.x.real
-    y = (1 - s) * t0.y.real + s * t1.y.real
-    return np.array((x, y, marked_roots(x, y)))
+def coordinate_segments(segments):
+    """Linear interpolations in (x, y) between marked structures.
+
+    Each segment is ``((x0, y0), (x1, y1), nodes)`` with real ends.
+    Returns one ``(3, nodes + 1)`` complex array of x, y and the marked
+    root z per segment; the roots of all segments come from one
+    :func:`marked_roots` call.
+    """
+    if not segments:
+        return []
+    starts, ends, nodes = zip(*segments)
+    nodes = np.array(nodes)
+    sizes = nodes + 1
+    # Each node's place k in its segment, and its segment's ends.
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    s = k / np.repeat(nodes, sizes)
+    (x0, y0), (x1, y1) = (
+        np.repeat(np.array(points, dtype=float).T, sizes, axis=1) for points in (starts, ends)
+    )
+    x = (1 - s) * x0 + s * x1
+    y = (1 - s) * y0 + s * y1
+    return np.split(np.array((x, y, marked_roots(x, y))), np.cumsum(sizes)[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +634,7 @@ def coordinate_segment(t0, t1, nodes):
 def _angle_path(theta_start, theta_end, samples, substeps):
     """One angle path of :func:`continuations`: its parameters
     ``k / samples``, one :func:`_place_angles` record per sample, and the
-    coordinate segments between consecutive samples."""
+    :func:`coordinate_segments` entries between consecutive samples."""
     if samples < 1:
         raise PleatlabError(f"need at least one sample, got {samples}")
     if substeps < 2:
@@ -629,7 +645,8 @@ def _angle_path(theta_start, theta_end, samples, substeps):
         for s in svals
     ]
     segments = [
-        coordinate_segment(t0, t1, substeps) for (t0, *_), (t1, *_) in zip(placed, placed[1:])
+        ((t0.x.real, t0.y.real), (t1.x.real, t1.y.real), substeps)
+        for (t0, *_), (t1, *_) in zip(placed, placed[1:])
     ]
     return svals, placed, segments
 
@@ -659,8 +676,9 @@ def continuations(angle_paths, coordinate_paths=()):
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
     Its sample at ``s = k / samples`` is placed at the
     :func:`explicit_lengths` of its target angles and measured there;
-    consecutive samples are joined by a :func:`coordinate_segment` of
-    ``substeps`` quadrature intervals.  Returns ``(volumes, paths)``: one
+    consecutive samples are joined by a segment of ``substeps``
+    quadrature intervals (one :func:`coordinate_segments` call builds
+    the segments of all paths).  Returns ``(volumes, paths)``: one
     :class:`VolumeResult` per coordinate path and one :class:`AnglePath`
     per angle path (a path's volume does not depend on the paths batched
     with it).  Raises :class:`PleatlabError` before placing a path's
@@ -669,7 +687,7 @@ def continuations(angle_paths, coordinate_paths=()):
     built = [_angle_path(*path) for path in angle_paths]
     coordinate_paths = list(coordinate_paths)
     volumes = schlafli_volumes(
-        coordinate_paths + [seg for _, _, segments in built for seg in segments]
+        coordinate_paths + coordinate_segments([seg for _, _, segs in built for seg in segs])
     )
     paths = []
     head = len(coordinate_paths)

@@ -327,6 +327,19 @@ def certify(t):
 # mirrors one scalar step, in the same order of operations, and returns a
 # mask of the points where that step would branch differently; those
 # points are recomputed by ``certify``, which stays the reference.
+#
+# Both pants sides are certified in one stacked pass.  The bottom side's
+# words ``b``, ``abA`` and ``baBA``, axis letter ``b`` and test letter
+# ``a`` are the top side's ``a``, ``baB``, ``abAB``, ``a`` and ``b`` with
+# the letters swapped, so the bottom side of (a, b) is the top side of
+# (b, a).  ``_certify_branch`` therefore evaluates the top side once on
+# generators of length 2n, (a then b, b then a), and splits every result
+# in half.  Each entry sees the same operations in the same order as in
+# a per-side pass, so the results are bit-identical to it, while a call
+# makes half the numpy calls, whose fixed cost outweighs the work per
+# point in calls of up to a few hundred points.  The price is memory:
+# both sides' temporaries are live at once, about 1.5 kB a point at the
+# peak against 1.1 kB.
 
 
 @dataclass(frozen=True)
@@ -423,39 +436,57 @@ def _concyclicity_batch(p, q, r, s):
     return np.where(den == 0, 0.0, np.abs((num / den).imag))
 
 
-def _planarity_batch(points):
-    """``_spread_triple``'s choice, as the chosen points, and
-    ``plaque_circle``'s residual."""
-    leave = np.zeros(points[0].shape, dtype=bool)
-    dist = {}
-    for i, j in combinations(range(len(points)), 2):
-        dist[i, j], bad = _chordal_batch(points[i], points[j])
-        leave |= bad
-    combos = list(combinations(range(len(points)), 3))
-    best = np.full(points[0].shape, -1.0)
-    choice = np.zeros(points[0].shape, dtype=int)
+def _spread_batch(stacked, combos):
+    """``_spread_triple`` over the rows of ``stacked``: the index of the
+    chosen combination in ``combos``, its score, and the mask of entries
+    with a point beyond 1e150 (infinity to ``chordal_distance``) or a
+    pair distance that is not finite.  Each distance is
+    :func:`_chordal_batch`'s expression, from the ``|p|`` and
+    ``1 + |p|**2`` of each point, computed once."""
+    size = np.abs(stacked)
+    scale = 1.0 + size * size
+    # Row i of steps[k - 1] is the distance between points i and i + k.
+    steps = [
+        2.0 * np.abs(stacked[:-k] - stacked[k:]) / np.sqrt(scale[:-k] * scale[k:])
+        for k in range(1, len(stacked))
+    ]
+    leave = (size > 1e150).any(axis=0)
+    for step in steps:
+        leave |= ~np.isfinite(step).all(axis=0)
+    best = np.full(leave.shape, -1.0)
+    choice = np.zeros(leave.shape, dtype=int)
     for k, combo in enumerate(combos):
-        d01, d02, d12 = (dist[pair] for pair in combinations(combo, 2))
+        d01, d02, d12 = (steps[j - i - 1][i] for i, j in combinations(combo, 2))
         score = np.minimum(np.minimum(d01, d02), d12)
         better = score > best + 1e-15
         best = np.where(better, score, best)
         choice = np.where(better, k, choice)
+    return choice, best, leave
+
+
+def _planarity_batch(points):
+    """``_spread_triple``'s choice, as the chosen points, and
+    ``plaque_circle``'s residual."""
+    stacked = np.stack(points)
+    combos = list(combinations(range(len(points)), 3))
+    choice, best, leave = _spread_batch(stacked, combos)
     # Row k lists combo k, then the remaining points in index order.
     order = np.array(
         [combo + tuple(i for i in range(len(points)) if i not in combo) for combo in combos]
     )
-    p0, p1, p2, *rest = np.take_along_axis(np.stack(points), order[choice].T, axis=0)
+    p0, p1, p2, *rest = np.take_along_axis(stacked, order[choice].T, axis=0)
     residual = np.zeros(points[0].shape)
     for w in rest:
         residual = np.maximum(residual, _concyclicity_batch(p0, p1, p2, w))
     return (p0, p1, p2), residual, leave | (best < 1e-12) | ~np.isfinite(residual)
 
 
-def _side_batch(gens, side):
-    """``plaque_circle`` on one pants side: its axis fixed points, cusp
-    vertex, fitted triple and planarity residual, and the mask of points
-    it leaves."""
-    data = SIDE_DATA[side]
+def _housed_batch(gens):
+    """``_housed_points`` on the top pants side of ``gens``: the axis
+    fixed points, their images under the other generator and the cusp
+    vertex, and the mask of points that take another branch of it or
+    fail ``plaque_circle``'s real-trace test."""
+    data = SIDE_DATA["top"]
     words = [_word_batch(gens, w) for w in data["boundary_words"]]
     traces = [m[0] + m[3] for m in words]
     leave = np.maximum.reduce([np.abs(tr.imag) for tr in traces]) > REAL_TRACE_TOL
@@ -472,20 +503,30 @@ def _side_batch(gens, side):
     leave |= np.minimum(np.abs(cusp_trace - 2.0), np.abs(cusp_trace + 2.0)) >= 1e-9
     leave |= np.abs(cusp[2]) < 1e-13
     vertex = (cusp[0] - cusp[3]) / (2.0 * cusp[2])
-    triple, residual, bad = _planarity_batch([att, rep, conj_att, conj_rep, vertex])
+    return [att, rep, conj_att, conj_rep, vertex], leave
+
+
+def _side_batch(gens):
+    """``plaque_circle`` on the top pants side of ``gens``: its axis fixed
+    points, cusp vertex, fitted triple and planarity residual, and the
+    mask of points it leaves.  ``_housed_batch``'s word matrices are
+    freed before the planarity pass, so they are not live at its peak."""
+    points, leave = _housed_batch(gens)
+    triple, residual, bad = _planarity_batch(points)
+    att, rep, _, _, vertex = points
     return (att, rep, vertex), triple, residual, leave | bad
 
 
-def _roof_batch(gens, side, axis_points, test_points):
-    """``bending_angle``'s roof wedge along the side's curve, and the mask
-    of points where it raises."""
+def _roof_batch(gens, axis_points, test_points):
+    """``bending_angle``'s roof wedge along the a-curve of ``gens``, and
+    the mask of points where it raises."""
     att, rep, vertex = axis_points
     dist, leave = _chordal_batch(rep, att)
     leave |= dist < 1e-14
     h, bad = unimodular_batch((1.0, -rep, 1.0, -att))
     leave |= bad
     # The neighbouring plaque's cusp point, moved as in bending_angle.
-    translate = kernel.mat_inv(gens[SIDE_DATA[side]["test_letter"]])
+    translate = kernel.mat_inv(gens["b"])
     d1, inf1 = _apply_batch(h, vertex)
     moved, inf2 = _apply_batch(translate, vertex)
     d2, inf3 = _apply_batch(h, moved)
@@ -503,6 +544,11 @@ def _roof_batch(gens, side, axis_points, test_points):
         inside = (0.0 < delta_t) & (delta_t < delta2)
         psi = np.where(usable, np.where(inside, delta2, 2.0 * math.pi - delta2), psi)
     return math.pi - psi, leave | np.isnan(psi)
+
+
+def _stacked(m, n):
+    """The entries of ``m`` followed by those of ``n``, entry by entry."""
+    return tuple(np.concatenate((u, v)) for u, v in zip(m, n))
 
 
 def _certify_branch(x, y, z):
@@ -532,12 +578,18 @@ def _certify_branch(x, y, z):
     q = w - big_x * r
     b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
-    gens = {"a": a, "b": b}
-    top, top_triple, top_planar, leave_top = _side_batch(gens, "top")
-    bottom, bottom_triple, bottom_planar, leave_bottom = _side_batch(gens, "bottom")
-    angle_a, leave_a = _roof_batch(gens, "top", top, bottom[:2])
-    angle_b, leave_b = _roof_batch(gens, "bottom", bottom, top[:2])
-    leave |= leave_top | leave_bottom | leave_a | leave_b
+    # Both pants sides in one pass: the bottom side of (a, b) is the top
+    # side of (b, a), so the first n entries are the top side and the
+    # last n the bottom side.  Each half's roof is probed by the other
+    # half's axis points, the fixed points of its other generator.
+    n = len(x)
+    gens = {"a": _stacked(a, b), "b": _stacked(b, a)}
+    axis, triple, planar, leave_side = _side_batch(gens)
+    probes = tuple(np.concatenate((v[n:], v[:n])) for v in axis[:2])
+    angle, leave_roof = _roof_batch(gens, axis, probes)
+    top_planar, bottom_planar = planar[:n], planar[n:]
+    angle_a, angle_b = angle[:n], angle[n:]
+    leave |= leave_side[:n] | leave_side[n:] | leave_roof[:n] | leave_roof[n:]
     # Marked structures have planar plaques and angles in [0, pi].  Off
     # them (non-planar pants, concave creases) the residual and the roof
     # can be ill-conditioned, so the scalar path alone defines them.
@@ -578,7 +630,8 @@ def _certify_branch(x, y, z):
         "max_real_trace_residual": np.maximum(np.maximum(real_a, real_b), real_k),
         "max_planarity_residual": np.maximum(top_planar, bottom_planar),
     }
-    fitted = {"pair": (a, b), "triples": {"top": top_triple, "bottom": bottom_triple}}
+    triples = {"top": tuple(v[:n] for v in triple), "bottom": tuple(v[n:] for v in triple)}
+    fitted = {"pair": (a, b), "triples": triples}
     return fields, fitted, leave
 
 

@@ -27,7 +27,7 @@ from pleatlab.lengthmap import (
     cocycle_check,
     concavity_report,
     continuations,
-    coordinate_segment,
+    coordinate_segments,
     cusp_derivative_check,
     dl_dphi,
     holo_length_jacobian,
@@ -387,16 +387,13 @@ def check_posdef(seed):
 
 def check_volume(seed):
     rng = np.random.default_rng(seed)
-    paths = []
+    segments = []
     for _ in range(VOLUME_PAIRS):
         x0, y0, x1, y1, xw, yw = rng.uniform(2.1, 2.55, size=6)
-        t0 = _marked(float(x0), float(y0))
-        t1 = _marked(float(x1), float(y1))
-        tw = _marked(float(xw), float(yw))
-        paths += [
-            coordinate_segment(t0, t1, 128),
-            coordinate_segment(t0, tw, 96),
-            coordinate_segment(tw, t1, 96),
+        segments += [
+            ((x0, y0), (x1, y1), 128),
+            ((x0, y0), (xw, yw), 96),
+            ((xw, yw), (x1, y1), 96),
         ]
     ends = [
         ((1.8, 2.0), (2.6, 2.3)),
@@ -410,7 +407,7 @@ def check_volume(seed):
     pair_volumes, angle_paths = continuations(
         [(start, end, 8, 16) for start, end in ends]
         + [((2.0, 2.2), (math.pi, math.pi), 8, 12)],
-        paths,
+        coordinate_segments(segments),
     )
     worst_pair = 0.0
     for direct, leg0, leg1 in zip(pair_volumes[::3], pair_volumes[1::3], pair_volumes[2::3]):

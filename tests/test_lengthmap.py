@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pleatlab.chartor import coords, pleating_candidates
+from pleatlab.chartor import coords, marked_roots, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
@@ -44,10 +44,16 @@ def _angles(theta_a, theta_b):
     return {"a": ("angle", theta_a), "b": ("angle", theta_b)}
 
 
-def _segment_volume(t0, t1, nodes):
-    """The volume along the coordinate segment from t0 to t1 of ``nodes``
-    intervals, as the CLI's volume command integrates it."""
-    return lm.schlafli_volumes([lm.coordinate_segment(t0, t1, nodes)])[0]
+def _segment(start, end, nodes):
+    """The coordinate segment of ``nodes`` intervals from the marked
+    structure over ``start = (x0, y0)`` to the one over ``end``."""
+    return lm.coordinate_segments([(start, end, nodes)])[0]
+
+
+def _segment_volume(start, end, nodes):
+    """The volume along the coordinate segment from ``start`` to ``end``
+    of ``nodes`` intervals, as the CLI's volume command integrates it."""
+    return lm.schlafli_volumes([_segment(start, end, nodes)])[0]
 
 
 def _assert_same_path(got, want):
@@ -457,13 +463,13 @@ def test_continuation_rows_sit_at_their_samples(start, samples):
 
 
 def test_volume_between_frozen():
-    res = _segment_volume(_marked(2.1, 2.1), _marked(2.5, 2.4), 64)
+    res = _segment_volume((2.1, 2.1), (2.5, 2.4), 64)
     assert abs(res.value - VOLUME_21_TO_2524) < 1e-4
     assert res.error_estimate < 1e-4
 
 
 def test_volume_path_independence():
-    t0, t1, tw = _marked(2.1, 2.1), _marked(2.5, 2.4), _marked(2.45, 2.15)
+    t0, t1, tw = (2.1, 2.1), (2.5, 2.4), (2.45, 2.15)
     direct = _segment_volume(t0, t1, 128)
     dogleg = _segment_volume(t0, tw, 96).value + _segment_volume(tw, t1, 96).value
     assert abs(direct.value - dogleg) < 1e-5
@@ -481,15 +487,11 @@ def test_schlafli_volumes_match_one_path_calls(monkeypatch):
     """Batched paths, in runs that fill, cross and exceed the node budget,
     give the one-path results bit for bit."""
     ends = [((2.1, 2.1), (2.5, 2.4)), ((2.1, 2.1), (2.45, 2.15)), ((2.45, 2.15), (2.5, 2.4))]
-    paths = [
-        lm.coordinate_segment(_marked(*a), _marked(*b), n)
-        for (a, b), n in zip(ends * 3, (128, 96, 96) * 3)
-    ]
-    paths.append(lm.coordinate_segment(_marked(2.0, 2.2), _marked(2.6, 2.3), 1100))
-    paths += [lm.coordinate_segment(_marked(2.2, 2.3 - 0.01 * k), _marked(2.4, 2.2), 16)
-              for k in range(5)]
-    paths.append(lm.coordinate_segment(_marked(2.3, 2.05), _marked(2.1, 2.5), 500))
-    paths.append(lm.coordinate_segment(_marked(2.2, 2.2), _marked(2.0, 2.0), 600))
+    paths = [_segment(a, b, n) for (a, b), n in zip(ends * 3, (128, 96, 96) * 3)]
+    paths.append(_segment((2.0, 2.2), (2.6, 2.3), 1100))
+    paths += [_segment((2.2, 2.3 - 0.01 * k), (2.4, 2.2), 16) for k in range(5)]
+    paths.append(_segment((2.3, 2.05), (2.1, 2.5), 500))
+    paths.append(_segment((2.2, 2.2), (2.0, 2.0), 600))
     reference = [lm.schlafli_volumes([path])[0] for path in paths]
     batch_sizes = []
 
@@ -518,7 +520,8 @@ def test_continuation_volumes_match_per_segment_reference():
     (path,) = lm.continuations([((1.8, 2.0), (2.6, 2.3), 4, 6)])[1]
     volume = error = 0.0
     for k in range(1, path.s.size):
-        seg = _segment_volume(coords(*path.coords[:, k - 1]), coords(*path.coords[:, k]), 6)
+        start, end = (tuple(path.coords[:2, j].real) for j in (k - 1, k))
+        seg = _segment_volume(start, end, 6)
         volume += seg.value
         error += seg.error_estimate
         assert (path.volume[k], path.volume_error[k]) == (volume, error)
@@ -528,7 +531,7 @@ def test_continuations_share_one_batch_with_coordinate_paths():
     """Batched angle paths give the columns of separate continuations,
     and the coordinate paths batched with them their own volumes."""
     angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5)]
-    segment = lm.coordinate_segment(_marked(2.1, 2.2), _marked(2.4, 2.3), 10)
+    segment = _segment((2.1, 2.2), (2.4, 2.3), 10)
     volumes, paths = lm.continuations(angle_paths, [segment])
     assert volumes == lm.schlafli_volumes([segment])
     assert len(paths) == len(angle_paths)
@@ -542,7 +545,7 @@ def test_error_estimate_is_honest_on_an_interior_path():
     64 intervals it lies within 10% of the miss against an 8,192-interval
     reference (it reads 0.69-0.89 of it on paths that end at the cusp,
     where the length behaves like sqrt(x - 2))."""
-    t0, t1 = _marked(2.2, 2.3), _marked(2.5, 2.4)
+    t0, t1 = (2.2, 2.3), (2.5, 2.4)
     reference = _segment_volume(t0, t1, 8192).value
     res = _segment_volume(t0, t1, 64)
     assert 0.9 <= res.error_estimate / abs(res.value - reference) <= 1.1
@@ -583,7 +586,7 @@ def _per_node_volume(path):
      (((2.1, 2.1), (2.5, 2.4)), 33), (((2.3, 2.05), (2.1, 2.5)), 5)],
 )
 def test_schlafli_volume_matches_per_node_certify(ends, nodes):
-    path = lm.coordinate_segment(_marked(*ends[0]), _marked(*ends[1]), nodes)
+    path = _segment(*ends, nodes)
     res = lm.schlafli_volumes([path])[0]
     value, error = _per_node_volume(path)
     assert res.nodes == nodes + 1
@@ -595,24 +598,38 @@ def test_schlafli_volume_matches_per_node_certify(ends, nodes):
 def test_odd_count_error_estimate_is_honest(nodes):
     """At an odd interval count the estimate is within 2% of the real
     error, measured against a 4,096-interval reference."""
-    t0, t1 = _marked(2.1, 2.1), _marked(2.5, 2.4)
-    reference = _segment_volume(t0, t1, 4096).value
-    res = _segment_volume(t0, t1, nodes)
+    reference = _segment_volume((2.1, 2.1), (2.5, 2.4), 4096).value
+    res = _segment_volume((2.1, 2.1), (2.5, 2.4), nodes)
     actual = abs(res.value - reference)
     assert abs(res.error_estimate - actual) <= 0.02 * actual
 
 
-def test_coordinate_segment_matches_scalar_roots():
-    t0, t1 = _marked(2.0, 2.2), _marked(2.7, 2.05)
-    path = lm.coordinate_segment(t0, t1, 16)
-    assert path.shape == (3, 17)
-    for k, node in enumerate(path.T):
-        s = k / 16
-        x = (1 - s) * 2.0 + s * 2.7
-        y = (1 - s) * 2.2 + s * 2.05
-        z, _ = pleating_candidates(x, y)
-        for got, want in zip(node, (x, y, z)):
-            assert abs(got - want) <= 1e-15 * abs(want)
+def test_coordinate_segment_matches_scalar_roots(monkeypatch):
+    """Segments built together agree with the scalar roots, and with the
+    same segments built one at a time bit for bit, from one
+    marked_roots call."""
+    ends = [((2.0, 2.2), (2.7, 2.05), 16), ((2.3, 2.1), (2.1, 2.6), 5), ((2.2, 2.2), (2.4, 2.3), 2)]
+    alone = [_segment(*segment) for segment in ends]
+    calls = []
+
+    def counting(x, y):
+        calls.append(len(x))
+        return marked_roots(x, y)
+
+    monkeypatch.setattr(lm, "marked_roots", counting)
+    paths = lm.coordinate_segments(ends)
+    assert calls == [17 + 6 + 3]
+    for path, single, ((x0, y0), (x1, y1), nodes) in zip(paths, alone, ends):
+        assert path.shape == (3, nodes + 1)
+        assert np.array_equal(path, single)
+        for k, node in enumerate(path.T):
+            s = k / nodes
+            x = (1 - s) * x0 + s * x1
+            y = (1 - s) * y0 + s * y1
+            z, _ = pleating_candidates(x, y)
+            for got, want in zip(node, (x, y, z)):
+                assert abs(got - want) <= 1e-15 * abs(want)
+    assert lm.coordinate_segments([]) == []
 
 
 def test_ray_to_cusp_monotone_and_lands():

@@ -5,7 +5,10 @@ marked pleating root of (2.2, 2.2) and at a flat seed bent by a known
 parameter; the flat and maximal-cusp limits pin the angle range ends.
 """
 
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -458,22 +461,73 @@ def test_certify_batch_matches_scalar_on_general_coordinates(points):
     assert_batch_matches_scalar(x, y, z)
 
 
+FROZEN_STRUCTURES = [
+    (2.2, 2.2, MARKED_ROOT_22),
+    (2.2, 2.2, MARKED_ROOT_22.conjugate()),
+    (-2.2, 2.2, -MARKED_ROOT_22),
+    (3.0, 3.0, 3.0),
+    (2.0, 2.0, 2.0 + 2.0j),
+    (2.2, 2.2, 3.0),
+    (2.2 + 0.1j, 2.2, 2.4 + 1.9j),
+    (float("nan"), float("nan"), float("nan")),
+    quakebend(coords(FLAT_X, FLAT_X, 4.0), 0.3).astuple(),
+]
+
+
 def test_certify_batch_matches_scalar_on_frozen_structures():
-    seed = coords(FLAT_X, FLAT_X, 4.0)
-    points = [
-        (2.2, 2.2, MARKED_ROOT_22),
-        (2.2, 2.2, MARKED_ROOT_22.conjugate()),
-        (-2.2, 2.2, -MARKED_ROOT_22),
-        (3.0, 3.0, 3.0),
-        (2.0, 2.0, 2.0 + 2.0j),
-        (2.2, 2.2, 3.0),
-        (2.2 + 0.1j, 2.2, 2.4 + 1.9j),
-        (float("nan"), float("nan"), float("nan")),
-        quakebend(seed, 0.3).astuple(),
-    ]
-    x, y, z = zip(*points)
+    x, y, z = zip(*FROZEN_STRUCTURES)
     batch = assert_batch_matches_scalar(x, y, z)
     assert batch.fallback.tolist() == [False, False, False, True, True, True, True, True, False]
+
+
+# Every value certify_batch returns at the marked roots of
+# BENDING_ANGLE_GOLDEN and at FROZEN_STRUCTURES, frozen as its repr (one
+# JSON object per point): the batch is bit-identical to the one-side-
+# at-a-time evaluation these were taken from, so any change in the order
+# of its operations fails here, even one far under BATCH_TOL.
+GOLDEN_FIELDS = (
+    "theta_a", "theta_b", "theta_puncture", "max_real_trace_residual",
+    "max_planarity_residual", "is_piecewise_geodesic", "is_convex",
+    "is_fuchsian_boundary", "in_pleating_variety", "fallback",
+)
+
+
+def test_certify_batch_golden():
+    golden = json.loads((Path(__file__).parent / "certify_batch_golden.json").read_text())
+    points = [
+        (x, y, pleating_candidates(x, y)[0]) for x, y, _, _ in BENDING_ANGLE_GOLDEN
+    ] + FROZEN_STRUCTURES
+    batch = certify_batch(*zip(*points))
+    assert len(golden) == len(points)
+    for i, want in enumerate(golden):
+        got = {name: repr(getattr(batch, name)[i].item()) for name in GOLDEN_FIELDS}
+        got["pair"] = [repr(entries[i].item()) for m in batch.pair for entries in m]
+        got["triples"] = {
+            side: [repr(entries[i].item()) for entries in batch.triples[side]]
+            for side in ("top", "bottom")
+        }
+        assert got == want, f"point {i}: {points[i]}"
+
+
+def test_certify_batch_is_one_side_pass(monkeypatch):
+    """One certify_batch call evaluates both pants sides in one stacked
+    pass: one side, roof and planarity evaluation each."""
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(plaques, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("_side_batch", "_roof_batch", "_planarity_batch"):
+        monkeypatch.setattr(plaques, name, counted(name))
+    batch = certify_batch([2.2, 2.5], [2.2, 2.4], [MARKED_ROOT_22, marked_roots(2.5, 2.4)])
+    assert not batch.fallback.any()
+    assert calls == {"_side_batch": 1, "_roof_batch": 1, "_planarity_batch": 1}
 
 
 def test_certify_batch_matches_scalar_beyond_float_range():
