@@ -12,10 +12,11 @@ manifold.  This module provides:
   ``explicit_lengths``, which places angle and mixed targets in closed
   form;
 * damped Newton solvers for length, angle, and mixed targets over the
-  marked pleating root, with a one-sided difference Jacobian whose
-  probes never cross a zero length and a closing chord step that takes
-  each solution to round-off; a solve that diverges from its seed runs
-  once more from the explicit lengths;
+  marked pleating root: the step is steered by the analytic Jacobian of
+  the closed-form angles, while the root is where the angles measured
+  on the roof hit their targets, so an iteration measures one residual;
+  a closing chord step takes each solution to round-off, and a solve
+  that diverges from its seed runs once more from the explicit lengths;
 * the angle-space derivative matrix ``d(lengths)/d(cone angles)``, by
   the implicit-function theorem at the explicitly placed structure;
 * volume differences through the Schlafli form
@@ -63,6 +64,7 @@ from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
+# Step of dl_dphi's central difference of measured angles.
 NEWTON_FD_STEP = 1e-6
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
@@ -217,6 +219,22 @@ def _closed_form_angle(length, other):
     )
 
 
+def _closed_form_angle_gradient(length, other):
+    """``(d theta / d length, d theta / d other)`` of
+    :func:`_closed_form_angle`.  Differentiating ``cos(theta/2) =
+    tanh(length/2) cosh(other/2)`` gives
+    ``-cosh(other/2) sech^2(length/2) / sin(theta/2)`` and
+    ``-tanh(length/2) sinh(other/2) / sin(theta/2)``; with
+    ``sin(theta/2) = sqrt((1 - P)(1 + P)) / cosh(length/2)`` they read
+    ``-cosh(other/2) / (cosh(length/2) sqrt(...))`` and ``-P / sqrt(...)``,
+    and both are infinite where the curve is bending-free (``P >= 1``)."""
+    p = math.sinh(length / 2.0) * math.sinh(other / 2.0)
+    root = math.sqrt(max((1.0 - p) * (1.0 + p), 0.0))
+    if root == 0.0:
+        return -math.inf, -math.inf
+    return -math.cosh(other / 2.0) / (math.cosh(length / 2.0) * root), -p / root
+
+
 def _structure(l_a, l_b, names="ab"):
     """The pair :func:`pair_from_lengths` builds at ``(l_a, l_b)`` and
     the bending angles of the curves in ``names``: measured on the roof,
@@ -268,76 +286,60 @@ def _solve2(j00, j01, j10, j11, r0, r1):
 def _newton2(residual_fn, u0):
     """Damped Newton iteration for a residual of two real unknowns.
 
-    The Jacobian is a one-sided difference from the residual already in
-    hand plus one probe per unknown at
-    ``u_j + copysign(NEWTON_FD_STEP, u_j)``, so an iteration costs three
-    residuals and no probe crosses ``u_j = 0``, where the length
-    residuals fold over.  Each step is halved up to
-    eleven times until the max-norm residual falls, for at most
-    ``NEWTON_MAX_ITER`` iterations.  Once the norm is within
-    ``NEWTON_TOL``, one chord step with the last Jacobian polishes the
-    solution toward round-off; it is kept only if the norm does not
-    grow, and ``iterations`` does not count it.  Returns
-    ``(u, iterations, norm)`` with ``u`` a pair of floats.
+    ``residual_fn(u)`` returns the residual pair at ``u`` and its
+    Jacobian ``(j00, j01, j10, j11)`` there, so an iteration evaluates
+    one residual, at the line search's candidate.  A point where the
+    residual raises, or where it or its Jacobian is not finite, is
+    undefined.  Each step is halved up to eleven times until the
+    max-norm residual falls, for at most ``NEWTON_MAX_ITER`` iterations.
+    Once the norm is within ``NEWTON_TOL``, one chord step with the last
+    Jacobian polishes the solution toward round-off; it is kept only if
+    the norm does not grow, and ``iterations`` does not count it.
+    Returns ``(u, iterations, norm)`` with ``u`` a pair of floats.
     """
     def try_residual(u):
-        """Residual at a trial point, or None where it is undefined
-        (overflow, a degenerate or a bending-free structure); the line
-        search treats such points as rejected steps."""
+        """Residual, Jacobian and max-norm at a trial point, or None where
+        they are undefined (overflow, a degenerate or a bending-free
+        structure); the line search treats such points as rejected steps."""
         try:
-            r0, r1 = residual_fn(u)
+            (r0, r1), jac = residual_fn(u)
         except (OverflowError, ValueError):  # PleatlabError is a ValueError
             return None
-        if not (math.isfinite(r0) and math.isfinite(r1)):
+        if not all(math.isfinite(v) for v in (r0, r1, *jac)):
             return None
-        return r0, r1
+        return (r0, r1), jac, max(abs(r0), abs(r1))
 
     u = (float(u0[0]), float(u0[1]))
-    r = try_residual(u)
-    if r is None:
+    evaluated = try_residual(u)
+    if evaluated is None:
         raise NewtonDivergence(f"residual undefined at the seed {tuple(u0)}")
-    norm = max(abs(r[0]), abs(r[1]))
+    r, jac, norm = evaluated
     iterations = 0
-    jac = None
     while norm > NEWTON_TOL:
         if iterations >= NEWTON_MAX_ITER:
             raise NewtonDivergence(
                 f"no convergence after {NEWTON_MAX_ITER} iterations (residual {norm:.3e})"
             )
         iterations += 1
-        ua, ub = u
-        ha, hb = (math.copysign(NEWTON_FD_STEP, v) for v in u)
-        r_a = try_residual((ua + ha, ub))
-        r_b = try_residual((ua, ub + hb))
-        if r_a is None or r_b is None:
-            raise NewtonDivergence("residual undefined next to an iterate")
-        jac = (
-            (r_a[0] - r[0]) / ha, (r_b[0] - r[0]) / hb,
-            (r_a[1] - r[1]) / ha, (r_b[1] - r[1]) / hb,
-        )
         s0, s1 = _solve2(*jac, r[0], r[1])
         if not (math.isfinite(s0) and math.isfinite(s1)):
             raise NewtonDivergence("non-finite Newton step")
         scale = 1.0
         for _ in range(12):
-            candidate = (ua - scale * s0, ub - scale * s1)
-            rc = try_residual(candidate)
-            if rc is not None:
-                nc = max(abs(rc[0]), abs(rc[1]))
-                if nc < norm or nc <= NEWTON_TOL:
-                    u, r, norm = candidate, rc, nc
-                    break
+            candidate = (u[0] - scale * s0, u[1] - scale * s1)
+            evaluated = try_residual(candidate)
+            if evaluated is not None and (evaluated[2] < norm or evaluated[2] <= NEWTON_TOL):
+                u, (r, jac, norm) = candidate, evaluated
+                break
             scale *= 0.5
         else:
             raise NewtonDivergence("damping failed to reduce the residual")
-    if jac is not None and norm > 0.0:
+    if iterations and norm > 0.0:
         s0, s1 = _solve2(*jac, r[0], r[1])
         candidate = (u[0] - s0, u[1] - s1)
-        rc = try_residual(candidate)
-        if rc is not None:
-            nc = max(abs(rc[0]), abs(rc[1]))
-            if nc <= norm:
-                u, norm = candidate, nc
+        evaluated = try_residual(candidate)
+        if evaluated is not None and evaluated[2] <= norm:
+            u, norm = candidate, evaluated[2]
     return u, iterations, norm
 
 
@@ -357,13 +359,23 @@ def _parse_targets(targets):
 
 
 def _target_residual(targets):
-    """Build the residual function for per-curve (kind, value) targets."""
+    """Build the residual function for per-curve (kind, value) targets.
+
+    At curve lengths ``u`` (even in each) it returns the residuals and
+    their Jacobian ``(j00, j01, j10, j11)``.  An angle residual is the
+    angle measured on the roof minus its target, and its Jacobian row is
+    :func:`_closed_form_angle_gradient` at ``(|u_0|, |u_1|)``; a length
+    row is ``copysign(1, u_i)`` on the diagonal.  Every entry in column
+    ``j`` carries the sign of ``u_j``."""
     kinds, values = zip(*_parse_targets(targets))
     angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
     angle_names = "".join("ab"[i] for i in angle_slots)
 
     def residual(u):
-        out = [abs(u[0]) - values[0], abs(u[1]) - values[1]]
+        signs = (math.copysign(1.0, u[0]), math.copysign(1.0, u[1]))
+        lengths = (abs(u[0]), abs(u[1]))
+        out = [lengths[0] - values[0], lengths[1] - values[1]]
+        rows = [(1.0, 0.0), (0.0, 1.0)]
         if angle_slots:
             pair, thetas = _structure(u[0], u[1], angle_names)
             if pair.coords.z.imag == 0.0:
@@ -371,7 +383,10 @@ def _target_residual(targets):
                 raise PleatlabError(f"no bending at lengths {tuple(u)}")
             for i, theta in zip(angle_slots, thetas):
                 out[i] = theta - values[i]
-        return out
+                d_self, d_other = _closed_form_angle_gradient(lengths[i], lengths[1 - i])
+                rows[i] = (d_self, d_other) if i == 0 else (d_other, d_self)
+        jac = tuple(row[j] * signs[j] for row in rows for j in range(2))
+        return out, jac
 
     return residual
 
@@ -460,9 +475,10 @@ def dl_dphi(theta_a, theta_b):
     placed at :func:`explicit_lengths`; by the implicit-function theorem
     the derivative there
     is ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
-    difference of the angle residual with step ``NEWTON_FD_STEP`` (four
-    residuals, no solve).  Requires both angles at least
-    ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values 0 and pi.
+    difference of the measured angle residual with step
+    ``NEWTON_FD_STEP`` (four residuals, no solve).  Requires both angles
+    at least ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values
+    0 and pi.
     Returns the matrix, its symmetry residual and eigenvalues, and the
     base point's ``lengths``, measured ``thetas`` and placement ``miss``
     (as for :func:`_place_angles`).
@@ -481,7 +497,7 @@ def dl_dphi(theta_a, theta_b):
         dn = list(lengths)
         up[j] += h
         dn[j] -= h
-        r_up, r_dn = residual(up), residual(dn)
+        (r_up, _), (r_dn, _) = residual(up), residual(dn)
         cols.append([(r_up[i] - r_dn[i]) / (2.0 * h) for i in range(2)])
     dtheta_dl = np.array(cols).T
     matrix = np.linalg.inv(-2.0 * dtheta_dl)

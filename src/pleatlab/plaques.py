@@ -400,6 +400,15 @@ def _word_batch(gens, word):
     return reduce(kernel.mat_mul, factors)
 
 
+def _trace_batch(gens, word):
+    """The trace of ``_word_batch(gens, word)``: only the two diagonal
+    entries of the last product are formed, with ``kernel.mat_mul``'s
+    expressions in its order."""
+    p, q, r, s = _word_batch(gens, word[:-1])
+    e, f, g, h = _word_batch(gens, word[-1])
+    return (p * e + q * g) + (r * f + s * h)
+
+
 def _apply_batch(m, z):
     """``apply_mobius`` at finite points, and the mask of images at infinity."""
     num = m[0] * z + m[1]
@@ -487,8 +496,9 @@ def _housed_batch(gens):
     vertex, and the mask of points that take another branch of it or
     fail ``plaque_circle``'s real-trace test."""
     data = SIDE_DATA["top"]
-    words = [_word_batch(gens, w) for w in data["boundary_words"]]
-    traces = [m[0] + m[3] for m in words]
+    axis_word, middle_word, cusp_word = data["boundary_words"]
+    axis, cusp = _word_batch(gens, axis_word), _word_batch(gens, cusp_word)
+    traces = [axis[0] + axis[3], _trace_batch(gens, middle_word), cusp[0] + cusp[3]]
     leave = np.maximum.reduce([np.abs(tr.imag) for tr in traces]) > REAL_TRACE_TOL
     axis_trace, cusp_trace = traces[0], traces[2]
     leave |= np.minimum(np.abs(axis_trace - 2.0), np.abs(axis_trace + 2.0)) < _BATCH_PARABOLIC
@@ -499,7 +509,6 @@ def _housed_batch(gens):
     conj_att, inf_att = _apply_batch(conj, att)
     conj_rep, inf_rep = _apply_batch(conj, rep)
     leave |= inf_att | inf_rep
-    cusp = words[2]
     leave |= np.minimum(np.abs(cusp_trace - 2.0), np.abs(cusp_trace + 2.0)) >= 1e-9
     leave |= np.abs(cusp[2]) < 1e-13
     vertex = (cusp[0] - cusp[3]) / (2.0 * cusp[2])

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pleatlab.chartor import coords, marked_roots, pleating_candidates
+from pleatlab.chartor import coords, marked_roots, pair_from_lengths, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
@@ -200,6 +200,41 @@ def _mp_angle(length, other):
         return float(2 * mpmath.acos(mpmath.tanh(u / 2) * mpmath.cosh(v / 2)))
 
 
+# The gradient's agreement with a central difference of measured angles,
+# relative to max(1, |gradient|): the measured angle is good to ~1e-14
+# (worse next to a long curve), which a step of up to 1e-6 turns into
+# ~1e-8; the truncation error is O(step^2).  Measured worst: 5.7e-8.
+GRADIENT_FD_TOL = 5e-7
+
+
+def test_closed_form_angle_gradient_matches_measured_differences():
+    """The closed-form gradient against a central difference of the
+    roof's bending_angle, at drawn lengths from 1e-6 to ~16, with a step
+    of min(1e-6, length / 10) on each side."""
+    rng = np.random.default_rng(24)
+    points = [(1e-6, 1.0), (1.0, 1e-6), (1e-4, 1e-4), (12.0, 1e-5), (1e-3, 8.0)]
+    points += [tuple(v) for v in 10.0 ** rng.uniform(-6.0, 1.2, size=(40, 2))]
+    checked = 0
+    for l_a, l_b in points:
+        if math.sinh(l_a / 2.0) * math.sinh(l_b / 2.0) >= 0.99:
+            continue  # bending-free or nearly: no roof to measure
+        checked += 1
+        grad = lm._closed_form_angle_gradient(l_a, l_b)
+        for j, length in enumerate((l_a, l_b)):
+            h = min(1e-6, length / 10.0)
+            up, dn = [l_a, l_b], [l_a, l_b]
+            up[j] += h
+            dn[j] -= h
+            fd = (bending_angle(pair_from_lengths(*up), "a")
+                  - bending_angle(pair_from_lengths(*dn), "a")) / (2.0 * h)
+            assert abs(grad[j] - fd) <= GRADIENT_FD_TOL * max(1.0, abs(grad[j])), (l_a, l_b, j)
+    assert checked >= 30
+
+
+def test_closed_form_angle_gradient_is_infinite_when_bending_free():
+    assert lm._closed_form_angle_gradient(8.0, 8.0) == (-math.inf, -math.inf)
+
+
 SWITCH = lm.CLOSED_FORM_LENGTH
 
 
@@ -233,6 +268,46 @@ def test_solve_reaches_a_tiny_length_target():
     res = lm.solve_targets({"a": ("length", 3e-15), "b": ("angle", 2.0)})
     assert res.lengths[0] == 3e-15 and res.thetas[1] == 2.0
     assert abs(res.thetas[0] - _mp_angle(*res.lengths)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [{"a": ("length", 3e-15), "b": ("length", 1.0)},
+     {"a": ("angle", 3.14159265358979), "b": ("length", 1e-14)}],
+    ids=["tiny-length", "near-cusp-angle"],
+)
+def test_solve_hits_targets_next_to_the_cusp_exactly(targets):
+    """An exact length row takes a tiny length target to round-off: a
+    difference Jacobian left 1.9e-10 for the length 3e-15 and a residual
+    of 5.1e-11 for the angle within 4e-15 of pi."""
+    res = lm.solve_targets(targets)
+    for (kind, value), length, theta in zip(targets.values(), res.lengths, res.thetas):
+        assert abs((theta if kind == "angle" else length) - value) <= 1e-15
+    assert res.residual <= 1e-15
+
+
+# The hard bands of the robustness sweep: angles near the flat boundary
+# and next to the cusp, and tiny lengths.
+HARD_ANGLES = [float(v) for v in (*np.geomspace(1e-3, 0.2, 4), *(math.pi - np.geomspace(1e-4, 1e-12, 4)))]
+HARD_LENGTHS = [float(v) for v in np.geomspace(1e-6, 0.1, 4)]
+NEWTON_SEEDS = ((1.0, 1.0), (0.6, 1.8), (2.2, 0.9))
+
+
+def test_solve_is_robust_over_the_hard_bands():
+    """Every angle-angle, length-angle and angle-length pair of the hard
+    bands solves from each of check_newton's seeds, and the measured
+    structure misses no target by more than 1e-11 (6.2e-10 with a
+    difference Jacobian)."""
+    targets = [(("angle", a), ("angle", b)) for a in HARD_ANGLES for b in HARD_ANGLES]
+    targets += [(("length", v), ("angle", a)) for v in HARD_LENGTHS for a in HARD_ANGLES]
+    targets += [(("angle", a), ("length", v)) for a in HARD_ANGLES for v in HARD_LENGTHS]
+    worst = 0.0
+    for pair in targets:
+        for seed in NEWTON_SEEDS:
+            res = lm.solve_targets(dict(zip("ab", pair)), seed=seed)
+            for (kind, value), length, theta in zip(pair, res.lengths, res.thetas):
+                worst = max(worst, abs((theta if kind == "angle" else length) - value))
+    assert worst <= 1e-11
 
 
 def test_solve_rejects_bad_targets():
@@ -282,12 +357,57 @@ def test_newton_direct_solve_crosses_moderate_angles():
     residual = lm._target_residual({"a": ("angle", 0.504), "b": ("angle", 1.256)})
     u, _, norm = lm._newton2(residual, (1.0, 1.0))
     assert norm <= lm.NEWTON_TOL
-    assert max(abs(r) for r in residual(u)) <= lm.NEWTON_TOL
+    assert max(abs(r) for r in residual(u)[0]) <= lm.NEWTON_TOL
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [_angles(2.0, 2.4), {"a": ("length", 1.1), "b": ("angle", 2.2)},
+     {"a": ("angle", 0.7), "b": ("length", 0.4)}, _angles(0.3, 2.9)],
+    ids=["angles", "length-angle", "angle-length", "skewed"],
+)
+def test_newton_root_is_set_by_the_measured_residual(targets, monkeypatch):
+    """Angle rows of the Jacobian scaled by 1.3 only slow the iteration:
+    it still stops where the measured angles hit their targets.  The
+    mis-scaled steps converge linearly, so the stopping rule is tightened
+    to 1e-13 to run them to round-off."""
+    reference = lm.solve_targets(targets).lengths
+    gradient = lm._closed_form_angle_gradient
+    monkeypatch.setattr(lm, "_closed_form_angle_gradient",
+                        lambda *lengths: tuple(1.3 * v for v in gradient(*lengths)))
+    monkeypatch.setattr(lm, "NEWTON_TOL", 1e-13)
+    res = lm.solve_targets(targets)
+    assert res.iterations > 10
+    assert max(abs(u - v) for u, v in zip(res.lengths, reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "targets, structures",
+    [(_angles(2.0, 2.0), 6), (_angles(2.0, 2.4), 7),
+     ({"a": ("length", 1.1), "b": ("angle", 2.2)}, 6),
+     ({"a": ("length", 1.3), "b": ("length", 0.9)}, 1)],
+    ids=["equal-angles", "angles", "mixed", "lengths"],
+)
+def test_solve_measures_one_residual_per_iteration(targets, structures, monkeypatch):
+    """With no halved step a solve builds at most iterations + 3
+    structures: the seed, one candidate per iteration, the chord step and
+    the final measurement (a length-length solve only the last).
+    (2.0, 2.0) from (1, 1) builds 6; a difference Jacobian built 12."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return structure(*args)
+
+    structure = lm._structure
+    monkeypatch.setattr(lm, "_structure", counting)
+    res = lm.solve_targets(targets)
+    assert len(built) == structures <= res.iterations + 3
 
 
 def test_newton2_converges_on_linear_system():
     def residual(u):
-        return (2.0 * u[0] + u[1] - 3.0, u[0] - 4.0 * u[1] + 3.0)
+        return (2.0 * u[0] + u[1] - 3.0, u[0] - 4.0 * u[1] + 3.0), (2.0, 1.0, 1.0, -4.0)
 
     (u0, u1), iterations, norm = lm._newton2(residual, (5.0, -2.0))
     assert abs(u0 - 1.0) < 1e-12 and abs(u1 - 1.0) < 1e-12
@@ -315,8 +435,8 @@ def test_solve2_matches_numpy_solve():
 @pytest.mark.parametrize(
     "residual",
     [
-        lambda u: (u[0] - 1.0, 2.0 * u[0] - 1.0),  # no dependence on u[1]
-        lambda u: (3.0, 4.0),  # zero Jacobian
+        lambda u: ((u[0] - 1.0, 2.0 * u[0] - 1.0), (1.0, 0.0, 2.0, 0.0)),  # no dependence on u[1]
+        lambda u: ((3.0, 4.0), (0.0, 0.0, 0.0, 0.0)),  # zero Jacobian
     ],
     ids=["rank-one", "zero"],
 )
@@ -328,18 +448,20 @@ def test_newton2_singular_jacobian_raises(residual):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_newton2_non_finite_seed_residual_raises(value):
     with pytest.raises(NewtonDivergence, match="undefined at the seed"):
-        lm._newton2(lambda u: (value, 0.0), (0.5, 0.5))
+        lm._newton2(lambda u: ((value, 0.0), (1.0, 0.0, 0.0, 1.0)), (0.5, 0.5))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 def test_newton2_probes_stay_on_the_iterate_side(sign):
     """Near u = 0, where length residuals fold over, no evaluation crosses
-    to the other sign of either unknown, and the probes see the true slope."""
+    to the other sign of either unknown, given the slope on the iterate's
+    side."""
     seen = []
 
     def residual(u):
         seen.append(u)
-        return (1e4 * (abs(u[0]) - 3e-7), 1e4 * (abs(u[1]) - 2e-7))
+        slopes = (1e4 * math.copysign(1.0, u[0]), 1e4 * math.copysign(1.0, u[1]))
+        return (1e4 * (abs(u[0]) - 3e-7), 1e4 * (abs(u[1]) - 2e-7)), (slopes[0], 0.0, 0.0, slopes[1])
 
     u, iterations, norm = lm._newton2(residual, (sign * 1e-7, sign * 1e-7))
     assert all(sign * ua > 0.0 and sign * ub > 0.0 for ua, ub in seen)
@@ -353,12 +475,13 @@ def test_newton2_chord_step_never_raises_the_norm():
     converged = []
 
     def residual(u):
+        jac = (math.cosh(u[0]), -0.1, 0.0, 3.0 * u[1] ** 2 + 1.0)
         if converged:
-            return (1e-3, 1e-3)
+            return (1e-3, 1e-3), jac
         r = (math.sinh(u[0]) - 0.5 - 0.1 * u[1], u[1] ** 3 + u[1] - 2.0)
         if max(abs(r[0]), abs(r[1])) <= lm.NEWTON_TOL:
             converged.append((u, max(abs(r[0]), abs(r[1]))))
-        return r
+        return r, jac
 
     u, _, norm = lm._newton2(residual, (0.3, 0.7))
     assert (u, norm) == converged[0]

@@ -164,6 +164,22 @@ def test_check_newton_counts_only_library_failures(monkeypatch):
         suite.check_newton(suite.SEEDS["newton"])
 
 
+def test_check_newton_gates_on_the_closed_form(monkeypatch):
+    """Each seed's Newton lengths are measured against the closed form:
+    the reported gap is at round-off, and a closed form off by a relative
+    1e-6 fails the criterion, which passes on the seed spread alone."""
+    record = suite.check_newton(suite.SEEDS["newton"])
+    assert record["passed"] and record["details"]["worst_closed_form_gap"] < 1e-13
+    explicit = suite.explicit_lengths
+    monkeypatch.setattr(
+        suite, "explicit_lengths", lambda targets: tuple(v * (1 + 1e-6) for v in explicit(targets))
+    )
+    record = suite.check_newton(suite.SEEDS["newton"])
+    assert not record["passed"]
+    assert record["details"]["worst_seed_spread"] < suite.NEWTON_AGREEMENT_TOL
+    assert abs(record["details"]["worst_closed_form_gap"] - 1e-6) < 1e-9
+
+
 def test_min_monotonicity_of_linear_maps():
     """For l = A phi the pair ratio is a Rayleigh quotient of A: at least
     its smallest symmetric eigenvalue, and negative for a decreasing map."""
