@@ -11,23 +11,30 @@ manifold.  This module provides:
 * the explicit inverse of the length map on the marked cusped locus,
   ``explicit_lengths``, which places angle and mixed targets in closed
   form;
+* the structure at given curve lengths, measured one at a time
+  (``measure_structure``) or as arrays (``measure_structures``: the
+  closed-form pairs of many lengths measured on the roof in one pass of
+  ``certify_batch``'s array code, with the scalar measuring the rows it
+  leaves);
 * damped Newton solvers for length, angle, and mixed targets over the
   marked pleating root: the step is steered by the analytic Jacobian of
   the closed-form angles, while the root is where the angles measured
   on the roof hit their targets, so an iteration measures one residual;
   a closing chord step takes each solution to round-off, and a solve
   that diverges from its seed runs once more from the explicit lengths;
-* the angle-space derivative matrix ``d(lengths)/d(cone angles)``, by
-  the implicit-function theorem at the explicitly placed structure;
+* the angle-space derivative matrices ``d(lengths)/d(cone angles)`` at
+  arrays of angles, by the implicit-function theorem at the explicitly
+  placed structures, whose difference probes are measured in one batch;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
   Richardson error estimate, over paths held as ``(3, n)`` arrays of
   trace coordinates and integrated a run of paths at a time as arrays;
 * continuation along straight angle paths: ``continuations`` places
-  each path's samples by the explicit inverse, integrates the volumes
-  of all its paths (and of further coordinate paths) in one batch, and
-  returns each angle path as one :class:`AnglePath` of columns, along
-  which ``concavity_report`` probes the volume's concavity;
+  the samples of all its paths by the explicit inverse, measures them as
+  one array, integrates the volumes of all its paths (and of further
+  coordinate paths) in one batch, and returns each angle path as one
+  :class:`AnglePath` of columns, along which ``concavity_report`` probes
+  the volume's concavity;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -59,7 +66,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab.moebius import matrix_distance, rotation_about_axis, unimodular
-from pleatlab.plaques import bending_angle, certify, certify_batch
+from pleatlab.plaques import bending_angle, certify, certify_batch, measure_sides
 from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
@@ -268,6 +275,46 @@ def measure_structure(l_a, l_b):
     return pair.coords, (abs(l_a), abs(l_b)), tuple(thetas)
 
 
+def measure_structures(l_a, l_b):
+    """:func:`measure_structure` at every length pair ``(l_a[i], l_b[i])``
+    at once.
+
+    Returns ``(coords, lengths, thetas)``: the trace coordinates x, y and
+    z as a ``(3, n)`` complex array, and the absolute lengths and the
+    bending angles of curves a and b as ``(2, n)`` arrays.  The pairs are
+    :func:`pair_from_lengths`' closed form over arrays, and their angles
+    are measured on the roof by the pass over both pants sides that
+    :func:`certify_batch` runs (:func:`measure_sides`); they agree with
+    the scalar to about 1e-13.  A row that leaves that pass is measured
+    by :func:`measure_structure`, in index order, so it answers, or
+    raises, as the scalar does: a length below ``CLOSED_FORM_LENGTH`` or
+    a generator trace within 1e-4 of 2 (the cusp among them), bending-free
+    lengths, values beyond the float range, and a degenerate roof.
+    """
+    l_a, l_b = (np.asarray(v, dtype=float).reshape(-1) for v in (l_a, l_b))
+    lengths = np.abs(np.stack((l_a, l_b)))
+    with np.errstate(all="ignore"):
+        half = lengths / 2.0
+        x, y = 2.0 * np.cosh(half)
+        big_x, big_y = 4.0 * np.sinh(half) ** 2
+        w = np.sqrt((big_x * big_y - 16.0).astype(complex))
+        r = big_y / (2.0 * (w + 4.0j))
+        a = (x / 2.0, big_x / 2.0, np.full(x.shape, 0.5), x / 2.0)
+        b = (y / 2.0, w - big_x * r, r, y / 2.0)
+        z = (x * y + w) / 2.0
+        thetas, _, _, leave = measure_sides(a, b)
+    # bending_angle reads real coordinates as bending-free, with angle 0
+    # (its scale max(1, |x|, |y|, |z|) is that below, as x, y >= 2).
+    scale = np.maximum(np.maximum(x, y), np.abs(z))
+    leave |= ~np.isfinite(z) | (np.abs(z.imag) < 1e-12 * scale)
+    leave |= (lengths < CLOSED_FORM_LENGTH).any(axis=0)
+    coords = np.stack((x, y, z))
+    for i in np.flatnonzero(leave):
+        t, _, thetas[:, i] = measure_structure(float(l_a[i]), float(l_b[i]))
+        coords[:, i] = t.astuple()
+    return coords, lengths, thetas
+
+
 def _solve2(j00, j01, j10, j11, r0, r1):
     """Solve ``[[j00, j01], [j10, j11]] s = (r0, r1)`` by partial-pivot
     elimination; an exactly zero pivot raises :class:`NewtonDivergence`."""
@@ -454,62 +501,54 @@ def solve_targets(targets, seed=(1.0, 1.0)):
     )
 
 
-def _place_angles(theta_a, theta_b):
-    """The structure at the explicit lengths of two angle targets:
-    ``(coords, lengths, thetas, miss)``, with ``miss`` the measured
-    angles' largest miss."""
-    t, lengths, thetas = measure_structure(
-        *explicit_lengths({"a": ("angle", theta_a), "b": ("angle", theta_b)})
-    )
-    return t, lengths, thetas, max(abs(thetas[0] - theta_a), abs(thetas[1] - theta_b))
-
-
 # ---------------------------------------------------------------------------
 # Angle-space derivative of the lengths
 
 
 def dl_dphi(theta_a, theta_b):
-    """Matrix of d(lengths)/d(cone angles) at the given bending angles.
+    """Matrices of d(lengths)/d(cone angles) at arrays of bending angles.
 
-    Cone angles are ``phi_i = 2*(pi - theta_i)``.  The base point is
-    placed at :func:`explicit_lengths`; by the implicit-function theorem
-    the derivative there
-    is ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
+    Cone angles are ``phi_i = 2*(pi - theta_i)``.  Each base point
+    ``(theta_a[k], theta_b[k])`` is placed at :func:`explicit_lengths`; by
+    the implicit-function theorem the derivative there is
+    ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
     difference of the measured angle residual with step
-    ``NEWTON_FD_STEP`` (four residuals, no solve).  Requires both angles
-    at least ``ANGLE_DERIVATIVE_MARGIN`` away from the degenerate values
-    0 and pi.
-    Returns the matrix, its symmetry residual and eigenvalues, and the
-    base point's ``lengths``, measured ``thetas`` and placement ``miss``
-    (as for :func:`_place_angles`).
+    ``NEWTON_FD_STEP``.  The base points and their four difference
+    probes each are measured in one :func:`measure_structures` call, with
+    no solve.  Requires every angle at least ``ANGLE_DERIVATIVE_MARGIN``
+    away from the degenerate values 0 and pi.
+    Returns, one entry per base point, the ``matrix`` (``(n, 2, 2)``), its
+    ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), and
+    the base point's ``lengths`` and measured ``thetas`` (``(2, n)``) and
+    the measured angles' largest ``miss``.
     """
-    for val in (theta_a, theta_b):
-        if min(val, math.pi - val) < ANGLE_DERIVATIVE_MARGIN:
-            raise CoordinateDegeneracy(
-                "bending angles too close to 0 or pi for the angle derivative"
-            )
-    _, lengths, thetas, miss = _place_angles(theta_a, theta_b)
-    residual = _target_residual({"a": ("angle", theta_a), "b": ("angle", theta_b)})
-    h = NEWTON_FD_STEP
-    cols = []
-    for j in range(2):
-        up = list(lengths)
-        dn = list(lengths)
-        up[j] += h
-        dn[j] -= h
-        (r_up, _), (r_dn, _) = residual(up), residual(dn)
-        cols.append([(r_up[i] - r_dn[i]) / (2.0 * h) for i in range(2)])
-    dtheta_dl = np.array(cols).T
+    targets = np.array([theta_a, theta_b], dtype=float).reshape(2, -1)
+    if (np.minimum(targets, math.pi - targets) < ANGLE_DERIVATIVE_MARGIN).any():
+        raise CoordinateDegeneracy(
+            "bending angles too close to 0 or pi for the angle derivative"
+        )
+    base = np.array(
+        [explicit_lengths({"a": ("angle", a), "b": ("angle", b)}) for a, b in targets.T.tolist()]
+    ).T
+    # Five columns a point: the base, then l_a up and down, l_b up and down.
+    offsets = NEWTON_FD_STEP * np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
+    probes = base[:, None, :] + offsets[:, :, None]
+    _, lengths, thetas = measure_structures(*probes.reshape(2, -1))
+    lengths, thetas = lengths.reshape(2, 5, -1)[:, 0], thetas.reshape(2, 5, -1)
+    residual = thetas - targets[:, None, :]
+    # dtheta_dl[k, i, j]: the difference quotient of curve i's angle in
+    # curve j's length at point k.
+    dtheta_dl = np.moveaxis(
+        (residual[:, 1::2] - residual[:, 2::2]) / (2.0 * NEWTON_FD_STEP), -1, 0
+    )
     matrix = np.linalg.inv(-2.0 * dtheta_dl)
-    sym_residual = float(abs(matrix[0, 1] - matrix[1, 0]))
-    eigvals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
     return {
         "matrix": matrix,
-        "symmetry_residual": sym_residual,
-        "eigenvalues": tuple(float(v) for v in eigvals),
+        "symmetry_residual": np.abs(matrix[:, 0, 1] - matrix[:, 1, 0]),
+        "eigenvalues": np.linalg.eigvalsh((matrix + matrix.transpose(0, 2, 1)) / 2.0),
         "lengths": lengths,
-        "thetas": thetas,
-        "miss": miss,
+        "thetas": thetas[:, 0],
+        "miss": np.abs(residual[:, 0]).max(axis=0),
     }
 
 
@@ -647,26 +686,6 @@ def coordinate_segments(segments):
 # Continuation in angle space
 
 
-def _angle_path(theta_start, theta_end, samples, substeps):
-    """One angle path of :func:`continuations`: its parameters
-    ``k / samples``, one :func:`_place_angles` record per sample, and the
-    :func:`coordinate_segments` entries between consecutive samples."""
-    if samples < 1:
-        raise PleatlabError(f"need at least one sample, got {samples}")
-    if substeps < 2:
-        raise PleatlabError(f"need at least two substeps, got {substeps}")
-    svals = [k / samples for k in range(samples + 1)]
-    placed = [
-        _place_angles(*((1 - s) * a + s * b for a, b in zip(theta_start, theta_end)))
-        for s in svals
-    ]
-    segments = [
-        ((t0.x.real, t0.y.real), (t1.x.real, t1.y.real), substeps)
-        for (t0, *_), (t1, *_) in zip(placed, placed[1:])
-    ]
-    return svals, placed, segments
-
-
 def concavity_report(path):
     """Volume concavity along an :class:`AnglePath`: the second
     differences of its volumes in ``s``, the accumulated quadrature
@@ -691,32 +710,53 @@ def continuations(angle_paths, coordinate_paths=()):
 
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
     Its sample at ``s = k / samples`` is placed at the
-    :func:`explicit_lengths` of its target angles and measured there;
+    :func:`explicit_lengths` of its target angles, and the samples of all
+    paths are measured in one :func:`measure_structures` call;
     consecutive samples are joined by a segment of ``substeps``
     quadrature intervals (one :func:`coordinate_segments` call builds
     the segments of all paths).  Returns ``(volumes, paths)``: one
     :class:`VolumeResult` per coordinate path and one :class:`AnglePath`
-    per angle path (a path's volume does not depend on the paths batched
-    with it).  Raises :class:`PleatlabError` before placing a path's
-    samples when its ``samples < 1`` or ``substeps < 2``.
+    per angle path (a path's columns do not depend on the paths batched
+    with it).  Raises :class:`PleatlabError` before placing any sample
+    when a path's ``samples < 1`` or ``substeps < 2``.
     """
-    built = [_angle_path(*path) for path in angle_paths]
+    for _, _, samples, substeps in angle_paths:
+        if samples < 1:
+            raise PleatlabError(f"need at least one sample, got {samples}")
+        if substeps < 2:
+            raise PleatlabError(f"need at least two substeps, got {substeps}")
+    targets = [
+        tuple((1 - s) * a + s * b for a, b in zip(start, end))
+        for start, end, samples, _ in angle_paths
+        for s in (k / samples for k in range(samples + 1))
+    ]
+    placed = [explicit_lengths({"a": ("angle", a), "b": ("angle", b)}) for a, b in targets]
+    coords, lengths, thetas = measure_structures(*np.reshape(placed, (-1, 2)).T)
+    miss = np.abs(thetas - np.reshape(targets, (-1, 2)).T).max(axis=0)
+    cuts = np.cumsum([samples + 1 for _, _, samples, _ in angle_paths], dtype=int)[:-1]
+    columns = [np.split(v, cuts, axis=-1) for v in (coords, lengths, thetas, miss)]
+    segments = [
+        (start, end, substeps)
+        for xy, (_, _, _, substeps) in zip(
+            (path[:2].real.T.tolist() for path in columns[0]), angle_paths
+        )
+        for start, end in zip(xy, xy[1:])
+    ]
     coordinate_paths = list(coordinate_paths)
-    volumes = schlafli_volumes(
-        coordinate_paths + coordinate_segments([seg for _, _, segs in built for seg in segs])
-    )
+    volumes = schlafli_volumes(coordinate_paths + coordinate_segments(segments))
     paths = []
     head = len(coordinate_paths)
-    for svals, placed, segments in built:
-        steps = volumes[head:head + len(segments)]
-        head += len(segments)
-        t, lengths, thetas, miss = zip(*placed)
+    for (_, _, samples, _), path_coords, path_lengths, path_thetas, path_miss in zip(
+        angle_paths, *columns
+    ):
+        steps = volumes[head:head + samples]
+        head += samples
         paths.append(AnglePath(
-            s=np.array(svals),
-            lengths=np.array(lengths).T,
-            thetas=np.array(thetas).T,
-            coords=np.array([p.astuple() for p in t], dtype=complex).T,
-            miss=np.array(miss),
+            s=np.arange(samples + 1) / samples,
+            lengths=path_lengths,
+            thetas=path_thetas,
+            coords=path_coords,
+            miss=path_miss,
             volume=np.cumsum([0.0, *(v.value for v in steps)]),
             volume_error=np.cumsum([0.0, *(v.error_estimate for v in steps)]),
         ))

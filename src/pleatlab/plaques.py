@@ -332,14 +332,15 @@ def certify(t):
 # words ``b``, ``abA`` and ``baBA``, axis letter ``b`` and test letter
 # ``a`` are the top side's ``a``, ``baB``, ``abAB``, ``a`` and ``b`` with
 # the letters swapped, so the bottom side of (a, b) is the top side of
-# (b, a).  ``_certify_branch`` therefore evaluates the top side once on
+# (b, a).  ``measure_sides`` therefore evaluates the top side once on
 # generators of length 2n, (a then b, b then a), and splits every result
 # in half.  Each entry sees the same operations in the same order as in
 # a per-side pass, so the results are bit-identical to it, while a call
 # makes half the numpy calls, whose fixed cost outweighs the work per
 # point in calls of up to a few hundred points.  The price is memory:
 # both sides' temporaries are live at once, about 1.5 kB a point at the
-# peak against 1.1 kB.
+# peak against 1.1 kB.  ``lengthmap.measure_structures`` runs the same
+# pass on the pairs it builds from curve lengths.
 
 
 @dataclass(frozen=True)
@@ -445,13 +446,27 @@ def _concyclicity_batch(p, q, r, s):
     return np.where(den == 0, 0.0, np.abs((num / den).imag))
 
 
-def _spread_batch(stacked, combos):
+# The five points a batch pants side houses (``_housed_batch``) and their
+# triples in ``combinations`` order.  The distance between points i < j
+# is entry i of _spread_batch's step j - i, so row k of _TRIPLE_STEPS
+# lists triple k's three pairs as (step index, entry).  Row k of _ORDER
+# lists triple k, then the remaining points in index order.
+_COMBOS = list(combinations(range(5), 3))
+_TRIPLE_STEPS = [tuple((j - i - 1, i) for i, j in combinations(c, 2)) for c in _COMBOS]
+_ORDER = np.array([c + tuple(i for i in range(5) if i not in c) for c in _COMBOS])
+
+
+def _spread_batch(stacked):
     """``_spread_triple`` over the rows of ``stacked``: the index of the
-    chosen combination in ``combos``, its score, and the mask of entries
+    chosen combination in ``_COMBOS``, its score, and the mask of entries
     with a point beyond 1e150 (infinity to ``chordal_distance``) or a
     pair distance that is not finite.  Each distance is
     :func:`_chordal_batch`'s expression, from the ``|p|`` and
-    ``1 + |p|**2`` of each point, computed once."""
+    ``1 + |p|**2`` of each point, computed once.  The choice keeps
+    ``_spread_triple``'s sequential ``score > best + 1e-15`` rule.  The
+    distances stay in their four steps: one stacked array of all ten
+    (two or three of them live at once) made 1,024- and 2,048-point
+    certify_batch calls ~8% slower."""
     size = np.abs(stacked)
     scale = 1.0 + size * size
     # Row i of steps[k - 1] is the distance between points i and i + k.
@@ -464,9 +479,8 @@ def _spread_batch(stacked, combos):
         leave |= ~np.isfinite(step).all(axis=0)
     best = np.full(leave.shape, -1.0)
     choice = np.zeros(leave.shape, dtype=int)
-    for k, combo in enumerate(combos):
-        d01, d02, d12 = (steps[j - i - 1][i] for i, j in combinations(combo, 2))
-        score = np.minimum(np.minimum(d01, d02), d12)
+    for k, ((s01, i01), (s02, i02), (s12, i12)) in enumerate(_TRIPLE_STEPS):
+        score = np.minimum(np.minimum(steps[s01][i01], steps[s02][i02]), steps[s12][i12])
         better = score > best + 1e-15
         best = np.where(better, score, best)
         choice = np.where(better, k, choice)
@@ -477,13 +491,8 @@ def _planarity_batch(points):
     """``_spread_triple``'s choice, as the chosen points, and
     ``plaque_circle``'s residual."""
     stacked = np.stack(points)
-    combos = list(combinations(range(len(points)), 3))
-    choice, best, leave = _spread_batch(stacked, combos)
-    # Row k lists combo k, then the remaining points in index order.
-    order = np.array(
-        [combo + tuple(i for i in range(len(points)) if i not in combo) for combo in combos]
-    )
-    p0, p1, p2, *rest = np.take_along_axis(stacked, order[choice].T, axis=0)
+    choice, best, leave = _spread_batch(stacked)
+    p0, p1, p2, *rest = np.take_along_axis(stacked, _ORDER[choice].T, axis=0)
     residual = np.zeros(points[0].shape)
     for w in rest:
         residual = np.maximum(residual, _concyclicity_batch(p0, p1, p2, w))
@@ -560,6 +569,30 @@ def _stacked(m, n):
     return tuple(np.concatenate((u, v)) for u, v in zip(m, n))
 
 
+def measure_sides(a, b):
+    """Both pants sides of the pairs ``(a, b)`` in one pass: the bending
+    angles of the a- and b-curves and the planarity residuals of the top
+    and bottom plaques, each a ``(2, n)`` array with the top side's row
+    first, the plaque triples of the stacked top-then-bottom entries, and
+    the mask of the points that leave the common branch (a non-planar
+    plaque or a concave crease included).
+
+    The bottom side of (a, b) is the top side of (b, a), so the top side
+    is evaluated once on generators of length 2n, (a then b, b then a).
+    Each half's roof is probed by the other half's axis points, the fixed
+    points of its other generator."""
+    n = len(a[0])
+    gens = {"a": _stacked(a, b), "b": _stacked(b, a)}
+    axis, triple, planar, leave = _side_batch(gens)
+    probes = tuple(np.concatenate((v[n:], v[:n])) for v in axis[:2])
+    angle, leave_roof = _roof_batch(gens, axis, probes)
+    # Marked structures have planar plaques and angles in [0, pi].  Off
+    # them (non-planar pants, concave creases) the residual and the roof
+    # can be ill-conditioned, so the scalar path alone defines them.
+    leave |= leave_roof | (planar > PLANARITY_TOL) | (angle < 0.0)
+    return angle.reshape(2, n), planar.reshape(2, n), triple, leave[:n] | leave[n:]
+
+
 def _certify_branch(x, y, z):
     """The common branch of :func:`certify` over arrays, the pair and
     plaque triples it fits, and the mask of points that leave it."""
@@ -587,24 +620,8 @@ def _certify_branch(x, y, z):
     q = w - big_x * r
     b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
-    # Both pants sides in one pass: the bottom side of (a, b) is the top
-    # side of (b, a), so the first n entries are the top side and the
-    # last n the bottom side.  Each half's roof is probed by the other
-    # half's axis points, the fixed points of its other generator.
-    n = len(x)
-    gens = {"a": _stacked(a, b), "b": _stacked(b, a)}
-    axis, triple, planar, leave_side = _side_batch(gens)
-    probes = tuple(np.concatenate((v[n:], v[:n])) for v in axis[:2])
-    angle, leave_roof = _roof_batch(gens, axis, probes)
-    top_planar, bottom_planar = planar[:n], planar[n:]
-    angle_a, angle_b = angle[:n], angle[n:]
-    leave |= leave_side[:n] | leave_side[n:] | leave_roof[:n] | leave_roof[n:]
-    # Marked structures have planar plaques and angles in [0, pi].  Off
-    # them (non-planar pants, concave creases) the residual and the roof
-    # can be ill-conditioned, so the scalar path alone defines them.
-    leave |= (top_planar > PLANARITY_TOL) | (bottom_planar > PLANARITY_TOL)
-    leave |= (angle_a < 0.0) | (angle_b < 0.0)
-
+    (angle_a, angle_b), (top_planar, bottom_planar), triple, leave_sides = measure_sides(a, b)
+    leave |= leave_sides
     real_a, real_b, real_k = np.abs(x.imag), np.abs(y.imag), np.abs(kap.imag)
     theta_a = np.where(real_a <= REAL_TRACE_TOL, angle_a, np.nan)
     theta_b = np.where(real_b <= REAL_TRACE_TOL, angle_b, np.nan)
@@ -639,6 +656,7 @@ def _certify_branch(x, y, z):
         "max_real_trace_residual": np.maximum(np.maximum(real_a, real_b), real_k),
         "max_planarity_residual": np.maximum(top_planar, bottom_planar),
     }
+    n = len(x)
     triples = {"top": tuple(v[:n] for v in triple), "bottom": tuple(v[n:] for v in triple)}
     fitted = {"pair": (a, b), "triples": triples}
     return fields, fitted, leave

@@ -71,8 +71,8 @@ JACOBIAN_FD_TOL = 1e-6
 JACOBIAN_CORNER_TOL = 1e-4
 POSDEF_SYM_TOL = 1e-4
 # Largest angle miss of a structure placed at explicit_lengths, in posdef
-# and volume.  The closed form misses by at most 5.6e-15 in posdef over
-# --seed 0-199 (4.7e-15 over 200-399) and by 8.9e-16 on volume's angle
+# and volume.  The closed form misses by at most 5.8e-15 in posdef over
+# --seed 0-199 (5.1e-15 over 200-399) and by 1.1e-15 on volume's angle
 # paths; every placed length scaled by 1 + 1e-3 misses by 3.2e-3
 # (volume) and 2.4e-2 (posdef) at --seed 0.
 PLACEMENT_TOL = 1e-12
@@ -96,21 +96,16 @@ def _marked(x, y):
 
 def sample_structures(n, seed):
     """Deterministic sample of marked structures, uniform on the square
-    ``[GRID_MIN, GRID_MAX]^2`` of the safe region."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        x = float(rng.uniform(GRID_MIN, GRID_MAX))
-        y = float(rng.uniform(GRID_MIN, GRID_MAX))
-        out.append(_marked(x, y))
-    return out
+    ``[GRID_MIN, GRID_MAX]^2`` of the safe region: the arrays ``x``, ``y``
+    and ``z`` of their trace coordinates, drawn in pairs ``(x, y)``."""
+    x, y = np.random.default_rng(seed).uniform(GRID_MIN, GRID_MAX, size=(n, 2)).T
+    return x, y, marked_roots(x, y)
 
 
 def _doubled_sample(n, seed):
     """The doubled holonomy of ``sample_structures(n, seed)``, certified
     by one :func:`certify_batch` and doubled as one stack."""
-    x, y, z = np.array([t.astuple() for t in sample_structures(n, seed=seed)]).T
-    return doubled_holonomy(certify_batch(x, y, z))
+    return doubled_holonomy(certify_batch(*sample_structures(n, seed)))
 
 
 def _grid_values():
@@ -352,19 +347,16 @@ def check_posdef(seed):
     for _ in range(6):
         # near the bending-free boundary: small angles
         pairs.append((float(rng.uniform(0.18, 0.45)), float(rng.uniform(0.18, 0.45))))
-    worst_sym = 0.0
-    min_eig = math.inf
-    min_diag = math.inf
-    worst_miss = 0.0
-    states = []
-    for th_a, th_b in pairs:
-        rep = dl_dphi(th_a, th_b)
-        worst_sym = max(worst_sym, rep["symmetry_residual"])
-        min_eig = min(min_eig, rep["eigenvalues"][0])
-        m = rep["matrix"]
-        min_diag = min(min_diag, float(m[0, 0]), float(m[1, 1]))
-        worst_miss = max(worst_miss, rep["miss"])
-        states.append((rep["lengths"], tuple(2.0 * (math.pi - th) for th in rep["thetas"])))
+    rep = dl_dphi(*np.array(pairs).T)
+    m = rep["matrix"]
+    worst_sym = float(rep["symmetry_residual"].max())
+    min_eig = float(rep["eigenvalues"][:, 0].min())
+    min_diag = float(min(m[:, 0, 0].min(), m[:, 1, 1].min()))
+    worst_miss = float(rep["miss"].max())
+    states = [
+        (tuple(lengths), tuple(2.0 * (math.pi - th) for th in thetas))
+        for lengths, thetas in zip(rep["lengths"].T.tolist(), rep["thetas"].T.tolist())
+    ]
     # The lengths determine the structure: on the convex angle domain,
     # phi -> l is strictly monotone, so every pair gives a positive ratio.
     min_mono = _min_monotonicity(states)

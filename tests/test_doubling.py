@@ -236,7 +236,7 @@ def test_stack_matches_scalar_doubling():
     """Doubling 50 sampled structures and one certify_batch fallback row
     (a generator trace within 1e-4 of 2) as one stack reproduces each
     structure's scalar doubled_holonomy(certify(t)) to round-off."""
-    structures = sample_structures(50, seed=9)
+    structures = [coords(*t) for t in zip(*sample_structures(50, seed=9))]
     structures.append(coords(2.00005, 2.3, pleating_candidates(2.00005, 2.3)[0]))
     batch = _batch(structures)
     assert batch.fallback.tolist() == [False] * 50 + [True]
@@ -261,7 +261,7 @@ def test_stack_matches_scalar_doubling():
 
 
 def test_stack_raises_for_any_offending_row():
-    structures = sample_structures(4, seed=2)
+    structures = [coords(*t) for t in zip(*sample_structures(4, seed=2))]
     batch = _batch(structures)
     top, bottom = batch.triples["top"], batch.triples["bottom"]
     swapped = replace(batch, triples={"top": bottom, "bottom": top})

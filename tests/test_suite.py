@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pleatlab import doubling, lengthmap, suite
+from pleatlab.chartor import coords
 from pleatlab.doubling import audit_words, doubled_holonomy, mirror_residual
 from pleatlab.errors import NewtonDivergence, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
@@ -199,6 +200,21 @@ def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
     assert not suite.check_posdef(suite.SEEDS["posdef"])["passed"]
 
 
+def test_check_posdef_measures_in_one_batch(monkeypatch):
+    """check_posdef measures its 20 base points and their 80 difference
+    probes with one measure_structures call, and none of them leaves the
+    batch for the scalar measure_structure."""
+    batches, scalar = [], []
+    batch, single = lengthmap.measure_structures, lengthmap.measure_structure
+    monkeypatch.setattr(
+        lengthmap, "measure_structures", lambda *a: batches.append(len(a[0])) or batch(*a)
+    )
+    monkeypatch.setattr(lengthmap, "measure_structure", lambda *a: scalar.append(a) or single(*a))
+    assert suite.check_posdef(suite.SEEDS["posdef"])["passed"]
+    assert batches == [100]
+    assert scalar == []
+
+
 def test_check_grid_applies_its_planarity_tol(monkeypatch):
     record = suite.check_grid()
     assert record["passed"] and record["details"]["worst_planarity"] < 1e-8
@@ -297,12 +313,12 @@ def test_check_mirror_matches_symmetry_audit():
     agree to 1e-13 relative to the largest audited trace."""
     seed = 4 + 17
     words = [w for pair in audit_words(40, seed) for w in pair]
-    doubled = [doubled_holonomy(certify(t)) for t in suite.sample_structures(6, seed=seed)]
+    doubled = [doubled_holonomy(certify(coords(*t))) for t in zip(*suite.sample_structures(6, seed))]
     audits = [mirror_residual(dh, audit_words(40, seed)) for dh in doubled]
     scale = max(abs(tr) for dh in doubled for tr in dh.traces(words))
     worst = suite.check_mirror(seed)["details"]["worst_trace_mismatch"]
     assert abs(worst - max(a["residual"] for a in audits)) <= 1e-13 * scale
-    dh = doubled_holonomy(certify(suite.sample_structures(1, seed=4)[0]))
+    dh = doubled_holonomy(certify(coords(*next(zip(*suite.sample_structures(1, 4))))))
     assert mirror_residual(dh, audit_words(40, 11)) == {
         "residual": 4.856703836433968e-13, "word": "apbaEaePPQa", "count": 49,
     }
