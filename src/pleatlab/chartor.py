@@ -92,34 +92,16 @@ def coords(x, y, z):
 
 
 def pleating_candidates(x, y):
-    """The two z-roots giving a parabolic commutator, marked root first.
+    """The two z-roots giving a parabolic commutator, marked root first,
+    over arrays (numbers give 0-d arrays).
 
     Solves ``kappa(x, y, z) == -2`` for z.  The root with positive
     imaginary part (the marked structure, bending the a-curve on the
     upper side) comes first; its conjugate-mirror partner second.  On
     the Fuchsian locus the two roots are real and ordered larger-first.
-    Raises :class:`NumericalOverflow`, naming ``(x, y)``, where the
-    discriminant leaves the float range.
+    Raises :class:`NumericalOverflow`, naming the first ``(x, y)``
+    where the discriminant leaves the float range.
     """
-    point = (x, y)
-    x, y = complex(x), complex(y)
-    disc = discriminant(x, y)
-    if not cmath.isfinite(disc):
-        raise NumericalOverflow(
-            f"pleating quadratic at (x, y) = {point} leaves the float range"
-        )
-    s = cmath.sqrt(disc)
-    z1 = (x * y + s) / 2.0
-    z2 = (x * y - s) / 2.0
-    if z1.imag < z2.imag or (z1.imag == z2.imag and z1.real < z2.real):
-        z1, z2 = z2, z1
-    return (z1, z2)
-
-
-def marked_roots(x, y):
-    """The marked (first) root of :func:`pleating_candidates` over arrays.
-    Raises :class:`NumericalOverflow` as it does, naming the first
-    ``(x, y)`` where the discriminant leaves the float range."""
     cx = np.asarray(x, dtype=complex)
     cy = np.asarray(y, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +116,7 @@ def marked_roots(x, y):
             f"pleating quadratic at (x, y) = {point} leaves the float range"
         )
     swap = (z1.imag < z2.imag) | ((z1.imag == z2.imag) & (z1.real < z2.real))
-    return np.where(swap, z2, z1)
+    return np.where(swap, z2, z1), np.where(swap, z1, z2)
 
 
 class RepPair:

@@ -29,7 +29,7 @@ import click
 import numpy as np
 
 from pleatlab import suite as suite_mod
-from pleatlab.chartor import coords, marked_roots, pleating_candidates
+from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import (
@@ -301,7 +301,7 @@ def _certify_grid(x, y):
     blocks = []
     for k in range(0, len(x), SWEEP_BLOCK_POINTS):
         bx, by = x[k:k + SWEEP_BLOCK_POINTS], y[k:k + SWEEP_BLOCK_POINTS]
-        z = marked_roots(bx, by)
+        z, _ = pleating_candidates(bx, by)
         cert = certify_batch(bx, by, z)
         blocks.append((bx, by, z.real, z.imag, *(getattr(cert, f) for f in SWEEP_FIELDS.values())))
         del cert  # before the next block's certify_batch builds its own
@@ -496,24 +496,26 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
 @click.pass_context
 def double_cmd(ctx, x, y, z, out):
     """Doubled cone-manifold holonomy report at X Y [Z]."""
-    dh = doubled_holonomy(certify(_structure_from_args(x, y, z)))
+    t = _structure_from_args(x, y, z)
+    # One structure is a one-point stack: every field is read at row 0,
+    # and an undefined (NaN) cone angle is written as null.
+    dh = doubled_holonomy(certify_batch([t.x], [t.y], [t.z]))
     meridians = {}
     for curve in ("a", "b", "puncture"):
         md = meridian_data(dh, curve)
         meridians[curve] = {
-            "commutation_residual": md.commutation_residual,
-            "cone_angle": md.cone_angle,
-            "cone_angle_residual": md.cone_angle_residual,
-            "kind": md.kind,
-            "trace": md.trace,
+            "commutation_residual": md.commutation_residual[0],
+            "cone_angle": md.cone_angle[0],
+            "cone_angle_residual": md.cone_angle_residual[0],
+            "kind": md.kind[0],
+            "trace": md.trace[0],
         }
-    audit = mirror_residual(dh, audit_words())
     _emit_json(
         {
-            "max_relation_residual": dh.max_relation_residual,
+            "max_relation_residual": dh.max_relation_residual[0],
             "meridians": meridians,
-            "relation_residuals": dict(dh.relation_residuals),
-            "symmetry_residual": audit["residual"],
+            "relation_residuals": {k: v[0] for k, v in dh.relation_residuals.items()},
+            "symmetry_residual": mirror_residual(dh, audit_words())["residual"][0],
         },
         out,
     )

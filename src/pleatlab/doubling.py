@@ -1,9 +1,9 @@
 """Doubling a certified structure across its pleated boundary.
 
-Only a structure whose plaques :func:`pleatlab.plaques.certify` has
-certified is doubled, and in the pair of matrices the certification
-realized: its plaque charts were fitted to that pair, so
-:func:`doubled_holonomy` reads both from the one record.
+Only structures whose plaques :func:`pleatlab.plaques.certify_batch`
+has certified are doubled, and in the pairs of matrices the
+certification realized: its plaque charts were fitted to those pairs,
+so :func:`doubled_holonomy` reads both from the one record.
 
 The double of the manifold is built from two pants stages: an amalgam
 over the top pants (mirror generators ``p = a-hat``, ``q = b-hat``) and
@@ -47,15 +47,13 @@ meeting along its longitude's axis, hence an elliptic rotation by the
 cone angle: parabolic exactly where the certification reads its curve
 as a cusp (angle pi), the identity on the Fuchsian locus.
 
-The construction and the rules are written once, over 4-tuples whose
-entries are numbers or ``(n,)`` arrays: :func:`doubled_holonomy` of a
+The construction and the rules are written once, over 4-tuples of
+``(n,)`` arrays: :func:`doubled_holonomy` of a
 :class:`~pleatlab.plaques.BatchCertification` doubles all of its points
 at once, evaluates each word list for all of them in one
 :class:`~pleatlab.words.StackEvaluator` product, and
 :func:`meridian_data` and :func:`mirror_residual` then hold one entry
-per point.  A single :class:`~pleatlab.plaques.Certification` is
-evaluated by the scalar :class:`~pleatlab.words.WordEvaluator`, the
-reference the stack is tested against.
+per point.  One structure is doubled as a one-point batch.
 """
 
 import math
@@ -73,7 +71,7 @@ from pleatlab.errors import (
 )
 from pleatlab.moebius import complex_length, matrix_distance, unimodular_batch
 from pleatlab.plaques import BatchCertification
-from pleatlab.words import StackEvaluator, WordEvaluator, random_reduced_word
+from pleatlab.words import StackEvaluator, random_reduced_word
 
 RELATION_TOL = 1e-9
 MERIDIAN_COMMUTE_TOL = 1e-9
@@ -108,32 +106,29 @@ def mirror_word(word):
 
 @dataclass(frozen=True)
 class MeridianData:
-    """One meridian's data; over a stack, one array entry per point, with
-    NaN where a single structure's field is ``None``."""
+    """One meridian's data at every point of a stack, one array entry per
+    point, NaN where a field is undefined."""
 
     curve: str
-    trace: complex
-    kind: str  # "elliptic" | "parabolic" | "identity" | "loxodromic"
-    complex_length: complex | None
-    cone_angle: float | None
-    cone_angle_residual: float | None
-    commutation_residual: float
+    trace: np.ndarray
+    kind: np.ndarray  # "elliptic" | "parabolic" | "identity" | "loxodromic"
+    complex_length: np.ndarray
+    cone_angle: np.ndarray
+    cone_angle_residual: np.ndarray
+    commutation_residual: np.ndarray
 
 
 @dataclass(frozen=True)
 class DoubledHolonomy:
-    """The doubled generators of one certified structure, or of a stack
-    (a :class:`StackEvaluator`, one array entry per point)."""
+    """The doubled generators of a stack of certified structures, one
+    array entry per point."""
 
-    certification: object
-    evaluator: WordEvaluator
+    certification: BatchCertification
+    evaluator: StackEvaluator
     relation_residuals: dict
 
     def matrices(self, words):
         return self.evaluator.matrices(words)
-
-    def trace(self, word):
-        return self.evaluator.trace(word)
 
     def traces(self, words):
         return self.evaluator.traces(words)
@@ -158,23 +153,20 @@ def _reflection(chart):
 
 
 def doubled_holonomy(cert):
-    """Extend a certified structure's holonomy to the doubled manifold,
-    starting from the pair ``cert.pair`` that the certification realized.
+    """Extend the holonomy of every point of ``cert``, a
+    :class:`~pleatlab.plaques.BatchCertification`, to the doubled
+    manifold at once, starting from the pairs ``cert.pair`` that the
+    certification realized.
 
-    ``cert`` is a :class:`~pleatlab.plaques.Certification`, or a
-    :class:`~pleatlab.plaques.BatchCertification` whose points are all
-    doubled at once.  Raises :class:`NotPiecewiseGeodesic` unless every
-    point has certified plaques, and :class:`NoConsistentLift` when a
-    relation misses by more than ``RELATION_TOL`` at any point.
+    Raises :class:`NotPiecewiseGeodesic` unless every point has certified
+    plaques, and :class:`NoConsistentLift` when a relation misses by more
+    than ``RELATION_TOL`` at any point.
     """
     if not np.all(cert.is_piecewise_geodesic):
         raise NotPiecewiseGeodesic(
             "doubling needs certified plaques on both sides"
         )
-    if isinstance(cert, BatchCertification):
-        (a, b), make = cert.pair, StackEvaluator
-    else:
-        a, b, make = cert.pair.a, cert.pair.b, WordEvaluator
+    a, b = cert.pair
     n_top = _reflection(cert.chart("top"))
     n_bottom = _reflection(cert.chart("bottom"))
     n_top_bar = kernel.mat_conj(n_top)
@@ -184,7 +176,7 @@ def doubled_holonomy(cert):
 
     stable = kernel.mat_mul(n_bottom, n_top_bar)
     flip = (stable[0] + stable[3]).real < 0.0
-    evaluator = make({
+    evaluator = StackEvaluator({
         "a": a,
         "b": b,
         "p": mirrored(a),
@@ -210,14 +202,9 @@ _LOXODROMIC = (2.0, 0.0, 0.0, 0.5)
 
 
 def _acos(x):
-    # libm's acos elementwise: numpy's vectorized arccos can round
-    # differently, and one structure's cone angle keeps libm's value.
+    # libm's acos elementwise: numpy's vectorized arccos rounds some
+    # inputs differently and would move verify-suite's cone records.
     return np.vectorize(math.acos, otypes=[float])(x)
-
-
-def _single(value, undefined):
-    """A 0-d result as a plain number, ``None`` where ``undefined``."""
-    return None if undefined else value.item()
 
 
 def meridian_data(dh, curve):
@@ -228,11 +215,11 @@ def meridian_data(dh, curve):
     a cusp (angle pi, cone angle 0), and otherwise a rotation by the
     cone angle its trace gives, taken on the branch nearest
     ``2 (pi - theta)``.  A trace within ``moebius.PARABOLIC_TOL`` of
-    +/-2 off a cusp has no complex length (``None``) and too few digits
+    +/-2 off a cusp has no complex length (NaN) and too few digits
     for its angle: that meridian is read as elliptic, with cone angle
     ``2 (pi - theta)`` and the trace's own miss of it as the residual.
-    A loxodromic meridian has no cone angle and no residual (``None``).
-    Over a stack every field is an array; raises
+    A loxodromic meridian has no cone angle and no residual (NaN).
+    Every field is an array, one entry per point; raises
     :class:`NonCommutingMeridian` if any meridian fails to commute with
     its longitude.
     """
@@ -252,7 +239,6 @@ def meridian_data(dh, curve):
         matrix_distance(m, tuple(-v for v in ident)),
     ) < IDENTITY_TOL
     theta = getattr(dh.certification, "theta_" + curve)
-    theta = math.nan if theta is None else theta
     cusp = ~identity & (theta == math.pi)
     base_angle = 2.0 * _acos(np.minimum(abs(trace) / 2.0, 1.0))
     alt = 2.0 * math.pi - base_angle
@@ -281,17 +267,7 @@ def meridian_data(dh, curve):
         "identity",
         np.where(cusp, "parabolic", np.where(loxodromic, "loxodromic", "elliptic")),
     )
-    if np.ndim(trace):
-        return MeridianData(curve, trace, kind, mu, cone, residual, commute)
-    return MeridianData(
-        curve=curve,
-        trace=trace,
-        kind=str(kind),
-        complex_length=_single(mu, not measured),
-        cone_angle=_single(cone, math.isnan(cone)),
-        cone_angle_residual=_single(residual, math.isnan(residual)),
-        commutation_residual=commute.item(),
-    )
+    return MeridianData(curve, trace, kind, mu, cone, residual, commute)
 
 
 AUDIT_WORDS = ("a", "b", "e", "abAB", "bQ", "aePE", "Ebe", "pq", "qePa")
@@ -311,8 +287,8 @@ def audit_words(samples=60, seed=0):
 def mirror_residual(dh, words):
     """Worst ``|trace(mirror(w)) - conj(trace(w))|`` over ``words``, a
     list of ``(word, mirror image)`` pairs as :func:`audit_words` gives,
-    and the first word that attains it (``""`` when it is 0).  Over a
-    stack the residual and the word are arrays, one entry per point.
+    and the first word that attains it (``""`` when it is 0), as arrays
+    with one entry per point.
 
     The mirror involution is an exact symmetry of the construction, so
     the residual is round-off for every doubled word."""
@@ -320,6 +296,4 @@ def mirror_residual(dh, words):
     res = np.array([abs(tm - t.conjugate()) for t, tm in zip(traces[::2], traces[1::2])])
     worst = res.max(axis=0)
     word = np.where(worst > 0.0, np.array([w for w, _ in words])[res.argmax(axis=0)], "")
-    if np.ndim(worst):
-        return {"residual": worst, "word": word, "count": len(words)}
-    return {"residual": worst.item(), "word": str(word), "count": len(words)}
+    return {"residual": worst, "word": word, "count": len(words)}

@@ -51,7 +51,6 @@ from pleatlab.chartor import (
     TraceCoords,
     coords,
     kappa,
-    marked_roots,
     matrices_from_traces,
     pair_from_lengths,
     pleating_candidates,
@@ -66,7 +65,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab.moebius import matrix_distance, rotation_about_axis, unimodular
-from pleatlab.plaques import bending_angle, certify, certify_batch, measure_sides
+from pleatlab.plaques import bending_angle, certify_batch, measure_sides
 from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
@@ -664,7 +663,7 @@ def coordinate_segments(segments):
     Each segment is ``((x0, y0), (x1, y1), nodes)`` with real ends.
     Returns one ``(3, nodes + 1)`` complex array of x, y and the marked
     root z per segment; the roots of all segments come from one
-    :func:`marked_roots` call.
+    :func:`pleating_candidates` call.
     """
     if not segments:
         return []
@@ -679,7 +678,8 @@ def coordinate_segments(segments):
     )
     x = (1 - s) * x0 + s * x1
     y = (1 - s) * y0 + s * y1
-    return np.split(np.array((x, y, marked_roots(x, y))), np.cumsum(sizes)[:-1], axis=1)
+    z, _ = pleating_candidates(x, y)
+    return np.split(np.array((x, y, z)), np.cumsum(sizes)[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +789,11 @@ def cusp_derivative_check():
 
     # Longitude trace in the lift compatible with the canonical model:
     # both the meridian and the longitude have trace +2 at the cusp.
-    us = {}
-    vs = {}
-    for s in (-h, 0.0, h):
-        t = structure_at(s)
-        dh_ = doubled_holonomy(certify(t))
-        us[s] = dh_.trace("e")
-        vs[s] = -t.kappa
+    steps = (-h, 0.0, h)
+    structures = [structure_at(s) for s in steps]
+    cert = certify_batch(*np.array([t.astuple() for t in structures]).T)
+    us = dict(zip(steps, doubled_holonomy(cert).traces(["e"])[0].tolist()))
+    vs = {s: -t.kappa for s, t in zip(steps, structures)}
     du = us[h] - us[-h]
     dv = vs[h] - vs[-h]
     if abs(du) == 0:
@@ -808,7 +806,7 @@ def cusp_derivative_check():
     kappas = []
     for r in (-h, h):
         x = x0 + r
-        z, _ = pleating_candidates(x, y0)
+        z = complex(pleating_candidates(x, y0)[0])
         kappas.append(kappa(x, y0, z))
     cross = abs(kappas[1] - kappas[0]) / (2.0 * h)
     return {

@@ -121,9 +121,6 @@ class Certification:
     def theta(self):
         return (self.theta_a, self.theta_b, self.theta_puncture)
 
-    def chart(self, side):
-        return self.plaques[side].chart
-
 
 def _parabolic_vertex(matrix):
     a, _, c, d = matrix

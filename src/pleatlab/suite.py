@@ -18,7 +18,6 @@ from pleatlab.chartor import (
     commuting_canonical_pair,
     coords,
     discriminant,
-    marked_roots,
     pleating_candidates,
 )
 from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
@@ -89,17 +88,12 @@ CUSPMODEL_CROSS_TOL = 1e-6
 COCYCLE_MIN_EXPONENT = 1.8
 
 
-def _marked(x, y):
-    z, _ = pleating_candidates(x, y)
-    return coords(x, y, z)
-
-
 def sample_structures(n, seed):
     """Deterministic sample of marked structures, uniform on the square
     ``[GRID_MIN, GRID_MAX]^2`` of the safe region: the arrays ``x``, ``y``
     and ``z`` of their trace coordinates, drawn in pairs ``(x, y)``."""
     x, y = np.random.default_rng(seed).uniform(GRID_MIN, GRID_MAX, size=(n, 2)).T
-    return x, y, marked_roots(x, y)
+    return x, y, pleating_candidates(x, y)[0]
 
 
 def _doubled_sample(n, seed):
@@ -150,7 +144,7 @@ def check_grid():
     values = _grid_values()
     x = np.repeat(values, len(values))
     y = np.tile(values, len(values))
-    cert = certify_batch(x, y, marked_roots(x, y))
+    cert = certify_batch(x, y, pleating_candidates(x, y)[0])
     ok = (
         cert.is_convex
         & cert.in_pleating_variety
@@ -282,23 +276,21 @@ def check_mirror(seed):
 
 
 def check_jacobian():
-    dets = []
-    worst_fd = 0.0
-    for x in _grid_values():
-        for y in _grid_values():
-            rep = holo_length_jacobian(_marked(x, y), fd_check=False)
-            dets.append(abs(rep["det"]))
-    for x, y in ((GRID_MIN, GRID_MIN), (GRID_MAX, GRID_MAX), (GRID_MIN, GRID_MAX)):
-        rep = holo_length_jacobian(_marked(x, y), fd_check=True)
-        worst_fd = max(worst_fd, rep["fd_residual"])
+    grid = [(x, y) for x in _grid_values() for y in _grid_values()]
+    fd_points = [(GRID_MIN, GRID_MIN), (GRID_MAX, GRID_MAX), (GRID_MIN, GRID_MAX)]
     # Walk x = y toward the branch point at 2*sqrt(2) where the marked
     # root collides with its conjugate and the determinant vanishes.
     corner = 2.0 * math.sqrt(2.0)
-    path_dets = []
-    for k in range(1, 11):
-        s = corner - 10.0 ** (-k)
-        rep = holo_length_jacobian(_marked(s, s), fd_check=False)
-        path_dets.append(abs(rep["det"]))
+    path = [(corner - 10.0 ** (-k),) * 2 for k in range(1, 11)]
+    # The marked roots of all the structures, in one call.
+    x, y = np.array(grid + fd_points + path).T
+    structures = [coords(*t) for t in zip(x, y, pleating_candidates(x, y)[0])]
+    n, m = len(grid), len(grid) + len(fd_points)
+    dets = [abs(holo_length_jacobian(t, fd_check=False)["det"]) for t in structures[:n]]
+    worst_fd = max(
+        0.0, *(holo_length_jacobian(t, fd_check=True)["fd_residual"] for t in structures[n:m])
+    )
+    path_dets = [abs(holo_length_jacobian(t, fd_check=False)["det"]) for t in structures[m:]]
     decreasing = all(path_dets[i + 1] < path_dets[i] for i in range(len(path_dets) - 1))
     return {
         "passed": (
@@ -326,17 +318,15 @@ def check_jacobian():
 # 8. positive-definite angle derivative
 
 
-def _min_monotonicity(states):
-    """Minimum over pairs of states ``(l, phi)`` of
+def _min_monotonicity(lengths, phis):
+    """Minimum over pairs of states ``(l, phi)``, the columns of the
+    ``(2, n)`` arrays ``lengths`` and ``phis``, of
     ``<l1 - l2, phi1 - phi2> / |phi1 - phi2|^2``; a positive value
     witnesses that the angle-to-length map is injective on the sample."""
-    worst = math.inf
-    for k, (l1, p1) in enumerate(states):
-        for l2, p2 in states[k + 1:]:
-            dl = (l1[0] - l2[0], l1[1] - l2[1])
-            dp = (p1[0] - p2[0], p1[1] - p2[1])
-            worst = min(worst, (dl[0] * dp[0] + dl[1] * dp[1]) / (dp[0] ** 2 + dp[1] ** 2))
-    return worst
+    i, j = np.triu_indices(lengths.shape[1], k=1)
+    dl = lengths[:, i] - lengths[:, j]
+    dp = phis[:, i] - phis[:, j]
+    return float(np.min((dl[0] * dp[0] + dl[1] * dp[1]) / (dp[0] * dp[0] + dp[1] * dp[1])))
 
 
 def check_posdef(seed):
@@ -353,13 +343,9 @@ def check_posdef(seed):
     min_eig = float(rep["eigenvalues"][:, 0].min())
     min_diag = float(min(m[:, 0, 0].min(), m[:, 1, 1].min()))
     worst_miss = float(rep["miss"].max())
-    states = [
-        (tuple(lengths), tuple(2.0 * (math.pi - th) for th in thetas))
-        for lengths, thetas in zip(rep["lengths"].T.tolist(), rep["thetas"].T.tolist())
-    ]
     # The lengths determine the structure: on the convex angle domain,
     # phi -> l is strictly monotone, so every pair gives a positive ratio.
-    min_mono = _min_monotonicity(states)
+    min_mono = _min_monotonicity(rep["lengths"], 2.0 * (math.pi - rep["thetas"]))
     return {
         "passed": (
             worst_sym < POSDEF_SYM_TOL and min_eig > 0.0 and min_diag > 0.0 and min_mono > 0.0

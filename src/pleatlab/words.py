@@ -64,35 +64,11 @@ def eval_words(codes, gens):
     return a, b, c, d
 
 
-class WordEvaluator:
-    """Evaluates words over a fixed, ordered set of generator matrices."""
-
-    def __init__(self, generators):
-        """``generators``: dict letter (lowercase) -> 4-tuple matrix."""
-        self.letters = "".join(generators)
-        self._mats = tuple(tuple(map(complex, generators[ch])) for ch in self.letters)
-
-    def codes(self, word):
-        return word_codes(self.letters, word)
-
-    def matrix(self, word):
-        return kernel.eval_word(self.codes(word), self._mats)
-
-    def matrices(self, words):
-        return [self.matrix(w) for w in words]
-
-    def trace(self, word):
-        m = self.matrix(word)
-        return m[0] + m[3]
-
-    def traces(self, words):
-        return [self.trace(w) for w in words]
-
-
-class StackEvaluator(WordEvaluator):
-    """A :class:`WordEvaluator` over a stack of generator tuples: each
-    entry is an ``(n,)`` array, and :meth:`matrices` evaluates all its
-    words at all ``n`` points in one :func:`eval_words` product."""
+class StackEvaluator:
+    """Evaluates words over a stack of generator tuples: ``generators``
+    maps each lowercase letter, in order, to a 4-tuple of ``(n,)``
+    arrays, and :meth:`matrices` evaluates all its words at all ``n``
+    points in one :func:`eval_words` product."""
 
     def __init__(self, generators):
         self.letters = "".join(generators)

@@ -20,7 +20,6 @@ from pleatlab.chartor import (
     coords,
     discriminant,
     kappa,
-    marked_roots,
     matrices_from_traces,
     pair_from_lengths,
     pleating_candidates,
@@ -58,12 +57,15 @@ def test_pleating_candidates_marked_first():
 
 
 def test_marked_roots_match_pleating_candidates():
-    """The array form picks the same root, on and off the bending locus."""
+    """An array call picks each point's roots as a one-point call does,
+    on and off the bending locus."""
     xs = [2.0, 2.2, 2.6, 3.0, 2.5 + 0.3j, -2.2, 1.0]
     ys = [2.0, 2.3, 3.1, 3.0, 2.1 - 0.2j, 2.4, -0.5j]
-    got = marked_roots(xs, ys)
-    for x, y, z in zip(xs, ys, got):
-        assert abs(z - pleating_candidates(x, y)[0]) <= 1e-15 * (1.0 + abs(z))
+    marked, other = pleating_candidates(xs, ys)
+    for x, y, z1, z2 in zip(xs, ys, marked, other):
+        one = pleating_candidates(x, y)
+        assert abs(z1 - one[0]) <= 1e-15 * (1.0 + abs(z1))
+        assert abs(z2 - one[1]) <= 1e-15 * (1.0 + abs(z2))
     # real roots (flat region): larger first
     z1, z2 = pleating_candidates(3.0, 3.0)
     assert z1.imag == 0.0 and z2.imag == 0.0
@@ -72,13 +74,12 @@ def test_marked_roots_match_pleating_candidates():
 
 @pytest.mark.parametrize("x, y", [(1e160, 2.5), (2.1, 1e300), (1e200j, 3.0)])
 def test_pleating_candidates_beyond_float_range_name_the_input(x, y):
-    """The scalar and the array form raise where the discriminant
-    overflows; the array form names the first such point."""
-    for roots in (pleating_candidates, marked_roots):
-        with pytest.raises(NumericalOverflow, match=re.escape(f"(x, y) = {(x, y)} ")):
-            roots(x, y)
+    """One-point and array calls raise where the discriminant overflows;
+    an array call names the first such point."""
     with pytest.raises(NumericalOverflow, match=re.escape(f"(x, y) = {(x, y)} ")):
-        marked_roots([2.2, x, 1e300], [2.2, y, 1e300])
+        pleating_candidates(x, y)
+    with pytest.raises(NumericalOverflow, match=re.escape(f"(x, y) = {(x, y)} ")):
+        pleating_candidates([2.2, x, 1e300], [2.2, y, 1e300])
 
 
 # |v| log-uniform over [1e-300, 1e300], of either sign.
@@ -88,17 +89,31 @@ _WIDE = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_WIDE, _WIDE)
-def test_marked_roots_answer_like_pleating_candidates(x, y):
-    """The array form gives the scalar's marked root to 1e-13 relative,
-    or raises the scalar's NumericalOverflow."""
-    try:
-        want = pleating_candidates(x, y)[0]
-    except NumericalOverflow:
-        with pytest.raises(NumericalOverflow):
-            marked_roots(x, y)
-        return
-    assert abs(complex(marked_roots(x, y)) - want) <= 1e-13 * abs(want)
+@given(st.lists(st.tuples(_WIDE, _WIDE), min_size=1, max_size=8))
+def test_pleating_candidates_on_arrays_answer_like_one_point_calls(points):
+    """An array call gives each point's one-point roots bit for bit, or
+    raises the NumericalOverflow of its first overflowing point; and each
+    pair satisfies the cusp quadratic's sum and product (Vieta).  The
+    smaller root comes from a difference of two numbers of size
+    ``scale = max(|z1|, |z2|, |x y|)`` and is accurate only to about
+    eps * scale, so the sum is held to 1e-13 scale and the product to
+    1e-13 scale^2."""
+    xs, ys = map(list, zip(*points))
+    one = []
+    for x, y in points:
+        try:
+            one.append(pleating_candidates(x, y))
+        except NumericalOverflow as exc:
+            with pytest.raises(NumericalOverflow, match=re.escape(str(exc))):
+                pleating_candidates(xs, ys)
+            return
+    marked, other = pleating_candidates(xs, ys)
+    assert marked.tolist() == [complex(z1) for z1, _ in one]
+    assert other.tolist() == [complex(z2) for _, z2 in one]
+    for x, y, z1, z2 in zip(xs, ys, marked, other):
+        scale = max(abs(z1), abs(z2), abs(x * y))
+        assert abs((z1 + z2) - x * y) <= 1e-13 * scale
+        assert abs(z1 * z2 - (x * x + y * y)) <= 1e-13 * scale * scale
 
 
 def test_discriminant_zero_family():

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from pleatlab import cli
-from pleatlab.chartor import coords, marked_roots, pleating_candidates
+from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.cli import main
 from pleatlab.lengthmap import continuations
 from pleatlab.plaques import certify, certify_batch
@@ -154,7 +154,7 @@ def _reference_sweep(grid):
     xs, ys = cli._axis_values(*x_axis), cli._axis_values(*y_axis)
     x = np.repeat(xs, len(ys))
     y = np.tile(ys, len(xs))
-    z = marked_roots(x, y)
+    z, _ = pleating_candidates(x, y)
     cert = certify_batch(x, y, z)
     angles = [
         [None if math.isnan(v) else v for v in th.tolist()]

@@ -28,20 +28,26 @@ from pleatlab.errors import NoConsistentLift, NotPiecewiseGeodesic
 from pleatlab.moebius import matrix_distance
 from pleatlab.plaques import certify, certify_batch
 from pleatlab.suite import sample_structures
-from pleatlab.words import WordEvaluator
+from pleatlab.words import StackEvaluator
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 CONE_22 = 1.9041352722452904  # 2*(pi - 2.189525017467147)
 MERIDIAN_TRACE_22 = -1.16  # -2*cos(CONE_22 / 2) with the audited lift
 
 
+def _batch(structures):
+    x, y, z = np.array([t.astuple() for t in structures]).T
+    return certify_batch(x, y, z)
+
+
 def _doubled(t):
-    return doubled_holonomy(certify(t))
+    """The doubled holonomy of one structure, a one-point stack."""
+    return doubled_holonomy(_batch([t]))
 
 
 def test_relations_hold_with_trivial_lift():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
-    assert dh.max_relation_residual < 1e-12
+    assert dh.max_relation_residual[0] < 1e-12
     assert len(dh.relation_residuals) == 4
 
 
@@ -59,57 +65,45 @@ def test_construction_fixes_the_lift():
         coords(2.3, 2.1, pleating_candidates(2.3, 2.1)[0]),
         _cusp_opened(2.2, 2.2, 0.5),
     ]
-    for t in structures:
-        dh = _doubled(t)
-        base = dict(zip(DOUBLED_LETTERS, dh.matrices(DOUBLED_LETTERS)))
-        residuals = _relation_residuals(WordEvaluator(base))
-        assert residuals == dh.relation_residuals
-        assert max(residuals.values()) < 1e-12
-        for letter in "pqe":
-            flipped = dict(base, **{letter: tuple(-v for v in base[letter])})
-            moved = _relation_residuals(WordEvaluator(flipped))
-            if letter == "e":
-                assert moved == residuals
-            else:
-                assert max(moved.values()) > 1.0
-
-
-def test_swapped_plaques_have_no_consistent_lift():
-    t = coords(2.2, 2.2, MARKED_ROOT_22)
-    cert = certify(t)
-    swapped = replace(
-        cert, plaques={"top": cert.plaques["bottom"], "bottom": cert.plaques["top"]}
-    )
-    with pytest.raises(NoConsistentLift):
-        doubled_holonomy(swapped)
+    dh = doubled_holonomy(_batch(structures))
+    base = dict(zip(DOUBLED_LETTERS, dh.matrices(DOUBLED_LETTERS)))
+    residuals = _relation_residuals(StackEvaluator(base))
+    for name, value in dh.relation_residuals.items():
+        assert residuals[name].tolist() == value.tolist()
+    assert max(v.max() for v in residuals.values()) < 1e-12
+    for letter in "pqe":
+        flipped = dict(base, **{letter: tuple(-v for v in base[letter])})
+        moved = _relation_residuals(StackEvaluator(flipped))
+        if letter == "e":
+            assert all(moved[k].tolist() == v.tolist() for k, v in residuals.items())
+        else:
+            # Every structure misses some relation by more than 1.
+            assert (np.maximum.reduce(list(moved.values())) > 1.0).all()
 
 
 def test_meridian_cone_angles_frozen():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     for curve in ("a", "b"):
         md = meridian_data(dh, curve)
-        assert md.kind == "elliptic"
-        assert abs(md.trace - MERIDIAN_TRACE_22) < 1e-12
-        assert abs(md.cone_angle - CONE_22) < 1e-12
-        assert md.cone_angle_residual < 1e-12
-        assert md.commutation_residual < 1e-12
-        assert abs(md.complex_length.real) < 1e-12
+        assert md.kind[0] == "elliptic"
+        assert abs(md.trace[0] - MERIDIAN_TRACE_22) < 1e-12
+        assert abs(md.cone_angle[0] - CONE_22) < 1e-12
+        assert md.cone_angle_residual[0] < 1e-12
+        assert md.commutation_residual[0] < 1e-12
+        assert abs(md.complex_length[0].real) < 1e-12
 
 
 def test_puncture_meridian_parabolic():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     md = meridian_data(dh, "puncture")
-    assert md.kind == "parabolic"
-    assert abs(md.trace - 2.0) < 1e-12
-    assert md.commutation_residual < 1e-12
+    assert md.kind[0] == "parabolic"
+    assert abs(md.trace[0] - 2.0) < 1e-12
+    assert md.commutation_residual[0] < 1e-12
 
 
 def test_loxodromic_meridian_has_no_cone_angle():
     """Off the cusped locus the puncture meridian is no rotation: its cone
-    angle and residual are None, and NaN on a stack."""
-    md = meridian_data(_doubled(coords(2.2, 2.2, 2.42 + 1.9j)), "puncture")
-    assert md.kind == "loxodromic"
-    assert md.cone_angle is None and md.cone_angle_residual is None
+    angle and residual are NaN, next to a cusped structure's 0."""
     batch = certify_batch([2.2, 2.2], [2.2, 2.2], [2.42 + 1.9j, MARKED_ROOT_22])
     stacked = meridian_data(doubled_holonomy(batch), "puncture")
     assert stacked.kind.tolist() == ["loxodromic", "parabolic"]
@@ -121,8 +115,8 @@ def test_fuchsian_double_has_identity_meridians():
     dh = _doubled(coords(3.0, 3.0, 3.0))
     for curve in ("a", "b"):
         md = meridian_data(dh, curve)
-        assert md.kind == "identity"
-        assert abs(md.cone_angle - 2.0 * math.pi) < 1e-12
+        assert md.kind[0] == "identity"
+        assert abs(md.cone_angle[0] - 2.0 * math.pi) < 1e-12
 
 
 def test_maximal_cusp_meridians_all_parabolic():
@@ -130,8 +124,8 @@ def test_maximal_cusp_meridians_all_parabolic():
     traces = []
     for curve in ("a", "b", "puncture"):
         md = meridian_data(dh, curve)
-        assert md.kind == "parabolic"
-        traces.append(md.trace)
+        assert md.kind[0] == "parabolic"
+        traces.append(md.trace[0])
     assert abs(abs(traces[0]) - 2.0) < 1e-9
     assert abs(abs(traces[1]) - 2.0) < 1e-9
     assert abs(traces[2] - 2.0) < 1e-9
@@ -149,14 +143,14 @@ def test_mirror_word_is_an_involution():
 def test_symmetry_audit_small():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     audit = mirror_residual(dh, audit_words(samples=40, seed=11))
-    assert audit["residual"] < 1e-10
+    assert audit["residual"][0] < 1e-10
     assert audit["count"] >= 40
 
 
 def test_doubling_requires_certified_plaques():
     t = coords(2.2, 2.2, 3.0 + 1.0j)  # off the cusped locus, non-planar
-    cert = certify(t)
-    assert not cert.is_piecewise_geodesic
+    cert = _batch([t])
+    assert not cert.is_piecewise_geodesic[0]
     with pytest.raises(NotPiecewiseGeodesic):
         doubled_holonomy(cert)
 
@@ -170,7 +164,7 @@ def test_reflections_fix_their_plaques():
     mirrored generator p = J a J^-1 is a itself, in the same lift."""
     t = coords(2.2, 2.3, pleating_candidates(2.2, 2.3)[0])
     dh = _doubled(t)
-    assert matrix_distance(dh.matrices(["p"])[0], dh.certification.pair.a) < 1e-10
+    assert matrix_distance(dh.matrices(["p"])[0], dh.certification.pair[0])[0] < 1e-10
 
 
 # The parent construction's generators at (2.2, 2.2, MARKED_ROOT_22),
@@ -195,7 +189,7 @@ GOLDEN_DOUBLED_22 = {
 def test_doubled_generators_frozen():
     dh = _doubled(coords(2.2, 2.2, MARKED_ROOT_22))
     for word, expected in GOLDEN_DOUBLED_22.items():
-        assert matrix_distance(dh.matrices([word])[0], expected) < 1e-12, word
+        assert matrix_distance(dh.matrices([word])[0], expected)[0] < 1e-12, word
 
 
 def _certified_fields(cert):
@@ -212,19 +206,14 @@ def _certified_fields(cert):
 def test_generator_sign_flips_certify_and_double_alike(x, y):
     """The lifts (x, y, z), (-x, y, -z), (x, -y, -z) and (-x, -y, z) are
     one structure: they certify and double the same way."""
-    z = pleating_candidates(x, y)[0]
-    lifts = [(x, y, z), (-x, y, -z), (x, -y, -z), (-x, -y, z)]
-    certs = [certify(coords(*lift)) for lift in lifts]
+    z = complex(pleating_candidates(x, y)[0])
+    lifts = [coords(x, y, z), coords(-x, y, -z), coords(x, -y, -z), coords(-x, -y, z)]
+    certs = [certify(lift) for lift in lifts]
     reference = _certified_fields(certs[0])
-    residuals = doubled_holonomy(certs[0]).relation_residuals
     for cert in certs[1:]:
         assert _certified_fields(cert) == reference
-        assert doubled_holonomy(cert).relation_residuals == residuals
-
-
-def _batch(structures):
-    x, y, z = np.array([t.astuple() for t in structures]).T
-    return certify_batch(x, y, z)
+    for value in doubled_holonomy(_batch(lifts)).relation_residuals.values():
+        assert value.tolist() == [value[0]] * 4
 
 
 def _close(stacked, scalar, tol=1e-13):
@@ -235,7 +224,7 @@ def _close(stacked, scalar, tol=1e-13):
 def test_stack_matches_scalar_doubling():
     """Doubling 50 sampled structures and one certify_batch fallback row
     (a generator trace within 1e-4 of 2) as one stack reproduces each
-    structure's scalar doubled_holonomy(certify(t)) to round-off."""
+    structure doubled alone, as a one-point stack, to round-off."""
     structures = [coords(*t) for t in zip(*sample_structures(50, seed=9))]
     structures.append(coords(2.00005, 2.3, pleating_candidates(2.00005, 2.3)[0]))
     batch = _batch(structures)
@@ -246,18 +235,18 @@ def test_stack_matches_scalar_doubling():
     stacked = {curve: meridian_data(stack, curve) for curve in ("a", "b", "puncture")}
     stacked_mirror = mirror_residual(stack, words)["residual"]
     for i, t in enumerate(structures):
-        dh = doubled_holonomy(certify(t))
+        dh = _doubled(t)
         for name, value in dh.relation_residuals.items():
-            assert _close(stack.relation_residuals[name][i], value), name
+            assert _close(stack.relation_residuals[name][i], value[0]), name
         for curve, md in stacked.items():
             ref = meridian_data(dh, curve)
-            assert md.kind[i] == ref.kind
-            assert _close(md.trace[i], ref.trace)
-            assert _close(md.cone_angle[i], ref.cone_angle)
-            assert _close(md.commutation_residual[i], ref.commutation_residual)
+            assert md.kind[i] == ref.kind[0]
+            assert _close(md.trace[i], ref.trace[0])
+            assert _close(md.cone_angle[i], ref.cone_angle[0])
+            assert _close(md.commutation_residual[i], ref.commutation_residual[0])
         # The mirror residual is round-off in traces of up to ~1e3.
-        scale = max(abs(tr) for tr in dh.traces(flat))
-        assert abs(stacked_mirror[i] - mirror_residual(dh, words)["residual"]) <= 1e-13 * scale
+        scale = np.abs(dh.traces(flat)).max()
+        assert abs(stacked_mirror[i] - mirror_residual(dh, words)["residual"][0]) <= 1e-13 * scale
 
 
 def test_stack_raises_for_any_offending_row():
@@ -282,10 +271,10 @@ def test_near_cusp_meridians_are_elliptic(y):
     gaps = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7]
     structures = [coords(2.0 + g, y, pleating_candidates(2.0 + g, y)[0]) for g in gaps]
     for t in structures:
-        md = meridian_data(doubled_holonomy(certify(t)), "a")
-        assert md.kind == "elliptic"
-        assert 0.0 < md.cone_angle < 1e-2
-        assert md.cone_angle_residual <= 1e-8
+        md = meridian_data(_doubled(t), "a")
+        assert md.kind[0] == "elliptic"
+        assert 0.0 < md.cone_angle[0] < 1e-2
+        assert md.cone_angle_residual[0] <= 1e-8
     md = meridian_data(doubled_holonomy(_batch(structures)), "a")
     assert (md.kind == "elliptic").all()
     assert (md.cone_angle_residual <= 1e-8).all()
@@ -298,14 +287,13 @@ def test_unresolved_near_cusp_meridian_reads_the_certified_angle(gap):
     angle is then the certification's 2 (pi - theta_a), and the residual
     keeps the trace's own miss of it, on one structure and on the stack."""
     t = coords(2.0 + gap, 2.2, pleating_candidates(2.0 + gap, 2.2)[0])
-    cert = certify(t)
-    target = 2.0 * (math.pi - cert.theta_a)
+    target = 2.0 * (math.pi - certify(t).theta_a)
     assert 0.0 < target < 1e-5
-    md = meridian_data(doubled_holonomy(cert), "a")
-    assert md.kind == "elliptic"
-    assert md.complex_length is None
-    assert md.cone_angle == target
-    assert 0.0 < md.cone_angle_residual <= target
+    md = meridian_data(_doubled(t), "a")
+    assert md.kind[0] == "elliptic"
+    assert np.isnan(md.complex_length[0])
+    assert md.cone_angle[0] == target
+    assert 0.0 < md.cone_angle_residual[0] <= target
     stacked = meridian_data(doubled_holonomy(_batch([t, t])), "a")
     assert stacked.cone_angle.tolist() == [target, target]
-    assert stacked.cone_angle_residual.tolist() == [md.cone_angle_residual] * 2
+    assert stacked.cone_angle_residual.tolist() == [md.cone_angle_residual[0]] * 2

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pleatlab.chartor import coords, marked_roots, pair_from_lengths, pleating_candidates
+from pleatlab.chartor import coords, pair_from_lengths, pleating_candidates
 from pleatlab.errors import (
     CoordinateDegeneracy,
     NewtonDivergence,
@@ -95,7 +95,7 @@ def test_jacobian_degenerate_coordinates_rejected():
                          ids=["overflowing-root", "huge-z"])
 def test_jacobian_beyond_float_range_raises(x, y, z):
     """Also at a NaN root, as at a point where the pleating quadratic
-    overflows (where pleating_candidates and marked_roots raise)."""
+    overflows (where pleating_candidates raises)."""
     t = coords(x, y, z)
     with pytest.raises(NumericalOverflow):
         lm.holo_length_jacobian(t)
@@ -830,16 +830,16 @@ def test_odd_count_error_estimate_is_honest(nodes):
 def test_coordinate_segment_matches_scalar_roots(monkeypatch):
     """Segments built together agree with the scalar roots, and with the
     same segments built one at a time bit for bit, from one
-    marked_roots call."""
+    pleating_candidates call."""
     ends = [((2.0, 2.2), (2.7, 2.05), 16), ((2.3, 2.1), (2.1, 2.6), 5), ((2.2, 2.2), (2.4, 2.3), 2)]
     alone = [_segment(*segment) for segment in ends]
     calls = []
 
     def counting(x, y):
         calls.append(len(x))
-        return marked_roots(x, y)
+        return pleating_candidates(x, y)
 
-    monkeypatch.setattr(lm, "marked_roots", counting)
+    monkeypatch.setattr(lm, "pleating_candidates", counting)
     paths = lm.coordinate_segments(ends)
     assert calls == [17 + 6 + 3]
     for path, single, ((x0, y0), (x1, y1), nodes) in zip(paths, alone, ends):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from pleatlab import chartor, kernel, moebius, plaques
 from pleatlab.chartor import (
     coords,
-    marked_roots,
     matrices_from_traces,
     pair_from_lengths,
     pleating_candidates,
@@ -448,7 +447,7 @@ general = st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=
 def test_certify_batch_matches_scalar_on_marked_roots(points):
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
-    batch = assert_batch_matches_scalar(x, y, marked_roots(x, y))
+    batch = assert_batch_matches_scalar(x, y, pleating_candidates(x, y)[0])
     # Only the parabolic edge (trace 2) needs the scalar path.
     near_two = (np.abs(x - 2.0) < 1e-4) | (np.abs(y - 2.0) < 1e-4)
     assert not (batch.fallback & ~near_two).any()
@@ -525,7 +524,7 @@ def test_certify_batch_is_one_side_pass(monkeypatch):
 
     for name in ("_side_batch", "_roof_batch", "_planarity_batch"):
         monkeypatch.setattr(plaques, name, counted(name))
-    batch = certify_batch([2.2, 2.5], [2.2, 2.4], [MARKED_ROOT_22, marked_roots(2.5, 2.4)])
+    batch = certify_batch([2.2, 2.5], [2.2, 2.4], [MARKED_ROOT_22, pleating_candidates(2.5, 2.4)[0]])
     assert not batch.fallback.any()
     assert calls == {"_side_batch": 1, "_roof_batch": 1, "_planarity_batch": 1}
 

@@ -2,16 +2,16 @@
 
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pleatlab import doubling, lengthmap, suite
-from pleatlab.chartor import coords
 from pleatlab.doubling import audit_words, doubled_holonomy, mirror_residual
 from pleatlab.errors import NewtonDivergence, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
-from pleatlab.plaques import certify, certify_batch
+from pleatlab.plaques import certify_batch
 
 
 def _skipping_unimodular(m):
@@ -185,18 +185,44 @@ def test_min_monotonicity_of_linear_maps():
     """For l = A phi the pair ratio is a Rayleigh quotient of A: at least
     its smallest symmetric eigenvalue, and negative for a decreasing map."""
     rng = np.random.default_rng(2)
-    phis = [tuple(rng.uniform(0.5, 5.0, size=2)) for _ in range(12)]
+    phis = rng.uniform(0.5, 5.0, size=(12, 2)).T
     a = np.array([[0.6, -0.2], [-0.2, 0.4]])
-    states = [(tuple(a @ p), p) for p in phis]
-    witness = suite._min_monotonicity(states)
+    witness = suite._min_monotonicity(a @ phis, phis)
     assert min(np.linalg.eigvalsh(a)) - 1e-12 <= witness <= max(np.linalg.eigvalsh(a))
-    assert suite._min_monotonicity([(tuple(-a @ p), p) for p in phis]) < 0.0
+    assert suite._min_monotonicity(-a @ phis, phis) < 0.0
+
+
+def _pairwise_min_monotonicity(lengths, phis):
+    """_min_monotonicity as first written, the reference: one pair of
+    states at a time, in Python floats."""
+    states = list(zip(lengths.T.tolist(), phis.T.tolist()))
+    worst = math.inf
+    for k, (l1, p1) in enumerate(states):
+        for l2, p2 in states[k + 1:]:
+            dl = (l1[0] - l2[0], l1[1] - l2[1])
+            dp = (p1[0] - p2[0], p1[1] - p2[1])
+            worst = min(worst, (dl[0] * dp[0] + dl[1] * dp[1]) / (dp[0] ** 2 + dp[1] ** 2))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 57])
+def test_min_monotonicity_matches_the_pairwise_loop(n):
+    """The same operations on every pair give the reference's minimum bit
+    for bit, on random states and on posdef's own."""
+    rng = np.random.default_rng(n)
+    lengths, phis = rng.uniform(0.1, 6.0, size=(2, 2, n))
+    assert suite._min_monotonicity(lengths, phis) == _pairwise_min_monotonicity(lengths, phis)
+    rep = lengthmap.dl_dphi(*rng.uniform(0.8, 2.9, size=(2, n)))
+    phis = 2.0 * (math.pi - rep["thetas"])
+    assert suite._min_monotonicity(rep["lengths"], phis) == _pairwise_min_monotonicity(
+        rep["lengths"], phis
+    )
 
 
 def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
     record = suite.check_posdef(suite.SEEDS["posdef"])
     assert record["passed"] and record["details"]["min_monotonicity"] > 0.0
-    monkeypatch.setattr(suite, "_min_monotonicity", lambda states: -1e-3)
+    monkeypatch.setattr(suite, "_min_monotonicity", lambda lengths, phis: -1e-3)
     assert not suite.check_posdef(suite.SEEDS["posdef"])["passed"]
 
 
@@ -304,24 +330,29 @@ def test_check_mirror_draws_its_words_once(monkeypatch):
 
 def test_check_mirror_matches_symmetry_audit():
     """The worst mirror residual is the largest mirror residual of its
-    structures audited one at a time, and the audit itself is unchanged:
-    the values for 40 words drawn from seed 11 are those of one word
-    list drawn per call.
+    structures audited one at a time, each doubled as a one-point stack,
+    and the audit itself is unchanged: the values for 40 words drawn from
+    seed 11 are those of one word list drawn per call.
 
     The residual is itself round-off in traces of up to ~2e3, and the
-    stacked product rounds its complex products differently, so the two
-    agree to 1e-13 relative to the largest audited trace."""
+    six-point stack may round its products differently from a one-point
+    stack, so the two agree to 1e-13 relative to the largest audited
+    trace."""
     seed = 4 + 17
     words = [w for pair in audit_words(40, seed) for w in pair]
-    doubled = [doubled_holonomy(certify(coords(*t))) for t in zip(*suite.sample_structures(6, seed))]
+    doubled = [
+        doubled_holonomy(certify_batch([x], [y], [z]))
+        for x, y, z in zip(*suite.sample_structures(6, seed))
+    ]
     audits = [mirror_residual(dh, audit_words(40, seed)) for dh in doubled]
-    scale = max(abs(tr) for dh in doubled for tr in dh.traces(words))
+    scale = max(np.abs(dh.traces(words)).max() for dh in doubled)
     worst = suite.check_mirror(seed)["details"]["worst_trace_mismatch"]
-    assert abs(worst - max(a["residual"] for a in audits)) <= 1e-13 * scale
-    dh = doubled_holonomy(certify(coords(*next(zip(*suite.sample_structures(1, 4))))))
-    assert mirror_residual(dh, audit_words(40, 11)) == {
-        "residual": 4.856703836433968e-13, "word": "apbaEaePPQa", "count": 49,
-    }
+    assert abs(worst - max(a["residual"][0] for a in audits)) <= 1e-13 * scale
+    dh = doubled_holonomy(certify_batch(*suite.sample_structures(1, 4)))
+    audit = mirror_residual(dh, audit_words(40, 11))
+    assert (audit["residual"].tolist(), audit["word"].tolist(), audit["count"]) == (
+        [4.602649920770331e-13], ["aaaeqEpbQpB"], 49,
+    )
 
 
 @pytest.mark.parametrize("seed_offset", [0, 17])

@@ -8,7 +8,6 @@ from pleatlab.errors import PleatlabError
 from pleatlab.moebius import unimodular_batch
 from pleatlab.words import (
     StackEvaluator,
-    WordEvaluator,
     eval_words,
     padded_codes,
     random_reduced_word,
@@ -22,39 +21,45 @@ def _inverse(word):
 
 @pytest.fixture
 def evaluator():
+    """A one-point stack of two unimodular generators."""
     gens = {
         "a": (2.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
         "b": (1.0 + 0j, 1.0 + 0j, -1.0 + 0j, 0.0 + 0j),
     }
-    return WordEvaluator(gens)
+    return StackEvaluator({ch: tuple(np.array([v]) for v in m) for ch, m in gens.items()})
 
 
-def test_evaluator_codes_sign_convention(evaluator):
-    assert evaluator.codes("abAB") == (1, 2, -1, -2)
+def _matrix(evaluator, word):
+    """The 2x2 matrix of ``word`` at the evaluator's one point."""
+    return np.concatenate(evaluator.matrices([word])[0]).reshape(2, 2)
+
+
+def test_evaluator_codes_sign_convention():
+    assert word_codes("ab", "abAB") == (1, 2, -1, -2)
 
 
 def test_evaluator_rejects_unknown_letters(evaluator):
     with pytest.raises(PleatlabError):
-        evaluator.codes("axb")
+        evaluator.matrices(["axb"])
 
 
 def test_evaluator_matrix_matches_manual_product(evaluator):
     a = np.array([[2, 1], [1, 1]], dtype=complex)
     b = np.array([[1, 1], [-1, 0]], dtype=complex)
     want = a @ b @ np.linalg.inv(a)
-    got = np.array(evaluator.matrix("abA")).reshape(2, 2)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(_matrix(evaluator, "abA"), want, atol=1e-12)
 
 
 def test_evaluator_trace_is_conjugation_invariant(evaluator):
     for w in ("b", "ab", "aBa"):
         conjugate = w + "ab" + _inverse(w)
-        assert evaluator.trace(conjugate) == pytest.approx(evaluator.trace("ab"))
+        traces = evaluator.traces([conjugate, "ab"])[:, 0]
+        assert traces[0] == pytest.approx(traces[1])
 
 
 def test_inverse_word_gives_inverse_matrix(evaluator):
-    m = np.array(evaluator.matrix("abbA")).reshape(2, 2)
-    minv = np.array(evaluator.matrix(_inverse("abbA"))).reshape(2, 2)
+    m = _matrix(evaluator, "abbA")
+    minv = _matrix(evaluator, _inverse("abbA"))
     assert np.allclose(m @ minv, np.eye(2), atol=1e-12)
 
 
@@ -117,13 +122,3 @@ def test_eval_words_matches_eval_word_at_every_point():
             want = kernel.eval_word(word_codes(letters, w), point)
             scale = max(1.0, *map(abs, want))
             assert max(abs(e[i, k] - v) for e, v in zip(entries, want)) <= 1e-13 * scale, w
-
-
-def test_stack_evaluator_matches_word_evaluator(evaluator):
-    """A stack of one point evaluates like the scalar evaluator."""
-    gens = {ch: tuple(np.array([v]) for v in evaluator._mats[k]) for k, ch in enumerate("ab")}
-    stack = StackEvaluator(gens)
-    words = ["a", "B", "abAB", "aab", "bAbbA"]
-    for w, m in zip(words, stack.matrices(words)):
-        assert np.allclose(np.concatenate(m), evaluator.matrix(w), rtol=1e-14, atol=1e-14)
-    assert np.allclose(stack.traces(words)[:, 0], evaluator.traces(words), rtol=1e-14, atol=1e-14)
