@@ -33,8 +33,8 @@ from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
 from pleatlab.errors import PleatlabError
 from pleatlab.lengthmap import (
+    VOLUME_MAX_ORDER,
     continuations,
-    coordinate_segments,
     holo_length_jacobian,
     schlafli_volumes,
 )
@@ -425,7 +425,7 @@ def sweep_cmd(ctx, grid_text, out):
               help="Starting bending angles.")
 @click.option("--samples", type=int, default=None, help="Ray sample count.")
 @click.option("--substeps", type=int, default=None,
-              help="Quadrature nodes between consecutive samples.")
+              help="Gauss-Legendre order of the quadrature between consecutive samples.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here.")
 @click.pass_context
 def trace_ray_cmd(ctx, start_text, samples, substeps, out):
@@ -443,8 +443,10 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
             raise click.UsageError("start angles must lie in (0, pi]")
     if samples < 1:
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
-    if substeps < 2:
-        raise click.UsageError(f"--substeps must be at least 2, got {substeps}")
+    if not 2 <= substeps <= VOLUME_MAX_ORDER:
+        raise click.UsageError(
+            f"--substeps must be at least 2 and at most {VOLUME_MAX_ORDER}, got {substeps}"
+        )
     (path,) = continuations([(start, (math.pi, math.pi), samples, substeps)])[1]
     header = (
         "s", "theta_a", "theta_b", "length_a", "length_b",
@@ -465,7 +467,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
               help="Real coordinates of the first structure.")
 @click.option("--end", "end_text", required=True, metavar="X1,Y1",
               help="Real coordinates of the second structure.")
-@click.option("--nodes", type=int, default=None, help="Quadrature nodes.")
+@click.option("--nodes", type=int, default=None, help="Gauss-Legendre order of the quadrature.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
 @click.pass_context
 def volume_cmd(ctx, start_text, end_text, nodes, out):
@@ -473,11 +475,13 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
     x0, y0 = _pair_of_floats(start_text, "--start")
     x1, y1 = _pair_of_floats(end_text, "--end")
     nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
-    if nodes < 2:
-        raise click.UsageError(f"--nodes must be at least 2, got {nodes}")
+    if not 2 <= nodes <= VOLUME_MAX_ORDER:
+        raise click.UsageError(
+            f"--nodes must be at least 2 and at most {VOLUME_MAX_ORDER}, got {nodes}"
+        )
     for point in ((x0, y0), (x1, y1)):
         pleating_candidates(*point)  # raises naming an end whose root overflows
-    result = schlafli_volumes(coordinate_segments([((x0, y0), (x1, y1), nodes)]))[0]
+    result = schlafli_volumes([((x0, y0), (x1, y1), nodes)])[0]
     _emit_json(
         {
             "error_estimate": result.error_estimate,

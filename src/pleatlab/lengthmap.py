@@ -26,13 +26,13 @@ manifold.  This module provides:
   arrays of angles, by the implicit-function theorem at the explicitly
   placed structures, whose difference probes are measured in one batch;
 * volume differences through the Schlafli form
-  ``dVol = -1/2 * sum_i l_i dphi_i`` with trapezoid quadrature and a
-  Richardson error estimate, over paths held as ``(3, n)`` arrays of
-  trace coordinates and integrated a run of paths at a time as arrays;
+  ``dVol = -1/2 * sum_i l_i dphi_i`` along straight segments of the
+  trace chart, by parts at certified Gauss-Legendre nodes that make a
+  cusp end converge like an interior one, a run of segments at a time;
 * continuation along straight angle paths: ``continuations`` places
   the samples of all its paths by the explicit inverse, measures them as
   one array, integrates the volumes of all its paths (and of further
-  coordinate paths) in one batch, and returns each angle path as one
+  coordinate segments) in one batch, and returns each angle path as one
   :class:`AnglePath` of columns, along which ``concavity_report`` probes
   the volume's concavity;
 * a cusp-opening derivative check against the canonical commuting
@@ -43,6 +43,7 @@ manifold.  This module provides:
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,16 +95,20 @@ COCYCLE_WORD_SEED = 0
 # The fixed sl2 matrix V of conjugation_family, cocycle_check's
 # coboundary control.
 COCYCLE_CONJUGATOR = (0.3, 0.25 - 0.1j, -0.05j, -0.3)
-# Nodes per run in schlafli_volumes: one certify_batch call and one
-# array quadrature over paths held as (3, n) complex arrays (48 bytes a
-# node).  A certify_batch call costs ~0.5 ms plus ~2 us per node (linear
-# fits to the best of 15 at 1, 100, 1,024 and 3,000 marked-root nodes
-# on a 2-CPU shared x86 container, numpy 2.4.6, in its fast state; up to
-# 1.6x more in its slow state) and a run holds ~1.5 KB of arrays per
-# node at its peak, nearly all of it in certify_batch, which certifies
-# both pants sides as one array of twice the run's length; so the budget
-# pays the fixed cost rarely and still bounds the memory.
+# Nodes per run in schlafli_volumes: one pleating_candidates call, one
+# certify_batch call and one array quadrature.  A certify_batch call
+# costs ~0.5 ms plus ~2 us per node (linear fits to the best of 15 at 1,
+# 100, 1,024 and 3,000 marked-root nodes on a 2-CPU shared x86
+# container, numpy 2.4.6, in its fast state; up to 1.6x more in its slow
+# state) and a run holds ~1.5 KB of arrays per node at its peak, nearly
+# all of it in certify_batch, which certifies both pants sides as one
+# array of twice the run's length; so the budget pays the fixed cost
+# rarely and still bounds the memory.
 VOLUME_BATCH_NODES = 1024
+# Largest quadrature order schlafli_volumes takes: a segment of order n
+# certifies n + ceil(n / 2) + 2 nodes, 770 here, so it fits in one run of
+# VOLUME_BATCH_NODES, and leggauss's eigenproblem takes O(n^2) memory.
+VOLUME_MAX_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -555,131 +560,104 @@ def dl_dphi(theta_a, theta_b):
 # Volume through the Schlafli form
 
 
-def _node_batches(paths):
-    """Runs of consecutive paths holding at most ``VOLUME_BATCH_NODES``
-    nodes together; a longer path forms a run of its own."""
-    run, size = [], 0
-    for path in paths:
-        nodes = path.shape[1]
-        if run and size + nodes > VOLUME_BATCH_NODES:
-            yield run
-            run, size = [], 0
-        run.append(path)
-        size += nodes
-    if run:
-        yield run
-
-
-def _run_volumes(nodes, theta_a, theta_b, sizes):
-    """Trapezoid volumes of consecutive paths of ``sizes`` nodes, whose
-    columns ``nodes`` joins, from their certified angles.
-
-    Every sum runs over one path's own terms, so a path's result does
-    not depend on the paths run with it.  The Richardson comparison is
-    against the half-resolution sum over the longest even prefix of the
-    intervals; with an odd count, the last interval's own error is taken
-    as half the Richardson estimate over the last two intervals.
-    """
-    x, y = (np.where(v.real < 0, -v, v) for v in nodes[:2])
-    lengths = (2.0 * np.arccosh(np.stack((x, y)) / 2.0)).real
-    phis = 2.0 * (math.pi - np.stack((theta_a, theta_b)))
-
-    def trapezoids(width):
-        """The trapezoid over every ``width``-node interval of the run."""
-        terms = -0.5 * 0.5 * (lengths[:, :-width] + lengths[:, width:]) * (
-            phis[:, width:] - phis[:, :-width]
+@lru_cache(maxsize=16)
+def quadrature_rule(order):
+    """One segment's ``(nodes, weights)``, two read-only ``(2, n)`` arrays
+    (memoized, bounded).  A column of ``nodes`` is ``(1 - s, s)``, each to
+    its own relative precision, at the start, the Gauss-Legendre nodes of
+    ``order`` and of ``ceil(order / 2)``, and the end; the rows of
+    ``weights`` are the two rules', zero elsewhere.  Both are taken in
+    ``t`` with ``s = 3t^2 - 2t^3``, whose ``ds/dt = 6t(1 - t)`` vanishes at
+    the ends, so an integrand like ``1 / sqrt(s)``, as at a cusp end, is
+    smooth in ``t``.  An order outside ``2..VOLUME_MAX_ORDER`` raises."""
+    if not 2 <= order <= VOLUME_MAX_ORDER:
+        raise PleatlabError(
+            f"need at least two and at most {VOLUME_MAX_ORDER} quadrature nodes, got {order}"
         )
-        return terms[0] + terms[1]
-
-    sizes = np.asarray(sizes)
-    intervals = sizes - 1
-    starts = np.cumsum(sizes) - sizes
-    # Each node's place in its path, and its path's interval count.
-    local = np.arange(nodes.shape[1]) - np.repeat(starts, sizes)
-    count = np.repeat(intervals, sizes)
-
-    def path_sums(terms, keep, kept):
-        """Per-path sums of the ``keep``-masked terms, ``kept`` a path."""
-        return np.add.reduceat(terms[keep[: terms.size]], np.cumsum(kept) - kept)
-
-    single, double = trapezoids(1), trapezoids(2)
-    full = path_sums(single, local < count, intervals)
-    last = starts + intervals - 1
-    odd = intervals % 2 == 1
-    half = path_sums(double, (local % 2 == 0) & (local + 1 < count), intervals // 2)
-    half += np.where(odd, single[last], 0.0)
-    last_pair = single[last - 1] + single[last] - double[last - 1]
-    error = np.abs((full - half) / 3.0 + np.where(odd, last_pair / 6.0, 0.0))
-    return [
-        VolumeResult(value=v, error_estimate=e, nodes=n)
-        for v, e, n in zip(full.tolist(), error.tolist(), sizes.tolist())
-    ]
+    nodes, weights = [], []
+    for n in (order, -(-order // 2)):
+        tau, w = np.polynomial.legendre.leggauss(n)
+        # 1 - s at t is s at 1 - t, so near either end it keeps its digits.
+        t = np.stack(((1.0 - tau) / 2.0, (1.0 + tau) / 2.0))
+        nodes.append(t * t * (3.0 - 2.0 * t))
+        weights.append(3.0 * t[0] * t[1] * w)
+    ends = np.eye(2)
+    nodes = np.concatenate((ends[:, :1], *nodes, ends[:, 1:]), axis=1)
+    rows = np.zeros((2, nodes.shape[1]))
+    rows[0, 1:order + 1] = weights[0]
+    rows[1, order + 1:-1] = weights[1]
+    nodes.flags.writeable = rows.flags.writeable = False
+    return nodes, rows
 
 
-def schlafli_volumes(paths):
-    """Volume differences along paths of certified structures.
+def schlafli_volumes(segments):
+    """Volume differences along straight segments of marked structures.
 
-    Each path is a ``(3, n)`` complex array whose rows are the trace
-    coordinates x, y and z of its nodes (cusped locus, marked root).
-    Integrates ``-1/2 sum_i l_i dphi_i`` by trapezoid over the nodes;
-    the error estimate is the Richardson comparison against the
-    half-resolution node set (see :func:`_run_volumes` for odd interval
-    counts).  The nodes of consecutive paths are
-    certified together in :func:`certify_batch` calls of at most
-    ``VOLUME_BATCH_NODES`` nodes (a longer path in one call of its own)
-    and integrated together as arrays; the first node in path order
-    that is not convex raises :class:`UncertifiedPathPoint`.  Returns
-    one :class:`VolumeResult` per path.
+    A segment ``((x0, y0), (x1, y1), order)`` has real ends and its nodes
+    over ``(1 - s) (x0, y0) + s (x1, y1)`` at :func:`quadrature_rule`'s
+    ``s``.  With ``phi_i = 2 (pi - theta_i)`` the Schlafli form
+    ``-1/2 sum_i l_i dphi_i`` integrates by parts to
+    ``[sum_i l_i theta_i] - int sum_i theta_i (dl_i/ds) ds``, and
+    ``dl_a/ds = 2 |x|' / sqrt(x^2 - 4)`` (``l_b`` likewise in y), so a
+    node needs only its certified angles.  The integral is the
+    Gauss-Legendre rule of ``order``, the error estimate its distance to
+    the rule of ``ceil(order / 2)``: against 50-digit references on (2.1,
+    2.1) to (2.5, 2.4) and on the cusp-end segments (2.0, 2.2) to (2.6,
+    2.3) and (2.2, 2.2) to (2.0, 2.0), it reads 4 to 3e6 times the actual
+    error at every order from 2 to 64 that misses by more than 1e-13, and
+    from order 32 on both are round-off (within 1.8e-14).
 
-    The estimate assumes the trapezoid error falls like ``h**2``.  On a
-    path that ends at the cusp a length behaves like ``sqrt(x - 2)``, the
-    error falls slower, and the estimate reads low: 0.69-0.89 of the
-    actual error against an 8,192-interval reference, from (2.0, 2.2) to
-    (2.6, 2.3) and from (2.2, 2.2) to (2.0, 2.0) at 16 and 64 intervals.
-    On interior paths the ratio is 1.000.
+    The segments run as many at a time as fit ``VOLUME_BATCH_NODES``
+    nodes at the call's largest order; the nodes of a run, both ends of
+    each segment included, take their roots from one
+    :func:`pleating_candidates` call and are certified in one
+    :func:`certify_batch` call, and the first in segment order that is not
+    convex raises :class:`UncertifiedPathPoint`.  Every order is checked
+    before any node is placed.  Returns one :class:`VolumeResult` per
+    segment, whose ``nodes`` counts the ``order + ceil(order / 2) + 2``.
     """
-    paths = [np.asarray(path, dtype=complex) for path in paths]
-    if any(path.shape[1] < 3 for path in paths):
-        raise PleatlabError("need at least three path nodes")
+    rules = [quadrature_rule(order) for _, _, order in segments]
+    sizes = [nodes.shape[1] for nodes, _ in rules]
+    # The cap keeps every segment within VOLUME_BATCH_NODES.
+    per_run = VOLUME_BATCH_NODES // max(sizes, default=1)
     results = []
-    for run in _node_batches(paths):
-        nodes = np.concatenate(run, axis=1)
-        cert = certify_batch(*nodes)
+    for run in (slice(k, k + per_run) for k in range(0, len(sizes), per_run)):
+        nodes, weights = (np.concatenate(rule, axis=1) for rule in zip(*rules[run]))
+        starts, ends, _ = zip(*segments[run])
+        p0, p1 = (np.repeat(np.array(p, dtype=float).T, sizes[run], axis=1) for p in (starts, ends))
+        xy = nodes[0] * p0 + nodes[1] * p1
+        z, _ = pleating_candidates(*xy)
+        cert = certify_batch(*xy, z)
         uncertified = np.flatnonzero(~cert.is_convex)
         if uncertified.size:
-            point = tuple(complex(v) for v in nodes[:, uncertified[0]])
-            raise UncertifiedPathPoint(
-                f"path point {point} failed convex certification"
-            )
-        results += _run_volumes(
-            nodes, cert.theta_a, cert.theta_b, [path.shape[1] for path in run]
-        )
+            point = (*(complex(v) for v in xy[:, uncertified[0]]), complex(z[uncertified[0]]))
+            raise UncertifiedPathPoint(f"path point {point} failed convex certification")
+        thetas = np.stack((cert.theta_a, cert.theta_b))
+        sign = np.sign(xy)
+        # |x| - 2 from the ends: near the cusp x itself rounds it away.
+        offset = nodes[0] * (sign * p0 - 2.0) + nodes[1] * (sign * p1 - 2.0)
+        with np.errstate(all="ignore"):
+            # 2 sinh(l / 2) = sqrt(x^2 - 4) = root, and dl/ds = 2 |x|' / root.
+            # A coordinate that stays put has no rate, even on the cusp,
+            # where the quotient reads 0 / 0.
+            root = np.sqrt(offset * (offset + 4.0))
+            lengths = 2.0 * np.arcsinh(root / 2.0)
+            rates = np.where(p0 == p1, 0.0, 2.0 * sign * (p1 - p0) / root)
+        integrand = (thetas * rates).sum(axis=0)
+        last = np.cumsum(sizes[run]) - 1
+        first = last - sizes[run] + 1
+        # The ends carry no weight, and at a cusp end the rate is infinite.
+        integrand[first] = integrand[last] = 0.0
+        bracket = (lengths * thetas).sum(axis=0)
+        # Each sum runs over one segment's own terms, so a segment's result
+        # does not depend on the segments run with it.
+        fine, coarse = np.add.reduceat(weights * integrand, first, axis=1)
+        values = bracket[last] - bracket[first] - fine
+        results += [
+            VolumeResult(value=v, error_estimate=e, nodes=n)
+            for v, e, n in zip(values.tolist(), np.abs(fine - coarse).tolist(), sizes[run])
+        ]
     return results
-
-
-def coordinate_segments(segments):
-    """Linear interpolations in (x, y) between marked structures.
-
-    Each segment is ``((x0, y0), (x1, y1), nodes)`` with real ends.
-    Returns one ``(3, nodes + 1)`` complex array of x, y and the marked
-    root z per segment; the roots of all segments come from one
-    :func:`pleating_candidates` call.
-    """
-    if not segments:
-        return []
-    starts, ends, nodes = zip(*segments)
-    nodes = np.array(nodes)
-    sizes = nodes + 1
-    # Each node's place k in its segment, and its segment's ends.
-    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    s = k / np.repeat(nodes, sizes)
-    (x0, y0), (x1, y1) = (
-        np.repeat(np.array(points, dtype=float).T, sizes, axis=1) for points in (starts, ends)
-    )
-    x = (1 - s) * x0 + s * x1
-    y = (1 - s) * y0 + s * y1
-    z, _ = pleating_candidates(x, y)
-    return np.split(np.array((x, y, z)), np.cumsum(sizes)[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +669,8 @@ def concavity_report(path):
     differences of its volumes in ``s``, the accumulated quadrature
     error, and whether every second difference is negative with margin
     three times that error."""
-    s, vols = path.s, path.volume
-    h1 = s[1:-1] - s[:-2]
-    h2 = s[2:] - s[1:-1]
-    second = 2.0 * (h1 * vols[2:] - (h1 + h2) * vols[1:-1] + h2 * vols[:-2]) / (h1 * h2 * (h1 + h2))
+    # The samples sit at s = k / samples.
+    second = np.diff(path.volume, 2) * (path.s.size - 1) ** 2
     err = float(path.volume_error[-1])
     return {
         "second_differences": second,
@@ -703,28 +679,28 @@ def concavity_report(path):
     }
 
 
-def continuations(angle_paths, coordinate_paths=()):
+def continuations(angle_paths, segments=()):
     """Continuations along straight angle paths and the volumes of
-    further coordinate paths, all integrated in one
+    further coordinate segments, all integrated in one
     :func:`schlafli_volumes` call.
 
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
     Its sample at ``s = k / samples`` is placed at the
     :func:`explicit_lengths` of its target angles, and the samples of all
     paths are measured in one :func:`measure_structures` call;
-    consecutive samples are joined by a segment of ``substeps``
-    quadrature intervals (one :func:`coordinate_segments` call builds
-    the segments of all paths).  Returns ``(volumes, paths)``: one
-    :class:`VolumeResult` per coordinate path and one :class:`AnglePath`
-    per angle path (a path's columns do not depend on the paths batched
-    with it).  Raises :class:`PleatlabError` before placing any sample
-    when a path's ``samples < 1`` or ``substeps < 2``.
+    consecutive samples are joined by a coordinate segment of quadrature
+    order ``substeps``.  ``segments`` is a sequence of further coordinate
+    segments, as :func:`schlafli_volumes` takes them.  Returns
+    ``(volumes, paths)``: one :class:`VolumeResult` per coordinate segment
+    and one :class:`AnglePath` per angle path (a path's columns do not
+    depend on the paths batched with it).  Raises :class:`PleatlabError`
+    before placing any sample when a path's ``samples < 1``, or its
+    ``substeps`` is below 2 or above ``VOLUME_MAX_ORDER``.
     """
     for _, _, samples, substeps in angle_paths:
         if samples < 1:
             raise PleatlabError(f"need at least one sample, got {samples}")
-        if substeps < 2:
-            raise PleatlabError(f"need at least two substeps, got {substeps}")
+        quadrature_rule(substeps)  # raises for an order it does not take
     targets = [
         tuple((1 - s) * a + s * b for a, b in zip(start, end))
         for start, end, samples, _ in angle_paths
@@ -735,17 +711,16 @@ def continuations(angle_paths, coordinate_paths=()):
     miss = np.abs(thetas - np.reshape(targets, (-1, 2)).T).max(axis=0)
     cuts = np.cumsum([samples + 1 for _, _, samples, _ in angle_paths], dtype=int)[:-1]
     columns = [np.split(v, cuts, axis=-1) for v in (coords, lengths, thetas, miss)]
-    segments = [
+    sample_segments = [
         (start, end, substeps)
         for xy, (_, _, _, substeps) in zip(
             (path[:2].real.T.tolist() for path in columns[0]), angle_paths
         )
         for start, end in zip(xy, xy[1:])
     ]
-    coordinate_paths = list(coordinate_paths)
-    volumes = schlafli_volumes(coordinate_paths + coordinate_segments(segments))
+    volumes = schlafli_volumes([*segments, *sample_segments])
     paths = []
-    head = len(coordinate_paths)
+    head = len(segments)
     for (_, _, samples, _), path_coords, path_lengths, path_thetas, path_miss in zip(
         angle_paths, *columns
     ):
@@ -760,7 +735,7 @@ def continuations(angle_paths, coordinate_paths=()):
             volume=np.cumsum([0.0, *(v.value for v in steps)]),
             volume_error=np.cumsum([0.0, *(v.error_estimate for v in steps)]),
         ))
-    return volumes[:len(coordinate_paths)], paths
+    return volumes[:len(segments)], paths
 
 
 # ---------------------------------------------------------------------------

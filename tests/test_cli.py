@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from pleatlab import cli
 from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.cli import main
-from pleatlab.lengthmap import continuations
+from pleatlab.lengthmap import VOLUME_MAX_ORDER, continuations
 from pleatlab.plaques import certify, certify_batch
 
 THETA_22 = 2.189525017467147
@@ -409,8 +409,8 @@ def test_volume_json():
     result = run("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", "64")
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert abs(payload["value"] - (-1.8273655396883792)) < 1e-4
-    assert payload["nodes"] == 65
+    assert abs(payload["value"] - (-1.8273764510572349)) < 1e-13
+    assert payload["nodes"] == 64 + 32 + 2
 
 
 def test_volume_bad_nodes_exit_two():
@@ -418,6 +418,24 @@ def test_volume_bad_nodes_exit_two():
         args = ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", nodes)
         assert run(*args).exit_code == 2
     assert run("volume", "--start", "nan,2.1", "--end", "2.5,2.4").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes"), ("trace-ray", "--substeps")],
+    ids=["volume", "trace-ray"],
+)
+def test_quadrature_order_above_the_cap_exits_two(args, monkeypatch):
+    """One order above VOLUME_MAX_ORDER is a usage error, raised before
+    any node is placed."""
+    def no_work(*a, **kw):
+        raise AssertionError("a node was placed before the order was checked")
+
+    monkeypatch.setattr(cli, "continuations", no_work)
+    monkeypatch.setattr(cli, "schlafli_volumes", no_work)
+    result = run(*args, str(VOLUME_MAX_ORDER + 1))
+    assert result.exit_code == 2
+    assert f"{args[-1]} must be at least 2 and at most {VOLUME_MAX_ORDER}" in result.output
 
 
 def test_double_json():

@@ -34,7 +34,13 @@ MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 LENGTH_TRACE_3 = 1.9248473002384139  # 2*arccosh(1.5)
 DET_ABS_22 = 18.622883541042167
 DLDPHI_EIGS_21_23 = (0.4043158213445197, 0.618328607660773)
-VOLUME_21_TO_2524 = -1.8273655396883792
+VOLUME_21_TO_2524 = -1.8273764510572349
+# The Schlafli volumes from (2.1, 2.1) to (2.5, 2.4) and from the cusp end
+# (2.0, 2.2) to (2.6, 2.3), by _volume_oracle at 50 digits.
+VOLUME_ORACLE = {
+    ((2.1, 2.1), (2.5, 2.4)): "-1.8273764510572349263139372939322333811978838572721",
+    ((2.0, 2.2), (2.6, 2.3)): "-1.7795371946912267555424747818151308614418570027957",
+}
 
 
 def _marked(x, y):
@@ -47,27 +53,17 @@ def _angles(theta_a, theta_b):
     return {"a": ("angle", theta_a), "b": ("angle", theta_b)}
 
 
-def _segment(start, end, nodes):
-    """The coordinate segment of ``nodes`` intervals from the marked
-    structure over ``start = (x0, y0)`` to the one over ``end``."""
-    return lm.coordinate_segments([(start, end, nodes)])[0]
-
-
-def _segment_volume(start, end, nodes):
-    """The volume along the coordinate segment from ``start`` to ``end``
-    of ``nodes`` intervals, as the CLI's volume command integrates it."""
-    return lm.schlafli_volumes([_segment(start, end, nodes)])[0]
+def _segment_volume(start, end, order):
+    """The volume along the coordinate segment from the marked structure
+    over ``start = (x0, y0)`` to the one over ``end``, at quadrature
+    ``order``, as the CLI's volume command integrates it."""
+    return lm.schlafli_volumes([(start, end, order)])[0]
 
 
 def _assert_same_path(got, want):
     """Two AnglePath records agree bit for bit in every column."""
     for field in dataclasses.fields(lm.AnglePath):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
-
-
-def _path(*points):
-    """A quadrature path: the (3, n) array of the points' x, y and z."""
-    return np.array([t.astuple() for t in points]).T
 
 
 def test_complex_curve_length_at_trace_3():
@@ -652,56 +648,101 @@ def test_continuation_rows_sit_at_their_samples(start, samples):
 
 def test_volume_between_frozen():
     res = _segment_volume((2.1, 2.1), (2.5, 2.4), 64)
-    assert abs(res.value - VOLUME_21_TO_2524) < 1e-4
-    assert res.error_estimate < 1e-4
+    assert abs(res.value - VOLUME_21_TO_2524) < 1e-13
+    assert res.error_estimate < 1e-13
 
 
 def test_volume_path_independence():
     t0, t1, tw = (2.1, 2.1), (2.5, 2.4), (2.45, 2.15)
     direct = _segment_volume(t0, t1, 128)
     dogleg = _segment_volume(t0, tw, 96).value + _segment_volume(tw, t1, 96).value
-    assert abs(direct.value - dogleg) < 1e-5
+    assert abs(direct.value - dogleg) < 1e-13
+
+
+def _segment_points(start, end, order):
+    """The (x, y, z) of a segment's nodes in certification order, each
+    built one at a time from :func:`lm.quadrature_rule`'s parameters."""
+    (r, s), _ = lm.quadrature_rule(order)
+    points = []
+    for rk, sk in zip(r.tolist(), s.tolist()):
+        x = rk * start[0] + sk * end[0]
+        y = rk * start[1] + sk * end[1]
+        points.append((x, y, complex(pleating_candidates(x, y)[0])))
+    return points
+
+
+def _first_uncertified(start, end, order):
+    """The first node of a segment that scalar certify finds not convex."""
+    return next(p for p in _segment_points(start, end, order) if not certify(coords(*p)).is_convex)
+
+
+def _point_text(point):
+    return re.escape(str(tuple(complex(v) for v in point)))
 
 
 def test_volume_rejects_uncertified_path():
-    off_locus = coords(2.2, 2.2, 3.0)  # commutator trace far from -2
-    also_off = coords(2.25, 2.25, 3.1)
-    path = _path(_marked(2.1, 2.1), off_locus, _marked(2.3, 2.3), also_off, _marked(2.4, 2.4))
-    with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
-        lm.schlafli_volumes([path])[0]
+    """A segment that leaves the convex region (x < 2) raises, naming the
+    first node in certification order that scalar certify rejects."""
+    segment = ((2.1, 2.1), (1.6, 2.4), 8)
+    with pytest.raises(UncertifiedPathPoint, match=_point_text(_first_uncertified(*segment))):
+        lm.schlafli_volumes([segment])
 
 
 def test_schlafli_volumes_match_one_path_calls(monkeypatch):
-    """Batched paths, in runs that fill, cross and exceed the node budget,
-    give the one-path results bit for bit."""
+    """Batched segments give the one-segment results bit for bit.  A call
+    runs as many segments at a time as fit VOLUME_BATCH_NODES nodes at
+    its largest order, with one root call and one certify_batch call a
+    run; at the largest order that is one segment a run."""
     ends = [((2.1, 2.1), (2.5, 2.4)), ((2.1, 2.1), (2.45, 2.15)), ((2.45, 2.15), (2.5, 2.4))]
-    paths = [_segment(a, b, n) for (a, b), n in zip(ends * 3, (128, 96, 96) * 3)]
-    paths.append(_segment((2.0, 2.2), (2.6, 2.3), 1100))
-    paths += [_segment((2.2, 2.3 - 0.01 * k), (2.4, 2.2), 16) for k in range(5)]
-    paths.append(_segment((2.3, 2.05), (2.1, 2.5), 500))
-    paths.append(_segment((2.2, 2.2), (2.0, 2.0), 600))
-    reference = [lm.schlafli_volumes([path])[0] for path in paths]
-    batch_sizes = []
+    small = [(a, b, n) for (a, b), n in zip(ends * 3, (128, 96, 96) * 3)]
+    small += [((2.2, 2.3 - 0.01 * k), (2.4, 2.2), 16) for k in range(5)]
+    large = [((2.0, 2.2), (2.6, 2.3), lm.VOLUME_MAX_ORDER), ((2.3, 2.05), (2.1, 2.5), 300),
+             ((2.2, 2.2), (2.0, 2.0), 400)]
+    reference = [lm.schlafli_volumes([segment])[0] for segment in small + large]
+    batch_sizes, root_sizes = [], []
 
     def counting_batch(x, y, z, **kw):
         batch_sizes.append(len(x))
         return certify_batch(x, y, z, **kw)
 
+    def counting_roots(x, y):
+        root_sizes.append(len(x))
+        return pleating_candidates(x, y)
+
     monkeypatch.setattr(lm, "certify_batch", counting_batch)
-    results = lm.schlafli_volumes(paths)
-    assert batch_sizes == [969, 1101, 5 * 17 + 501, 601]
+    monkeypatch.setattr(lm, "pleating_candidates", counting_roots)
+    results = lm.schlafli_volumes(small) + lm.schlafli_volumes(large)
+    # A segment of order n certifies n + ceil(n / 2) + 2 nodes; the first
+    # call's largest, 194, lets 1024 // 194 = 5 segments share a run.
+    assert batch_sizes == root_sizes == [
+        194 + 146 + 146 + 194 + 146, 146 + 194 + 146 + 146 + 26, 4 * 26, 770, 452, 602
+    ]
     assert [(r.value, r.error_estimate, r.nodes) for r in results] == [
         (r.value, r.error_estimate, r.nodes) for r in reference
     ]
 
 
 def test_schlafli_volumes_name_first_bad_node_in_path_order():
-    off_locus = coords(2.2, 2.2, 3.0)
-    later = coords(2.25, 2.25, 3.1)
-    first = _path(_marked(2.1, 2.1), _marked(2.2, 2.2), _marked(2.3, 2.2), off_locus)
-    second = _path(later, _marked(2.3, 2.3), _marked(2.4, 2.4))
-    with pytest.raises(UncertifiedPathPoint, match=re.escape(str(off_locus.astuple()))):
-        lm.schlafli_volumes([first, second])
+    first = ((2.1, 2.1), (1.9, 2.2), 4)
+    later = ((1.8, 2.0), (2.4, 2.4), 4)
+    with pytest.raises(UncertifiedPathPoint, match=_point_text(_first_uncertified(*first))):
+        lm.schlafli_volumes([first, later])
+
+
+def test_quadrature_order_above_the_cap_is_refused_before_any_node(monkeypatch):
+    """Order VOLUME_MAX_ORDER + 1 raises before any root, certification
+    or sample placement."""
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the order was checked")
+
+    for name in ("pleating_candidates", "certify_batch", "explicit_lengths"):
+        monkeypatch.setattr(lm, name, no_work)
+    too_many = lm.VOLUME_MAX_ORDER + 1
+    refused = f"and at most {lm.VOLUME_MAX_ORDER} quadrature nodes, got {too_many}"
+    with pytest.raises(PleatlabError, match=refused):
+        lm.schlafli_volumes([((2.1, 2.1), (2.5, 2.4), 16), ((2.1, 2.1), (2.5, 2.4), too_many)])
+    with pytest.raises(PleatlabError, match=refused):
+        lm.continuations([((1.8, 2.0), (2.6, 2.3), 4, too_many)])
 
 
 def test_continuation_volumes_match_per_segment_reference():
@@ -717,9 +758,9 @@ def test_continuation_volumes_match_per_segment_reference():
 
 def test_continuations_share_one_batch_with_coordinate_paths():
     """Batched angle paths give the columns of separate continuations,
-    and the coordinate paths batched with them their own volumes."""
+    and the coordinate segments batched with them their own volumes."""
     angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5)]
-    segment = _segment((2.1, 2.2), (2.4, 2.3), 10)
+    segment = ((2.1, 2.2), (2.4, 2.3), 10)
     volumes, paths = lm.continuations(angle_paths, [segment])
     assert volumes == lm.schlafli_volumes([segment])
     assert len(paths) == len(angle_paths)
@@ -764,43 +805,50 @@ def test_dl_dphi_batches_give_the_one_point_results(monkeypatch):
 
 
 def test_error_estimate_is_honest_on_an_interior_path():
-    """Away from the cusp the Richardson estimate is the real error: at
-    64 intervals it lies within 10% of the miss against an 8,192-interval
-    reference (it reads 0.69-0.89 of it on paths that end at the cusp,
-    where the length behaves like sqrt(x - 2))."""
+    """Away from the cusp the estimate, the distance to the rule of half
+    the order, is at least the miss against a 128-node reference at every
+    order whose own error is above round-off."""
     t0, t1 = (2.2, 2.3), (2.5, 2.4)
-    reference = _segment_volume(t0, t1, 8192).value
-    res = _segment_volume(t0, t1, 64)
-    assert 0.9 <= res.error_estimate / abs(res.value - reference) <= 1.1
+    reference = _segment_volume(t0, t1, 128).value
+    for order in (4, 8, 12, 16):
+        res = _segment_volume(t0, t1, order)
+        assert abs(res.value - reference) <= res.error_estimate, order
+    assert res.error_estimate < 1e-7
 
 
-def _trapezoid(states):
-    total = 0.0
-    for (l0, p0), (l1, p1) in zip(states, states[1:]):
-        for i in range(2):
-            total += -0.5 * 0.5 * (l0[i] + l1[i]) * (p1[i] - p0[i])
-    return total
+@pytest.mark.parametrize("nodes", [5, 9])
+def test_odd_count_error_estimate_is_honest(nodes):
+    """At an odd order the coarse rule takes ceil(order / 2) nodes; the
+    estimate is at least the miss against a 128-node reference, on an
+    interior segment and on segments that end at the cusp, at its start
+    or at its end, where a length behaves like sqrt(x - 2)."""
+    for ends in (((2.1, 2.1), (2.5, 2.4)), ((2.0, 2.2), (2.6, 2.3)), ((2.2, 2.2), (2.0, 2.0))):
+        reference = _segment_volume(*ends, 128).value
+        res = _segment_volume(*ends, nodes)
+        assert abs(res.value - reference) <= res.error_estimate, ends
 
 
-def _per_node_volume(path):
-    """Schlafli quadrature with scalar certify at every node (the
-    reference); the Richardson comparison runs over the even prefix of
-    the intervals, and an odd count adds half the comparison over its
-    last two intervals."""
+def _per_node_volume(start, end, order):
+    """The Schlafli quadrature of a segment with scalar certify at every
+    node (the reference): ``[sum l_i theta_i] - int sum theta_i dl_i/ds``
+    by the rule of ``order``, with the rule of ``ceil(order / 2)`` for
+    the estimate."""
     states = []
-    for node in path.T:
-        cert = certify(coords(*node))
+    for x, y, z in _segment_points(start, end, order):
+        cert = certify(coords(x, y, z))
         assert cert.is_convex
-        lengths = [lm.complex_curve_length(v).real for v in (cert.coords.x, cert.coords.y)]
-        phis = [2.0 * (math.pi - theta) for theta in (cert.theta_a, cert.theta_b)]
-        states.append((lengths, phis))
-    intervals = len(states) - 1
-    prefix = states[: intervals - intervals % 2 + 1]
-    error = (_trapezoid(prefix) - _trapezoid(prefix[::2])) / 3.0
-    if intervals % 2:
-        last = states[-3:]
-        error += (_trapezoid(last) - _trapezoid(last[::2])) / 6.0
-    return _trapezoid(states), abs(error)
+        states.append(((x, cert.theta_a), (y, cert.theta_b)))
+    # The bracket at the ends, and the integrand at the nodes between.
+    brackets = [sum(lm.complex_curve_length(v).real * t for v, t in state) for state in states]
+    terms = [
+        sum(t * 2.0 * (e - s) / math.sqrt(v * v - 4.0) for (v, t), s, e in zip(state, start, end))
+        for state in states[1:-1]
+    ]
+    fine, coarse = (
+        sum(w * term for w, term in zip(row.tolist()[1:-1], terms))
+        for row in lm.quadrature_rule(order)[1]
+    )
+    return brackets[-1] - brackets[0] - fine, abs(fine - coarse)
 
 
 @pytest.mark.parametrize(
@@ -809,50 +857,68 @@ def _per_node_volume(path):
      (((2.1, 2.1), (2.5, 2.4)), 33), (((2.3, 2.05), (2.1, 2.5)), 5)],
 )
 def test_schlafli_volume_matches_per_node_certify(ends, nodes):
-    path = _segment(*ends, nodes)
-    res = lm.schlafli_volumes([path])[0]
-    value, error = _per_node_volume(path)
-    assert res.nodes == nodes + 1
+    res = _segment_volume(*ends, nodes)
+    value, error = _per_node_volume(*ends, nodes)
+    assert res.nodes == nodes + -(-nodes // 2) + 2
     assert abs(res.value - value) <= 1e-12
     assert abs(res.error_estimate - error) <= 1e-12
 
 
-@pytest.mark.parametrize("nodes", [9, 33])
-def test_odd_count_error_estimate_is_honest(nodes):
-    """At an odd interval count the estimate is within 2% of the real
-    error, measured against a 4,096-interval reference."""
-    reference = _segment_volume((2.1, 2.1), (2.5, 2.4), 4096).value
-    res = _segment_volume((2.1, 2.1), (2.5, 2.4), nodes)
-    actual = abs(res.value - reference)
-    assert abs(res.error_estimate - actual) <= 0.02 * actual
+def _volume_oracle(start, end):
+    """``int sum_i l_i dtheta_i`` along the segment at 50 digits, with
+    ``cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2)`` and its mirror
+    differentiated in closed form, by mpmath's tanh-sinh quadrature."""
+    with mpmath.workdps(50):
+        (x0, y0), (x1, y1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
+
+        def integrand(s):
+            traces = (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+            rates = (x1 - x0, y1 - y0)
+            total = 0
+            for i in range(2):
+                u, v, du, dv = traces[i], traces[1 - i], rates[i], rates[1 - i]
+                half, other = mpmath.acosh(u / 2), mpmath.acosh(v / 2)
+                c = mpmath.tanh(half) * mpmath.cosh(other)
+                dc = mpmath.sech(half) ** 2 * du / mpmath.sqrt(u * u - 4) * mpmath.cosh(other)
+                if dv != 0:
+                    dc += mpmath.tanh(half) * mpmath.sinh(other) * dv / mpmath.sqrt(v * v - 4)
+                total += 2 * half * -2 * dc / mpmath.sqrt(1 - c * c)
+            return total
+
+        return mpmath.quad(integrand, [0, 1])
+
+
+@pytest.mark.parametrize("ends", list(VOLUME_ORACLE), ids=["interior", "cusp-start"])
+def test_schlafli_volumes_match_the_50_digit_oracle(ends):
+    """The oracle reproduces its pinned digits, and the double-precision
+    quadrature at orders 32 and 128 lands on it to round-off."""
+    oracle = _volume_oracle(*ends)
+    with mpmath.workdps(50):
+        assert abs(oracle - mpmath.mpf(VOLUME_ORACLE[ends])) < mpmath.mpf(10) ** -45
+    for order in (32, 128):
+        assert abs(_segment_volume(*ends, order).value - float(oracle)) < 1e-13
 
 
 def test_coordinate_segment_matches_scalar_roots(monkeypatch):
-    """Segments built together agree with the scalar roots, and with the
-    same segments built one at a time bit for bit, from one
-    pleating_candidates call."""
-    ends = [((2.0, 2.2), (2.7, 2.05), 16), ((2.3, 2.1), (2.1, 2.6), 5), ((2.2, 2.2), (2.4, 2.3), 2)]
-    alone = [_segment(*segment) for segment in ends]
-    calls = []
+    """The nodes schlafli_volumes certifies, built for all segments
+    together, are the segments' points built one at a time: the
+    parameters of quadrature_rule between the ends, with the scalar
+    marked root."""
+    segments = [((2.0, 2.2), (2.7, 2.05), 16), ((2.3, 2.1), (2.1, 2.6), 5),
+                ((2.2, 2.2), (2.4, 2.3), 2)]
+    certified = []
 
-    def counting(x, y):
-        calls.append(len(x))
-        return pleating_candidates(x, y)
+    def recording_batch(x, y, z, **kw):
+        certified.extend(zip(x.tolist(), y.tolist(), z.tolist()))
+        return certify_batch(x, y, z, **kw)
 
-    monkeypatch.setattr(lm, "pleating_candidates", counting)
-    paths = lm.coordinate_segments(ends)
-    assert calls == [17 + 6 + 3]
-    for path, single, ((x0, y0), (x1, y1), nodes) in zip(paths, alone, ends):
-        assert path.shape == (3, nodes + 1)
-        assert np.array_equal(path, single)
-        for k, node in enumerate(path.T):
-            s = k / nodes
-            x = (1 - s) * x0 + s * x1
-            y = (1 - s) * y0 + s * y1
-            z, _ = pleating_candidates(x, y)
-            for got, want in zip(node, (x, y, z)):
-                assert abs(got - want) <= 1e-15 * abs(want)
-    assert lm.coordinate_segments([]) == []
+    monkeypatch.setattr(lm, "certify_batch", recording_batch)
+    lm.schlafli_volumes(segments)
+    expected = [point for segment in segments for point in _segment_points(*segment)]
+    assert len(certified) == len(expected) == (16 + 8 + 2) + (5 + 3 + 2) + (2 + 1 + 2)
+    for node, point in zip(certified, expected):
+        for got, want in zip(node, point):
+            assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_ray_to_cusp_monotone_and_lands():

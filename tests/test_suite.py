@@ -250,11 +250,25 @@ def test_check_grid_applies_its_planarity_tol(monkeypatch):
     assert failing["details"]["failures"] == 0
 
 
+def _angle_space_volume(start, end):
+    """``int sum_i l_i dtheta_i`` along the straight angle path, summed
+    one node at a time over the rule of suite.VOLUME_ANGLE_ORDER with the
+    lengths of explicit_lengths."""
+    (r, s), (weights, _) = lengthmap.quadrature_rule(suite.VOLUME_ANGLE_ORDER)
+    total = 0.0
+    for rk, sk, w in zip(r.tolist(), s.tolist(), weights.tolist()):
+        theta_a, theta_b = (rk * a + sk * b for a, b in zip(start, end))
+        l_a, l_b = lengthmap.explicit_lengths({"a": ("angle", theta_a), "b": ("angle", theta_b)})
+        total += w * (l_a * (end[0] - start[0]) + l_b * (end[1] - start[1]))
+    return total
+
+
 @pytest.mark.parametrize("seed_offset", [0, 58, 171])
 def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
-    """The angle paths check_volume integrates with its coordinate paths
-    are, bit for bit, those of one continuations call per path, and so
-    are its margin, ray gain and placement miss."""
+    """The angle paths check_volume integrates with its coordinate
+    segments are, bit for bit, those of one continuations call per path,
+    and so are its margin, ray gain, angle-space gap and placement
+    miss."""
     batched = []
 
     def recording_continuations(*args):
@@ -266,9 +280,9 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     details = suite.check_volume(suite.SEEDS["volume"] + seed_offset)["details"]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
               ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
+    starts.append(((2.0, 2.2), (np.pi, np.pi)))
     separate = [lengthmap.continuations([(*ends, 8, 16)])[1][0] for ends in starts]
-    ray = lengthmap.continuations([((2.0, 2.2), (np.pi, np.pi), 8, 12)])[1][0]
-    separate.append(ray)
+    ray = separate[-1]
     assert len(batched) == len(separate)
     for got, want in zip(batched, separate):
         for field in dataclasses.fields(lengthmap.AnglePath):
@@ -279,6 +293,9 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     )
     assert details["concave"] and all(p["concave"] for p in probes)
     assert details["ray_volume_gain"] == ray.volume[-1] - ray.volume[0]
+    gaps = [abs(float(path.volume[-1]) - _angle_space_volume(*ends))
+            for path, ends in zip(separate, starts)]
+    assert abs(details["worst_angle_space_gap"] - max(gaps)) <= 1e-14
     assert details["worst_placement_miss"] == max(path.miss.max() for path in separate)
 
 
@@ -297,10 +314,29 @@ def test_scaled_placements_fail_posdef_and_volume(monkeypatch):
         assert details["worst_placement_miss"] > 1e-4 > details["placement_tol"]
 
 
+def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
+    """Every Schlafli volume scaled by 1.01 keeps path independence,
+    concavity and the monotone ray, but misses the angle-space integral
+    of explicit_lengths, and volume fails."""
+    volumes = lengthmap.schlafli_volumes
+
+    def scaled(segments):
+        return [dataclasses.replace(v, value=1.01 * v.value) for v in volumes(segments)]
+
+    monkeypatch.setattr(lengthmap, "schlafli_volumes", scaled)
+    (record,) = suite.run_suite(["volume"])
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_pair_difference"] < details["pair_tol"]
+    assert details["concave"] and details["ray_increments_positive"]
+    assert details["worst_angle_space_gap"] > 1e-3 > details["angle_space_tol"]
+
+
 def test_check_volume_certifies_in_five_batches(monkeypatch):
-    """Coordinate paths, concavity segments and ray segments (4,014
-    nodes) share one schlafli_volumes call: five certify_batch runs of at
-    most VOLUME_BATCH_NODES nodes."""
+    """Coordinate segments, concavity segments and ray segments (2,388
+    nodes) share one schlafli_volumes call: at most five certify_batch
+    runs of at most VOLUME_BATCH_NODES nodes.  A segment of order n
+    certifies n + ceil(n / 2) + 2 nodes."""
     sizes = []
 
     def counting_batch(x, y, z, **kw):
@@ -309,7 +345,7 @@ def test_check_volume_certifies_in_five_batches(monkeypatch):
 
     monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
     assert suite.check_volume(suite.SEEDS["volume"])["passed"]
-    assert sum(sizes) == 10 * (129 + 97 + 97) + 5 * 8 * 17 + 8 * 13 == 4014
+    assert sum(sizes) == 10 * 3 * (24 + 12 + 2) + 6 * 8 * (16 + 8 + 2) == 2388
     assert len(sizes) <= 5
     assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
 
