@@ -447,7 +447,7 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
         raise click.UsageError(
             f"--substeps must be at least 2 and at most {VOLUME_MAX_ORDER}, got {substeps}"
         )
-    (path,) = continuations([(start, (math.pi, math.pi), samples, substeps)])[1]
+    (path,) = continuations([(start, (math.pi, math.pi), samples, substeps)])
     header = (
         "s", "theta_a", "theta_b", "length_a", "length_b",
         "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",

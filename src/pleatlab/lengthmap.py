@@ -30,9 +30,9 @@ manifold.  This module provides:
   trace chart, by parts at certified Gauss-Legendre nodes that make a
   cusp end converge like an interior one, a run of segments at a time;
 * continuation along straight angle paths: ``continuations`` places
-  the samples of all its paths by the explicit inverse, measures them as
-  one array, integrates the volumes of all its paths (and of further
-  coordinate segments) in one batch, and returns each angle path as one
+  and measures the samples of all its paths as one array, integrates the
+  form as ``sum_i l_i dtheta_i`` at Gauss-Legendre nodes in angle space
+  with the lengths of the explicit inverse, and returns each path as one
   :class:`AnglePath` of columns, along which ``concavity_report`` probes
   the volume's concavity;
 * a cusp-opening derivative check against the canonical commuting
@@ -252,18 +252,12 @@ def _structure(l_a, l_b, names="ab"):
     or by :func:`_closed_form_angle` for a curve shorter than
     ``CLOSED_FORM_LENGTH``."""
     pair = pair_from_lengths(l_a, l_b)
-    tiny = CLOSED_FORM_LENGTH
-    if -tiny < l_a < tiny or -tiny < l_b < tiny:
-        lengths = {"a": (abs(l_a), abs(l_b)), "b": (abs(l_b), abs(l_a))}
-        return pair, [
-            bending_angle(pair, name) if lengths[name][0] >= CLOSED_FORM_LENGTH
-            else _closed_form_angle(*lengths[name])
-            for name in names
-        ]
-    thetas = []
-    for name in names:
-        thetas.append(bending_angle(pair, name))
-    return pair, thetas
+    lengths = {"a": (abs(l_a), abs(l_b)), "b": (abs(l_b), abs(l_a))}
+    return pair, [
+        _closed_form_angle(*lengths[name]) if lengths[name][0] < CLOSED_FORM_LENGTH
+        else bending_angle(pair, name)
+        for name in names
+    ]
 
 
 def measure_structure(l_a, l_b):
@@ -395,17 +389,18 @@ def _newton2(residual_fn, u0):
 
 
 def _parse_targets(targets):
-    """The validated ``(kind, value)`` targets of curves a and b."""
+    """The validated ``(kind, float array)`` targets of curves a and b."""
     parsed = []
     for name in ("a", "b"):
         kind, value = targets[name]
         if kind not in ("length", "angle"):
             raise PleatlabError(f"unknown target kind {kind!r}")
-        if kind == "angle" and not 0.0 < value <= math.pi:
+        value = np.asarray(value, dtype=float)
+        if kind == "angle" and not ((0.0 < value) & (value <= math.pi)).all():
             raise TargetOutsideImage(f"bending-angle target {value} outside (0, pi]")
-        if kind == "length" and value < 0.0:
+        if kind == "length" and (value < 0.0).any():
             raise TargetOutsideImage(f"length target {value} is negative")
-        parsed.append((kind, float(value)))
+        parsed.append((kind, value))
     return parsed
 
 
@@ -418,7 +413,7 @@ def _target_residual(targets):
     :func:`_closed_form_angle_gradient` at ``(|u_0|, |u_1|)``; a length
     row is ``copysign(1, u_i)`` on the diagonal.  Every entry in column
     ``j`` carries the sign of ``u_j``."""
-    kinds, values = zip(*_parse_targets(targets))
+    kinds, values = zip(*((kind, float(v)) for kind, v in _parse_targets(targets)))
     angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
     angle_names = "".join("ab"[i] for i in angle_slots)
 
@@ -446,12 +441,12 @@ def _half_angle(theta):
     """``cos`` and ``sin`` of ``theta / 2``, the cosine taken as
     ``sin((pi - theta) / 2)``: it keeps its relative precision near pi
     and is exactly 0 at the angle pi."""
-    return math.sin((math.pi - theta) / 2.0), math.sin(theta / 2.0)
+    return np.sin((math.pi - theta) / 2.0), np.sin(theta / 2.0)
 
 
 def explicit_lengths(targets):
     """The curve lengths ``(l_a, l_b)`` that hit ``targets`` (as for
-    :func:`solve_targets`) exactly.
+    :func:`solve_targets`, each value a number or an array) exactly.
 
     On the marked cusped locus ``cos(theta_a/2) = tanh(l_a/2) cosh(l_b/2)``
     and the same with a and b swapped, so the length map inverts in
@@ -459,27 +454,32 @@ def explicit_lengths(targets):
     ``sinh(l_a/2) = sin(theta_b/2) cot(theta_a/2)`` and its mirror; for a
     length ``l_a`` and an angle ``theta_b``
     ``sinh(l_b/2) = cos(theta_b/2) / hypot(sinh(l_a/2), sin(theta_b/2))``,
-    and its mirror.  An angle pi gives a length of exactly 0.  Raises
-    :class:`NumericalOverflow` when a length leaves the float range.
+    and its mirror.  Array values broadcast together, each element by the
+    same expressions.  An angle pi gives a length of exactly 0.  Raises
+    :class:`NumericalOverflow` when any length leaves the float range.
     """
     (kind_a, value_a), (kind_b, value_b) = _parse_targets(targets)
+    value_a, value_b = np.broadcast_arrays(value_a, value_b)
     lengths = [value_a, value_b]
-    try:
+    with np.errstate(all="ignore"):
         if kind_a == kind_b == "angle":
             cos_a, sin_a = _half_angle(value_a)
             cos_b, sin_b = _half_angle(value_b)
-            lengths = [2.0 * math.asinh(sin_b * (cos_a / sin_a)),
-                       2.0 * math.asinh(sin_a * (cos_b / sin_b))]
+            lengths = [2.0 * np.arcsinh(sin_b * (cos_a / sin_a)),
+                       2.0 * np.arcsinh(sin_a * (cos_b / sin_b))]
         elif "angle" in (kind_a, kind_b):
             i = (kind_a, kind_b).index("angle")
             cos_t, sin_t = _half_angle(lengths[i])
-            sinh_other = math.sinh(lengths[1 - i] / 2.0)
-            lengths[i] = 2.0 * math.asinh(cos_t / math.hypot(sinh_other, sin_t))
-        if all(math.isfinite(v) for v in lengths):
-            return tuple(lengths)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise NumericalOverflow(f"the lengths for targets {targets} leave the float range")
+            sinh_other = np.sinh(lengths[1 - i] / 2.0)
+            ratio = cos_t / np.hypot(sinh_other, sin_t)
+            # A partner too long for sinh has no length in the float range.
+            lengths[i] = 2.0 * np.arcsinh(np.where(np.isfinite(sinh_other), ratio, np.inf))
+    lengths = np.array(lengths)
+    bad = ~np.isfinite(lengths).all(axis=0)
+    if bad.any():
+        first = f"({value_a[bad].flat[0]}, {value_b[bad].flat[0]})"
+        raise NumericalOverflow(f"the lengths for {kind_a}-{kind_b} targets {first} overflow")
+    return tuple(lengths)
 
 
 def solve_targets(targets, seed=(1.0, 1.0)):
@@ -531,9 +531,7 @@ def dl_dphi(theta_a, theta_b):
         raise CoordinateDegeneracy(
             "bending angles too close to 0 or pi for the angle derivative"
         )
-    base = np.array(
-        [explicit_lengths({"a": ("angle", a), "b": ("angle", b)}) for a, b in targets.T.tolist()]
-    ).T
+    base = np.array(explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])}))
     # Five columns a point: the base, then l_a up and down, l_b up and down.
     offsets = NEWTON_FD_STEP * np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
     probes = base[:, None, :] + offsets[:, :, None]
@@ -613,10 +611,16 @@ def schlafli_volumes(segments):
     :func:`pleating_candidates` call and are certified in one
     :func:`certify_batch` call, and the first in segment order that is not
     convex raises :class:`UncertifiedPathPoint`.  Every order is checked
-    before any node is placed.  Returns one :class:`VolumeResult` per
+    before any node is placed, and so is a segment whose x or y ends
+    differ in sign: it crosses ``|x| < 2`` (or ``|y| < 2``), where no
+    structure is convex.  Returns one :class:`VolumeResult` per
     segment, whose ``nodes`` counts the ``order + ceil(order / 2) + 2``.
     """
     rules = [quadrature_rule(order) for _, _, order in segments]
+    for start, end, _ in segments:
+        if any(u * v < 0.0 for u, v in zip(start, end)):
+            start, end = (tuple(map(float, p)) for p in (start, end))
+            raise UncertifiedPathPoint(f"path from {start} to {end} crosses |x| < 2 or |y| < 2")
     sizes = [nodes.shape[1] for nodes, _ in rules]
     # The cap keeps every segment within VOLUME_BATCH_NODES.
     per_run = VOLUME_BATCH_NODES // max(sizes, default=1)
@@ -679,63 +683,55 @@ def concavity_report(path):
     }
 
 
-def continuations(angle_paths, segments=()):
-    """Continuations along straight angle paths and the volumes of
-    further coordinate segments, all integrated in one
-    :func:`schlafli_volumes` call.
+def continuations(angle_paths):
+    """Continuations along straight angle paths, integrated in angle space.
 
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
     Its sample at ``s = k / samples`` is placed at the
     :func:`explicit_lengths` of its target angles, and the samples of all
-    paths are measured in one :func:`measure_structures` call;
-    consecutive samples are joined by a coordinate segment of quadrature
-    order ``substeps``.  ``segments`` is a sequence of further coordinate
-    segments, as :func:`schlafli_volumes` takes them.  Returns
-    ``(volumes, paths)``: one :class:`VolumeResult` per coordinate segment
-    and one :class:`AnglePath` per angle path (a path's columns do not
-    depend on the paths batched with it).  Raises :class:`PleatlabError`
-    before placing any sample when a path's ``samples < 1``, or its
-    ``substeps`` is below 2 or above ``VOLUME_MAX_ORDER``.
+    paths are measured in one :func:`measure_structures` call.  The
+    Schlafli form reads ``sum_i l_i dtheta_i``, so a step between samples
+    is ``sum_k w_k (l_a dtheta_a + l_b dtheta_b)`` over the nodes of
+    :func:`quadrature_rule` of order ``substeps``, with the estimate its
+    distance to the rule of ``ceil(substeps / 2)``.  The nodes of all
+    paths take their lengths from one :func:`explicit_lengths` call and
+    are neither certified nor measured: every angle pair in (0, pi]^2 is
+    on the bending locus.  Returns one :class:`AnglePath` per path (a
+    path's columns do not depend on the paths batched with it).  Raises
+    :class:`PleatlabError` before placing any sample when a path's
+    ``samples < 1``, or its ``substeps`` is below 2 or above
+    ``VOLUME_MAX_ORDER``.
     """
+    rules = []
     for _, _, samples, substeps in angle_paths:
         if samples < 1:
             raise PleatlabError(f"need at least one sample, got {samples}")
-        quadrature_rule(substeps)  # raises for an order it does not take
-    targets = [
-        tuple((1 - s) * a + s * b for a, b in zip(start, end))
-        for start, end, samples, _ in angle_paths
-        for s in (k / samples for k in range(samples + 1))
-    ]
-    placed = [explicit_lengths({"a": ("angle", a), "b": ("angle", b)}) for a, b in targets]
-    coords, lengths, thetas = measure_structures(*np.reshape(placed, (-1, 2)).T)
-    miss = np.abs(thetas - np.reshape(targets, (-1, 2)).T).max(axis=0)
-    cuts = np.cumsum([samples + 1 for _, _, samples, _ in angle_paths], dtype=int)[:-1]
-    columns = [np.split(v, cuts, axis=-1) for v in (coords, lengths, thetas, miss)]
-    sample_segments = [
-        (start, end, substeps)
-        for xy, (_, _, _, substeps) in zip(
-            (path[:2].real.T.tolist() for path in columns[0]), angle_paths
-        )
-        for start, end in zip(xy, xy[1:])
-    ]
-    volumes = schlafli_volumes([*segments, *sample_segments])
+        rules.append(quadrature_rule(substeps))  # raises for an order it does not take
+    s = [np.arange(samples + 1) / samples for _, _, samples, _ in angle_paths]
+    targets = [np.outer(a, 1.0 - t) + np.outer(b, t) for (a, b, _, _), t in zip(angle_paths, s)]
+    # The nodes of every step, ends included, as (2, samples, nodes) a path.
+    nodes = [th[:, :-1, None] * r + th[:, 1:, None] * q for th, ((r, q), _) in zip(targets, rules)]
+    theta, node_theta = (
+        np.concatenate([np.empty((2, 0)), *(v.reshape(2, -1) for v in group)], axis=1)
+        for group in (targets, nodes)
+    )
+    placed, node_lengths = (
+        np.array(explicit_lengths({"a": ("angle", a), "b": ("angle", b)}))
+        for a, b in (theta, node_theta)
+    )
+    coords, lengths, thetas = measure_structures(*placed)
+    miss = np.abs(thetas - theta).max(axis=0)
+    cuts = np.cumsum([t.size for t in s])[:-1]
+    columns = zip(*(np.split(v, cuts, axis=-1) for v in (lengths, thetas, coords, miss)))
+    node_lengths = np.split(node_lengths, np.cumsum([v[0].size for v in nodes])[:-1], axis=1)
     paths = []
-    head = len(segments)
-    for (_, _, samples, _), path_coords, path_lengths, path_thetas, path_miss in zip(
-        angle_paths, *columns
-    ):
-        steps = volumes[head:head + samples]
-        head += samples
-        paths.append(AnglePath(
-            s=np.arange(samples + 1) / samples,
-            lengths=path_lengths,
-            thetas=path_thetas,
-            coords=path_coords,
-            miss=path_miss,
-            volume=np.cumsum([0.0, *(v.value for v in steps)]),
-            volume_error=np.cumsum([0.0, *(v.error_estimate for v in steps)]),
-        ))
-    return volumes[:len(segments)], paths
+    for t, th, at_nodes, (_, weights), path in zip(s, targets, node_lengths, rules, columns):
+        # Each step by the fine and by the coarse rule.
+        at_nodes = at_nodes.reshape(2, t.size - 1, -1)
+        fine, coarse = ((at_nodes @ weights.T) * np.diff(th)[..., None]).sum(axis=0).T
+        volume, error = (np.cumsum([0.0, *steps]) for steps in (fine, np.abs(fine - coarse)))
+        paths.append(AnglePath(t, *path, volume, error))
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from pleatlab.lengthmap import (
     dl_dphi,
     explicit_lengths,
     holo_length_jacobian,
-    quadrature_rule,
+    measure_structures,
+    schlafli_volumes,
     solve_targets,
 )
 from pleatlab.moebius import complex_length, unimodular_batch
@@ -70,23 +71,27 @@ JACOBIAN_FD_TOL = 1e-6
 JACOBIAN_CORNER_TOL = 1e-4
 POSDEF_SYM_TOL = 1e-4
 # Largest angle miss of a structure placed at explicit_lengths, in posdef
-# and volume.  The closed form misses by at most 5.8e-15 in posdef over
-# --seed 0-199 (5.1e-15 over 200-399) and by 1.1e-15 on volume's angle
+# and volume.  The closed form misses by at most 4.7e-15 in posdef over
+# --seed 0-199 (4.4e-15 over 200-399) and by 1.8e-15 on volume's angle
 # paths; every placed length scaled by 1 + 1e-3 misses by 3.2e-3
 # (volume) and 2.4e-2 (posdef) at --seed 0.
 PLACEMENT_TOL = 1e-12
 VOLUME_PAIRS = 10
-# Largest direct-dogleg gap of a volume pair, a round-off bound: at
-# quadrature order 24 the worst is 1.0e-15 over --seed 0-199 and 6.7e-16
-# over 200-399 (order 16 reads 1.3e-11).
+# Quadrature order of volume's pair segments in the trace chart, and the
+# largest direct-dogleg gap of a pair, a round-off bound: at order 24 the
+# worst is 1.0e-15 over --seed 0-199 and 6.7e-16 over 200-399.
+VOLUME_PAIR_ORDER = 24
 VOLUME_PAIR_TOL = 1e-13
-# Order of the rule in the path parameter of volume's angle-space
-# integral (orders 32 and 64 agree with it to 1e-14), and the largest gap
-# between an angle path's certified volume and that integral: the paths
-# do not depend on the seed and read at most 4.9e-14 (the ray), while
-# every Schlafli volume scaled by 1.01 opens a gap of ~1e-2.
-VOLUME_ANGLE_ORDER = 16
-VOLUME_ANGLE_TOL = 1e-12
+# Order of the continuation between a pair's end angles, and the largest
+# gap between that angle-space volume and the pair's direct volume: the
+# worst is 4.7e-15 over --seed 0-199 and 5.6e-15 over 200-399 (order 16
+# reads 5.1e-15, 12 reads 1.3e-13), while every Schlafli volume scaled
+# by 1.01 opens a gap of 4.2e-3 to 2.3e-2.
+VOLUME_ANGLE_ORDER = 24
+VOLUME_ANGLE_TOL = 1e-13
+# Samples and quadrature order of volume's concavity paths and its ray.
+VOLUME_PATH_SAMPLES = 8
+VOLUME_PATH_ORDER = 16
 NEWTON_AGREEMENT_TOL = 1e-8
 # Largest relative gap between a seed's Newton lengths and the closed
 # form's (explicit_lengths) in newton.  Measured worst: 2.3e-15 over
@@ -379,15 +384,21 @@ def check_posdef(seed):
 
 
 def check_volume(seed):
-    rng = np.random.default_rng(seed)
-    segments = []
-    for _ in range(VOLUME_PAIRS):
-        x0, y0, x1, y1, xw, yw = rng.uniform(2.1, 2.55, size=6)
-        segments += [
-            ((x0, y0), (x1, y1), 24),
-            ((x0, y0), (xw, yw), 24),
-            ((xw, yw), (x1, y1), 24),
-        ]
+    # Each pair is a start, an end and a waypoint (x, y).
+    pairs = np.random.default_rng(seed).uniform(2.1, 2.55, size=(VOLUME_PAIRS, 3, 2))
+    volumes = schlafli_volumes(
+        [(p, q, VOLUME_PAIR_ORDER) for a, b, w in pairs for p, q in ((a, b), (a, w), (w, b))]
+    )
+    direct = volumes[::3]
+    worst_pair = max(
+        abs(v.value - (leg0.value + leg1.value))
+        for v, leg0, leg1 in zip(direct, volumes[1::3], volumes[2::3])
+    )
+    # Path independence cannot see a volume off by a factor; the same form
+    # integrated in angle space between the pairs' end angles, with the
+    # lengths of explicit_lengths (which certifies nothing), can.
+    _, _, thetas = measure_structures(*(2.0 * np.arccosh(pairs[:, :2].reshape(-1, 2).T / 2.0)))
+    pair_paths = [(a, b, 1, VOLUME_ANGLE_ORDER) for a, b in zip(thetas.T[::2], thetas.T[1::2])]
     ends = [
         ((1.8, 2.0), (2.6, 2.3)),
         ((1.2, 1.4), (2.2, 2.8)),
@@ -396,29 +407,17 @@ def check_volume(seed):
         ((1.5, 1.5), (2.9, 2.9)),
         ((2.0, 2.2), (math.pi, math.pi)),
     ]
-    # The concavity probes, then the ray to the cusp, integrated together
-    # with the coordinate segments.
-    pair_volumes, angle_paths = continuations([(*path, 8, 16) for path in ends], segments)
-    worst_pair = 0.0
-    for direct, leg0, leg1 in zip(pair_volumes[::3], pair_volumes[1::3], pair_volumes[2::3]):
-        dogleg = leg0.value + leg1.value
-        worst_pair = max(worst_pair, abs(direct.value - dogleg))
+    # The pair paths, the concavity probes, then the ray to the cusp.
+    angle_paths = continuations(
+        pair_paths + [(*path, VOLUME_PATH_SAMPLES, VOLUME_PATH_ORDER) for path in ends]
+    )
+    worst_angle_gap = max(abs(v.value - float(p.volume[-1])) for v, p in zip(direct, angle_paths))
     concave_ok = True
     worst_margin = -math.inf
-    for probe in map(concavity_report, angle_paths[:-1]):
+    for probe in map(concavity_report, angle_paths[VOLUME_PAIRS:-1]):
         concave_ok = concave_ok and probe["concave"]
         margin = float(np.max(probe["second_differences"] + 3.0 * probe["integration_error"]))
         worst_margin = max(worst_margin, margin)
-    # Path independence cannot see a volume off by a factor; the same form
-    # integrated in angle space, with the lengths of explicit_lengths (which
-    # certifies nothing) at the rule's nodes, can.
-    (r, s), (weights, _) = quadrature_rule(VOLUME_ANGLE_ORDER)
-    worst_angle_gap = 0.0
-    for path, (start, end) in zip(angle_paths, ends):
-        thetas = (np.outer(r, start) + np.outer(s, end)).tolist()
-        lengths = [explicit_lengths({"a": ("angle", a), "b": ("angle", b)}) for a, b in thetas]
-        angle_volume = float(weights @ np.array(lengths) @ np.subtract(end, start))
-        worst_angle_gap = max(worst_angle_gap, abs(float(path.volume[-1]) - angle_volume))
     ray = angle_paths[-1].volume
     ray_ok = bool(np.all(np.diff(ray) > 0.0))
     worst_miss = float(max(path.miss.max() for path in angle_paths))

@@ -174,7 +174,7 @@ def _reference_trace_ray():
         "s", "theta_a", "theta_b", "length_a", "length_b",
         "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
     )
-    (path,) = continuations([((2.0, 2.0), (math.pi, math.pi), 10, 16)])[1]
+    (path,) = continuations([((2.0, 2.0), (math.pi, math.pi), 10, 16)])
     x, y, z = path.coords
     columns = (
         path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag,
@@ -413,6 +413,14 @@ def test_volume_json():
     assert payload["nodes"] == 64 + 32 + 2
 
 
+def test_volume_across_a_zero_trace_exits_one():
+    """The segment crosses x = 0, where no structure is convex, although
+    no node of the order-4 rule falls in |x| < 2."""
+    result = run("volume", "--start", "-50,2.2", "--end", "50,2.2", "--nodes", "4")
+    assert result.exit_code == 1
+    assert "crosses |x| < 2 or |y| < 2" in result.output
+
+
 def test_volume_bad_nodes_exit_two():
     for nodes in ("0", "1", "-3"):
         args = ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", nodes)
@@ -522,6 +530,18 @@ def test_trace_ray_csv():
     assert abs(float(last[5]) - 2.0) < 1e-8  # x lands on the cusp
     vols = [float(r[9]) for r in rows[1:]]
     assert all(b > a for a, b in zip(vols, vols[1:]))
+
+
+def test_trace_ray_from_near_the_cusp():
+    """A start with one curve near the cusp and the other very long places
+    every sample from its angles: the rows are finite, the volume
+    increases, and the cusp row reads pi, pi with lengths 0."""
+    result = run("trace-ray", "--start", "3.14159,1e-8", "--samples", "2")
+    assert result.exit_code == 0, result.output
+    rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
+    assert rows.shape == (3, 11) and np.isfinite(rows).all()
+    assert np.all(np.diff(rows[:, 9]) > 0.0)
+    assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
 
 
 def test_trace_ray_bad_start_exits_two():

@@ -185,6 +185,47 @@ def test_explicit_lengths_beyond_float_range_raise(targets):
         lm.measure_structure(*lm.explicit_lengths(targets))
 
 
+# Per kind mix, target pairs outside the image and pairs whose lengths
+# leave the float range (for two lengths, an infinite one).
+_BAD_TARGETS = {
+    ("angle", "angle"): [((2.0, 4.0), TargetOutsideImage), ((0.0, 2.0), TargetOutsideImage),
+                         ((5e-324, 1.0), NumericalOverflow)],
+    ("angle", "length"): [((1.0, -1.0), TargetOutsideImage), ((1.0, 2000.0), NumericalOverflow)],
+    ("length", "angle"): [((-1.0, 1.0), TargetOutsideImage), ((2000.0, 1.0), NumericalOverflow)],
+    ("length", "length"): [((1.0, -1.0), TargetOutsideImage), ((math.inf, 1.0), NumericalOverflow)],
+}
+
+
+@pytest.mark.parametrize("kinds", _KINDS, ids="-".join)
+def test_explicit_lengths_arrays_match_one_element_calls(kinds):
+    """An array call gives, bit for bit, the one-element and the number
+    calls of its elements, an angle pi (length 0) among them; a row that
+    is outside the image or leaves the float range raises what its
+    one-element call raises."""
+    rng = np.random.default_rng(16)
+    values = [
+        np.append(rng.uniform(0.1, math.pi, 50), math.pi) if kind == "angle"
+        else np.append(rng.uniform(0.0, 4.0, 50), 0.0)
+        for kind in kinds
+    ]
+
+    def call(a, b):
+        return lm.explicit_lengths({"a": (kinds[0], a), "b": (kinds[1], b)})
+
+    got = call(*values)
+    for k in range(values[0].size):
+        one = call(values[0][k:k + 1], values[1][k:k + 1])
+        number = call(float(values[0][k]), float(values[1][k]))
+        assert [v[k] for v in got] == [v[0] for v in one] == list(number), k
+    if "angle" in kinds:
+        assert 0.0 in got[kinds.index("angle")]
+    for bad, error in _BAD_TARGETS[kinds]:
+        with pytest.raises(error):
+            call(*([v] for v in bad))
+        with pytest.raises(error):
+            call(*(np.insert(v, 7, w) for v, w in zip(values, bad)))
+
+
 def test_lengths_beyond_float_range_raise():
     with pytest.raises(NumericalOverflow):
         lm.measure_structure(2000.0, 1.0)
@@ -606,7 +647,7 @@ def test_dl_dphi_matches_richardson_reference(thetas):
 
 
 def _concavity(theta_start, theta_end, samples, substeps):
-    (path,) = lm.continuations([(theta_start, theta_end, samples, substeps)])[1]
+    (path,) = lm.continuations([(theta_start, theta_end, samples, substeps)])
     return lm.concavity_report(path)
 
 
@@ -637,7 +678,7 @@ def test_path_probes_reject_bad_sizes_before_solving(probe, ends, sizes, monkeyp
 def test_continuation_rows_sit_at_their_samples(start, samples):
     """Sample k sits at s = k / samples, on its target angles up to its
     miss, and the cusp sample reads exactly pi with lengths 0."""
-    (path,) = lm.continuations([(start, (math.pi, math.pi), samples, 4)])[1]
+    (path,) = lm.continuations([(start, (math.pi, math.pi), samples, 4)])
     assert path.s.tolist() == [k / samples for k in range(samples + 1)]
     target = (1 - path.s) * np.array(start)[:, None] + path.s * math.pi
     assert np.array_equal(np.abs(path.thetas - target).max(axis=0), path.miss)
@@ -729,6 +770,20 @@ def test_schlafli_volumes_name_first_bad_node_in_path_order():
         lm.schlafli_volumes([first, later])
 
 
+def test_schlafli_volumes_refuse_a_segment_across_a_zero_trace(monkeypatch):
+    """A segment whose x (or y) ends differ in sign crosses |x| < 2, even
+    where no node of its rule falls there, as at order 4 from x = -50 to
+    50; it raises before any node is placed."""
+    def no_work(*args, **kw):
+        raise AssertionError("a node was placed")
+
+    for name in ("pleating_candidates", "certify_batch"):
+        monkeypatch.setattr(lm, name, no_work)
+    for crossing in (((-50.0, 2.2), (50.0, 2.2), 4), ((2.2, 2.3), (2.4, -2.2), 5)):
+        with pytest.raises(UncertifiedPathPoint, match=r"crosses \|x\| < 2 or \|y\| < 2"):
+            lm.schlafli_volumes([((2.1, 2.1), (2.5, 2.4), 8), crossing])
+
+
 def test_quadrature_order_above_the_cap_is_refused_before_any_node(monkeypatch):
     """Order VOLUME_MAX_ORDER + 1 raises before any root, certification
     or sample placement."""
@@ -745,43 +800,74 @@ def test_quadrature_order_above_the_cap_is_refused_before_any_node(monkeypatch):
         lm.continuations([((1.8, 2.0), (2.6, 2.3), 4, too_many)])
 
 
-def test_continuation_volumes_match_per_segment_reference():
-    (path,) = lm.continuations([((1.8, 2.0), (2.6, 2.3), 4, 6)])[1]
-    volume = error = 0.0
-    for k in range(1, path.s.size):
-        start, end = (tuple(path.coords[:2, j].real) for j in (k - 1, k))
-        seg = _segment_volume(start, end, 6)
-        volume += seg.value
-        error += seg.error_estimate
-        assert (path.volume[k], path.volume_error[k]) == (volume, error)
+def _per_node_steps(start, end, samples, order):
+    """The steps of a straight angle path, the reference: one node at a
+    time in Python floats, with one-element explicit_lengths calls,
+    ``sum_k w_k (l_a dtheta_a + l_b dtheta_b)`` by the rule of ``order``,
+    and its distance to the rule of ``ceil(order / 2)``."""
+    (r, q), weights = lm.quadrature_rule(order)
+    thetas = [[(1 - k / samples) * a + k / samples * b for a, b in zip(start, end)]
+              for k in range(samples + 1)]
+    steps = []
+    for t0, t1 in zip(thetas, thetas[1:]):
+        fine = coarse = 0.0
+        for rk, qk, w_fine, w_coarse in zip(r.tolist(), q.tolist(), *weights.tolist()):
+            l_a, l_b = lm.explicit_lengths(_angles(*(rk * u + qk * v for u, v in zip(t0, t1))))
+            term = l_a * (t1[0] - t0[0]) + l_b * (t1[1] - t0[1])
+            fine, coarse = fine + w_fine * term, coarse + w_coarse * term
+        steps.append((fine, abs(fine - coarse)))
+    return steps
 
 
-def test_continuations_share_one_batch_with_coordinate_paths():
-    """Batched angle paths give the columns of separate continuations,
-    and the coordinate segments batched with them their own volumes."""
+@pytest.mark.parametrize("start,end", [((1.8, 2.0), (2.6, 2.3)), ((2.0, 2.2), (math.pi, math.pi))],
+                         ids=["interior", "ray"])
+def test_continuation_volumes_match_per_node_reference(start, end):
+    """The volumes integrated in angle space are the per-node reference's
+    sums, and match the trace-space volumes between the measured samples,
+    a separate path through certify_batch, within their own estimate."""
+    (path,) = lm.continuations([(start, end, 4, 6)])
+    values, errors = zip(*_per_node_steps(start, end, 4, 6))
+    assert np.max(np.abs(path.volume - np.cumsum([0.0, *values]))) <= 1e-14
+    assert np.max(np.abs(path.volume_error - np.cumsum([0.0, *errors]))) <= 1e-14
+    traced = [_segment_volume(*(tuple(path.coords[:2, j].real) for j in (k - 1, k)), 64).value
+              for k in range(1, path.s.size)]
+    assert np.all(np.abs(path.volume - np.cumsum([0.0, *traced])) <= path.volume_error + 1e-14)
+
+
+def test_continuations_batch_gives_the_one_path_columns():
+    """Batched angle paths give the columns of separate continuations."""
     angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5)]
-    segment = ((2.1, 2.2), (2.4, 2.3), 10)
-    volumes, paths = lm.continuations(angle_paths, [segment])
-    assert volumes == lm.schlafli_volumes([segment])
+    paths = lm.continuations(angle_paths)
     assert len(paths) == len(angle_paths)
     for got, path in zip(paths, angle_paths):
-        _assert_same_path(got, lm.continuations([path])[1][0])
-    assert lm.continuations([]) == ([], [])
+        _assert_same_path(got, lm.continuations([path])[0])
+    assert lm.continuations([]) == []
 
 
 def test_continuations_measure_every_sample_in_one_batch(monkeypatch):
     """One continuations call measures the samples of all its angle paths
     with one measure_structures call; only the two cusp samples leave the
-    batch for the scalar measure_structure."""
-    batches, scalar = [], []
-    batch, single = lm.measure_structures, lm.measure_structure
+    batch for the scalar measure_structure.  The quadrature nodes take
+    their lengths from one explicit_lengths call, and nothing is
+    certified."""
+    batches, scalar, placed = [], [], []
+    batch, single, place = lm.measure_structures, lm.measure_structure, lm.explicit_lengths
     monkeypatch.setattr(lm, "measure_structures", lambda *a: batches.append(len(a[0])) or batch(*a))
     monkeypatch.setattr(lm, "measure_structure", lambda *a: scalar.append(a) or single(*a))
+    monkeypatch.setattr(lm, "explicit_lengths", lambda t: placed.append(t["a"][1].size) or place(t))
+
+    def no_certification(*args, **kw):
+        raise AssertionError("continuations certified a node")
+
+    for name in ("certify_batch", "pleating_candidates"):
+        monkeypatch.setattr(lm, name, no_certification)
     angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5),
                    ((0.5, 2.9), (math.pi, math.pi), 7, 5)]
     lm.continuations(angle_paths)
     assert batches == [5 + 4 + 8]
     assert scalar == [(0.0, 0.0), (0.0, 0.0)]
+    # A step of order n has n + ceil(n / 2) + 2 nodes, ends included.
+    assert placed == [5 + 4 + 8, 4 * (6 + 3 + 2) + 3 * (5 + 3 + 2) + 7 * (5 + 3 + 2)]
 
 
 def _dl_dphi_point(rep, k):
@@ -922,7 +1008,7 @@ def test_coordinate_segment_matches_scalar_roots(monkeypatch):
 
 
 def test_ray_to_cusp_monotone_and_lands():
-    (path,) = lm.continuations([((2.0, 2.2), (math.pi, math.pi), 6, 8)])[1]
+    (path,) = lm.continuations([((2.0, 2.2), (math.pi, math.pi), 6, 8)])
     assert np.all(np.diff(path.volume) > 0.0)
     x, _, z = path.coords[:, -1]
     assert abs(x - 2.0) < 1e-8

@@ -250,52 +250,48 @@ def test_check_grid_applies_its_planarity_tol(monkeypatch):
     assert failing["details"]["failures"] == 0
 
 
-def _angle_space_volume(start, end):
-    """``int sum_i l_i dtheta_i`` along the straight angle path, summed
-    one node at a time over the rule of suite.VOLUME_ANGLE_ORDER with the
-    lengths of explicit_lengths."""
-    (r, s), (weights, _) = lengthmap.quadrature_rule(suite.VOLUME_ANGLE_ORDER)
-    total = 0.0
-    for rk, sk, w in zip(r.tolist(), s.tolist(), weights.tolist()):
-        theta_a, theta_b = (rk * a + sk * b for a, b in zip(start, end))
-        l_a, l_b = lengthmap.explicit_lengths({"a": ("angle", theta_a), "b": ("angle", theta_b)})
-        total += w * (l_a * (end[0] - start[0]) + l_b * (end[1] - start[1]))
-    return total
-
-
 @pytest.mark.parametrize("seed_offset", [0, 58, 171])
 def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
-    """The angle paths check_volume integrates with its coordinate
-    segments are, bit for bit, those of one continuations call per path,
-    and so are its margin, ray gain, angle-space gap and placement
-    miss."""
+    """check_volume's one continuations call takes, per pair, the path
+    between the angles measured at the pair's ends, then the concavity
+    probes and the ray; its paths are, bit for bit, those of one call per
+    path, and so are its margin, ray gain, angle-space gap (against the
+    pairs' direct volumes, one segment at a time) and placement miss."""
     batched = []
 
-    def recording_continuations(*args):
-        volumes, paths = lengthmap.continuations(*args)
-        batched.extend(paths)
-        return volumes, paths
+    def recording_continuations(angle_paths):
+        batched.append((angle_paths, lengthmap.continuations(angle_paths)))
+        return batched[-1][1]
 
     monkeypatch.setattr(suite, "continuations", recording_continuations)
-    details = suite.check_volume(suite.SEEDS["volume"] + seed_offset)["details"]
+    seed = suite.SEEDS["volume"] + seed_offset
+    details = suite.check_volume(seed)["details"]
+    rng = np.random.default_rng(seed)
+    pairs = [rng.uniform(2.1, 2.55, size=6).reshape(3, 2)[:2] for _ in range(suite.VOLUME_PAIRS)]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
-              ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9))]
-    starts.append(((2.0, 2.2), (np.pi, np.pi)))
-    separate = [lengthmap.continuations([(*ends, 8, 16)])[1][0] for ends in starts]
-    ray = separate[-1]
-    assert len(batched) == len(separate)
-    for got, want in zip(batched, separate):
+              ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9)), ((2.0, 2.2), (np.pi, np.pi))]
+    ((angle_paths, paths),) = batched
+    assert angle_paths[suite.VOLUME_PAIRS:] == [(*ends, 8, 16) for ends in starts]
+    for (*angles, samples, order), ends in zip(angle_paths, pairs):
+        assert (samples, order) == (1, suite.VOLUME_ANGLE_ORDER)
+        for theta, (x, y) in zip(angles, ends.tolist()):
+            _, _, measured = lengthmap.measure_structure(*(2 * math.acosh(v / 2) for v in (x, y)))
+            assert np.max(np.abs(np.subtract(theta, measured))) <= 1e-13
+    separate = [lengthmap.continuations([path])[0] for path in angle_paths]
+    for got, want in zip(paths, separate):
         for field in dataclasses.fields(lengthmap.AnglePath):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
-    probes = [lengthmap.concavity_report(path) for path in separate[:-1]]
+    probes = [lengthmap.concavity_report(path) for path in separate[suite.VOLUME_PAIRS:-1]]
     assert details["worst_second_difference_margin"] == max(
         v + 3.0 * p["integration_error"] for p in probes for v in p["second_differences"].tolist()
     )
     assert details["concave"] and all(p["concave"] for p in probes)
+    ray = separate[-1]
     assert details["ray_volume_gain"] == ray.volume[-1] - ray.volume[0]
-    gaps = [abs(float(path.volume[-1]) - _angle_space_volume(*ends))
-            for path, ends in zip(separate, starts)]
-    assert abs(details["worst_angle_space_gap"] - max(gaps)) <= 1e-14
+    direct = [lengthmap.schlafli_volumes([(*ends, suite.VOLUME_PAIR_ORDER)])[0] for ends in pairs]
+    assert details["worst_angle_space_gap"] == max(
+        abs(v.value - path.volume[-1]) for v, path in zip(direct, separate)
+    )
     assert details["worst_placement_miss"] == max(path.miss.max() for path in separate)
 
 
@@ -316,14 +312,15 @@ def test_scaled_placements_fail_posdef_and_volume(monkeypatch):
 
 def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
     """Every Schlafli volume scaled by 1.01 keeps path independence,
-    concavity and the monotone ray, but misses the angle-space integral
-    of explicit_lengths, and volume fails."""
+    concavity and the monotone ray, but the pairs miss the angle-space
+    integral of explicit_lengths between their end angles, and volume
+    fails."""
     volumes = lengthmap.schlafli_volumes
 
     def scaled(segments):
         return [dataclasses.replace(v, value=1.01 * v.value) for v in volumes(segments)]
 
-    monkeypatch.setattr(lengthmap, "schlafli_volumes", scaled)
+    monkeypatch.setattr(suite, "schlafli_volumes", scaled)
     (record,) = suite.run_suite(["volume"])
     details = record["details"]
     assert not record["passed"]
@@ -332,11 +329,11 @@ def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
     assert details["worst_angle_space_gap"] > 1e-3 > details["angle_space_tol"]
 
 
-def test_check_volume_certifies_in_five_batches(monkeypatch):
-    """Coordinate segments, concavity segments and ray segments (2,388
-    nodes) share one schlafli_volumes call: at most five certify_batch
-    runs of at most VOLUME_BATCH_NODES nodes.  A segment of order n
-    certifies n + ceil(n / 2) + 2 nodes."""
+def test_check_volume_certifies_in_two_batches(monkeypatch):
+    """Only the pair segments are certified (1,140 nodes), in two
+    certify_batch runs of at most VOLUME_BATCH_NODES nodes; a segment of
+    order n certifies n + ceil(n / 2) + 2 nodes.  The angle paths certify
+    nothing."""
     sizes = []
 
     def counting_batch(x, y, z, **kw):
@@ -345,8 +342,8 @@ def test_check_volume_certifies_in_five_batches(monkeypatch):
 
     monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
     assert suite.check_volume(suite.SEEDS["volume"])["passed"]
-    assert sum(sizes) == 10 * 3 * (24 + 12 + 2) + 6 * 8 * (16 + 8 + 2) == 2388
-    assert len(sizes) <= 5
+    assert sum(sizes) == 10 * 3 * (24 + 12 + 2) == 1140
+    assert len(sizes) == 2
     assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
 
 
