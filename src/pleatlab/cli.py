@@ -366,7 +366,7 @@ class _Group(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat key=value config file.")
 @click.option("--seed", type=int, default=None,
-              help="Offset for randomized sampling in verify-suite.")
+              help="Offset (at least 0) for randomized sampling in verify-suite.")
 @click.option("--force", is_flag=True, default=None,
               help="Allow grids outside the tested safe region.")
 @click.pass_context
@@ -563,6 +563,10 @@ def verify_suite_cmd(ctx, filters, out):
     if names is None and "filter" in ctx.obj["config"]:
         names = [n.strip() for n in ctx.obj["config"]["filter"].split(",") if n.strip()]
     seed_offset = _resolve(ctx, "seed", ctx.obj["seed"], default=0, cast=int)
+    if seed_offset < 0:
+        # A criterion's seed is its base seed plus the offset, and numpy
+        # seeds only non-negative integers.
+        raise click.UsageError(f"the seed offset must be at least 0, got {seed_offset}")
     try:
         records = suite_mod.run_suite(names, seed_offset=seed_offset)
     except KeyError as exc:

@@ -1,0 +1,106 @@
+"""High-precision references for the tests, in mpmath at DIGITS digits with float
+inputs read as exact binary numbers: the tests' one mpmath import (``src`` has none)."""
+
+import mpmath
+
+DIGITS = 60
+
+
+def number(text):
+    """The decimal ``text`` to DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.mpf(text)
+
+
+def marked_pair(u, v, built):
+    """The marked normal form ``{"a": (a, b, c, d), "b": ...}`` over the traces
+    or (``built="lengths"``) the lengths ``u, v``, exactly on the cusped locus."""
+    with mpmath.workdps(DIGITS):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        x, y, big_x, big_y = u, v, u * u - 4, v * v - 4
+        if built == "lengths":
+            x, y = 2 * mpmath.cosh(u / 2), 2 * mpmath.cosh(v / 2)
+            big_x, big_y = 4 * mpmath.sinh(u / 2) ** 2, 4 * mpmath.sinh(v / 2) ** 2
+        w = mpmath.sqrt(mpmath.mpc(big_x * big_y - 16))
+        r = big_y / (2 * (w + 4j))
+        return dict(a=(x / 2, big_x / 2, 0.5, x / 2), b=(y / 2, w - big_x * r, r, y / 2))
+
+
+def fixed_points(m):
+    """The roots z of ``c z^2 + (d - a) z - b`` of ``m = (a, b, c, d)``, each
+    as ``(z, |c z + d|)``, attracting (larger ``|c z + d|``) first."""
+    with mpmath.workdps(DIGITS):
+        a, b, c, d = (mpmath.mpc(v) for v in m)
+        r = mpmath.sqrt((a - d) ** 2 + 4 * b * c)
+        roots = [(z, abs(c * z + d)) for z in ((a - d + r) / (2 * c), (a - d - r) / (2 * c))]
+        return sorted(roots, key=lambda root: -root[1])
+
+
+def _apply(m, z):
+    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+
+def roof_angle(pair, curve):
+    """``bending_angle``'s roof for ``curve`` of a :func:`marked_pair`."""
+    with mpmath.workdps(DIGITS):
+        gen, other = pair[curve], pair["b" if curve == "a" else "a"]
+        g, o = (mpmath.matrix([m[:2], m[2:]]) for m in (gen, other))
+        cusp = g * o * g**-1 * o**-1
+        vertex = (cusp[0, 0] - cusp[1, 1]) / (2 * cusp[1, 0])
+        (att, _), (rep, _) = fixed_points(gen)
+        h, turn = mpmath.matrix([[1, -rep], [1, -att]]), 2 * mpmath.pi
+        phi1 = mpmath.arg(_apply(h, vertex))
+        delta2 = (mpmath.arg(_apply(h, _apply(o**-1, vertex))) - phi1) % turn
+        for probe, _ in fixed_points(other):
+            delta_t = (mpmath.arg(_apply(h, probe)) - phi1) % turn
+            if delta_t not in (0, delta2):
+                return mpmath.pi - (delta2 if 0 < delta_t < delta2 else turn - delta2)
+
+
+def closed_form_angle(l_a, l_b):
+    """Curve a's angle by ``cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2)``, as an atan2."""
+    with mpmath.workdps(DIGITS):
+        half_a, half_b = mpmath.mpf(l_a) / 2, mpmath.mpf(l_b) / 2
+        p, q = mpmath.sinh(half_a) * mpmath.sinh(half_b), mpmath.sinh(half_a) * mpmath.cosh(half_b)
+        return 2 * mpmath.atan2(mpmath.sqrt((1 - p) * (1 + p)), q)
+
+
+def explicit_lengths(theta_a, theta_b):
+    """The lengths by ``sinh(l_a / 2) = sin(theta_b / 2) cot(theta_a / 2)`` and its mirror."""
+    with mpmath.workdps(DIGITS):
+        half = mpmath.mpf(theta_a) / 2, mpmath.mpf(theta_b) / 2
+        return tuple(2 * mpmath.asinh(mpmath.sin(q) * mpmath.cot(p)) for p, q in (half, half[::-1]))
+
+
+def trace_path_volume(start, end):
+    """``int sum_i l_i dtheta_i`` along the trace segment from ``start`` to ``end``, with the
+    closed-form angles differentiated in closed form, by tanh-sinh quadrature."""
+    with mpmath.workdps(DIGITS):
+        (x0, y0), (x1, y1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
+
+        def integrand(s):
+            traces, rates, total = (x0 + s * (x1 - x0), y0 + s * (y1 - y0)), (x1 - x0, y1 - y0), 0
+            for (u, v), (du, dv) in ((traces, rates), (traces[::-1], rates[::-1])):
+                half, other = mpmath.acosh(u / 2), mpmath.acosh(v / 2)
+                c = mpmath.tanh(half) * mpmath.cosh(other)
+                dc = mpmath.sech(half) ** 2 * du / mpmath.sqrt(u * u - 4) * mpmath.cosh(other)
+                if dv != 0:
+                    dc += mpmath.tanh(half) * mpmath.sinh(other) * dv / mpmath.sqrt(v * v - 4)
+                total += 2 * half * -2 * dc / mpmath.sqrt(1 - c * c)
+            return total
+
+        return mpmath.quad(integrand, [0, 1])
+
+
+def angle_path_volume(start, end):
+    """``int sum_i l_i dtheta_i`` along the straight angle path from ``start``
+    to ``end``, with the lengths of :func:`explicit_lengths`, by tanh-sinh
+    quadrature."""
+    with mpmath.workdps(DIGITS):
+        (a0, b0), (a1, b1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
+
+        def integrand(s):
+            l_a, l_b = explicit_lengths(a0 + s * (a1 - a0), b0 + s * (b1 - b0))
+            return l_a * (a1 - a0) + l_b * (b1 - b0)
+
+        return mpmath.quad(integrand, [0, 1])

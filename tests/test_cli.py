@@ -544,6 +544,31 @@ def test_trace_ray_from_near_the_cusp():
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "start,samples",
+    [("3.141592653589793,2.0", "2"), ("3.1415926535897,3.1415926535897", "3")],
+)
+def test_trace_ray_from_an_edge_start(start, samples):
+    """A start on or next to the angle pi, where a(1 - s) + b s rounds
+    samples and nodes past pi, walks the ray: the rows are finite, the
+    volume increases, and the cusp row reads pi, pi with lengths 0."""
+    result = run("trace-ray", "--start", start, "--samples", samples)
+    assert result.exit_code == 0, result.output
+    rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
+    assert rows.shape == (int(samples) + 1, 11) and np.isfinite(rows).all()
+    assert np.all(np.diff(rows[:, 9]) > 0.0)
+    assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
+
+
+def test_trace_ray_of_zero_length_exits_one():
+    """From the cusp itself the ray has no length and the volume does not
+    increase: the rows are written, and the exit status is 1."""
+    result = run("trace-ray", "--start", f"{math.pi!r},{math.pi!r}", "--samples", "1")
+    assert result.exit_code == 1
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert len(rows) == 3 and [float(v) for v in rows[-1][9:]] == [0.0, 0.0]
+
+
 def test_trace_ray_bad_start_exits_two():
     assert run("trace-ray", "--start", "4.0,2.0").exit_code == 2
     assert run("trace-ray", "--start", "1.0").exit_code == 2
@@ -577,6 +602,24 @@ def test_verify_suite_filter_and_format():
 
 def test_verify_suite_unknown_filter_exits_two():
     assert run("verify-suite", "--filter", "nonsense").exit_code == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_offset_exits_two(source, tmp_path, monkeypatch):
+    """A negative offset would give a criterion a negative numpy seed; it
+    is a usage error, from the flag or the config file, before any
+    criterion runs."""
+    def no_suite(*args, **kw):
+        raise AssertionError("verify-suite ran with a negative seed offset")
+
+    monkeypatch.setattr(cli.suite_mod, "run_suite", no_suite)
+    config = tmp_path / "neg.cfg"
+    config.write_text("seed = -2\n")
+    args = ("--seed", "-2") if source == "flag" else ("--config", str(config))
+    result = run(*args, "verify-suite")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "the seed offset must be at least 0, got -2" in result.output
 
 
 def test_verify_suite_json_out(tmp_path):

@@ -9,9 +9,9 @@ the magnitude given by the closed form; the cusp solve must land on
 import dataclasses
 import math
 import re
+import tracemalloc
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,13 +30,16 @@ from pleatlab import lengthmap as lm
 from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.suite import run_suite
 
+import oracle
+
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 LENGTH_TRACE_3 = 1.9248473002384139  # 2*arccosh(1.5)
 DET_ABS_22 = 18.622883541042167
 DLDPHI_EIGS_21_23 = (0.4043158213445197, 0.618328607660773)
 VOLUME_21_TO_2524 = -1.8273764510572349
 # The Schlafli volumes from (2.1, 2.1) to (2.5, 2.4) and from the cusp end
-# (2.0, 2.2) to (2.6, 2.3), by _volume_oracle at 50 digits.
+# (2.0, 2.2) to (2.6, 2.3), to 50 digits: oracle.trace_path_volume matches
+# them to 1e-45.
 VOLUME_ORACLE = {
     ((2.1, 2.1), (2.5, 2.4)): "-1.8273764510572349263139372939322333811978838572721",
     ((2.0, 2.2), (2.6, 2.3)): "-1.7795371946912267555424747818151308614418570027957",
@@ -233,13 +236,6 @@ def test_lengths_beyond_float_range_raise():
         lm.solve_targets({"a": ("length", 2000.0), "b": ("length", 1.0)})
 
 
-def _mp_angle(length, other):
-    """``2 acos(tanh(length/2) cosh(other/2))`` at 50 digits."""
-    with mpmath.workdps(50):
-        u, v = mpmath.mpf(length), mpmath.mpf(other)
-        return float(2 * mpmath.acos(mpmath.tanh(u / 2) * mpmath.cosh(v / 2)))
-
-
 # The gradient's agreement with a central difference of measured angles,
 # relative to max(1, |gradient|): the measured angle is good to ~1e-14
 # (worse next to a long curve), which a step of up to 1e-6 turns into
@@ -285,7 +281,7 @@ SWITCH = lm.CLOSED_FORM_LENGTH
 def test_measure_structure_at_tiny_lengths(length, monkeypatch):
     """Below CLOSED_FORM_LENGTH a curve's angle comes from the closed
     form, where the roof raised ZeroMultiplier or CoincidentPoints; at
-    and above it the roof measures it.  Both sides match a 50-digit
+    and above it the roof measures it.  Both sides match the closed-form
     oracle to 1e-14, in either slot and with both curves tiny."""
     measured = []
 
@@ -299,8 +295,8 @@ def test_measure_structure_at_tiny_lengths(length, monkeypatch):
         measured.clear()
         _, _, thetas = lm.measure_structure(*lengths)
         assert measured == [c for c, l in zip("ab", lengths) if l >= SWITCH]
-        assert abs(thetas[0] - _mp_angle(*lengths)) <= 1e-14
-        assert abs(thetas[1] - _mp_angle(*lengths[::-1])) <= 1e-14
+        assert abs(thetas[0] - oracle.closed_form_angle(*lengths)) <= 1e-14
+        assert abs(thetas[1] - oracle.closed_form_angle(*lengths[::-1])) <= 1e-14
     assert measured == (["a", "b"] if roof else [])
 
 
@@ -367,7 +363,7 @@ def test_measure_structures_measure_in_one_pass(monkeypatch):
 def test_solve_reaches_a_tiny_length_target():
     res = lm.solve_targets({"a": ("length", 3e-15), "b": ("angle", 2.0)})
     assert res.lengths[0] == 3e-15 and res.thetas[1] == 2.0
-    assert abs(res.thetas[0] - _mp_angle(*res.lengths)) <= 1e-14
+    assert abs(res.thetas[0] - oracle.closed_form_angle(*res.lengths)) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -834,10 +830,19 @@ def test_continuation_volumes_match_per_node_reference(start, end):
     assert np.all(np.abs(path.volume - np.cumsum([0.0, *traced])) <= path.volume_error + 1e-14)
 
 
-def test_continuations_batch_gives_the_one_path_columns():
-    """Batched angle paths give the columns of separate continuations."""
-    angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5)]
+def test_continuations_batch_gives_the_one_path_columns(monkeypatch):
+    """Batched angle paths give the columns of separate continuations,
+    also when a long path's steps are split over several runs, each
+    placing at most ANGLE_BATCH_NODES nodes."""
+    angle_paths = [((1.8, 2.0), (2.6, 2.3), 4, 6), ((2.0, 2.2), (math.pi, math.pi), 3, 5),
+                   ((1.0, 1.2), (math.pi, math.pi), 400, 16)]
+    placed, place = [], lm.explicit_lengths
+    monkeypatch.setattr(lm, "explicit_lengths", lambda t: placed.append(t["a"][1].size) or place(t))
     paths = lm.continuations(angle_paths)
+    # The samples, then the nodes: n + ceil(n / 2) + 2 a step of order n.
+    assert placed[0] == 5 + 4 + 401
+    assert sum(placed[1:]) == 4 * 11 + 3 * 10 + 400 * 26
+    assert len(placed) > 3 and max(placed[1:]) <= lm.ANGLE_BATCH_NODES
     assert len(paths) == len(angle_paths)
     for got, path in zip(paths, angle_paths):
         _assert_same_path(got, lm.continuations([path])[0])
@@ -868,6 +873,56 @@ def test_continuations_measure_every_sample_in_one_batch(monkeypatch):
     assert scalar == [(0.0, 0.0), (0.0, 0.0)]
     # A step of order n has n + ceil(n / 2) + 2 nodes, ends included.
     assert placed == [5 + 4 + 8, 4 * (6 + 3 + 2) + 3 * (5 + 3 + 2) + 7 * (5 + 3 + 2)]
+
+
+def test_continuations_peak_memory_grows_with_samples_not_order():
+    """1,000 samples of order 512, 770 nodes a step, place their nodes a
+    run at a time: the tracemalloc peak stays below 10 MB, where holding
+    every step's nodes at once peaked at 74 MB.  The memoized rule is
+    built first, outside the trace."""
+    lm.quadrature_rule(512)
+    tracemalloc.start()
+    try:
+        lm.continuations([((2.0, 2.2), (math.pi, math.pi), 1000, 512)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [((2.0, 2.2), (math.pi, math.pi)), ((1.8, 2.0), (2.6, 2.3)), ((math.pi, 2.0), (math.pi, math.pi))],
+    ids=["ray", "interior", "edge-start"],
+)
+def test_continuations_match_the_angle_path_oracle(ends):
+    """At 8 samples of order 16 and of order 32 the volume integrated in
+    angle space lands within 1e-14 of the oracle's integral of the same
+    form, with closed-form lengths (measured: at most 1.4e-15).  The edge
+    start keeps curve a at the angle pi, where interpolated nodes could
+    round past it."""
+    volume = oracle.angle_path_volume(*ends)
+    for order in (16, 32):
+        (path,) = lm.continuations([(*ends, 8, order)])
+        assert abs(path.volume[-1] - volume) <= 1e-14
+
+
+def test_continuations_refuse_an_end_beyond_pi():
+    """The clamp at pi mends rounding between a path's ends; an end
+    outside (0, pi] is refused as it is."""
+    with pytest.raises(TargetOutsideImage, match="^bending-angle target 4.0 outside"):
+        lm.continuations([((4.0, 2.0), (math.pi, math.pi), 4, 6)])
+
+
+@pytest.mark.parametrize(
+    "targets,message",
+    [({"a": ("angle", [1.0, 4.0, 5.0]), "b": ("angle", 2.0)}, "bending-angle target 4.0 outside"),
+     ({"a": ("length", 1.0), "b": ("angle", [2.0, 0.0, -1.0])}, "bending-angle target 0.0 outside"),
+     ({"a": ("length", [1.0, -2.0, -3.0]), "b": ("angle", 2.0)}, "length target -2.0 is negative")],
+)
+def test_targets_outside_the_image_name_the_first_value(targets, message):
+    with pytest.raises(TargetOutsideImage, match=f"^{message}"):
+        lm.explicit_lengths(targets)
 
 
 def _dl_dphi_point(rep, k):
@@ -950,39 +1005,14 @@ def test_schlafli_volume_matches_per_node_certify(ends, nodes):
     assert abs(res.error_estimate - error) <= 1e-12
 
 
-def _volume_oracle(start, end):
-    """``int sum_i l_i dtheta_i`` along the segment at 50 digits, with
-    ``cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2)`` and its mirror
-    differentiated in closed form, by mpmath's tanh-sinh quadrature."""
-    with mpmath.workdps(50):
-        (x0, y0), (x1, y1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
-
-        def integrand(s):
-            traces = (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
-            rates = (x1 - x0, y1 - y0)
-            total = 0
-            for i in range(2):
-                u, v, du, dv = traces[i], traces[1 - i], rates[i], rates[1 - i]
-                half, other = mpmath.acosh(u / 2), mpmath.acosh(v / 2)
-                c = mpmath.tanh(half) * mpmath.cosh(other)
-                dc = mpmath.sech(half) ** 2 * du / mpmath.sqrt(u * u - 4) * mpmath.cosh(other)
-                if dv != 0:
-                    dc += mpmath.tanh(half) * mpmath.sinh(other) * dv / mpmath.sqrt(v * v - 4)
-                total += 2 * half * -2 * dc / mpmath.sqrt(1 - c * c)
-            return total
-
-        return mpmath.quad(integrand, [0, 1])
-
-
 @pytest.mark.parametrize("ends", list(VOLUME_ORACLE), ids=["interior", "cusp-start"])
 def test_schlafli_volumes_match_the_50_digit_oracle(ends):
     """The oracle reproduces its pinned digits, and the double-precision
     quadrature at orders 32 and 128 lands on it to round-off."""
-    oracle = _volume_oracle(*ends)
-    with mpmath.workdps(50):
-        assert abs(oracle - mpmath.mpf(VOLUME_ORACLE[ends])) < mpmath.mpf(10) ** -45
+    volume = oracle.trace_path_volume(*ends)
+    assert abs(volume - oracle.number(VOLUME_ORACLE[ends])) < 1e-45
     for order in (32, 128):
-        assert abs(_segment_volume(*ends, order).value - float(oracle)) < 1e-13
+        assert abs(_segment_volume(*ends, order).value - volume) < 1e-13
 
 
 def test_coordinate_segment_matches_scalar_roots(monkeypatch):

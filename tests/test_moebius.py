@@ -9,7 +9,6 @@ length, and textbook circles and reflections.
 import cmath
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,8 @@ from pleatlab.moebius import (
     rotation_about_axis,
     unimodular,
 )
+
+import oracle
 
 # 2*log(2): translation length of diag(2, 1/2)
 LENGTH_DIAG_2 = 1.3862943611198906
@@ -117,15 +118,6 @@ def test_fixed_points_equal_diagonal_near_parabolic():
     assert abs(att) > 1e-7
 
 
-def _oracle_fixed_points(m):
-    """The roots of c z^2 + (d - a) z - b at 50 digits, with |c z + d|."""
-    with mpmath.workdps(50):
-        a, b, c, d = (mpmath.mpc(v) for v in m)
-        r = mpmath.sqrt((a - d) ** 2 + 4 * b * c)
-        roots = [(a - d + r) / (2 * c), (a - d - r) / (2 * c)]
-        return [(z, abs(c * z + d)) for z in roots]
-
-
 def _log_uniform_entry(rng):
     return 10.0 ** rng.uniform(-4.0, 4.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
 
@@ -133,7 +125,8 @@ def _log_uniform_entry(rng):
 def test_fixed_points_match_a_50_digit_oracle():
     """Unimodular maps with entries of modulus 1e-4 to 1e4, one in four
     with equal diagonal entries: each point within 1e-15 relative of the
-    oracle's, attracting first wherever the oracle's |c z + d| differ."""
+    oracle's (at oracle.DIGITS >= 50 digits), attracting first wherever
+    the oracle's |c z + d| differ."""
     rng = np.random.default_rng(16)
     for i in range(2000):
         if i % 4 == 0:
@@ -142,13 +135,13 @@ def test_fixed_points_match_a_50_digit_oracle():
             m = (a, b, c, a)
         else:
             m = unimodular(tuple(_log_uniform_entry(rng) for _ in range(4)))
-        oracle = _oracle_fixed_points(m)
+        expected = oracle.fixed_points(m)
         fp = fixed_points(m)
         matched = []
         for z in fp:
-            errors = [abs(mpmath.mpc(z) - w) / abs(w) for w, _ in oracle]
+            errors = [abs(z - w) / abs(w) for w, _ in expected]
             assert min(errors) <= 1e-15, (m, fp)
-            matched.append(oracle[errors.index(min(errors))][1])
+            matched.append(expected[errors.index(min(errors))][1])
         if abs(matched[0] - matched[1]) > 1e-10 * (matched[0] + matched[1]):
             assert matched[0] > matched[1], (m, fp)
 

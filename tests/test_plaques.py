@@ -10,7 +10,6 @@ import math
 from collections import Counter
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +31,8 @@ from pleatlab.plaques import (
     plaque_circle,
     quakebend,
 )
+
+import oracle
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 THETA_22 = 2.189525017467147
@@ -178,52 +179,6 @@ def test_bending_angle_golden(x, y, theta_a, theta_b):
     assert abs(bending_angle(pair, "b") - theta_b) <= 1e-15
 
 
-# The roof of bending_angle at 60 digits, on the marked normal form built
-# exactly from X = x^2 - 4 and Y = y^2 - 4 (so exactly on the cusped locus).
-def _mp_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mp_inv(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def _mp_apply(m, z):
-    a, b, c, d = m
-    return (a * z + b) / (c * z + d)
-
-
-def _mp_balanced(m):
-    a, b, c, d = m
-    s = mpmath.sqrt(b * c)
-    plus, minus = s / c, -s / c
-    return (minus, plus) if abs(c * minus + d) > abs(c * plus + d) else (plus, minus)
-
-
-def _mp_pair(x, y, big_x, big_y):
-    w = mpmath.sqrt(mpmath.mpc(big_x * big_y - 16))
-    r = big_y / (2 * (w + mpmath.mpc(0, 4)))
-    return {"a": (x / 2, big_x / 2, mpmath.mpf(0.5), x / 2), "b": (y / 2, w - big_x * r, r, y / 2)}
-
-
-def _mp_angle(gens, curve):
-    gen, other = gens[curve], gens["b" if curve == "a" else "a"]
-    cusp = _mp_mul(_mp_mul(gen, other), _mp_mul(_mp_inv(gen), _mp_inv(other)))
-    vertex = (cusp[0] - cusp[3]) / (2 * cusp[2])
-    att, rep = _mp_balanced(gen)
-    h = (1, -rep, 1, -att)
-    phi1 = mpmath.arg(_mp_apply(h, vertex))
-    turn = 2 * mpmath.pi
-    delta2 = (mpmath.arg(_mp_apply(h, _mp_apply(_mp_inv(other), vertex))) - phi1) % turn
-    for probe in _mp_balanced(other):
-        delta_t = (mpmath.arg(_mp_apply(h, probe)) - phi1) % turn
-        if delta_t not in (0, delta2):
-            return mpmath.pi - (delta2 if 0 < delta_t < delta2 else turn - delta2)
-
-
 ORACLE_TRACES = [(x, y) for x, y, _, _ in BENDING_ANGLE_GOLDEN[:-1]]
 ORACLE_LENGTHS = [(10.0**-k, 5.46) for k in range(4, 13)] + [(0.5, 1e-7)]
 
@@ -235,34 +190,22 @@ ORACLE_LENGTHS = [(10.0**-k, 5.46) for k in range(4, 13)] + [(0.5, 1e-7)]
 def test_bending_angle_matches_a_60_digit_oracle(point, built):
     """Both angles lie within 5e-15 of the roof evaluated at 60 digits,
     at the bent golden points and near the cusp, where the angle is
-    pi - 7.7 l_a and a parabolic snap would be off by that much."""
-    with mpmath.workdps(60):
-        u, v = (mpmath.mpf(c) for c in point)
-        if built == "traces":
-            pair = matrices_from_traces(coords(*point, pleating_candidates(*point)[0]))
-            gens = _mp_pair(u, v, u * u - 4, v * v - 4)
-        else:
-            pair = pair_from_lengths(*point)
-            gens = _mp_pair(
-                2 * mpmath.cosh(u / 2), 2 * mpmath.cosh(v / 2),
-                4 * mpmath.sinh(u / 2) ** 2, 4 * mpmath.sinh(v / 2) ** 2,
-            )
-        for curve in ("a", "b"):
-            assert abs(bending_angle(pair, curve) - _mp_angle(gens, curve)) <= 5e-15
-
-
-def _closed_form_angle(l_a, l_b, lib):
-    """The a-curve's bending angle on the marked cusped locus in closed
-    form: cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2), written with
-    P = sinh(l_a / 2) sinh(l_b / 2) as an atan2 that stays accurate near
-    0 and pi."""
-    p = lib.sinh(l_a / 2) * lib.sinh(l_b / 2)
-    return 2 * lib.atan2(lib.sqrt((1 - p) * (1 + p)), lib.sinh(l_a / 2) * lib.cosh(l_b / 2))
+    pi - 7.7 l_a and a parabolic snap would be off by that much.  The
+    oracle's pair is built exactly on the cusped locus, from the traces
+    or from the lengths."""
+    if built == "traces":
+        pair = matrices_from_traces(coords(*point, pleating_candidates(*point)[0]))
+    else:
+        pair = pair_from_lengths(*point)
+    gens = oracle.marked_pair(*point, built)
+    for curve in ("a", "b"):
+        assert abs(bending_angle(pair, curve) - oracle.roof_angle(gens, curve)) <= 5e-15
 
 
 def test_bending_angle_matches_the_closed_form():
     """On a seeded grid of lengths (P < 0.999, where the closed form is
-    well-conditioned) both angles of the closed-form pair match it."""
+    well-conditioned) both angles of the closed-form pair match it,
+    evaluated by the oracle."""
     rng = np.random.default_rng(14)
     lengths = rng.uniform(0.0, 4.0, size=(4000, 2))
     lengths = lengths[np.sinh(lengths[:, 0] / 2) * np.sinh(lengths[:, 1] / 2) < 0.999]
@@ -272,8 +215,8 @@ def test_bending_angle_matches_the_closed_form():
         pair = pair_from_lengths(l_a, l_b)
         worst = max(
             worst,
-            abs(bending_angle(pair, "a") - _closed_form_angle(l_a, l_b, math)),
-            abs(bending_angle(pair, "b") - _closed_form_angle(l_b, l_a, math)),
+            abs(bending_angle(pair, "a") - oracle.closed_form_angle(l_a, l_b)),
+            abs(bending_angle(pair, "b") - oracle.closed_form_angle(l_b, l_a)),
         )
     assert worst <= 2e-14
 
@@ -282,14 +225,9 @@ def test_bending_angle_matches_the_closed_form():
     "point", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.7), (1e-6, 5.46), (1.7, 1.1), (0.5, 1e-7)]
 )
 def test_closed_form_angle_matches_the_60_digit_roof(point):
-    with mpmath.workdps(60):
-        u, v = (mpmath.mpf(c) for c in point)
-        gens = _mp_pair(
-            2 * mpmath.cosh(u / 2), 2 * mpmath.cosh(v / 2),
-            4 * mpmath.sinh(u / 2) ** 2, 4 * mpmath.sinh(v / 2) ** 2,
-        )
-        assert abs(_mp_angle(gens, "a") - _closed_form_angle(u, v, mpmath)) <= 1e-50
-        assert abs(_mp_angle(gens, "b") - _closed_form_angle(v, u, mpmath)) <= 1e-50
+    gens = oracle.marked_pair(*point, "lengths")
+    assert abs(oracle.roof_angle(gens, "a") - oracle.closed_form_angle(*point)) <= 1e-50
+    assert abs(oracle.roof_angle(gens, "b") - oracle.closed_form_angle(*point[::-1])) <= 1e-50
 
 
 @pytest.mark.parametrize("k", range(8, 16))

@@ -10,6 +10,10 @@ parameter they only ever pass its default is a setting no user can
 change, and belongs in a named constant; a default they never use is a
 second copy of a setting that every caller already states, and the
 parameter should be required.
+
+The same AST walk checks that the test-only packages stay in the tests:
+no module of ``pleatlab`` imports mpmath or hypothesis, and no test file
+but ``oracle.py`` imports mpmath.
 """
 
 import ast
@@ -164,3 +168,23 @@ def test_every_default_is_used(reach):
     defs, _, _, used = reach
     unused = _defaults_missing_from(defs, used)
     assert unused == [], f"{len(unused)} defaults no call ever takes: " + ", ".join(unused)
+
+
+def _imported(path):
+    """The top-level package of every import in the file at ``path``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return {name.split(".")[0] for name in names}
+
+
+def test_test_only_packages_stay_in_the_tests():
+    library = {path.name: _imported(path) & {"mpmath", "hypothesis"}
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in library.items() if found} == {}
+    tests = Path(__file__).resolve().parent
+    importers = [path.name for path in sorted(tests.glob("*.py")) if "mpmath" in _imported(path)]
+    assert importers == ["oracle.py"]
