@@ -23,8 +23,8 @@ manifold.  This module provides:
   a closing chord step takes each solution to round-off, and a solve
   that diverges from its seed runs once more from the explicit lengths;
 * the angle-space derivative matrices ``d(lengths)/d(cone angles)`` at
-  arrays of angles, by the implicit-function theorem at the explicitly
-  placed structures, whose difference probes are measured in one batch;
+  arrays of angles, from the closed-form angle Jacobian at the
+  explicitly placed structures, measured in one batch;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i`` along straight segments of the
   trace chart, by parts at certified Gauss-Legendre nodes that make a
@@ -71,8 +71,6 @@ from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
-# Step of dl_dphi's central difference of measured angles.
-NEWTON_FD_STEP = 1e-6
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
 ANGLE_DERIVATIVE_MARGIN = 0.01
@@ -238,20 +236,22 @@ def _closed_form_angle(length, other):
     )
 
 
-def _closed_form_angle_gradient(length, other):
-    """``(d theta / d length, d theta / d other)`` of
-    :func:`_closed_form_angle`.  Differentiating ``cos(theta/2) =
-    tanh(length/2) cosh(other/2)`` gives
-    ``-cosh(other/2) sech^2(length/2) / sin(theta/2)`` and
-    ``-tanh(length/2) sinh(other/2) / sin(theta/2)``; with
-    ``sin(theta/2) = sqrt((1 - P)(1 + P)) / cosh(length/2)`` they read
-    ``-cosh(other/2) / (cosh(length/2) sqrt(...))`` and ``-P / sqrt(...)``,
-    and both are infinite where the curve is bending-free (``P >= 1``)."""
-    p = math.sinh(length / 2.0) * math.sinh(other / 2.0)
+def _closed_form_angle_jacobian(l_a, l_b):
+    """The symmetric matrix ``d(theta_a, theta_b) / d(l_a, l_b)`` of
+    :func:`_closed_form_angle`, as rows ``((j00, j01), (j01, j11))``.
+    Differentiating ``cos(theta_a/2) = tanh(l_a/2) cosh(l_b/2)`` with
+    ``sin(theta_a/2) = root / cosh(l_a/2)``, ``root = sqrt((1 - P)(1 + P))``,
+    gives ``j00 = -cosh(l_b/2) / (cosh(l_a/2) root)`` and ``j01 =
+    -P / root``, and the mirror gives ``j11`` and the same ``j10 = j01``;
+    so ``j00 j11 - j01^2 = (1 - P^2) / root^2 = 1``.  Every entry is
+    infinite where the structure is bending-free (``P >= 1``)."""
+    p = math.sinh(l_a / 2.0) * math.sinh(l_b / 2.0)
     root = math.sqrt(max((1.0 - p) * (1.0 + p), 0.0))
     if root == 0.0:
-        return -math.inf, -math.inf
-    return -math.cosh(other / 2.0) / (math.cosh(length / 2.0) * root), -p / root
+        return (-math.inf, -math.inf), (-math.inf, -math.inf)
+    cosh_a, cosh_b = math.cosh(l_a / 2.0), math.cosh(l_b / 2.0)
+    off = -p / root
+    return (-cosh_b / (cosh_a * root), off), (off, -cosh_a / (cosh_b * root))
 
 
 def _structure(l_a, l_b, names="ab"):
@@ -421,9 +421,9 @@ def _target_residual(targets):
     At curve lengths ``u`` (even in each) it returns the residuals and
     their Jacobian ``(j00, j01, j10, j11)``.  An angle residual is the
     angle measured on the roof minus its target, and its Jacobian row is
-    :func:`_closed_form_angle_gradient` at ``(|u_0|, |u_1|)``; a length
-    row is ``copysign(1, u_i)`` on the diagonal.  Every entry in column
-    ``j`` carries the sign of ``u_j``."""
+    row ``i`` of :func:`_closed_form_angle_jacobian` at ``(|u_0|, |u_1|)``;
+    a length row is ``copysign(1, u_i)`` on the diagonal.  Every entry in
+    column ``j`` carries the sign of ``u_j``."""
     kinds, values = zip(*((kind, float(v)) for kind, v in _parse_targets(targets)))
     angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
     angle_names = "".join("ab"[i] for i in angle_slots)
@@ -438,10 +438,10 @@ def _target_residual(targets):
             if pair.coords.z.imag == 0.0:
                 # Bending-free: every angle is 0, the residual is flat.
                 raise PleatlabError(f"no bending at lengths {tuple(u)}")
+            jacobian = _closed_form_angle_jacobian(*lengths)
             for i, theta in zip(angle_slots, thetas):
                 out[i] = theta - values[i]
-                d_self, d_other = _closed_form_angle_gradient(lengths[i], lengths[1 - i])
-                rows[i] = (d_self, d_other) if i == 0 else (d_other, d_self)
+                rows[i] = jacobian[i]
         jac = tuple(row[j] * signs[j] for row in rows for j in range(2))
         return out, jac
 
@@ -526,12 +526,13 @@ def dl_dphi(theta_a, theta_b):
     Cone angles are ``phi_i = 2*(pi - theta_i)``.  Each base point
     ``(theta_a[k], theta_b[k])`` is placed at :func:`explicit_lengths`; by
     the implicit-function theorem the derivative there is
-    ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` a central
-    difference of the measured angle residual with step
-    ``NEWTON_FD_STEP``.  The base points and their four difference
-    probes each are measured in one :func:`measure_structures` call, with
-    no solve.  Requires every angle at least ``ANGLE_DERIVATIVE_MARGIN``
-    away from the degenerate values 0 and pi.
+    ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` the symmetric
+    :func:`_closed_form_angle_jacobian` of determinant 1, so it is ``-1/2``
+    times its adjugate: the Hessian of the volume (Hodgson-Kerckhoff),
+    symmetric of determinant 1/4 with a positive diagonal.  The base
+    points are measured in one :func:`measure_structures` call, with no
+    solve.  Requires every angle at least ``ANGLE_DERIVATIVE_MARGIN`` away
+    from the degenerate values 0 and pi.
     Returns, one entry per base point, the ``matrix`` (``(n, 2, 2)``), its
     ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), and
     the base point's ``lengths`` and measured ``thetas`` (``(2, n)``) and
@@ -542,26 +543,18 @@ def dl_dphi(theta_a, theta_b):
         raise CoordinateDegeneracy(
             "bending angles too close to 0 or pi for the angle derivative"
         )
-    base = np.array(explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])}))
-    # Five columns a point: the base, then l_a up and down, l_b up and down.
-    offsets = NEWTON_FD_STEP * np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
-    probes = base[:, None, :] + offsets[:, :, None]
-    _, lengths, thetas = measure_structures(*probes.reshape(2, -1))
-    lengths, thetas = lengths.reshape(2, 5, -1)[:, 0], thetas.reshape(2, 5, -1)
-    residual = thetas - targets[:, None, :]
-    # dtheta_dl[k, i, j]: the difference quotient of curve i's angle in
-    # curve j's length at point k.
-    dtheta_dl = np.moveaxis(
-        (residual[:, 1::2] - residual[:, 2::2]) / (2.0 * NEWTON_FD_STEP), -1, 0
-    )
-    matrix = np.linalg.inv(-2.0 * dtheta_dl)
+    base = explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])})
+    _, lengths, thetas = measure_structures(*base)
+    dtheta_dl = np.array([_closed_form_angle_jacobian(*point) for point in zip(*lengths.tolist())])
+    # The inverse of -2 dtheta_dl is -1/2 its adjugate, as its determinant is 1.
+    matrix = -0.5 * dtheta_dl[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return {
         "matrix": matrix,
         "symmetry_residual": np.abs(matrix[:, 0, 1] - matrix[:, 1, 0]),
-        "eigenvalues": np.linalg.eigvalsh((matrix + matrix.transpose(0, 2, 1)) / 2.0),
+        "eigenvalues": np.linalg.eigvalsh(matrix),
         "lengths": lengths,
-        "thetas": thetas[:, 0],
-        "miss": np.abs(residual[:, 0]).max(axis=0),
+        "thetas": thetas,
+        "miss": np.abs(thetas - targets).max(axis=0),
     }
 
 
@@ -605,7 +598,9 @@ def schlafli_volumes(segments):
     A segment ``((x0, y0), (x1, y1), order)`` has real ends and its nodes
     over ``(1 - s) (x0, y0) + s (x1, y1)`` at :func:`quadrature_rule`'s
     ``s``.  With ``phi_i = 2 (pi - theta_i)`` the Schlafli form
-    ``-1/2 sum_i l_i dphi_i`` integrates by parts to
+    ``-1/2 sum_i l_i dphi_i = sum_i l_i dtheta_i`` of the doubled manifold,
+    twice Bonahon's convex-core change ``1/2 sum_i l_i dtheta_i``,
+    integrates by parts to
     ``[sum_i l_i theta_i] - int sum_i theta_i (dl_i/ds) ds``, and
     ``dl_a/ds = 2 |x|' / sqrt(x^2 - 4)`` (``l_b`` likewise in y), so a
     node needs only its certified angles.  The integral is the
@@ -718,7 +713,9 @@ def continuations(angle_paths):
     Its sample at ``s = k / samples`` is placed at the
     :func:`explicit_lengths` of its target angles, and the samples of all
     paths are measured in one :func:`measure_structures` call.  The
-    Schlafli form reads ``sum_i l_i dtheta_i``, so a step between samples
+    Schlafli form reads ``sum_i l_i dtheta_i``, the volume of the doubled
+    manifold and twice Bonahon's convex-core change
+    ``1/2 sum_i l_i dtheta_i``, so a step between samples
     is ``sum_k w_k (l_a dtheta_a + l_b dtheta_b)`` over the nodes of
     :func:`quadrature_rule` of order ``substeps``, with the estimate its
     distance to the rule of ``ceil(substeps / 2)``.  The nodes take their

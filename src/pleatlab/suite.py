@@ -69,7 +69,17 @@ JACOBIAN_DET_LO = 1e-2
 JACOBIAN_DET_HI = 1e3
 JACOBIAN_FD_TOL = 1e-6
 JACOBIAN_CORNER_TOL = 1e-4
-POSDEF_SYM_TOL = 1e-4
+# posdef's angle pairs, uniform in their ranges: interior, then near flat.
+POSDEF_POINTS = 14
+POSDEF_ANGLES = (0.8, 2.9)
+POSDEF_FLAT_POINTS = 6
+POSDEF_FLAT_ANGLES = (0.18, 0.45)
+# dl_dphi's matrices are symmetric by construction (symmetry reads 0.0)
+# and have determinant 1/4: the largest |det - 1/4| is 3.6e-15 over
+# --seed 0-199 and over 200-399, while one off-diagonal entry of the
+# angle Jacobian scaled by 1 + 1e-9 opens it to 7.7e-9 at --seed 0.
+POSDEF_SYM_TOL = 1e-13
+POSDEF_DET_TOL = 1e-13
 # Largest angle miss of a structure placed at explicit_lengths, in posdef
 # and volume.  The closed form misses by at most 4.7e-15 in posdef over
 # --seed 0-199 (4.4e-15 over 200-399) and by 1.8e-15 on volume's angle
@@ -92,6 +102,13 @@ VOLUME_ANGLE_TOL = 1e-13
 # Samples and quadrature order of volume's concavity paths and its ray.
 VOLUME_PATH_SAMPLES = 8
 VOLUME_PATH_ORDER = 16
+# newton's starting seeds, and its targets of each kind (length-length,
+# then length-angle), each value uniform in its range.
+NEWTON_SEEDS = ((1.0, 1.0), (0.6, 1.8), (2.2, 0.9))
+NEWTON_TARGETS = 10
+NEWTON_LENGTHS = (0.6, 2.2)
+NEWTON_MIXED_LENGTHS = (0.7, 2.0)
+NEWTON_MIXED_ANGLES = (0.9, 2.8)
 NEWTON_AGREEMENT_TOL = 1e-8
 # Largest relative gap between a seed's Newton lengths and the closed
 # form's (explicit_lengths) in newton.  Measured worst: 2.3e-15 over
@@ -346,15 +363,13 @@ def _min_monotonicity(lengths, phis):
 
 def check_posdef(seed):
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(14):
-        pairs.append((float(rng.uniform(0.8, 2.9)), float(rng.uniform(0.8, 2.9))))
-    for _ in range(6):
-        # near the bending-free boundary: small angles
-        pairs.append((float(rng.uniform(0.18, 0.45)), float(rng.uniform(0.18, 0.45))))
+    draws = ((POSDEF_POINTS, POSDEF_ANGLES), (POSDEF_FLAT_POINTS, POSDEF_FLAT_ANGLES))
+    pairs = [(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
+             for count, (lo, hi) in draws for _ in range(count)]
     rep = dl_dphi(*np.array(pairs).T)
     m = rep["matrix"]
     worst_sym = float(rep["symmetry_residual"].max())
+    worst_det = float(np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0] - 0.25).max())
     min_eig = float(rep["eigenvalues"][:, 0].min())
     min_diag = float(min(m[:, 0, 0].min(), m[:, 1, 1].min()))
     worst_miss = float(rep["miss"].max())
@@ -363,17 +378,19 @@ def check_posdef(seed):
     min_mono = _min_monotonicity(rep["lengths"], 2.0 * (math.pi - rep["thetas"]))
     return {
         "passed": (
-            worst_sym < POSDEF_SYM_TOL and min_eig > 0.0 and min_diag > 0.0 and min_mono > 0.0
-            and worst_miss < PLACEMENT_TOL
+            worst_sym < POSDEF_SYM_TOL and worst_det < POSDEF_DET_TOL and min_eig > 0.0
+            and min_diag > 0.0 and min_mono > 0.0 and worst_miss < PLACEMENT_TOL
         ),
         "details": {
             "points": len(pairs),
             "worst_symmetry": worst_sym,
+            "worst_determinant_gap": worst_det,
             "min_eigenvalue": min_eig,
             "min_diagonal": min_diag,
             "min_monotonicity": min_mono,
             "worst_placement_miss": worst_miss,
             "sym_tol": POSDEF_SYM_TOL,
+            "det_tol": POSDEF_DET_TOL,
             "placement_tol": PLACEMENT_TOL,
         },
     }
@@ -449,13 +466,8 @@ def check_volume(seed):
 
 def check_newton(seed):
     cusp = solve_targets({"a": ("angle", math.pi), "b": ("angle", math.pi)})
-    cusp_err = max(
-        abs(cusp.coords.x - 2.0),
-        abs(cusp.coords.y - 2.0),
-        abs(cusp.coords.z - (2.0 + 2.0j)),
-    )
+    cusp_err = max(abs(u - v) for u, v in zip(cusp.coords.astuple(), (2.0, 2.0, 2.0 + 2.0j)))
     rng = np.random.default_rng(seed)
-    seeds = ((1.0, 1.0), (0.6, 1.8), (2.2, 0.9))
     worst_spread = 0.0
     worst_gap = 0.0
     failures = 0
@@ -463,7 +475,7 @@ def check_newton(seed):
     def spread(target):
         nonlocal failures, worst_gap
         sols = []
-        for s in seeds:
+        for s in NEWTON_SEEDS:
             try:
                 sols.append(solve_targets(target, seed=s))
             except PleatlabError:
@@ -473,29 +485,16 @@ def check_newton(seed):
         worst_gap = max(
             worst_gap, *(abs(v - e) / e for r in sols for v, e in zip(r.lengths, exact))
         )
-        ref = sols[0].coords
-        return max(
-            max(
-                abs(r.coords.x - ref.x),
-                abs(r.coords.y - ref.y),
-                abs(r.coords.z - ref.z),
-            )
-            for r in sols[1:]
-        )
+        ref = sols[0].coords.astuple()
+        return max(abs(u - v) for r in sols[1:] for u, v in zip(r.coords.astuple(), ref))
 
-    for _ in range(10):
-        la, lb = rng.uniform(0.6, 2.2, size=2)
-        worst_spread = max(
-            worst_spread,
-            spread({"a": ("length", float(la)), "b": ("length", float(lb))}),
-        )
-    for _ in range(10):
-        la = float(rng.uniform(0.7, 2.0))
-        th = float(rng.uniform(0.9, 2.8))
-        worst_spread = max(
-            worst_spread,
-            spread({"a": ("length", la), "b": ("angle", th)}),
-        )
+    for _ in range(NEWTON_TARGETS):
+        la, lb = map(float, rng.uniform(*NEWTON_LENGTHS, size=2))
+        worst_spread = max(worst_spread, spread({"a": ("length", la), "b": ("length", lb)}))
+    for _ in range(NEWTON_TARGETS):
+        la = float(rng.uniform(*NEWTON_MIXED_LENGTHS))
+        th = float(rng.uniform(*NEWTON_MIXED_ANGLES))
+        worst_spread = max(worst_spread, spread({"a": ("length", la), "b": ("angle", th)}))
     return {
         "passed": (
             cusp_err < NEWTON_AGREEMENT_TOL
@@ -507,8 +506,8 @@ def check_newton(seed):
             "cusp_error": cusp_err,
             "worst_seed_spread": worst_spread,
             "worst_closed_form_gap": worst_gap,
-            "targets": 20,
-            "seeds_per_target": len(seeds),
+            "targets": 2 * NEWTON_TARGETS,
+            "seeds_per_target": len(NEWTON_SEEDS),
             "failures": failures,
             "tol": NEWTON_AGREEMENT_TOL,
         },
@@ -591,9 +590,13 @@ def run_suite(names=None, seed_offset=0):
 
     ``seed_offset`` shifts the sampling seed of every randomized
     criterion: each is called with ``SEEDS[name] + seed_offset``, and the
-    others with no argument.  Returns a list of records with index,
+    others with no argument.  A negative offset raises
+    :class:`PleatlabError` before any criterion runs, since numpy seeds
+    only non-negative integers.  Returns a list of records with index,
     name, description, passed, and details.
     """
+    if seed_offset < 0:
+        raise PleatlabError(f"the seed offset must be at least 0, got {seed_offset}")
     wanted = None if names is None else set(names)
     if wanted is not None:
         known = {name for name, _, _ in CRITERIA}

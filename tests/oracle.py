@@ -57,12 +57,30 @@ def roof_angle(pair, curve):
                 return mpmath.pi - (delta2 if 0 < delta_t < delta2 else turn - delta2)
 
 
+def _angle(l_a, l_b):
+    """:func:`closed_form_angle` at the working precision."""
+    half_a, half_b = mpmath.mpf(l_a) / 2, mpmath.mpf(l_b) / 2
+    p, q = mpmath.sinh(half_a) * mpmath.sinh(half_b), mpmath.sinh(half_a) * mpmath.cosh(half_b)
+    return 2 * mpmath.atan2(mpmath.sqrt((1 - p) * (1 + p)), q)
+
+
 def closed_form_angle(l_a, l_b):
     """Curve a's angle by ``cos(theta_a / 2) = tanh(l_a / 2) cosh(l_b / 2)``, as an atan2."""
     with mpmath.workdps(DIGITS):
-        half_a, half_b = mpmath.mpf(l_a) / 2, mpmath.mpf(l_b) / 2
-        p, q = mpmath.sinh(half_a) * mpmath.sinh(half_b), mpmath.sinh(half_a) * mpmath.cosh(half_b)
-        return 2 * mpmath.atan2(mpmath.sqrt((1 - p) * (1 + p)), q)
+        return _angle(l_a, l_b)
+
+
+def angle_jacobian(l_a, l_b):
+    """The matrix ``J = d(theta_a, theta_b) / d(l_a, l_b)`` of :func:`closed_form_angle`, by
+    ``mpmath.diff`` (which evaluates the angle at its own raised precision), and the
+    determinant of ``dl/dphi = (-2 J)^-1``."""
+    with mpmath.workdps(DIGITS):
+        l_a, l_b = mpmath.mpf(l_a), mpmath.mpf(l_b)
+        jacobian = mpmath.matrix([
+            [mpmath.diff(lambda t: _angle(t, l_b), l_a), mpmath.diff(lambda t: _angle(l_a, t), l_b)],
+            [mpmath.diff(lambda t: _angle(l_b, t), l_a), mpmath.diff(lambda t: _angle(t, l_a), l_b)],
+        ])
+        return jacobian, mpmath.det((-2 * jacobian) ** -1)
 
 
 def explicit_lengths(theta_a, theta_b):

@@ -622,6 +622,16 @@ def test_negative_seed_offset_exits_two(source, tmp_path, monkeypatch):
     assert "the seed offset must be at least 0, got -2" in result.output
 
 
+def test_negative_seed_offset_stays_a_usage_error():
+    """run_suite itself refuses a negative offset with PleatlabError (exit
+    1 through the CLI); verify-suite refuses it first, as a usage error,
+    also for criteria that take no seed."""
+    result = run("--seed", "-2", "verify-suite", "--filter", "grid")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "the seed offset must be at least 0, got -2" in result.output
+
+
 def test_verify_suite_json_out(tmp_path):
     out = tmp_path / "records.json"
     result = run("verify-suite", "--filter", "cuspmodel", "--out", str(out))

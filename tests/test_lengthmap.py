@@ -236,17 +236,17 @@ def test_lengths_beyond_float_range_raise():
         lm.solve_targets({"a": ("length", 2000.0), "b": ("length", 1.0)})
 
 
-# The gradient's agreement with a central difference of measured angles,
-# relative to max(1, |gradient|): the measured angle is good to ~1e-14
+# The Jacobian's agreement with a central difference of measured angles,
+# relative to max(1, |entry|): the measured angle is good to ~1e-14
 # (worse next to a long curve), which a step of up to 1e-6 turns into
 # ~1e-8; the truncation error is O(step^2).  Measured worst: 5.7e-8.
-GRADIENT_FD_TOL = 5e-7
+ANGLE_JACOBIAN_FD_TOL = 5e-7
 
 
-def test_closed_form_angle_gradient_matches_measured_differences():
-    """The closed-form gradient against a central difference of the
-    roof's bending_angle, at drawn lengths from 1e-6 to ~16, with a step
-    of min(1e-6, length / 10) on each side."""
+def test_closed_form_angle_jacobian_matches_measured_differences():
+    """Both rows of the closed-form Jacobian against central differences
+    of the roof's bending_angle of curves a and b, at drawn lengths from
+    1e-6 to ~16, with a step of min(1e-6, length / 10) on each side."""
     rng = np.random.default_rng(24)
     points = [(1e-6, 1.0), (1.0, 1e-6), (1e-4, 1e-4), (12.0, 1e-5), (1e-3, 8.0)]
     points += [tuple(v) for v in 10.0 ** rng.uniform(-6.0, 1.2, size=(40, 2))]
@@ -255,20 +255,39 @@ def test_closed_form_angle_gradient_matches_measured_differences():
         if math.sinh(l_a / 2.0) * math.sinh(l_b / 2.0) >= 0.99:
             continue  # bending-free or nearly: no roof to measure
         checked += 1
-        grad = lm._closed_form_angle_gradient(l_a, l_b)
+        jacobian = lm._closed_form_angle_jacobian(l_a, l_b)
+        assert jacobian[0][1] == jacobian[1][0]
         for j, length in enumerate((l_a, l_b)):
             h = min(1e-6, length / 10.0)
             up, dn = [l_a, l_b], [l_a, l_b]
             up[j] += h
             dn[j] -= h
-            fd = (bending_angle(pair_from_lengths(*up), "a")
-                  - bending_angle(pair_from_lengths(*dn), "a")) / (2.0 * h)
-            assert abs(grad[j] - fd) <= GRADIENT_FD_TOL * max(1.0, abs(grad[j])), (l_a, l_b, j)
+            for i, curve in enumerate("ab"):
+                fd = (bending_angle(pair_from_lengths(*up), curve)
+                      - bending_angle(pair_from_lengths(*dn), curve)) / (2.0 * h)
+                entry = jacobian[i][j]
+                assert abs(entry - fd) <= ANGLE_JACOBIAN_FD_TOL * max(1.0, abs(entry)), (l_a, l_b, i, j)
     assert checked >= 30
 
 
-def test_closed_form_angle_gradient_is_infinite_when_bending_free():
-    assert lm._closed_form_angle_gradient(8.0, 8.0) == (-math.inf, -math.inf)
+@pytest.mark.parametrize(
+    "lengths", [(0.3, 1.7), (1.2, 1.2), (1.6, 1.6), (1e-6, 2.0), (2.5, 0.05), (1e-3, 8.0)]
+)
+def test_closed_form_angle_jacobian_matches_the_60_digit_oracle(lengths):
+    """mpmath.diff of the 60-digit closed-form angle gives a symmetric
+    Jacobian J, and dl/dphi = (-2 J)^-1 has determinant 1/4, both to
+    1e-50; the double-precision Jacobian matches J entry by entry."""
+    exact, det = oracle.angle_jacobian(*lengths)
+    assert abs(exact[0, 1] - exact[1, 0]) <= 1e-50
+    assert abs(det - 0.25) <= 1e-50
+    got = lm._closed_form_angle_jacobian(*lengths)
+    for i in range(2):
+        for j in range(2):
+            assert abs(got[i][j] - exact[i, j]) <= 2e-15 * abs(exact[i, j]), (i, j)
+
+
+def test_closed_form_angle_jacobian_is_infinite_when_bending_free():
+    assert lm._closed_form_angle_jacobian(8.0, 8.0) == ((-math.inf,) * 2,) * 2
 
 
 SWITCH = lm.CLOSED_FORM_LENGTH
@@ -463,14 +482,15 @@ def test_newton_direct_solve_crosses_moderate_angles():
     ids=["angles", "length-angle", "angle-length", "skewed"],
 )
 def test_newton_root_is_set_by_the_measured_residual(targets, monkeypatch):
-    """Angle rows of the Jacobian scaled by 1.3 only slow the iteration:
-    it still stops where the measured angles hit their targets.  The
-    mis-scaled steps converge linearly, so the stopping rule is tightened
-    to 1e-13 to run them to round-off."""
+    """The angle Jacobian's rows scaled by 1.3 (curve a) and 1.25 (curve
+    b) only slow the iteration: it still stops where the measured angles
+    hit their targets.  The mis-scaled steps converge linearly, so the
+    stopping rule is tightened to 1e-13 to run them to round-off."""
     reference = lm.solve_targets(targets).lengths
-    gradient = lm._closed_form_angle_gradient
-    monkeypatch.setattr(lm, "_closed_form_angle_gradient",
-                        lambda *lengths: tuple(1.3 * v for v in gradient(*lengths)))
+    jacobian = lm._closed_form_angle_jacobian
+    monkeypatch.setattr(lm, "_closed_form_angle_jacobian", lambda *lengths: tuple(
+        tuple(scale * v for v in row) for scale, row in zip((1.3, 1.25), jacobian(*lengths))
+    ))
     monkeypatch.setattr(lm, "NEWTON_TOL", 1e-13)
     res = lm.solve_targets(targets)
     assert res.iterations > 10
@@ -595,7 +615,8 @@ def test_newton_criterion_seed_spread_at_round_off(seed_offset):
 def test_dl_dphi_symmetric_positive_definite():
     rep = lm.dl_dphi(np.array([2.1]), np.array([2.3]))
     (m,), (eigenvalues,), (miss,) = rep["matrix"], rep["eigenvalues"], rep["miss"]
-    assert rep["symmetry_residual"][0] < 1e-6
+    assert rep["symmetry_residual"][0] == 0.0
+    assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 0.25) <= 1e-15
     assert abs(eigenvalues[0] - DLDPHI_EIGS_21_23[0]) < 1e-5
     assert abs(eigenvalues[1] - DLDPHI_EIGS_21_23[1]) < 1e-5
     assert eigenvalues[0] > 0.0
@@ -931,14 +952,14 @@ def _dl_dphi_point(rep, k):
 
 
 def test_dl_dphi_batches_give_the_one_point_results(monkeypatch):
-    """Every base point and its four probes are measured in one batch,
-    and each point's record is that of a one-point call, bit for bit."""
+    """Every base point is measured in one batch, and each point's record
+    is that of a one-point call, bit for bit."""
     batches = []
     batch = lm.measure_structures
     monkeypatch.setattr(lm, "measure_structures", lambda *a: batches.append(len(a[0])) or batch(*a))
     theta_a, theta_b = np.array([2.1, 1.2, 0.3, 2.9]), np.array([2.3, 2.7, 0.22, 1.0])
     rep = lm.dl_dphi(theta_a, theta_b)
-    assert batches == [5 * 4]
+    assert batches == [4]
     for k in range(theta_a.size):
         single = _dl_dphi_point(lm.dl_dphi(theta_a[k:k + 1], theta_b[k:k + 1]), 0)
         for name, values in _dl_dphi_point(rep, k).items():

@@ -11,13 +11,17 @@ change, and belongs in a named constant; a default they never use is a
 second copy of a setting that every caller already states, and the
 parameter should be required.
 
-The same AST walk checks that the test-only packages stay in the tests:
-no module of ``pleatlab`` imports mpmath or hypothesis, and no test file
-but ``oracle.py`` imports mpmath.
+The same AST walk checks that every module-level UPPER_CASE constant of
+``pleatlab`` is read by some library module or by the benchmark under
+``perfbench/`` (which reads ``kernel.IMPLEMENTATION``): a constant that
+only the tests read sets nothing; and that the test-only packages stay
+in the tests: no module of ``pleatlab`` imports mpmath or hypothesis, and
+no test file but ``oracle.py`` imports mpmath.
 """
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from pleatlab import lengthmap
 from pleatlab.cli import main
 
 PACKAGE = Path(pleatlab.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TARGETS = (
     {"a": ("angle", 2.0), "b": ("angle", 2.2)},
@@ -188,3 +193,29 @@ def test_test_only_packages_stay_in_the_tests():
     tests = Path(__file__).resolve().parent
     importers = [path.name for path in sorted(tests.glob("*.py")) if "mpmath" in _imported(path)]
     assert importers == ["oracle.py"]
+
+
+def _read_names(path):
+    """Every name the file at ``path`` loads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_constant_is_read():
+    constants = [
+        (path.stem, target.id)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    ]
+    readers = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    read = set().union(*map(_read_names, readers))
+    unread = [f"{module}.{name}" for module, name in constants if name not in read]
+    assert unread == [], "read by no library module or benchmark: " + ", ".join(unread)

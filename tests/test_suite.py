@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from pleatlab import doubling, lengthmap, suite
+from pleatlab import doubling, lengthmap, plaques, suite
 from pleatlab.doubling import audit_words, doubled_holonomy, mirror_residual
-from pleatlab.errors import NewtonDivergence, ZeroMultiplier
+from pleatlab.errors import NewtonDivergence, PleatlabError, ZeroMultiplier
 from pleatlab.moebius import complex_length, unimodular, unimodular_batch
 from pleatlab.plaques import certify_batch
 
@@ -227,9 +227,9 @@ def test_posdef_gates_on_the_monotonicity_witness(monkeypatch):
 
 
 def test_check_posdef_measures_in_one_batch(monkeypatch):
-    """check_posdef measures its 20 base points and their 80 difference
-    probes with one measure_structures call, and none of them leaves the
-    batch for the scalar measure_structure."""
+    """check_posdef measures its 20 base points with one
+    measure_structures call, and none of them leaves the batch for the
+    scalar measure_structure."""
     batches, scalar = [], []
     batch, single = lengthmap.measure_structures, lengthmap.measure_structure
     monkeypatch.setattr(
@@ -237,8 +237,47 @@ def test_check_posdef_measures_in_one_batch(monkeypatch):
     )
     monkeypatch.setattr(lengthmap, "measure_structure", lambda *a: scalar.append(a) or single(*a))
     assert suite.check_posdef(suite.SEEDS["posdef"])["passed"]
-    assert batches == [100]
+    assert batches == [20]
     assert scalar == []
+
+
+def test_roof_angle_error_fails_posdef(monkeypatch):
+    """Every roof angle of curve a measured by measure_sides off by a
+    relative 1e-9 misses its placement by more than PLACEMENT_TOL, and
+    posdef fails, though its closed-form matrices do not move."""
+    sides = lengthmap.measure_sides
+
+    def skewed(a, b):
+        thetas, *rest = sides(a, b)
+        thetas[0] *= 1.0 + 1e-9
+        return (thetas, *rest)
+
+    monkeypatch.setattr(lengthmap, "measure_sides", skewed)
+    record = suite.check_posdef(suite.SEEDS["posdef"])
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_placement_miss"] > 1e-10 > details["placement_tol"]
+    assert details["worst_determinant_gap"] < details["det_tol"]
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["one", "both"])
+def test_off_diagonal_jacobian_error_fails_the_determinant_gate(both, monkeypatch):
+    """An off-diagonal entry of the angle Jacobian (or both) off by a
+    relative 1e-9 moves dl_dphi's determinants away from 1/4 by more than
+    POSDEF_DET_TOL, and posdef fails; with both entries scaled the
+    matrices stay symmetric, so the determinant alone catches it."""
+    jacobian = lengthmap._closed_form_angle_jacobian
+
+    def skewed(*lengths):
+        (j00, j01), (j10, j11) = jacobian(*lengths)
+        return (j00, j01 * (1.0 + 1e-9)), (j10 * (1.0 + 1e-9) if both else j10, j11)
+
+    monkeypatch.setattr(lengthmap, "_closed_form_angle_jacobian", skewed)
+    record = suite.check_posdef(suite.SEEDS["posdef"])
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_determinant_gap"] > 1e-9 > details["det_tol"]
+    assert (details["worst_symmetry"] == 0.0) == both
 
 
 def test_check_grid_applies_its_planarity_tol(monkeypatch):
@@ -329,6 +368,25 @@ def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
     assert details["worst_angle_space_gap"] > 1e-3 > details["angle_space_tol"]
 
 
+def test_certified_angle_error_fails_volume(monkeypatch):
+    """Every certified angle of curve a off by a relative 1e-9, in every
+    binding of certify_batch, moves the pairs' trace-chart volumes off
+    their angle-space integrals (which certify nothing), and volume fails
+    at --seed 0."""
+    batch = certify_batch
+
+    def skewed(*args):
+        cert = batch(*args)
+        return dataclasses.replace(cert, theta_a=cert.theta_a * (1.0 + 1e-9))
+
+    for module in (plaques, lengthmap, suite):
+        monkeypatch.setattr(module, "certify_batch", skewed)
+    records = {record["name"]: record for record in suite.run_suite()}
+    details = records["volume"]["details"]
+    assert not records["volume"]["passed"]
+    assert details["worst_angle_space_gap"] > 1e-10 > details["angle_space_tol"]
+
+
 def test_check_volume_certifies_in_two_batches(monkeypatch):
     """Only the pair segments are certified (1,140 nodes), in two
     certify_batch runs of at most VOLUME_BATCH_NODES nodes; a segment of
@@ -413,3 +471,17 @@ def test_run_suite_routes_the_seed_offset(seed_offset, monkeypatch):
     assert [name for name, args in calls.items() if not args] == [
         "grid", "quakebend", "jacobian", "cuspmodel", "cocycle",
     ]
+
+
+def test_run_suite_refuses_a_negative_seed_offset(monkeypatch):
+    """A negative offset raises PleatlabError before any criterion runs,
+    even when the criteria asked for take no seed."""
+    def no_criterion(*args):
+        raise AssertionError("a criterion ran with a negative seed offset")
+
+    monkeypatch.setattr(
+        suite, "CRITERIA", tuple((name, text, no_criterion) for name, text, _ in suite.CRITERIA)
+    )
+    for names in (None, ["grid"]):
+        with pytest.raises(PleatlabError, match="^the seed offset must be at least 0, got -2$"):
+            suite.run_suite(names, seed_offset=-2)
