@@ -180,11 +180,13 @@ def pair_from_lengths(l_a, l_b):
     precision as a length goes to zero, and a zero length gives an
     exactly parabolic generator.  Off the bending locus (``X*Y >= 16``)
     it is the Fuchsian pair at the larger real root.  Raises
-    :class:`NumericalOverflow` when ``X`` or ``Y`` overflows.
+    :class:`NumericalOverflow` when ``X`` or ``Y`` is not finite.
     """
     try:
         x, y = (2.0 * math.cosh(v / 2.0) for v in (l_a, l_b))
         big_x, big_y = (4.0 * math.sinh(v / 2.0) ** 2 for v in (l_a, l_b))
+        if not (math.isfinite(big_x) and math.isfinite(big_y)):
+            raise OverflowError
     except OverflowError:
         raise NumericalOverflow(f"lengths {(l_a, l_b)} leave the float range") from None
     w = cmath.sqrt(big_x * big_y - 16.0)

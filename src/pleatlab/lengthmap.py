@@ -11,17 +11,18 @@ manifold.  This module provides:
 * the explicit inverse of the length map on the marked cusped locus,
   ``explicit_lengths``, which places angle and mixed targets in closed
   form;
-* the structure at given curve lengths, measured one at a time
-  (``measure_structure``) or as arrays (``measure_structures``: the
-  closed-form pairs of many lengths measured on the roof in one pass of
-  ``certify_batch``'s array code, with the scalar measuring the rows it
-  leaves);
+* the structure at given curve lengths, one at a time
+  (``measure_structure``) or as arrays (``measure_structures``), in
+  closed form: the pair of ``pair_from_lengths`` and the angles of
+  ``cos(theta_a/2) = tanh(l_a/2) cosh(l_b/2)``, with no roof, so the
+  angles keep their precision at the cusp and next to a long curve;
 * damped Newton solvers for length, angle, and mixed targets over the
   marked pleating root: the step is steered by the analytic Jacobian of
   the closed-form angles, while the root is where the angles measured
   on the roof hit their targets, so an iteration measures one residual;
-  a closing chord step takes each solution to round-off, and a solve
-  that diverges from its seed runs once more from the explicit lengths;
+  a closing chord step takes each solution to round-off, a solve that
+  diverges from its seed runs once more from the explicit lengths, and
+  the solution is measured in closed form;
 * the angle-space derivative matrices ``d(lengths)/d(cone angles)`` at
   arrays of angles, from the closed-form angle Jacobian at the
   explicitly placed structures, measured in one batch;
@@ -66,7 +67,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab.moebius import matrix_distance, rotation_about_axis, unimodular
-from pleatlab.plaques import bending_angle, certify_batch, measure_sides
+from pleatlab.plaques import bending_angle, certify_batch
 from pleatlab.words import eval_words, padded_codes, random_reduced_word
 
 NEWTON_TOL = 1e-9
@@ -74,11 +75,11 @@ NEWTON_MAX_ITER = 50
 DEGENERACY_TOL = 1e-6
 # dl_dphi rejects bending angles closer than this to 0 or pi.
 ANGLE_DERIVATIVE_MARGIN = 0.01
-# Curves shorter than this take their bending angle from the closed form
-# of the marked cusped locus: the roof's axis points of such a curve are
-# too close for map_to_zero_infinity below ~5e-15 (ZeroMultiplier or
-# CoincidentPoints), while from 1e-14 up it agrees with the closed form
-# to round-off.
+# Curves shorter than this take the angle of Newton's roof residual from
+# the closed form of the marked cusped locus: the roof's axis points of
+# such a curve are too close for map_to_zero_infinity below ~5e-15
+# (ZeroMultiplier or CoincidentPoints), while from 1e-14 up it agrees
+# with the closed form to round-off.
 CLOSED_FORM_LENGTH = 1e-12
 # cusp_derivative_check opens the cusp at this marked (x, y) with this
 # finite-difference step.
@@ -254,31 +255,15 @@ def _closed_form_angle_jacobian(l_a, l_b):
     return (-cosh_b / (cosh_a * root), off), (off, -cosh_a / (cosh_b * root))
 
 
-def _structure(l_a, l_b, names="ab"):
-    """The pair :func:`pair_from_lengths` builds at ``(l_a, l_b)`` and
-    the bending angles of the curves in ``names``: measured on the roof,
-    or by :func:`_closed_form_angle` for a curve shorter than
-    ``CLOSED_FORM_LENGTH``."""
-    pair = pair_from_lengths(l_a, l_b)
-    lengths = {"a": (abs(l_a), abs(l_b)), "b": (abs(l_b), abs(l_a))}
-    return pair, [
-        _closed_form_angle(*lengths[name]) if lengths[name][0] < CLOSED_FORM_LENGTH
-        else bending_angle(pair, name)
-        for name in names
-    ]
-
-
 def measure_structure(l_a, l_b):
-    """Coordinates, lengths and raw bending angles at curve lengths.
-
-    The pair comes in closed form from :func:`pair_from_lengths`, with no
-    parabolic snapping, so the angles stay smooth arbitrarily close to
-    the cusp.  A curve shorter than ``CLOSED_FORM_LENGTH`` (a zero
-    length included, which reads exactly pi) takes its angle from the
-    closed form instead of the roof.
-    """
-    pair, thetas = _structure(l_a, l_b)
-    return pair.coords, (abs(l_a), abs(l_b)), tuple(thetas)
+    """Coordinates, lengths and bending angles at curve lengths, in closed
+    form: the pair of :func:`pair_from_lengths` and the angles of
+    :func:`_closed_form_angle`, which keep their precision at the cusp (a
+    zero length reads exactly pi) and next to a long curve.  Raises
+    :class:`NumericalOverflow` when a length leaves the float range."""
+    pair = pair_from_lengths(l_a, l_b)
+    lengths = (abs(l_a), abs(l_b))
+    return pair.coords, lengths, (_closed_form_angle(*lengths), _closed_form_angle(*lengths[::-1]))
 
 
 def measure_structures(l_a, l_b):
@@ -287,38 +272,26 @@ def measure_structures(l_a, l_b):
 
     Returns ``(coords, lengths, thetas)``: the trace coordinates x, y and
     z as a ``(3, n)`` complex array, and the absolute lengths and the
-    bending angles of curves a and b as ``(2, n)`` arrays.  The pairs are
-    :func:`pair_from_lengths`' closed form over arrays, and their angles
-    are measured on the roof by the pass over both pants sides that
-    :func:`certify_batch` runs (:func:`measure_sides`); they agree with
-    the scalar to about 1e-13.  A row that leaves that pass is measured
-    by :func:`measure_structure`, in index order, so it answers, or
-    raises, as the scalar does: a length below ``CLOSED_FORM_LENGTH`` or
-    a generator trace within 1e-4 of 2 (the cusp among them), bending-free
-    lengths, values beyond the float range, and a degenerate roof.
+    bending angles of curves a and b as ``(2, n)`` arrays, by the scalar's
+    expressions over arrays.  The first row whose lengths leave the float
+    range raises :class:`NumericalOverflow`, as the scalar does.
     """
     l_a, l_b = (np.asarray(v, dtype=float).reshape(-1) for v in (l_a, l_b))
     lengths = np.abs(np.stack((l_a, l_b)))
     with np.errstate(all="ignore"):
         half = lengths / 2.0
-        x, y = 2.0 * np.cosh(half)
-        big_x, big_y = 4.0 * np.sinh(half) ** 2
-        w = np.sqrt((big_x * big_y - 16.0).astype(complex))
-        r = big_y / (2.0 * (w + 4.0j))
-        a = (x / 2.0, big_x / 2.0, np.full(x.shape, 0.5), x / 2.0)
-        b = (y / 2.0, w - big_x * r, r, y / 2.0)
-        z = (x * y + w) / 2.0
-        thetas, _, _, leave = measure_sides(a, b)
-    # bending_angle reads real coordinates as bending-free, with angle 0
-    # (its scale max(1, |x|, |y|, |z|) is that below, as x, y >= 2).
-    scale = np.maximum(np.maximum(x, y), np.abs(z))
-    leave |= ~np.isfinite(z) | (np.abs(z.imag) < 1e-12 * scale)
-    leave |= (lengths < CLOSED_FORM_LENGTH).any(axis=0)
-    coords = np.stack((x, y, z))
-    for i in np.flatnonzero(leave):
-        t, _, thetas[:, i] = measure_structure(float(l_a[i]), float(l_b[i]))
-        coords[:, i] = t.astuple()
-    return coords, lengths, thetas
+        sinh, cosh = np.sinh(half), np.cosh(half)
+        x, y = 2.0 * cosh
+        big_x, big_y = 4.0 * sinh ** 2
+        bad = np.flatnonzero(~(np.isfinite(big_x) & np.isfinite(big_y)))
+        if bad.size:
+            k = bad[0]
+            raise NumericalOverflow(f"lengths {(float(l_a[k]), float(l_b[k]))} leave the float range")
+        z = (x * y + np.sqrt((big_x * big_y - 16.0).astype(complex))) / 2.0
+        p = sinh[0] * sinh[1]
+        root = np.sqrt(np.maximum((1.0 - p) * (1.0 + p), 0.0))
+        thetas = 2.0 * np.arctan2(root, sinh * cosh[::-1])
+    return np.stack((x, y, z)), lengths, thetas
 
 
 def _solve2(j00, j01, j10, j11, r0, r1):
@@ -420,13 +393,14 @@ def _target_residual(targets):
 
     At curve lengths ``u`` (even in each) it returns the residuals and
     their Jacobian ``(j00, j01, j10, j11)``.  An angle residual is the
-    angle measured on the roof minus its target, and its Jacobian row is
-    row ``i`` of :func:`_closed_form_angle_jacobian` at ``(|u_0|, |u_1|)``;
-    a length row is ``copysign(1, u_i)`` on the diagonal.  Every entry in
-    column ``j`` carries the sign of ``u_j``."""
+    angle measured on the roof of :func:`pair_from_lengths`' pair (the
+    closed form's for a curve shorter than ``CLOSED_FORM_LENGTH``) minus
+    its target, and its Jacobian row is row ``i`` of
+    :func:`_closed_form_angle_jacobian` at ``(|u_0|, |u_1|)``; a length
+    row is ``copysign(1, u_i)`` on the diagonal.  Every entry in column
+    ``j`` carries the sign of ``u_j``."""
     kinds, values = zip(*((kind, float(v)) for kind, v in _parse_targets(targets)))
     angle_slots = [i for i, kind in enumerate(kinds) if kind == "angle"]
-    angle_names = "".join("ab"[i] for i in angle_slots)
 
     def residual(u):
         signs = (math.copysign(1.0, u[0]), math.copysign(1.0, u[1]))
@@ -434,12 +408,14 @@ def _target_residual(targets):
         out = [lengths[0] - values[0], lengths[1] - values[1]]
         rows = [(1.0, 0.0), (0.0, 1.0)]
         if angle_slots:
-            pair, thetas = _structure(u[0], u[1], angle_names)
+            pair = pair_from_lengths(u[0], u[1])
             if pair.coords.z.imag == 0.0:
                 # Bending-free: every angle is 0, the residual is flat.
                 raise PleatlabError(f"no bending at lengths {tuple(u)}")
             jacobian = _closed_form_angle_jacobian(*lengths)
-            for i, theta in zip(angle_slots, thetas):
+            for i in angle_slots:
+                theta = (bending_angle(pair, "ab"[i]) if lengths[i] >= CLOSED_FORM_LENGTH
+                         else _closed_form_angle(lengths[i], lengths[1 - i]))
                 out[i] = theta - values[i]
                 rows[i] = jacobian[i]
         jac = tuple(row[j] * signs[j] for row in rows for j in range(2))
@@ -534,9 +510,9 @@ def dl_dphi(theta_a, theta_b):
     solve.  Requires every angle at least ``ANGLE_DERIVATIVE_MARGIN`` away
     from the degenerate values 0 and pi.
     Returns, one entry per base point, the ``matrix`` (``(n, 2, 2)``), its
-    ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), and
-    the base point's ``lengths`` and measured ``thetas`` (``(2, n)``) and
-    the measured angles' largest ``miss``.
+    ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), the
+    base point's ``coords`` (``(3, n)``), ``lengths`` and measured ``thetas``
+    (``(2, n)``), and the measured angles' largest ``miss``.
     """
     targets = np.array([theta_a, theta_b], dtype=float).reshape(2, -1)
     if (np.minimum(targets, math.pi - targets) < ANGLE_DERIVATIVE_MARGIN).any():
@@ -544,7 +520,7 @@ def dl_dphi(theta_a, theta_b):
             "bending angles too close to 0 or pi for the angle derivative"
         )
     base = explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])})
-    _, lengths, thetas = measure_structures(*base)
+    coords, lengths, thetas = measure_structures(*base)
     dtheta_dl = np.array([_closed_form_angle_jacobian(*point) for point in zip(*lengths.tolist())])
     # The inverse of -2 dtheta_dl is -1/2 its adjugate, as its determinant is 1.
     matrix = -0.5 * dtheta_dl[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -552,6 +528,7 @@ def dl_dphi(theta_a, theta_b):
         "matrix": matrix,
         "symmetry_residual": np.abs(matrix[:, 0, 1] - matrix[:, 1, 0]),
         "eigenvalues": np.linalg.eigvalsh(matrix),
+        "coords": coords,
         "lengths": lengths,
         "thetas": thetas,
         "miss": np.abs(thetas - targets).max(axis=0),

@@ -329,15 +329,14 @@ def certify(t):
 # words ``b``, ``abA`` and ``baBA``, axis letter ``b`` and test letter
 # ``a`` are the top side's ``a``, ``baB``, ``abAB``, ``a`` and ``b`` with
 # the letters swapped, so the bottom side of (a, b) is the top side of
-# (b, a).  ``measure_sides`` therefore evaluates the top side once on
+# (b, a).  ``_certify_branch`` therefore evaluates the top side once on
 # generators of length 2n, (a then b, b then a), and splits every result
 # in half.  Each entry sees the same operations in the same order as in
 # a per-side pass, so the results are bit-identical to it, while a call
 # makes half the numpy calls, whose fixed cost outweighs the work per
 # point in calls of up to a few hundred points.  The price is memory:
 # both sides' temporaries are live at once, about 1.5 kB a point at the
-# peak against 1.1 kB.  ``lengthmap.measure_structures`` runs the same
-# pass on the pairs it builds from curve lengths.
+# peak against 1.1 kB.
 
 
 @dataclass(frozen=True)
@@ -561,35 +560,6 @@ def _roof_batch(gens, axis_points, test_points):
     return math.pi - psi, leave | np.isnan(psi)
 
 
-def _stacked(m, n):
-    """The entries of ``m`` followed by those of ``n``, entry by entry."""
-    return tuple(np.concatenate((u, v)) for u, v in zip(m, n))
-
-
-def measure_sides(a, b):
-    """Both pants sides of the pairs ``(a, b)`` in one pass: the bending
-    angles of the a- and b-curves and the planarity residuals of the top
-    and bottom plaques, each a ``(2, n)`` array with the top side's row
-    first, the plaque triples of the stacked top-then-bottom entries, and
-    the mask of the points that leave the common branch (a non-planar
-    plaque or a concave crease included).
-
-    The bottom side of (a, b) is the top side of (b, a), so the top side
-    is evaluated once on generators of length 2n, (a then b, b then a).
-    Each half's roof is probed by the other half's axis points, the fixed
-    points of its other generator."""
-    n = len(a[0])
-    gens = {"a": _stacked(a, b), "b": _stacked(b, a)}
-    axis, triple, planar, leave = _side_batch(gens)
-    probes = tuple(np.concatenate((v[n:], v[:n])) for v in axis[:2])
-    angle, leave_roof = _roof_batch(gens, axis, probes)
-    # Marked structures have planar plaques and angles in [0, pi].  Off
-    # them (non-planar pants, concave creases) the residual and the roof
-    # can be ill-conditioned, so the scalar path alone defines them.
-    leave |= leave_roof | (planar > PLANARITY_TOL) | (angle < 0.0)
-    return angle.reshape(2, n), planar.reshape(2, n), triple, leave[:n] | leave[n:]
-
-
 def _certify_branch(x, y, z):
     """The common branch of :func:`certify` over arrays, the pair and
     plaque triples it fits, and the mask of points that leave it."""
@@ -617,8 +587,19 @@ def _certify_branch(x, y, z):
     q = w - big_x * r
     b, bad_b = unimodular_batch((y / 2.0, q, r, y / 2.0))
     leave |= bad_a | bad_b
-    (angle_a, angle_b), (top_planar, bottom_planar), triple, leave_sides = measure_sides(a, b)
-    leave |= leave_sides
+    n = len(x)
+    gens = {"a": tuple(map(np.concatenate, zip(a, b))),
+            "b": tuple(map(np.concatenate, zip(b, a)))}
+    axis, triple, planar, leave_sides = _side_batch(gens)
+    # Each half's roof is probed by the other half's axis points.
+    probes = tuple(np.concatenate((v[n:], v[:n])) for v in axis[:2])
+    angle, leave_roof = _roof_batch(gens, axis, probes)
+    # Marked structures have planar plaques and angles in [0, pi].  Off
+    # them (non-planar pants, concave creases) the residual and the roof
+    # can be ill-conditioned, so the scalar path alone defines them.
+    leave_sides |= leave_roof | (planar > PLANARITY_TOL) | (angle < 0.0)
+    leave |= leave_sides[:n] | leave_sides[n:]
+    (angle_a, angle_b), (top_planar, bottom_planar) = angle.reshape(2, n), planar.reshape(2, n)
     real_a, real_b, real_k = np.abs(x.imag), np.abs(y.imag), np.abs(kap.imag)
     theta_a = np.where(real_a <= REAL_TRACE_TOL, angle_a, np.nan)
     theta_b = np.where(real_b <= REAL_TRACE_TOL, angle_b, np.nan)
@@ -653,7 +634,6 @@ def _certify_branch(x, y, z):
         "max_real_trace_residual": np.maximum(np.maximum(real_a, real_b), real_k),
         "max_planarity_residual": np.maximum(top_planar, bottom_planar),
     }
-    n = len(x)
     triples = {"top": tuple(v[:n] for v in triple), "bottom": tuple(v[n:] for v in triple)}
     fitted = {"pair": (a, b), "triples": triples}
     return fields, fitted, leave

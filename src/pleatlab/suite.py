@@ -52,8 +52,19 @@ LIFT_BLOCK = 2048
 SEEDS = {"lift": 1, "relations": 2, "cone": 3, "mirror": 4, "posdef": 5, "volume": 6, "newton": 7}
 # Sizes and thresholds of the criteria, in registry order.
 LIFT_SAMPLES = 10_000
+# check_lift skips a draw whose trace is this close to +/-2.
+LIFT_SKIP_BAND = 1e-3
 LIFT_TOL = 1e-10
 GRID_TOL = 1e-8
+# Largest gap between roof and closed-form angles, the roof witnessing the
+# closed-form measuring: certify_batch's angles against the closed form
+# (grid) or the placed targets (posdef, volume), and the closed-form angles
+# at Newton's roof roots against their targets (newton).  Worst: 1.2e-14
+# over --seed 0-199, 1.3e-14 over 200-399 (posdef), at lengths up to 3.3;
+# the roof's error grows like e^l on a long curve.
+ROOF_TOL = 1e-13
+# quakebend's Fuchsian seeds, by their a-trace.
+QUAKEBEND_SEEDS = (2.5, 2.0 * math.sqrt(2.0), 3.0, 3.5, 4.0)
 QUAKEBEND_PARAMETER = 0.3
 QUAKEBEND_TOL = 1e-8
 RELATIONS_STRUCTURES = 20
@@ -69,6 +80,8 @@ JACOBIAN_DET_LO = 1e-2
 JACOBIAN_DET_HI = 1e3
 JACOBIAN_FD_TOL = 1e-6
 JACOBIAN_CORNER_TOL = 1e-4
+# jacobian walks x = y to 2 sqrt(2) - 10^-k for k = 1 to this.
+JACOBIAN_CORNER_STEPS = 10
 # posdef's angle pairs, uniform in their ranges: interior, then near flat.
 POSDEF_POINTS = 14
 POSDEF_ANGLES = (0.8, 2.9)
@@ -80,13 +93,16 @@ POSDEF_FLAT_ANGLES = (0.18, 0.45)
 # angle Jacobian scaled by 1 + 1e-9 opens it to 7.7e-9 at --seed 0.
 POSDEF_SYM_TOL = 1e-13
 POSDEF_DET_TOL = 1e-13
-# Largest angle miss of a structure placed at explicit_lengths, in posdef
-# and volume.  The closed form misses by at most 4.7e-15 in posdef over
-# --seed 0-199 (4.4e-15 over 200-399) and by 1.8e-15 on volume's angle
-# paths; every placed length scaled by 1 + 1e-3 misses by 3.2e-3
-# (volume) and 2.4e-2 (posdef) at --seed 0.
+# Largest closed-form angle miss of a structure placed at explicit_lengths,
+# in posdef and volume: a round trip through the closed form.  It reads at
+# most 4.0e-15 in posdef over --seed 0-199 (3.9e-15 over 200-399) and
+# 8.9e-16 on volume's angle paths; every placed length scaled by 1 + 1e-3
+# misses by 3.2e-3 (volume) and 2.4e-2 (posdef) at --seed 0.
 PLACEMENT_TOL = 1e-12
+# volume's pairs: a start, an end and a waypoint (x, y), each coordinate
+# uniform in this range.
 VOLUME_PAIRS = 10
+VOLUME_PAIR_RANGE = (2.1, 2.55)
 # Quadrature order of volume's pair segments in the trace chart, and the
 # largest direct-dogleg gap of a pair, a round-off bound: at order 24 the
 # worst is 1.0e-15 over --seed 0-199 and 6.7e-16 over 200-399.
@@ -99,7 +115,10 @@ VOLUME_PAIR_TOL = 1e-13
 # by 1.01 opens a gap of 4.2e-3 to 2.3e-2.
 VOLUME_ANGLE_ORDER = 24
 VOLUME_ANGLE_TOL = 1e-13
-# Samples and quadrature order of volume's concavity paths and its ray.
+# volume's angle paths (start, end): the concavity paths, then the ray
+# to the cusp; and their samples and quadrature order.
+VOLUME_PATHS = (((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
+                ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9)), ((2.0, 2.2), (math.pi, math.pi)))
 VOLUME_PATH_SAMPLES = 8
 VOLUME_PATH_ORDER = 16
 # newton's starting seeds, and its targets of each kind (length-length,
@@ -114,6 +133,8 @@ NEWTON_AGREEMENT_TOL = 1e-8
 # form's (explicit_lengths) in newton.  Measured worst: 2.3e-15 over
 # --seed 0-199.
 NEWTON_CLOSED_FORM_TOL = 1e-9
+# cuspmodel's commuting_canonical_pair: its trace u and its h.
+CUSPMODEL_PAIR = (3.0, 2.0)
 CUSPMODEL_RELATION_TOL = 1e-12
 CUSPMODEL_RATIO_FLOOR = 1e-3
 CUSPMODEL_CROSS_TOL = 1e-6
@@ -132,6 +153,12 @@ def _doubled_sample(n, seed):
     """The doubled holonomy of ``sample_structures(n, seed)``, certified
     by one :func:`certify_batch` and doubled as one stack."""
     return doubled_holonomy(certify_batch(*sample_structures(n, seed)))
+
+
+def _roof_gap(cert, thetas):
+    """Largest gap between a :func:`certify_batch` result's roof angles and
+    the ``(2, n)`` angles ``thetas``; NaN where an angle is undefined."""
+    return float(np.max(np.abs(np.stack((cert.theta_a, cert.theta_b)) - thetas)))
 
 
 def _grid_values():
@@ -157,7 +184,7 @@ def check_lift(seed):
         if singular.any():
             raise ZeroMultiplier("matrix is singular, no Moebius map")
         tr = a + d
-        kept = ~(np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) < 1e-3)
+        kept = ~(np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) < LIFT_SKIP_BAND)
         tested += int(kept.sum())
         lam = complex_length((a[kept], b[kept], c[kept], d[kept]))
         recon = 2.0 * np.cosh(lam.value / 2.0)
@@ -186,13 +213,18 @@ def check_grid():
         & (cert.theta_b < math.pi)
     )
     worst_planarity = float(cert.max_planarity_residual.max())
+    # The closed form at the curve lengths 2 arccosh(x / 2), 2 arccosh(y / 2).
+    _, _, closed = measure_structures(*(2.0 * np.arccosh(np.stack((x, y)) / 2.0)))
+    worst_roof = _roof_gap(cert, closed)
     return {
-        "passed": bool(ok.all()) and worst_planarity < GRID_TOL,
+        "passed": bool(ok.all()) and worst_planarity < GRID_TOL and worst_roof < ROOF_TOL,
         "details": {
             "points": int(ok.size),
             "failures": int((~ok).sum()),
             "worst_planarity": worst_planarity,
             "tol": GRID_TOL,
+            "worst_roof_gap": worst_roof,
+            "roof_tol": ROOF_TOL,
         },
     }
 
@@ -202,11 +234,10 @@ def check_grid():
 
 
 def check_quakebend():
-    xs = (2.5, 2.0 * math.sqrt(2.0), 3.0, 3.5, 4.0)
     worst_angle = 0.0
     worst_disc = 0.0
     failures = 0
-    for x in xs:
+    for x in QUAKEBEND_SEEDS:
         y = 2.0 * x / math.sqrt(x * x - 4.0)
         seed = coords(x, y, x * y / 2.0)
         worst_disc = max(worst_disc, abs(discriminant(x, y)))
@@ -223,7 +254,7 @@ def check_quakebend():
     return {
         "passed": failures == 0 and worst_angle < QUAKEBEND_TOL,
         "details": {
-            "seeds": len(xs),
+            "seeds": len(QUAKEBEND_SEEDS),
             "failures": failures,
             "bend_parameter": QUAKEBEND_PARAMETER,
             "worst_angle_error": worst_angle,
@@ -313,7 +344,7 @@ def check_jacobian():
     # Walk x = y toward the branch point at 2*sqrt(2) where the marked
     # root collides with its conjugate and the determinant vanishes.
     corner = 2.0 * math.sqrt(2.0)
-    path = [(corner - 10.0 ** (-k),) * 2 for k in range(1, 11)]
+    path = [(corner - 10.0 ** (-k),) * 2 for k in range(1, JACOBIAN_CORNER_STEPS + 1)]
     # The marked roots of all the structures, in one call.
     x, y = np.array(grid + fd_points + path).T
     structures = [coords(*t) for t in zip(x, y, pleating_candidates(x, y)[0])]
@@ -366,13 +397,15 @@ def check_posdef(seed):
     draws = ((POSDEF_POINTS, POSDEF_ANGLES), (POSDEF_FLAT_POINTS, POSDEF_FLAT_ANGLES))
     pairs = [(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
              for count, (lo, hi) in draws for _ in range(count)]
-    rep = dl_dphi(*np.array(pairs).T)
+    targets = np.array(pairs).T
+    rep = dl_dphi(*targets)
     m = rep["matrix"]
     worst_sym = float(rep["symmetry_residual"].max())
     worst_det = float(np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0] - 0.25).max())
     min_eig = float(rep["eigenvalues"][:, 0].min())
     min_diag = float(min(m[:, 0, 0].min(), m[:, 1, 1].min()))
     worst_miss = float(rep["miss"].max())
+    worst_roof = _roof_gap(certify_batch(*rep["coords"]), targets)
     # The lengths determine the structure: on the convex angle domain,
     # phi -> l is strictly monotone, so every pair gives a positive ratio.
     min_mono = _min_monotonicity(rep["lengths"], 2.0 * (math.pi - rep["thetas"]))
@@ -380,6 +413,7 @@ def check_posdef(seed):
         "passed": (
             worst_sym < POSDEF_SYM_TOL and worst_det < POSDEF_DET_TOL and min_eig > 0.0
             and min_diag > 0.0 and min_mono > 0.0 and worst_miss < PLACEMENT_TOL
+            and worst_roof < ROOF_TOL
         ),
         "details": {
             "points": len(pairs),
@@ -389,9 +423,11 @@ def check_posdef(seed):
             "min_diagonal": min_diag,
             "min_monotonicity": min_mono,
             "worst_placement_miss": worst_miss,
+            "worst_roof_gap": worst_roof,
             "sym_tol": POSDEF_SYM_TOL,
             "det_tol": POSDEF_DET_TOL,
             "placement_tol": PLACEMENT_TOL,
+            "roof_tol": ROOF_TOL,
         },
     }
 
@@ -402,7 +438,7 @@ def check_posdef(seed):
 
 def check_volume(seed):
     # Each pair is a start, an end and a waypoint (x, y).
-    pairs = np.random.default_rng(seed).uniform(2.1, 2.55, size=(VOLUME_PAIRS, 3, 2))
+    pairs = np.random.default_rng(seed).uniform(*VOLUME_PAIR_RANGE, size=(VOLUME_PAIRS, 3, 2))
     volumes = schlafli_volumes(
         [(p, q, VOLUME_PAIR_ORDER) for a, b, w in pairs for p, q in ((a, b), (a, w), (w, b))]
     )
@@ -415,19 +451,10 @@ def check_volume(seed):
     # integrated in angle space between the pairs' end angles, with the
     # lengths of explicit_lengths (which certifies nothing), can.
     _, _, thetas = measure_structures(*(2.0 * np.arccosh(pairs[:, :2].reshape(-1, 2).T / 2.0)))
-    pair_paths = [(a, b, 1, VOLUME_ANGLE_ORDER) for a, b in zip(thetas.T[::2], thetas.T[1::2])]
-    ends = [
-        ((1.8, 2.0), (2.6, 2.3)),
-        ((1.2, 1.4), (2.2, 2.8)),
-        ((2.8, 1.0), (1.6, 2.4)),
-        ((0.9, 2.5), (2.0, 1.1)),
-        ((1.5, 1.5), (2.9, 2.9)),
-        ((2.0, 2.2), (math.pi, math.pi)),
-    ]
     # The pair paths, the concavity probes, then the ray to the cusp.
-    angle_paths = continuations(
-        pair_paths + [(*path, VOLUME_PATH_SAMPLES, VOLUME_PATH_ORDER) for path in ends]
-    )
+    paths = [(a, b, 1, VOLUME_ANGLE_ORDER) for a, b in zip(thetas.T[::2], thetas.T[1::2])]
+    paths += [(*path, VOLUME_PATH_SAMPLES, VOLUME_PATH_ORDER) for path in VOLUME_PATHS]
+    angle_paths = continuations(paths)
     worst_angle_gap = max(abs(v.value - float(p.volume[-1])) for v, p in zip(direct, angle_paths))
     concave_ok = True
     worst_margin = -math.inf
@@ -438,16 +465,21 @@ def check_volume(seed):
     ray = angle_paths[-1].volume
     ray_ok = bool(np.all(np.diff(ray) > 0.0))
     worst_miss = float(max(path.miss.max() for path in angle_paths))
+    # Each sample's roof angles against its targets, placed as continuations places them.
+    targets = [np.minimum(np.outer(a, 1.0 - p.s) + np.outer(b, p.s), math.pi)
+               for (a, b, _, _), p in zip(paths, angle_paths)]
+    cert = certify_batch(*np.concatenate([p.coords for p in angle_paths], axis=1))
+    worst_roof = _roof_gap(cert, np.concatenate(targets, axis=1))
     return {
         "passed": (
             worst_pair < VOLUME_PAIR_TOL and concave_ok and ray_ok and worst_miss < PLACEMENT_TOL
-            and worst_angle_gap < VOLUME_ANGLE_TOL
+            and worst_angle_gap < VOLUME_ANGLE_TOL and worst_roof < ROOF_TOL
         ),
         "details": {
             "path_pairs": VOLUME_PAIRS,
             "worst_pair_difference": worst_pair,
             "pair_tol": VOLUME_PAIR_TOL,
-            "concavity_paths": len(ends) - 1,
+            "concavity_paths": len(VOLUME_PATHS) - 1,
             "concave": concave_ok,
             "worst_second_difference_margin": worst_margin,
             "ray_increments_positive": ray_ok,
@@ -456,6 +488,8 @@ def check_volume(seed):
             "angle_space_tol": VOLUME_ANGLE_TOL,
             "worst_placement_miss": worst_miss,
             "placement_tol": PLACEMENT_TOL,
+            "worst_roof_gap": worst_roof,
+            "roof_tol": ROOF_TOL,
         },
     }
 
@@ -470,10 +504,11 @@ def check_newton(seed):
     rng = np.random.default_rng(seed)
     worst_spread = 0.0
     worst_gap = 0.0
+    worst_miss = max(abs(theta - math.pi) for theta in cusp.thetas)
     failures = 0
 
     def spread(target):
-        nonlocal failures, worst_gap
+        nonlocal failures, worst_gap, worst_miss
         sols = []
         for s in NEWTON_SEEDS:
             try:
@@ -485,6 +520,8 @@ def check_newton(seed):
         worst_gap = max(
             worst_gap, *(abs(v - e) / e for r in sols for v, e in zip(r.lengths, exact))
         )
+        angles = [(i, value) for i, (kind, value) in enumerate(target.values()) if kind == "angle"]
+        worst_miss = max([worst_miss, *(abs(r.thetas[i] - v) for r in sols for i, v in angles)])
         ref = sols[0].coords.astuple()
         return max(abs(u - v) for r in sols[1:] for u, v in zip(r.coords.astuple(), ref))
 
@@ -500,12 +537,15 @@ def check_newton(seed):
             cusp_err < NEWTON_AGREEMENT_TOL
             and worst_spread < NEWTON_AGREEMENT_TOL
             and worst_gap < NEWTON_CLOSED_FORM_TOL
+            and worst_miss < ROOF_TOL
             and failures == 0
         ),
         "details": {
             "cusp_error": cusp_err,
             "worst_seed_spread": worst_spread,
             "worst_closed_form_gap": worst_gap,
+            "worst_angle_miss": worst_miss,
+            "roof_tol": ROOF_TOL,
             "targets": 2 * NEWTON_TARGETS,
             "seeds_per_target": len(NEWTON_SEEDS),
             "failures": failures,
@@ -519,7 +559,7 @@ def check_newton(seed):
 
 
 def check_cuspmodel():
-    model = commuting_canonical_pair(3.0, 2.0)
+    model = commuting_canonical_pair(*CUSPMODEL_PAIR)
     rep = cusp_derivative_check()
     ratio = rep["ratio"]
     hsq = rep["hsq_estimate"]

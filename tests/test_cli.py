@@ -17,6 +17,8 @@ from pleatlab.cli import main
 from pleatlab.lengthmap import VOLUME_MAX_ORDER, continuations
 from pleatlab.plaques import certify, certify_batch
 
+import oracle
+
 THETA_22 = 2.189525017467147
 
 
@@ -542,6 +544,22 @@ def test_trace_ray_from_near_the_cusp():
     assert rows.shape == (3, 11) and np.isfinite(rows).all()
     assert np.all(np.diff(rows[:, 9]) > 0.0)
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("start", ["3.14159,1e-9", "3.141592,1e-10", "3.14159,1e-8"])
+def test_trace_ray_next_to_a_long_curve(start):
+    """Rows with curve b 40 to 49 long print every angle in (0, pi], each
+    within 1e-14 relative of the 60-digit closed form at the printed
+    lengths; measured on the roof, the first start printed theta_b =
+    -6.07e-7 and the last 7.17e-8 for a target of 1e-8."""
+    result = run("trace-ray", "--start", start, "--samples", "2")
+    assert result.exit_code == 0, result.output
+    rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
+    for theta_a, theta_b, l_a, l_b in rows[:, 1:5].tolist():
+        assert 0.0 < theta_a <= math.pi and 0.0 < theta_b <= math.pi
+        for theta, want in ((theta_a, oracle.closed_form_angle(l_a, l_b)),
+                            (theta_b, oracle.closed_form_angle(l_b, l_a))):
+            assert abs(theta - want) <= 1e-14 * want, (theta, l_a, l_b)
 
 
 @pytest.mark.parametrize(

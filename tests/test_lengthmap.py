@@ -27,6 +27,7 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab import lengthmap as lm
+from pleatlab import plaques
 from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.suite import run_suite
 
@@ -230,8 +231,14 @@ def test_explicit_lengths_arrays_match_one_element_calls(kinds):
 
 
 def test_lengths_beyond_float_range_raise():
-    with pytest.raises(NumericalOverflow):
-        lm.measure_structure(2000.0, 1.0)
+    """A length whose 4 sinh^2(l/2) overflows raises, 710.5 included,
+    whose sinh^2 does not: the scalar built an infinite X there; the
+    array call names its first such row."""
+    for length in (2000.0, 710.5):
+        with pytest.raises(NumericalOverflow):
+            lm.measure_structure(length, 1.0)
+        with pytest.raises(NumericalOverflow, match=rf"^lengths \({length}, 1.0\) leave"):
+            lm.measure_structures([1.0, length, 3000.0], [1.0, 1.0, 1.0])
     with pytest.raises(NumericalOverflow):
         lm.solve_targets({"a": ("length", 2000.0), "b": ("length", 1.0)})
 
@@ -293,30 +300,62 @@ def test_closed_form_angle_jacobian_is_infinite_when_bending_free():
 SWITCH = lm.CLOSED_FORM_LENGTH
 
 
+def _no_roof(monkeypatch):
+    """Make every roof entry that lengthmap or plaques binds raise."""
+    def roof(*args, **kw):
+        raise AssertionError("measured on the roof")
+
+    for module, names in ((lm, ("bending_angle", "certify_batch")),
+                          (plaques, ("bending_angle", "certify_batch", "_certify_branch",
+                                     "_roof_batch", "_side_batch"))):
+        for name in names:
+            monkeypatch.setattr(module, name, roof)
+
+
 @pytest.mark.parametrize(
     "length",
     [0.0, 1e-20, 1e-15, 3e-15, 1e-13, math.nextafter(SWITCH, 0.0), SWITCH, 1e-11, 1e-6],
 )
 def test_measure_structure_at_tiny_lengths(length, monkeypatch):
-    """Below CLOSED_FORM_LENGTH a curve's angle comes from the closed
-    form, where the roof raised ZeroMultiplier or CoincidentPoints; at
-    and above it the roof measures it.  Both sides match the closed-form
-    oracle to 1e-14, in either slot and with both curves tiny."""
-    measured = []
-
-    def recording_angle(pair, curve):
-        measured.append(curve)
-        return bending_angle(pair, curve)
-
-    monkeypatch.setattr(lm, "bending_angle", recording_angle)
-    roof = length >= SWITCH
+    """No curve is measured on the roof, which raised ZeroMultiplier or
+    CoincidentPoints below ~5e-15 (the lengths straddle CLOSED_FORM_LENGTH,
+    where Newton's roof residual switches to the closed form).  Both
+    angles match the closed-form oracle to 1e-14, in either slot and with
+    both curves tiny."""
+    _no_roof(monkeypatch)
     for lengths in ((length, 1.0), (1.0, length), (length, length)):
-        measured.clear()
         _, _, thetas = lm.measure_structure(*lengths)
-        assert measured == [c for c, l in zip("ab", lengths) if l >= SWITCH]
         assert abs(thetas[0] - oracle.closed_form_angle(*lengths)) <= 1e-14
         assert abs(thetas[1] - oracle.closed_form_angle(*lengths[::-1])) <= 1e-14
-    assert measured == (["a", "b"] if roof else [])
+
+
+def test_measuring_enters_no_roof(monkeypatch):
+    """measure_structure and measure_structures call no bending_angle,
+    certify_batch or roof helper, on interior, cusp, tiny, long and
+    bending-free rows, and agree with each other to 1e-15."""
+    rows = [(1.0, 1.2), (0.0, 0.0), (1e-13, 1.0), (0.05, 30.0), (2.0, 8.0), (-0.7, 1.5)]
+    _no_roof(monkeypatch)
+    coords, lengths, thetas = lm.measure_structures(*np.transpose(rows))
+    for i, row in enumerate(rows):
+        t, want_lengths, want_thetas = lm.measure_structure(*row)
+        assert tuple(lengths[:, i]) == want_lengths
+        assert np.max(np.abs(thetas[:, i] - want_thetas)) <= 1e-15, row
+        for got, value in zip(coords[:, i], t.astuple()):
+            assert abs(got - value) <= 1e-15 * abs(value), row
+
+
+@pytest.mark.parametrize("p", [0.9, 0.5])
+def test_measure_structures_next_to_a_long_curve(p):
+    """A short curve opposite a long one, at P = sinh(l_a/2) sinh(l_b/2):
+    both angles match the 60-digit closed form to 1e-13 relative, where
+    the roof was off by up to 2.7 relative and raised at (0.5, 39)."""
+    l_b = np.array([15.0, 20.0, 25.0, 30.0, 35.0, 39.0])
+    l_a = 2.0 * np.arcsinh(p / np.sinh(l_b / 2.0))
+    _, _, thetas = lm.measure_structures(l_a, l_b)
+    for k, (a, b) in enumerate(zip(l_a.tolist(), l_b.tolist())):
+        wants = oracle.closed_form_angle(a, b), oracle.closed_form_angle(b, a)
+        for theta, want in zip(thetas[:, k], wants):
+            assert abs(theta - want) <= 1e-13 * want, (p, b)
 
 
 # Lengths log-uniform over [1e-6, 40], of either sign.
@@ -325,19 +364,20 @@ _LENGTH = st.builds(
     st.floats(math.log(1e-6), math.log(40.0)),
     st.sampled_from((-1.0, 1.0)),
 )
-# Largest angle gap between measure_structures' batch rows and the scalar
-# measure_structure; measured worst 1.05e-13 over 20,000 rows placed at
-# the explicit lengths of angles uniform in (1e-3, pi - 1e-6), and 4.9e-14
-# over 40,000 rows drawn as _LENGTH draws them.
+# Largest angle gap between measure_structures' rows and the scalar
+# measure_structure, the same closed form in numpy and in math; measured
+# worst 3.6e-14 over 20,000 rows placed at the explicit lengths of angles
+# uniform in (1e-3, pi - 1e-6) (both near flat, where 1 - P loses digits),
+# and 8.3e-15 over 40,000 rows drawn as _LENGTH draws them.
 TWIN_ANGLE_TOL = 2e-13
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_LENGTH, _LENGTH), min_size=1, max_size=6))
 def test_measure_structures_answer_like_measure_structure(rows):
-    """Rows on the batch branch agree with the scalar to TWIN_ANGLE_TOL in
-    their angles and to 1e-14 relative in their coordinates; the rows it
-    leaves are the scalar's results bit for bit, or raise its error."""
+    """Every row agrees with the scalar to TWIN_ANGLE_TOL in its angles and
+    to 1e-14 relative in its coordinates, with no call of the scalar, or
+    the call raises the scalar's error."""
     scalar = []
     for row in rows:
         try:
@@ -351,38 +391,41 @@ def test_measure_structures_answer_like_measure_structure(rows):
             raised = next(r for r in scalar if isinstance(r, PleatlabError))
             assert type(exc) is type(raised)
             return
-    left = {call.args for call in spy.call_args_list}
+    assert spy.call_count == 0
     for i, (row, want) in enumerate(zip(rows, scalar)):
         assert not isinstance(want, PleatlabError), row
         t, want_lengths, want_thetas = want
         assert tuple(lengths[:, i]) == want_lengths
-        if row in left:
-            assert tuple(coords[:, i]) == t.astuple()
-            assert tuple(thetas[:, i]) == want_thetas
-            continue
         assert np.max(np.abs(thetas[:, i] - want_thetas)) <= TWIN_ANGLE_TOL, row
         for got, value in zip(coords[:, i], t.astuple()):
             assert abs(got - value) <= 1e-14 * max(1.0, abs(value)), row
 
 
 def test_measure_structures_measure_in_one_pass(monkeypatch):
-    """The batch rows share one measure_sides pass; the cusp, a tiny length
-    and a bending-free pair go to the scalar measure_structure."""
-    passes, scalar = [], []
-    sides, single = lm.measure_sides, lm.measure_structure
-    monkeypatch.setattr(lm, "measure_sides", lambda *a: passes.append(a) or sides(*a))
+    """Every row is measured by the array expressions, with no roof pass
+    and no call of the scalar measure_structure; the cusp, a tiny length
+    and a bending-free pair answer pi, the closed form and 0."""
+    scalar = []
+    single = lm.measure_structure
     monkeypatch.setattr(lm, "measure_structure", lambda *a: scalar.append(a) or single(*a))
+    _no_roof(monkeypatch)
     l_a = [1.0, 0.0, 0.7, 1e-13, 2.0, 0.4]
     l_b = [1.2, 0.0, 1.5, 1.0, 8.0, 2.2]
-    lm.measure_structures(l_a, l_b)
-    assert len(passes) == 1
-    assert scalar == [(0.0, 0.0), (1e-13, 1.0), (2.0, 8.0)]
+    _, _, thetas = lm.measure_structures(l_a, l_b)
+    assert scalar == []
+    assert thetas[:, 1].tolist() == [math.pi, math.pi]
+    assert abs(thetas[0, 3] - oracle.closed_form_angle(1e-13, 1.0)) <= 1e-14
+    assert thetas[:, 4].tolist() == [0.0, 0.0]
 
 
 def test_solve_reaches_a_tiny_length_target():
+    """The roof, on which Newton solves, hits the angle target exactly;
+    the returned angles are the closed form's, within 1e-14 of the
+    oracle."""
     res = lm.solve_targets({"a": ("length", 3e-15), "b": ("angle", 2.0)})
-    assert res.lengths[0] == 3e-15 and res.thetas[1] == 2.0
+    assert res.lengths[0] == 3e-15 and bending_angle(pair_from_lengths(*res.lengths), "b") == 2.0
     assert abs(res.thetas[0] - oracle.closed_form_angle(*res.lengths)) <= 1e-14
+    assert abs(res.thetas[1] - oracle.closed_form_angle(*res.lengths[::-1])) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -499,26 +542,28 @@ def test_newton_root_is_set_by_the_measured_residual(targets, monkeypatch):
 
 @pytest.mark.parametrize(
     "targets, structures",
-    [(_angles(2.0, 2.0), 6), (_angles(2.0, 2.4), 7),
-     ({"a": ("length", 1.1), "b": ("angle", 2.2)}, 6),
-     ({"a": ("length", 1.3), "b": ("length", 0.9)}, 1)],
+    [(_angles(2.0, 2.0), 5), (_angles(2.0, 2.4), 6),
+     ({"a": ("length", 1.1), "b": ("angle", 2.2)}, 5),
+     ({"a": ("length", 1.3), "b": ("length", 0.9)}, 0)],
     ids=["equal-angles", "angles", "mixed", "lengths"],
 )
 def test_solve_measures_one_residual_per_iteration(targets, structures, monkeypatch):
-    """With no halved step a solve builds at most iterations + 3
-    structures: the seed, one candidate per iteration, the chord step and
-    the final measurement (a length-length solve only the last).
-    (2.0, 2.0) from (1, 1) builds 6; a difference Jacobian built 12."""
-    built = []
+    """With no halved step a solve measures at most iterations + 2
+    structures on the roof: the seed, one candidate per iteration and the
+    chord step; the final measurement is the closed form's, and a
+    length-length solve measures none.  (2.0, 2.0) from (1, 1) measures
+    5; a difference Jacobian built 12 structures."""
+    measured = []
 
-    def counting(*args):
-        built.append(args)
-        return structure(*args)
+    def counting(pair, curve):
+        if not any(pair is seen for seen in measured):
+            measured.append(pair)
+        return angle(pair, curve)
 
-    structure = lm._structure
-    monkeypatch.setattr(lm, "_structure", counting)
+    angle = lm.bending_angle
+    monkeypatch.setattr(lm, "bending_angle", counting)
     res = lm.solve_targets(targets)
-    assert len(built) == structures <= res.iterations + 3
+    assert len(measured) == structures <= res.iterations + 2
 
 
 def test_newton2_converges_on_linear_system():
@@ -872,9 +917,9 @@ def test_continuations_batch_gives_the_one_path_columns(monkeypatch):
 
 def test_continuations_measure_every_sample_in_one_batch(monkeypatch):
     """One continuations call measures the samples of all its angle paths
-    with one measure_structures call; only the two cusp samples leave the
-    batch for the scalar measure_structure.  The quadrature nodes take
-    their lengths from one explicit_lengths call, and nothing is
+    with one measure_structures call, the two cusp samples included, and
+    calls the scalar measure_structure for none.  The quadrature nodes
+    take their lengths from one explicit_lengths call, and nothing is
     certified."""
     batches, scalar, placed = [], [], []
     batch, single, place = lm.measure_structures, lm.measure_structure, lm.explicit_lengths
@@ -891,7 +936,7 @@ def test_continuations_measure_every_sample_in_one_batch(monkeypatch):
                    ((0.5, 2.9), (math.pi, math.pi), 7, 5)]
     lm.continuations(angle_paths)
     assert batches == [5 + 4 + 8]
-    assert scalar == [(0.0, 0.0), (0.0, 0.0)]
+    assert scalar == []
     # A step of order n has n + ceil(n / 2) + 2 nodes, ends included.
     assert placed == [5 + 4 + 8, 4 * (6 + 3 + 2) + 3 * (5 + 3 + 2) + 7 * (5 + 3 + 2)]
 
@@ -948,7 +993,8 @@ def test_targets_outside_the_image_name_the_first_value(targets, message):
 
 def _dl_dphi_point(rep, k):
     """Base point ``k``'s entries of a :func:`dl_dphi` record."""
-    return {name: v[:, k] if name in ("lengths", "thetas") else v[k] for name, v in rep.items()}
+    columns = ("coords", "lengths", "thetas")
+    return {name: v[:, k] if name in columns else v[k] for name, v in rep.items()}
 
 
 def test_dl_dphi_batches_give_the_one_point_results(monkeypatch):

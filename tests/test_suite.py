@@ -181,6 +181,17 @@ def test_check_newton_gates_on_the_closed_form(monkeypatch):
     assert abs(record["details"]["worst_closed_form_gap"] - 1e-6) < 1e-9
 
 
+def test_closed_form_angle_error_fails_newton(monkeypatch):
+    """Solutions report their angles in closed form at the roots Newton
+    finds on the roof: a closed form off by a relative 1e-9 misses the
+    angle targets by more than ROOF_TOL, and newton fails."""
+    closed_form = lengthmap._closed_form_angle
+    monkeypatch.setattr(lengthmap, "_closed_form_angle", lambda *l: closed_form(*l) * (1.0 + 1e-9))
+    record = suite.check_newton(suite.SEEDS["newton"])
+    assert not record["passed"]
+    assert record["details"]["worst_angle_miss"] > 1e-10 > record["details"]["roof_tol"]
+
+
 def test_min_monotonicity_of_linear_maps():
     """For l = A phi the pair ratio is a Rayleigh quotient of A: at least
     its smallest symmetric eigenvalue, and negative for a decreasing map."""
@@ -241,23 +252,37 @@ def test_check_posdef_measures_in_one_batch(monkeypatch):
     assert scalar == []
 
 
+def _skewed_certify_batch(*args):
+    """certify_batch with every angle of curve a off by a relative 1e-9."""
+    cert = certify_batch(*args)
+    return dataclasses.replace(cert, theta_a=cert.theta_a * (1.0 + 1e-9))
+
+
 def test_roof_angle_error_fails_posdef(monkeypatch):
-    """Every roof angle of curve a measured by measure_sides off by a
-    relative 1e-9 misses its placement by more than PLACEMENT_TOL, and
-    posdef fails, though its closed-form matrices do not move."""
-    sides = lengthmap.measure_sides
-
-    def skewed(a, b):
-        thetas, *rest = sides(a, b)
-        thetas[0] *= 1.0 + 1e-9
-        return (thetas, *rest)
-
-    monkeypatch.setattr(lengthmap, "measure_sides", skewed)
+    """Every roof angle of curve a that posdef's witness certifies off by
+    a relative 1e-9 misses its target by more than ROOF_TOL, and posdef
+    fails, though its closed-form matrices and placements do not move."""
+    monkeypatch.setattr(suite, "certify_batch", _skewed_certify_batch)
     record = suite.check_posdef(suite.SEEDS["posdef"])
     details = record["details"]
     assert not record["passed"]
-    assert details["worst_placement_miss"] > 1e-10 > details["placement_tol"]
+    assert details["worst_roof_gap"] > 1e-10 > details["roof_tol"]
+    assert details["worst_placement_miss"] < details["placement_tol"]
     assert details["worst_determinant_gap"] < details["det_tol"]
+
+
+def test_certified_angle_error_fails_grid(monkeypatch):
+    """The same error in every binding of certify_batch fails grid at
+    --seed 0, whose certified angles miss the closed form by more than
+    ROOF_TOL; posdef and volume fail on their witnesses too."""
+    for module in (plaques, lengthmap, suite):
+        monkeypatch.setattr(module, "certify_batch", _skewed_certify_batch)
+    records = suite.run_suite(["grid", "posdef", "volume"])
+    for record in records:
+        assert not record["passed"], record["name"]
+        assert record["details"]["worst_roof_gap"] > 1e-10 > suite.ROOF_TOL, record["name"]
+    grid = records[0]["details"]
+    assert grid["failures"] == 0 and grid["worst_planarity"] < grid["tol"]
 
 
 @pytest.mark.parametrize("both", [False, True], ids=["one", "both"])
@@ -373,14 +398,8 @@ def test_certified_angle_error_fails_volume(monkeypatch):
     binding of certify_batch, moves the pairs' trace-chart volumes off
     their angle-space integrals (which certify nothing), and volume fails
     at --seed 0."""
-    batch = certify_batch
-
-    def skewed(*args):
-        cert = batch(*args)
-        return dataclasses.replace(cert, theta_a=cert.theta_a * (1.0 + 1e-9))
-
     for module in (plaques, lengthmap, suite):
-        monkeypatch.setattr(module, "certify_batch", skewed)
+        monkeypatch.setattr(module, "certify_batch", _skewed_certify_batch)
     records = {record["name"]: record for record in suite.run_suite()}
     details = records["volume"]["details"]
     assert not records["volume"]["passed"]
