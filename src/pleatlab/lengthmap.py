@@ -27,15 +27,14 @@ manifold.  This module provides:
   arrays of angles, from the closed-form angle Jacobian at the
   explicitly placed structures, measured in one batch;
 * volume differences through the Schlafli form
-  ``dVol = -1/2 * sum_i l_i dphi_i`` along straight segments of the
-  trace chart, by parts at certified Gauss-Legendre nodes that make a
-  cusp end converge like an interior one, a run of segments at a time;
-* continuation along straight angle paths: ``continuations`` places
-  and measures the samples of all its paths as one array, integrates the
-  form as ``sum_i l_i dtheta_i`` at Gauss-Legendre nodes in angle space
-  with the lengths of the explicit inverse, and returns each path as one
-  :class:`AnglePath` of columns, along which ``concavity_report`` probes
-  the volume's concavity;
+  ``dVol = -1/2 * sum_i l_i dphi_i``, by parts at Gauss-Legendre nodes in
+  one runner, a run of segments at a time, along straight segments of
+  the trace chart at certified nodes (``schlafli_volumes``) and along
+  straight angle paths with the lengths of the explicit inverse
+  (``continuations``, which returns each path as one :class:`AnglePath`
+  of columns, along which ``concavity_report`` probes the volume's
+  concavity); a cusp end, or a start next to a flat end, converges like
+  an interior one;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -73,8 +72,6 @@ from pleatlab.words import eval_words, padded_codes, random_reduced_word
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 DEGENERACY_TOL = 1e-6
-# dl_dphi rejects bending angles closer than this to 0 or pi.
-ANGLE_DERIVATIVE_MARGIN = 0.01
 # Curves shorter than this take the angle of Newton's roof residual from
 # the closed form of the marked cusped locus: the roof's axis points of
 # such a curve are too close for map_to_zero_infinity below ~5e-15
@@ -94,28 +91,17 @@ COCYCLE_WORD_SEED = 0
 # The fixed sl2 matrix V of conjugation_family, cocycle_check's
 # coboundary control.
 COCYCLE_CONJUGATOR = (0.3, 0.25 - 0.1j, -0.05j, -0.3)
-# Nodes per run in schlafli_volumes: one pleating_candidates call, one
-# certify_batch call and one array quadrature.  A certify_batch call
-# costs ~0.5 ms plus ~2 us per node (linear fits to the best of 15 at 1,
-# 100, 1,024 and 3,000 marked-root nodes on a 2-CPU shared x86
-# container, numpy 2.4.6, in its fast state; up to 1.6x more in its slow
-# state) and a run holds ~1.5 KB of arrays per node at its peak, nearly
-# all of it in certify_batch, which certifies both pants sides as one
-# array of twice the run's length; so the budget pays the fixed cost
-# rarely and still bounds the memory.
-VOLUME_BATCH_NODES = 1024
-# Largest quadrature order schlafli_volumes takes: a segment of order n
-# certifies n + ceil(n / 2) + 2 nodes, 770 here, so it fits in one run of
+# Most nodes a run of whole segments places at once, in both charts.
+# Best of 7 on a 2-CPU shared x86 container (numpy 2.4.6): continuations
+# at 1,000 samples of order 512 takes 135 ms at 1,024 nodes, 79 ms at
+# 4,096 and 69 ms at 16,384 (tracemalloc peaks 0.7, 1.3 and 4.5 MB), and
+# check_volume's 1,140 trace nodes 2.6 ms in two runs or 2.0 ms in one; a
+# trace-chart run holds ~1.6 KB a node, so 6.5 MB at 4,096.
+VOLUME_BATCH_NODES = 4096
+# Largest quadrature order either chart takes: a segment of order n has
+# n + ceil(n / 2) + 2 nodes, 770 here, so it fits in one run of
 # VOLUME_BATCH_NODES, and leggauss's eigenproblem takes O(n^2) memory.
 VOLUME_MAX_ORDER = 512
-# Most nodes continuations places with one explicit_lengths call: it
-# takes runs of whole steps, and a path's steps in pieces of
-# ANGLE_BATCH_NODES // (nodes a step), at least one at VOLUME_MAX_ORDER.
-# At 1,000 samples of order 512, best of 5 on a 2-CPU shared x86
-# container (numpy 2.4.6): 164 ms at 1,024 nodes, 50 ms at 4,096 and
-# 47 ms at 16,384, with tracemalloc peaks of 1.3-1.7 MB; all steps at
-# once took 75 ms and 74 MB.
-ANGLE_BATCH_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -253,6 +239,22 @@ def _closed_form_angle_jacobian(l_a, l_b):
     cosh_a, cosh_b = math.cosh(l_a / 2.0), math.cosh(l_b / 2.0)
     off = -p / root
     return (-cosh_b / (cosh_a * root), off), (off, -cosh_a / (cosh_b * root))
+
+
+def _closed_form_length_jacobian(lengths):
+    """``d(l_a, l_b) / d(theta_a, theta_b)`` at the columns of the ``(2, n)``
+    array ``lengths``, as ``(n, 2, 2)`` matrices: the adjugate, so the
+    inverse, of :func:`_closed_form_angle_jacobian` by its expressions over
+    arrays (which Newton keeps: ~1 us a point against ~5 us here), finite
+    wherever the structure bends (``P < 1``), the cusp included."""
+    half = np.asarray(lengths, dtype=float) / 2.0
+    cosh = np.cosh(half)
+    p = np.sinh(half[0]) * np.sinh(half[1])
+    with np.errstate(divide="ignore"):
+        root = np.sqrt(np.maximum((1.0 - p) * (1.0 + p), 0.0))
+        off = p / root
+        diagonal = -cosh / (cosh[::-1] * root)
+    return np.moveaxis(np.array([[diagonal[0], off], [off, diagonal[1]]]), -1, 0)
 
 
 def measure_structure(l_a, l_b):
@@ -504,26 +506,25 @@ def dl_dphi(theta_a, theta_b):
     the implicit-function theorem the derivative there is
     ``(-2 * d(theta)/d(l))^-1``, with ``d(theta)/d(l)`` the symmetric
     :func:`_closed_form_angle_jacobian` of determinant 1, so it is ``-1/2``
-    times its adjugate: the Hessian of the volume (Hodgson-Kerckhoff),
-    symmetric of determinant 1/4 with a positive diagonal.  The base
-    points are measured in one :func:`measure_structures` call, with no
-    solve.  Requires every angle at least ``ANGLE_DERIVATIVE_MARGIN`` away
-    from the degenerate values 0 and pi.
+    times its adjugate :func:`_closed_form_length_jacobian`: the Hessian of
+    the volume (Hodgson-Kerckhoff), symmetric of determinant 1/4 with a
+    positive diagonal.  The base points are measured in one
+    :func:`measure_structures` call, with no solve.  Angles outside (0, pi]
+    raise as for :func:`explicit_lengths`, and two so near 0 (~1e-8) that
+    their lengths round to a bending-free structure
+    :class:`CoordinateDegeneracy`.
     Returns, one entry per base point, the ``matrix`` (``(n, 2, 2)``), its
     ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), the
     base point's ``coords`` (``(3, n)``), ``lengths`` and measured ``thetas``
     (``(2, n)``), and the measured angles' largest ``miss``.
     """
     targets = np.array([theta_a, theta_b], dtype=float).reshape(2, -1)
-    if (np.minimum(targets, math.pi - targets) < ANGLE_DERIVATIVE_MARGIN).any():
-        raise CoordinateDegeneracy(
-            "bending angles too close to 0 or pi for the angle derivative"
-        )
     base = explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])})
     coords, lengths, thetas = measure_structures(*base)
-    dtheta_dl = np.array([_closed_form_angle_jacobian(*point) for point in zip(*lengths.tolist())])
-    # The inverse of -2 dtheta_dl is -1/2 its adjugate, as its determinant is 1.
-    matrix = -0.5 * dtheta_dl[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    matrix = -0.5 * _closed_form_length_jacobian(lengths)
+    if not np.isfinite(matrix).all():
+        first = tuple(targets[:, ~np.isfinite(matrix).all(axis=(1, 2))][:, 0].tolist())
+        raise CoordinateDegeneracy(f"bending angles {first} place a bending-free structure")
     return {
         "matrix": matrix,
         "symmetry_residual": np.abs(matrix[:, 0, 1] - matrix[:, 1, 0]),
@@ -569,6 +570,63 @@ def quadrature_rule(order):
     return nodes, rows
 
 
+def _by_parts(starts, ends, orders, place):
+    """``sum_i l_i dtheta_i`` along straight segments of one chart, by parts:
+    ``[sum_i l_i theta_i] - int sum_i theta_i (dl_i/ds) ds``, smooth at a
+    cusp end and where a length grows like ``-2 log theta``
+    (Davis-Rabinowitz).  Segment ``k`` runs between the columns ``k`` of
+    the ``(2, n)`` arrays ``starts`` and ``ends`` by the rule of
+    ``orders[k]``, its estimate the distance to the rule of half the order.
+    As many segments as fit ``VOLUME_BATCH_NODES`` nodes at the largest
+    order make a run, whose nodes ``place(nodes, p0, p1)`` (the rules'
+    columns and each node's segment ends) turns into ``(2, m)`` angles,
+    lengths and ``dl/ds``.  Returns the values and the estimates, which
+    do not depend on the segments run with each."""
+    rules = [quadrature_rule(order) for order in orders]
+    sizes = np.array([nodes.shape[1] for nodes, _ in rules], dtype=int)
+    # The cap keeps every segment within VOLUME_BATCH_NODES.
+    per_run = VOLUME_BATCH_NODES // max(sizes, default=1)
+    values, errors = [np.empty(0)], [np.empty(0)]
+    for run in (slice(k, k + per_run) for k in range(0, len(sizes), per_run)):
+        nodes, weights = (np.concatenate(rule, axis=1) for rule in zip(*rules[run]))
+        p0, p1 = (np.repeat(p[:, run], sizes[run], axis=1) for p in (starts, ends))
+        thetas, lengths, rates = place(nodes, p0, p1)
+        integrand = (thetas * rates).sum(axis=0)
+        last = np.cumsum(sizes[run]) - 1
+        first = last - sizes[run] + 1
+        # The ends carry no weight, and at a cusp end the rate is infinite.
+        integrand[first] = integrand[last] = 0.0
+        bracket = (lengths * thetas).sum(axis=0)
+        fine, coarse = np.add.reduceat(weights * integrand, first, axis=1)
+        values.append(bracket[last] - bracket[first] - fine)
+        errors.append(np.abs(fine - coarse))
+    return np.concatenate(values), np.concatenate(errors)
+
+
+def _trace_nodes(nodes, p0, p1):
+    """:func:`_by_parts`' placer in the trace chart: certified marked roots,
+    the first node that is not convex raising :class:`UncertifiedPathPoint`."""
+    xy = nodes[0] * p0 + nodes[1] * p1
+    z, _ = pleating_candidates(*xy)
+    cert = certify_batch(*xy, z)
+    uncertified = np.flatnonzero(~cert.is_convex)
+    if uncertified.size:
+        point = (*(complex(v) for v in xy[:, uncertified[0]]), complex(z[uncertified[0]]))
+        raise UncertifiedPathPoint(f"path point {point} failed convex certification")
+    thetas = np.stack((cert.theta_a, cert.theta_b))
+    sign = np.sign(xy)
+    # |x| - 2 from the ends: near the cusp x itself rounds it away.
+    offset = nodes[0] * (sign * p0 - 2.0) + nodes[1] * (sign * p1 - 2.0)
+    with np.errstate(all="ignore"):
+        # 2 sinh(l / 2) = sqrt(x^2 - 4) = root, and dl/ds = 2 |x|' / root.
+        # A coordinate that stays put has no rate, even on the cusp,
+        # where the quotient reads 0 / 0.
+        root = np.sqrt(offset * (offset + 4.0))
+        lengths = 2.0 * np.arcsinh(root / 2.0)
+        rates = np.where(p0 == p1, 0.0, 2.0 * sign * (p1 - p0) / root)
+    return thetas, lengths, rates
+
+
 def schlafli_volumes(segments):
     """Volume differences along straight segments of marked structures.
 
@@ -577,74 +635,30 @@ def schlafli_volumes(segments):
     ``s``.  With ``phi_i = 2 (pi - theta_i)`` the Schlafli form
     ``-1/2 sum_i l_i dphi_i = sum_i l_i dtheta_i`` of the doubled manifold,
     twice Bonahon's convex-core change ``1/2 sum_i l_i dtheta_i``,
-    integrates by parts to
-    ``[sum_i l_i theta_i] - int sum_i theta_i (dl_i/ds) ds``, and
-    ``dl_a/ds = 2 |x|' / sqrt(x^2 - 4)`` (``l_b`` likewise in y), so a
-    node needs only its certified angles.  The integral is the
-    Gauss-Legendre rule of ``order``, the error estimate its distance to
-    the rule of ``ceil(order / 2)``: against 50-digit references on (2.1,
-    2.1) to (2.5, 2.4) and on the cusp-end segments (2.0, 2.2) to (2.6,
-    2.3) and (2.2, 2.2) to (2.0, 2.0), it reads 4 to 3e6 times the actual
-    error at every order from 2 to 64 that misses by more than 1e-13, and
-    from order 32 on both are round-off (within 1.8e-14).
-
-    The segments run as many at a time as fit ``VOLUME_BATCH_NODES``
-    nodes at the call's largest order; the nodes of a run, both ends of
-    each segment included, take their roots from one
-    :func:`pleating_candidates` call and are certified in one
-    :func:`certify_batch` call, and the first in segment order that is not
-    convex raises :class:`UncertifiedPathPoint`.  Every order is checked
-    before any node is placed, and so is a segment whose x or y ends
-    differ in sign: it crosses ``|x| < 2`` (or ``|y| < 2``), where no
-    structure is convex.  Returns one :class:`VolumeResult` per
-    segment, whose ``nodes`` counts the ``order + ceil(order / 2) + 2``.
+    integrates by parts in :func:`_by_parts`, with ``dl_a/ds = 2 |x|' /
+    sqrt(x^2 - 4)`` (``l_b`` likewise in y), so a node needs only its
+    certified angles.  Against 50-digit references on (2.1, 2.1) to (2.5,
+    2.4) and on the cusp-end segments (2.0, 2.2) to (2.6, 2.3) and (2.2,
+    2.2) to (2.0, 2.0), the estimate reads 4 to 3e6 times the actual error
+    at every order from 2 to 64 that misses by more than 1e-13, and from
+    order 32 on both are round-off (within 1.8e-14).  The nodes of a run
+    take their roots from one :func:`pleating_candidates` call and are
+    certified in one :func:`certify_batch` call; the first in segment
+    order that is not convex raises :class:`UncertifiedPathPoint`, and so
+    does, before any node is placed, a segment whose x or y ends differ in
+    sign: it crosses ``|x| < 2`` (or ``|y| < 2``), where no structure is
+    convex.  Returns one :class:`VolumeResult` per segment, whose
+    ``nodes`` counts the ``order + ceil(order / 2) + 2``.
     """
-    rules = [quadrature_rule(order) for _, _, order in segments]
     for start, end, _ in segments:
         if any(u * v < 0.0 for u, v in zip(start, end)):
             start, end = (tuple(map(float, p)) for p in (start, end))
             raise UncertifiedPathPoint(f"path from {start} to {end} crosses |x| < 2 or |y| < 2")
-    sizes = [nodes.shape[1] for nodes, _ in rules]
-    # The cap keeps every segment within VOLUME_BATCH_NODES.
-    per_run = VOLUME_BATCH_NODES // max(sizes, default=1)
-    results = []
-    for run in (slice(k, k + per_run) for k in range(0, len(sizes), per_run)):
-        nodes, weights = (np.concatenate(rule, axis=1) for rule in zip(*rules[run]))
-        starts, ends, _ = zip(*segments[run])
-        p0, p1 = (np.repeat(np.array(p, dtype=float).T, sizes[run], axis=1) for p in (starts, ends))
-        xy = nodes[0] * p0 + nodes[1] * p1
-        z, _ = pleating_candidates(*xy)
-        cert = certify_batch(*xy, z)
-        uncertified = np.flatnonzero(~cert.is_convex)
-        if uncertified.size:
-            point = (*(complex(v) for v in xy[:, uncertified[0]]), complex(z[uncertified[0]]))
-            raise UncertifiedPathPoint(f"path point {point} failed convex certification")
-        thetas = np.stack((cert.theta_a, cert.theta_b))
-        sign = np.sign(xy)
-        # |x| - 2 from the ends: near the cusp x itself rounds it away.
-        offset = nodes[0] * (sign * p0 - 2.0) + nodes[1] * (sign * p1 - 2.0)
-        with np.errstate(all="ignore"):
-            # 2 sinh(l / 2) = sqrt(x^2 - 4) = root, and dl/ds = 2 |x|' / root.
-            # A coordinate that stays put has no rate, even on the cusp,
-            # where the quotient reads 0 / 0.
-            root = np.sqrt(offset * (offset + 4.0))
-            lengths = 2.0 * np.arcsinh(root / 2.0)
-            rates = np.where(p0 == p1, 0.0, 2.0 * sign * (p1 - p0) / root)
-        integrand = (thetas * rates).sum(axis=0)
-        last = np.cumsum(sizes[run]) - 1
-        first = last - sizes[run] + 1
-        # The ends carry no weight, and at a cusp end the rate is infinite.
-        integrand[first] = integrand[last] = 0.0
-        bracket = (lengths * thetas).sum(axis=0)
-        # Each sum runs over one segment's own terms, so a segment's result
-        # does not depend on the segments run with it.
-        fine, coarse = np.add.reduceat(weights * integrand, first, axis=1)
-        values = bracket[last] - bracket[first] - fine
-        results += [
-            VolumeResult(value=v, error_estimate=e, nodes=n)
-            for v, e, n in zip(values.tolist(), np.abs(fine - coarse).tolist(), sizes[run])
-        ]
-    return results
+    starts, ends = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, 2).T for k in (0, 1))
+    orders = [order for _, _, order in segments]
+    values, errors = _by_parts(starts, ends, orders, _trace_nodes)
+    return [VolumeResult(value=v, error_estimate=e, nodes=quadrature_rule(n)[0].shape[1])
+            for v, e, n in zip(values.tolist(), errors.tolist(), orders)]
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +680,14 @@ def concavity_report(path):
     }
 
 
-def _step_sums(run, targets, rules, sums):
-    """Fill ``sums[i][:, k0:k1]`` with the fine and the coarse sums of the
-    steps ``k0`` to ``k1`` of angle path ``i``, for every ``(i, k0, k1)``
-    of ``run``, placing all their nodes with one :func:`explicit_lengths`
-    call."""
-    ends = [targets[i][:, k0:k1 + 1, None] for i, k0, k1 in run]
-    nodes = [th[:, :-1] * rules[i][0][0] + th[:, 1:] * rules[i][0][1]
-             for th, (i, _, _) in zip(ends, run)]
-    # The samples are in (0, pi], but the nodes between them can round past pi.
-    a, b = np.minimum(np.concatenate([v.reshape(2, -1) for v in nodes], axis=1), math.pi)
-    lengths = np.array(explicit_lengths({"a": ("angle", a), "b": ("angle", b)}))
-    lengths = np.split(lengths, np.cumsum([v[0].size for v in nodes])[:-1], axis=1)
-    for (i, k0, k1), th, v, at_nodes in zip(run, ends, nodes, lengths):
-        steps = (at_nodes.reshape(v.shape) @ rules[i][1].T) * np.diff(th, axis=1)
-        sums[i][:, k0:k1] = steps.sum(axis=0).T
+def _angle_nodes(nodes, p0, p1):
+    """:func:`_by_parts`' placer in the angle chart: the lengths of
+    :func:`explicit_lengths` at the node angles, clamped at pi, which
+    ``a (1 - s) + b s`` can round past, and ``dl/ds = dl/dtheta (b - a)``."""
+    thetas = np.minimum(nodes[0] * p0 + nodes[1] * p1, math.pi)
+    lengths = np.array(explicit_lengths({"a": ("angle", thetas[0]), "b": ("angle", thetas[1])}))
+    rates = np.einsum("nij,jn->in", _closed_form_length_jacobian(lengths), p1 - p0)
+    return thetas, lengths, rates
 
 
 def continuations(angle_paths):
@@ -692,27 +699,21 @@ def continuations(angle_paths):
     paths are measured in one :func:`measure_structures` call.  The
     Schlafli form reads ``sum_i l_i dtheta_i``, the volume of the doubled
     manifold and twice Bonahon's convex-core change
-    ``1/2 sum_i l_i dtheta_i``, so a step between samples
-    is ``sum_k w_k (l_a dtheta_a + l_b dtheta_b)`` over the nodes of
-    :func:`quadrature_rule` of order ``substeps``, with the estimate its
-    distance to the rule of ``ceil(substeps / 2)``.  The nodes take their
-    lengths from :func:`explicit_lengths` in runs of whole steps, of all
-    paths in turn, with at most ``ANGLE_BATCH_NODES`` nodes a run, so the
-    memory grows with the samples and not with samples times order; they
-    are neither certified nor measured: every angle pair in (0, pi]^2 is
-    on the bending locus.  Angles between a path's ends are interpolated
-    as ``a (1 - s) + b s`` and clamped at pi, which that rounding can pass;
-    an end outside (0, pi] raises :class:`TargetOutsideImage`.
-    Returns one :class:`AnglePath` per path (a path's columns do not
-    depend on the paths batched with it).  Raises :class:`PleatlabError`
-    before placing any sample when a path's ``samples < 1``, or its
-    ``substeps`` is below 2 or above ``VOLUME_MAX_ORDER``.
+    ``1/2 sum_i l_i dtheta_i``; each step between samples is a segment of
+    order ``substeps`` of :func:`_by_parts`, whose runs bound the memory.
+    The nodes are neither certified nor measured: every angle pair in
+    (0, pi]^2 is on the bending locus.  Angles between a path's ends are
+    interpolated as ``a (1 - s) + b s`` and clamped at pi, which that
+    rounding can pass; an end outside (0, pi] raises
+    :class:`TargetOutsideImage`.  Returns one :class:`AnglePath` per path,
+    whose columns do not depend on the paths batched with it.  Raises
+    :class:`PleatlabError` before placing any sample when a path's
+    ``samples < 1``, or its ``substeps`` is outside ``2..VOLUME_MAX_ORDER``.
     """
-    rules = []
     for _, _, samples, substeps in angle_paths:
         if samples < 1:
             raise PleatlabError(f"need at least one sample, got {samples}")
-        rules.append(quadrature_rule(substeps))  # raises for an order it does not take
+        quadrature_rule(substeps)  # raises for an order it does not take
     s = [np.arange(samples + 1) / samples for _, _, samples, _ in angle_paths]
     targets = [np.outer(a, 1.0 - t) + np.outer(b, t) for (a, b, _, _), t in zip(angle_paths, s)]
     for th in targets:
@@ -725,27 +726,13 @@ def continuations(angle_paths):
     miss = np.abs(thetas - theta).max(axis=0)
     cuts = np.cumsum([t.size for t in s])[:-1]
     columns = zip(*(np.split(v, cuts, axis=-1) for v in (lengths, thetas, coords, miss)))
-    # A path's steps go in pieces of the same number of steps, whatever
-    # the paths run with it, so its sums do not depend on them; runs of
-    # pieces share an explicit_lengths call.
-    sums = [np.empty((2, t.size - 1)) for t in s]
-    run, room = [], ANGLE_BATCH_NODES
-    for i, ((nodes, _), t) in enumerate(zip(rules, s)):
-        per_piece = ANGLE_BATCH_NODES // nodes.shape[1]
-        for k in range(0, t.size - 1, per_piece):
-            stop = min(k + per_piece, t.size - 1)
-            if (stop - k) * nodes.shape[1] > room:
-                _step_sums(run, targets, rules, sums)
-                run, room = [], ANGLE_BATCH_NODES
-            run.append((i, k, stop))
-            room -= (stop - k) * nodes.shape[1]
-    if run:
-        _step_sums(run, targets, rules, sums)
-    paths = []
-    for t, (fine, coarse), path in zip(s, sums, columns):
-        volume, error = (np.cumsum([0.0, *steps]) for steps in (fine, np.abs(fine - coarse)))
-        paths.append(AnglePath(t, *path, volume, error))
-    return paths
+    starts, ends = (np.concatenate([np.empty((2, 0)), *(th[:, j] for th in targets)], axis=1)
+                    for j in (np.s_[:-1], np.s_[1:]))
+    orders = [substeps for _, _, samples, substeps in angle_paths for _ in range(samples)]
+    steps = np.cumsum([samples for _, _, samples, _ in angle_paths])[:-1]
+    values, errors = (np.split(v, steps) for v in _by_parts(starts, ends, orders, _angle_nodes))
+    return [AnglePath(t, *path, *(np.cumsum([0.0, *v]) for v in (value, error)))
+            for t, value, error, path in zip(s, values, errors, columns)]
 
 
 # ---------------------------------------------------------------------------

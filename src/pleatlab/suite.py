@@ -31,6 +31,7 @@ from pleatlab.lengthmap import (
     explicit_lengths,
     holo_length_jacobian,
     measure_structures,
+    quadrature_rule,
     schlafli_volumes,
     solve_targets,
 )
@@ -109,10 +110,11 @@ VOLUME_PAIR_RANGE = (2.1, 2.55)
 VOLUME_PAIR_ORDER = 24
 VOLUME_PAIR_TOL = 1e-13
 # Order of the continuation between a pair's end angles, and the largest
-# gap between that angle-space volume and the pair's direct volume: the
-# worst is 4.7e-15 over --seed 0-199 and 5.6e-15 over 200-399 (order 16
-# reads 5.1e-15, 12 reads 1.3e-13), while every Schlafli volume scaled
-# by 1.01 opens a gap of 4.2e-3 to 2.3e-2.
+# gap of that volume from the pair's direct volume (worst 4.3e-15 over
+# --seed 0-199, 4.0e-15 over 200-399; order 16 reads 5.6e-15, 12 reads
+# 1.7e-12) or from the direct form at its nodes (2.4e-15, 2.1e-15); every
+# Schlafli volume scaled by 1.01 opens the first to 4.2e-3 or more, and
+# every by-parts value scaled so the second to 1.2e-2 at --seed 0.
 VOLUME_ANGLE_ORDER = 24
 VOLUME_ANGLE_TOL = 1e-13
 # volume's angle paths (start, end): the concavity paths, then the ray
@@ -456,6 +458,14 @@ def check_volume(seed):
     paths += [(*path, VOLUME_PATH_SAMPLES, VOLUME_PATH_ORDER) for path in VOLUME_PATHS]
     angle_paths = continuations(paths)
     worst_angle_gap = max(abs(v.value - float(p.volume[-1])) for v, p in zip(direct, angle_paths))
+    # One runner integrates both charts by parts, and a factor on it keeps
+    # that gap; the direct form sum_k w_k sum_i l_i dtheta_i cannot.
+    (r, q), (w, _) = quadrature_rule(VOLUME_ANGLE_ORDER)
+    t0, t1 = thetas[:, ::2, None], thetas[:, 1::2, None]
+    nodes = t0 * r + t1 * q
+    lengths = np.array(explicit_lengths({"a": ("angle", nodes[0]), "b": ("angle", nodes[1])}))
+    direct_form = (lengths * (t1 - t0)).sum(axis=0) @ w
+    worst_direct_gap = float(max(abs(v - p.volume[-1]) for v, p in zip(direct_form, angle_paths)))
     concave_ok = True
     worst_margin = -math.inf
     for probe in map(concavity_report, angle_paths[VOLUME_PAIRS:-1]):
@@ -473,7 +483,7 @@ def check_volume(seed):
     return {
         "passed": (
             worst_pair < VOLUME_PAIR_TOL and concave_ok and ray_ok and worst_miss < PLACEMENT_TOL
-            and worst_angle_gap < VOLUME_ANGLE_TOL and worst_roof < ROOF_TOL
+            and max(worst_angle_gap, worst_direct_gap) < VOLUME_ANGLE_TOL and worst_roof < ROOF_TOL
         ),
         "details": {
             "path_pairs": VOLUME_PAIRS,
@@ -485,6 +495,7 @@ def check_volume(seed):
             "ray_increments_positive": ray_ok,
             "ray_volume_gain": float(ray[-1] - ray[0]),
             "worst_angle_space_gap": worst_angle_gap,
+            "worst_direct_form_gap": worst_direct_gap,
             "angle_space_tol": VOLUME_ANGLE_TOL,
             "worst_placement_miss": worst_miss,
             "placement_tol": PLACEMENT_TOL,

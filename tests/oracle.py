@@ -1,6 +1,8 @@
 """High-precision references for the tests, in mpmath at DIGITS digits with float
 inputs read as exact binary numbers: the tests' one mpmath import (``src`` has none)."""
 
+from functools import lru_cache
+
 import mpmath
 
 DIGITS = 60
@@ -110,10 +112,11 @@ def trace_path_volume(start, end):
         return mpmath.quad(integrand, [0, 1])
 
 
+@lru_cache(maxsize=None)
 def angle_path_volume(start, end):
     """``int sum_i l_i dtheta_i`` along the straight angle path from ``start``
-    to ``end``, with the lengths of :func:`explicit_lengths`, by tanh-sinh
-    quadrature."""
+    to ``end`` (tuples), with the lengths of :func:`explicit_lengths`, by
+    tanh-sinh quadrature; memoized, as several tests integrate one path."""
     with mpmath.workdps(DIGITS):
         (a0, b0), (a1, b1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
 

@@ -537,13 +537,17 @@ def test_trace_ray_csv():
 def test_trace_ray_from_near_the_cusp():
     """A start with one curve near the cusp and the other very long places
     every sample from its angles: the rows are finite, the volume
-    increases, and the cusp row reads pi, pi with lengths 0."""
+    increases, and the cusp row reads pi, pi with lengths 0.  The final
+    volume is within 1e-14 relative of the 60-digit integral (measured:
+    6.1e-16; integrated as sum_i l_i dtheta_i it missed by 1.8e-5)."""
     result = run("trace-ray", "--start", "3.14159,1e-8", "--samples", "2")
     assert result.exit_code == 0, result.output
     rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
     assert rows.shape == (3, 11) and np.isfinite(rows).all()
     assert np.all(np.diff(rows[:, 9]) > 0.0)
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
+    volume = oracle.angle_path_volume((3.14159, 1e-8), (math.pi, math.pi))
+    assert abs(rows[-1, 9] - volume) <= 1e-14 * volume
 
 
 @pytest.mark.parametrize("start", ["3.14159,1e-9", "3.141592,1e-10", "3.14159,1e-8"])

@@ -287,22 +287,29 @@ def test_certified_angle_error_fails_grid(monkeypatch):
 
 @pytest.mark.parametrize("both", [False, True], ids=["one", "both"])
 def test_off_diagonal_jacobian_error_fails_the_determinant_gate(both, monkeypatch):
-    """An off-diagonal entry of the angle Jacobian (or both) off by a
+    """An off-diagonal entry of the array dl/dtheta (or both) off by a
     relative 1e-9 moves dl_dphi's determinants away from 1/4 by more than
     POSDEF_DET_TOL, and posdef fails; with both entries scaled the
-    matrices stay symmetric, so the determinant alone catches it."""
-    jacobian = lengthmap._closed_form_angle_jacobian
+    matrices stay symmetric, so the determinant alone catches it.  The
+    angle-space volumes read the same matrices, and volume fails on the
+    pairs' trace-chart volumes (gap 2.8e-10 with one entry)."""
+    jacobian = lengthmap._closed_form_length_jacobian
 
-    def skewed(*lengths):
-        (j00, j01), (j10, j11) = jacobian(*lengths)
-        return (j00, j01 * (1.0 + 1e-9)), (j10 * (1.0 + 1e-9) if both else j10, j11)
+    def skewed(lengths):
+        matrices = jacobian(lengths)
+        matrices[:, 0, 1] *= 1.0 + 1e-9
+        if both:
+            matrices[:, 1, 0] *= 1.0 + 1e-9
+        return matrices
 
-    monkeypatch.setattr(lengthmap, "_closed_form_angle_jacobian", skewed)
-    record = suite.check_posdef(suite.SEEDS["posdef"])
-    details = record["details"]
-    assert not record["passed"]
+    monkeypatch.setattr(lengthmap, "_closed_form_length_jacobian", skewed)
+    posdef, volume = suite.run_suite(["posdef", "volume"])
+    details = posdef["details"]
+    assert not posdef["passed"]
     assert details["worst_determinant_gap"] > 1e-9 > details["det_tol"]
     assert (details["worst_symmetry"] == 0.0) == both
+    assert not volume["passed"]
+    assert volume["details"]["worst_angle_space_gap"] > 1e-10 > volume["details"]["angle_space_tol"]
 
 
 def test_check_grid_applies_its_planarity_tol(monkeypatch):
@@ -393,6 +400,27 @@ def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
     assert details["worst_angle_space_gap"] > 1e-3 > details["angle_space_tol"]
 
 
+def test_scaled_by_parts_runner_fails_volume(monkeypatch):
+    """Every value of the by-parts runner scaled by 1.01, in both charts,
+    keeps the pairs' trace-chart volumes on their angle-space integrals,
+    but not on the direct form sum_k w_k sum_i l_i dtheta_i, and volume
+    fails."""
+    runner = lengthmap._by_parts
+
+    def scaled(*args):
+        values, errors = runner(*args)
+        return 1.01 * values, errors
+
+    monkeypatch.setattr(lengthmap, "_by_parts", scaled)
+    (record,) = suite.run_suite(["volume"])
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_pair_difference"] < details["pair_tol"]
+    assert details["concave"] and details["ray_increments_positive"]
+    assert details["worst_angle_space_gap"] < details["angle_space_tol"]
+    assert details["worst_direct_form_gap"] > 1e-3 > details["angle_space_tol"]
+
+
 def test_certified_angle_error_fails_volume(monkeypatch):
     """Every certified angle of curve a off by a relative 1e-9, in every
     binding of certify_batch, moves the pairs' trace-chart volumes off
@@ -406,9 +434,9 @@ def test_certified_angle_error_fails_volume(monkeypatch):
     assert details["worst_angle_space_gap"] > 1e-10 > details["angle_space_tol"]
 
 
-def test_check_volume_certifies_in_two_batches(monkeypatch):
-    """Only the pair segments are certified (1,140 nodes), in two
-    certify_batch runs of at most VOLUME_BATCH_NODES nodes; a segment of
+def test_check_volume_certifies_in_one_batch(monkeypatch):
+    """Only the pair segments are certified (1,140 nodes), in one
+    certify_batch run of at most VOLUME_BATCH_NODES nodes; a segment of
     order n certifies n + ceil(n / 2) + 2 nodes.  The angle paths certify
     nothing."""
     sizes = []
@@ -419,8 +447,7 @@ def test_check_volume_certifies_in_two_batches(monkeypatch):
 
     monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
     assert suite.check_volume(suite.SEEDS["volume"])["passed"]
-    assert sum(sizes) == 10 * 3 * (24 + 12 + 2) == 1140
-    assert len(sizes) == 2
+    assert sizes == [10 * 3 * (24 + 12 + 2)] == [1140]
     assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
 
 
