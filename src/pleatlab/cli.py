@@ -479,8 +479,6 @@ def volume_cmd(ctx, start_text, end_text, nodes, out):
         raise click.UsageError(
             f"--nodes must be at least 2 and at most {VOLUME_MAX_ORDER}, got {nodes}"
         )
-    for point in ((x0, y0), (x1, y1)):
-        pleating_candidates(*point)  # raises naming an end whose root overflows
     result = schlafli_volumes([((x0, y0), (x1, y1), nodes)])[0]
     _emit_json(
         {

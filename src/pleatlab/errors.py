@@ -67,4 +67,4 @@ class TargetOutsideImage(PleatlabError):
 
 
 class UncertifiedPathPoint(PleatlabError):
-    """A path point failed convex certification."""
+    """A path leaves the region where structures are convex."""

@@ -12,29 +12,25 @@ manifold.  This module provides:
   ``explicit_lengths``, which places angle and mixed targets in closed
   form;
 * the structure at given curve lengths, one at a time
-  (``measure_structure``) or as arrays (``measure_structures``), in
-  closed form: the pair of ``pair_from_lengths`` and the angles of
-  ``cos(theta_a/2) = tanh(l_a/2) cosh(l_b/2)``, with no roof, so the
-  angles keep their precision at the cusp and next to a long curve;
+  (``measure_structure``) or as arrays (``measure_structures``): the
+  pair of ``pair_from_lengths`` and the closed form ``cos(theta_a/2) =
+  tanh(l_a/2) cosh(l_b/2)``, which every angle here but Newton's roof
+  residual reads, precise at the cusp and next to a long curve;
 * damped Newton solvers for length, angle, and mixed targets over the
-  marked pleating root: the step is steered by the analytic Jacobian of
-  the closed-form angles, while the root is where the angles measured
-  on the roof hit their targets, so an iteration measures one residual;
-  a closing chord step takes each solution to round-off, a solve that
-  diverges from its seed runs once more from the explicit lengths, and
-  the solution is measured in closed form;
+  marked pleating root, steered by the closed-form angle Jacobian to
+  where the angles measured on the roof hit their targets, polished by a
+  chord step, run once more from the explicit lengths when they diverge
+  from the seed, and measured in closed form;
 * the angle-space derivative matrices ``d(lengths)/d(cone angles)`` at
   arrays of angles, from the closed-form angle Jacobian at the
   explicitly placed structures, measured in one batch;
 * volume differences through the Schlafli form
   ``dVol = -1/2 * sum_i l_i dphi_i``, by parts at Gauss-Legendre nodes in
-  one runner, a run of segments at a time, along straight segments of
-  the trace chart at certified nodes (``schlafli_volumes``) and along
-  straight angle paths with the lengths of the explicit inverse
-  (``continuations``, which returns each path as one :class:`AnglePath`
-  of columns, along which ``concavity_report`` probes the volume's
-  concavity); a cusp end, or a start next to a flat end, converges like
-  an interior one;
+  one runner, a run of segments at a time, every node in closed form,
+  along straight segments of the trace chart (``schlafli_volumes``) and
+  straight angle paths (``continuations``, one :class:`AnglePath` of
+  columns a path, whose concavity ``concavity_report`` probes); a cusp
+  end, or a start next to a flat end, converges like an interior one;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -241,17 +237,24 @@ def _closed_form_angle_jacobian(l_a, l_b):
     return (-cosh_b / (cosh_a * root), off), (off, -cosh_a / (cosh_b * root))
 
 
-def _closed_form_length_jacobian(lengths):
-    """``d(l_a, l_b) / d(theta_a, theta_b)`` at the columns of the ``(2, n)``
-    array ``lengths``, as ``(n, 2, 2)`` matrices: the adjugate, so the
-    inverse, of :func:`_closed_form_angle_jacobian` by its expressions over
-    arrays (which Newton keeps: ~1 us a point against ~5 us here), finite
-    wherever the structure bends (``P < 1``), the cusp included."""
-    half = np.asarray(lengths, dtype=float) / 2.0
-    cosh = np.cosh(half)
-    p = np.sinh(half[0]) * np.sinh(half[1])
-    with np.errstate(divide="ignore"):
+def _closed_form_angles(sinh, cosh):
+    """:func:`_closed_form_angle` of both curves over ``(2, n)`` arrays of
+    ``sinh(l/2)`` and ``cosh(l/2)``, with its ``P`` and ``root``, which is 0
+    where the structure is bending-free (``P >= 1``), as are the angles."""
+    with np.errstate(all="ignore"):
+        p = sinh[0] * sinh[1]
         root = np.sqrt(np.maximum((1.0 - p) * (1.0 + p), 0.0))
+        return 2.0 * np.arctan2(root, sinh * cosh[::-1]), p, root
+
+
+def _closed_form_length_jacobian(sinh, cosh):
+    """``d(l_a, l_b) / d(theta_a, theta_b)`` at ``(2, n)`` arrays of
+    ``sinh(l/2)`` and ``cosh(l/2)``, as ``(n, 2, 2)`` matrices: the adjugate,
+    so the inverse, of :func:`_closed_form_angle_jacobian` (which Newton
+    keeps: ~1 us a point against ~5 us here), finite wherever the structure
+    bends (``P < 1``), the cusp included."""
+    _, p, root = _closed_form_angles(sinh, cosh)
+    with np.errstate(divide="ignore"):
         off = p / root
         diagonal = -cosh / (cosh[::-1] * root)
     return np.moveaxis(np.array([[diagonal[0], off], [off, diagonal[1]]]), -1, 0)
@@ -290,9 +293,7 @@ def measure_structures(l_a, l_b):
             k = bad[0]
             raise NumericalOverflow(f"lengths {(float(l_a[k]), float(l_b[k]))} leave the float range")
         z = (x * y + np.sqrt((big_x * big_y - 16.0).astype(complex))) / 2.0
-        p = sinh[0] * sinh[1]
-        root = np.sqrt(np.maximum((1.0 - p) * (1.0 + p), 0.0))
-        thetas = 2.0 * np.arctan2(root, sinh * cosh[::-1])
+    thetas, _, _ = _closed_form_angles(sinh, cosh)
     return np.stack((x, y, z)), lengths, thetas
 
 
@@ -433,6 +434,14 @@ def _half_angle(theta):
     return np.sin((math.pi - theta) / 2.0), np.sin(theta / 2.0)
 
 
+def _angle_sinh(thetas):
+    """``sinh(l/2)`` of both curves at the ``(2, ...)`` bending angles
+    ``thetas``, by the angle-angle inverse ``sinh(l_a/2) = sin(theta_b/2)
+    cot(theta_a/2)`` and its mirror."""
+    cos, sin = _half_angle(thetas)
+    return sin[::-1] * (cos / sin)
+
+
 def explicit_lengths(targets):
     """The curve lengths ``(l_a, l_b)`` that hit ``targets`` (as for
     :func:`solve_targets`, each value a number or an array) exactly.
@@ -452,10 +461,7 @@ def explicit_lengths(targets):
     lengths = [value_a, value_b]
     with np.errstate(all="ignore"):
         if kind_a == kind_b == "angle":
-            cos_a, sin_a = _half_angle(value_a)
-            cos_b, sin_b = _half_angle(value_b)
-            lengths = [2.0 * np.arcsinh(sin_b * (cos_a / sin_a)),
-                       2.0 * np.arcsinh(sin_a * (cos_b / sin_b))]
+            lengths = list(2.0 * np.arcsinh(_angle_sinh(np.array(lengths))))
         elif "angle" in (kind_a, kind_b):
             i = (kind_a, kind_b).index("angle")
             cos_t, sin_t = _half_angle(lengths[i])
@@ -498,6 +504,21 @@ def solve_targets(targets, seed=(1.0, 1.0)):
 # Angle-space derivative of the lengths
 
 
+def _place(thetas):
+    """The structures at the ``(2, n)`` bending angles ``thetas``, placed at
+    :func:`explicit_lengths` and measured in one :func:`measure_structures`
+    call: ``(coords, lengths, thetas, miss)``.  The first whose measured
+    angles leave (0, pi], as two angles near 0 (~1e-8) whose lengths round
+    to a bending-free structure do, raises :class:`CoordinateDegeneracy`."""
+    placed = explicit_lengths({"a": ("angle", thetas[0]), "b": ("angle", thetas[1])})
+    coords, lengths, measured = measure_structures(*placed)
+    outside = ~((0.0 < measured) & (measured <= math.pi)).all(axis=0)
+    if outside.any():
+        first, got = (tuple(v[:, outside][:, 0].tolist()) for v in (thetas, measured))
+        raise CoordinateDegeneracy(f"bending angles {first} place a structure measured at {got}")
+    return coords, lengths, measured, np.abs(measured - thetas).max(axis=0)
+
+
 def dl_dphi(theta_a, theta_b):
     """Matrices of d(lengths)/d(cone angles) at arrays of bending angles.
 
@@ -508,23 +529,15 @@ def dl_dphi(theta_a, theta_b):
     :func:`_closed_form_angle_jacobian` of determinant 1, so it is ``-1/2``
     times its adjugate :func:`_closed_form_length_jacobian`: the Hessian of
     the volume (Hodgson-Kerckhoff), symmetric of determinant 1/4 with a
-    positive diagonal.  The base points are measured in one
-    :func:`measure_structures` call, with no solve.  Angles outside (0, pi]
-    raise as for :func:`explicit_lengths`, and two so near 0 (~1e-8) that
-    their lengths round to a bending-free structure
-    :class:`CoordinateDegeneracy`.
-    Returns, one entry per base point, the ``matrix`` (``(n, 2, 2)``), its
+    positive diagonal.  The base points are placed and measured by one
+    :func:`_place` call, with no solve, and raise as there.  Returns, one
+    entry per base point, the ``matrix`` (``(n, 2, 2)``), its
     ``symmetry_residual`` and ``eigenvalues`` (``(n, 2)``, ascending), the
     base point's ``coords`` (``(3, n)``), ``lengths`` and measured ``thetas``
     (``(2, n)``), and the measured angles' largest ``miss``.
     """
-    targets = np.array([theta_a, theta_b], dtype=float).reshape(2, -1)
-    base = explicit_lengths({"a": ("angle", targets[0]), "b": ("angle", targets[1])})
-    coords, lengths, thetas = measure_structures(*base)
-    matrix = -0.5 * _closed_form_length_jacobian(lengths)
-    if not np.isfinite(matrix).all():
-        first = tuple(targets[:, ~np.isfinite(matrix).all(axis=(1, 2))][:, 0].tolist())
-        raise CoordinateDegeneracy(f"bending angles {first} place a bending-free structure")
+    coords, lengths, thetas, miss = _place(np.array([theta_a, theta_b], dtype=float).reshape(2, -1))
+    matrix = -0.5 * _closed_form_length_jacobian(np.sinh(lengths / 2.0), np.cosh(lengths / 2.0))
     return {
         "matrix": matrix,
         "symmetry_residual": np.abs(matrix[:, 0, 1] - matrix[:, 1, 0]),
@@ -532,7 +545,7 @@ def dl_dphi(theta_a, theta_b):
         "coords": coords,
         "lengths": lengths,
         "thetas": thetas,
-        "miss": np.abs(thetas - targets).max(axis=0),
+        "miss": miss,
     }
 
 
@@ -604,27 +617,19 @@ def _by_parts(starts, ends, orders, place):
 
 
 def _trace_nodes(nodes, p0, p1):
-    """:func:`_by_parts`' placer in the trace chart: certified marked roots,
-    the first node that is not convex raising :class:`UncertifiedPathPoint`."""
-    xy = nodes[0] * p0 + nodes[1] * p1
-    z, _ = pleating_candidates(*xy)
-    cert = certify_batch(*xy, z)
-    uncertified = np.flatnonzero(~cert.is_convex)
-    if uncertified.size:
-        point = (*(complex(v) for v in xy[:, uncertified[0]]), complex(z[uncertified[0]]))
-        raise UncertifiedPathPoint(f"path point {point} failed convex certification")
-    thetas = np.stack((cert.theta_a, cert.theta_b))
-    sign = np.sign(xy)
+    """:func:`_by_parts`' placer in the trace chart, for ends of one sign:
+    :func:`_closed_form_angles` at ``sinh(l/2) = sqrt(o (o + 4)) / 2``,
+    ``o = |x| - 2``, and ``cosh(l/2) = |x| / 2``."""
+    sign = np.sign(p0)
     # |x| - 2 from the ends: near the cusp x itself rounds it away.
     offset = nodes[0] * (sign * p0 - 2.0) + nodes[1] * (sign * p1 - 2.0)
     with np.errstate(all="ignore"):
-        # 2 sinh(l / 2) = sqrt(x^2 - 4) = root, and dl/ds = 2 |x|' / root.
-        # A coordinate that stays put has no rate, even on the cusp,
-        # where the quotient reads 0 / 0.
-        root = np.sqrt(offset * (offset + 4.0))
-        lengths = 2.0 * np.arcsinh(root / 2.0)
-        rates = np.where(p0 == p1, 0.0, 2.0 * sign * (p1 - p0) / root)
-    return thetas, lengths, rates
+        sinh = np.sqrt(offset * (offset + 4.0)) / 2.0
+        thetas, _, _ = _closed_form_angles(sinh, sign * (nodes[0] * p0 + nodes[1] * p1) / 2.0)
+        # dl/ds = |x|' / sinh(l / 2).  A coordinate that stays put has no
+        # rate, even on the cusp, where the quotient reads 0 / 0.
+        rates = np.where(p0 == p1, 0.0, sign * (p1 - p0) / sinh)
+    return thetas, 2.0 * np.arcsinh(sinh), rates
 
 
 def schlafli_volumes(segments):
@@ -634,26 +639,28 @@ def schlafli_volumes(segments):
     over ``(1 - s) (x0, y0) + s (x1, y1)`` at :func:`quadrature_rule`'s
     ``s``.  With ``phi_i = 2 (pi - theta_i)`` the Schlafli form
     ``-1/2 sum_i l_i dphi_i = sum_i l_i dtheta_i`` of the doubled manifold,
-    twice Bonahon's convex-core change ``1/2 sum_i l_i dtheta_i``,
-    integrates by parts in :func:`_by_parts`, with ``dl_a/ds = 2 |x|' /
-    sqrt(x^2 - 4)`` (``l_b`` likewise in y), so a node needs only its
-    certified angles.  Against 50-digit references on (2.1, 2.1) to (2.5,
-    2.4) and on the cusp-end segments (2.0, 2.2) to (2.6, 2.3) and (2.2,
-    2.2) to (2.0, 2.0), the estimate reads 4 to 3e6 times the actual error
-    at every order from 2 to 64 that misses by more than 1e-13, and from
-    order 32 on both are round-off (within 1.8e-14).  The nodes of a run
-    take their roots from one :func:`pleating_candidates` call and are
-    certified in one :func:`certify_batch` call; the first in segment
-    order that is not convex raises :class:`UncertifiedPathPoint`, and so
-    does, before any node is placed, a segment whose x or y ends differ in
-    sign: it crosses ``|x| < 2`` (or ``|y| < 2``), where no structure is
-    convex.  Returns one :class:`VolumeResult` per segment, whose
-    ``nodes`` counts the ``order + ceil(order / 2) + 2``.
+    twice Bonahon's convex-core change, integrates by parts in
+    :func:`_by_parts` at the closed-form nodes of :func:`_trace_nodes`, with
+    no roof, so a node keeps its precision next to a long curve.  Against
+    50-digit references on (2.1, 2.1) to (2.5, 2.4) and on the cusp-end
+    segments (2.0, 2.2) to (2.6, 2.3) and (2.2, 2.2) to (2.0, 2.0), the
+    estimate reads 4.2 to 3.1e6 times the miss at every order that misses
+    by more than 1e-13 (2 to 18), and from order 32 to 128 the miss is at
+    most 3.4e-14.  Before any node is placed, the first segment whose x or
+    y ends differ in sign or lie in ``|x| < 2`` or ``|y| < 2``, where no
+    structure is convex, raises :class:`UncertifiedPathPoint`, and one with
+    an end whose length leaves the float range :class:`NumericalOverflow`.
+    Returns one :class:`VolumeResult` per segment, whose ``nodes`` counts
+    the ``order + ceil(order / 2) + 2`` nodes placed.
     """
     for start, end, _ in segments:
-        if any(u * v < 0.0 for u, v in zip(start, end)):
-            start, end = (tuple(map(float, p)) for p in (start, end))
-            raise UncertifiedPathPoint(f"path from {start} to {end} crosses |x| < 2 or |y| < 2")
+        start, end = (tuple(map(float, p)) for p in (start, end))
+        path = f"path from {start} to {end}"
+        if not all(abs(v) >= 2.0 for v in start + end) or any(u * v < 0.0 for u, v in zip(start, end)):
+            raise UncertifiedPathPoint(f"{path} crosses |x| < 2 or |y| < 2")
+        for point in (start, end):
+            if not all(math.isfinite(o * (o + 4.0)) for o in (abs(v) - 2.0 for v in point)):
+                raise NumericalOverflow(f"{path}: the length at (x, y) = {point} leaves the float range")
     starts, ends = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, 2).T for k in (0, 1))
     orders = [order for _, _, order in segments]
     values, errors = _by_parts(starts, ends, orders, _trace_nodes)
@@ -681,26 +688,25 @@ def concavity_report(path):
 
 
 def _angle_nodes(nodes, p0, p1):
-    """:func:`_by_parts`' placer in the angle chart: the lengths of
-    :func:`explicit_lengths` at the node angles, clamped at pi, which
-    ``a (1 - s) + b s`` can round past, and ``dl/ds = dl/dtheta (b - a)``."""
+    """:func:`_by_parts`' placer in the angle chart: the lengths of the
+    angle-angle inverse :func:`_angle_sinh` at the node angles, clamped at
+    pi, which ``a (1 - s) + b s`` can round past, and ``dl/ds = dl/dtheta
+    (b - a)`` with ``cosh(l/2)`` taken from that ``sinh(l/2)``."""
     thetas = np.minimum(nodes[0] * p0 + nodes[1] * p1, math.pi)
-    lengths = np.array(explicit_lengths({"a": ("angle", thetas[0]), "b": ("angle", thetas[1])}))
-    rates = np.einsum("nij,jn->in", _closed_form_length_jacobian(lengths), p1 - p0)
-    return thetas, lengths, rates
+    sinh = _angle_sinh(thetas)
+    rates = np.einsum("nij,jn->in", _closed_form_length_jacobian(sinh, np.hypot(1.0, sinh)), p1 - p0)
+    return thetas, 2.0 * np.arcsinh(sinh), rates
 
 
 def continuations(angle_paths):
     """Continuations along straight angle paths, integrated in angle space.
 
     Each angle path is ``(theta_start, theta_end, samples, substeps)``.
-    Its sample at ``s = k / samples`` is placed at the
-    :func:`explicit_lengths` of its target angles, and the samples of all
-    paths are measured in one :func:`measure_structures` call.  The
-    Schlafli form reads ``sum_i l_i dtheta_i``, the volume of the doubled
-    manifold and twice Bonahon's convex-core change
-    ``1/2 sum_i l_i dtheta_i``; each step between samples is a segment of
-    order ``substeps`` of :func:`_by_parts`, whose runs bound the memory.
+    The samples at ``s = k / samples`` of all paths are placed at their
+    angles and measured by one :func:`_place` call, which raises for a
+    sample that measures no bending.  The Schlafli form reads ``sum_i l_i
+    dtheta_i``, twice Bonahon's convex-core change; each step between
+    samples is a segment of order ``substeps`` of :func:`_by_parts`.
     The nodes are neither certified nor measured: every angle pair in
     (0, pi]^2 is on the bending locus.  Angles between a path's ends are
     interpolated as ``a (1 - s) + b s`` and clamped at pi, which that
@@ -720,10 +726,7 @@ def continuations(angle_paths):
         # The ends are exact, and explicit_lengths checks them; between
         # them a (1 - s) + b s can round past pi.
         th[:, 1:-1] = np.minimum(th[:, 1:-1], math.pi)
-    theta = np.concatenate([np.empty((2, 0)), *targets], axis=1)
-    placed = explicit_lengths({"a": ("angle", theta[0]), "b": ("angle", theta[1])})
-    coords, lengths, thetas = measure_structures(*placed)
-    miss = np.abs(thetas - theta).max(axis=0)
+    coords, lengths, thetas, miss = _place(np.concatenate([np.empty((2, 0)), *targets], axis=1))
     cuts = np.cumsum([t.size for t in s])[:-1]
     columns = zip(*(np.split(v, cuts, axis=-1) for v in (lengths, thetas, coords, miss)))
     starts, ends = (np.concatenate([np.empty((2, 0)), *(th[:, j] for th in targets)], axis=1)

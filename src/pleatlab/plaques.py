@@ -90,7 +90,6 @@ class Plaque:
 
     chart: tuple
     planarity_residual: float
-    housed_points: tuple
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def plaque_circle(pair, side):
             image = kernel.apply_mobius(chart, w)
             if image is not None:
                 residual = max(residual, abs(image.imag))
-    return Plaque(chart=chart, planarity_residual=residual, housed_points=points)
+    return Plaque(chart=chart, planarity_residual=residual)
 
 
 def bending_angle(pair, curve):

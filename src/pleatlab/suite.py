@@ -106,12 +106,12 @@ VOLUME_PAIRS = 10
 VOLUME_PAIR_RANGE = (2.1, 2.55)
 # Quadrature order of volume's pair segments in the trace chart, and the
 # largest direct-dogleg gap of a pair, a round-off bound: at order 24 the
-# worst is 1.0e-15 over --seed 0-199 and 6.7e-16 over 200-399.
+# worst is 8.9e-16 over --seed 0-199 and 6.7e-16 over 200-399.
 VOLUME_PAIR_ORDER = 24
 VOLUME_PAIR_TOL = 1e-13
 # Order of the continuation between a pair's end angles, and the largest
-# gap of that volume from the pair's direct volume (worst 4.3e-15 over
-# --seed 0-199, 4.0e-15 over 200-399; order 16 reads 5.6e-15, 12 reads
+# gap of that volume from the pair's direct volume (worst 3.1e-15 over
+# --seed 0-199 and over 200-399; order 16 reads 5.3e-15, 12 reads
 # 1.7e-12) or from the direct form at its nodes (2.4e-15, 2.1e-15); every
 # Schlafli volume scaled by 1.01 opens the first to 4.2e-3 or more, and
 # every by-parts value scaled so the second to 1.2e-2 at --seed 0.
@@ -451,7 +451,7 @@ def check_volume(seed):
     )
     # Path independence cannot see a volume off by a factor; the same form
     # integrated in angle space between the pairs' end angles, with the
-    # lengths of explicit_lengths (which certifies nothing), can.
+    # lengths of the explicit inverse, can.
     _, _, thetas = measure_structures(*(2.0 * np.arccosh(pairs[:, :2].reshape(-1, 2).T / 2.0)))
     # The pair paths, the concavity probes, then the ray to the cusp.
     paths = [(a, b, 1, VOLUME_ANGLE_ORDER) for a, b in zip(thetas.T[::2], thetas.T[1::2])]

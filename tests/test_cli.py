@@ -317,6 +317,11 @@ EDGE_INPUTS = [
     ("jacobian", "1e160", "2.5"),
     ("jacobian", "2.2", "2.2", "1e308"),
     ("volume", "--start", "2.1,2.1", "--end", "1e300,2.1"),
+    ("volume", "--start", "1e150,2", "--end", "2,2"),
+    ("volume", "--start", "2,2", "--end", "1e160,2"),
+    # Ends in |x| < 2, or on both sides of it.
+    ("volume", "--start", "1.5,2.2", "--end", "1.8,2.3"),
+    ("volume", "--start", "-50,2.2", "--end", "50,2.2"),
     ("trace-ray", "--start", "1e-300,1e-300"),
     ("trace-ray", "--start", "1e-300,1"),
     # Near the cusp.
@@ -580,6 +585,20 @@ def test_trace_ray_from_an_edge_start(start, samples):
     assert rows.shape == (int(samples) + 1, 11) and np.isfinite(rows).all()
     assert np.all(np.diff(rows[:, 9]) > 0.0)
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
+
+
+def test_trace_ray_from_a_bending_free_start_exits_one():
+    """Two start angles 1e-8 place a structure that measures no bending:
+    no row is written, the sample is named, and the exit status is 1;
+    from 1e-7 every angle printed is in (0, pi]."""
+    result = run("trace-ray", "--start", "1e-8,1e-8", "--samples", "4")
+    assert result.exit_code == 1
+    assert "bending angles (1e-08, 1e-08) place a structure measured at (0.0, 0.0)" in result.output
+    assert "theta_a" not in result.output
+    result = run("trace-ray", "--start", "1e-7,1e-7", "--samples", "4")
+    assert result.exit_code == 0, result.output
+    rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
+    assert np.all((0.0 < rows[:, 1:3]) & (rows[:, 1:3] <= math.pi))
 
 
 def test_trace_ray_of_zero_length_exits_one():

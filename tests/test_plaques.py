@@ -252,7 +252,7 @@ def test_plaque_circles_are_distinct_on_bent_structures():
     bottom = plaque_circle(pair, "bottom")
     # Some top point lies off the bottom circle: its chart image is not real.
     offsets = []
-    for w in top.housed_points:
+    for w in plaques._housed_points(pair, "top"):
         image = kernel.apply_mobius(bottom.chart, w)
         offsets.append(0.0 if image is None else abs(image.imag))
     assert max(offsets) > 1e-6
@@ -335,7 +335,7 @@ def test_spread_triple_measures_each_pair_once(monkeypatch):
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
     monkeypatch.setattr(plaques, "chordal_distance", counting)
     top = plaque_circle(pair, "top")
-    assert len(top.housed_points) == 5
+    assert len(plaques._housed_points(pair, "top")) == 5
     assert len(calls) == 10  # C(5, 2)
     assert top.planarity_residual < 1e-12
 

@@ -295,8 +295,8 @@ def test_off_diagonal_jacobian_error_fails_the_determinant_gate(both, monkeypatc
     pairs' trace-chart volumes (gap 2.8e-10 with one entry)."""
     jacobian = lengthmap._closed_form_length_jacobian
 
-    def skewed(lengths):
-        matrices = jacobian(lengths)
+    def skewed(*half_lengths):
+        matrices = jacobian(*half_lengths)
         matrices[:, 0, 1] *= 1.0 + 1e-9
         if both:
             matrices[:, 1, 0] *= 1.0 + 1e-9
@@ -423,32 +423,33 @@ def test_scaled_by_parts_runner_fails_volume(monkeypatch):
 
 def test_certified_angle_error_fails_volume(monkeypatch):
     """Every certified angle of curve a off by a relative 1e-9, in every
-    binding of certify_batch, moves the pairs' trace-chart volumes off
-    their angle-space integrals (which certify nothing), and volume fails
-    at --seed 0."""
+    binding of certify_batch, leaves the volumes, which certify nothing, as
+    they are, but the roof witness at the angle paths' samples sees it,
+    and volume fails at --seed 0."""
     for module in (plaques, lengthmap, suite):
         monkeypatch.setattr(module, "certify_batch", _skewed_certify_batch)
     records = {record["name"]: record for record in suite.run_suite()}
     details = records["volume"]["details"]
     assert not records["volume"]["passed"]
-    assert details["worst_angle_space_gap"] > 1e-10 > details["angle_space_tol"]
+    assert details["worst_angle_space_gap"] < details["angle_space_tol"]
+    assert details["worst_roof_gap"] > 1e-10 > details["roof_tol"]
 
 
 def test_check_volume_certifies_in_one_batch(monkeypatch):
-    """Only the pair segments are certified (1,140 nodes), in one
-    certify_batch run of at most VOLUME_BATCH_NODES nodes; a segment of
-    order n certifies n + ceil(n / 2) + 2 nodes.  The angle paths certify
-    nothing."""
+    """Only the 74 samples of the angle paths are certified, for the roof
+    witness, in one certify_batch call; the volumes of either chart
+    certify nothing."""
     sizes = []
 
     def counting_batch(x, y, z, **kw):
         sizes.append(len(x))
         return certify_batch(x, y, z, **kw)
 
-    monkeypatch.setattr(lengthmap, "certify_batch", counting_batch)
+    for module in (lengthmap, suite):
+        monkeypatch.setattr(module, "certify_batch", counting_batch)
     assert suite.check_volume(suite.SEEDS["volume"])["passed"]
-    assert sizes == [10 * 3 * (24 + 12 + 2)] == [1140]
-    assert max(sizes) <= lengthmap.VOLUME_BATCH_NODES
+    assert sizes == [2 * suite.VOLUME_PAIRS + len(suite.VOLUME_PATHS) * (suite.VOLUME_PATH_SAMPLES + 1)]
+    assert sizes == [74]
 
 
 def test_check_mirror_draws_its_words_once(monkeypatch):
