@@ -531,16 +531,16 @@ def double_cmd(ctx, x, y, z, out):
 @click.pass_context
 def jacobian_cmd(ctx, x, y, z, out):
     """Length-coordinate Jacobian at X Y [Z]."""
-    rep = holo_length_jacobian(_structure_from_args(x, y, z))
-    matrix = {
-        f"m{i}{j}": rep["matrix"][i][j] for i in range(3) for j in range(3)
-    }
+    t = _structure_from_args(x, y, z)
+    # One point is a one-point stack: every field is read at row 0.
+    rep = holo_length_jacobian([t.x], [t.y], [t.z])
+    det = rep["det"][0]
     _emit_json(
         {
-            "det": rep["det"],
-            "det_abs": abs(rep["det"]),
-            "fd_residual": rep["fd_residual"],
-            "matrix": matrix,
+            "det": det,
+            "det_abs": abs(det),
+            "fd_residual": rep["fd_residual"][0],
+            "matrix": {f"m{i}{j}": rep["matrix"][0, i, j] for i in range(3) for j in range(3)},
         },
         out,
     )

@@ -7,7 +7,8 @@ equivalently the cone angles ``phi = 2*(pi - theta)`` of the doubled
 manifold.  This module provides:
 
 * the holomorphic Jacobian of (length, length, commutator trace) in the
-  trace chart, in closed form with a finite-difference cross-check;
+  trace chart at a stack of points, in closed form, each point
+  cross-checked by central differences;
 * the explicit inverse of the length map on the marked cusped locus,
   ``explicit_lengths``, which places angle and mixed targets in closed
   form;
@@ -68,6 +69,9 @@ from pleatlab.words import eval_words, padded_codes, random_reduced_word
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 DEGENERACY_TOL = 1e-6
+# Step of holo_length_jacobian's central differences, taken in the real
+# and the imaginary direction of each trace coordinate.
+JACOBIAN_FD_STEP = 1e-6
 # Curves shorter than this take the angle of Newton's roof residual from
 # the closed form of the marked cusped locus: the roof's axis points of
 # such a curve are too close for map_to_zero_infinity below ~5e-15
@@ -133,72 +137,60 @@ class AnglePath:
     volume_error: np.ndarray
 
 
-def complex_curve_length(trace):
-    """Complex translation length 2*arccosh(trace/2)."""
-    return 2.0 * cmath.acosh(trace / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Holomorphic Jacobian in the trace chart
 
 
-def holo_length_jacobian(t, fd_check=True):
-    """Closed-form Jacobian of (length_a, length_b, kappa) at ``t``.
+def holo_length_jacobian(x, y, z):
+    """Closed-form Jacobian of (length_a, length_b, kappa) at every point
+    ``(x[i], y[i], z[i])``, each length being ``2*arccosh(trace/2)``.
 
-    Raises :class:`CoordinateDegeneracy` when either curve trace is too
-    close to +/-2 for the length coordinate to be differentiable, and
-    :class:`NumericalOverflow` when the determinant, an entry or the
-    cross-check residual is not finite.  The
-    optional cross-check compares every entry against central finite
-    differences taken in both the real and the imaginary coordinate
-    directions (verifying holomorphy as well as the formulas).
+    ``x``, ``y`` and ``z`` are equal-length one-dimensional sequences of
+    trace coordinates.  Returns ``matrix`` ``(n, 3, 3)``, ``det`` ``(n,)``
+    and ``fd_residual`` ``(n,)``: each point's largest miss of the central
+    differences of step ``JACOBIAN_FD_STEP`` in the real and the
+    imaginary direction of every coordinate, which checks holomorphy as
+    well as the formulas.
+
+    Raises :class:`CoordinateDegeneracy` at the first point, in stack
+    order, with a curve trace too close to +/-2 for its length to be
+    differentiable, and :class:`NumericalOverflow` at the first point
+    whose determinant, an entry or the residual is not finite.
     """
-    x, y, z = t.x, t.y, t.z
-    for name, val in (("a", x), ("b", y)):
-        if min(abs(val - 2.0), abs(val + 2.0)) < DEGENERACY_TOL:
+    points = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in (x, y, z)])
+    n = points.shape[1]
+    with np.errstate(all="ignore"):
+        near = np.minimum(abs(points[:2] - 2.0), abs(points[:2] + 2.0)) < DEGENERACY_TOL
+        if near.any():
+            i, curve = np.argwhere(near.T)[0]
             raise CoordinateDegeneracy(
-                f"curve {name} trace {val} is within {DEGENERACY_TOL} of +/-2"
+                f"curve {'ab'[curve]} trace {complex(points[curve, i])} is within "
+                f"{DEGENERACY_TOL} of +/-2"
             )
-    sx = cmath.sqrt(x * x - 4.0)
-    sy = cmath.sqrt(y * y - 4.0)
-    rows = (
-        (2.0 / sx, 0.0j, 0.0j),
-        (0.0j, 2.0 / sy, 0.0j),
-        (2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y),
-    )
-    det = 4.0 * (2.0 * z - x * y) / (sx * sy)
-    values = [det, *(v for row in rows for v in row)]
-    fd_residual = None
-    if fd_check:
-        def f(xx, yy, zz):
-            return (
-                complex_curve_length(xx),
-                complex_curve_length(yy),
-                kappa(xx, yy, zz),
-            )
-
-        fd_residual = 0.0
-        h = 1e-6
-        base = (x, y, z)
-        for j in range(3):
-            for direction in (1.0, 1.0j):
-                up = list(base)
-                dn = list(base)
-                up[j] += h * direction
-                dn[j] -= h * direction
-                fu = f(*up)
-                fd = f(*dn)
-                for i in range(3):
-                    approx = (fu[i] - fd[i]) / (2.0 * h * direction)
-                    fd_residual = max(fd_residual, abs(approx - rows[i][j]))
-        values.append(fd_residual)
-    if not all(cmath.isfinite(v) for v in values):
-        raise NumericalOverflow(f"the length Jacobian at {t.astuple()} leaves the float range")
-    return {
-        "matrix": rows,
-        "det": det,
-        "fd_residual": fd_residual,
-    }
+        x, y, z = points
+        sx, sy = np.sqrt(x * x - 4.0), np.sqrt(y * y - 4.0)
+        matrix = np.zeros((n, 3, 3), dtype=complex)
+        matrix[:, 0, 0], matrix[:, 1, 1] = 2.0 / sx, 2.0 / sy
+        matrix[:, 2] = np.stack((2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y), axis=-1)
+        det = 4.0 * (2.0 * z - x * y) / (sx * sy)
+        # The twelve shifted stacks: coordinate j moved by +step and -step,
+        # real then imaginary, in rows (j, direction, sign).
+        steps = JACOBIAN_FD_STEP * np.array([1.0, 1.0j])
+        shifts = np.kron(np.eye(3), np.outer(steps, [1.0, -1.0]).reshape(4, 1))
+        u, v, w = points[:, None, :] + shifts.T[:, :, None]
+        values = np.stack((2.0 * np.arccosh(u / 2.0), 2.0 * np.arccosh(v / 2.0), kappa(u, v, w)))
+        values = values.reshape(3, 3, 2, 2, n)
+        # quotients[i, j, direction] approximates d(value i)/d(coordinate j).
+        quotients = (values[..., 0, :] - values[..., 1, :]) / (2.0 * steps[:, None])
+        fd_residual = abs(quotients - np.moveaxis(matrix, 0, -1)[:, :, None]).max(axis=(0, 1, 2))
+        finite = np.isfinite(matrix).all(axis=(1, 2)) & np.isfinite(det) & np.isfinite(fd_residual)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise NumericalOverflow(
+            f"the length Jacobian at {tuple(complex(v) for v in points[:, i])} "
+            "leaves the float range"
+        )
+    return {"matrix": matrix, "det": det, "fd_residual": fd_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +638,15 @@ def schlafli_volumes(segments):
     segments (2.0, 2.2) to (2.6, 2.3) and (2.2, 2.2) to (2.0, 2.0), the
     estimate reads 4.2 to 3.1e6 times the miss at every order that misses
     by more than 1e-13 (2 to 18), and from order 32 to 128 the miss is at
-    most 3.4e-14.  Before any node is placed, the first segment whose x or
-    y ends differ in sign or lie in ``|x| < 2`` or ``|y| < 2``, where no
-    structure is convex, raises :class:`UncertifiedPathPoint`, and one with
-    an end whose length leaves the float range :class:`NumericalOverflow`.
+    most 3.4e-14.  A segment is not split at the bending-free boundary
+    ``P = 1``, so one far past it can read a wrong volume with a small or
+    zero estimate: (2.5, 2.5) to (1e10, 1e10) reads -4.0077, estimate 0.0,
+    at every order, not -4.7358 (only the bracket counts), and (2, 2.5) to
+    (2, 3.75e8) -2.5723, estimate 1.2e-3, at order 16, not -6.47.  Before
+    any node is placed, the first segment whose x or y ends differ in sign
+    or lie in ``|x| < 2`` or ``|y| < 2``, where no structure is convex,
+    raises :class:`UncertifiedPathPoint`, and one with an end whose length
+    leaves the float range :class:`NumericalOverflow`.
     Returns one :class:`VolumeResult` per segment, whose ``nodes`` counts
     the ``order + ceil(order / 2) + 2`` nodes placed.
     """

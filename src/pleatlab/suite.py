@@ -342,20 +342,18 @@ def check_mirror(seed):
 
 def check_jacobian():
     grid = [(x, y) for x in _grid_values() for y in _grid_values()]
-    fd_points = [(GRID_MIN, GRID_MIN), (GRID_MAX, GRID_MAX), (GRID_MIN, GRID_MAX)]
     # Walk x = y toward the branch point at 2*sqrt(2) where the marked
     # root collides with its conjugate and the determinant vanishes.
     corner = 2.0 * math.sqrt(2.0)
     path = [(corner - 10.0 ** (-k),) * 2 for k in range(1, JACOBIAN_CORNER_STEPS + 1)]
-    # The marked roots of all the structures, in one call.
-    x, y = np.array(grid + fd_points + path).T
-    structures = [coords(*t) for t in zip(x, y, pleating_candidates(x, y)[0])]
-    n, m = len(grid), len(grid) + len(fd_points)
-    dets = [abs(holo_length_jacobian(t, fd_check=False)["det"]) for t in structures[:n]]
-    worst_fd = max(
-        0.0, *(holo_length_jacobian(t, fd_check=True)["fd_residual"] for t in structures[n:m])
-    )
-    path_dets = [abs(holo_length_jacobian(t, fd_check=False)["det"]) for t in structures[m:]]
+    # The marked roots of all the structures in one call, and their
+    # Jacobians in another; the finite-difference residual is gated at
+    # every point.
+    x, y = np.array(grid + path).T
+    rep = holo_length_jacobian(x, y, pleating_candidates(x, y)[0])
+    dets = np.abs(rep["det"][: len(grid)]).tolist()
+    path_dets = np.abs(rep["det"][len(grid):]).tolist()
+    worst_fd = float(rep["fd_residual"].max())
     decreasing = all(path_dets[i + 1] < path_dets[i] for i in range(len(path_dets) - 1))
     return {
         "passed": (

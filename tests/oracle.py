@@ -85,6 +85,24 @@ def angle_jacobian(l_a, l_b):
         return jacobian, mpmath.det((-2 * jacobian) ** -1)
 
 
+def _length_coordinates(x, y, z):
+    """``(l_a, l_b, kappa) = (2 acosh(x/2), 2 acosh(y/2), x^2 + y^2 + z^2 - xyz - 2)``."""
+    return 2 * mpmath.acosh(x / 2), 2 * mpmath.acosh(y / 2), x * x + y * y + z * z - x * y * z - 2
+
+
+def length_jacobian(x, y, z):
+    """The matrix ``d(l_a, l_b, kappa) / d(x, y, z)`` at the trace coordinates ``x, y, z``,
+    by ``mpmath.diff`` of :func:`_length_coordinates`, and its determinant."""
+    with mpmath.workdps(DIGITS):
+        point = [mpmath.mpc(v) for v in (x, y, z)]
+        matrix = mpmath.matrix([
+            [mpmath.diff(lambda *p: _length_coordinates(*p)[i], point, tuple(int(j == k) for k in range(3)))
+             for j in range(3)]
+            for i in range(3)
+        ])
+        return matrix, mpmath.det(matrix)
+
+
 def explicit_lengths(theta_a, theta_b):
     """The lengths by ``sinh(l_a / 2) = sin(theta_b / 2) cot(theta_a / 2)`` and its mirror."""
     with mpmath.workdps(DIGITS):
@@ -92,24 +110,47 @@ def explicit_lengths(theta_a, theta_b):
         return tuple(2 * mpmath.asinh(mpmath.sin(q) * mpmath.cot(p)) for p, q in (half, half[::-1]))
 
 
+def _quadratic(v0, dv):
+    """The coefficients, highest first, of ``(v0 + s dv)^2 - 4`` in ``s``."""
+    return [dv * dv, 2 * v0 * dv, v0 * v0 - 4]
+
+
 def trace_path_volume(start, end):
     """``int sum_i l_i dtheta_i`` along the trace segment from ``start`` to ``end``, with the
-    closed-form angles differentiated in closed form, by tanh-sinh quadrature."""
+    closed-form angles differentiated in closed form, by tanh-sinh quadrature.  The
+    integrand is 0 where the structure is bending-free, ``P = sinh(l_a/2) sinh(l_b/2) >= 1``
+    (there ``c = cos(theta/2) >= 1``), and a trace that stays put (``du = 0``, also on the
+    cusp ``u = 2``) adds nothing; the quadrature is split where the segment crosses
+    ``P = 1``, ``(x^2 - 4)(y^2 - 4) = 16``, at whose crossings ``dtheta/ds`` blows up."""
     with mpmath.workdps(DIGITS):
         (x0, y0), (x1, y1) = ([mpmath.mpf(v) for v in p] for p in (start, end))
+        rates = x1 - x0, y1 - y0
 
         def integrand(s):
-            traces, rates, total = (x0 + s * (x1 - x0), y0 + s * (y1 - y0)), (x1 - x0, y1 - y0), 0
+            traces, total = (x0 + s * rates[0], y0 + s * rates[1]), 0
             for (u, v), (du, dv) in ((traces, rates), (traces[::-1], rates[::-1])):
                 half, other = mpmath.acosh(u / 2), mpmath.acosh(v / 2)
                 c = mpmath.tanh(half) * mpmath.cosh(other)
-                dc = mpmath.sech(half) ** 2 * du / mpmath.sqrt(u * u - 4) * mpmath.cosh(other)
+                if c >= 1:
+                    return 0
+                dc = 0
+                if du != 0:
+                    dc += mpmath.sech(half) ** 2 * du / mpmath.sqrt(u * u - 4) * mpmath.cosh(other)
                 if dv != 0:
                     dc += mpmath.tanh(half) * mpmath.sinh(other) * dv / mpmath.sqrt(v * v - 4)
                 total += 2 * half * -2 * dc / mpmath.sqrt(1 - c * c)
             return total
 
-        return mpmath.quad(integrand, [0, 1])
+        # (x(s)^2 - 4)(y(s)^2 - 4) - 16, a quartic in s, highest coefficient first.
+        qx, qy = _quadratic(x0, rates[0]), _quadratic(y0, rates[1])
+        quartic = [sum(qx[i] * qy[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
+                   for k in range(5)]
+        quartic[-1] -= 16
+        while quartic[0] == 0 and len(quartic) > 1:
+            quartic.pop(0)
+        roots = mpmath.polyroots(quartic, maxsteps=200, extraprec=DIGITS) if len(quartic) > 1 else []
+        crossings = sorted(mpmath.re(r) for r in roots if mpmath.im(r) == 0 and 0 < mpmath.re(r) < 1)
+        return mpmath.quad(integrand, [0, *crossings, 1])
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,8 @@
 """Length coordinates, Jacobians, solvers, volume, deformation probes.
 
-Frozen values: the curve length at trace 3 is 2*arccosh(3/2); the
-Jacobian determinant at the frozen marked root is purely imaginary with
-the magnitude given by the closed form; the cusp solve must land on
-(2, 2, 2+2i) exactly within Newton tolerance.
+Frozen values: the Jacobian determinant at the frozen marked root is
+purely imaginary with the magnitude given by the closed form; the cusp
+solve must land on (2, 2, 2+2i) exactly within Newton tolerance.
 """
 
 import dataclasses
@@ -30,14 +29,13 @@ from pleatlab.errors import (
     UncertifiedPathPoint,
 )
 from pleatlab import lengthmap as lm
-from pleatlab import plaques
+from pleatlab import plaques, suite
 from pleatlab.plaques import bending_angle, certify, certify_batch
 from pleatlab.suite import ROOF_TOL, run_suite
 
 import oracle
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
-LENGTH_TRACE_3 = 1.9248473002384139  # 2*arccosh(1.5)
 DET_ABS_22 = 18.622883541042167
 DLDPHI_EIGS_21_23 = (0.4043158213445197, 0.618328607660773)
 VOLUME_21_TO_2524 = -1.8273764510572349
@@ -48,6 +46,14 @@ VOLUME_ORACLE = {
     ((2.1, 2.1), (2.5, 2.4)): "-1.8273764510572349263139372939322333811978838572721",
     ((2.0, 2.2), (2.6, 2.3)): "-1.7795371946912267555424747818151308614418570027957",
 }
+
+# A segment across the bending-free boundary P = 1, and one along the cusp
+# x = 2, with their volumes to 30 digits: oracle.trace_path_volume at 60
+# and at 90 digits agree to 1.5e-31 on the first, 4e-63 on the second.
+CROSSING_SEGMENT = ((2.19, 4.88), (5.63, 5.24))
+CROSSING_VOLUME = "-0.488930394006994700917731808689"
+CUSP_SEGMENT = ((2.0, 2.5), (2.0, 3.0))
+CUSP_VOLUME = "-0.650942794901237304862513042693"
 
 
 def _marked(x, y):
@@ -73,25 +79,66 @@ def _assert_same_path(got, want):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
-def test_complex_curve_length_at_trace_3():
-    length = lm.complex_curve_length(3.0)
-    assert abs(length.real - LENGTH_TRACE_3) < 1e-14
-    assert abs(length.imag) < 1e-14
+def _jacobian_at(x, y, z):
+    """:func:`lm.holo_length_jacobian` at one point, as the jacobian
+    command reads it: row 0 of a one-point stack."""
+    return {key: value[0] for key, value in lm.holo_length_jacobian([x], [y], [z]).items()}
+
+
+@pytest.fixture(scope="module")
+def criterion_7_points():
+    """The (x, y, z) stacks of check_jacobian's one holo_length_jacobian
+    call: the 144 grid points, then the 10 of the corner path."""
+    calls = []
+
+    def recording(*stacks):
+        calls.append(stacks)
+        return lm.holo_length_jacobian(*stacks)
+
+    with mock.patch.object(suite, "holo_length_jacobian", recording):
+        assert suite.check_jacobian()["passed"]
+    (points,) = calls
+    return points
 
 
 def test_jacobian_closed_form_and_fd():
-    rep = lm.holo_length_jacobian(coords(2.2, 2.2, MARKED_ROOT_22))
+    rep = _jacobian_at(2.2, 2.2, MARKED_ROOT_22)
     assert abs(rep["det"].real) < 1e-12
     assert abs(rep["det"].imag - DET_ABS_22) < 1e-10
     assert rep["fd_residual"] < 1e-6
-    m = np.array(rep["matrix"])
-    assert abs(np.linalg.det(m) - rep["det"]) < 1e-10
+    assert abs(np.linalg.det(rep["matrix"]) - rep["det"]) < 1e-10
+
+
+def test_jacobian_rows_are_the_one_point_calls(criterion_7_points):
+    """At criterion 7's 154 points each one-point call (the jacobian
+    command's) is its row of the stack bit for bit, in every field."""
+    rep = lm.holo_length_jacobian(*criterion_7_points)
+    assert rep["matrix"].shape == (154, 3, 3)
+    assert rep["det"].shape == rep["fd_residual"].shape == (154,)
+    for i, point in enumerate(zip(*criterion_7_points)):
+        one = _jacobian_at(*point)
+        for key, value in rep.items():
+            assert np.array_equal(one[key], value[i]), (i, key)
+
+
+def test_length_jacobian_matches_the_60_digit_oracle(criterion_7_points):
+    """Every entry and the determinant at criterion 7's points, against
+    mpmath.diff at 60 digits: within 1e-14 relative on the grid (read:
+    1.9e-15), and 2e-13 on the corner path, where 2z - xy cancels (read:
+    1.5e-13 at x = y = 2 sqrt(2) - 1e-10)."""
+    rep = lm.holo_length_jacobian(*criterion_7_points)
+    grid = len(rep["det"]) - suite.JACOBIAN_CORNER_STEPS
+    for i, point in enumerate(zip(*criterion_7_points)):
+        exact, det = oracle.length_jacobian(*point)
+        bound = 1e-14 if i < grid else 2e-13
+        for (r, c), entry in np.ndenumerate(rep["matrix"][i]):
+            assert abs(entry - exact[r, c]) <= bound * abs(exact[r, c]), (i, r, c)
+        assert abs(rep["det"][i] - det) <= bound * abs(det), i
 
 
 def test_jacobian_degenerate_coordinates_rejected():
-    t = coords(2.0 + 1e-9, 2.3, 3.0 + 1.0j)
     with pytest.raises(CoordinateDegeneracy):
-        lm.holo_length_jacobian(t)
+        _jacobian_at(2.0 + 1e-9, 2.3, 3.0 + 1.0j)
 
 
 @pytest.mark.parametrize("x, y, z", [(1e160, 2.5, complex("nan")), (2.2, 2.2, 1e308)],
@@ -99,14 +146,28 @@ def test_jacobian_degenerate_coordinates_rejected():
 def test_jacobian_beyond_float_range_raises(x, y, z):
     """Also at a NaN root, as at a point where the pleating quadratic
     overflows (where pleating_candidates raises)."""
-    t = coords(x, y, z)
     with pytest.raises(NumericalOverflow):
-        lm.holo_length_jacobian(t)
+        _jacobian_at(x, y, z)
+
+
+def test_jacobian_errors_name_the_first_bad_point():
+    """Stack order decides which bad point is named, and which curve at
+    that point, a before b."""
+    good = (2.2, 2.2, MARKED_ROOT_22)
+    stack = [good, (2.3, 2.0 + 1e-9, 3.0), (-2.0 - 1e-9, 2.0 + 1e-9, 3.0)]
+    with pytest.raises(CoordinateDegeneracy, match=re.escape("curve b trace (2.000000001+0j)")):
+        lm.holo_length_jacobian(*zip(*stack))
+    with pytest.raises(CoordinateDegeneracy, match=re.escape("curve a trace (-2.000000001+0j)")):
+        lm.holo_length_jacobian(*zip(*stack[::2]))
+    stack = [good, (2.2, 2.2, 1e308), (1e160, 2.5, complex("nan"))]
+    for bad in (stack, stack[::2]):
+        with pytest.raises(NumericalOverflow, match=re.escape(f"at {tuple(map(complex, bad[1]))} ")):
+            lm.holo_length_jacobian(*zip(*bad))
 
 
 def test_jacobian_det_vanishes_at_branch_corner():
     corner = 2.0 * math.sqrt(2.0)
-    rep = lm.holo_length_jacobian(_marked(corner - 1e-10, corner - 1e-10))
+    rep = _jacobian_at(*_marked(corner - 1e-10, corner - 1e-10).astuple())
     assert abs(rep["det"]) < 1e-4
 
 
@@ -1189,7 +1250,7 @@ def _per_node_volume(start, end, order):
         assert cert.is_convex
         states.append(((x, cert.theta_a), (y, cert.theta_b)))
     # The bracket at the ends, and the integrand at the nodes between.
-    brackets = [sum(lm.complex_curve_length(v).real * t for v, t in state) for state in states]
+    brackets = [sum(2.0 * math.acosh(v / 2.0) * t for v, t in state) for state in states]
     terms = [
         sum(t * 2.0 * (e - s) / math.sqrt(v * v - 4.0) for (v, t), s, e in zip(state, start, end))
         for state in states[1:-1]
@@ -1222,6 +1283,26 @@ def test_schlafli_volumes_match_the_50_digit_oracle(ends):
     assert abs(volume - oracle.number(VOLUME_ORACLE[ends])) < 1e-45
     for order in (32, 128):
         assert abs(_segment_volume(*ends, order).value - volume) < 1e-13
+
+
+def test_trace_oracle_across_the_bending_free_boundary():
+    """From (2.19, 4.88) the segment crosses P = 1 at s = 7.5e-4 and stays
+    bending-free (every angle 0) to (5.63, 5.24): the oracle reads a real
+    volume there, and at orders 64 to 512 schlafli_volumes misses it by no
+    more than its estimate (read: misses 5.8e-5 to 2.5e-6)."""
+    volume = oracle.trace_path_volume(*CROSSING_SEGMENT)
+    assert abs(volume - oracle.number(CROSSING_VOLUME)) < 1e-29
+    for order in (64, 128, 256, 512):
+        res = _segment_volume(*CROSSING_SEGMENT, order)
+        assert abs(res.value - volume) <= res.error_estimate, order
+
+
+def test_trace_oracle_along_the_cusp():
+    """Along x = 2 curve a stays on the cusp (du = 0, theta_a = pi), and
+    order 64 lands on the oracle to round-off (read: 7.7e-16)."""
+    volume = oracle.trace_path_volume(*CUSP_SEGMENT)
+    assert abs(volume - oracle.number(CUSP_VOLUME)) < 1e-29
+    assert abs(_segment_volume(*CUSP_SEGMENT, 64).value - volume) < 1e-14
 
 
 @pytest.mark.parametrize("x, y0, y1", [(2.00001, 10.0, 200.0), (2.0000001, 100.0, 1000.0),

@@ -452,6 +452,36 @@ def test_check_volume_certifies_in_one_batch(monkeypatch):
     assert sizes == [74]
 
 
+def test_check_jacobian_makes_one_call(monkeypatch):
+    """The 144 grid points and the 10 of the corner path go through one
+    holo_length_jacobian call."""
+    sizes = []
+
+    def counting(x, y, z):
+        sizes.append(len(x))
+        return lengthmap.holo_length_jacobian(x, y, z)
+
+    monkeypatch.setattr(suite, "holo_length_jacobian", counting)
+    assert suite.check_jacobian()["passed"]
+    assert sizes == [len(suite._grid_values()) ** 2 + suite.JACOBIAN_CORNER_STEPS]
+    assert sizes == [154]
+
+
+@pytest.mark.parametrize("point", [0, 143, 153], ids=["first", "last-grid", "corner"])
+def test_check_jacobian_gates_the_fd_residual_everywhere(point, monkeypatch):
+    """A finite-difference residual above JACOBIAN_FD_TOL at any of the
+    154 points, the corner path's included, fails the criterion."""
+    def broken(x, y, z):
+        rep = lengthmap.holo_length_jacobian(x, y, z)
+        rep["fd_residual"][point] = 2.0 * suite.JACOBIAN_FD_TOL
+        return rep
+
+    monkeypatch.setattr(suite, "holo_length_jacobian", broken)
+    record = suite.check_jacobian()
+    assert not record["passed"]
+    assert record["details"]["worst_fd_residual"] == 2.0 * suite.JACOBIAN_FD_TOL
+
+
 def test_check_mirror_draws_its_words_once(monkeypatch):
     draw = doubling.random_reduced_word
     drawn = []
