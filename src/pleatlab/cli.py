@@ -32,12 +32,7 @@ from pleatlab import suite as suite_mod
 from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.doubling import audit_words, doubled_holonomy, meridian_data, mirror_residual
 from pleatlab.errors import PleatlabError
-from pleatlab.lengthmap import (
-    VOLUME_MAX_ORDER,
-    continuations,
-    holo_length_jacobian,
-    schlafli_volumes,
-)
+from pleatlab.lengthmap import continuations, holo_length_jacobian, schlafli_volumes
 from pleatlab.plaques import certify, certify_batch
 
 SAFE_LO = 2.0
@@ -424,11 +419,9 @@ def sweep_cmd(ctx, grid_text, out):
 @click.option("--start", "start_text", default=None, metavar="THETA_A,THETA_B",
               help="Starting bending angles.")
 @click.option("--samples", type=int, default=None, help="Ray sample count.")
-@click.option("--substeps", type=int, default=None,
-              help="Gauss-Legendre order of the quadrature between consecutive samples.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here.")
 @click.pass_context
-def trace_ray_cmd(ctx, start_text, samples, substeps, out):
+def trace_ray_cmd(ctx, start_text, samples, out):
     """Walk the angle ray from the start angles to the maximal cusp.
 
     Reports the solved structures and cumulative volume along the ray.
@@ -437,26 +430,15 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
     start_text = _resolve(ctx, "start", start_text, default="2.0,2.0")
     start = _pair_of_floats(start_text, "--start")
     samples = _resolve(ctx, "samples", samples, default=10, cast=int)
-    substeps = _resolve(ctx, "substeps", substeps, default=16, cast=int)
     for v in start:
         if not 0.0 < v <= math.pi:
             raise click.UsageError("start angles must lie in (0, pi]")
     if samples < 1:
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
-    if not 2 <= substeps <= VOLUME_MAX_ORDER:
-        raise click.UsageError(
-            f"--substeps must be at least 2 and at most {VOLUME_MAX_ORDER}, got {substeps}"
-        )
-    (path,) = continuations([(start, (math.pi, math.pi), samples, substeps)])
-    header = (
-        "s", "theta_a", "theta_b", "length_a", "length_b",
-        "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
-    )
+    (path,) = continuations([(start, (math.pi, math.pi), samples)])
+    header = ("s", "theta_a", "theta_b", "length_a", "length_b", "x_re", "y_re", "z_re", "z_im", "volume")
     x, y, z = path.coords
-    columns = (
-        path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag,
-        path.volume, path.volume_error,
-    )
+    columns = (path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag, path.volume)
     _emit_csv(header, [[_float_cells(column) for column in columns]], out)
     if np.any(path.volume[1:] <= path.volume[:-1]):
         ctx.exit(1)
@@ -467,27 +449,12 @@ def trace_ray_cmd(ctx, start_text, samples, substeps, out):
               help="Real coordinates of the first structure.")
 @click.option("--end", "end_text", required=True, metavar="X1,Y1",
               help="Real coordinates of the second structure.")
-@click.option("--nodes", type=int, default=None, help="Gauss-Legendre order of the quadrature.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
-@click.pass_context
-def volume_cmd(ctx, start_text, end_text, nodes, out):
+def volume_cmd(start_text, end_text, out):
     """Volume difference between two marked structures."""
-    x0, y0 = _pair_of_floats(start_text, "--start")
-    x1, y1 = _pair_of_floats(end_text, "--end")
-    nodes = _resolve(ctx, "nodes", nodes, default=128, cast=int)
-    if not 2 <= nodes <= VOLUME_MAX_ORDER:
-        raise click.UsageError(
-            f"--nodes must be at least 2 and at most {VOLUME_MAX_ORDER}, got {nodes}"
-        )
-    result = schlafli_volumes([((x0, y0), (x1, y1), nodes)])[0]
-    _emit_json(
-        {
-            "error_estimate": result.error_estimate,
-            "nodes": result.nodes,
-            "value": result.value,
-        },
-        out,
-    )
+    ends = _pair_of_floats(start_text, "--start"), _pair_of_floats(end_text, "--end")
+    (value,) = schlafli_volumes([ends])
+    _emit_json({"value": value}, out)
 
 
 @main.command("double")

@@ -26,12 +26,12 @@ manifold.  This module provides:
   arrays of angles, from the closed-form angle Jacobian at the
   explicitly placed structures, measured in one batch;
 * volume differences through the Schlafli form
-  ``dVol = -1/2 * sum_i l_i dphi_i``, by parts at Gauss-Legendre nodes in
-  one runner, a run of segments at a time, every node in closed form,
-  along straight segments of the trace chart (``schlafli_volumes``) and
-  straight angle paths (``continuations``, one :class:`AnglePath` of
-  columns a path, whose concavity ``concavity_report`` probes); a cusp
-  end, or a start next to a flat end, converges like an interior one;
+  ``dVol = -1/2 * sum_i l_i dphi_i = 4 dW``, in closed form: the potential
+  ``W`` in Clausen functions of the half-angles, read at the ends of
+  straight segments of the trace chart (``schlafli_volumes``) and at the
+  samples of straight angle paths (``continuations``, one
+  :class:`AnglePath` of columns a path, whose concavity
+  ``concavity_report`` probes), with no quadrature;
 * a cusp-opening derivative check against the canonical commuting
   model, and a finite-difference group-cocycle check for deformation
   families.
@@ -40,7 +40,6 @@ manifold.  This module provides:
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,17 +90,27 @@ COCYCLE_WORD_SEED = 0
 # The fixed sl2 matrix V of conjugation_family, cocycle_check's
 # coboundary control.
 COCYCLE_CONJUGATOR = (0.3, 0.25 - 0.1j, -0.05j, -0.3)
-# Most nodes a run of whole segments places at once, in both charts.
-# Best of 7 on a 2-CPU shared x86 container (numpy 2.4.6): continuations
-# at 1,000 samples of order 512 takes 135 ms at 1,024 nodes, 79 ms at
-# 4,096 and 69 ms at 16,384 (tracemalloc peaks 0.7, 1.3 and 4.5 MB), and
-# check_volume's 1,140 trace nodes 2.6 ms in two runs or 2.0 ms in one; a
-# trace-chart run holds ~1.6 KB a node, so 6.5 MB at 4,096.
-VOLUME_BATCH_NODES = 4096
-# Largest quadrature order either chart takes: a segment of order n has
-# n + ceil(n / 2) + 2 nodes, 770 here, so it fits in one run of
-# VOLUME_BATCH_NODES, and leggauss's eigenproblem takes O(n^2) memory.
-VOLUME_MAX_ORDER = 512
+# Catalan's constant G = Cl2(pi/2): the Schlafli potential is -2G where
+# the structure is bending-free.
+CATALAN = 0.915965594177219
+# |B_2k| / (2k (2k + 1)!) for k = 1 to 25: the coefficients c_k of
+# Clausen's series Cl2(t) = t - t log|t| + sum_k c_k t^(2k + 1) on
+# [-pi, pi], where the first term left out is below 5.1e-19.
+CLAUSEN_SERIES = np.array([
+    0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07, 1.1482216343327455e-08,
+    1.8978869988971e-10, 3.387301370953521e-12, 6.372636443183181e-14, 1.2462059912950672e-15,
+    2.5105444608999545e-17, 5.178258806090623e-19, 1.0887357368300849e-20, 2.325744114302087e-22,
+    5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27, 5.440142678856253e-29,
+    1.2228340131217352e-30, 2.767263468967951e-32, 6.3000905918320136e-34, 1.4420868388418476e-35,
+    3.3170939991595428e-37, 7.663913557920658e-39, 1.7778714733830659e-40, 4.1396058982341375e-42,
+    9.671557036081102e-44])
+# The potential is its Taylor series within this distance of the cusp in
+# both half-angles, where the series' first term left out is below 1e-18.
+CUSP_SERIES_RADIUS = 1e-3
+# Absolute round-off of one potential value, of four Clausen terms within
+# 1.8e-15 of mpmath each, and 2G; it reads at most 6.6e-16 against a
+# 60-digit quadrature of the form.
+POTENTIAL_ROUNDOFF = 4e-15
 
 
 @dataclass(frozen=True)
@@ -113,20 +122,13 @@ class NewtonResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    value: float
-    error_estimate: float
-    nodes: int
-
-
 @dataclass(frozen=True, eq=False)
 class AnglePath:
     """A continuation along a straight angle path, as columns with one
     entry per sample: the path parameter ``s``, the curve ``lengths`` and
     measured ``thetas`` (``(2, n)``), the trace ``coords`` x, y, z
     (``(3, n)`` complex), the placement's largest angle ``miss``, and the
-    cumulative ``volume`` and ``volume_error`` from the first sample."""
+    ``volume`` from the first sample."""
 
     s: np.ndarray
     lengths: np.ndarray
@@ -134,7 +136,6 @@ class AnglePath:
     coords: np.ndarray
     miss: np.ndarray
     volume: np.ndarray
-    volume_error: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,9 @@ class AnglePath:
 
 def holo_length_jacobian(x, y, z):
     """Closed-form Jacobian of (length_a, length_b, kappa) at every point
-    ``(x[i], y[i], z[i])``, each length being ``2*arccosh(trace/2)``.
+    ``(x[i], y[i], z[i])``, each length being ``2*arccosh(trace/2)``, or
+    ``2*arccosh(-trace/2)``, of the same derivative, where the trace has a
+    negative real part.
 
     ``x``, ``y`` and ``z`` are equal-length one-dimensional sequences of
     trace coordinates.  Returns ``matrix`` ``(n, 3, 3)``, ``det`` ``(n,)``
@@ -168,7 +171,10 @@ def holo_length_jacobian(x, y, z):
                 f"{DEGENERACY_TOL} of +/-2"
             )
         x, y, z = points
-        sx, sy = np.sqrt(x * x - 4.0), np.sqrt(y * y - 4.0)
+        # sqrt(x - 2) sqrt(x + 2), not sqrt(x^2 - 4), whose principal root
+        # flips sign across the imaginary axis: 2 / sx is the derivative of
+        # 2 arccosh(x / 2) on both sides.
+        sx, sy = (np.sqrt(v - 2.0) * np.sqrt(v + 2.0) for v in (x, y))
         matrix = np.zeros((n, 3, 3), dtype=complex)
         matrix[:, 0, 0], matrix[:, 1, 1] = 2.0 / sx, 2.0 / sy
         matrix[:, 2] = np.stack((2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y), axis=-1)
@@ -178,7 +184,11 @@ def holo_length_jacobian(x, y, z):
         steps = JACOBIAN_FD_STEP * np.array([1.0, 1.0j])
         shifts = np.kron(np.eye(3), np.outer(steps, [1.0, -1.0]).reshape(4, 1))
         u, v, w = points[:, None, :] + shifts.T[:, :, None]
-        values = np.stack((2.0 * np.arccosh(u / 2.0), 2.0 * np.arccosh(v / 2.0), kappa(u, v, w)))
+        # Each length on the sheet of its trace's real part, 2 arccosh(+/-x / 2),
+        # whose cut the steps stay off, also on the real axis below -2.
+        sign = np.where(points[:2].real < 0.0, -1.0, 1.0)
+        values = np.stack((2.0 * np.arccosh(sign[0] * u / 2.0), 2.0 * np.arccosh(sign[1] * v / 2.0),
+                           kappa(u, v, w)))
         values = values.reshape(3, 3, 2, 2, n)
         # quotients[i, j, direction] approximates d(value i)/d(coordinate j).
         quotients = (values[..., 0, :] - values[..., 1, :]) / (2.0 * steps[:, None])
@@ -542,115 +552,94 @@ def dl_dphi(theta_a, theta_b):
 
 
 # ---------------------------------------------------------------------------
-# Volume through the Schlafli form
+# Volume through the Schlafli potential
 
 
-@lru_cache(maxsize=16)
-def quadrature_rule(order):
-    """One segment's ``(nodes, weights)``, two read-only ``(2, n)`` arrays
-    (memoized, bounded).  A column of ``nodes`` is ``(1 - s, s)``, each to
-    its own relative precision, at the start, the Gauss-Legendre nodes of
-    ``order`` and of ``ceil(order / 2)``, and the end; the rows of
-    ``weights`` are the two rules', zero elsewhere.  Both are taken in
-    ``t`` with ``s = 3t^2 - 2t^3``, whose ``ds/dt = 6t(1 - t)`` vanishes at
-    the ends, so an integrand like ``1 / sqrt(s)``, as at a cusp end, is
-    smooth in ``t``.  An order outside ``2..VOLUME_MAX_ORDER`` raises."""
-    if not 2 <= order <= VOLUME_MAX_ORDER:
-        raise PleatlabError(
-            f"need at least two and at most {VOLUME_MAX_ORDER} quadrature nodes, got {order}"
-        )
-    nodes, weights = [], []
-    for n in (order, -(-order // 2)):
-        tau, w = np.polynomial.legendre.leggauss(n)
-        # 1 - s at t is s at 1 - t, so near either end it keeps its digits.
-        t = np.stack(((1.0 - tau) / 2.0, (1.0 + tau) / 2.0))
-        nodes.append(t * t * (3.0 - 2.0 * t))
-        weights.append(3.0 * t[0] * t[1] * w)
-    ends = np.eye(2)
-    nodes = np.concatenate((ends[:, :1], *nodes, ends[:, 1:]), axis=1)
-    rows = np.zeros((2, nodes.shape[1]))
-    rows[0, 1:order + 1] = weights[0]
-    rows[1, order + 1:-1] = weights[1]
-    nodes.flags.writeable = rows.flags.writeable = False
-    return nodes, rows
+def _clausen(theta):
+    """Clausen's function ``Cl2(theta) = -int_0^theta log|2 sin(t/2)| dt``
+    over an array: the angle reduced by whole turns to ``[-pi, pi]``, where
+    ``Cl2`` is odd, and :func:`_clausen_step` from 0."""
+    t = theta - 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
+    return np.sign(t) * _clausen_step(np.zeros_like(t), np.abs(t))
 
 
-def _by_parts(starts, ends, orders, place):
-    """``sum_i l_i dtheta_i`` along straight segments of one chart, by parts:
-    ``[sum_i l_i theta_i] - int sum_i theta_i (dl_i/ds) ds``, smooth at a
-    cusp end and where a length grows like ``-2 log theta``
-    (Davis-Rabinowitz).  Segment ``k`` runs between the columns ``k`` of
-    the ``(2, n)`` arrays ``starts`` and ``ends`` by the rule of
-    ``orders[k]``, its estimate the distance to the rule of half the order.
-    As many segments as fit ``VOLUME_BATCH_NODES`` nodes at the largest
-    order make a run, whose nodes ``place(nodes, p0, p1)`` (the rules'
-    columns and each node's segment ends) turns into ``(2, m)`` angles,
-    lengths and ``dl/ds``.  Returns the values and the estimates, which
-    do not depend on the segments run with each."""
-    rules = [quadrature_rule(order) for order in orders]
-    sizes = np.array([nodes.shape[1] for nodes, _ in rules], dtype=int)
-    # The cap keeps every segment within VOLUME_BATCH_NODES.
-    per_run = VOLUME_BATCH_NODES // max(sizes, default=1)
-    values, errors = [np.empty(0)], [np.empty(0)]
-    for run in (slice(k, k + per_run) for k in range(0, len(sizes), per_run)):
-        nodes, weights = (np.concatenate(rule, axis=1) for rule in zip(*rules[run]))
-        p0, p1 = (np.repeat(p[:, run], sizes[run], axis=1) for p in (starts, ends))
-        thetas, lengths, rates = place(nodes, p0, p1)
-        integrand = (thetas * rates).sum(axis=0)
-        last = np.cumsum(sizes[run]) - 1
-        first = last - sizes[run] + 1
-        # The ends carry no weight, and at a cusp end the rate is infinite.
-        integrand[first] = integrand[last] = 0.0
-        bracket = (lengths * thetas).sum(axis=0)
-        fine, coarse = np.add.reduceat(weights * integrand, first, axis=1)
-        values.append(bracket[last] - bracket[first] - fine)
-        errors.append(np.abs(fine - coarse))
-    return np.concatenate(values), np.concatenate(errors)
+def _clausen_step(start, width):
+    """``Cl2(start + width) - Cl2(start)`` for ``0 <= start <= start + width
+    <= pi``, to the relative precision of ``width``: Clausen's series ``t -
+    t log t + t Q(t^2)``, ``Q(x) = sum_k c_k x^k`` of ``CLAUSEN_SERIES``
+    (Abramowitz-Stegun 27.8), each difference factored through ``w =
+    width``: ``t log t`` by ``log1p``, ``t Q(t^2)`` by ``w (Q(e^2) + s (e +
+    s) Q[e^2, s^2])``, ``e = s + w``, with the divided difference in Horner."""
+    end = start + width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_part = (np.where(width == 0.0, 0.0, width * np.log(end))
+                    + np.where(start == 0.0, 0.0, start * np.log1p(width / start)))
+    high, low = end * end, start * start
+    value, slope = np.full_like(end, CLAUSEN_SERIES[-1]), np.zeros_like(end)
+    for c in (*CLAUSEN_SERIES[-2::-1], 0.0):
+        slope, value = slope * low + value, value * high + c
+    return width * (1.0 + value + start * (end + start) * slope) - log_part
 
 
-def _trace_nodes(nodes, p0, p1):
-    """:func:`_by_parts`' placer in the trace chart, for ends of one sign:
-    :func:`_closed_form_angles` at ``sinh(l/2) = sqrt(o (o + 4)) / 2``,
-    ``o = |x| - 2``, and ``cosh(l/2) = |x| / 2``."""
-    sign = np.sign(p0)
-    # |x| - 2 from the ends: near the cusp x itself rounds it away.
-    offset = nodes[0] * (sign * p0 - 2.0) + nodes[1] * (sign * p1 - 2.0)
-    with np.errstate(all="ignore"):
-        sinh = np.sqrt(offset * (offset + 4.0)) / 2.0
-        thetas, _, _ = _closed_form_angles(sinh, sign * (nodes[0] * p0 + nodes[1] * p1) / 2.0)
-        # dl/ds = |x|' / sinh(l / 2).  A coordinate that stays put has no
-        # rate, even on the cusp, where the quotient reads 0 / 0.
-        rates = np.where(p0 == p1, 0.0, sign * (p1 - p0) / sinh)
-    return thetas, 2.0 * np.arcsinh(sinh), rates
+def _schlafli_potential(half):
+    """The potential ``W`` of the Schlafli form, ``sum_i l_i dtheta_i = 4 dW``,
+    as the rows ``(W + 2G, W)`` at the ``(2, ...)`` half-angles ``(A, B) =
+    (theta_a / 2, theta_b / 2)`` in ``[0, pi/2]``, ``G`` Catalan's constant.
+
+    On the marked cusped locus ``dW/dA = l_a / 2 = asinh(sin B cot A)``.
+    With ``tan(alpha) = tan A / sin B`` and ``u = tan(alpha / 2)`` the
+    A-integral from the flat edge ``A = 0`` is ``Im`` of dilogarithms of
+    ``u e^(-iB)`` and ``-u e^(iB)``, which Kummer's formula (Lewin) turns
+    into ``W + 2G = (Cl2(2 w1) + Cl2(2 w2) - Cl2(2B + 2 w1) + Cl2(2B - 2 w2))
+    / 2``, ``w1 = atan2(u sin B, 1 - u cos B)``, ``w2 = atan2(u sin B, 1 + u
+    cos B)``.  So ``W(pi/2, pi/2) = 0``, and the bending-free region is the
+    one point ``W(0, 0) = -2G``.  ``W`` is symmetric and taken with ``B`` the
+    larger half-angle, where ``u cos B <= sqrt(2) - 1``.  The last two
+    Clausen values are differenced by :func:`_clausen_step` through
+    ``Cl2(2t) = 2 Cl2(t) - 2 Cl2(pi - t)``, so ``W + 2G`` keeps its relative
+    precision next to the flat edge, as along a long curve.  Within
+    ``CUSP_SERIES_RADIUS`` of the cusp ``W`` is its Taylor series in ``a =
+    pi/2 - A``, ``b = pi/2 - B``, which keeps its relative precision there.
+    A cosine is the sine of the complement, exactly 0 at the cusp."""
+    a, b = np.sort(half, axis=0)
+    along, across = np.sin(math.pi / 2.0 - a) * np.sin(b), np.sin(a)
+    with np.errstate(invalid="ignore"):
+        # tan(alpha / 2); alpha is 0 on the edge A = 0, the corner included.
+        u = np.where(across == 0.0, 0.0, across / (np.hypot(along, across) + along))
+    rise, run = u * np.sin(b), u * np.sin(math.pi / 2.0 - b)
+    w1, w2 = np.arctan2(rise, 1.0 - run), np.arctan2(rise, 1.0 + run)
+    excess = (_clausen(2.0 * np.stack((w1, w2))).sum(axis=0) / 2.0
+              - _clausen_step(np.stack((b - w2, math.pi - b - w1)), w1 + w2).sum(axis=0))
+    p, q = (math.pi / 2.0 - a) ** 2, (math.pi / 2.0 - b) ** 2
+    series = -(p + q) / 2.0 - (p * p + q * q) / 24.0 + p * q / 4.0
+    return np.stack((excess, np.where(p < CUSP_SERIES_RADIUS ** 2, series, excess - 2.0 * CATALAN)))
+
+
+def _potential_gain(start, end):
+    """``W(end) - W(start)`` from :func:`_schlafli_potential`'s rows at the
+    columns of ``start`` and ``end``: the difference of the row whose two
+    values are the smaller, ``W`` next to the cusp, ``W + 2G`` elsewhere."""
+    cusp_side = np.abs(start[1]) + np.abs(end[1]) < np.abs(start[0]) + np.abs(end[0])
+    return np.where(cusp_side, end[1] - start[1], end[0] - start[0])
 
 
 def schlafli_volumes(segments):
-    """Volume differences along straight segments of marked structures.
+    """Volume differences between the ends of segments ``((x0, y0), (x1,
+    y1))`` of marked structures with real ends, as an array.
 
-    A segment ``((x0, y0), (x1, y1), order)`` has real ends and its nodes
-    over ``(1 - s) (x0, y0) + s (x1, y1)`` at :func:`quadrature_rule`'s
-    ``s``.  With ``phi_i = 2 (pi - theta_i)`` the Schlafli form
-    ``-1/2 sum_i l_i dphi_i = sum_i l_i dtheta_i`` of the doubled manifold,
-    twice Bonahon's convex-core change, integrates by parts in
-    :func:`_by_parts` at the closed-form nodes of :func:`_trace_nodes`, with
-    no roof, so a node keeps its precision next to a long curve.  Against
-    50-digit references on (2.1, 2.1) to (2.5, 2.4) and on the cusp-end
-    segments (2.0, 2.2) to (2.6, 2.3) and (2.2, 2.2) to (2.0, 2.0), the
-    estimate reads 4.2 to 3.1e6 times the miss at every order that misses
-    by more than 1e-13 (2 to 18), and from order 32 to 128 the miss is at
-    most 3.4e-14.  A segment is not split at the bending-free boundary
-    ``P = 1``, so one far past it can read a wrong volume with a small or
-    zero estimate: (2.5, 2.5) to (1e10, 1e10) reads -4.0077, estimate 0.0,
-    at every order, not -4.7358 (only the bracket counts), and (2, 2.5) to
-    (2, 3.75e8) -2.5723, estimate 1.2e-3, at order 16, not -6.47.  Before
-    any node is placed, the first segment whose x or y ends differ in sign
-    or lie in ``|x| < 2`` or ``|y| < 2``, where no structure is convex,
-    raises :class:`UncertifiedPathPoint`, and one with an end whose length
-    leaves the float range :class:`NumericalOverflow`.
-    Returns one :class:`VolumeResult` per segment, whose ``nodes`` counts
-    the ``order + ceil(order / 2) + 2`` nodes placed.
+    With ``phi_i = 2 (pi - theta_i)`` the Schlafli form ``-1/2 sum_i l_i
+    dphi_i = sum_i l_i dtheta_i`` of the doubled manifold, twice Bonahon's
+    convex-core change, is ``4 dW`` (:func:`_schlafli_potential`), so a
+    volume is ``4 (W(end) - W(start))``, however far past the bending-free
+    boundary ``P = 1`` an end lies.  An end's angles are
+    :func:`_closed_form_angles` at ``sinh(l/2) = sqrt(o (o + 4)) / 2``, ``o
+    = |x| - 2``, and ``cosh(l/2) = |x| / 2``, with no roof.  Before any end
+    is read, the first segment whose x or y ends differ in sign or lie in
+    ``|x| < 2`` or ``|y| < 2``, where no structure is convex, raises
+    :class:`UncertifiedPathPoint`, and one with an end whose length leaves
+    the float range :class:`NumericalOverflow`.
     """
-    for start, end, _ in segments:
+    for start, end in segments:
         start, end = (tuple(map(float, p)) for p in (start, end))
         path = f"path from {start} to {end}"
         if not all(abs(v) >= 2.0 for v in start + end) or any(u * v < 0.0 for u, v in zip(start, end)):
@@ -658,11 +647,12 @@ def schlafli_volumes(segments):
         for point in (start, end):
             if not all(math.isfinite(o * (o + 4.0)) for o in (abs(v) - 2.0 for v in point)):
                 raise NumericalOverflow(f"{path}: the length at (x, y) = {point} leaves the float range")
-    starts, ends = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, 2).T for k in (0, 1))
-    orders = [order for _, _, order in segments]
-    values, errors = _by_parts(starts, ends, orders, _trace_nodes)
-    return [VolumeResult(value=v, error_estimate=e, nodes=quadrature_rule(n)[0].shape[1])
-            for v, e, n in zip(values.tolist(), errors.tolist(), orders)]
+    # The ends as (|x|, |y|) columns, each segment's start then its end.
+    traces = np.abs(np.array(segments, dtype=float).reshape(-1, 2).T)
+    offset = traces - 2.0
+    thetas, _, _ = _closed_form_angles(np.sqrt(offset * (offset + 4.0)) / 2.0, traces / 2.0)
+    potential = _schlafli_potential(thetas / 2.0)
+    return 4.0 * _potential_gain(potential[:, ::2], potential[:, 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -671,68 +661,47 @@ def schlafli_volumes(segments):
 
 def concavity_report(path):
     """Volume concavity along an :class:`AnglePath`: the second
-    differences of its volumes in ``s``, the accumulated quadrature
-    error, and whether every second difference is negative with margin
-    three times that error."""
+    differences of its volumes in ``s``, their round-off ``margin``, and
+    whether every second difference is below minus that margin.  Each
+    volume ``4 (W_k - W_0)`` is within ``8 * POTENTIAL_ROUNDOFF`` of its
+    exact value, so a second difference (coefficients 1, -2, 1) is within
+    ``32 * POTENTIAL_ROUNDOFF``, times ``samples^2`` in ``s``."""
     # The samples sit at s = k / samples.
-    second = np.diff(path.volume, 2) * (path.s.size - 1) ** 2
-    err = float(path.volume_error[-1])
-    return {
-        "second_differences": second,
-        "integration_error": err,
-        "concave": bool(np.all(second < -3.0 * err)),
-    }
-
-
-def _angle_nodes(nodes, p0, p1):
-    """:func:`_by_parts`' placer in the angle chart: the lengths of the
-    angle-angle inverse :func:`_angle_sinh` at the node angles, clamped at
-    pi, which ``a (1 - s) + b s`` can round past, and ``dl/ds = dl/dtheta
-    (b - a)`` with ``cosh(l/2)`` taken from that ``sinh(l/2)``."""
-    thetas = np.minimum(nodes[0] * p0 + nodes[1] * p1, math.pi)
-    sinh = _angle_sinh(thetas)
-    rates = np.einsum("nij,jn->in", _closed_form_length_jacobian(sinh, np.hypot(1.0, sinh)), p1 - p0)
-    return thetas, 2.0 * np.arcsinh(sinh), rates
+    scale = (path.s.size - 1) ** 2
+    second = np.diff(path.volume, 2) * scale
+    margin = 32.0 * POTENTIAL_ROUNDOFF * scale
+    return {"second_differences": second, "margin": margin, "concave": bool(np.all(second < -margin))}
 
 
 def continuations(angle_paths):
-    """Continuations along straight angle paths, integrated in angle space.
+    """Continuations along straight angle paths, with their volumes.
 
-    Each angle path is ``(theta_start, theta_end, samples, substeps)``.
-    The samples at ``s = k / samples`` of all paths are placed at their
-    angles and measured by one :func:`_place` call, which raises for a
-    sample that measures no bending.  The Schlafli form reads ``sum_i l_i
-    dtheta_i``, twice Bonahon's convex-core change; each step between
-    samples is a segment of order ``substeps`` of :func:`_by_parts`.
-    The nodes are neither certified nor measured: every angle pair in
-    (0, pi]^2 is on the bending locus.  Angles between a path's ends are
-    interpolated as ``a (1 - s) + b s`` and clamped at pi, which that
-    rounding can pass; an end outside (0, pi] raises
-    :class:`TargetOutsideImage`.  Returns one :class:`AnglePath` per path,
-    whose columns do not depend on the paths batched with it.  Raises
-    :class:`PleatlabError` before placing any sample when a path's
-    ``samples < 1``, or its ``substeps`` is outside ``2..VOLUME_MAX_ORDER``.
+    Each angle path is ``(theta_start, theta_end, samples)``.  The samples
+    at ``s = k / samples`` of all paths are placed at their angles and
+    measured by one :func:`_place` call, which raises for a sample that
+    measures no bending.  Angles between a path's ends are interpolated as
+    ``a (1 - s) + b s`` and clamped at pi, which that rounding can pass; an
+    end outside (0, pi] raises :class:`TargetOutsideImage`.  A sample's
+    volume is ``4 (W_k - W_0)``, :func:`_schlafli_potential` at the target
+    angles.  Returns one :class:`AnglePath` per path, whose columns do not
+    depend on the paths batched with it.  Raises :class:`PleatlabError`
+    before placing any sample when a path's ``samples < 1``.
     """
-    for _, _, samples, substeps in angle_paths:
+    for _, _, samples in angle_paths:
         if samples < 1:
             raise PleatlabError(f"need at least one sample, got {samples}")
-        quadrature_rule(substeps)  # raises for an order it does not take
-    s = [np.arange(samples + 1) / samples for _, _, samples, _ in angle_paths]
-    targets = [np.outer(a, 1.0 - t) + np.outer(b, t) for (a, b, _, _), t in zip(angle_paths, s)]
+    s = [np.arange(samples + 1) / samples for _, _, samples in angle_paths]
+    targets = [np.outer(a, 1.0 - t) + np.outer(b, t) for (a, b, _), t in zip(angle_paths, s)]
     for th in targets:
         # The ends are exact, and explicit_lengths checks them; between
         # them a (1 - s) + b s can round past pi.
         th[:, 1:-1] = np.minimum(th[:, 1:-1], math.pi)
-    coords, lengths, thetas, miss = _place(np.concatenate([np.empty((2, 0)), *targets], axis=1))
+    angles = np.concatenate([np.empty((2, 0)), *targets], axis=1)
+    coords, lengths, thetas, miss = _place(angles)
     cuts = np.cumsum([t.size for t in s])[:-1]
     columns = zip(*(np.split(v, cuts, axis=-1) for v in (lengths, thetas, coords, miss)))
-    starts, ends = (np.concatenate([np.empty((2, 0)), *(th[:, j] for th in targets)], axis=1)
-                    for j in (np.s_[:-1], np.s_[1:]))
-    orders = [substeps for _, _, samples, substeps in angle_paths for _ in range(samples)]
-    steps = np.cumsum([samples for _, _, samples, _ in angle_paths])[:-1]
-    values, errors = (np.split(v, steps) for v in _by_parts(starts, ends, orders, _angle_nodes))
-    return [AnglePath(t, *path, *(np.cumsum([0.0, *v]) for v in (value, error)))
-            for t, value, error, path in zip(s, values, errors, columns)]
+    potentials = np.split(_schlafli_potential(angles / 2.0), cuts, axis=1)
+    return [AnglePath(t, *path, 4.0 * _potential_gain(w[:, :1], w)) for t, w, path in zip(s, potentials, columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,37 @@ def angle_path_volume(start, end):
             return l_a * (a1 - a0) + l_b * (b1 - b0)
 
         return mpmath.quad(integrand, [0, 1])
+
+
+def clausen(theta):
+    """Clausen's function ``Cl2(theta)``, as ``mpmath.clsin(2, theta)``."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.clsin(2, mpmath.mpf(theta))
+
+
+def clausen_step(start, width):
+    """``Cl2(start + width) - Cl2(start)``, by ``mpmath.clsin(2, .)``."""
+    with mpmath.workdps(DIGITS):
+        start = mpmath.mpf(start)
+        return mpmath.clsin(2, start + mpmath.mpf(width)) - mpmath.clsin(2, start)
+
+
+@lru_cache(maxsize=None)
+def schlafli_potential(half_a, half_b):
+    """The potential ``W`` of ``sum_i l_i dtheta_i = 4 dW`` at the half-angles ``A = theta_a / 2``,
+    ``B = theta_b / 2``, fixed by ``W(pi/2, pi/2) = 0`` (the maximal cusp), as the pair
+    ``(W + 2G, W)`` with ``G`` Catalan's constant: ``W`` is minus the integral of its gradient
+    ``(asinh(sin B cot A), asinh(sin A cot B))``, half the lengths of :func:`explicit_lengths`,
+    along the straight path from ``(A, B)`` to ``(pi/2, pi/2)``, by tanh-sinh quadrature, which
+    takes the logarithmic growth of a length at an edge ``A = 0`` in its stride; memoized."""
+    with mpmath.workdps(DIGITS):
+        a0, b0 = mpmath.mpf(half_a), mpmath.mpf(half_b)
+        da, db = mpmath.pi / 2 - a0, mpmath.pi / 2 - b0
+
+        def gradient(s):
+            a, b = a0 + s * da, b0 + s * db
+            return (mpmath.asinh(mpmath.sin(b) * mpmath.cot(a)) * da
+                    + mpmath.asinh(mpmath.sin(a) * mpmath.cot(b)) * db)
+
+        potential = -mpmath.quad(gradient, [0, 1])
+        return potential + 2 * mpmath.catalan, potential

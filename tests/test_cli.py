@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from pleatlab import cli
 from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.cli import main
-from pleatlab.lengthmap import VOLUME_MAX_ORDER, continuations
+from pleatlab.lengthmap import continuations
 from pleatlab.plaques import certify, certify_batch
 
 import oracle
@@ -172,16 +172,10 @@ def _reference_sweep(grid):
 
 
 def _reference_trace_ray():
-    header = (
-        "s", "theta_a", "theta_b", "length_a", "length_b",
-        "x_re", "y_re", "z_re", "z_im", "volume", "volume_error",
-    )
-    (path,) = continuations([((2.0, 2.0), (math.pi, math.pi), 10, 16)])
+    header = ("s", "theta_a", "theta_b", "length_a", "length_b", "x_re", "y_re", "z_re", "z_im", "volume")
+    (path,) = continuations([((2.0, 2.0), (math.pi, math.pi), 10)])
     x, y, z = path.coords
-    columns = (
-        path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag,
-        path.volume, path.volume_error,
-    )
+    columns = (path.s, *path.thetas, *path.lengths, x.real, y.real, z.real, z.imag, path.volume)
     return _reference_csv(header, zip(*(column.tolist() for column in columns)))
 
 
@@ -413,44 +407,30 @@ def test_config_malformed_exits_two(tmp_path):
 
 
 def test_volume_json():
-    result = run("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", "64")
+    result = run("volume", "--start", "2.1,2.1", "--end", "2.5,2.4")
     assert result.exit_code == 0
     payload = json.loads(result.output)
+    assert list(payload) == ["value"]
     assert abs(payload["value"] - (-1.8273764510572349)) < 1e-13
-    assert payload["nodes"] == 64 + 32 + 2
 
 
 def test_volume_across_a_zero_trace_exits_one():
     """The segment crosses x = 0, where no structure is convex, although
-    no node of the order-4 rule falls in |x| < 2."""
-    result = run("volume", "--start", "-50,2.2", "--end", "50,2.2", "--nodes", "4")
+    both its ends lie in |x| > 2."""
+    result = run("volume", "--start", "-50,2.2", "--end", "50,2.2")
     assert result.exit_code == 1
     assert "crosses |x| < 2 or |y| < 2" in result.output
 
 
 def test_volume_bad_nodes_exit_two():
-    for nodes in ("0", "1", "-3"):
+    """The volume is read in closed form: --nodes is no option, and any
+    value of it, like a non-finite end, is a usage error."""
+    for nodes in ("0", "8", "128"):
         args = ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", nodes)
-        assert run(*args).exit_code == 2
+        result = run(*args)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--nodes" in result.output
     assert run("volume", "--start", "nan,2.1", "--end", "2.5,2.4").exit_code == 2
-
-
-@pytest.mark.parametrize(
-    "args",
-    [("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes"), ("trace-ray", "--substeps")],
-    ids=["volume", "trace-ray"],
-)
-def test_quadrature_order_above_the_cap_exits_two(args, monkeypatch):
-    """One order above VOLUME_MAX_ORDER is a usage error, raised before
-    any node is placed."""
-    def no_work(*a, **kw):
-        raise AssertionError("a node was placed before the order was checked")
-
-    monkeypatch.setattr(cli, "continuations", no_work)
-    monkeypatch.setattr(cli, "schlafli_volumes", no_work)
-    result = run(*args, str(VOLUME_MAX_ORDER + 1))
-    assert result.exit_code == 2
-    assert f"{args[-1]} must be at least 2 and at most {VOLUME_MAX_ORDER}" in result.output
 
 
 def test_double_json():
@@ -522,13 +502,24 @@ def test_jacobian_json():
     assert payload["fd_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("args", [("-2.2", "-2.5"), ("-2.2+0.1j", "2.3", "2.4+2j")],
+                         ids=["real-axis", "left-half-plane"])
+def test_jacobian_on_the_left_half_plane(args):
+    """Left of the imaginary axis, and on the real axis below -2 where
+    arccosh(x/2) has its cut, the closed form is the derivative of the
+    length the finite differences take."""
+    result = run("jacobian", "--", *args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fd_residual"] < 1e-6
+
+
 def test_jacobian_degenerate_exits_one():
     result = run("jacobian", "2.0000000001", "2.3")
     assert result.exit_code == 1
 
 
 def test_trace_ray_csv():
-    result = run("trace-ray", "--start", "2.0,2.2", "--samples", "4", "--substeps", "6")
+    result = run("trace-ray", "--start", "2.0,2.2", "--samples", "4")
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))
     assert rows[0][0] == "s"
@@ -548,7 +539,7 @@ def test_trace_ray_from_near_the_cusp():
     result = run("trace-ray", "--start", "3.14159,1e-8", "--samples", "2")
     assert result.exit_code == 0, result.output
     rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
-    assert rows.shape == (3, 11) and np.isfinite(rows).all()
+    assert rows.shape == (3, 10) and np.isfinite(rows).all()
     assert np.all(np.diff(rows[:, 9]) > 0.0)
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
     volume = oracle.angle_path_volume((3.14159, 1e-8), (math.pi, math.pi))
@@ -577,12 +568,12 @@ def test_trace_ray_next_to_a_long_curve(start):
 )
 def test_trace_ray_from_an_edge_start(start, samples):
     """A start on or next to the angle pi, where a(1 - s) + b s rounds
-    samples and nodes past pi, walks the ray: the rows are finite, the
+    samples past pi, walks the ray: the rows are finite, the
     volume increases, and the cusp row reads pi, pi with lengths 0."""
     result = run("trace-ray", "--start", start, "--samples", samples)
     assert result.exit_code == 0, result.output
     rows = np.array(list(csv.reader(io.StringIO(result.output)))[1:], dtype=float)
-    assert rows.shape == (int(samples) + 1, 11) and np.isfinite(rows).all()
+    assert rows.shape == (int(samples) + 1, 10) and np.isfinite(rows).all()
     assert np.all(np.diff(rows[:, 9]) > 0.0)
     assert rows[-1, 1:5].tolist() == [math.pi, math.pi, 0.0, 0.0]
 
@@ -607,7 +598,7 @@ def test_trace_ray_of_zero_length_exits_one():
     result = run("trace-ray", "--start", f"{math.pi!r},{math.pi!r}", "--samples", "1")
     assert result.exit_code == 1
     rows = list(csv.reader(io.StringIO(result.output)))
-    assert len(rows) == 3 and [float(v) for v in rows[-1][9:]] == [0.0, 0.0]
+    assert len(rows) == 3 and [float(v) for v in rows[-1][9:]] == [0.0]
 
 
 def test_trace_ray_bad_start_exits_two():
@@ -621,15 +612,19 @@ def test_trace_ray_bad_start_exits_two():
      ("--samples", "0"), ("--samples", "-1")],
 )
 def test_trace_ray_bad_sizes_exit_two(flag, value, monkeypatch):
-    """Sizes that leave no quadrature or no samples are usage errors,
-    raised before any solve."""
+    """Sizes that leave no samples are usage errors, raised before any
+    solve; the volumes need no quadrature, so --substeps, of any value,
+    is no option."""
     def no_solve(*args, **kw):
         raise AssertionError("trace-ray solved before rejecting its sizes")
 
     monkeypatch.setattr(cli, "continuations", no_solve)
     result = run("trace-ray", flag, value)
     assert result.exit_code == 2
-    assert f"{flag} must be at least" in result.output
+    if flag == "--substeps":
+        assert "No such option" in result.output and flag in result.output
+    else:
+        assert f"{flag} must be at least" in result.output
 
 
 def test_verify_suite_filter_and_format():

@@ -82,8 +82,10 @@ def _run_entry_points(tmp_path):
     commands = [
         ("--config", str(config), "sweep"),
         ("certify", "2.2", "2.2"),
-        ("trace-ray", "--samples", "2", "--substeps", "2"),
-        ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4", "--nodes", "8"),
+        ("trace-ray", "--samples", "2"),
+        ("volume", "--start", "2.1,2.1", "--end", "2.5,2.4"),
+        # A bending-free end, where the potential meets the corner (0, 0).
+        ("volume", "--start", "2.5,2.5", "--end", "1e10,1e10"),
         ("double", "2.2", "2.2"),
         ("jacobian", "2.2", "2.2"),
         ("verify-suite", "--out", str(tmp_path / "suite.json")),

@@ -291,8 +291,8 @@ def test_off_diagonal_jacobian_error_fails_the_determinant_gate(both, monkeypatc
     relative 1e-9 moves dl_dphi's determinants away from 1/4 by more than
     POSDEF_DET_TOL, and posdef fails; with both entries scaled the
     matrices stay symmetric, so the determinant alone catches it.  The
-    angle-space volumes read the same matrices, and volume fails on the
-    pairs' trace-chart volumes (gap 2.8e-10 with one entry)."""
+    volumes, read from the Schlafli potential, do not read these matrices,
+    and volume passes."""
     jacobian = lengthmap._closed_form_length_jacobian
 
     def skewed(*half_lengths):
@@ -308,8 +308,7 @@ def test_off_diagonal_jacobian_error_fails_the_determinant_gate(both, monkeypatc
     assert not posdef["passed"]
     assert details["worst_determinant_gap"] > 1e-9 > details["det_tol"]
     assert (details["worst_symmetry"] == 0.0) == both
-    assert not volume["passed"]
-    assert volume["details"]["worst_angle_space_gap"] > 1e-10 > volume["details"]["angle_space_tol"]
+    assert volume["passed"]
 
 
 def test_check_grid_applies_its_planarity_tol(monkeypatch):
@@ -327,7 +326,7 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     between the angles measured at the pair's ends, then the concavity
     probes and the ray; its paths are, bit for bit, those of one call per
     path, and so are its margin, ray gain, angle-space gap (against the
-    pairs' direct volumes, one segment at a time) and placement miss."""
+    pairs' volumes, one segment at a time) and placement miss."""
     batched = []
 
     def recording_continuations(angle_paths):
@@ -338,13 +337,13 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
     seed = suite.SEEDS["volume"] + seed_offset
     details = suite.check_volume(seed)["details"]
     rng = np.random.default_rng(seed)
-    pairs = [rng.uniform(2.1, 2.55, size=6).reshape(3, 2)[:2] for _ in range(suite.VOLUME_PAIRS)]
+    pairs = [rng.uniform(2.1, 2.55, size=4).reshape(2, 2) for _ in range(suite.VOLUME_PAIRS)]
     starts = [((1.8, 2.0), (2.6, 2.3)), ((1.2, 1.4), (2.2, 2.8)), ((2.8, 1.0), (1.6, 2.4)),
               ((0.9, 2.5), (2.0, 1.1)), ((1.5, 1.5), (2.9, 2.9)), ((2.0, 2.2), (np.pi, np.pi))]
     ((angle_paths, paths),) = batched
-    assert angle_paths[suite.VOLUME_PAIRS:] == [(*ends, 8, 16) for ends in starts]
-    for (*angles, samples, order), ends in zip(angle_paths, pairs):
-        assert (samples, order) == (1, suite.VOLUME_ANGLE_ORDER)
+    assert angle_paths[suite.VOLUME_PAIRS:] == [(*ends, 8) for ends in starts]
+    for (*angles, samples), ends in zip(angle_paths, pairs):
+        assert samples == 1
         for theta, (x, y) in zip(angles, ends.tolist()):
             _, _, measured = lengthmap.measure_structure(*(2 * math.acosh(v / 2) for v in (x, y)))
             assert np.max(np.abs(np.subtract(theta, measured))) <= 1e-13
@@ -354,14 +353,14 @@ def test_check_volume_matches_separate_probes(seed_offset, monkeypatch):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
     probes = [lengthmap.concavity_report(path) for path in separate[suite.VOLUME_PAIRS:-1]]
     assert details["worst_second_difference_margin"] == max(
-        v + 3.0 * p["integration_error"] for p in probes for v in p["second_differences"].tolist()
+        v + p["margin"] for p in probes for v in p["second_differences"].tolist()
     )
     assert details["concave"] and all(p["concave"] for p in probes)
     ray = separate[-1]
     assert details["ray_volume_gain"] == ray.volume[-1] - ray.volume[0]
-    direct = [lengthmap.schlafli_volumes([(*ends, suite.VOLUME_PAIR_ORDER)])[0] for ends in pairs]
+    direct = [lengthmap.schlafli_volumes([ends])[0] for ends in pairs]
     assert details["worst_angle_space_gap"] == max(
-        abs(v.value - path.volume[-1]) for v, path in zip(direct, separate)
+        abs(v - path.volume[-1]) for v, path in zip(direct, separate)
     )
     assert details["worst_placement_miss"] == max(path.miss.max() for path in separate)
 
@@ -382,43 +381,32 @@ def test_scaled_placements_fail_posdef_and_volume(monkeypatch):
 
 
 def test_scaled_schlafli_volumes_fail_volume(monkeypatch):
-    """Every Schlafli volume scaled by 1.01 keeps path independence,
-    concavity and the monotone ray, but the pairs miss the angle-space
-    integral of explicit_lengths between their end angles, and volume
-    fails."""
+    """Every trace-chart Schlafli volume scaled by 1.01 keeps concavity
+    and the monotone ray, but the pairs miss their volumes between their
+    measured end angles, and volume fails."""
     volumes = lengthmap.schlafli_volumes
-
-    def scaled(segments):
-        return [dataclasses.replace(v, value=1.01 * v.value) for v in volumes(segments)]
-
-    monkeypatch.setattr(suite, "schlafli_volumes", scaled)
+    monkeypatch.setattr(suite, "schlafli_volumes", lambda segments: 1.01 * volumes(segments))
     (record,) = suite.run_suite(["volume"])
     details = record["details"]
     assert not record["passed"]
-    assert details["worst_pair_difference"] < details["pair_tol"]
     assert details["concave"] and details["ray_increments_positive"]
     assert details["worst_angle_space_gap"] > 1e-3 > details["angle_space_tol"]
 
 
-def test_scaled_by_parts_runner_fails_volume(monkeypatch):
-    """Every value of the by-parts runner scaled by 1.01, in both charts,
-    keeps the pairs' trace-chart volumes on their angle-space integrals,
-    but not on the direct form sum_k w_k sum_i l_i dtheta_i, and volume
-    fails."""
-    runner = lengthmap._by_parts
-
-    def scaled(*args):
-        values, errors = runner(*args)
-        return 1.01 * values, errors
-
-    monkeypatch.setattr(lengthmap, "_by_parts", scaled)
+@pytest.mark.parametrize("factor", [1.01, 1.0 + 1e-9])
+def test_scaled_potential_fails_volume(factor, monkeypatch):
+    """The Schlafli potential scaled by 1.01, or by 1 + 1e-9, in both
+    charts, keeps the pairs' trace-chart volumes on their angle-space
+    volumes, concavity and the monotone ray, but not the Gauss-Legendre
+    sum of the form sum_i l_i dtheta_i, and volume fails at --seed 0."""
+    potential = lengthmap._schlafli_potential
+    monkeypatch.setattr(lengthmap, "_schlafli_potential", lambda half: factor * potential(half))
     (record,) = suite.run_suite(["volume"])
     details = record["details"]
     assert not record["passed"]
-    assert details["worst_pair_difference"] < details["pair_tol"]
     assert details["concave"] and details["ray_increments_positive"]
     assert details["worst_angle_space_gap"] < details["angle_space_tol"]
-    assert details["worst_direct_form_gap"] > 1e-3 > details["angle_space_tol"]
+    assert details["worst_direct_form_gap"] > 1e-11 > details["angle_space_tol"]
 
 
 def test_certified_angle_error_fails_volume(monkeypatch):
@@ -480,6 +468,22 @@ def test_check_jacobian_gates_the_fd_residual_everywhere(point, monkeypatch):
     record = suite.check_jacobian()
     assert not record["passed"]
     assert record["details"]["worst_fd_residual"] == 2.0 * suite.JACOBIAN_FD_TOL
+
+
+def test_scaled_determinant_fails_jacobian(monkeypatch):
+    """holo_length_jacobian's det scaled by 1.01 leaves every entry, the
+    finite-difference residual and the grid bounds as they were, but not
+    the determinant of the returned matrix, and jacobian fails."""
+    def scaled(x, y, z):
+        rep = lengthmap.holo_length_jacobian(x, y, z)
+        return {**rep, "det": 1.01 * rep["det"]}
+
+    monkeypatch.setattr(suite, "holo_length_jacobian", scaled)
+    record = suite.check_jacobian()
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_fd_residual"] < details["fd_tol"]
+    assert details["worst_det_gap"] > 9e-3 > details["det_gap_tol"]
 
 
 def test_check_mirror_draws_its_words_once(monkeypatch):
