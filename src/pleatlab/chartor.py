@@ -67,7 +67,7 @@ class TraceCoords:
         """Distance of the commutator trace from -2."""
         return abs(self.kappa + 2.0)
 
-    def is_real(self, tol=1e-9):
+    def is_real(self, tol):
         return (
             abs(self.x.imag) <= tol
             and abs(self.y.imag) <= tol
@@ -141,10 +141,6 @@ class RepPair:
 
     def matrix(self, word):
         return kernel.eval_word(word_codes("ab", word), self._mats)
-
-    def trace(self, word):
-        m = self.matrix(word)
-        return m[0] + m[3]
 
 
 def matrices_from_traces(t):

@@ -142,6 +142,19 @@ class AnglePath:
 # Holomorphic Jacobian in the trace chart
 
 
+def _trace_length_jacobian(x, y, z):
+    """:func:`holo_length_jacobian`'s matrix and determinant, before its
+    finite-difference check."""
+    # sqrt(x - 2) sqrt(x + 2), not sqrt(x^2 - 4), whose principal root
+    # flips sign across the imaginary axis: 2 / sx is the derivative of
+    # 2 arccosh(x / 2) on both sides.
+    sx, sy = (np.sqrt(v - 2.0) * np.sqrt(v + 2.0) for v in (x, y))
+    matrix = np.zeros((len(x), 3, 3), dtype=complex)
+    matrix[:, 0, 0], matrix[:, 1, 1] = 2.0 / sx, 2.0 / sy
+    matrix[:, 2] = np.stack((2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y), axis=-1)
+    return matrix, 4.0 * (2.0 * z - x * y) / (sx * sy)
+
+
 def holo_length_jacobian(x, y, z):
     """Closed-form Jacobian of (length_a, length_b, kappa) at every point
     ``(x[i], y[i], z[i])``, each length being ``2*arccosh(trace/2)``, or
@@ -170,15 +183,7 @@ def holo_length_jacobian(x, y, z):
                 f"curve {'ab'[curve]} trace {complex(points[curve, i])} is within "
                 f"{DEGENERACY_TOL} of +/-2"
             )
-        x, y, z = points
-        # sqrt(x - 2) sqrt(x + 2), not sqrt(x^2 - 4), whose principal root
-        # flips sign across the imaginary axis: 2 / sx is the derivative of
-        # 2 arccosh(x / 2) on both sides.
-        sx, sy = (np.sqrt(v - 2.0) * np.sqrt(v + 2.0) for v in (x, y))
-        matrix = np.zeros((n, 3, 3), dtype=complex)
-        matrix[:, 0, 0], matrix[:, 1, 1] = 2.0 / sx, 2.0 / sy
-        matrix[:, 2] = np.stack((2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y), axis=-1)
-        det = 4.0 * (2.0 * z - x * y) / (sx * sy)
+        matrix, det = _trace_length_jacobian(*points)
         # The twelve shifted stacks: coordinate j moved by +step and -step,
         # real then imaginary, in rows (j, direction, sign).
         steps = JACOBIAN_FD_STEP * np.array([1.0, 1.0j])

@@ -23,7 +23,7 @@ Conventions
   element; a tuple of numbers gives a ``complex`` value and an ``int``
   sign.
 * A circle (or line) on the sphere is carried by its chart, the map
-  :func:`circle_chart` that sends it onto the real line.  Points on the
+  :func:`circle_chart_batch` that sends it onto the real line.  Points on the
   circle have real images, and the reflection in the circle is complex
   conjugation read through the chart, so no orientation-reversing map
   type is needed.
@@ -215,44 +215,26 @@ def rotation_about_axis(m, angle):
     return unimodular(kernel.mat_mul(unimodular(kernel.mat_mul(g_inv, core)), g))
 
 
-def circle_chart(p, q, r):
-    """The unimodular matrix of the Moebius map sending ``p, q, r`` to
-    ``infinity, 0, 1``.
-
-    It maps the circle (or line) through the three points onto the real
-    line: a point ``w`` lies on that circle exactly when its image is
-    real, and the reflection in the circle is ``z -> N(conj(z))`` with
-    ``N = chart^-1 conj(chart)``.  ``None`` stands for infinity.  Raises
-    :class:`CoincidentPoints` for points closer than 1e-13 on the sphere
-    and :class:`NumericalOverflow` when the matrix leaves the float range.
-    """
-    pts = (p, q, r)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if chordal_distance(pts[i], pts[j]) < 1e-13:
-                raise CoincidentPoints("need three distinct points")
-    if p is None:
-        m = (1.0, -q, 0.0, r - q)
-    elif q is None:
-        m = (0.0, r - p, 1.0, -p)
-    elif r is None:
-        m = (1.0, -q, 1.0, -p)
-    else:
-        m = _finite_chart(p, q, r)
-    m, det = kernel.normalize_unimodular(m)
-    if not all(cmath.isfinite(x) for x in (det, *m)):
-        raise NumericalOverflow("circle through points beyond the float range")
-    return m
-
-
-def _finite_chart(p, q, r):
-    """:func:`circle_chart`'s matrix for finite points, up to a factor."""
-    return (r - p, -q * (r - p), r - q, -p * (r - q))
-
-
 def circle_chart_batch(p, q, r):
-    """:func:`circle_chart` of finite points, elementwise over arrays,
-    without its distance and float-range checks."""
-    m = _finite_chart(p, q, r)
-    s = np.sqrt(m[0] * m[3] - m[1] * m[2])
-    return tuple(v / s for v in m)
+    """The unimodular matrix of the Moebius map sending ``p, q, r`` (an
+    infinite entry for infinity) to ``infinity, 0, 1``, elementwise: it
+    maps the circle through them onto the real line, and the reflection
+    in that circle is ``z -> N(conj(z))`` with ``N = chart^-1 conj(chart)``.
+    NaN where the matrix leaves the float range; the points are not
+    checked for being distinct."""
+    p_inf, q_inf, r_inf = np.isinf(p), np.isinf(q), np.isinf(r)
+    m = (r - p, -q * (r - p), r - q, -p * (r - q))
+    if (p_inf | q_inf | r_inf).any():
+        # The three cases of one point at infinity: (1, -q, 0, r - q),
+        # (0, r - p, 1, -p) and (1, -q, 1, -p).
+        m = (np.where(q_inf, 0.0, np.where(p_inf | r_inf, 1.0, m[0])),
+             np.where(p_inf | r_inf, -q, np.where(q_inf, r - p, m[1])),
+             np.where(p_inf, 0.0, np.where(q_inf | r_inf, 1.0, m[2])),
+             np.where(p_inf, r - q, np.where(q_inf | r_inf, -p, m[3])))
+    det = m[0] * m[3] - m[1] * m[2]
+    s = np.sqrt(det)
+    chart = tuple(v / s for v in m)
+    finite = np.isfinite(det)
+    for v in chart:
+        finite &= np.isfinite(v)
+    return tuple(np.where(finite, v, np.nan) for v in chart)

@@ -35,7 +35,7 @@ from pleatlab.lengthmap import (
     solve_targets,
 )
 from pleatlab.moebius import complex_length, unimodular_batch
-from pleatlab.plaques import certify, certify_batch, quakebend
+from pleatlab.plaques import certify_batch, quakebend
 
 GRID_MIN = 2.05
 GRID_MAX = 2.6
@@ -78,10 +78,17 @@ MIRROR_WORDS = 40
 MIRROR_TOL = 1e-8
 JACOBIAN_DET_LO = 1e-2
 JACOBIAN_DET_HI = 1e3
-JACOBIAN_FD_TOL = 1e-6
+# A central difference of step h = JACOBIAN_FD_STEP misses a derivative
+# by the truncation h^2/6 |f'''|, at most 2.2e-10 (a length 2 arccosh(x/2)
+# at x = 2.05), plus the rounding eps S / h of the two values, with S the
+# length or, for kappa, |x|^2 + |y|^2 + |z|^2 + |xyz| + 2 (Higham).  This
+# model is at most 1.5e-8 over the grid, the corner path and the mirrored
+# grid, where the worst reading is 4.2e-9 (0.40 of the model at its
+# point); m00 scaled by 1 + 1e-7 opens the residual to at least 1e-7.
+JACOBIAN_FD_TOL = 3e-8
 # Largest relative gap between holo_length_jacobian's det and the
 # determinant of its returned matrix, a round-off bound: it reads 8.3e-16
-# on the 154 points, and det scaled by 1.01 opens it to 9.9e-3.
+# on the 298 points, and det scaled by 1.01 opens it to 9.9e-3.
 JACOBIAN_DET_GAP_TOL = 1e-13
 JACOBIAN_CORNER_TOL = 1e-4
 # jacobian walks x = y to 2 sqrt(2) - 10^-k for k = 1 to this.
@@ -230,23 +237,16 @@ def check_grid():
 
 
 def check_quakebend():
-    worst_angle = 0.0
-    worst_disc = 0.0
-    failures = 0
-    for x in QUAKEBEND_SEEDS:
-        y = 2.0 * x / math.sqrt(x * x - 4.0)
-        seed = coords(x, y, x * y / 2.0)
-        worst_disc = max(worst_disc, abs(discriminant(x, y)))
-        seed_cert = certify(seed)
-        if not seed_cert.is_fuchsian_boundary:
-            failures += 1
-            continue
-        bent = quakebend(seed, QUAKEBEND_PARAMETER)
-        cert = certify(bent)
-        if not cert.is_convex:
-            failures += 1
-            continue
-        worst_angle = max(worst_angle, abs(cert.theta[0] - QUAKEBEND_PARAMETER))
+    seeds = [(x, 2.0 * x / math.sqrt(x * x - 4.0)) for x in QUAKEBEND_SEEDS]
+    worst_disc = max(abs(discriminant(x, y)) for x, y in seeds)
+    seeds = [coords(x, y, x * y / 2.0) for x, y in seeds]
+    # The seeds in one certification, the bends of the Fuchsian ones in another.
+    fuchsian = certify_batch(*np.array([t.astuple() for t in seeds]).T).is_fuchsian_boundary
+    bent = [quakebend(t, QUAKEBEND_PARAMETER).astuple() for t, ok in zip(seeds, fuchsian) if ok]
+    cert = certify_batch(*np.array(bent, dtype=complex).reshape(-1, 3).T)
+    failures = int((~fuchsian).sum() + (~cert.is_convex).sum())
+    misses = abs(cert.theta_a[cert.is_convex] - QUAKEBEND_PARAMETER)
+    worst_angle = float(np.max(misses, initial=0.0))
     return {
         "passed": failures == 0 and worst_angle < QUAKEBEND_TOL,
         "details": {
@@ -340,13 +340,15 @@ def check_jacobian():
     # root collides with its conjugate and the determinant vanishes.
     corner = 2.0 * math.sqrt(2.0)
     path = [(corner - 10.0 ** (-k),) * 2 for k in range(1, JACOBIAN_CORNER_STEPS + 1)]
+    # The mirrored grid: negative traces, each length on its other sheet.
+    mirrored = [(-x, -y) for x, y in grid]
     # The marked roots of all the structures in one call, and their
     # Jacobians in another; the finite-difference residual is gated at
     # every point.
-    x, y = np.array(grid + path).T
+    x, y = np.array(grid + path + mirrored).T
     rep = holo_length_jacobian(x, y, pleating_candidates(x, y)[0])
-    dets = np.abs(rep["det"][: len(grid)]).tolist()
-    path_dets = np.abs(rep["det"][len(grid):]).tolist()
+    dets = np.abs(np.delete(rep["det"], np.s_[len(grid):len(grid) + len(path)])).tolist()
+    path_dets = np.abs(rep["det"][len(grid):len(grid) + len(path)]).tolist()
     worst_fd = float(rep["fd_residual"].max())
     det_gap = float(np.max(np.abs(np.linalg.det(rep["matrix"]) - rep["det"]) / np.abs(rep["det"])))
     decreasing = all(path_dets[i + 1] < path_dets[i] for i in range(len(path_dets) - 1))

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from pleatlab import cli
 from pleatlab.chartor import coords, pleating_candidates
 from pleatlab.cli import main
-from pleatlab.lengthmap import continuations
+from pleatlab.lengthmap import continuations, measure_structures
 from pleatlab.plaques import certify, certify_batch
 
 import oracle
@@ -104,25 +104,31 @@ def test_sweep_csv_shape_and_determinism():
 
 
 def test_sweep_rows_match_scalar_certify():
+    """Every row of a tile through x = 2 and y = 2 against the closed form
+    at the curve lengths 2 arccosh(x/2) and 2 arccosh(y/2), and, on the
+    parabolic edges, against the closed form at 60 digits: an exactly
+    parabolic curve reads pi, and the other its measured angle."""
     result = run("sweep", "--grid", "2.0:2.2:0.05,2.0:2.2:0.05")
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))[1:]
     assert len(rows) == 25
-    for row in rows:
-        x, y = float(row[0]), float(row[1])
-        z, _ = pleating_candidates(x, y)
-        cert = certify(coords(x, y, z))
-        expected = (
-            z.real,
-            z.imag,
-            *cert.theta,
-            cert.max_real_trace_residual,
-            cert.max_planarity_residual,
-        )
-        for got, want in zip((row[i] for i in (2, 3, 4, 5, 6, 10, 11)), expected):
-            assert abs(float(got) - want) <= 1e-13
-        flags = (cert.is_convex, cert.is_fuchsian_boundary, cert.in_pleating_variety)
-        assert row[7:10] == ["true" if f else "false" for f in flags]
+    x, y = (np.array([float(row[k]) for row in rows]) for k in (0, 1))
+    z, _ = pleating_candidates(x, y)
+    lengths = 2.0 * np.arccosh(np.stack((x, y)) / 2.0)
+    _, _, closed = measure_structures(*lengths)
+    for row, z_i, want, l_a, l_b in zip(rows, z, closed.T, *lengths):
+        assert [float(row[2]), float(row[3])] == [z_i.real, z_i.imag]
+        thetas = [float(row[4]), float(row[5])]
+        for got, expected in zip(thetas, want):
+            assert abs(got - expected) <= 1e-13
+        if l_a == 0.0 or l_b == 0.0:
+            exact = [oracle.closed_form_angle(l_a, l_b), oracle.closed_form_angle(l_b, l_a)]
+            for got, expected in zip(thetas, exact):
+                assert abs(got - float(expected)) <= 1e-13
+        assert [l_a == 0.0, l_b == 0.0] == [theta == math.pi for theta in thetas]
+        assert float(row[6]) == math.pi
+        assert row[7:10] == ["true", "false", "true"]
+        assert float(row[10]) == 0.0 and float(row[11]) < 1e-14
 
 
 def _reference_csv(header, rows):
@@ -182,7 +188,7 @@ def _reference_trace_ray():
 @pytest.mark.parametrize(
     "args,reference,undefined_rows",
     [
-        # Rows on x = 2 and y = 2 go through the scalar certify fallback.
+        # Rows on x = 2 and y = 2 take the parabolic branches.
         (("sweep", "--grid", "2.0:2.2:0.05,2.0:2.2:0.05"),
          lambda: _reference_sweep("2.0:2.2:0.05,2.0:2.2:0.05"), 0),
         (("--force", "sweep", "--grid", "-3:3:0.25,-3:3:0.25"),
@@ -456,9 +462,10 @@ def test_double_near_cusp_meridian_is_elliptic():
 
 
 def test_double_unresolved_meridian_reads_the_certified_angle():
-    """At x - 2 = 1e-13 the meridian's trace rounds to -2 and reads no
-    angle: the report gives the certification's 2 (pi - theta_a) and
-    keeps the trace's miss of it as the residual."""
+    """At x - 2 = 1e-13 the meridian's trace, -2 + 4.8e-13 in exact
+    arithmetic, rounds to within 2e-15 of -2 and reads at most a
+    round-off angle: the report gives the certification's 2 (pi - theta_a)
+    and keeps the trace's miss of it as the residual."""
     result = run("double", "2.0000000000001", "2.2")
     assert result.exit_code == 0
     meridian = json.loads(result.output)["meridians"]["a"]
@@ -467,7 +474,11 @@ def test_double_unresolved_meridian_reads_the_certified_angle():
     assert meridian["kind"] == "elliptic"
     assert meridian["cone_angle"] == 2.0 * (math.pi - theta_a)
     assert abs(meridian["cone_angle"] - 1.3908e-6) < 1e-9
-    assert meridian["cone_angle_residual"] == pytest.approx(meridian["cone_angle"], rel=1e-6)
+    trace = meridian["trace"]["re"]
+    assert abs(trace + 2.0) <= 2e-15
+    read = 2.0 * math.acos(min(1.0, abs(trace) / 2.0))
+    assert read < 1e-7
+    assert meridian["cone_angle_residual"] == pytest.approx(meridian["cone_angle"] - read, rel=1e-6)
 
 
 def test_double_loxodromic_meridian_has_no_cone_angle():

@@ -222,14 +222,12 @@ def _close(stacked, scalar, tol=1e-13):
 
 
 def test_stack_matches_scalar_doubling():
-    """Doubling 50 sampled structures and one certify_batch fallback row
-    (a generator trace within 1e-4 of 2) as one stack reproduces each
-    structure doubled alone, as a one-point stack, to round-off."""
+    """Doubling 50 sampled structures and one with a generator trace
+    within 1e-4 of 2 as one stack reproduces each structure doubled
+    alone, as a one-point stack, to round-off."""
     structures = [coords(*t) for t in zip(*sample_structures(50, seed=9))]
     structures.append(coords(2.00005, 2.3, pleating_candidates(2.00005, 2.3)[0]))
-    batch = _batch(structures)
-    assert batch.fallback.tolist() == [False] * 50 + [True]
-    stack = doubled_holonomy(batch)
+    stack = doubled_holonomy(_batch(structures))
     words = audit_words(samples=40, seed=9)
     flat = [w for pair in words for w in pair]
     stacked = {curve: meridian_data(stack, curve) for curve in ("a", "b", "puncture")}

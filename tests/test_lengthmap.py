@@ -88,7 +88,8 @@ def _jacobian_at(x, y, z):
 @pytest.fixture(scope="module")
 def criterion_7_points():
     """The (x, y, z) stacks of check_jacobian's one holo_length_jacobian
-    call: the 144 grid points, then the 10 of the corner path."""
+    call: the 144 grid points, the 10 of the corner path, then the 144 of
+    the mirrored grid."""
     calls = []
 
     def recording(*stacks):
@@ -110,11 +111,11 @@ def test_jacobian_closed_form_and_fd():
 
 
 def test_jacobian_rows_are_the_one_point_calls(criterion_7_points):
-    """At criterion 7's 154 points each one-point call (the jacobian
+    """At criterion 7's 298 points each one-point call (the jacobian
     command's) is its row of the stack bit for bit, in every field."""
     rep = lm.holo_length_jacobian(*criterion_7_points)
-    assert rep["matrix"].shape == (154, 3, 3)
-    assert rep["det"].shape == rep["fd_residual"].shape == (154,)
+    assert rep["matrix"].shape == (298, 3, 3)
+    assert rep["det"].shape == rep["fd_residual"].shape == (298,)
     for i, point in enumerate(zip(*criterion_7_points)):
         one = _jacobian_at(*point)
         for key, value in rep.items():
@@ -123,14 +124,14 @@ def test_jacobian_rows_are_the_one_point_calls(criterion_7_points):
 
 def test_length_jacobian_matches_the_60_digit_oracle(criterion_7_points):
     """Every entry and the determinant at criterion 7's points, against
-    mpmath.diff at 60 digits: within 1e-14 relative on the grid (read:
-    1.9e-15), and 2e-13 on the corner path, where 2z - xy cancels (read:
-    1.5e-13 at x = y = 2 sqrt(2) - 1e-10)."""
+    mpmath.diff at 60 digits: within 1e-14 relative on the grid and its
+    mirror (read: 1.9e-15), and 2e-13 on the corner path, where 2z - xy
+    cancels (read: 1.5e-13 at x = y = 2 sqrt(2) - 1e-10)."""
     rep = lm.holo_length_jacobian(*criterion_7_points)
-    grid = len(rep["det"]) - suite.JACOBIAN_CORNER_STEPS
+    grid = len(suite._grid_values()) ** 2
     for i, point in enumerate(zip(*criterion_7_points)):
         exact, det = oracle.length_jacobian(*point)
-        bound = 1e-14 if i < grid else 2e-13
+        bound = 2e-13 if grid <= i < grid + suite.JACOBIAN_CORNER_STEPS else 1e-14
         for (r, c), entry in np.ndenumerate(rep["matrix"][i]):
             assert abs(entry - exact[r, c]) <= bound * abs(exact[r, c]), (i, r, c)
         assert abs(rep["det"][i] - det) <= bound * abs(det), i
@@ -392,7 +393,7 @@ def _no_roof(monkeypatch):
 
     for module, names in ((lm, ("bending_angle", "certify_batch", "pleating_candidates")),
                           (cli, ("certify", "certify_batch", "pleating_candidates")),
-                          (plaques, ("bending_angle", "certify_batch", "_certify_branch",
+                          (plaques, ("bending_angle", "certify_batch", "_certify_arrays",
                                      "_roof_batch", "_side_batch"))):
         for name in names:
             monkeypatch.setattr(module, name, roof)

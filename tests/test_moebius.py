@@ -25,7 +25,7 @@ from pleatlab.errors import (
 )
 from pleatlab.moebius import (
     chordal_distance,
-    circle_chart,
+    circle_chart_batch,
     complex_length,
     fixed_points,
     map_to_zero_infinity,
@@ -35,6 +35,7 @@ from pleatlab.moebius import (
 )
 
 import oracle
+import reference
 
 # 2*log(2): translation length of diag(2, 1/2)
 LENGTH_DIAG_2 = 1.3862943611198906
@@ -291,6 +292,14 @@ def test_fixed_points_overflow_raises():
         fixed_points(unimodular((2.0, 1.0, 1e-310, 0.5)))
 
 
+def circle_chart(p, q, r):
+    """``circle_chart_batch`` at one triple (``None`` for infinity), as a
+    4-tuple of complex numbers."""
+    triple = [np.array([complex("inf") if v is None else v]) for v in (p, q, r)]
+    with np.errstate(all="ignore"):
+        return tuple(complex(v[0]) for v in circle_chart_batch(*triple))
+
+
 def _images(chart, points):
     return [kernel.apply_mobius(chart, z) for z in points]
 
@@ -354,15 +363,21 @@ def test_circle_chart_planarity():
 
 
 def test_circle_chart_rejects_coincident_and_overflowing_points():
+    """The scalar reference raises for points closer than 1e-13 on the
+    sphere and for a chart beyond the float range; the batch, which
+    plaque fitting hands only triples at least 1e-12 apart, reads NaN for
+    such a chart and for coincident points."""
     with pytest.raises(CoincidentPoints):
-        circle_chart(1.0, 1.0 + 1e-15, 2.0)
+        reference.circle_chart(1.0, 1.0 + 1e-15, 2.0)
     with pytest.raises(CoincidentPoints):
-        circle_chart(None, 1.0, 1e14)
+        reference.circle_chart(None, 1.0, 1e14)
     with pytest.raises(CoincidentPoints):
-        circle_chart(None, 1.0, 1e300)
+        reference.circle_chart(None, 1.0, 1e300)
     # The triple that certify 0 1.7e-203 2j fits on its bottom plaque.
     with pytest.raises(NumericalOverflow, match="float range"):
-        circle_chart(-0.8284, 0.8284, 4.7e203j)
+        reference.circle_chart(-0.8284, 0.8284, 4.7e203j)
+    for triple in ((-0.8284, 0.8284, 4.7e203j), (1.0, 1.0, 2.0), (None, None, 2.0)):
+        assert all(cmath.isnan(v) for v in circle_chart(*triple))
 
 
 def test_reflect_in_unit_circle():

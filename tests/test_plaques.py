@@ -7,7 +7,9 @@ parameter; the flat and maximal-cusp limits pin the angle range ends.
 
 import json
 import math
+import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +27,15 @@ from pleatlab.chartor import (
 from pleatlab.errors import NotFuchsian, ParabolicOrIdentity, PleatlabError, ReducibleLocus
 from pleatlab.moebius import fixed_points
 from pleatlab.plaques import (
+    PLANARITY_TOL,
     bending_angle,
     certify,
     certify_batch,
-    plaque_circle,
     quakebend,
 )
 
 import oracle
+import reference
 
 MARKED_ROOT_22 = 2.42 + 1.9554027718094293j
 THETA_22 = 2.189525017467147
@@ -126,8 +129,9 @@ def test_bending_angle_parabolic_rejected():
 
 
 def test_pair_solves_each_generator_axis_once(monkeypatch):
-    """Both angles, and certify's plaques and angles, share one pair of
-    fixed points per generator."""
+    """Both angles share one pair of fixed points per generator, and
+    certify's plaques and angles solve both generators' axes in one
+    stacked call."""
     calls = []
 
     def counting(m):
@@ -141,8 +145,16 @@ def test_pair_solves_each_generator_axis_once(monkeypatch):
     bending_angle(pair, "b")
     assert calls == [pair.a, pair.b]
     calls.clear()
+    balanced = plaques._fixed_batch
+    stacks = []
+
+    def counting_stacks(m):
+        stacks.append(len(m[0]))
+        return balanced(m)
+
+    monkeypatch.setattr(plaques, "_fixed_batch", counting_stacks)
     assert certify(coords(2.2, 2.2, MARKED_ROOT_22)).is_convex
-    assert len(calls) == 2
+    assert calls == [] and stacks == [2]
 
 
 # (x, y, theta_a, theta_b) of bending_angle at the marked root over (x, y);
@@ -239,7 +251,7 @@ def test_certify_measures_angles_near_the_cusp(k):
     t = coords(x, 3.0, pleating_candidates(x, 3.0)[0])
     cert = certify(t)
     assert cert.is_convex
-    assert cert.theta_a == bending_angle(matrices_from_traces(t), "a")
+    assert abs(cert.theta_a - bending_angle(matrices_from_traces(t), "a")) <= BATCH_TOL
     assert cert.theta_a < math.pi
     assert abs(math.pi - cert.theta_a - 3.0 * math.sqrt(x - 2.0)) <= 1e-3 * (math.pi - cert.theta_a)
     batch = certify_batch([t.x], [t.y], [t.z])
@@ -248,16 +260,22 @@ def test_certify_measures_angles_near_the_cusp(k):
 
 def test_plaque_circles_are_distinct_on_bent_structures():
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
-    top = plaque_circle(pair, "top")
-    bottom = plaque_circle(pair, "bottom")
+    top = reference.plaque_circle(pair, "top")
+    bottom = reference.plaque_circle(pair, "bottom")
     # Some top point lies off the bottom circle: its chart image is not real.
     offsets = []
-    for w in plaques._housed_points(pair, "top"):
+    for w in reference._housed_points(pair, "top"):
         image = kernel.apply_mobius(bottom.chart, w)
         offsets.append(0.0 if image is None else abs(image.imag))
     assert max(offsets) > 1e-6
     assert top.planarity_residual < 1e-12
     assert bottom.planarity_residual < 1e-12
+    # The batch fits the same two circles: each side's chart, from the
+    # triple it keeps, matches the reference chart up to sign.
+    batch = certify_batch([2.2], [2.2], [MARKED_ROOT_22])
+    for side, plaque in (("top", top), ("bottom", bottom)):
+        chart = [complex(v[0]) for v in batch.chart(side)]
+        assert max(abs(u - v) for u, v in zip(chart, plaque.chart)) < 1e-12
 
 
 def test_quakebend_preserves_first_trace_and_cusp():
@@ -326,47 +344,181 @@ def test_angle_decreases_away_from_cusp():
 
 def test_spread_triple_measures_each_pair_once(monkeypatch):
     calls = []
-    chordal_distance = plaques.chordal_distance
+    chordal_distance = reference.chordal_distance
 
     def counting(z, w):
         calls.append((z, w))
         return chordal_distance(z, w)
 
     pair = matrices_from_traces(coords(2.2, 2.2, MARKED_ROOT_22))
-    monkeypatch.setattr(plaques, "chordal_distance", counting)
-    top = plaque_circle(pair, "top")
-    assert len(plaques._housed_points(pair, "top")) == 5
-    assert len(calls) == 10  # C(5, 2)
+    monkeypatch.setattr(reference, "chordal_distance", counting)
+    top = reference.plaque_circle(pair, "top")
+    assert len(reference._housed_points(pair, "top")) == 5
+    assert len(calls) == 10 + 3  # C(5, 2), then circle_chart's three pairs
     assert top.planarity_residual < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# certify_batch against the scalar reference
+# certify_batch against the scalar reference (tests/reference.py)
 
 BATCH_TOL = 1e-13
+EPS = np.finfo(float).eps
+# Coordinate moves under which the reference is read again, to tell a
+# value that round-off decides from one that it does not: each
+# coordinate moved by 4 ulps (of its modulus, or of 1 below 1) along the
+# real and the imaginary axis, which also lifts a zero part off zero.
+NUDGES = [(j, step) for j in range(3) for step in (4.0 * EPS, -4.0 * EPS, 4j * EPS, -4j * EPS)]
 
 
-def assert_batch_matches_scalar(x, y, z):
-    """Every point of certify_batch agrees with scalar certify."""
+def _numbers(cert):
+    """The angles (NaN where undefined) and the planarity residual."""
+    return [math.nan if v is None else v for v in cert.theta] + [cert.max_planarity_residual]
+
+
+def _nudged(point):
+    """The reference at the point with one coordinate nudged, for each of
+    NUDGES (None where it raises)."""
+    certs = []
+    for j, step in NUDGES:
+        nudged = list(point)
+        nudged[j] += step * max(1.0, abs(nudged[j]))
+        try:
+            certs.append(reference.certify(coords(*nudged)))
+        except PleatlabError:
+            certs.append(None)
+    return certs
+
+
+def _spread(nudged, k, want):
+    """How far number ``k`` (of :func:`_numbers`) of the nudged
+    references strays from ``want``: infinite where it turns defined or
+    undefined, or where the reference raises."""
+    values = [math.nan if cert is None else _numbers(cert)[k] for cert in nudged]
+    if any(cert is None for cert in nudged) or any(math.isnan(v) != math.isnan(want) for v in values):
+        return math.inf
+    return max((abs(v - want) for v in values if not math.isnan(v)), default=0.0)
+
+
+def _image_scale(ref):
+    """The largest modulus of a housed point's image under the reference
+    chart of its fitted plaque, the triple left out: infinite where that
+    image is infinity (the point sits on the fitted point it is sent to,
+    up to round-off)."""
+    scale = 1.0
+    for side, plaque in ref.plaques.items():
+        if plaque is None:
+            continue
+        points = reference._housed_points(ref.pair, side)
+        fit = reference._spread_triple(points)
+        for i, w in enumerate(points):
+            if i not in fit:
+                image = kernel.apply_mobius(plaque.chart, w)
+                scale = max(scale, math.inf if image is None else abs(image))
+    return scale
+
+
+def _mismatch(batch, i, ref, point, nudged):
+    """Why row ``i`` of ``batch`` disagrees with the reference ``ref`` at
+    ``point``, or None.
+
+    Flags, defined-ness and ``plaque_errors`` text agree exactly and
+    values within BATCH_TOL (relative above 1), plus the round-off
+    that numpy and Python complex arithmetic may differ by (they round
+    products, quotients, moduli and phases to different last bits):
+
+    * the commutator trace's imaginary part, up to 8 eps times the sum
+      of its terms' moduli;
+    * the planarity residual, up to 4 eps M^2 for M the largest modulus
+      of a housed point's image under the reference chart: a point 1/M
+      from a fitted one moves its cross-ratio image by about eps M^2
+      when each point moves by eps relative (measured at most
+      0.98 eps M^2 on 3,000 marked roots near traces +/-2, where M
+      reaches 1e5); without bound where 4 eps M >= 1, where that image
+      is all round-off, or infinity;
+    * an angle or the residual, up to 4 times its spread under NUDGES
+      (``nudged()`` gives the nudged references);
+    * an angle, defined on one side only, where the nudged reference's
+      angle turns undefined or strays by pi, or where the roof lies on
+      one line through 0 (``reference.collinear_roof``): such a roof
+      reads its wedge from the signs of round-off.
+
+    The convexity flags may differ where a value was compared through
+    its spread or the planarity bound reaches PLANARITY_TOL, and the
+    flags and plaque errors may be those of a nudged reference.
+    """
+    x, y, z = point
+    got = [batch.theta_a[i], batch.theta_b[i], batch.theta_puncture[i], batch.max_planarity_residual[i]]
+    want = _numbers(ref)
+    undecided = False
+    for k in range(3):
+        if (math.isnan(want[k]) and math.isnan(got[k])) or abs(got[k] - want[k]) <= BATCH_TOL:
+            continue
+        spread = _spread(nudged(), k, want[k])
+        if math.isnan(got[k]) != math.isnan(want[k]) and k < 2 and reference.collinear_roof(ref.pair, "ab"[k]):
+            spread = math.inf
+        if math.isnan(got[k]) or math.isnan(want[k]):
+            agrees = spread >= math.pi
+        else:
+            agrees = abs(got[k] - want[k]) <= 4.0 * spread
+        if not agrees:
+            return f"angle {k}: {got[k]!r} against {want[k]!r}, spread {spread!r}"
+        undecided = True
+    value, expected = got[3], want[3]
+    scale = float(_image_scale(ref))
+    bound = BATCH_TOL * max(1.0, expected) + (4.0 * EPS * scale * scale if 4.0 * EPS * scale < 1.0 else math.inf)
+    if not (value == expected or abs(value - expected) <= bound):
+        bound += 4.0 * _spread(nudged(), 3, expected)
+        if not abs(value - expected) <= bound:
+            return f"planarity residual {value!r} against {expected!r}"
+    undecided |= abs(expected - PLANARITY_TOL) <= bound
+    terms = abs(x) * abs(x) + abs(y) * abs(y) + abs(z) * abs(z) + abs(x) * abs(y) * abs(z) + 2.0
+    value, expected = batch.max_real_trace_residual[i], ref.max_real_trace_residual
+    if not (value == expected or abs(value - expected) <= BATCH_TOL * max(1.0, expected) + 8.0 * EPS * terms):
+        return f"real-trace residual {value!r} against {expected!r}"
+    errors = {side: batch.plaque_errors[side][i] for side in ("top", "bottom")}
+    if errors != ref.plaque_errors and all(c is None or errors != c.plaque_errors for c in nudged()):
+        return f"plaque errors {errors} against {ref.plaque_errors}"
+    names = ["is_fuchsian_boundary"]
+    if not undecided:
+        names += ["is_piecewise_geodesic", "is_convex", "in_pleating_variety"]
+    flags = [bool(getattr(batch, name)[i]) for name in names]
+    if flags != [getattr(ref, name) for name in names] and all(
+        c is None or flags != [getattr(c, name) for name in names] for c in nudged()
+    ):
+        return f"flags {dict(zip(names, flags))}"
+    return None
+
+
+def assert_batch_matches_reference(x, y, z):
+    """Every point of certify_batch agrees with the scalar reference
+    (:func:`_mismatch`), or both raise the same error type.  Where the
+    reference's own choice of a generator's attracting fixed point is a
+    round-off tie, the batch may agree with the reference that takes
+    them in the other order instead."""
     try:
-        refs = [certify(coords(*p)) for p in zip(x, y, z)]
+        refs = [reference.certify(coords(*p)) for p in zip(x, y, z)]
     except PleatlabError as exc:  # the batch must fail the same way
         with pytest.raises(type(exc)):
             certify_batch(x, y, z)
         return None
     batch = certify_batch(x, y, z)
-    for i, ref in enumerate(refs):
-        got = (batch.theta_a[i], batch.theta_b[i], batch.theta_puncture[i])
-        for theta, value in zip(ref.theta, got):
-            if theta is None:
-                assert math.isnan(value)
-            else:
-                assert abs(value - theta) <= BATCH_TOL
-        for name in ("is_convex", "is_fuchsian_boundary", "in_pleating_variety"):
-            assert bool(getattr(batch, name)[i]) is getattr(ref, name)
-        for name in ("max_real_trace_residual", "max_planarity_residual"):
-            value, expected = getattr(batch, name)[i], getattr(ref, name)
-            assert value == expected or abs(value - expected) <= BATCH_TOL * max(1.0, expected)
+    for i, (ref, point) in enumerate(zip(refs, zip(x, y, z))):
+        point = tuple(complex(v) for v in point)
+        t = coords(*point)
+        cache = []
+
+        def nudged():
+            if not cache:
+                cache.append(_nudged(point))
+            return cache[0]
+
+        ties = reference.order_ties(t)
+        variants = [ref] + [
+            reference.certify(t, swapped)
+            for r in range(1, len(ties) + 1) for swapped in combinations(ties, r)
+        ]
+        reasons = [_mismatch(batch, i, variant, point, nudged) for variant in variants]
+        assert None in reasons, f"point {point}: {reasons[0]}"
     return batch
 
 
@@ -385,17 +537,14 @@ general = st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=
 def test_certify_batch_matches_scalar_on_marked_roots(points):
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
-    batch = assert_batch_matches_scalar(x, y, pleating_candidates(x, y)[0])
-    # Only the parabolic edge (trace 2) needs the scalar path.
-    near_two = (np.abs(x - 2.0) < 1e-4) | (np.abs(y - 2.0) < 1e-4)
-    assert not (batch.fallback & ~near_two).any()
+    assert_batch_matches_reference(x, y, pleating_candidates(x, y)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(general, general, general), min_size=1, max_size=20))
 def test_certify_batch_matches_scalar_on_general_coordinates(points):
     x, y, z = (np.array([p[k] for p in points], dtype=complex) for k in range(3))
-    assert_batch_matches_scalar(x, y, z)
+    assert_batch_matches_reference(x, y, z)
 
 
 FROZEN_STRUCTURES = [
@@ -413,19 +562,17 @@ FROZEN_STRUCTURES = [
 
 def test_certify_batch_matches_scalar_on_frozen_structures():
     x, y, z = zip(*FROZEN_STRUCTURES)
-    batch = assert_batch_matches_scalar(x, y, z)
-    assert batch.fallback.tolist() == [False, False, False, True, True, True, True, True, False]
+    assert_batch_matches_reference(x, y, z)
 
 
 # Every value certify_batch returns at the marked roots of
 # BENDING_ANGLE_GOLDEN and at FROZEN_STRUCTURES, frozen as its repr (one
-# JSON object per point): the batch is bit-identical to the one-side-
-# at-a-time evaluation these were taken from, so any change in the order
-# of its operations fails here, even one far under BATCH_TOL.
+# JSON object per point), so any change in the order of its operations
+# fails here, even one far under BATCH_TOL.
 GOLDEN_FIELDS = (
     "theta_a", "theta_b", "theta_puncture", "max_real_trace_residual",
     "max_planarity_residual", "is_piecewise_geodesic", "is_convex",
-    "is_fuchsian_boundary", "in_pleating_variety", "fallback",
+    "is_fuchsian_boundary", "in_pleating_variety",
 )
 
 
@@ -438,6 +585,7 @@ def test_certify_batch_golden():
     assert len(golden) == len(points)
     for i, want in enumerate(golden):
         got = {name: repr(getattr(batch, name)[i].item()) for name in GOLDEN_FIELDS}
+        got["plaque_errors"] = {side: batch.plaque_errors[side][i] for side in ("top", "bottom")}
         got["pair"] = [repr(entries[i].item()) for m in batch.pair for entries in m]
         got["triples"] = {
             side: [repr(entries[i].item()) for entries in batch.triples[side]]
@@ -446,30 +594,49 @@ def test_certify_batch_golden():
         assert got == want, f"point {i}: {points[i]}"
 
 
-def test_certify_batch_is_one_side_pass(monkeypatch):
+def test_certify_batch_is_one_side_pass():
     """One certify_batch call evaluates both pants sides in one stacked
-    pass: one side, roof and planarity evaluation each."""
+    pass: one side, roof and planarity evaluation each, also on a stack
+    where every branch is taken (parabolic and near-parabolic traces,
+    elliptic and loxodromic cusp words, real and non-real coordinates, a
+    failed plaque), and it enters neither the scalar reference nor the
+    scalar roof."""
     calls = Counter()
+    counted = {"_side_batch", "_roof_batch", "_planarity_batch"}
+    scalar = {reference.__file__, bending_angle.__code__}
 
-    def counted(name):
-        inner = getattr(plaques, name)
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code.co_filename in scalar or code in scalar:
+            calls["scalar"] += 1
+        elif code.co_filename == plaques.__file__ and code.co_name in counted:
+            calls[code.co_name] += 1
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        return wrapper
-
-    for name in ("_side_batch", "_roof_batch", "_planarity_batch"):
-        monkeypatch.setattr(plaques, name, counted(name))
-    batch = certify_batch([2.2, 2.5], [2.2, 2.4], [MARKED_ROOT_22, pleating_candidates(2.5, 2.4)[0]])
-    assert not batch.fallback.any()
-    assert calls == {"_side_batch": 1, "_roof_batch": 1, "_planarity_batch": 1}
+    off_branch = [
+        (2.0, 2.0, 2.0 + 2.0j), (2.0, 2.4), (2.2, 2.0), (2.00005, 2.3), (1.5, 2.5),
+        (2.2, 2.2, 3.0), (2.2, 2.2, 2.5), (2.2 + 0.1j, 2.2, 2.4 + 1.9j), (0.0, 1.7e-203, 2j),
+        (3.0, 3.0, 3.0),
+    ]
+    off_branch = [p if len(p) == 3 else (*p, pleating_candidates(*p)[0]) for p in off_branch]
+    stacks = [
+        ([2.2, 2.5], [2.2, 2.4], [MARKED_ROOT_22, pleating_candidates(2.5, 2.4)[0]]),
+        tuple(zip(*off_branch)),
+    ]
+    for stack in stacks:
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            certify_batch(*stack)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"_side_batch": 1, "_roof_batch": 1, "_planarity_batch": 1}
 
 
 def test_certify_batch_matches_scalar_beyond_float_range():
     """Points whose plaque fit overflows certify as non-convex on both paths."""
-    batch = assert_batch_matches_scalar([0.0, 0.0], [1.7e-203, 2.2e-313], [2j, 1j])
+    batch = assert_batch_matches_reference([0.0, 0.0], [1.7e-203, 2.2e-313], [2j, 1j])
     assert not batch.is_convex.any()
     for point in ((0.0, 1.7e-203, 2j), (0.0, 2.2e-313, 1j)):
         errors = certify(coords(*point)).plaque_errors

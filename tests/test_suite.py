@@ -441,8 +441,8 @@ def test_check_volume_certifies_in_one_batch(monkeypatch):
 
 
 def test_check_jacobian_makes_one_call(monkeypatch):
-    """The 144 grid points and the 10 of the corner path go through one
-    holo_length_jacobian call."""
+    """The 144 grid points, the 10 of the corner path and the 144 of the
+    mirrored grid go through one holo_length_jacobian call."""
     sizes = []
 
     def counting(x, y, z):
@@ -451,14 +451,17 @@ def test_check_jacobian_makes_one_call(monkeypatch):
 
     monkeypatch.setattr(suite, "holo_length_jacobian", counting)
     assert suite.check_jacobian()["passed"]
-    assert sizes == [len(suite._grid_values()) ** 2 + suite.JACOBIAN_CORNER_STEPS]
-    assert sizes == [154]
+    assert sizes == [2 * len(suite._grid_values()) ** 2 + suite.JACOBIAN_CORNER_STEPS]
+    assert sizes == [298]
 
 
-@pytest.mark.parametrize("point", [0, 143, 153], ids=["first", "last-grid", "corner"])
+@pytest.mark.parametrize(
+    "point", [0, 143, 153, 297], ids=["first", "last-grid", "corner", "last-mirrored"]
+)
 def test_check_jacobian_gates_the_fd_residual_everywhere(point, monkeypatch):
     """A finite-difference residual above JACOBIAN_FD_TOL at any of the
-    154 points, the corner path's included, fails the criterion."""
+    298 points, the corner path's and the mirrored grid's included, fails
+    the criterion."""
     def broken(x, y, z):
         rep = lengthmap.holo_length_jacobian(x, y, z)
         rep["fd_residual"][point] = 2.0 * suite.JACOBIAN_FD_TOL
@@ -484,6 +487,25 @@ def test_scaled_determinant_fails_jacobian(monkeypatch):
     assert not record["passed"]
     assert details["worst_fd_residual"] < details["fd_tol"]
     assert details["worst_det_gap"] > 9e-3 > details["det_gap_tol"]
+
+
+def test_scaled_m00_fails_jacobian(monkeypatch):
+    """holo_length_jacobian's m00 scaled by 1 + 1e-7, with its det scaled
+    alike so that the determinant gate holds, opens the finite-difference
+    residual to at least 1e-7 and fails jacobian."""
+    closed_form = lengthmap._trace_length_jacobian
+
+    def scaled(x, y, z):
+        matrix, det = closed_form(x, y, z)
+        matrix[:, 0, 0] *= 1.0 + 1e-7
+        return matrix, (1.0 + 1e-7) * det
+
+    monkeypatch.setattr(lengthmap, "_trace_length_jacobian", scaled)
+    record = suite.check_jacobian()
+    details = record["details"]
+    assert not record["passed"]
+    assert details["worst_det_gap"] < details["det_gap_tol"]
+    assert details["worst_fd_residual"] >= 1e-7 > details["fd_tol"]
 
 
 def test_check_mirror_draws_its_words_once(monkeypatch):
